@@ -1,9 +1,12 @@
 """Piecewise-C1 curves, immersed 2-disks, and integration of 1- and 2-forms.
 
-Measures (length, area, diameter) and form integrals use composite
-Gauss-Legendre quadrature: 16 nodes per segment/axis, panel count doubled
-until the relative change drops below 1e-8 (absolute floor 1e-10), at most 6
-doublings; non-convergence raises with the last two values attached.
+Measures (length, area) and form integrals use composite Gauss-Legendre
+quadrature: 16 nodes per segment/axis, panel count doubled until the
+relative change drops below 1e-8 (absolute floor 1e-10), at most 6
+doublings; non-convergence raises with the last two values attached.  One
+driver serves line and area integrals.  The composite rule is cached per
+(panels, order, interval) and its arrays are read-only, so every caller,
+``mollify`` included, shares them safely.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
@@ -15,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -66,14 +70,19 @@ class QuadratureError(RuntimeError):
         self.previous = previous
 
 
-def _panel_nodes(panels: int, order: int = QUAD_ORDER):
+@lru_cache(maxsize=None)
+def _gl_rule(panels: int, order: int = QUAD_ORDER, a: float = 0.0,
+             b: float = 1.0):
+    """Composite Gauss-Legendre nodes/weights on [a, b], read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
+    edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
-    return t, wt
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def adaptive_quadrature(fn: Callable[[np.ndarray, np.ndarray], float],
@@ -82,7 +91,7 @@ def adaptive_quadrature(fn: Callable[[np.ndarray, np.ndarray], float],
     prev = None
     panels = 1
     for step in range(MAX_DOUBLINGS + 1):
-        t, w = _panel_nodes(panels)
+        t, w = _gl_rule(panels)
         val = fn(t, w)
         if prev is not None:
             if abs(val - prev) <= max(tol * abs(val), QUAD_ABS_FLOOR):
@@ -362,13 +371,21 @@ def curve_length(curve: ParamCurve, tol: float = QUAD_REL_TOL) -> float:
     return sum(_segment_integral(s, speed, tol) for s in curve.segments)
 
 
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat distances |a_i - b_j| for point arrays of shape (n, 2), (m, 2)."""
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def curve_diameter(curve: ParamCurve, samples_per_segment: int = 128) -> float:
     """Max pairwise distance over boundary sample nodes (flat metric).
 
     Two-stage: a coarse pass locates the maximizing pair of parameters, a
     dense local pass around that pair sharpens the estimate.  The result is
-    a lower bound for the continuous diameter (conservative for the
-    smallness filter).
+    a lower bound for the continuous diameter.  A closed curve has
+    ``diam <= |dD|/2``, so the smallness filter ``max(diam, |dD|) < sigma``
+    is decided by the length alone.
     """
     t = np.linspace(0.0, 1.0, samples_per_segment)
     pts = np.concatenate([s.point(t) for s in curve.segments], axis=0)
@@ -376,8 +393,7 @@ def curve_diameter(curve: ParamCurve, samples_per_segment: int = 128) -> float:
     best = 0.0
     best_pair = (0, 0)
     for start in range(0, n, 512):
-        chunk = pts[start:start + 512]
-        d = np.linalg.norm(chunk[:, None, :] - pts[None, :, :], axis=-1)
+        d = _pair_distances(pts[start:start + 512], pts)
         i, j = np.unravel_index(np.argmax(d), d.shape)
         if d[i, j] > best:
             best = float(d[i, j])
@@ -390,28 +406,17 @@ def curve_diameter(curve: ParamCurve, samples_per_segment: int = 128) -> float:
         tt = np.clip(np.linspace(t0 - window, t0 + window, 192), 0.0, 1.0)
         return seg.point(tt)
 
-    a = local(best_pair[0])
-    b = local(best_pair[1])
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    d = _pair_distances(local(best_pair[0]), local(best_pair[1]))
     return max(best, float(np.max(d)))
 
 
 def _tensor_quadrature(fn: Callable, tol: float = QUAD_REL_TOL) -> float:
-    prev = None
-    panels = 1
-    for step in range(MAX_DOUBLINGS + 1):
-        t, w = _panel_nodes(panels)
+    """Tensor-product rule for fn(r, s) over [0,1]^2 on the adaptive driver."""
+    def tensor(t, w):
         r = np.broadcast_to(t[:, None], (t.size, t.size))
         s = np.broadcast_to(t[None, :], (t.size, t.size))
-        ww = w[:, None] * w[None, :]
-        val = float(np.sum(ww * fn(r, s)))
-        if prev is not None and abs(val - prev) <= max(tol * abs(val),
-                                                       QUAD_ABS_FLOOR):
-            return val
-        if step == MAX_DOUBLINGS:
-            raise QuadratureError(val, prev)
-        prev = val
-        panels *= 2
+        return float(np.sum(w[:, None] * w[None, :] * fn(r, s)))
+    return adaptive_quadrature(tensor, tol)
 
 
 def disk_area(disk: ParamDisk, tol: float = QUAD_REL_TOL) -> float:

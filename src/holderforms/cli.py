@@ -22,16 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grids import make_weierstrass, c_theta_norm
-from .mollify import (
-    normalization_constant, deta_l1, eta, verify_regularization,
-)
+from .grids import make_weierstrass
+from .mollify import normalization_constant, verify_regularization
 from .chains import (
-    OneForm, circle, polygon, rectangle_disk, unit_disk,
+    OneForm, circle, polygon, rectangle_disk,
     integrate_one_form, green_area, curve_length,
 )
 from .inequality import (
-    theta_bracket, c_theta_constant, eps_star, eps_sweep, closed_form_minimum,
     isoperimetric_check, mollification_split_check, verify_main_inequality,
     one_form_cnorm,
 )

@@ -6,9 +6,8 @@ import math
 
 import numpy as np
 
-from .grids import GridField, make_weierstrass, weierstrass_callable, extend_constant_y
+from .grids import make_weierstrass, weierstrass_callable, extend_constant_y
 from .chains import OneForm, rectangle_disk
-from .inequality import verify_main_inequality
 
 __all__ = [
     "weierstrass_form",

@@ -13,9 +13,8 @@ declared slack factor (default 1.05).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

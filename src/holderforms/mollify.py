@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .chains import _gl_rule
 from .grids import GridField, HolderEstimate, c_theta_norm
 
 __all__ = [
@@ -37,17 +38,6 @@ __all__ = [
 QUAD_TOL = 1e-8  # declared tolerance on kernel-mass quadrature
 
 
-def _gl(panels: int, order: int, a: float, b: float):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _bump(r2: np.ndarray) -> np.ndarray:
     """exp(1/(r^2-1)) on r^2 < 1, zero outside (unnormalized kernel)."""
     r2 = np.asarray(r2, dtype=float)
@@ -62,11 +52,11 @@ def normalization_constant(n: int, panels: int = 120, order: int = 16) -> float:
     """A = 1 / integral of exp(1/(|x|^2-1)) over the unit ball in R^n."""
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    x, w = _gl(panels, order, -1.0, 1.0)
+    x, w = _gl_rule(panels, order, -1.0, 1.0)
     if n == 1:
         integral = float(np.sum(w * _bump(x * x)))
     else:
-        r, wr = _gl(panels, order, 0.0, 1.0)
+        r, wr = _gl_rule(panels, order, 0.0, 1.0)
         integral = float(2.0 * np.pi * np.sum(wr * _bump(r * r) * r))
     return 1.0 / integral
 
@@ -85,12 +75,12 @@ def _deta_component(n: int, i: int, panels: int, order: int) -> float:
         # |eta'| is smooth on each half of the support; split at the sign flip
         total = 0.0
         for a, b in ((-1.0, 0.0), (0.0, 1.0)):
-            x, w = _gl(panels, order, a, b)
+            x, w = _gl_rule(panels, order, a, b)
             g = A * _bump(x * x) * np.abs(-2.0 * x / (x * x - 1.0) ** 2)
             total += float(np.sum(w * g))
         return total
     # 2D: tensor quadrature of |d eta / dx_i| over [-1,1]^2
-    x, wx = _gl(panels, order, -1.0, 1.0)
+    x, wx = _gl_rule(panels, order, -1.0, 1.0)
     gx, gy = np.meshgrid(x, x, indexing="ij")
     ww = wx[:, None] * wx[None, :]
     r2 = gx * gx + gy * gy

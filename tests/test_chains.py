@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holderforms.chains import (
+    QUAD_REL_TOL,
     OneForm,
     QuadratureError,
+    _gl_rule,
     adaptive_quadrature,
     circle,
     curve_diameter,
@@ -26,7 +29,42 @@ from holderforms.chains import (
     split_long_segments,
     unit_disk,
 )
+from holderforms.experiments import random_convex_polygon_vertices
 from holderforms.grids import GridField
+
+
+def _fresh_gl_rule(panels, order, a, b):
+    """Reference composite Gauss-Legendre rule, rebuilt on every call."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
+
+
+class TestGLRule:
+    @pytest.mark.parametrize("panels, order, a, b", [
+        (1, 16, 0.0, 1.0), (64, 16, 0.0, 1.0), (120, 16, -1.0, 1.0),
+        (160, 12, 0.0, 1.0)])
+    def test_cached_rule_matches_fresh_rule_bitwise(self, panels, order, a, b):
+        nodes, weights = _gl_rule(panels, order, a, b)
+        ref_nodes, ref_weights = _fresh_gl_rule(panels, order, a, b)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+
+    def test_second_call_returns_same_arrays(self):
+        first = _gl_rule(8, 16, 0.0, 1.0)
+        second = _gl_rule(8, 16, 0.0, 1.0)
+        assert first[0] is second[0]
+        assert first[1] is second[1]
+
+    def test_arrays_are_read_only(self):
+        nodes, weights = _gl_rule(4)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.5
+        with pytest.raises(ValueError):
+            weights[:] = 0.0
 
 
 class TestAdaptiveQuadrature:
@@ -48,6 +86,19 @@ class TestAdaptiveQuadrature:
 
         with pytest.raises(QuadratureError) as exc:
             adaptive_quadrature(noisy, tol=1e-15)
+        assert exc.value.last is not None
+        assert exc.value.previous is not None
+        assert exc.value.last != exc.value.previous
+
+    def test_tensor_failure_carries_last_two_values(self):
+        rng = np.random.default_rng(0)
+
+        def noisy(pts):
+            return rng.standard_normal(pts.shape[:-1])
+
+        with pytest.raises(QuadratureError) as exc:
+            integrate_two_form(noisy, rectangle_disk((0.0, 0.0), (1.0, 1.0)),
+                               tol=1e-15)
         assert exc.value.last is not None
         assert exc.value.previous is not None
         assert exc.value.last != exc.value.previous
@@ -82,6 +133,23 @@ class TestCurves:
     def test_circle_diameter(self):
         assert curve_diameter(circle((1.0, -2.0), 0.75)) == pytest.approx(
             1.5, abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_vertices=st.integers(3, 12),
+           radius=st.floats(0.05, 2.0))
+    def test_polygon_diameter_is_max_vertex_distance(self, seed, n_vertices,
+                                                     radius):
+        rng = np.random.default_rng(seed)
+        verts = random_convex_polygon_vertices(rng, n_vertices,
+                                               center=(0.3, -0.2),
+                                               radius=radius)
+        c = polygon(verts)
+        v = np.asarray(verts)
+        exact = float(np.max(np.linalg.norm(v[:, None] - v[None, :], axis=-1)))
+        diam = curve_diameter(c)
+        assert diam == pytest.approx(exact, abs=1e-12)
+        length = curve_length(c)
+        assert diam <= 0.5 * length * (1.0 + QUAD_REL_TOL)
 
     def test_split_preserves_integral_and_length(self):
         alpha = OneForm(lambda p: np.sin(p[..., 1]),
@@ -141,6 +209,15 @@ class TestDisks:
         assert m.length == pytest.approx(0.8, abs=1e-12)
         assert m.area == pytest.approx(0.04, abs=1e-12)
         assert m.diameter == pytest.approx(0.2 * math.sqrt(2.0), abs=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.floats(0.05, 2.0), b=st.floats(0.05, 2.0),
+           cx=st.floats(-1.0, 1.0))
+    def test_repeated_measures_are_bit_identical(self, a, b, cx):
+        d = ellipse_disk((cx, 0.5), a, b)
+        first = measure_disk(d)
+        measure_disk(rectangle_disk((0.0, 0.0), (b, a)))
+        assert measure_disk(d) == first
 
 
 class TestStokesPairs:

@@ -26,11 +26,12 @@ from .grids import make_weierstrass
 from .mollify import normalization_constant, verify_regularization
 from .chains import (
     OneForm, circle, polygon, rectangle_disk,
-    integrate_one_form, green_area, curve_length,
+    integrate_one_form, integrate_two_form, exterior_derivative,
+    green_area, curve_length,
 )
 from .inequality import (
     isoperimetric_check, mollification_split_check, verify_main_inequality,
-    one_form_cnorm,
+    one_form_cnorm, mollify_one_form,
 )
 from .dynamics import (
     spectral_rates, toral_automorphism, anosov_section_criterion,
@@ -179,8 +180,6 @@ def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
     disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
     split = mollification_split_check(alpha, disk, epsilon=0.05,
                                       seed=args.seed)
-    from .chains import exterior_derivative, integrate_two_form
-    from .inequality import mollify_one_form
     a_eps = mollify_one_form(alpha, 0.05)
     lhs = integrate_one_form(a_eps, disk.boundary(), tol=1e-6)
     rhs = integrate_two_form(exterior_derivative(a_eps), disk, tol=1e-6)
@@ -338,7 +337,7 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
     cnorm = one_form_cnorm(sampled, theta, seed=args.seed)
     fam_reports = verify_main_inequality(
         sampled, dyadic_square_family(range(2, 7), 4), theta=theta,
-        smallness_sigma=sigma, seed=args.seed)
+        smallness_sigma=sigma, cnorm=cnorm)
     k_emp = max(r.empirical_k for r in fam_reports)
 
     series = decay_bound_series(alpha, model, rect, theta,

@@ -6,6 +6,10 @@ N ~ mu^k strips so each strip boundary stays below the smallness threshold
 sigma, sum the per-strip right-hand sides of the main inequality, and check
 that the summed bound decays geometrically at rate mu * nu^theta.
 
+Only |dD| and |D| enter that right-hand side, so each strip is measured by
+its boundary length and area alone; the strip diameter is the exact
+rectangle diagonal, never sampled.
+
 Form invariance is NOT assumed; the experiment certifies the decay of the
 upper bound and the telescoping identity, which is what the argument needs.
 """
@@ -21,12 +25,13 @@ from .chains import (
     OneForm,
     ParamCurve,
     ParamDisk,
+    curve_length,
+    disk_area,
     integrate_one_form,
     polyline,
     rectangle_disk,
     split_long_segments,
 )
-from .inequality import verify_main_inequality
 
 __all__ = [
     "LinearModel",
@@ -87,6 +92,10 @@ class USRectangle:
     @property
     def boundary_length(self) -> float:
         return 2.0 * (self.u_len + self.s_len)
+
+    @property
+    def diameter(self) -> float:
+        return math.hypot(self.u_len, self.s_len)   # the diagonal
 
     @property
     def u_boundary_length(self) -> float:
@@ -219,7 +228,15 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
     ``k_emp`` and ``cnorm`` are frozen constants (the empirical inequality
     constant from a family run on the same form, and its C^theta norm);
     they scale the reported bound but not the fitted rate.
+
+    Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only,
+    so it is measured by ``curve_length`` and ``disk_area`` of its disk (the
+    calls ``measure_disk`` makes at its default tolerance).  A closed curve
+    has ``diam <= |dD|/2``, so the smallness filter is the length test
+    ``|dD| < sigma``; ``strip_diameter_max`` is the exact rectangle diagonal.
     """
+    if cnorm <= 0.0:
+        raise ValueError("cnorm must be positive")
     steps = []
     skipped = []
     for k in k_range:
@@ -229,14 +246,17 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
             continue
         rect_k = iterate_rectangle(model, rect, k)
         strips = cut_strips(rect_k, sc.n)
-        family = [(f"k{k}s{i}", s.disk()) for i, s in enumerate(strips)]
-        reports = verify_main_inequality(
-            alpha, family, theta=theta, smallness_sigma=sigma,
-            cnorm=cnorm, quad_tol=quad_tol)
-        if any(r.skipped for r in reports):
-            raise AssertionError(
-                f"strip failed the smallness filter at k={k}; N={sc.n}")
-        bound = k_emp * cnorm * math.fsum(r.rhs_shape for r in reports)
+        lengths = []
+        rhs_shapes = []
+        for s in strips:
+            d = s.disk()
+            length = curve_length(d.boundary())
+            if length >= sigma:     # diam <= |dD|/2 < |dD|
+                raise AssertionError(
+                    f"strip failed the smallness filter at k={k}; N={sc.n}")
+            lengths.append(length)
+            rhs_shapes.append(length ** (1.0 - theta) * disk_area(d) ** theta)
+        bound = k_emp * cnorm * math.fsum(rhs_shapes)
         lhs_sum = math.fsum(
             integrate_one_form(alpha, s.boundary_curve(), tol=quad_tol)
             for s in strips)
@@ -246,8 +266,8 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
             k=k,
             n0=sc.n0,
             n=sc.n,
-            strip_boundary_max=max(r.measures.length for r in reports),
-            strip_diameter_max=max(r.measures.diameter for r in reports),
+            strip_boundary_max=max(lengths),
+            strip_diameter_max=max(s.diameter for s in strips),
             strip_area=strips[0].area,
             bound=bound,
             lhs_sum=lhs_sum,

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from holderforms.chains import curve_length, green_area
+from holderforms.chains import curve_diameter, curve_length, green_area
 from holderforms.decay import (
     LinearModel,
     USRectangle,
@@ -13,6 +14,7 @@ from holderforms.decay import (
     iterate_rectangle,
 )
 from holderforms.experiments import analytic_weierstrass_form
+from holderforms.inequality import verify_main_inequality
 
 
 MODEL = LinearModel(1.5, 0.4)
@@ -74,6 +76,16 @@ class TestStrips:
             assert sc.admissible
             assert sc.n0 < sc.n < 2 * sc.n0
 
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),
+           u_len=st.floats(1e-3, 10.0), s_len=st.floats(1e-3, 10.0))
+    def test_diameter_is_the_exact_diagonal(self, x, y, u_len, s_len):
+        rect = USRectangle((x, y), u_len, s_len)
+        assert rect.diameter == math.hypot(u_len, s_len)
+        assert rect.diameter == pytest.approx(
+            curve_diameter(rect.disk().boundary()), rel=1e-12)
+        assert rect.diameter <= rect.boundary_length / 2.0
+
     def test_small_k_is_inadmissible(self):
         # before the contraction kicks in the strips stay too tall
         sc = choose_strip_count(0, MODEL, RECT, sigma=0.5, c1=1.0)
@@ -108,3 +120,25 @@ class TestDecaySeries:
         for s in series.steps:
             assert s.strip_boundary_max < 0.5
             assert s.strip_diameter_max < 0.5
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_strip_measures_match_family_verifier(self, series, k):
+        # the family verifier stays the reference for the strip measures
+        step = next(s for s in series.steps if s.k == k)
+        strips = cut_strips(iterate_rectangle(MODEL, RECT, k), step.n)
+        reports = verify_main_inequality(
+            analytic_weierstrass_form(0.5, 2, 8), [s.disk() for s in strips],
+            theta=0.5, smallness_sigma=0.5, cnorm=1.0)
+        assert not any(r.skipped for r in reports)
+        assert step.bound == math.fsum(r.rhs_shape for r in reports)
+        assert step.strip_boundary_max == max(r.measures.length
+                                              for r in reports)
+        assert step.strip_diameter_max == pytest.approx(
+            max(r.measures.diameter for r in reports), rel=1e-12)
+        assert step.strip_diameter_max <= step.strip_boundary_max / 2.0
+
+    def test_smallness_filter_names_k_and_n(self):
+        alpha = analytic_weierstrass_form(0.5, 2, 8)
+        with pytest.raises(AssertionError, match=r"k=2; N=3"):
+            decay_bound_series(alpha, MODEL, RECT, theta=0.5,
+                               k_range=range(2, 5), sigma=0.5, c1=0.2)

@@ -168,6 +168,18 @@ class TestMainInequality:
         with pytest.raises(ValueError):
             verify_main_inequality(w_form, fam, theta=0.5, cnorm=0.0)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_precomputed_cnorm_matches_seeded_cnorm(self, seed):
+        # the decay command passes its own cnorm instead of the seed
+        form = weierstrass_form(0.5, terms=6, resolution=512)
+        fam = dyadic_square_family(range(2, 7), 4)
+        by_cnorm = verify_main_inequality(
+            form, fam, theta=0.5,
+            cnorm=one_form_cnorm(form, 0.5, seed=seed))
+        by_seed = verify_main_inequality(form, fam, theta=0.5, seed=seed)
+        assert repr([r.csv_row() for r in by_cnorm]) == repr(
+            [r.csv_row() for r in by_seed])
+
 
 class TestSplitCheck:
     def test_split_bounds_on_weierstrass(self, w_form, w_cnorm):

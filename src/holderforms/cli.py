@@ -149,8 +149,7 @@ def run_mollify_check(args, cp, outdir: Path, checks: Checks) -> None:
         a = normalization_constant(n)
         checks.check(f"mollifier-normalization-{n}d", a > 0.0, f"A={a:.6f}")
     u = make_weierstrass(theta, base, terms, res)
-    reports = verify_regularization(u, theta, epsilons, slack=slack,
-                                    seed=args.seed)
+    reports = verify_regularization(u, theta, epsilons, slack=slack)
     write_csv(outdir / "regularization.csv",
               ["epsilon", "measured_c", "bound_c", "measured_d", "bound_d",
                "pass_c", "pass_d"],
@@ -178,8 +177,7 @@ def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
                                           args.resolution))
     alpha = weierstrass_form(theta, resolution=res)
     disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
-    split = mollification_split_check(alpha, disk, epsilon=0.05,
-                                      seed=args.seed)
+    split = mollification_split_check(alpha, disk, epsilon=0.05)
     a_eps = mollify_one_form(alpha, 0.05)
     lhs = integrate_one_form(a_eps, disk.boundary(), tol=1e-6)
     rhs = integrate_two_form(exterior_derivative(a_eps), disk, tol=1e-6)
@@ -209,7 +207,7 @@ def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
     alpha = weierstrass_form(theta, base, terms, res)
     family = dyadic_square_family(range(j_min, j_max + 1), anchors)
     reports = verify_main_inequality(alpha, family, theta=theta,
-                                     smallness_sigma=sigma, seed=args.seed)
+                                     smallness_sigma=sigma)
     write_csv(outdir / "inequality.csv",
               ["disk_id", "length", "area", "diameter", "lhs", "rhs_shape",
                "ratio", "eps_star", "skipped"],
@@ -334,7 +332,7 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
     alpha = analytic_weierstrass_form(theta, terms=terms)
     sampled = weierstrass_form(theta, terms=terms,
                                resolution=max(512, 4 * 2 ** (terms - 1)))
-    cnorm = one_form_cnorm(sampled, theta, seed=args.seed)
+    cnorm = one_form_cnorm(sampled, theta)
     fam_reports = verify_main_inequality(
         sampled, dyadic_square_family(range(2, 7), 4), theta=theta,
         smallness_sigma=sigma, cnorm=cnorm)

@@ -130,15 +130,14 @@ def isoperimetric_check(length: float, area: float,
                                area <= bound + tol, bound - area)
 
 
-def one_form_cnorm(alpha: OneForm, theta: float | None = None,
-                   seed: int = 0) -> float:
+def one_form_cnorm(alpha: OneForm, theta: float | None = None) -> float:
     """Max over grid components of the sampled C^theta norm."""
     theta = alpha.theta if theta is None else theta
     comps = alpha.grid_components()
     if not comps:
         raise ValueError("cnorm needs grid-sampled components; pass an "
                          "explicit cnorm for analytic forms")
-    return max(c_theta_norm(c, theta, seed=seed).cnorm for c in comps)
+    return max(c_theta_norm(c, theta).cnorm for c in comps)
 
 
 def mollify_one_form(alpha: OneForm, epsilon: float) -> OneForm:
@@ -181,11 +180,10 @@ def mollification_split_check(alpha: OneForm, disk: ParamDisk, epsilon: float,
                               theta: float | None = None,
                               cnorm: float | None = None,
                               slack: float = DEFAULT_SLACK,
-                              quad_tol: float = 1e-5,
-                              seed: int = 0) -> SplitCheck:
+                              quad_tol: float = 1e-5) -> SplitCheck:
     theta = alpha.theta if theta is None else theta
     if cnorm is None:
-        cnorm = one_form_cnorm(alpha, theta, seed=seed)
+        cnorm = one_form_cnorm(alpha, theta)
     alpha_eps = mollify_one_form(alpha, epsilon)
     bnd = disk.boundary()
     lhs = abs(integrate_one_form(alpha, bnd, tol=quad_tol))
@@ -250,7 +248,6 @@ class InequalityReport:
 def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
                            smallness_sigma: float = 0.5,
                            cnorm: float | None = None,
-                           seed: int = 0,
                            quad_tol: float = 1e-8):
     """Apply the main-inequality comparison to a family of disks.
 
@@ -260,7 +257,7 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
     """
     theta = alpha.theta if theta is None else theta
     if cnorm is None:
-        cnorm = one_form_cnorm(alpha, theta, seed=seed)
+        cnorm = one_form_cnorm(alpha, theta)
     if cnorm <= 0.0:
         raise ValueError("cnorm must be positive")
     reports = []

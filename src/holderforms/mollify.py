@@ -295,11 +295,10 @@ def verify_regularization(
     epsilons,
     slack: float = 1.05,
     norm: HolderEstimate | None = None,
-    seed: int = 0,
 ):
     """Check the sup, approximation and derivative bounds for each epsilon."""
     if norm is None:
-        norm = c_theta_norm(u, theta, seed=seed)
+        norm = c_theta_norm(u, theta)
     cn = norm.cnorm
     dl1 = deta_l1(u.dim)
     reports = []

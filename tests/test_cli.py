@@ -51,6 +51,17 @@ class TestDeterminism:
             fb = b / fa.name
             assert fa.read_bytes() == fb.read_bytes()
 
+    @pytest.mark.parametrize("sub", ["inequality", "mollify-check", "decay"])
+    def test_csvs_do_not_depend_on_the_seed(self, sub, tmp_path):
+        # the seed only draws random polygons; no reported constant uses it
+        _, a = run([sub, "--seed", "0"], tmp_path, "a")
+        _, b = run([sub, "--seed", "1"], tmp_path, "b")
+        names = sorted(p.name for p in a.glob("*.csv"))
+        assert names
+        assert names == sorted(p.name for p in b.glob("*.csv"))
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
 
 class TestConfig:
     def test_missing_config_file_is_an_error(self, tmp_path):

@@ -116,6 +116,110 @@ class TestHolderSeminorm:
         assert b == pytest.approx(scale * a, rel=1e-12)
 
 
+def _snap_periodic(vals, periodic):
+    for ax, per in enumerate(periodic):
+        if per:
+            last = [slice(None)] * vals.ndim
+            last[ax] = -1
+            vals[tuple(last)] = np.take(vals, 0, axis=ax)
+    return vals
+
+
+@st.composite
+def lag_grids(draw, dim=None, periodic=None):
+    """Small random grids: noise, y-constant (pruned) or tilted (not pruned)."""
+    dim = draw(st.sampled_from([1, 2])) if dim is None else dim
+    res = (draw(st.integers(2, 24)),) + (
+        (draw(st.integers(2, 10)),) if dim == 2 else ())
+    if periodic is None:
+        periodic = tuple(draw(st.booleans()) for _ in res)
+    kind = draw(st.sampled_from(["noise", "y_constant", "tilted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-1.0, 1.0, dim)
+    hi = lo + rng.uniform(0.1, 3.0, dim)
+    vals = rng.standard_normal(res)
+    if kind == "y_constant" and dim == 2:
+        vals = np.repeat(vals[:, :1], res[1], axis=1)
+    elif kind == "tilted":
+        # a steep linear ramp: the largest quotients sit on off-axis lags
+        axes = np.meshgrid(*(np.linspace(lo[a], hi[a], res[a])
+                             for a in range(dim)), indexing="ij")
+        slope = rng.uniform(-20.0, 20.0, dim)
+        vals = 1e-3 * vals + sum(s * x for s, x in zip(slope, axes))
+    vals = _snap_periodic(vals, periodic)
+    return GridField(tuple(lo), tuple(hi), res, periodic, vals)
+
+
+thetas = st.floats(0.05, 1.0, exclude_min=True)
+
+
+def all_pairs(f):
+    return np.stack(np.triu_indices(f.values.size, 1), axis=1)
+
+
+class TestLagScan:
+    @settings(max_examples=80, deadline=None)
+    @given(f=lag_grids(), theta=thetas)
+    def test_equals_the_all_pairs_maximum(self, f, theta):
+        exact = holder_seminorm(f, theta, pairs=all_pairs(f)).seminorm
+        assert holder_seminorm(f, theta).seminorm == pytest.approx(
+            exact, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=lag_grids(), theta=thetas, seed=st.integers(0, 2**32 - 1))
+    def test_bounds_every_pair_subset(self, f, theta, seed):
+        pairs = all_pairs(f)
+        rng = np.random.default_rng(seed)
+        subset = pairs[rng.random(len(pairs)) < rng.uniform(0.05, 1.0)]
+        if len(subset) == 0:
+            return
+        sub = holder_seminorm(f, theta, pairs=subset).seminorm
+        # k*h lag distances and coordinate differences agree to rounding
+        assert holder_seminorm(f, theta).seminorm * (1 + 1e-12) >= sub
+
+    @pytest.mark.parametrize("ax", [0, 1])
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    def test_pair_across_the_periodic_seam_uses_the_wrapped_lag(self, ax,
+                                                                theta):
+        # nodes 1 and n-2 are 2h apart across the seam, (n-3)h apart inside
+        n, h = 9, 1.0 / 8
+        line = np.zeros(n)
+        line[1], line[n - 2] = 1.0, -1.0
+        vals = np.tile(line, (3, 1))
+        if ax == 0:
+            vals = vals.T
+        periodic = (ax == 0, ax == 1)
+        f = GridField((0.0, 0.0), (1.0, 1.0), vals.shape, periodic, vals)
+        assert holder_seminorm(f, theta).seminorm == pytest.approx(
+            2.0 / (2.0 * h) ** theta, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), theta=thetas)
+    def test_rolling_a_periodic_axis_leaves_it_unchanged(self, data, theta):
+        dim = data.draw(st.sampled_from([1, 2]))
+        ax = data.draw(st.integers(0, dim - 1))
+        periodic = tuple(a == ax or data.draw(st.booleans())
+                         for a in range(dim))
+        f = data.draw(lag_grids(dim=dim, periodic=periodic))
+        n = f.resolution[ax]
+        shift = data.draw(st.integers(0, n - 2))
+        body = np.roll(np.take(f.values, range(n - 1), axis=ax), shift, axis=ax)
+        rolled = _snap_periodic(np.concatenate(
+            [body, np.take(body, [0], axis=ax)], axis=ax), periodic)
+        g = GridField(f.lo, f.hi, f.resolution, f.periodic, rolled)
+        assert holder_seminorm(g, theta).seminorm == pytest.approx(
+            holder_seminorm(f, theta).seminorm, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=lag_grids(dim=1), theta=thetas, ny=st.integers(2, 10),
+           periodic=st.booleans())
+    def test_constant_extension_keeps_the_1d_value(self, f, theta, ny,
+                                                    periodic):
+        g = extend_constant_y(f, ny, periodic=periodic)
+        assert holder_seminorm(g, theta).seminorm == pytest.approx(
+            holder_seminorm(f, theta).seminorm, rel=1e-12)
+
+
 class TestWeierstrass:
     def test_value_at_origin_is_the_cosine_sum(self):
         w = weierstrass_callable(0.5, 2, 8)

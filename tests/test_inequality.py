@@ -18,6 +18,7 @@ from holderforms.experiments import (
     random_convex_polygon_vertices,
     weierstrass_form,
 )
+from holderforms.grids import GridField
 from holderforms.inequality import (
     c_theta_constant,
     closed_form_minimum,
@@ -175,6 +176,34 @@ class TestMainInequality:
         by_cnorm = verify_main_inequality(
             form, fam, theta=0.5, cnorm=one_form_cnorm(form, 0.5))
         computed = verify_main_inequality(form, fam, theta=0.5)
+        assert repr([r.csv_row() for r in by_cnorm]) == repr(
+            [r.csv_row() for r in computed])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_precomputed_cnorm_matches_seeded_cnorm(self, seed):
+        # a seeded random trigonometric form varying in both coordinates,
+        # unlike the Weierstrass form of the test above
+        rng = np.random.default_rng(seed)
+        n = 65
+        x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n),
+                           indexing="ij")
+
+        def field():
+            kx, ky = rng.integers(1, 4, size=2)
+            a, b = rng.normal(size=2)
+            vals = (a * np.sin(2 * np.pi * (kx * x + ky * y))
+                    + b * np.cos(2 * np.pi * kx * x) * np.sin(2 * np.pi * ky * y))
+            vals[-1, :] = vals[0, :]
+            vals[:, -1] = vals[:, 0]
+            return GridField((0.0, 0.0), (1.0, 1.0), (n, n), (True, True), vals)
+
+        form = OneForm(field(), field(), 0.5)
+        fam = dyadic_square_family(range(2, 6), 3)
+        # bilinear kinks cross the boundaries, so the quadrature runs at 1e-4
+        by_cnorm = verify_main_inequality(
+            form, fam, theta=0.5, cnorm=one_form_cnorm(form, 0.5),
+            quad_tol=1e-4)
+        computed = verify_main_inequality(form, fam, theta=0.5, quad_tol=1e-4)
         assert repr([r.csv_row() for r in by_cnorm]) == repr(
             [r.csv_row() for r in computed])
 

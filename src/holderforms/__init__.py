@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 
 from .grids import (
     GridField, HolderEstimate, make_weierstrass, weierstrass_callable,
-    holder_seminorm, c_theta_norm,
+    holder_seminorm,
 )
-from .mollify import Mollifier, normalization_constant, deta_l1, mollify, \
+from .mollify import normalization_constant, deta_l1, mollify, \
     verify_regularization
 from .chains import (
     OneForm, ParamCurve, ParamDisk, Segment, curve_length, curve_diameter,

@@ -41,7 +41,6 @@ __all__ = [
     "split_long_segments",
     "rectangle_disk",
     "ellipse_disk",
-    "linear_image_disk",
     "curve_length",
     "curve_diameter",
     "disk_area",
@@ -163,9 +162,6 @@ class ParamCurve:
 
     def reversed(self) -> "ParamCurve":
         return ParamCurve(tuple(s.reversed() for s in reversed(self.segments)))
-
-    def concat(self, other: "ParamCurve") -> "ParamCurve":
-        return ParamCurve(self.segments + other.segments)
 
     def is_closed(self, tol: float = 1e-10) -> bool:
         a = self.segments[0].point(np.array([0.0]))[0]
@@ -301,17 +297,6 @@ def ellipse_disk(center, a: float, b: float) -> ParamDisk:
 
 def unit_disk(center=(0.0, 0.0), radius: float = 1.0) -> ParamDisk:
     return ellipse_disk(center, radius, radius)
-
-
-def linear_image_disk(disk: ParamDisk, matrix, shift=(0.0, 0.0)) -> ParamDisk:
-    M = np.asarray(matrix, dtype=float)
-    b = np.asarray(shift, dtype=float)
-    apply = lambda v: v @ M.T
-    return ParamDisk(
-        lambda r, s: apply(disk.psi(r, s)) + b,
-        lambda r, s: apply(disk.d_dr(r, s)),
-        lambda r, s: apply(disk.d_ds(r, s)),
-    )
 
 
 @dataclass(frozen=True)

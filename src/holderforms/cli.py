@@ -31,7 +31,7 @@ from .chains import (
 )
 from .inequality import (
     isoperimetric_check, mollification_split_check, verify_main_inequality,
-    one_form_cnorm, mollify_one_form,
+    one_form_cnorm,
 )
 from .dynamics import (
     spectral_rates, toral_automorphism, anosov_section_criterion,
@@ -178,7 +178,7 @@ def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
     alpha = weierstrass_form(theta, resolution=res)
     disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
     split = mollification_split_check(alpha, disk, epsilon=0.05)
-    a_eps = mollify_one_form(alpha, 0.05)
+    a_eps = split.alpha_eps
     lhs = integrate_one_form(a_eps, disk.boundary(), tol=1e-6)
     rhs = integrate_two_form(exterior_derivative(a_eps), disk, tol=1e-6)
     err2 = abs(lhs - rhs)

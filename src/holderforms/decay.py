@@ -63,15 +63,6 @@ class LinearModel:
         if not (self.mu > 1.0 > self.nu > 0.0):
             raise ValueError("need mu > 1 > nu > 0 (eigenvalues split across 1)")
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "LinearModel":
-        M = np.asarray(matrix, dtype=float)
-        eig = np.linalg.eigvals(M)
-        if np.any(np.abs(eig.imag) > 1e-12):
-            raise ValueError("eigenvalues must be real")
-        mods = np.sort(np.abs(eig.real))
-        return cls(mu=float(mods[1]), nu=float(mods[0]))
-
 
 @dataclass(frozen=True)
 class USRectangle:
@@ -96,14 +87,6 @@ class USRectangle:
     @property
     def diameter(self) -> float:
         return math.hypot(self.u_len, self.s_len)   # the diagonal
-
-    @property
-    def u_boundary_length(self) -> float:
-        return 2.0 * self.u_len     # base plus opposite edge
-
-    @property
-    def s_boundary_length(self) -> float:
-        return 2.0 * self.s_len     # the two sides
 
     def disk(self) -> ParamDisk:
         x, y = self.corner
@@ -175,7 +158,6 @@ class DecayStep:
     n: int
     strip_boundary_max: float
     strip_diameter_max: float
-    strip_area: float
     bound: float                 # sum over strips of K_emp cnorm rhs_shape
     lhs_sum: float               # sum of per-strip boundary integrals
     lhs_whole: float             # boundary integral of the whole iterate
@@ -268,7 +250,6 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
             n=sc.n,
             strip_boundary_max=max(lengths),
             strip_diameter_max=max(s.diameter for s in strips),
-            strip_area=strips[0].area,
             bound=bound,
             lhs_sum=lhs_sum,
             lhs_whole=lhs_whole,

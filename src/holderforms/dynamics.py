@@ -25,7 +25,6 @@ __all__ = [
     "anosov_section_criterion",
     "accessibility_criterion",
     "standard_holder_bound",
-    "improved_section_exponent",
     "pisot_example",
     "CAT_MAP",
 ]
@@ -273,17 +272,6 @@ def standard_holder_bound(rates: SpectralRates) -> float:
         return 0.0
     theta = (math.log(Mc) - math.log(mu_)) / math.log(ms_)
     return min(theta, 1.0)
-
-
-def improved_section_exponent(theta: float) -> float:
-    """Speculative leafwise-smoothness replacement tau = 1/(2 - theta).
-
-    Non-normative: exposed only as an alternate exponent for comparison,
-    never used by the criteria above.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must be in (0,1)")
-    return 1.0 / (2.0 - theta)
 
 
 @dataclass(frozen=True)

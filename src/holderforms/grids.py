@@ -27,7 +27,6 @@ __all__ = [
     "make_weierstrass",
     "weierstrass_callable",
     "holder_seminorm",
-    "c_theta_norm",
     "extend_constant_y",
     "save_csv",
     "load_csv",
@@ -343,11 +342,6 @@ def holder_seminorm(f: GridField, theta: float, pairs=None) -> HolderEstimate:
         diff = np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]])
         return HolderEstimate(theta, _best_quotient(diff, d, theta), sup)
     return HolderEstimate(theta, _lag_scan(f, theta), sup)
-
-
-def c_theta_norm(f: GridField, theta: float) -> HolderEstimate:
-    """sup|f| + theta-seminorm over all node pairs; alias of holder_seminorm."""
-    return holder_seminorm(f, theta)
 
 
 def extend_constant_y(f: GridField, ny: int, lo: float = 0.0, hi: float = 1.0,

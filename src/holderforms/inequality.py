@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridField, c_theta_norm, DEFAULT_SLACK
+from .grids import GridField, holder_seminorm, DEFAULT_SLACK
 from .mollify import deta_l1, mollify
 from .chains import (
     OneForm,
@@ -137,7 +137,7 @@ def one_form_cnorm(alpha: OneForm, theta: float | None = None) -> float:
     if not comps:
         raise ValueError("cnorm needs grid-sampled components; pass an "
                          "explicit cnorm for analytic forms")
-    return max(c_theta_norm(c, theta).cnorm for c in comps)
+    return max(holder_seminorm(c, theta).cnorm for c in comps)
 
 
 def mollify_one_form(alpha: OneForm, epsilon: float) -> OneForm:
@@ -162,6 +162,7 @@ class SplitCheck:
     bound_interior: float    # |D| ||d eta||_L1 cnorm eps^(theta-1)
     quad_tol: float
     slack: float
+    alpha_eps: OneForm       # the mollified form the terms were measured on
 
     @property
     def chain_holds(self) -> bool:
@@ -205,6 +206,7 @@ def mollification_split_check(alpha: OneForm, disk: ParamDisk, epsilon: float,
         bound_interior=meas.area * deta_l1(2) * cnorm * epsilon ** (theta - 1.0),
         quad_tol=quad_tol,
         slack=slack,
+        alpha_eps=alpha_eps,
     )
 
 

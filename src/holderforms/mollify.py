@@ -4,8 +4,10 @@ The kernel is eta(x) = A * exp(1/(|x|^2 - 1)) on the open unit ball, zero
 outside, with A fixed by unit mass.  Discrete convolution uses the kernel
 sampled on the grid and renormalized to *exactly* unit discrete mass, so the
 sup bound sup|u_eps| <= sup|u| holds exactly at any resolution (each output
-is a convex combination of samples); the analytic A is still exposed for the
-||d eta||_L1 bound.
+is a convex combination of samples).  The analytic A also gives the kernel
+constant ||d eta||_L1 in closed form: eta is unimodal along every coordinate
+line (it decreases in |x|^2), so the line integral of |d_i eta| is twice its
+peak value at x_i = 0.
 
 Non-periodic axes are restricted rather than padded: the output lives on the
 eps-shrunk interior.
@@ -19,11 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chains import _gl_rule
-from .grids import GridField, HolderEstimate, c_theta_norm
+from .chains import _centered_diff, _gl_rule
+from .grids import GridField, HolderEstimate, holder_seminorm
 
 __all__ = [
-    "Mollifier",
     "RegularizationReport",
     "normalization_constant",
     "eta",
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 QUAD_TOL = 1e-8  # declared tolerance on kernel-mass quadrature
+KERNEL_PANELS = 120  # composite GL rule for the kernel mass
+KERNEL_ORDER = 16
 
 
 def _bump(r2: np.ndarray) -> np.ndarray:
@@ -48,15 +51,15 @@ def _bump(r2: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def normalization_constant(n: int, panels: int = 120, order: int = 16) -> float:
+def normalization_constant(n: int) -> float:
     """A = 1 / integral of exp(1/(|x|^2-1)) over the unit ball in R^n."""
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    x, w = _gl_rule(panels, order, -1.0, 1.0)
+    x, w = _gl_rule(KERNEL_PANELS, KERNEL_ORDER, -1.0, 1.0)
     if n == 1:
         integral = float(np.sum(w * _bump(x * x)))
     else:
-        r, wr = _gl_rule(panels, order, 0.0, 1.0)
+        r, wr = _gl_rule(KERNEL_PANELS, KERNEL_ORDER, 0.0, 1.0)
         integral = float(2.0 * np.pi * np.sum(wr * _bump(r * r) * r))
     return 1.0 / integral
 
@@ -69,56 +72,18 @@ def eta(x, n: int) -> np.ndarray:
     return A * _bump(r2)
 
 
-def _deta_component(n: int, i: int, panels: int, order: int) -> float:
-    A = normalization_constant(n)
-    if n == 1:
-        # |eta'| is smooth on each half of the support; split at the sign flip
-        total = 0.0
-        for a, b in ((-1.0, 0.0), (0.0, 1.0)):
-            x, w = _gl_rule(panels, order, a, b)
-            g = A * _bump(x * x) * np.abs(-2.0 * x / (x * x - 1.0) ** 2)
-            total += float(np.sum(w * g))
-        return total
-    # 2D: tensor quadrature of |d eta / dx_i| over [-1,1]^2
-    x, wx = _gl_rule(panels, order, -1.0, 1.0)
-    gx, gy = np.meshgrid(x, x, indexing="ij")
-    ww = wx[:, None] * wx[None, :]
-    r2 = gx * gx + gy * gy
-    coord = gx if i == 0 else gy
-    inside = r2 < 1.0
-    val = np.zeros_like(r2)
-    val[inside] = (
-        A
-        * np.exp(1.0 / (r2[inside] - 1.0))
-        * np.abs(-2.0 * coord[inside] / (r2[inside] - 1.0) ** 2)
-    )
-    return float(np.sum(ww * val))
+def deta_l1(n: int) -> float:
+    """max_i of integral |d eta/dx_i| over R^n, in closed form.
 
-
-@lru_cache(maxsize=None)
-def deta_l1(n: int, panels: int = 160, order: int = 12) -> float:
-    """max_i of integral |d eta/dx_i| over R^n (closed-form derivative)."""
-    if n not in (1, 2):
-        raise ValueError("n must be 1 or 2")
-    return max(_deta_component(n, i, panels, order) for i in range(n))
-
-
-@dataclass(frozen=True)
-class Mollifier:
-    """Kernel bundle: dimension, normalization and the L1 derivative norm."""
-
-    dim: int
-
-    @property
-    def A(self) -> float:
-        return normalization_constant(self.dim)
-
-    @property
-    def deta_l1(self) -> float:
-        return deta_l1(self.dim)
-
-    def __call__(self, x) -> np.ndarray:
-        return eta(x, self.dim)
+    Along each line parallel to the x_i axis, eta rises to its value at
+    x_i = 0 and then falls (it is a decreasing function of |x|^2), so the
+    line integral of |d eta/dx_i| is 2 eta(x_i = 0).  In 1-D that is
+    2 A_1 e^-1; in 2-D, integrating 2 A_2 exp(1/(x_j^2 - 1)) over x_j gives
+    2 A_2 / A_1, the same for both i by symmetry.
+    """
+    a = normalization_constant(n)
+    return 2.0 * a * (math.exp(-1.0) if n == 1
+                      else 1.0 / normalization_constant(1))
 
 
 def _discrete_kernel_1d(h: float, epsilon: float) -> np.ndarray:
@@ -234,15 +199,10 @@ def grad_supnorm(u: GridField) -> float:
     """Max |centered difference| over axes, interior nodes (wrap if periodic)."""
     best = 0.0
     for ax in range(u.dim):
-        h = u.spacing[ax]
-        v = u.values
-        if u.periodic[ax]:
-            core = np.take(v, range(u.resolution[ax] - 1), axis=ax)
-            d = (np.roll(core, -1, axis=ax) - np.roll(core, 1, axis=ax)) / (2 * h)
-        else:
-            fwd = np.take(v, range(2, u.resolution[ax]), axis=ax)
-            bwd = np.take(v, range(0, u.resolution[ax] - 2), axis=ax)
-            d = (fwd - bwd) / (2 * h)
+        d = _centered_diff(u.values, ax, u.spacing[ax], u.periodic[ax])
+        if not u.periodic[ax]:
+            # drop the one-sided edge values
+            d = np.take(d, range(1, u.resolution[ax] - 1), axis=ax)
         best = max(best, float(np.max(np.abs(d))))
     return best
 
@@ -298,7 +258,7 @@ def verify_regularization(
 ):
     """Check the sup, approximation and derivative bounds for each epsilon."""
     if norm is None:
-        norm = c_theta_norm(u, theta)
+        norm = holder_seminorm(u, theta)
     cn = norm.cnorm
     dl1 = deta_l1(u.dim)
     reports = []

@@ -39,7 +39,7 @@ from holderforms.experiments import (
     random_convex_polygon_vertices,
     weierstrass_form,
 )
-from holderforms.grids import GridField, c_theta_norm, make_weierstrass
+from holderforms.grids import GridField, holder_seminorm, make_weierstrass
 from holderforms.inequality import (
     closed_form_minimum,
     eps_sweep,
@@ -117,7 +117,7 @@ def test_c02_sup_bound_random_fields():
 
 
 def test_c03_approximation_bound(w_field):
-    norm = c_theta_norm(w_field, 0.5)
+    norm = holder_seminorm(w_field, 0.5)
     reports = verify_regularization(w_field, 0.5, EPSILONS, slack=1.05,
                                     norm=norm)
     for r in reports:
@@ -126,7 +126,7 @@ def test_c03_approximation_bound(w_field):
 
 
 def test_c04_derivative_bound(w_field):
-    norm = c_theta_norm(w_field, 0.5)
+    norm = holder_seminorm(w_field, 0.5)
     dl1 = deta_l1(1)
     closed_form = 2.0 * float(eta(np.array([0.0]), 1)[0])
     assert abs(dl1 - closed_form) <= 1e-6

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import holderforms.inequality
 from holderforms.cli import main
 
 
@@ -33,6 +34,19 @@ class TestSubcommands:
         code, outdir = run(["stokes-check", "--resolution", "4096"], tmp_path)
         assert code == 0
         assert (outdir / "stokes.csv").exists()
+
+    def test_stokes_check_mollifies_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = holderforms.inequality.mollify
+
+        def counting(u, epsilon):
+            calls.append(epsilon)
+            return real(u, epsilon)
+
+        monkeypatch.setattr(holderforms.inequality, "mollify", counting)
+        code, _ = run(["stokes-check"], tmp_path)
+        assert code == 0
+        assert calls == [0.05]
 
     def test_svg_flag_emits_plot(self, tmp_path):
         code, outdir = run(["inequality", "--svg"], tmp_path)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,11 +26,6 @@ class TestLinearModel:
             LinearModel(0.9, 0.4)  # expansion must exceed 1
         with pytest.raises(ValueError):
             LinearModel(1.5, 1.1)  # contraction must be below 1
-
-    def test_from_matrix_diagonal(self):
-        m = LinearModel.from_matrix(np.diag([2.0, 0.25]))
-        assert m.mu == pytest.approx(2.0)
-        assert m.nu == pytest.approx(0.25)
 
 
 class TestRectangleIteration:

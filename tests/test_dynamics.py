@@ -10,7 +10,6 @@ from holderforms.dynamics import (
     accessibility_criterion,
     anosov_section_criterion,
     companion_matrix,
-    improved_section_exponent,
     pisot_example,
     spectral_rates,
     standard_holder_bound,
@@ -106,11 +105,6 @@ class TestCriteria:
         r = spectral_rates(companion_matrix(0, -1, -1))
         with pytest.raises(ValueError):
             accessibility_criterion(r, 0.5, ell=1)  # dim E^c = 0 here
-
-    def test_improved_exponent(self):
-        assert improved_section_exponent(0.5) == pytest.approx(2.0 / 3.0)
-        with pytest.raises(ValueError):
-            improved_section_exponent(0.0)
 
 
 class TestPisotExample:

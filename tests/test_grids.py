@@ -9,7 +9,6 @@ from holderforms.grids import (
     UnderResolvedError,
     extend_constant_y,
     holder_seminorm,
-    c_theta_norm,
     load_csv,
     make_weierstrass,
     save_csv,
@@ -101,7 +100,7 @@ class TestHolderSeminorm:
 
     def test_cnorm_is_sup_plus_seminorm(self):
         f = linear_field(65)
-        est = c_theta_norm(f, 1.0)
+        est = holder_seminorm(f, 1.0)
         assert est.cnorm == pytest.approx(est.supnorm + est.seminorm)
 
     @settings(max_examples=25, deadline=None)

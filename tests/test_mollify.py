@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holderforms.grids import GridField, c_theta_norm, make_weierstrass
+from holderforms.grids import GridField, holder_seminorm, make_weierstrass
 from holderforms.mollify import (
-    Mollifier,
     _discrete_kernel_1d,
     deta_l1,
     discrete_kernel_mass,
@@ -52,22 +51,30 @@ class TestKernelNormalization:
     def test_deta_1d_closed_form(self):
         # |eta'| integrates to 2 eta(0) in one dimension
         want = 2.0 * float(eta(np.array([0.0]), 1)[0])
-        assert abs(deta_l1(1) - want) <= 1e-6
+        assert abs(deta_l1(1) - want) <= 1e-14
 
     def test_deta_2d_positive_and_finite(self):
         v = deta_l1(2)
         assert 0.0 < v < 10.0
+        # tensor Gauss-Legendre quadrature of |d eta/dx_1| over [-1, 1]^2,
+        # split at 0 on each axis, where |x_1| has its kink
+        t, w = np.polynomial.legendre.leggauss(200)
+        halves = [(0.5 * t + 0.5 * side, 0.5 * w) for side in (-1.0, 1.0)]
+        total = 0.0
+        for x, wx in halves:
+            for y, wy in halves:
+                gx, gy = np.meshgrid(x, y, indexing="ij")
+                r2 = gx * gx + gy * gy
+                g = (eta(np.stack([gx, gy], axis=-1), 2)
+                     * 2.0 * np.abs(gx) / (r2 - 1.0) ** 2)
+                total += float(np.sum(wx[:, None] * wy[None, :] * g))
+        assert abs(v - total) <= 1e-10
 
     @pytest.mark.parametrize("h,eps", [(1 / 256, 0.02), (1 / 256, 0.05),
                                        (1 / 1024, 0.1), (1 / 4096, 0.03)])
     def test_discrete_mass_exactly_one(self, h, eps):
         w = _discrete_kernel_1d(h, eps)
         assert discrete_kernel_mass(w) == 1.0
-
-    def test_mollifier_bundle(self):
-        m = Mollifier(1)
-        assert m.A == pytest.approx(normalization_constant(1))
-        assert m.deta_l1 == pytest.approx(deta_l1(1))
 
 
 class TestMollify:
@@ -136,6 +143,25 @@ class TestGradSupnorm:
         f = GridField((0.0,), (1.0,), (n,), (True,), np.sin(2 * np.pi * x))
         assert grad_supnorm(f) == pytest.approx(2 * np.pi, rel=1e-4)
 
+    def test_2d_mixed_periodicity_matches_hand_difference(self):
+        # x not periodic (interior nodes only), y periodic (wrapped)
+        nx, ny = 17, 13
+        v = np.random.default_rng(3).standard_normal((nx, ny))
+        v[-1, 4] = 50.0  # largest difference at the last interior x node
+        v[:, -1] = v[:, 0]
+        f = GridField((0.0, 0.0), (1.0, 2.0), (nx, ny), (False, True), v)
+        hx, hy = f.spacing
+        best = 0.0
+        for i in range(1, nx - 1):
+            for j in range(ny):
+                best = max(best, abs(v[i + 1, j] - v[i - 1, j]) / (2 * hx))
+        m = ny - 1
+        for i in range(nx):
+            for j in range(m):
+                d = v[i, (j + 1) % m] - v[i, (j - 1) % m]
+                best = max(best, abs(d) / (2 * hy))
+        assert grad_supnorm(f) == best
+
 
 class TestRegularizationBounds:
     def test_weierstrass_all_three_bounds(self):
@@ -154,6 +180,6 @@ class TestRegularizationBounds:
 
     def test_frozen_norm_is_respected(self):
         u = make_weierstrass(0.5, 2, 6, 1024)
-        est = c_theta_norm(u, 0.5)
+        est = holder_seminorm(u, 0.5)
         reports = verify_regularization(u, 0.5, [0.05], norm=est)
         assert reports[0].bound_c == pytest.approx(est.cnorm * 0.05 ** 0.5)

@@ -1,12 +1,17 @@
 """Piecewise-C1 curves, immersed 2-disks, and integration of 1- and 2-forms.
 
-Measures (length, area) and form integrals use composite Gauss-Legendre
+Length, area and form integrals use composite Gauss-Legendre
 quadrature: 16 nodes per segment/axis, panel count doubled until the
 relative change drops below 1e-8 (absolute floor 1e-10), at most 6
 doublings; non-convergence raises with the last two values attached.  One
 driver serves line and area integrals.  The composite rule is cached per
 (panels, order, interval) and its arrays are read-only, so every caller,
 ``mollify`` included, shares them safely.
+
+A disk that is a polygon carries its boundary vertices in
+``ParamDisk.corners`` (``rectangle_disk`` fills them); its diameter is then
+computed exactly from the vertex pairs.  Curved disks (``corners`` is
+``None``) fall back to the sampled ``curve_diameter``, a lower bound.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -35,7 +41,6 @@ __all__ = [
     "line_segment",
     "arc_segment",
     "polyline",
-    "rectangle_boundary",
     "circle",
     "polygon",
     "split_long_segments",
@@ -174,12 +179,6 @@ def polyline(points) -> ParamCurve:
     return ParamCurve(tuple(line_segment(a, b) for a, b in zip(pts, pts[1:])))
 
 
-def rectangle_boundary(lo, hi) -> ParamCurve:
-    """Positively oriented boundary of [lo0,hi0] x [lo1,hi1]."""
-    (x0, y0), (x1, y1) = lo, hi
-    return polyline([(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)])
-
-
 def circle(center, radius: float) -> ParamCurve:
     return ParamCurve((arc_segment(center, radius, 0.0, 2.0 * np.pi),))
 
@@ -218,11 +217,18 @@ def split_long_segments(curve: ParamCurve, max_len: float) -> ParamCurve:
 
 @dataclass(frozen=True)
 class ParamDisk:
-    """Immersion psi: [0,1]^2 -> R^2 with partial-velocity evaluators."""
+    """Immersion psi: [0,1]^2 -> R^2 with partial-velocity evaluators.
+
+    ``corners``, when set, is the tuple of boundary vertices ``(x, y)`` of a
+    disk whose boundary is a polygon with exactly those vertices, given as
+    ``psi`` evaluates them; ``measure_disk`` then takes the diameter from
+    the vertex pairs.  ``None`` (the default) means a curved boundary.
+    """
 
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_dr: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_ds: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    corners: tuple | None = None
 
     def boundary(self) -> ParamCurve:
         """psi restricted to the unit-square boundary, positively oriented."""
@@ -268,7 +274,9 @@ def rectangle_disk(lo, hi) -> ParamDisk:
         s = np.asarray(s, dtype=float)
         return np.broadcast_to(np.array([0.0, dy]), s.shape + (2,)).copy()
 
-    return ParamDisk(psi, d_dr, d_ds)
+    corners = tuple((float(x), float(y))
+                    for x, y in psi([0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]))
+    return ParamDisk(psi, d_dr, d_ds, corners)
 
 
 def ellipse_disk(center, a: float, b: float) -> ParamDisk:
@@ -370,7 +378,8 @@ def curve_diameter(curve: ParamCurve, samples_per_segment: int = 128) -> float:
     dense local pass around that pair sharpens the estimate.  The result is
     a lower bound for the continuous diameter.  A closed curve has
     ``diam <= |dD|/2``, so the smallness filter ``max(diam, |dD|) < sigma``
-    is decided by the length alone.
+    is decided by the length alone.  ``measure_disk`` uses it only for
+    disks without ``corners``; a polygonal disk's diameter is exact there.
     """
     t = np.linspace(0.0, 1.0, samples_per_segment)
     pts = np.concatenate([s.point(t) for s in curve.segments], axis=0)
@@ -408,12 +417,38 @@ def disk_area(disk: ParamDisk, tol: float = QUAD_REL_TOL) -> float:
     return _tensor_quadrature(lambda r, s: np.abs(disk.jacobian_det(r, s)), tol)
 
 
+def _vertex_diameter(corners) -> float:
+    """Max |a - b| over vertex pairs, with ``_pair_distances``' arithmetic."""
+    best = 0.0
+    for (xa, ya), (xb, yb) in combinations(corners, 2):
+        dx, dy = xa - xb, ya - yb
+        best = max(best, math.sqrt(dx * dx + dy * dy))
+    return best
+
+
 def measure_disk(disk: ParamDisk, tol: float = QUAD_REL_TOL) -> ChainMeasures:
+    """Boundary length and area by quadrature, and the diameter.
+
+    With ``disk.corners`` set the diameter is exact: a polygon's diameter
+    is attained at two of its vertices, so it is the largest vertex-pair
+    distance, computed as ``sqrt(dx*dx + dy*dy)`` like ``curve_diameter``.
+    For an axis-aligned rectangle this equals ``curve_diameter`` of the
+    boundary bit for bit: every sampled coordinate ``x0 + dx*t`` with
+    ``t`` in [0, 1] is a rounded monotone function of ``t``, so it lies
+    between the corner values; rounded subtraction, squaring, addition and
+    sqrt are monotone too, so no sampled pair beats the corner pair, and
+    the corners are themselves samples.  Without ``corners`` the diameter
+    is the sampled ``curve_diameter``, a lower bound.
+    """
     bnd = disk.boundary()
+    if disk.corners is None:
+        diameter = curve_diameter(bnd)
+    else:
+        diameter = _vertex_diameter(disk.corners)
     return ChainMeasures(
         length=curve_length(bnd, tol),
         area=disk_area(disk, tol),
-        diameter=curve_diameter(bnd),
+        diameter=diameter,
     )
 
 

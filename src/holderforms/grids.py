@@ -259,6 +259,8 @@ def make_weierstrass(theta: float, base: int, terms: int, resolution: int) -> Gr
 
 def _lag_maxima(v: np.ndarray) -> np.ndarray:
     """``M[k-1] = max |v[i+k] - v[i]|`` along axis 0 for lags k = 1..n-1."""
+    if v.ndim == 2 and (v == v[:, :1]).all():
+        v = v[:, :1]  # identical columns share every maximum
     n = v.shape[0]
     # one reused buffer: a fresh grid-sized temporary per lag is mapped and
     # page-faulted anew once it exceeds the allocator's mmap threshold

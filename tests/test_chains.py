@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holderforms import chains
 from holderforms.chains import (
     QUAD_REL_TOL,
     OneForm,
@@ -24,13 +25,17 @@ from holderforms.chains import (
     measure_disk,
     polygon,
     polyline,
-    rectangle_boundary,
     rectangle_disk,
     split_long_segments,
     unit_disk,
 )
-from holderforms.experiments import random_convex_polygon_vertices
+from holderforms.experiments import (
+    dyadic_square_family,
+    random_convex_polygon_vertices,
+    weierstrass_form,
+)
 from holderforms.grids import GridField
+from holderforms.inequality import verify_main_inequality
 
 
 def _fresh_gl_rule(panels, order, a, b):
@@ -110,7 +115,7 @@ class TestCurves:
             4.0 * math.pi, rel=1e-10)
 
     def test_rectangle_length(self):
-        c = rectangle_boundary((0.0, 0.0), (0.3, 0.1))
+        c = polygon([(0.0, 0.0), (0.3, 0.0), (0.3, 0.1), (0.0, 0.1)])
         assert curve_length(c) == pytest.approx(0.8, abs=1e-12)
 
     def test_polyline_open_curve(self):
@@ -155,7 +160,7 @@ class TestCurves:
     def test_split_preserves_integral_and_length(self):
         alpha = OneForm(lambda p: np.sin(p[..., 1]),
                         lambda p: np.cos(p[..., 0]), 1.0)
-        c = rectangle_boundary((0.0, 0.0), (2.0, 1.0))
+        c = polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)])
         fine = split_long_segments(c, 0.2)
         assert len(fine.segments) > len(c.segments)
         assert curve_length(fine) == pytest.approx(curve_length(c), rel=1e-10)
@@ -165,7 +170,7 @@ class TestCurves:
 
 class TestGreenArea:
     def test_rectangle(self):
-        c = rectangle_boundary((0.1, 0.2), (0.5, 0.9))
+        c = polygon([(0.1, 0.2), (0.5, 0.2), (0.5, 0.9), (0.1, 0.9)])
         assert green_area(c) == pytest.approx(0.4 * 0.7, abs=1e-12)
 
     def test_triangle(self):
@@ -202,6 +207,42 @@ class TestDisks:
         assert m.area == pytest.approx(0.04, abs=1e-12)
         assert m.diameter == pytest.approx(0.2 * math.sqrt(2.0), abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
+           side=st.floats(1e-6, 2.0), log2_aspect=st.floats(-14.0, 0.0),
+           wide=st.booleans())
+    def test_rectangle_corner_diameter_is_the_sampled_one(self, x0, y0, side,
+                                                          log2_aspect, wide):
+        # thin sides reach the aspect ratios of the decay strips
+        other = max(side * 2.0 ** log2_aspect, 1e-6)
+        w, h = (side, other) if wide else (other, side)
+        d = rectangle_disk((x0, y0), (x0 + w, y0 + h))
+        bnd = d.boundary()
+        m = measure_disk(d)
+        assert m.diameter == curve_diameter(bnd)
+        assert m.length == curve_length(bnd)
+        assert m.area == disk_area(d)
+
+    def test_square_family_samples_no_diameter(self, monkeypatch):
+        calls = []
+        sampled = chains.curve_diameter
+
+        def counting(curve, *args, **kwargs):
+            calls.append(curve)
+            return sampled(curve, *args, **kwargs)
+
+        monkeypatch.setattr(chains, "curve_diameter", counting)
+        form = weierstrass_form(0.5, terms=6, resolution=512)
+        reports = verify_main_inequality(
+            form, dyadic_square_family(range(2, 9), 8), theta=0.5)
+        assert len(reports) == 56
+        assert calls == []
+
+    def test_curved_disk_keeps_the_sampled_diameter(self):
+        diam = measure_disk(unit_disk()).diameter
+        assert diam <= 2.0
+        assert diam == pytest.approx(2.0, abs=1e-4)
+
     @settings(max_examples=20, deadline=None)
     @given(a=st.floats(0.05, 2.0), b=st.floats(0.05, 2.0),
            cx=st.floats(-1.0, 1.0))
@@ -221,7 +262,7 @@ class TestStokesPairs:
     def test_exact_form_dy_closed_curve_vanishes(self):
         dy = OneForm(None, lambda p: np.ones(p.shape[:-1]), 1.0)
         for curve in (circle((0.3, 0.3), 0.2),
-                      rectangle_boundary((0.0, 0.0), (0.4, 0.7)),
+                      polygon([(0.0, 0.0), (0.4, 0.0), (0.4, 0.7), (0.0, 0.7)]),
                       polygon([(0.0, 0.0), (1.0, 0.2), (0.4, 0.8)])):
             assert abs(integrate_one_form(dy, curve)) <= 1e-10
 

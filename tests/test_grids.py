@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from holderforms.grids import (
     GridField,
     UnderResolvedError,
+    _lag_maxima,
     extend_constant_y,
     holder_seminorm,
     load_csv,
@@ -217,6 +218,21 @@ class TestLagScan:
         g = extend_constant_y(f, ny, periodic=periodic)
         assert holder_seminorm(g, theta).seminorm == pytest.approx(
             holder_seminorm(f, theta).seminorm, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 24), ny=st.integers(1, 10),
+           odd=st.one_of(st.none(), st.integers(0, 9)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equal_columns_scan_like_all_columns(self, n, ny, odd, seed):
+        # identical columns, or identical but for one column (odd)
+        rng = np.random.default_rng(seed)
+        v = np.repeat(rng.standard_normal((n, 1)), ny, axis=1)
+        if odd is not None:
+            v[rng.integers(n), odd % ny] += rng.uniform(-2.0, 2.0)
+        naive = [max(abs(v[i + k, j] - v[i, j])
+                     for i in range(n - k) for j in range(ny))
+                 for k in range(1, n)]
+        assert _lag_maxima(v).tolist() == naive
 
 
 class TestWeierstrass:

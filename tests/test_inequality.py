@@ -9,6 +9,7 @@ from holderforms.chains import (
     circle,
     curve_length,
     green_area,
+    measure_disk,
     polygon,
     rectangle_disk,
 )
@@ -216,6 +217,16 @@ class TestSplitCheck:
         assert chk.chain_holds
         assert chk.boundary_bound_holds
         assert chk.interior_bound_holds
+
+    def test_bounds_equal_the_measured_disk_bounds(self, w_form, w_cnorm):
+        # the stokes-check square; the bounds read only length and area
+        disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
+        chk = mollification_split_check(w_form, disk, 0.05, theta=0.5,
+                                        cnorm=w_cnorm, quad_tol=1e-4)
+        meas = measure_disk(disk)
+        assert chk.bound_boundary == meas.length * w_cnorm * 0.05 ** 0.5
+        assert chk.bound_interior == (meas.area * deta_l1(2) * w_cnorm
+                                      * 0.05 ** (0.5 - 1.0))
 
     def test_boundary_bound_scales_with_eps(self, w_form, w_cnorm):
         disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))

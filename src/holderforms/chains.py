@@ -1,6 +1,6 @@
 """Piecewise-C1 curves, immersed 2-disks, and integration of 1- and 2-forms.
 
-Length, area and form integrals use composite Gauss-Legendre
+Curve length, Green's area and form integrals use composite Gauss-Legendre
 quadrature: 16 nodes per segment/axis, panel count doubled until the
 relative change drops below 1e-8 (absolute floor 1e-10), at most 6
 doublings; non-convergence raises with the last two values attached.  One
@@ -8,10 +8,11 @@ driver serves line and area integrals.  The composite rule is cached per
 (panels, order, interval) and its arrays are read-only, so every caller,
 ``mollify`` included, shares them safely.
 
-A disk that is a polygon carries its boundary vertices in
-``ParamDisk.corners`` (``rectangle_disk`` fills them); its diameter is then
-computed exactly from the vertex pairs.  Curved disks (``corners`` is
-``None``) fall back to the sampled ``curve_diameter``, a lower bound.
+A disk that is a polygon carries its vertices in ``ParamDisk.corners``
+(``rectangle_disk`` fills them).  ``measure_disk`` takes its length, area
+and diameter in closed form from those vertices and rejects a disk without
+them; curved disks (``ellipse_disk``, ``unit_disk``) serve as domains of
+integration only.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
@@ -47,8 +48,6 @@ __all__ = [
     "rectangle_disk",
     "ellipse_disk",
     "curve_length",
-    "curve_diameter",
-    "disk_area",
     "measure_disk",
     "integrate_one_form",
     "integrate_two_form",
@@ -219,10 +218,11 @@ def split_long_segments(curve: ParamCurve, max_len: float) -> ParamCurve:
 class ParamDisk:
     """Immersion psi: [0,1]^2 -> R^2 with partial-velocity evaluators.
 
-    ``corners``, when set, is the tuple of boundary vertices ``(x, y)`` of a
-    disk whose boundary is a polygon with exactly those vertices, given as
-    ``psi`` evaluates them; ``measure_disk`` then takes the diameter from
-    the vertex pairs.  ``None`` (the default) means a curved boundary.
+    ``corners``, when set, is the tuple of vertices ``(x, y)`` of a disk
+    whose boundary is a polygon, in boundary order and as ``psi`` evaluates
+    them; ``measure_disk`` needs them and measures the polygon in closed
+    form.  ``None`` (the default) means a curved boundary, which can be
+    integrated over but not measured.
     """
 
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -348,8 +348,8 @@ class ChainMeasures:
     diameter: float
 
     def __post_init__(self):
-        if min(self.length, self.area, self.diameter) < 0.0:
-            raise ValueError("measures must be nonnegative")
+        if not all(v >= 0.0 for v in (self.length, self.area, self.diameter)):
+            raise ValueError("measures must be nonnegative numbers")
 
 
 def _segment_integral(seg: Segment, values_of: Callable, tol: float) -> float:
@@ -364,46 +364,6 @@ def curve_length(curve: ParamCurve, tol: float = QUAD_REL_TOL) -> float:
     return sum(_segment_integral(s, speed, tol) for s in curve.segments)
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat distances |a_i - b_j| for point arrays of shape (n, 2), (m, 2)."""
-    dx = a[:, None, 0] - b[None, :, 0]
-    dy = a[:, None, 1] - b[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def curve_diameter(curve: ParamCurve, samples_per_segment: int = 128) -> float:
-    """Max pairwise distance over boundary sample nodes (flat metric).
-
-    Two-stage: a coarse pass locates the maximizing pair of parameters, a
-    dense local pass around that pair sharpens the estimate.  The result is
-    a lower bound for the continuous diameter.  A closed curve has
-    ``diam <= |dD|/2``, so the smallness filter ``max(diam, |dD|) < sigma``
-    is decided by the length alone.  ``measure_disk`` uses it only for
-    disks without ``corners``; a polygonal disk's diameter is exact there.
-    """
-    t = np.linspace(0.0, 1.0, samples_per_segment)
-    pts = np.concatenate([s.point(t) for s in curve.segments], axis=0)
-    n = len(pts)
-    best = 0.0
-    best_pair = (0, 0)
-    for start in range(0, n, 512):
-        d = _pair_distances(pts[start:start + 512], pts)
-        i, j = np.unravel_index(np.argmax(d), d.shape)
-        if d[i, j] > best:
-            best = float(d[i, j])
-            best_pair = (start + i, j)
-    # refine around the coarse maximizer
-    def local(idx):
-        seg = curve.segments[idx // samples_per_segment]
-        t0 = t[idx % samples_per_segment]
-        window = 2.0 / (samples_per_segment - 1)
-        tt = np.clip(np.linspace(t0 - window, t0 + window, 192), 0.0, 1.0)
-        return seg.point(tt)
-
-    d = _pair_distances(local(best_pair[0]), local(best_pair[1]))
-    return max(best, float(np.max(d)))
-
-
 def _tensor_quadrature(fn: Callable, tol: float = QUAD_REL_TOL) -> float:
     """Tensor-product rule for fn(r, s) over [0,1]^2 on the adaptive driver."""
     def tensor(t, w):
@@ -413,43 +373,44 @@ def _tensor_quadrature(fn: Callable, tol: float = QUAD_REL_TOL) -> float:
     return adaptive_quadrature(tensor, tol)
 
 
-def disk_area(disk: ParamDisk, tol: float = QUAD_REL_TOL) -> float:
-    return _tensor_quadrature(lambda r, s: np.abs(disk.jacobian_det(r, s)), tol)
+def _distance(a, b) -> float:
+    """Flat distance ``sqrt(dx*dx + dy*dy)`` between two points."""
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def _vertex_diameter(corners) -> float:
-    """Max |a - b| over vertex pairs, with ``_pair_distances``' arithmetic."""
-    best = 0.0
-    for (xa, ya), (xb, yb) in combinations(corners, 2):
-        dx, dy = xa - xb, ya - yb
-        best = max(best, math.sqrt(dx * dx + dy * dy))
-    return best
+    """Max distance over vertex pairs."""
+    return max(_distance(a, b) for a, b in combinations(corners, 2))
 
 
-def measure_disk(disk: ParamDisk, tol: float = QUAD_REL_TOL) -> ChainMeasures:
-    """Boundary length and area by quadrature, and the diameter.
+def measure_disk(disk: ParamDisk) -> ChainMeasures:
+    """Boundary length, area and diameter of a polygonal disk, closed form.
 
-    With ``disk.corners`` set the diameter is exact: a polygon's diameter
-    is attained at two of its vertices, so it is the largest vertex-pair
-    distance, computed as ``sqrt(dx*dx + dy*dy)`` like ``curve_diameter``.
-    For an axis-aligned rectangle this equals ``curve_diameter`` of the
-    boundary bit for bit: every sampled coordinate ``x0 + dx*t`` with
-    ``t`` in [0, 1] is a rounded monotone function of ``t``, so it lies
-    between the corner values; rounded subtraction, squaring, addition and
-    sqrt are monotone too, so no sampled pair beats the corner pair, and
-    the corners are themselves samples.  Without ``corners`` the diameter
-    is the sampled ``curve_diameter``, a lower bound.
+    With the vertices ``v_0 .. v_{n-1}`` of ``disk.corners`` and the closed
+    polygon's edges ``(dx, dy) = v_{i+1} - v_i``:
+
+    * length: ``sum sqrt(dx*dx + dy*dy)`` over the edges, in vertex order;
+    * area: ``|shoelace| / 2`` about ``v_0``, i.e. half the absolute sum of
+      the cross products ``u_i x u_{i+1}`` of ``u_i = v_i - v_0``.  For a
+      rectangle the only nonzero terms are two copies of ``dx*dy``, so the
+      area is ``fl(dx*dy)`` exactly; a shoelace about the origin would
+      cancel away the digits of a small square far from the origin;
+    * diameter: the largest vertex-pair distance ``sqrt(dx*dx + dy*dy)``,
+      because a polygon's diameter is attained at two of its vertices.
+
+    A disk without ``corners`` (a curved boundary) raises ``ValueError``.
     """
-    bnd = disk.boundary()
     if disk.corners is None:
-        diameter = curve_diameter(bnd)
-    else:
-        diameter = _vertex_diameter(disk.corners)
-    return ChainMeasures(
-        length=curve_length(bnd, tol),
-        area=disk_area(disk, tol),
-        diameter=diameter,
-    )
+        raise ValueError("measure_disk needs a polygonal disk: "
+                         "disk.corners is None")
+    verts = disk.corners
+    length = sum(_distance(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+    x0, y0 = verts[0]
+    rel = [(x - x0, y - y0) for x, y in verts[1:]]
+    twice = sum(xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(rel, rel[1:]))
+    return ChainMeasures(length=length, area=abs(twice) / 2.0,
+                         diameter=_vertex_diameter(verts))
 
 
 def integrate_one_form(alpha: OneForm, curve: ParamCurve,

@@ -121,8 +121,8 @@ def cfg_get(cp, section, key, cast, default, override=None):
 
 
 def _positive(name, value):
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -202,7 +202,8 @@ def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
     j_min = int(cfg_get(cp, "disks", "j_min", int, 2))
     j_max = int(cfg_get(cp, "disks", "j_max", int, 8))
     anchors = int(cfg_get(cp, "disks", "anchors", int, 8))
-    sigma = cfg_get(cp, "common", "sigma", float, 0.5, args.sigma)
+    sigma = _positive("sigma", cfg_get(cp, "common", "sigma", float, 0.5,
+                                       args.sigma))
 
     alpha = weierstrass_form(theta, base, terms, res)
     family = dyadic_square_family(range(j_min, j_max + 1), anchors)

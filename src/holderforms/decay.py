@@ -6,9 +6,9 @@ N ~ mu^k strips so each strip boundary stays below the smallness threshold
 sigma, sum the per-strip right-hand sides of the main inequality, and check
 that the summed bound decays geometrically at rate mu * nu^theta.
 
-Only |dD| and |D| enter that right-hand side, so each strip is measured by
-its boundary length and area alone; the strip diameter is the exact
-rectangle diagonal, never sampled.
+Only |dD| and |D| enter that right-hand side.  Each strip is measured by
+``measure_disk``, in closed form from its corners, the same path the family
+verifier takes; the strip diameter is the rectangle diagonal.
 
 Form invariance is NOT assumed; the experiment certifies the decay of the
 upper bound and the telescoping identity, which is what the argument needs.
@@ -25,9 +25,8 @@ from .chains import (
     OneForm,
     ParamCurve,
     ParamDisk,
-    curve_length,
-    disk_area,
     integrate_one_form,
+    measure_disk,
     polyline,
     rectangle_disk,
     split_long_segments,
@@ -83,10 +82,6 @@ class USRectangle:
     @property
     def boundary_length(self) -> float:
         return 2.0 * (self.u_len + self.s_len)
-
-    @property
-    def diameter(self) -> float:
-        return math.hypot(self.u_len, self.s_len)   # the diagonal
 
     def disk(self) -> ParamDisk:
         x, y = self.corner
@@ -211,11 +206,10 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
     constant from a family run on the same form, and its C^theta norm);
     they scale the reported bound but not the fitted rate.
 
-    Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only,
-    so it is measured by ``curve_length`` and ``disk_area`` of its disk (the
-    calls ``measure_disk`` makes at its default tolerance).  A closed curve
-    has ``diam <= |dD|/2``, so the smallness filter is the length test
-    ``|dD| < sigma``; ``strip_diameter_max`` is the exact rectangle diagonal.
+    Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only;
+    ``measure_disk`` gives its length, area and diameter in closed form.  A
+    closed curve has ``diam <= |dD|/2``, so the smallness filter is the
+    length test ``|dD| < sigma``.
     """
     if cnorm <= 0.0:
         raise ValueError("cnorm must be positive")
@@ -228,16 +222,12 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
             continue
         rect_k = iterate_rectangle(model, rect, k)
         strips = cut_strips(rect_k, sc.n)
-        lengths = []
-        rhs_shapes = []
-        for s in strips:
-            d = s.disk()
-            length = curve_length(d.boundary())
-            if length >= sigma:     # diam <= |dD|/2 < |dD|
-                raise AssertionError(
-                    f"strip failed the smallness filter at k={k}; N={sc.n}")
-            lengths.append(length)
-            rhs_shapes.append(length ** (1.0 - theta) * disk_area(d) ** theta)
+        measures = [measure_disk(s.disk()) for s in strips]
+        if any(m.length >= sigma for m in measures):  # diam <= |dD|/2 < |dD|
+            raise AssertionError(
+                f"strip failed the smallness filter at k={k}; N={sc.n}")
+        rhs_shapes = [m.length ** (1.0 - theta) * m.area ** theta
+                      for m in measures]
         bound = k_emp * cnorm * math.fsum(rhs_shapes)
         lhs_sum = math.fsum(
             integrate_one_form(alpha, s.boundary_curve(), tol=quad_tol)
@@ -248,8 +238,8 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
             k=k,
             n0=sc.n0,
             n=sc.n,
-            strip_boundary_max=max(lengths),
-            strip_diameter_max=max(s.diameter for s in strips),
+            strip_boundary_max=max(m.length for m in measures),
+            strip_diameter_max=max(m.diameter for m in measures),
             bound=bound,
             lhs_sum=lhs_sum,
             lhs_whole=lhs_whole,

@@ -20,8 +20,6 @@ from .chains import (
     OneForm,
     ParamDisk,
     ChainMeasures,
-    curve_length,
-    disk_area,
     measure_disk,
     integrate_one_form,
     integrate_two_form,
@@ -198,14 +196,14 @@ def mollification_split_check(alpha: OneForm, disk: ParamDisk, epsilon: float,
     term_boundary = abs(integrate_one_form(diff, bnd, tol=quad_tol))
     term_interior = abs(integrate_two_form(exterior_derivative(alpha_eps), disk,
                                            tol=quad_tol))
-    length, area = curve_length(bnd), disk_area(disk)
+    meas = measure_disk(disk)
     return SplitCheck(
         epsilon=epsilon,
         lhs=lhs,
         term_boundary=term_boundary,
         term_interior=term_interior,
-        bound_boundary=length * cnorm * epsilon ** theta,
-        bound_interior=area * deta_l1(2) * cnorm * epsilon ** (theta - 1.0),
+        bound_boundary=meas.length * cnorm * epsilon ** theta,
+        bound_interior=meas.area * deta_l1(2) * cnorm * epsilon ** (theta - 1.0),
         quad_tol=quad_tol,
         slack=slack,
         alpha_eps=alpha_eps,

@@ -90,9 +90,9 @@ def test_c01_mollifier_normalization():
         for eps in EPSILONS:
             w = discrete_kernel(1.0 / 1024, eps, n)
             assert discrete_kernel_mass(w) == 1.0, (n, eps)
+    t, gw = np.polynomial.legendre.leggauss(400)
     for n in (1, 2):
         A = normalization_constant(n)
-        t, gw = np.polynomial.legendre.leggauss(400)
         if n == 1:
             mass = float(np.sum(gw * eta(t, 1)))
         else:

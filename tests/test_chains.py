@@ -6,16 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from holderforms import chains
 from holderforms.chains import (
-    QUAD_REL_TOL,
     OneForm,
     ParamCurve,
     QuadratureError,
     _gl_rule,
     adaptive_quadrature,
     circle,
-    curve_diameter,
     curve_length,
-    disk_area,
     ellipse_disk,
     exterior_derivative,
     green_area,
@@ -29,13 +26,13 @@ from holderforms.chains import (
     split_long_segments,
     unit_disk,
 )
-from holderforms.experiments import (
-    dyadic_square_family,
-    random_convex_polygon_vertices,
-    weierstrass_form,
-)
+from holderforms.experiments import dyadic_square_family
 from holderforms.grids import GridField
-from holderforms.inequality import verify_main_inequality
+
+
+def one(p):
+    """The constant 1, whose 2-form integral is the area."""
+    return np.ones(p.shape[:-1])
 
 
 def _fresh_gl_rule(panels, order, a, b):
@@ -136,27 +133,6 @@ class TestCurves:
         b = integrate_one_form(alpha, c.reversed())
         assert b == pytest.approx(-a, abs=1e-12)
 
-    def test_circle_diameter(self):
-        assert curve_diameter(circle((1.0, -2.0), 0.75)) == pytest.approx(
-            1.5, abs=1e-6)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_vertices=st.integers(3, 12),
-           radius=st.floats(0.05, 2.0))
-    def test_polygon_diameter_is_max_vertex_distance(self, seed, n_vertices,
-                                                     radius):
-        rng = np.random.default_rng(seed)
-        verts = random_convex_polygon_vertices(rng, n_vertices,
-                                               center=(0.3, -0.2),
-                                               radius=radius)
-        c = polygon(verts)
-        v = np.asarray(verts)
-        exact = float(np.max(np.linalg.norm(v[:, None] - v[None, :], axis=-1)))
-        diam = curve_diameter(c)
-        assert diam == pytest.approx(exact, abs=1e-12)
-        length = curve_length(c)
-        assert diam <= 0.5 * length * (1.0 + QUAD_REL_TOL)
-
     def test_split_preserves_integral_and_length(self):
         alpha = OneForm(lambda p: np.sin(p[..., 1]),
                         lambda p: np.cos(p[..., 0]), 1.0)
@@ -185,14 +161,15 @@ class TestGreenArea:
 class TestDisks:
     def test_rectangle_area(self):
         d = rectangle_disk((0.0, 0.0), (0.25, 0.5))
-        assert disk_area(d) == pytest.approx(0.125, abs=1e-12)
+        assert integrate_two_form(one, d) == pytest.approx(0.125, abs=1e-12)
 
     def test_unit_disk_area(self):
-        assert disk_area(unit_disk()) == pytest.approx(math.pi, rel=1e-8)
+        assert integrate_two_form(one, unit_disk()) == pytest.approx(
+            math.pi, rel=1e-8)
 
     def test_ellipse_area(self):
         d = ellipse_disk((0.0, 0.0), 2.0, 0.5)
-        assert disk_area(d) == pytest.approx(math.pi, rel=1e-8)
+        assert integrate_two_form(one, d) == pytest.approx(math.pi, rel=1e-8)
 
     def test_boundary_is_closed_and_positively_oriented(self):
         d = rectangle_disk((0.0, 0.0), (1.0, 1.0))
@@ -211,46 +188,51 @@ class TestDisks:
     @given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
            side=st.floats(1e-6, 2.0), log2_aspect=st.floats(-14.0, 0.0),
            wide=st.booleans())
-    def test_rectangle_corner_diameter_is_the_sampled_one(self, x0, y0, side,
-                                                          log2_aspect, wide):
+    def test_rectangle_closed_forms_match_quadrature(self, x0, y0, side,
+                                                     log2_aspect, wide):
         # thin sides reach the aspect ratios of the decay strips
         other = max(side * 2.0 ** log2_aspect, 1e-6)
         w, h = (side, other) if wide else (other, side)
         d = rectangle_disk((x0, y0), (x0 + w, y0 + h))
-        bnd = d.boundary()
+        (xa, ya), _, (xb, yb), _ = d.corners
+        dx, dy = xb - xa, yb - ya
         m = measure_disk(d)
-        assert m.diameter == curve_diameter(bnd)
-        assert m.length == curve_length(bnd)
-        assert m.area == disk_area(d)
+        assert m.area == abs(dx * dy)
+        assert m.length == pytest.approx(curve_length(d.boundary()),
+                                         rel=1e-15)
+        assert m.area == pytest.approx(integrate_two_form(one, d), rel=1e-15)
+        assert m.diameter <= m.length / 2.0
 
     def test_square_family_samples_no_diameter(self, monkeypatch):
         calls = []
-        sampled = chains.curve_diameter
+        driver = chains.adaptive_quadrature
 
-        def counting(curve, *args, **kwargs):
-            calls.append(curve)
-            return sampled(curve, *args, **kwargs)
+        def counting(fn, *args, **kwargs):
+            calls.append(fn)
+            return driver(fn, *args, **kwargs)
 
-        monkeypatch.setattr(chains, "curve_diameter", counting)
-        form = weierstrass_form(0.5, terms=6, resolution=512)
-        reports = verify_main_inequality(
-            form, dyadic_square_family(range(2, 9), 8), theta=0.5)
-        assert len(reports) == 56
+        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
+        family = dyadic_square_family(range(2, 9), 8)
+        measures = [measure_disk(d) for _, d in family]
+        assert len(measures) == 56
         assert calls == []
 
-    def test_curved_disk_keeps_the_sampled_diameter(self):
-        diam = measure_disk(unit_disk()).diameter
-        assert diam <= 2.0
-        assert diam == pytest.approx(2.0, abs=1e-4)
+    def test_curved_disk_is_rejected(self):
+        with pytest.raises(ValueError, match="corners"):
+            measure_disk(unit_disk())
+
+    def test_nan_corner_is_rejected(self):
+        with pytest.raises(ValueError):
+            measure_disk(rectangle_disk((math.nan, 0.0), (1.0, 1.0)))
 
     @settings(max_examples=20, deadline=None)
     @given(a=st.floats(0.05, 2.0), b=st.floats(0.05, 2.0),
            cx=st.floats(-1.0, 1.0))
     def test_repeated_measures_are_bit_identical(self, a, b, cx):
         d = ellipse_disk((cx, 0.5), a, b)
-        first = measure_disk(d)
-        measure_disk(rectangle_disk((0.0, 0.0), (b, a)))
-        assert measure_disk(d) == first
+        first = integrate_two_form(one, d)
+        integrate_two_form(one, rectangle_disk((0.0, 0.0), (b, a)))
+        assert integrate_two_form(one, d) == first
 
 
 class TestStokesPairs:

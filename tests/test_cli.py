@@ -95,6 +95,17 @@ class TestConfig:
         code, _ = run(["pisot", "--config", str(ini)], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["inequality", "--sigma", "nan"],
+        ["inequality", "--sigma", "inf"],
+        ["decay", "--sigma", "nan"],
+        ["decay", "--mu", "inf"],
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, argv):
+        code, _ = run(argv, tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_config_value_used_and_flag_overrides(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"
         ini.write_text("[common]\nseed = 9\n")

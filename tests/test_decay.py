@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holderforms.chains import curve_diameter, curve_length, green_area
+from holderforms.chains import curve_length, green_area, measure_disk
 from holderforms.decay import (
     LinearModel,
     USRectangle,
@@ -75,10 +75,9 @@ class TestStrips:
            u_len=st.floats(1e-3, 10.0), s_len=st.floats(1e-3, 10.0))
     def test_diameter_is_the_exact_diagonal(self, x, y, u_len, s_len):
         rect = USRectangle((x, y), u_len, s_len)
-        assert rect.diameter == math.hypot(u_len, s_len)
-        assert rect.diameter == pytest.approx(
-            curve_diameter(rect.disk().boundary()), rel=1e-12)
-        assert rect.diameter <= rect.boundary_length / 2.0
+        diameter = measure_disk(rect.disk()).diameter
+        assert diameter == pytest.approx(math.hypot(u_len, s_len), rel=1e-12)
+        assert diameter <= rect.boundary_length / 2.0
 
     def test_small_k_is_inadmissible(self):
         # before the contraction kicks in the strips stay too tall
@@ -117,7 +116,7 @@ class TestDecaySeries:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_strip_measures_match_family_verifier(self, series, k):
-        # the family verifier stays the reference for the strip measures
+        # the strips and the family verifier share measure_disk
         step = next(s for s in series.steps if s.k == k)
         strips = cut_strips(iterate_rectangle(MODEL, RECT, k), step.n)
         reports = verify_main_inequality(
@@ -127,8 +126,8 @@ class TestDecaySeries:
         assert step.bound == math.fsum(r.rhs_shape for r in reports)
         assert step.strip_boundary_max == max(r.measures.length
                                               for r in reports)
-        assert step.strip_diameter_max == pytest.approx(
-            max(r.measures.diameter for r in reports), rel=1e-12)
+        assert step.strip_diameter_max == max(r.measures.diameter
+                                              for r in reports)
         assert step.strip_diameter_max <= step.strip_boundary_max / 2.0
 
     def test_smallness_filter_names_k_and_n(self):

@@ -4,15 +4,19 @@ Curve length, Green's area and form integrals use composite Gauss-Legendre
 quadrature: 16 nodes per segment/axis, panel count doubled until the
 relative change drops below 1e-8 (absolute floor 1e-10), at most 6
 doublings; non-convergence raises with the last two values attached.  One
-driver serves line and area integrals.  The composite rule is cached per
-(panels, order, interval) and its arrays are read-only, so every caller,
-``mollify`` included, shares them safely.
+driver serves line and area integrals.  It works entry-wise: an integrand
+may return an array, and each entry keeps the value of the doubling at
+which it converged, the value a scalar run on that entry gives.  The
+composite rule is cached per (panels, order, interval) and its arrays are
+read-only, so every caller, ``mollify`` included, shares them safely.
 
 A disk that is a polygon carries its vertices in ``ParamDisk.corners``
-(``rectangle_disk`` fills them).  ``measure_disk`` takes its length, area
-and diameter in closed form from those vertices and rejects a disk without
-them; curved disks (``ellipse_disk``, ``unit_disk``) serve as domains of
-integration only.
+(``rectangle_disk`` fills them).  It is measured and integrated from them:
+``measure_disk`` takes its length, area and diameter in closed form, and
+``polygon_boundary_integrals`` integrates a 1-form over the boundaries of
+many such disks in one vectorised driver call per edge index.  Both reject
+a disk without corners; curved disks (``ellipse_disk``, ``unit_disk``)
+are integrated along ``ParamDisk.boundary`` with ``integrate_one_form``.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
@@ -44,12 +48,12 @@ __all__ = [
     "polyline",
     "circle",
     "polygon",
-    "split_long_segments",
     "rectangle_disk",
     "ellipse_disk",
     "curve_length",
     "measure_disk",
     "integrate_one_form",
+    "polygon_boundary_integrals",
     "integrate_two_form",
     "exterior_derivative",
     "green_area",
@@ -88,19 +92,35 @@ def _gl_rule(panels: int, order: int = QUAD_ORDER, a: float = 0.0,
     return nodes, weights
 
 
-def adaptive_quadrature(fn: Callable[[np.ndarray, np.ndarray], float],
+def adaptive_quadrature(fn: Callable[[np.ndarray, np.ndarray], object],
                         tol: float = QUAD_REL_TOL):
-    """Refine fn(t, w) -> value over [0,1] by doubling the panel count."""
-    prev = None
+    """Refine fn(t, w) over [0,1] by doubling the panel count, entry-wise.
+
+    ``fn`` returns a float or an array.  Each entry keeps its value from the
+    first doubling at which ``|val - prev| <= max(tol*|val|, QUAD_ABS_FLOOR)``,
+    so it equals a scalar run on that entry alone; the loop ends when every
+    entry has converged.  An entry still open after ``MAX_DOUBLINGS`` raises
+    ``QuadratureError`` with its last and previous values.  A scalar ``fn``
+    gets a float back.
+    """
+    prev = out = done = None
     panels = 1
     for step in range(MAX_DOUBLINGS + 1):
         t, w = _gl_rule(panels)
-        val = fn(t, w)
-        if prev is not None:
-            if abs(val - prev) <= max(tol * abs(val), QUAD_ABS_FLOOR):
-                return val
+        val = np.asarray(fn(t, w), dtype=float)
+        if prev is None:
+            out = np.empty_like(val)
+            done = np.zeros(val.shape, dtype=bool)
+        else:
+            new = ~done & (np.abs(val - prev)
+                           <= np.maximum(tol * np.abs(val), QUAD_ABS_FLOOR))
+            np.copyto(out, val, where=new)
+            done |= new
+            if done.all():
+                return float(out) if out.ndim == 0 else out
         if step == MAX_DOUBLINGS:
-            raise QuadratureError(val, prev)
+            i = int(np.argmin(done.ravel()))
+            raise QuadratureError(float(val.flat[i]), float(prev.flat[i]))
         prev = val
         panels *= 2
 
@@ -187,42 +207,16 @@ def polygon(vertices) -> ParamCurve:
     return polyline(pts)
 
 
-def _subdivided(seg: Segment, n: int):
-    out = []
-    for i in range(n):
-        a, width = i / n, 1.0 / n
-
-        def point(t, a=a, width=width):
-            return seg.point(a + width * np.asarray(t, dtype=float))
-
-        def velocity(t, a=a, width=width):
-            return width * seg.velocity(a + width * np.asarray(t, dtype=float))
-
-        out.append(Segment(point, velocity))
-    return out
-
-
-def split_long_segments(curve: ParamCurve, max_len: float) -> ParamCurve:
-    """Subdivide parameters so each piece has chord length <= max_len."""
-    segs = []
-    for s in curve.segments:
-        t = np.linspace(0.0, 1.0, 33)
-        pts = s.point(t)
-        length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-        n = max(1, int(math.ceil(length / max_len)))
-        segs.extend(_subdivided(s, n))
-    return ParamCurve(tuple(segs))
-
-
 @dataclass(frozen=True)
 class ParamDisk:
     """Immersion psi: [0,1]^2 -> R^2 with partial-velocity evaluators.
 
     ``corners``, when set, is the tuple of vertices ``(x, y)`` of a disk
     whose boundary is a polygon, in boundary order and as ``psi`` evaluates
-    them; ``measure_disk`` needs them and measures the polygon in closed
-    form.  ``None`` (the default) means a curved boundary, which can be
-    integrated over but not measured.
+    them; ``measure_disk`` measures the polygon in closed form from them and
+    ``polygon_boundary_integrals`` integrates along its edges.  ``None``
+    (the default) means a curved boundary, which can be integrated over
+    but not measured.
     """
 
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -384,6 +378,18 @@ def _vertex_diameter(corners) -> float:
     return max(_distance(a, b) for a, b in combinations(corners, 2))
 
 
+def _polygon_corners(disk: ParamDisk, caller: str) -> tuple:
+    if disk.corners is None:
+        raise ValueError(f"{caller} needs a polygonal disk: "
+                         "disk.corners is None")
+    return disk.corners
+
+
+def _edge_lengths(verts) -> list:
+    """``sqrt(dx*dx + dy*dy)`` of each edge of the closed polygon, in order."""
+    return [_distance(a, b) for a, b in zip(verts, verts[1:] + verts[:1])]
+
+
 def measure_disk(disk: ParamDisk) -> ChainMeasures:
     """Boundary length, area and diameter of a polygonal disk, closed form.
 
@@ -401,11 +407,8 @@ def measure_disk(disk: ParamDisk) -> ChainMeasures:
 
     A disk without ``corners`` (a curved boundary) raises ``ValueError``.
     """
-    if disk.corners is None:
-        raise ValueError("measure_disk needs a polygonal disk: "
-                         "disk.corners is None")
-    verts = disk.corners
-    length = sum(_distance(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+    verts = _polygon_corners(disk, "measure_disk")
+    length = sum(_edge_lengths(verts))
     x0, y0 = verts[0]
     rel = [(x - x0, y - y0) for x, y in verts[1:]]
     twice = sum(xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(rel, rel[1:]))
@@ -413,15 +416,62 @@ def measure_disk(disk: ParamDisk) -> ChainMeasures:
                          diameter=_vertex_diameter(verts))
 
 
+def _pullback(alpha: OneForm, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    """``a1(p)*vx + a2(p)*vy``: alpha along a curve through p with velocity v."""
+    return (alpha.component(0, pts) * vel[..., 0]
+            + alpha.component(1, pts) * vel[..., 1])
+
+
 def integrate_one_form(alpha: OneForm, curve: ParamCurve,
                        tol: float = QUAD_REL_TOL) -> float:
     """Sum over segments of int_0^1 a(gamma(t)) . gamma'(t) dt."""
     def pull(seg, t):
-        pts = seg.point(t)
-        vel = seg.velocity(t)
-        return (alpha.component(0, pts) * vel[..., 0]
-                + alpha.component(1, pts) * vel[..., 1])
+        return _pullback(alpha, seg.point(t), seg.velocity(t))
     return sum(_segment_integral(s, pull, tol) for s in curve.segments)
+
+
+def polygon_boundary_integrals(alpha: OneForm, disks, max_len: float,
+                               tol: float = QUAD_REL_TOL) -> list:
+    """``int_dD alpha`` for each polygonal disk D, from ``D.corners``.
+
+    Edge ``d = b - a`` splits into ``n = max(1, ceil(|d| / max_len))``
+    pieces, ``|d|`` as in ``measure_disk``; piece ``i`` is
+    ``a + (i/n + (1/n)*t)*d`` with velocity ``(1/n)*d``, so no piece
+    outgrows the panels the driver can resolve.  All disks must have the
+    same number of corners: one driver call integrates edge ``v`` of every
+    disk at once, each piece an entry that converges on its own, and each
+    disk's integral is the sum of its pieces in boundary order.  A piece
+    therefore gets the same value as on its own.  A disk without
+    ``corners`` raises ``ValueError``.
+    """
+    corners = [_polygon_corners(d, "polygon_boundary_integrals")
+               for d in disks]
+    if len({len(c) for c in corners}) > 1:
+        raise ValueError("polygon_boundary_integrals needs disks with the "
+                         "same number of corners")
+    counts = np.array([[max(1, math.ceil(length / max_len))
+                        for length in _edge_lengths(c)] for c in corners])
+    verts = np.array(corners, dtype=float)
+    edges = np.roll(verts, -1, axis=1) - verts
+    pieces = [[] for _ in corners]
+    for v in range(verts.shape[1]):
+        n = counts[:, v]
+        owner = np.repeat(np.arange(len(corners)), n)
+        i = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+        start = (i / n[owner])[:, None]
+        width = (1.0 / n[owner])[:, None]
+        a = verts[owner, v][:, None, :]
+        d = edges[owner, v][:, None, :]
+        vel = width[..., None] * d
+
+        def fn(t, w):
+            pts = a + (start + width * t)[..., None] * d
+            return np.sum(w * _pullback(alpha, pts, vel), axis=-1)
+
+        values = adaptive_quadrature(fn, tol).tolist()
+        for j, val in zip(owner.tolist(), values):
+            pieces[j].append(val)
+    return [sum(p) for p in pieces]
 
 
 def integrate_two_form(beta, disk: ParamDisk, tol: float = QUAD_REL_TOL) -> float:

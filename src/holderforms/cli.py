@@ -1,8 +1,15 @@
 """Batch experiment runner: every verifier as a subcommand.
 
 Each run writes CSV (and, on request, SVG) artifacts into the output
-directory, prints one PASS/FAIL line per assertion, and exits 0 iff all
-assertions passed.  Identical config + seed gives byte-identical CSVs.
+directory and prints one PASS/FAIL line per assertion.  Identical config +
+seed gives byte-identical CSVs.  Exit codes:
+
+* 0: every assertion passed;
+* 1: an assertion failed;
+* 2: configuration error (``config error: ...`` on stderr);
+* 3: numerical error, i.e. quadrature that did not converge or a grid too
+  coarse for its form (``numerical error: ...`` on stderr, with the
+  offending values).
 
 Config files are INI-style; command-line flags override config values.
 The output directory can also be set via the HOLDERFORMS_OUTDIR
@@ -22,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grids import make_weierstrass
+from .grids import UnderResolvedError, make_weierstrass
 from .mollify import normalization_constant, verify_regularization
 from .chains import (
-    OneForm, circle, polygon, rectangle_disk,
+    OneForm, QuadratureError, circle, polygon, rectangle_disk,
     integrate_one_form, integrate_two_form, exterior_derivative,
     green_area, curve_length,
 )
@@ -423,6 +430,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (QuadratureError, UnderResolvedError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     if checks.failures:
         print(f"{checks.failures} assertion(s) failed")
         return 1

@@ -8,7 +8,11 @@ that the summed bound decays geometrically at rate mu * nu^theta.
 
 Only |dD| and |D| enter that right-hand side.  Each strip is measured by
 ``measure_disk``, in closed form from its corners, the same path the family
-verifier takes; the strip diameter is the rectangle diagonal.
+verifier takes; the strip diameter is the rectangle diagonal.  The
+telescoping check integrates the form over every strip boundary and over
+the whole iterate's boundary with ``polygon_boundary_integrals``, from the
+same corners: all strips of an iterate go through one driver call per edge
+index, and edges longer than ``MAX_SEGMENT_LEN`` are split into pieces.
 
 Form invariance is NOT assumed; the experiment certifies the decay of the
 upper bound and the telescoping identity, which is what the argument needs.
@@ -23,13 +27,10 @@ import numpy as np
 
 from .chains import (
     OneForm,
-    ParamCurve,
     ParamDisk,
-    integrate_one_form,
     measure_disk,
-    polyline,
+    polygon_boundary_integrals,
     rectangle_disk,
-    split_long_segments,
 )
 
 __all__ = [
@@ -86,14 +87,6 @@ class USRectangle:
     def disk(self) -> ParamDisk:
         x, y = self.corner
         return rectangle_disk((x, y), (x + self.u_len, y + self.s_len))
-
-    def boundary_curve(self, max_len: float = MAX_SEGMENT_LEN) -> ParamCurve:
-        x, y = self.corner
-        curve = polyline([
-            (x, y), (x + self.u_len, y),
-            (x + self.u_len, y + self.s_len), (x, y + self.s_len), (x, y),
-        ])
-        return split_long_segments(curve, max_len)
 
 
 def iterate_rectangle(model: LinearModel, rect: USRectangle, k: int) -> USRectangle:
@@ -222,18 +215,18 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
             continue
         rect_k = iterate_rectangle(model, rect, k)
         strips = cut_strips(rect_k, sc.n)
-        measures = [measure_disk(s.disk()) for s in strips]
+        disks = [s.disk() for s in strips]
+        measures = [measure_disk(d) for d in disks]
         if any(m.length >= sigma for m in measures):  # diam <= |dD|/2 < |dD|
             raise AssertionError(
                 f"strip failed the smallness filter at k={k}; N={sc.n}")
         rhs_shapes = [m.length ** (1.0 - theta) * m.area ** theta
                       for m in measures]
         bound = k_emp * cnorm * math.fsum(rhs_shapes)
-        lhs_sum = math.fsum(
-            integrate_one_form(alpha, s.boundary_curve(), tol=quad_tol)
-            for s in strips)
-        lhs_whole = integrate_one_form(alpha, rect_k.boundary_curve(),
-                                       tol=quad_tol)
+        lhs_sum = math.fsum(polygon_boundary_integrals(
+            alpha, disks, MAX_SEGMENT_LEN, quad_tol))
+        (lhs_whole,) = polygon_boundary_integrals(
+            alpha, [rect_k.disk()], MAX_SEGMENT_LEN, quad_tol)
         steps.append(DecayStep(
             k=k,
             n0=sc.n0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,9 @@ from holderforms.chains import (
     line_segment,
     measure_disk,
     polygon,
+    polygon_boundary_integrals,
     polyline,
     rectangle_disk,
-    split_long_segments,
     unit_disk,
 )
 from holderforms.experiments import dyadic_square_family
@@ -92,6 +93,50 @@ class TestAdaptiveQuadrature:
         assert exc.value.previous is not None
         assert exc.value.last != exc.value.previous
 
+    def test_vector_entries_equal_their_scalar_runs(self):
+        integrands = [lambda t: t ** 7, lambda t: np.cos(40.0 * t)]
+        doublings = []
+
+        def scalar(f):
+            calls = []
+
+            def fn(t, w):
+                calls.append(t.size)
+                return float(np.sum(w * f(t)))
+
+            val = adaptive_quadrature(fn)
+            doublings.append(len(calls))
+            return val
+
+        expected = [scalar(f) for f in integrands]
+        # t**7 converges at the first doubling, cos(40 t) several later
+        assert doublings[0] < doublings[1]
+        val = adaptive_quadrature(
+            lambda t, w: np.sum(w * np.stack([f(t) for f in integrands]),
+                                axis=-1))
+        assert isinstance(val, np.ndarray)
+        assert val.tolist() == expected
+
+    def test_unconverged_entry_raises_with_its_values(self):
+        rng = np.random.default_rng(0)
+        noisy = []
+
+        def mixed(t, w):
+            noisy.append(float(np.sum(w * rng.standard_normal(t.shape))))
+            return np.array([np.sum(w * t ** 2), noisy[-1]])
+
+        with pytest.raises(QuadratureError) as exc:
+            adaptive_quadrature(mixed, tol=1e-15)
+        assert type(exc.value.last) is float
+        assert type(exc.value.previous) is float
+        assert (exc.value.last, exc.value.previous) == (noisy[-1], noisy[-2])
+
+    @pytest.mark.parametrize("total", [float, np.sum])
+    def test_scalar_integrand_returns_a_float(self, total):
+        val = adaptive_quadrature(lambda t, w: total(np.sum(w * t)))
+        assert type(val) is float
+        assert val == pytest.approx(0.5, abs=1e-15)
+
     def test_tensor_failure_carries_last_two_values(self):
         rng = np.random.default_rng(0)
 
@@ -133,15 +178,72 @@ class TestCurves:
         b = integrate_one_form(alpha, c.reversed())
         assert b == pytest.approx(-a, abs=1e-12)
 
-    def test_split_preserves_integral_and_length(self):
-        alpha = OneForm(lambda p: np.sin(p[..., 1]),
-                        lambda p: np.cos(p[..., 0]), 1.0)
-        c = polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)])
-        fine = split_long_segments(c, 0.2)
-        assert len(fine.segments) > len(c.segments)
-        assert curve_length(fine) == pytest.approx(curve_length(c), rel=1e-10)
-        assert integrate_one_form(alpha, fine) == pytest.approx(
-            integrate_one_form(alpha, c), abs=1e-10)
+
+def _sin_cos_form():
+    return OneForm(lambda p: np.sin(p[..., 1]), lambda p: np.cos(p[..., 0]),
+                   1.0)
+
+
+class TestPolygonBoundaryIntegrals:
+    def test_split_edges_keep_the_integral(self, monkeypatch):
+        # Stokes: int_dR sin(y) dx + cos(x) dy = -int_R (sin x + cos y)
+        exact = -(1.0 - math.cos(2.0)) - 2.0 * math.sin(1.0)
+        d = rectangle_disk((0.0, 0.0), (2.0, 1.0))
+        entries = []
+        driver = chains.adaptive_quadrature
+
+        def counting(fn, *args, **kwargs):
+            val = driver(fn, *args, **kwargs)
+            entries.append(val.size)
+            return val
+
+        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
+        (fine,) = polygon_boundary_integrals(_sin_cos_form(), [d], 0.2)
+        assert entries == [10, 5, 10, 5]
+        entries.clear()
+        perimeter = measure_disk(d).length
+        (whole,) = polygon_boundary_integrals(_sin_cos_form(), [d],
+                                              perimeter + 1.0)
+        assert entries == [1, 1, 1, 1]
+        assert fine == pytest.approx(whole, abs=1e-10)
+        assert fine == pytest.approx(exact, abs=1e-10)
+
+    def test_batch_equals_one_disk_at_a_time(self):
+        # different sizes give different piece counts within one edge index
+        alpha = _sin_cos_form()
+        disks = [rectangle_disk((x, y), (x + w, y + h))
+                 for x, y, w, h in [(0.0, 0.0, 2.0, 0.1), (0.3, -1.0, 0.1, 0.1),
+                                    (-1.0, 0.5, 0.45, 1.3), (0.2, 0.2, 0.2, 0.2)]]
+        batch = polygon_boundary_integrals(alpha, disks, 0.2, tol=1e-10)
+        assert batch == [polygon_boundary_integrals(alpha, [d], 0.2, tol=1e-10)[0]
+                         for d in disks]
+        assert all(type(v) is float for v in batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
+           w=st.floats(1e-3, 3.0), h=st.floats(1e-3, 3.0),
+           max_len=st.floats(0.05, 4.0))
+    def test_reversed_corners_negate(self, x0, y0, w, h, max_len):
+        d = rectangle_disk((x0, y0), (x0 + w, y0 + h))
+        rev = dataclasses.replace(d, corners=d.corners[::-1])
+        fwd, back = polygon_boundary_integrals(_sin_cos_form(), [d, rev],
+                                               max_len)
+        # |sin|, |cos| <= 1, so each integral is at most the perimeter
+        scale = measure_disk(d).length
+        assert abs(fwd + back) <= 1e-12 * scale
+
+    def test_curved_disk_is_rejected(self):
+        with pytest.raises(ValueError, match="corners"):
+            polygon_boundary_integrals(
+                _sin_cos_form(), [rectangle_disk((0, 0), (1, 1)), unit_disk()],
+                0.2)
+
+    def test_mismatched_corner_counts_are_rejected(self):
+        square = rectangle_disk((0.0, 0.0), (1.0, 1.0))
+        triangle = dataclasses.replace(square, corners=square.corners[:3])
+        with pytest.raises(ValueError, match="same number of corners"):
+            polygon_boundary_integrals(_sin_cos_form(), [square, triangle],
+                                       0.2)
 
 
 class TestGreenArea:

@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+import holderforms.cli
 import holderforms.inequality
+from holderforms.chains import QuadratureError
 from holderforms.cli import main
 
 
@@ -75,6 +77,28 @@ class TestDeterminism:
         assert names == sorted(p.name for p in b.glob("*.csv"))
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestNumericalErrors:
+    def test_under_resolved_grid_exits_3(self, tmp_path, capsys):
+        code, _ = run(["inequality", "--resolution", "4"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert "512" in err
+
+    def test_unconverged_quadrature_exits_3(self, tmp_path, capsys,
+                                            monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise QuadratureError(0.25, 0.5)
+
+        monkeypatch.setattr(holderforms.cli, "decay_bound_series",
+                            unconverged)
+        code, _ = run(["decay"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert "last=0.25, previous=0.5" in err
 
 
 class TestConfig:

@@ -1,10 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holderforms.chains import curve_length, green_area, measure_disk
+from holderforms.chains import (
+    OneForm,
+    integrate_one_form,
+    measure_disk,
+    polygon,
+    polygon_boundary_integrals,
+)
 from holderforms.decay import (
+    MAX_SEGMENT_LEN,
     LinearModel,
     USRectangle,
     choose_strip_count,
@@ -43,12 +51,19 @@ class TestRectangleIteration:
         with pytest.raises(OverflowError):
             iterate_rectangle(MODEL, RECT, 200)
 
-    def test_boundary_curve_matches_analytic_length(self):
+    def test_boundary_integral_matches_analytic_area(self):
+        # 0.5 (x dy - y dx) integrates to the area over a positive boundary
+        half_xdy = OneForm(lambda p: -0.5 * p[..., 1],
+                           lambda p: 0.5 * p[..., 0], 1.0)
         r2 = iterate_rectangle(MODEL, RECT, 2)
-        c = r2.boundary_curve()
-        assert curve_length(c) == pytest.approx(r2.boundary_length,
-                                                rel=1e-10)
-        assert abs(green_area(c)) == pytest.approx(r2.area, rel=1e-10)
+        disk = r2.disk()
+        assert measure_disk(disk).length == pytest.approx(r2.boundary_length,
+                                                          rel=1e-12)
+        # the long edges (0.9) are split at MAX_SEGMENT_LEN, but not above
+        # the perimeter
+        for max_len in (MAX_SEGMENT_LEN, r2.boundary_length + 1.0):
+            (area,) = polygon_boundary_integrals(half_xdy, [disk], max_len)
+            assert area == pytest.approx(r2.area, rel=1e-10)
 
 
 class TestStrips:
@@ -69,6 +84,37 @@ class TestStrips:
             sc = choose_strip_count(k, MODEL, RECT, sigma=0.5, c1=1.0)
             assert sc.admissible
             assert sc.n0 < sc.n < 2 * sc.n0
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_strip_integrals_equal_integrate_one_form(self, k):
+        # decay defaults: every strip edge is shorter than MAX_SEGMENT_LEN,
+        # so the batched pieces are the polygon's own segments
+        alpha = analytic_weierstrass_form(0.5, terms=6)
+        sc = choose_strip_count(k, MODEL, RECT, sigma=0.5, c1=1.0)
+        disks = [s.disk() for s in
+                 cut_strips(iterate_rectangle(MODEL, RECT, k), sc.n)]
+        batch = polygon_boundary_integrals(alpha, disks, MAX_SEGMENT_LEN,
+                                           1e-10)
+        assert batch == [integrate_one_form(alpha, polygon(list(d.corners)),
+                                            tol=1e-10) for d in disks]
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),
+           u_len=st.floats(1e-3, 5.0), s_len=st.floats(1e-3, 5.0),
+           n=st.integers(1, 40))
+    def test_strip_integrals_telescope(self, x, y, u_len, s_len, n):
+        alpha = OneForm(lambda p: np.sin(p[..., 1]),
+                        lambda p: np.cos(2.0 * p[..., 0]), 1.0)
+        rect = USRectangle((x, y), u_len, s_len)
+        strips = cut_strips(rect, n)
+        parts = polygon_boundary_integrals(
+            alpha, [s.disk() for s in strips], MAX_SEGMENT_LEN)
+        (whole,) = polygon_boundary_integrals(alpha, [rect.disk()],
+                                              MAX_SEGMENT_LEN)
+        # |alpha| <= 1 along every edge, so the perimeters bound each term
+        scale = rect.boundary_length + math.fsum(s.boundary_length
+                                                 for s in strips)
+        assert abs(math.fsum(parts) - whole) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),

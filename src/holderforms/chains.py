@@ -14,9 +14,14 @@ A disk that is a polygon carries its vertices in ``ParamDisk.corners``
 (``rectangle_disk`` fills them).  It is measured and integrated from them:
 ``measure_disk`` takes its length, area and diameter in closed form, and
 ``polygon_boundary_integrals`` integrates a 1-form over the boundaries of
-many such disks in one vectorised driver call per edge index.  Both reject
-a disk without corners; curved disks (``ellipse_disk``, ``unit_disk``)
-are integrated along ``ParamDisk.boundary`` with ``integrate_one_form``.
+many such disks at once.  A grid-sampled form is integrated there exactly,
+with no quadrature: its edges are cut at grid-line crossings, and on each
+piece the bilinear interpolant is a quadratic that a 2-point rule
+integrates exactly.  Analytic and mixed forms take one vectorised driver
+call per edge index.  Both functions reject a disk without corners;
+curved disks (``ellipse_disk``, ``unit_disk``) are integrated along
+``ParamDisk.boundary`` with ``integrate_one_form``, and quadrature stays
+for them and for analytic forms.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
@@ -434,14 +439,23 @@ def polygon_boundary_integrals(alpha: OneForm, disks, max_len: float,
                                tol: float = QUAD_REL_TOL) -> list:
     """``int_dD alpha`` for each polygonal disk D, from ``D.corners``.
 
-    Edge ``d = b - a`` splits into ``n = max(1, ceil(|d| / max_len))``
-    pieces, ``|d|`` as in ``measure_disk``; piece ``i`` is
-    ``a + (i/n + (1/n)*t)*d`` with velocity ``(1/n)*d``, so no piece
-    outgrows the panels the driver can resolve.  All disks must have the
-    same number of corners: one driver call integrates edge ``v`` of every
-    disk at once, each piece an entry that converges on its own, and each
-    disk's integral is the sum of its pieces in boundary order.  A piece
-    therefore gets the same value as on its own.  A disk without
+    A form whose every non-``None`` component is a ``GridField`` is
+    integrated exactly, with no driver call (``max_len`` and ``tol`` are not
+    read): along a straight edge the bilinear interpolant is a quadratic in
+    the edge parameter inside each grid cell, so splitting the edge at its
+    grid-line crossings and applying the 2-point Gauss-Legendre rule, exact
+    for cubics, to each piece gives the integral up to rounding.
+
+    Any other form goes through the adaptive driver.  Edge ``d = b - a``
+    splits into ``n = max(1, ceil(|d| / max_len))`` pieces, ``|d|`` as in
+    ``measure_disk``; piece ``i`` is ``a + (i/n + (1/n)*t)*d`` with velocity
+    ``(1/n)*d``, so no piece outgrows the panels the driver can resolve.
+    One driver call integrates edge ``v`` of every disk at once, each piece
+    an entry that converges on its own to relative ``tol``, so a piece gets
+    the same value as on its own.
+
+    Either way each disk's integral is the sum of its pieces in boundary
+    order.  All disks must have the same number of corners; a disk without
     ``corners`` raises ``ValueError``.
     """
     corners = [_polygon_corners(d, "polygon_boundary_integrals")
@@ -449,9 +463,14 @@ def polygon_boundary_integrals(alpha: OneForm, disks, max_len: float,
     if len({len(c) for c in corners}) > 1:
         raise ValueError("polygon_boundary_integrals needs disks with the "
                          "same number of corners")
+    if not corners:
+        return []
+    verts = np.array(corners, dtype=float)
+    comps = [c for c in (alpha.a1, alpha.a2) if c is not None]
+    if comps and all(isinstance(c, GridField) for c in comps):
+        return _grid_boundary_integrals(alpha, verts)
     counts = np.array([[max(1, math.ceil(length / max_len))
                         for length in _edge_lengths(c)] for c in corners])
-    verts = np.array(corners, dtype=float)
     edges = np.roll(verts, -1, axis=1) - verts
     pieces = [[] for _ in corners]
     for v in range(verts.shape[1]):
@@ -472,6 +491,50 @@ def polygon_boundary_integrals(alpha: OneForm, disks, max_len: float,
         for j, val in zip(owner.tolist(), values):
             pieces[j].append(val)
     return [sum(p) for p in pieces]
+
+
+def _grid_boundary_integrals(alpha: OneForm, verts: np.ndarray) -> list:
+    """Exact boundary integrals of a grid-sampled form over polygons.
+
+    ``verts`` has shape ``(disks, corners, 2)``.  Edge ``a -> a + d`` is cut
+    at every parameter ``t`` in (0, 1) where it crosses a grid line
+    ``lo[ax] + m*h[ax]``, for every integer ``m``, so periodic wraps need no
+    special case.  Each piece ``[t0, t1]`` lies in one cell, where
+    ``alpha(a + t*d) . d`` is a quadratic in ``t``; the 2-point rule with
+    nodes ``mid -/+ half/sqrt(3)`` and weights ``half`` integrates it
+    exactly.  All pieces of all edges are evaluated together and summed per
+    disk in boundary order (by edge, then by ``t``).
+    """
+    grid = alpha.grid_components()[0]
+    n_disks, n_corners = verts.shape[:2]
+    a = verts.reshape(-1, 2)
+    d = (np.roll(verts, -1, axis=1) - verts).reshape(-1, 2)
+    ids = np.arange(len(a))
+    edge, t = [ids, ids], [np.zeros(len(a)), np.ones(len(a))]
+    for ax in range(2):
+        # edge coordinates in grid-index units; integers are grid lines
+        u0 = (a[:, ax] - grid.lo[ax]) / grid.spacing[ax]
+        u1 = (a[:, ax] + d[:, ax] - grid.lo[ax]) / grid.spacing[ax]
+        first = np.floor(np.minimum(u0, u1)) + 1.0
+        count = np.maximum(np.ceil(np.maximum(u0, u1)) - first, 0).astype(int)
+        crossing = np.repeat(ids, count)
+        m = first[crossing] + (np.arange(crossing.size)
+                               - np.repeat(np.cumsum(count) - count, count))
+        edge.append(crossing)
+        t.append(np.clip((m - u0[crossing]) / (u1 - u0)[crossing], 0.0, 1.0))
+    edge, t = np.concatenate(edge), np.concatenate(t)
+    order = np.lexsort((t, edge))
+    edge, t = edge[order], t[order]
+    same = edge[1:] == edge[:-1]
+    e, t0, t1 = edge[1:][same], t[:-1][same], t[1:][same]
+    half = 0.5 * (t1 - t0)
+    mid = t0 + half
+    off = half / math.sqrt(3.0)
+    nodes = np.stack([mid - off, mid + off])
+    pts = a[e] + nodes[..., None] * d[e]
+    values = half * np.sum(_pullback(alpha, pts, d[e]), axis=0)
+    return np.bincount(e // n_corners, weights=values,
+                       minlength=n_disks).tolist()
 
 
 def integrate_two_form(beta, disk: ParamDisk, tol: float = QUAD_REL_TOL) -> float:

@@ -260,7 +260,9 @@ def make_weierstrass(theta: float, base: int, terms: int, resolution: int) -> Gr
 def _lag_maxima(v: np.ndarray) -> np.ndarray:
     """``M[k-1] = max |v[i+k] - v[i]|`` along axis 0 for lags k = 1..n-1."""
     if v.ndim == 2 and (v == v[:, :1]).all():
-        v = v[:, :1]  # identical columns share every maximum
+        # identical columns share every maximum; a contiguous 1-D copy keeps
+        # the per-lag NumPy call overhead of a strided (n, 1) view away
+        v = np.ascontiguousarray(v[:, 0])
     n = v.shape[0]
     # one reused buffer: a fresh grid-sized temporary per lag is mapped and
     # page-faulted anew once it exceeds the allocator's mmap threshold
@@ -268,7 +270,7 @@ def _lag_maxima(v: np.ndarray) -> np.ndarray:
     out = np.empty(n - 1)
     for k in range(1, n):
         d = np.subtract(v[k:], v[:n - k], out=buf[:n - k])
-        out[k - 1] = np.max(np.abs(d, out=d))
+        out[k - 1] = np.abs(d, out=d).max()
     return out
 
 

@@ -246,6 +246,134 @@ class TestPolygonBoundaryIntegrals:
                                        0.2)
 
 
+def _polygon_disk(verts):
+    square = rectangle_disk((0.0, 0.0), (1.0, 1.0))
+    return dataclasses.replace(
+        square, corners=tuple((float(x), float(y)) for x, y in verts))
+
+
+@st.composite
+def grid_polygons(draw):
+    """A non-periodic grid (as GridField keywords) and a polygon inside it.
+
+    The polygon is a rotated square, a triangle or a thin rotated rectangle.
+    """
+    lo = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
+    size = np.array([draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))])
+    res = (draw(st.integers(3, 40)), draw(st.integers(3, 40)))
+    grid = dict(lo=tuple(lo), hi=tuple(lo + size), resolution=res,
+                periodic=(False, False))
+    centre = lo + size * np.array([draw(st.floats(0.25, 0.75)),
+                                   draw(st.floats(0.25, 0.75))])
+    r = 0.24 * min(size) * draw(st.floats(0.05, 1.0))
+    phi = draw(st.floats(0.0, 2.0 * np.pi))
+    shape = draw(st.sampled_from(["square", "triangle", "thin"]))
+    if shape == "square":
+        ang = phi + np.arange(4) * np.pi / 2
+        rad = np.full(4, r)
+    elif shape == "triangle":
+        ang = phi + np.cumsum([0.0] + draw(st.lists(
+            st.floats(0.4, 2.6), min_size=2, max_size=2)))
+        rad = r * np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=3,
+                                         max_size=3)))
+    else:
+        thin = draw(st.floats(1e-3, 0.1))
+        half = np.array([[1, -thin], [1, thin], [-1, thin], [-1, -thin]])
+        ang = phi + np.arctan2(half[:, 1], half[:, 0])
+        rad = r * np.hypot(half[:, 0], half[:, 1]) / math.hypot(1.0, thin)
+    verts = centre + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
+    return grid, verts
+
+
+def _reference_boundary_integral(form, verts):
+    """Edge by edge in Python: cut at each grid line, Simpson per piece."""
+    grid = form.grid_components()[0]
+    total = 0.0
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        d = b - a
+        cuts = {0.0, 1.0}
+        for ax in range(2):
+            if d[ax] == 0.0:
+                continue
+            lo, h = grid.lo[ax], grid.spacing[ax]
+            first = math.floor((min(a[ax], b[ax]) - lo) / h)
+            last = math.ceil((max(a[ax], b[ax]) - lo) / h)
+            for m in range(first, last + 1):
+                t = (lo + m * h - a[ax]) / d[ax]
+                if 0.0 < t < 1.0:
+                    cuts.add(t)
+        ts = sorted(cuts)
+        for t0, t1 in zip(ts, ts[1:]):
+            pts = a + np.array([t0, 0.5 * (t0 + t1), t1])[:, None] * d
+            f = (form.a1.evaluate(pts) * d[0] + form.a2.evaluate(pts) * d[1])
+            total += (t1 - t0) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
+    return total
+
+
+class TestExactGridBoundaryIntegrals:
+    @settings(max_examples=80, deadline=None)
+    @given(case=grid_polygons(),
+           coef=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
+    def test_bilinear_form_equals_green(self, case, coef):
+        # p = p0 + p1 x + p2 y + p3 xy is reproduced exactly by bilinear
+        # interpolation, and int_dD p dx + q dy = int_D (q_x - p_y) dA with
+        # q_x - p_y = (q1 - p2) + q3 y - p3 x, from the polygon's moments
+        grid, verts = case
+        pc, qc = np.array(coef).reshape(2, 4)
+        x, y = np.meshgrid(*(np.linspace(a, b, n) for a, b, n in zip(
+            grid["lo"], grid["hi"], grid["resolution"])), indexing="ij")
+        form = OneForm(*(GridField(values=c[0] + c[1] * x + c[2] * y
+                                   + c[3] * x * y, **grid) for c in (pc, qc)),
+                       0.5)
+        vx, vy = verts[:, 0], verts[:, 1]
+        xn, yn = np.roll(vx, -1), np.roll(vy, -1)
+        cross = vx * yn - xn * vy
+        area = cross.sum() / 2.0
+        mx = ((vx + xn) * cross).sum() / 6.0
+        my = ((vy + yn) * cross).sum() / 6.0
+        green = (qc[1] - pc[2]) * area + qc[3] * my - pc[3] * mx
+        disk = _polygon_disk(verts)
+        (exact,) = polygon_boundary_integrals(form, [disk], math.inf)
+        size = max(form.a1.supnorm(), form.a2.supnorm())
+        assert abs(exact - green) <= 1e-13 * measure_disk(disk).length * size
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grid_polygons(), seed=st.integers(0, 2**32 - 1))
+    def test_rough_form_equals_a_per_edge_reference(self, case, seed):
+        # random node values: the interpolant kinks at every grid line, so
+        # a missed crossing shows
+        grid, verts = case
+        rng = np.random.default_rng(seed)
+        form = OneForm(*(GridField(values=rng.normal(size=grid["resolution"]),
+                                   **grid) for _ in range(2)), 0.5)
+        disk = _polygon_disk(verts)
+        (exact,) = polygon_boundary_integrals(form, [disk], math.inf)
+        size = max(form.a1.supnorm(), form.a2.supnorm())
+        assert abs(exact - _reference_boundary_integral(form, verts)) <= (
+            1e-13 * measure_disk(disk).length * size)
+
+    def test_mixed_form_keeps_the_driver(self, monkeypatch):
+        grid = GridField.from_function(lambda x, y: x * y, (0.0, 0.0),
+                                       (1.0, 1.0), (5, 5), (False, False))
+        sizes = []
+        driver = chains.adaptive_quadrature
+
+        def counting(fn, *args, **kwargs):
+            val = driver(fn, *args, **kwargs)
+            sizes.append(val.size)
+            return val
+
+        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
+        square = rectangle_disk((0.2, 0.2), (0.7, 0.6))
+        polygon_boundary_integrals(OneForm(None, grid, 1.0), [square], 0.2)
+        assert sizes == []
+        (mixed,) = polygon_boundary_integrals(OneForm(one, grid, 1.0),
+                                              [square], 0.2)
+        assert sizes == [3, 2, 3, 2]
+        # int_dR dx + xy dy = int_R y dA
+        assert mixed == pytest.approx(0.5 * (0.6**2 - 0.2**2) / 2, abs=1e-12)
+
+
 class TestGreenArea:
     def test_rectangle(self):
         c = polygon([(0.1, 0.2), (0.5, 0.2), (0.5, 0.9), (0.1, 0.9)])

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +102,21 @@ class TestNumericalErrors:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ")
         assert "last=0.25, previous=0.5" in err
+
+
+class TestImports:
+    def test_cli_import_loads_no_heavy_module(self):
+        # set-up time is a gated benchmark metric; these would add to it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, holderforms.cli; print(sorted({'scipy', "
+                "'numpy.random', 'numpy.polynomial'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "[]"
 
 
 class TestConfig:

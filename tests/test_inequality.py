@@ -1,16 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holderforms import chains
 from holderforms.chains import (
     OneForm,
     circle,
     curve_length,
     green_area,
+    integrate_one_form,
     measure_disk,
     polygon,
+    polygon_boundary_integrals,
     rectangle_disk,
 )
 from holderforms.experiments import (
@@ -121,6 +125,24 @@ class TestIsoperimetric:
             isoperimetric_constant(1)
 
 
+def seeded_trig_form(seed, n=65):
+    """Seeded random trigonometric 1-form on the unit torus, n x n nodes."""
+    rng = np.random.default_rng(seed)
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n),
+                       indexing="ij")
+
+    def field():
+        kx, ky = rng.integers(1, 4, size=2)
+        a, b = rng.normal(size=2)
+        vals = (a * np.sin(2 * np.pi * (kx * x + ky * y))
+                + b * np.cos(2 * np.pi * kx * x) * np.sin(2 * np.pi * ky * y))
+        vals[-1, :] = vals[0, :]
+        vals[:, -1] = vals[:, 0]
+        return GridField((0.0, 0.0), (1.0, 1.0), (n, n), (True, True), vals)
+
+    return OneForm(field(), field(), 0.5)
+
+
 @pytest.fixture(scope="module")
 def w_form():
     return weierstrass_form(0.5, 2, 8, 2048)
@@ -164,6 +186,9 @@ class TestMainInequality:
                                          smallness_sigma=0.5, cnorm=w_cnorm)
         assert reports[0].skipped
         assert not reports[1].skipped
+        (only,) = verify_main_inequality(w_form, fam[:1], theta=0.5,
+                                         smallness_sigma=0.5, cnorm=w_cnorm)
+        assert only.skipped
 
     def test_nonpositive_cnorm_rejected(self, w_form):
         fam = dyadic_square_family(range(5, 6), 1)
@@ -182,31 +207,69 @@ class TestMainInequality:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_precomputed_cnorm_matches_seeded_cnorm(self, seed):
-        # a seeded random trigonometric form varying in both coordinates,
-        # unlike the Weierstrass form of the test above
-        rng = np.random.default_rng(seed)
-        n = 65
-        x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n),
-                           indexing="ij")
-
-        def field():
-            kx, ky = rng.integers(1, 4, size=2)
-            a, b = rng.normal(size=2)
-            vals = (a * np.sin(2 * np.pi * (kx * x + ky * y))
-                    + b * np.cos(2 * np.pi * kx * x) * np.sin(2 * np.pi * ky * y))
-            vals[-1, :] = vals[0, :]
-            vals[:, -1] = vals[:, 0]
-            return GridField((0.0, 0.0), (1.0, 1.0), (n, n), (True, True), vals)
-
-        form = OneForm(field(), field(), 0.5)
+        # a form varying in both coordinates, unlike the Weierstrass form of
+        # the test above
+        form = seeded_trig_form(seed)
         fam = dyadic_square_family(range(2, 6), 3)
-        # bilinear kinks cross the boundaries, so the quadrature runs at 1e-4
         by_cnorm = verify_main_inequality(
             form, fam, theta=0.5, cnorm=one_form_cnorm(form, 0.5),
             quad_tol=1e-4)
         computed = verify_main_inequality(form, fam, theta=0.5, quad_tol=1e-4)
         assert repr([r.csv_row() for r in by_cnorm]) == repr(
             [r.csv_row() for r in computed])
+
+
+class TestExactBoundaryIntegrals:
+    """Grid-sampled forms on polygons: integrated exactly, no driver call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), x0=st.floats(0.0, 1.0),
+           y0=st.floats(-1.0, 1.0), w=st.floats(0.01, 0.6),
+           h=st.floats(0.01, 0.6), cuts=st.integers(2, 7))
+    def test_rough_periodic_form(self, seed, x0, y0, w, h, cuts):
+        form = seeded_trig_form(seed)
+        sup = max(form.a1.supnorm(), form.a2.supnorm())
+        rect = rectangle_disk((x0, y0), (x0 + w, y0 + h))
+        rev = dataclasses.replace(rect, corners=rect.corners[::-1])
+        fwd, back = polygon_boundary_integrals(form, [rect, rev], math.inf)
+        assert abs(fwd + back) <= 1e-13 * measure_disk(rect).length * sup
+        # strips of the rectangle telescope to the whole
+        xs = np.linspace(x0, x0 + w, cuts + 1)
+        strips = [rectangle_disk((a, y0), (b, y0 + h))
+                  for a, b in zip(xs, xs[1:])]
+        parts = polygon_boundary_integrals(form, strips, math.inf)
+        scale = sup * sum(measure_disk(d).length for d in strips)
+        assert abs(math.fsum(parts) - fwd) <= 1e-13 * scale
+        # a polygon straddling the seam x = 1 equals its copy shifted by -1
+        seam = rectangle_disk((1.0 - 0.5 * w, y0), (1.0 + 0.5 * w, y0 + h))
+        shifted = rectangle_disk((-0.5 * w, y0), (0.5 * w, y0 + h))
+        a, b = polygon_boundary_integrals(form, [seam, shifted], math.inf)
+        assert abs(a - b) <= 1e-13 * measure_disk(seam).length * sup
+
+    def test_cli_family_matches_adaptive_quadrature(self, w_form, w_cnorm):
+        fam = dyadic_square_family(range(2, 9), 8)
+        reports = verify_main_inequality(w_form, fam, theta=0.5,
+                                         cnorm=w_cnorm)
+        unskipped = [(r, d) for r, (_, d) in zip(reports, fam)
+                     if not r.skipped]
+        assert len(unskipped) == 40
+        for rep, disk in unskipped:
+            ref = abs(integrate_one_form(w_form, disk.boundary(), tol=1e-8))
+            assert abs(rep.lhs - ref) <= 1e-16
+
+    def test_family_makes_no_driver_call(self, w_form, w_cnorm, monkeypatch):
+        calls = []
+        driver = chains.adaptive_quadrature
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return driver(*args, **kwargs)
+
+        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
+        fam = dyadic_square_family(range(2, 9), 8)
+        assert len(fam) == 56
+        verify_main_inequality(w_form, fam, theta=0.5, cnorm=w_cnorm)
+        assert calls == []
 
 
 class TestSplitCheck:

@@ -106,24 +106,34 @@ def adaptive_quadrature(fn: Callable[[np.ndarray, np.ndarray], object],
     so it equals a scalar run on that entry alone; the loop ends when every
     entry has converged.  An entry still open after ``MAX_DOUBLINGS`` raises
     ``QuadratureError`` with its last and previous values.  A scalar ``fn``
-    gets a float back.
+    gets a float back; a float result takes the same test on plain floats,
+    which skips the array bookkeeping and gives the same value.
     """
     prev = out = done = None
     panels = 1
     for step in range(MAX_DOUBLINGS + 1):
         t, w = _gl_rule(panels)
-        val = np.asarray(fn(t, w), dtype=float)
-        if prev is None:
-            out = np.empty_like(val)
-            done = np.zeros(val.shape, dtype=bool)
+        val = fn(t, w)
+        if isinstance(val, float):
+            val = float(val)
+            if prev is not None and (abs(val - prev)
+                                     <= max(tol * abs(val), QUAD_ABS_FLOOR)):
+                return val
         else:
-            new = ~done & (np.abs(val - prev)
-                           <= np.maximum(tol * np.abs(val), QUAD_ABS_FLOOR))
-            np.copyto(out, val, where=new)
-            done |= new
-            if done.all():
-                return float(out) if out.ndim == 0 else out
+            val = np.asarray(val, dtype=float)
+            if prev is None:
+                out = np.empty_like(val)
+                done = np.zeros(val.shape, dtype=bool)
+            else:
+                new = ~done & (np.abs(val - prev) <= np.maximum(
+                    tol * np.abs(val), QUAD_ABS_FLOOR))
+                np.copyto(out, val, where=new)
+                done |= new
+                if done.all():
+                    return float(out) if out.ndim == 0 else out
         if step == MAX_DOUBLINGS:
+            if done is None:
+                raise QuadratureError(val, prev)
             i = int(np.argmin(done.ravel()))
             raise QuadratureError(float(val.flat[i]), float(prev.flat[i]))
         prev = val
@@ -455,20 +465,25 @@ def polygon_boundary_integrals(alpha: OneForm, disks, max_len: float,
     the same value as on its own.
 
     Either way each disk's integral is the sum of its pieces in boundary
-    order.  All disks must have the same number of corners; a disk without
-    ``corners`` raises ``ValueError``.
+    order.  The driver path needs all disks to have the same number of
+    corners; the exact path takes any mix.  A disk without ``corners``
+    raises ``ValueError``.
     """
     corners = [_polygon_corners(d, "polygon_boundary_integrals")
                for d in disks]
+    if not corners:
+        return []
+    comps = [c for c in (alpha.a1, alpha.a2) if c is not None]
+    if comps and all(isinstance(c, GridField) for c in comps):
+        polys = [np.array(c, dtype=float) for c in corners]
+        a = np.concatenate(polys)
+        d = np.concatenate([np.roll(p, -1, axis=0) - p for p in polys])
+        owner = np.repeat(np.arange(len(polys)), [len(p) for p in polys])
+        return _grid_boundary_integrals(alpha, a, d, owner, len(polys))
     if len({len(c) for c in corners}) > 1:
         raise ValueError("polygon_boundary_integrals needs disks with the "
                          "same number of corners")
-    if not corners:
-        return []
     verts = np.array(corners, dtype=float)
-    comps = [c for c in (alpha.a1, alpha.a2) if c is not None]
-    if comps and all(isinstance(c, GridField) for c in comps):
-        return _grid_boundary_integrals(alpha, verts)
     counts = np.array([[max(1, math.ceil(length / max_len))
                         for length in _edge_lengths(c)] for c in corners])
     edges = np.roll(verts, -1, axis=1) - verts
@@ -493,22 +508,22 @@ def polygon_boundary_integrals(alpha: OneForm, disks, max_len: float,
     return [sum(p) for p in pieces]
 
 
-def _grid_boundary_integrals(alpha: OneForm, verts: np.ndarray) -> list:
+def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
+                             owner: np.ndarray, n_disks: int) -> list:
     """Exact boundary integrals of a grid-sampled form over polygons.
 
-    ``verts`` has shape ``(disks, corners, 2)``.  Edge ``a -> a + d`` is cut
-    at every parameter ``t`` in (0, 1) where it crosses a grid line
-    ``lo[ax] + m*h[ax]``, for every integer ``m``, so periodic wraps need no
-    special case.  Each piece ``[t0, t1]`` lies in one cell, where
-    ``alpha(a + t*d) . d`` is a quadratic in ``t``; the 2-point rule with
-    nodes ``mid -/+ half/sqrt(3)`` and weights ``half`` integrates it
-    exactly.  All pieces of all edges are evaluated together and summed per
-    disk in boundary order (by edge, then by ``t``).
+    Edge ``i`` runs from ``a[i]`` to ``a[i] + d[i]`` on the boundary of disk
+    ``owner[i]``; each disk lists its edges in boundary order, and disks may
+    have different numbers of edges.  An edge is cut at every parameter
+    ``t`` in (0, 1) where it crosses a grid line ``lo[ax] + m*h[ax]``, for
+    every integer ``m``, so periodic wraps need no special case.  Each
+    piece ``[t0, t1]`` lies in one cell, where ``alpha(a + t*d) . d`` is a
+    quadratic in ``t``; the 2-point rule with nodes ``mid -/+ half/sqrt(3)``
+    and weights ``half`` integrates it exactly.  All pieces of all edges are
+    evaluated together and summed per disk in boundary order (by edge, then
+    by ``t``).
     """
     grid = alpha.grid_components()[0]
-    n_disks, n_corners = verts.shape[:2]
-    a = verts.reshape(-1, 2)
-    d = (np.roll(verts, -1, axis=1) - verts).reshape(-1, 2)
     ids = np.arange(len(a))
     edge, t = [ids, ids], [np.zeros(len(a)), np.ones(len(a))]
     for ax in range(2):
@@ -533,8 +548,7 @@ def _grid_boundary_integrals(alpha: OneForm, verts: np.ndarray) -> list:
     nodes = np.stack([mid - off, mid + off])
     pts = a[e] + nodes[..., None] * d[e]
     values = half * np.sum(_pullback(alpha, pts, d[e]), axis=0)
-    return np.bincount(e // n_corners, weights=values,
-                       minlength=n_disks).tolist()
+    return np.bincount(owner[e], weights=values, minlength=n_disks).tolist()
 
 
 def integrate_two_form(beta, disk: ParamDisk, tol: float = QUAD_REL_TOL) -> float:

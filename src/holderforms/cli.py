@@ -7,9 +7,9 @@ seed gives byte-identical CSVs.  Exit codes:
 * 0: every assertion passed;
 * 1: an assertion failed;
 * 2: configuration error (``config error: ...`` on stderr);
-* 3: numerical error, i.e. quadrature that did not converge or a grid too
-  coarse for its form (``numerical error: ...`` on stderr, with the
-  offending values).
+* 3: numerical error, i.e. quadrature that did not converge, a grid too
+  coarse for its form, or an eigenvalue modulus too close to 1 to classify
+  (``numerical error: ...`` on stderr, with the offending values).
 
 Config files are INI-style; command-line flags override config values.
 The output directory can also be set via the HOLDERFORMS_OUTDIR
@@ -41,8 +41,9 @@ from .inequality import (
     one_form_cnorm,
 )
 from .dynamics import (
-    spectral_rates, toral_automorphism, anosov_section_criterion,
-    accessibility_criterion, standard_holder_bound, pisot_example,
+    AmbiguousSpectrumError, spectral_rates, toral_automorphism,
+    anosov_section_criterion, accessibility_criterion, standard_holder_bound,
+    pisot_example,
 )
 from .decay import LinearModel, USRectangle, decay_bound_series
 from .experiments import (
@@ -430,7 +431,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, UnderResolvedError) as exc:
+    except (QuadratureError, UnderResolvedError,
+            AmbiguousSpectrumError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     if checks.failures:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "AmbiguousSpectrumError",
     "ToralAutomorphism",
     "SpectralRates",
     "CriterionReport",
@@ -33,6 +34,16 @@ MODULUS_CENTER_TOL = 1e-9
 MODULUS_AMBIGUOUS_TOL = 1e-6
 
 CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
+
+
+class AmbiguousSpectrumError(ValueError):
+    """An eigenvalue modulus too close to 1 to classify; carries it."""
+
+    def __init__(self, modulus: float):
+        super().__init__(
+            f"eigenvalue modulus {modulus!r} is ambiguously close to 1; "
+            "cannot classify as stable, center, or unstable")
+        self.modulus = modulus
 
 
 def _char_poly(M: np.ndarray) -> np.ndarray:
@@ -175,7 +186,7 @@ def spectral_rates(A: ToralAutomorphism | np.ndarray,
 
     ``extra_center_dims`` models the direct product with that many identity
     circles.  A modulus within 1e-9 of 1 is center; a modulus within 1e-6
-    but not 1e-9 of 1 is ambiguous and rejected.
+    but not 1e-9 of 1 is ambiguous and raises ``AmbiguousSpectrumError``.
     """
     if not isinstance(A, ToralAutomorphism):
         A = ToralAutomorphism(np.asarray(A))
@@ -186,9 +197,7 @@ def spectral_rates(A: ToralAutomorphism | np.ndarray,
         if gap <= MODULUS_CENTER_TOL:
             center.append(m)
         elif gap < MODULUS_AMBIGUOUS_TOL:
-            raise ValueError(
-                f"eigenvalue modulus {m!r} is ambiguously close to 1; "
-                "cannot classify as stable, center, or unstable")
+            raise AmbiguousSpectrumError(float(m))
         elif m < 1.0:
             stable.append(m)
         else:

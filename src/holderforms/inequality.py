@@ -260,8 +260,9 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
 
     Every disk is measured by ``measure_disk``; the unskipped ones are then
     integrated together by ``polygon_boundary_integrals`` with one piece
-    per edge, so they must all have the same number of corners.  A
-    grid-sampled form is integrated exactly there: along each edge its
+    per edge.  A grid-sampled form is integrated exactly there, for any mix
+    of polygons (an analytic or mixed form needs them all to have the same
+    number of corners): along each edge its
     bilinear interpolant is quadratic between grid-line crossings, and the
     2-point Gauss-Legendre rule on each such piece is exact, so ``lhs``
     carries rounding error only.  ``quad_tol`` is read as the relative

@@ -27,7 +27,7 @@ from holderforms.chains import (
     rectangle_disk,
     unit_disk,
 )
-from holderforms.experiments import dyadic_square_family
+from holderforms.experiments import dyadic_square_family, weierstrass_form
 from holderforms.grids import GridField
 
 
@@ -351,6 +351,15 @@ class TestExactGridBoundaryIntegrals:
         size = max(form.a1.supnorm(), form.a2.supnorm())
         assert abs(exact - _reference_boundary_integral(form, verts)) <= (
             1e-13 * measure_disk(disk).length * size)
+
+    def test_mixed_corner_counts_equal_one_disk_calls(self):
+        alpha = weierstrass_form(0.5)
+        square = rectangle_disk((0.1, 0.2), (0.35, 0.45))
+        triangle = _polygon_disk([(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)])
+        family = [square, triangle, square]
+        assert polygon_boundary_integrals(alpha, family, math.inf) == [
+            polygon_boundary_integrals(alpha, [d], math.inf)[0]
+            for d in family]
 
     def test_mixed_form_keeps_the_driver(self, monkeypatch):
         grid = GridField.from_function(lambda x, y: x * y, (0.0, 0.0),

@@ -8,6 +8,7 @@ import pytest
 import holderforms.cli
 import holderforms.inequality
 from holderforms.chains import QuadratureError
+from holderforms.dynamics import AmbiguousSpectrumError
 from holderforms.cli import main
 
 
@@ -102,6 +103,17 @@ class TestNumericalErrors:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ")
         assert "last=0.25, previous=0.5" in err
+
+    def test_ambiguous_spectrum_exits_3(self, tmp_path, capsys, monkeypatch):
+        def ambiguous(*args, **kwargs):
+            raise AmbiguousSpectrumError(1.0000001)
+
+        monkeypatch.setattr(holderforms.cli, "spectral_rates", ambiguous)
+        code, _ = run(["criteria"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert "1.0000001" in err
 
 
 class TestImports:

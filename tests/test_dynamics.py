@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from holderforms.dynamics import (
     CAT_MAP,
+    AmbiguousSpectrumError,
     ToralAutomorphism,
     accessibility_criterion,
     anosov_section_criterion,
@@ -100,6 +101,17 @@ class TestCriteria:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 anosov_section_criterion(r, bad)
+
+    def test_modulus_near_one_raises_with_the_modulus(self, monkeypatch):
+        # within 1e-6 of 1 but not within 1e-9: neither center nor hyperbolic
+        near = 1.0 + 1e-7
+        monkeypatch.setattr(ToralAutomorphism, "eigenvalues",
+                            lambda self: np.array([near, 1.0 / near]))
+        with pytest.raises(AmbiguousSpectrumError) as exc:
+            spectral_rates(toral_automorphism(CAT_MAP))
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.modulus == near
+        assert repr(near) in str(exc.value)
 
     def test_accessibility_ell_validation(self):
         r = spectral_rates(companion_matrix(0, -1, -1))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holderforms import grids
 from holderforms.grids import (
     GridField,
     UnderResolvedError,
-    _lag_maxima,
+    _lag_maximum,
     extend_constant_y,
     holder_seminorm,
     load_csv,
@@ -150,6 +151,37 @@ def lag_grids(draw, dim=None, periodic=None):
     return GridField(tuple(lo), tuple(hi), res, periodic, vals)
 
 
+@st.composite
+def block_grids(draw):
+    """Grids spanning several scan blocks: spikes beside block edges,
+    random walks, constant and y-constant fields."""
+    dim = draw(st.sampled_from([1, 2]))
+    res = ((draw(st.integers(2, 300)),) if dim == 1
+           else (draw(st.integers(2, 40)), draw(st.integers(2, 40))))
+    periodic = tuple(draw(st.booleans()) for _ in res)
+    kind = draw(st.sampled_from(["spikes", "walk", "constant", "y_constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-1.0, 1.0, dim)
+    hi = lo + rng.uniform(0.1, 3.0, dim)
+    walk = rng.standard_normal(res).cumsum(axis=0)
+    if kind == "spikes":
+        vals = 1e-3 * rng.standard_normal(res)
+        for _ in range(draw(st.integers(1, 3))):
+            # the last node of a block or the first of the next
+            idx = tuple(min(n - 1, max(0, grids._BLOCK * int(
+                rng.integers(0, n // grids._BLOCK + 1))
+                - int(rng.integers(0, 2)))) for n in res)
+            vals[idx] += rng.uniform(-5.0, 5.0)
+    elif kind == "walk":
+        vals = walk.cumsum(axis=-1) if dim == 2 else walk
+    elif kind == "constant":
+        vals = np.full(res, rng.uniform(-2.0, 2.0))
+    else:
+        vals = np.repeat(walk[:, :1], res[1], axis=1) if dim == 2 else walk
+    vals = _snap_periodic(vals, periodic)
+    return GridField(tuple(lo), tuple(hi), res, periodic, vals)
+
+
 thetas = st.floats(0.05, 1.0, exclude_min=True)
 
 
@@ -157,13 +189,72 @@ def all_pairs(f):
     return np.stack(np.triu_indices(f.values.size, 1), axis=1)
 
 
+def coordinate_quotient(f, theta, pairs):
+    """Largest quotient over ``pairs``, with distances from ``f.distance``
+    on node coordinates: a reference independent of the scan's lag
+    distances, equal to them up to rounding."""
+    axes = [np.linspace(f.lo[a], f.hi[a], f.resolution[a])
+            for a in range(f.dim)]
+    coords = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")],
+                      axis=1)
+    vals = f.values.ravel()
+    d = f.distance(coords[pairs[:, 0]], coords[pairs[:, 1]])
+    diff = np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]])
+    mask = d > 0.0
+    return float(np.max(diff[mask] / d[mask] ** theta)) if mask.any() else 0.0
+
+
 class TestLagScan:
     @settings(max_examples=80, deadline=None)
     @given(f=lag_grids(), theta=thetas)
     def test_equals_the_all_pairs_maximum(self, f, theta):
+        pairs = all_pairs(f)
+        exact = holder_seminorm(f, theta, pairs=pairs).seminorm
+        scan = holder_seminorm(f, theta).seminorm
+        assert scan == exact
+        assert scan == pytest.approx(coordinate_quotient(f, theta, pairs),
+                                     rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=block_grids(), theta=st.one_of(st.just(1.0), thetas))
+    def test_pruned_scan_equals_the_all_pairs_maximum(self, f, theta):
+        pairs = all_pairs(f)
+        exact = holder_seminorm(f, theta, pairs=pairs).seminorm
+        scan = holder_seminorm(f, theta).seminorm
+        assert scan == exact
+        assert scan == pytest.approx(coordinate_quotient(f, theta, pairs),
+                                     rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_unequal_periodic_ends_keep_the_2d_scan(self, theta):
+        # equal columns, but the periodic x ends differ by a rounding-sized
+        # step: across the seam they sit at x distance 0 and y distance h_y,
+        # closer than any pair along x
+        vals = np.full((9, 17), 0.25)
+        vals[-1] += 1e-11
+        f = GridField((0.0, 0.0), (1.0, 0.01), vals.shape, (True, False),
+                      vals)
         exact = holder_seminorm(f, theta, pairs=all_pairs(f)).seminorm
-        assert holder_seminorm(f, theta).seminorm == pytest.approx(
-            exact, rel=1e-12)
+        assert exact == pytest.approx(1e-11 / (0.01 / 16) ** theta, rel=1e-4)
+        assert holder_seminorm(f, theta).seminorm == exact
+
+    @pytest.mark.parametrize("ny", [0, 9])
+    def test_cli_field_evaluates_few_lags_exactly(self, ny, monkeypatch):
+        shapes = []
+        evaluate = grids._lag_maximum
+
+        def counting(v, kx, ky):
+            shapes.append(v.shape)
+            return evaluate(v, kx, ky)
+
+        monkeypatch.setattr(grids, "_lag_maximum", counting)
+        f = make_weierstrass(0.5, 2, 8, 2048)
+        if ny:
+            f = extend_constant_y(f, ny)
+        holder_seminorm(f, 0.5)
+        assert 0 < len(shapes) < 0.1 * 2047
+        # equal columns scan as one column
+        assert set(shapes) == {(2048, 1)}
 
     @settings(max_examples=40, deadline=None)
     @given(f=lag_grids(), theta=thetas, seed=st.integers(0, 2**32 - 1))
@@ -173,9 +264,11 @@ class TestLagScan:
         subset = pairs[rng.random(len(pairs)) < rng.uniform(0.05, 1.0)]
         if len(subset) == 0:
             return
-        sub = holder_seminorm(f, theta, pairs=subset).seminorm
+        scan = holder_seminorm(f, theta).seminorm
+        # the pairs path divides by the scan's own lag distances
+        assert scan >= holder_seminorm(f, theta, pairs=subset).seminorm
         # k*h lag distances and coordinate differences agree to rounding
-        assert holder_seminorm(f, theta).seminorm * (1 + 1e-12) >= sub
+        assert scan * (1 + 1e-12) >= coordinate_quotient(f, theta, subset)
 
     @pytest.mark.parametrize("ax", [0, 1])
     @pytest.mark.parametrize("theta", [0.3, 0.5])
@@ -232,7 +325,7 @@ class TestLagScan:
         naive = [max(abs(v[i + k, j] - v[i, j])
                      for i in range(n - k) for j in range(ny))
                  for k in range(1, n)]
-        assert _lag_maxima(v).tolist() == naive
+        assert [_lag_maximum(v, k, 0) for k in range(1, n)] == naive
 
 
 class TestWeierstrass:

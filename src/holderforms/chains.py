@@ -4,11 +4,9 @@ Curve length, Green's area and form integrals use composite Gauss-Legendre
 quadrature: 16 nodes per segment/axis, panel count doubled until the
 relative change drops below 1e-8 (absolute floor 1e-10), at most 6
 doublings; non-convergence raises with the last two values attached.  One
-driver serves line and area integrals.  It works entry-wise: an integrand
-may return an array, and each entry keeps the value of the doubling at
-which it converged, the value a scalar run on that entry gives.  The
-composite rule is cached per (panels, order, interval) and its arrays are
-read-only, so every caller, ``mollify`` included, shares them safely.
+scalar driver serves line and area integrals.  The composite rule is cached
+per (panels, order, interval) and its arrays are read-only, so every
+caller, ``mollify`` included, shares them safely.
 
 A disk that is a polygon carries its vertices in ``ParamDisk.corners``
 (``rectangle_disk`` fills them).  It is measured and integrated from them:
@@ -17,11 +15,11 @@ A disk that is a polygon carries its vertices in ``ParamDisk.corners``
 many such disks at once.  A grid-sampled form is integrated there exactly,
 with no quadrature: its edges are cut at grid-line crossings, and on each
 piece the bilinear interpolant is a quadratic that a 2-point rule
-integrates exactly.  Analytic and mixed forms take one vectorised driver
-call per edge index.  Both functions reject a disk without corners;
+integrates exactly.  Analytic and mixed forms are integrated disk by disk
+along the polygon's edges, one driver call per edge, as
+``integrate_one_form`` does.  Both functions reject a disk without corners;
 curved disks (``ellipse_disk``, ``unit_disk``) are integrated along
-``ParamDisk.boundary`` with ``integrate_one_form``, and quadrature stays
-for them and for analytic forms.
+``ParamDisk.boundary`` with ``integrate_one_form``.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
@@ -97,45 +95,25 @@ def _gl_rule(panels: int, order: int = QUAD_ORDER, a: float = 0.0,
     return nodes, weights
 
 
-def adaptive_quadrature(fn: Callable[[np.ndarray, np.ndarray], object],
-                        tol: float = QUAD_REL_TOL):
-    """Refine fn(t, w) over [0,1] by doubling the panel count, entry-wise.
+def adaptive_quadrature(fn: Callable[[np.ndarray, np.ndarray], float],
+                        tol: float = QUAD_REL_TOL) -> float:
+    """Refine the scalar ``fn(t, w)`` over [0,1] by doubling the panel count.
 
-    ``fn`` returns a float or an array.  Each entry keeps its value from the
-    first doubling at which ``|val - prev| <= max(tol*|val|, QUAD_ABS_FLOOR)``,
-    so it equals a scalar run on that entry alone; the loop ends when every
-    entry has converged.  An entry still open after ``MAX_DOUBLINGS`` raises
-    ``QuadratureError`` with its last and previous values.  A scalar ``fn``
-    gets a float back; a float result takes the same test on plain floats,
-    which skips the array bookkeeping and gives the same value.
+    Returns the value of the first doubling at which
+    ``|val - prev| <= max(tol*|val|, QUAD_ABS_FLOOR)``; still open after
+    ``MAX_DOUBLINGS`` doublings, it raises ``QuadratureError`` with the last
+    and previous values.
     """
-    prev = out = done = None
+    prev = None
     panels = 1
     for step in range(MAX_DOUBLINGS + 1):
         t, w = _gl_rule(panels)
-        val = fn(t, w)
-        if isinstance(val, float):
-            val = float(val)
-            if prev is not None and (abs(val - prev)
-                                     <= max(tol * abs(val), QUAD_ABS_FLOOR)):
-                return val
-        else:
-            val = np.asarray(val, dtype=float)
-            if prev is None:
-                out = np.empty_like(val)
-                done = np.zeros(val.shape, dtype=bool)
-            else:
-                new = ~done & (np.abs(val - prev) <= np.maximum(
-                    tol * np.abs(val), QUAD_ABS_FLOOR))
-                np.copyto(out, val, where=new)
-                done |= new
-                if done.all():
-                    return float(out) if out.ndim == 0 else out
+        val = float(fn(t, w))
+        if prev is not None and (abs(val - prev)
+                                 <= max(tol * abs(val), QUAD_ABS_FLOOR)):
+            return val
         if step == MAX_DOUBLINGS:
-            if done is None:
-                raise QuadratureError(val, prev)
-            i = int(np.argmin(done.ravel()))
-            raise QuadratureError(float(val.flat[i]), float(prev.flat[i]))
+            raise QuadratureError(val, prev)
         prev = val
         panels *= 2
 
@@ -400,11 +378,6 @@ def _polygon_corners(disk: ParamDisk, caller: str) -> tuple:
     return disk.corners
 
 
-def _edge_lengths(verts) -> list:
-    """``sqrt(dx*dx + dy*dy)`` of each edge of the closed polygon, in order."""
-    return [_distance(a, b) for a, b in zip(verts, verts[1:] + verts[:1])]
-
-
 def measure_disk(disk: ParamDisk) -> ChainMeasures:
     """Boundary length, area and diameter of a polygonal disk, closed form.
 
@@ -423,7 +396,7 @@ def measure_disk(disk: ParamDisk) -> ChainMeasures:
     A disk without ``corners`` (a curved boundary) raises ``ValueError``.
     """
     verts = _polygon_corners(disk, "measure_disk")
-    length = sum(_edge_lengths(verts))
+    length = sum(_distance(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
     x0, y0 = verts[0]
     rel = [(x - x0, y - y0) for x, y in verts[1:]]
     twice = sum(xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(rel, rel[1:]))
@@ -445,29 +418,22 @@ def integrate_one_form(alpha: OneForm, curve: ParamCurve,
     return sum(_segment_integral(s, pull, tol) for s in curve.segments)
 
 
-def polygon_boundary_integrals(alpha: OneForm, disks, max_len: float,
+def polygon_boundary_integrals(alpha: OneForm, disks,
                                tol: float = QUAD_REL_TOL) -> list:
     """``int_dD alpha`` for each polygonal disk D, from ``D.corners``.
 
     A form whose every non-``None`` component is a ``GridField`` is
-    integrated exactly, with no driver call (``max_len`` and ``tol`` are not
-    read): along a straight edge the bilinear interpolant is a quadratic in
-    the edge parameter inside each grid cell, so splitting the edge at its
-    grid-line crossings and applying the 2-point Gauss-Legendre rule, exact
-    for cubics, to each piece gives the integral up to rounding.
+    integrated exactly, with no driver call (``tol`` is not read): along a
+    straight edge the bilinear interpolant is a quadratic in the edge
+    parameter inside each grid cell, so splitting the edge at its grid-line
+    crossings and applying the 2-point Gauss-Legendre rule, exact for
+    cubics, to each piece gives the integral up to rounding.  Disks may
+    have any mix of corner counts.
 
-    Any other form goes through the adaptive driver.  Edge ``d = b - a``
-    splits into ``n = max(1, ceil(|d| / max_len))`` pieces, ``|d|`` as in
-    ``measure_disk``; piece ``i`` is ``a + (i/n + (1/n)*t)*d`` with velocity
-    ``(1/n)*d``, so no piece outgrows the panels the driver can resolve.
-    One driver call integrates edge ``v`` of every disk at once, each piece
-    an entry that converges on its own to relative ``tol``, so a piece gets
-    the same value as on its own.
-
-    Either way each disk's integral is the sum of its pieces in boundary
-    order.  The driver path needs all disks to have the same number of
-    corners; the exact path takes any mix.  A disk without ``corners``
-    raises ``ValueError``.
+    Any other form is integrated disk by disk as
+    ``integrate_one_form(alpha, polygon(corners), tol)``: one adaptive
+    driver call per edge, each converged to relative ``tol``.  A disk
+    without ``corners`` raises ``ValueError``.
     """
     corners = [_polygon_corners(d, "polygon_boundary_integrals")
                for d in disks]
@@ -480,32 +446,7 @@ def polygon_boundary_integrals(alpha: OneForm, disks, max_len: float,
         d = np.concatenate([np.roll(p, -1, axis=0) - p for p in polys])
         owner = np.repeat(np.arange(len(polys)), [len(p) for p in polys])
         return _grid_boundary_integrals(alpha, a, d, owner, len(polys))
-    if len({len(c) for c in corners}) > 1:
-        raise ValueError("polygon_boundary_integrals needs disks with the "
-                         "same number of corners")
-    verts = np.array(corners, dtype=float)
-    counts = np.array([[max(1, math.ceil(length / max_len))
-                        for length in _edge_lengths(c)] for c in corners])
-    edges = np.roll(verts, -1, axis=1) - verts
-    pieces = [[] for _ in corners]
-    for v in range(verts.shape[1]):
-        n = counts[:, v]
-        owner = np.repeat(np.arange(len(corners)), n)
-        i = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
-        start = (i / n[owner])[:, None]
-        width = (1.0 / n[owner])[:, None]
-        a = verts[owner, v][:, None, :]
-        d = edges[owner, v][:, None, :]
-        vel = width[..., None] * d
-
-        def fn(t, w):
-            pts = a + (start + width * t)[..., None] * d
-            return np.sum(w * _pullback(alpha, pts, vel), axis=-1)
-
-        values = adaptive_quadrature(fn, tol).tolist()
-        for j, val in zip(owner.tolist(), values):
-            pieces[j].append(val)
-    return [sum(p) for p in pieces]
+    return [integrate_one_form(alpha, polygon(list(c)), tol) for c in corners]
 
 
 def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
@@ -522,7 +463,18 @@ def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
     and weights ``half`` integrates it exactly.  All pieces of all edges are
     evaluated together and summed per disk in boundary order (by edge, then
     by ``t``).
+
+    An edge whose velocity entry ``d[i, ax]`` is 0 for every non-``None``
+    component ``ax`` (a horizontal edge under ``W(x) dy``) pulls back to
+    exactly 0, so it is dropped before cutting: its pieces would only add
+    zeros to its disk's sum, and the long horizontal edges of ``decay``
+    would each be cut at thousands of grid crossings.
     """
+    live = np.zeros(len(a), dtype=bool)
+    for ax, c in enumerate((alpha.a1, alpha.a2)):
+        if c is not None:
+            live |= d[:, ax] != 0.0
+    a, d, owner = a[live], d[live], owner[live]
     grid = alpha.grid_components()[0]
     ids = np.arange(len(a))
     edge, t = [ids, ids], [np.zeros(len(a)), np.ones(len(a))]

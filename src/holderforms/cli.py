@@ -47,7 +47,7 @@ from .dynamics import (
 )
 from .decay import LinearModel, USRectangle, decay_bound_series
 from .experiments import (
-    weierstrass_form, analytic_weierstrass_form, dyadic_square_family,
+    weierstrass_form, dyadic_square_family,
     family_scale_slope, random_convex_polygon_vertices,
 )
 from . import svgplot
@@ -338,7 +338,6 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
 
     model = LinearModel(mu, nu)
     rect = USRectangle((0.05, 0.05), u_len, s_len)
-    alpha = analytic_weierstrass_form(theta, terms=terms)
     sampled = weierstrass_form(theta, terms=terms,
                                resolution=max(512, 4 * 2 ** (terms - 1)))
     cnorm = one_form_cnorm(sampled, theta)
@@ -347,7 +346,7 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
         smallness_sigma=sigma, cnorm=cnorm)
     k_emp = max(r.empirical_k for r in fam_reports)
 
-    series = decay_bound_series(alpha, model, rect, theta,
+    series = decay_bound_series(sampled, model, rect, theta,
                                 range(k_min, k_max + 1), sigma,
                                 c1=c1, k_emp=k_emp, cnorm=cnorm)
     write_csv(outdir / "decay.csv",

@@ -11,8 +11,10 @@ Only |dD| and |D| enter that right-hand side.  Each strip is measured by
 verifier takes; the strip diameter is the rectangle diagonal.  The
 telescoping check integrates the form over every strip boundary and over
 the whole iterate's boundary with ``polygon_boundary_integrals``, from the
-same corners: all strips of an iterate go through one driver call per edge
-index, and edges longer than ``MAX_SEGMENT_LEN`` are split into pieces.
+same corners.  The CLI passes the grid-sampled form whose C^theta norm and
+family constant scale the bound, so those integrals are exact up to
+rounding and take no quadrature; an analytic form is integrated edge by
+edge with the adaptive driver.
 
 Form invariance is NOT assumed; the experiment certifies the decay of the
 upper bound and the telescoping identity, which is what the argument needs.
@@ -45,7 +47,6 @@ __all__ = [
 ]
 
 OVERFLOW_EDGE = 1e12
-MAX_SEGMENT_LEN = 0.2  # quadrature panels stay resolved on long edges
 
 
 @dataclass(frozen=True)
@@ -223,10 +224,10 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
         rhs_shapes = [m.length ** (1.0 - theta) * m.area ** theta
                       for m in measures]
         bound = k_emp * cnorm * math.fsum(rhs_shapes)
-        lhs_sum = math.fsum(polygon_boundary_integrals(
-            alpha, disks, MAX_SEGMENT_LEN, quad_tol))
-        (lhs_whole,) = polygon_boundary_integrals(
-            alpha, [rect_k.disk()], MAX_SEGMENT_LEN, quad_tol)
+        lhs_sum = math.fsum(polygon_boundary_integrals(alpha, disks,
+                                                       quad_tol))
+        (lhs_whole,) = polygon_boundary_integrals(alpha, [rect_k.disk()],
+                                                  quad_tol)
         steps.append(DecayStep(
             k=k,
             n0=sc.n0,

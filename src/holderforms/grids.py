@@ -32,8 +32,6 @@ __all__ = [
     "weierstrass_callable",
     "holder_seminorm",
     "extend_constant_y",
-    "save_csv",
-    "load_csv",
 ]
 
 DEFAULT_SLACK = 1.05
@@ -406,35 +404,3 @@ def extend_constant_y(f: GridField, ny: int, lo: float = 0.0, hi: float = 1.0,
         (f.periodic[0], periodic), vals,
     )
 
-
-# --- CSV import/export -----------------------------------------------------
-#
-# Header line:  # dim,resolution,lo,hi,periodic
-# with multi-axis entries joined by ';', followed by row-major samples,
-# one per line, 17 significant digits.
-
-def save_csv(f: GridField, path) -> None:
-    with open(path, "w") as fh:
-        res = ";".join(str(r) for r in f.resolution)
-        lo = ";".join(f"{v:.17g}" for v in f.lo)
-        hi = ";".join(f"{v:.17g}" for v in f.hi)
-        per = ";".join(str(int(p)) for p in f.periodic)
-        fh.write("# dim,resolution,lo,hi,periodic\n")
-        fh.write(f"# {f.dim},{res},{lo},{hi},{per}\n")
-        for v in f.values.ravel():
-            fh.write(f"{v:.17g}\n")
-
-
-def load_csv(path) -> GridField:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError("missing GridField CSV header")
-        meta = fh.readline().lstrip("#").strip().split(",")
-        dim = int(meta[0])
-        res = tuple(int(x) for x in meta[1].split(";"))
-        lo = tuple(float(x) for x in meta[2].split(";"))
-        hi = tuple(float(x) for x in meta[3].split(";"))
-        per = tuple(bool(int(x)) for x in meta[4].split(";"))
-        vals = np.array([float(line) for line in fh if line.strip()])
-    return GridField(lo, hi, res, per, vals.reshape(res))

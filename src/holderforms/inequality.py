@@ -102,16 +102,15 @@ def eps_sweep(cnorm: float, area: float, length: float, theta: float,
 
 
 def isoperimetric_constant(n: int) -> float:
-    """C_n = 1 / (n^n omega_n)^(1/(n-1)); C_2 = 1/(4 pi)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n == 2:
-        omega = math.pi
-    elif n == 3:
-        omega = 4.0 * math.pi / 3.0
-    else:
-        omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    return 1.0 / (n ** n * omega) ** (1.0 / (n - 1.0))
+    """The planar isoperimetric constant C_2 = 1/(4 pi): |D| <= C_2 |dD|^2.
+
+    Every check here is planar, so only n = 2 is implemented; any other
+    ``n`` raises ``ValueError``.
+    """
+    if n != 2:
+        raise ValueError(f"only the planar constant (n = 2) is implemented, "
+                         f"got n={n}")
+    return 1.0 / (4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -259,15 +258,14 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
     reported as skipped, mirroring the smallness hypothesis of the estimate.
 
     Every disk is measured by ``measure_disk``; the unskipped ones are then
-    integrated together by ``polygon_boundary_integrals`` with one piece
-    per edge.  A grid-sampled form is integrated exactly there, for any mix
-    of polygons (an analytic or mixed form needs them all to have the same
-    number of corners): along each edge its
-    bilinear interpolant is quadratic between grid-line crossings, and the
-    2-point Gauss-Legendre rule on each such piece is exact, so ``lhs``
-    carries rounding error only.  ``quad_tol`` is read as the relative
-    tolerance of the adaptive driver, which only analytic or mixed forms
-    use, and as the ``lhs`` below which a degenerate disk counts as ratio 0.
+    integrated together by ``polygon_boundary_integrals``.  A grid-sampled
+    form is integrated exactly there, for any mix of polygons: along each
+    edge its bilinear interpolant is quadratic between grid-line crossings,
+    and the 2-point Gauss-Legendre rule on each such piece is exact, so
+    ``lhs`` carries rounding error only.  ``quad_tol`` is read as the
+    relative tolerance of the adaptive driver, which only analytic or mixed
+    forms use (one call per edge), and as the ``lhs`` below which a
+    degenerate disk counts as ratio 0.
     """
     theta = alpha.theta if theta is None else theta
     if cnorm is None:
@@ -280,7 +278,7 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
     skipped = [max(m.diameter, m.length) >= smallness_sigma for m in measures]
     integrals = iter(polygon_boundary_integrals(
         alpha, [disk for (_, disk), skip in zip(items, skipped) if not skip],
-        math.inf, quad_tol))
+        quad_tol))
     reports = []
     emp_k = 0.0
     for (disk_id, _), meas, skip in zip(items, measures, skipped):

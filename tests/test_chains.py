@@ -93,44 +93,6 @@ class TestAdaptiveQuadrature:
         assert exc.value.previous is not None
         assert exc.value.last != exc.value.previous
 
-    def test_vector_entries_equal_their_scalar_runs(self):
-        integrands = [lambda t: t ** 7, lambda t: np.cos(40.0 * t)]
-        doublings = []
-
-        def scalar(f):
-            calls = []
-
-            def fn(t, w):
-                calls.append(t.size)
-                return float(np.sum(w * f(t)))
-
-            val = adaptive_quadrature(fn)
-            doublings.append(len(calls))
-            return val
-
-        expected = [scalar(f) for f in integrands]
-        # t**7 converges at the first doubling, cos(40 t) several later
-        assert doublings[0] < doublings[1]
-        val = adaptive_quadrature(
-            lambda t, w: np.sum(w * np.stack([f(t) for f in integrands]),
-                                axis=-1))
-        assert isinstance(val, np.ndarray)
-        assert val.tolist() == expected
-
-    def test_unconverged_entry_raises_with_its_values(self):
-        rng = np.random.default_rng(0)
-        noisy = []
-
-        def mixed(t, w):
-            noisy.append(float(np.sum(w * rng.standard_normal(t.shape))))
-            return np.array([np.sum(w * t ** 2), noisy[-1]])
-
-        with pytest.raises(QuadratureError) as exc:
-            adaptive_quadrature(mixed, tol=1e-15)
-        assert type(exc.value.last) is float
-        assert type(exc.value.previous) is float
-        assert (exc.value.last, exc.value.previous) == (noisy[-1], noisy[-2])
-
     @pytest.mark.parametrize("total", [float, np.sum])
     def test_scalar_integrand_returns_a_float(self, total):
         val = adaptive_quadrature(lambda t, w: total(np.sum(w * t)))
@@ -185,49 +147,23 @@ def _sin_cos_form():
 
 
 class TestPolygonBoundaryIntegrals:
-    def test_split_edges_keep_the_integral(self, monkeypatch):
-        # Stokes: int_dR sin(y) dx + cos(x) dy = -int_R (sin x + cos y)
-        exact = -(1.0 - math.cos(2.0)) - 2.0 * math.sin(1.0)
-        d = rectangle_disk((0.0, 0.0), (2.0, 1.0))
-        entries = []
-        driver = chains.adaptive_quadrature
-
-        def counting(fn, *args, **kwargs):
-            val = driver(fn, *args, **kwargs)
-            entries.append(val.size)
-            return val
-
-        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
-        (fine,) = polygon_boundary_integrals(_sin_cos_form(), [d], 0.2)
-        assert entries == [10, 5, 10, 5]
-        entries.clear()
-        perimeter = measure_disk(d).length
-        (whole,) = polygon_boundary_integrals(_sin_cos_form(), [d],
-                                              perimeter + 1.0)
-        assert entries == [1, 1, 1, 1]
-        assert fine == pytest.approx(whole, abs=1e-10)
-        assert fine == pytest.approx(exact, abs=1e-10)
-
     def test_batch_equals_one_disk_at_a_time(self):
-        # different sizes give different piece counts within one edge index
         alpha = _sin_cos_form()
         disks = [rectangle_disk((x, y), (x + w, y + h))
                  for x, y, w, h in [(0.0, 0.0, 2.0, 0.1), (0.3, -1.0, 0.1, 0.1),
                                     (-1.0, 0.5, 0.45, 1.3), (0.2, 0.2, 0.2, 0.2)]]
-        batch = polygon_boundary_integrals(alpha, disks, 0.2, tol=1e-10)
-        assert batch == [polygon_boundary_integrals(alpha, [d], 0.2, tol=1e-10)[0]
+        batch = polygon_boundary_integrals(alpha, disks, tol=1e-10)
+        assert batch == [polygon_boundary_integrals(alpha, [d], tol=1e-10)[0]
                          for d in disks]
         assert all(type(v) is float for v in batch)
 
     @settings(max_examples=40, deadline=None)
     @given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
-           w=st.floats(1e-3, 3.0), h=st.floats(1e-3, 3.0),
-           max_len=st.floats(0.05, 4.0))
-    def test_reversed_corners_negate(self, x0, y0, w, h, max_len):
+           w=st.floats(1e-3, 3.0), h=st.floats(1e-3, 3.0))
+    def test_reversed_corners_negate(self, x0, y0, w, h):
         d = rectangle_disk((x0, y0), (x0 + w, y0 + h))
         rev = dataclasses.replace(d, corners=d.corners[::-1])
-        fwd, back = polygon_boundary_integrals(_sin_cos_form(), [d, rev],
-                                               max_len)
+        fwd, back = polygon_boundary_integrals(_sin_cos_form(), [d, rev])
         # |sin|, |cos| <= 1, so each integral is at most the perimeter
         scale = measure_disk(d).length
         assert abs(fwd + back) <= 1e-12 * scale
@@ -235,15 +171,15 @@ class TestPolygonBoundaryIntegrals:
     def test_curved_disk_is_rejected(self):
         with pytest.raises(ValueError, match="corners"):
             polygon_boundary_integrals(
-                _sin_cos_form(), [rectangle_disk((0, 0), (1, 1)), unit_disk()],
-                0.2)
+                _sin_cos_form(), [rectangle_disk((0, 0), (1, 1)), unit_disk()])
 
-    def test_mismatched_corner_counts_are_rejected(self):
+    def test_mixed_corner_counts_equal_integrate_one_form(self):
+        alpha = _sin_cos_form()
         square = rectangle_disk((0.0, 0.0), (1.0, 1.0))
         triangle = dataclasses.replace(square, corners=square.corners[:3])
-        with pytest.raises(ValueError, match="same number of corners"):
-            polygon_boundary_integrals(_sin_cos_form(), [square, triangle],
-                                       0.2)
+        assert polygon_boundary_integrals(alpha, [square, triangle]) == [
+            integrate_one_form(alpha, polygon(list(d.corners)))
+            for d in (square, triangle)]
 
 
 def _polygon_disk(verts):
@@ -333,7 +269,7 @@ class TestExactGridBoundaryIntegrals:
         my = ((vy + yn) * cross).sum() / 6.0
         green = (qc[1] - pc[2]) * area + qc[3] * my - pc[3] * mx
         disk = _polygon_disk(verts)
-        (exact,) = polygon_boundary_integrals(form, [disk], math.inf)
+        (exact,) = polygon_boundary_integrals(form, [disk])
         size = max(form.a1.supnorm(), form.a2.supnorm())
         assert abs(exact - green) <= 1e-13 * measure_disk(disk).length * size
 
@@ -347,7 +283,7 @@ class TestExactGridBoundaryIntegrals:
         form = OneForm(*(GridField(values=rng.normal(size=grid["resolution"]),
                                    **grid) for _ in range(2)), 0.5)
         disk = _polygon_disk(verts)
-        (exact,) = polygon_boundary_integrals(form, [disk], math.inf)
+        (exact,) = polygon_boundary_integrals(form, [disk])
         size = max(form.a1.supnorm(), form.a2.supnorm())
         assert abs(exact - _reference_boundary_integral(form, verts)) <= (
             1e-13 * measure_disk(disk).length * size)
@@ -357,30 +293,56 @@ class TestExactGridBoundaryIntegrals:
         square = rectangle_disk((0.1, 0.2), (0.35, 0.45))
         triangle = _polygon_disk([(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)])
         family = [square, triangle, square]
-        assert polygon_boundary_integrals(alpha, family, math.inf) == [
-            polygon_boundary_integrals(alpha, [d], math.inf)[0]
-            for d in family]
+        assert polygon_boundary_integrals(alpha, family) == [
+            polygon_boundary_integrals(alpha, [d])[0] for d in family]
 
     def test_mixed_form_keeps_the_driver(self, monkeypatch):
         grid = GridField.from_function(lambda x, y: x * y, (0.0, 0.0),
                                        (1.0, 1.0), (5, 5), (False, False))
-        sizes = []
+        calls = []
         driver = chains.adaptive_quadrature
 
         def counting(fn, *args, **kwargs):
             val = driver(fn, *args, **kwargs)
-            sizes.append(val.size)
+            calls.append(val)
             return val
 
         monkeypatch.setattr(chains, "adaptive_quadrature", counting)
         square = rectangle_disk((0.2, 0.2), (0.7, 0.6))
-        polygon_boundary_integrals(OneForm(None, grid, 1.0), [square], 0.2)
-        assert sizes == []
+        polygon_boundary_integrals(OneForm(None, grid, 1.0), [square])
+        assert calls == []
         (mixed,) = polygon_boundary_integrals(OneForm(one, grid, 1.0),
-                                              [square], 0.2)
-        assert sizes == [3, 2, 3, 2]
+                                              [square])
+        # one scalar driver call per edge
+        assert len(calls) == 4
+        assert all(type(v) is float for v in calls)
         # int_dR dx + xy dy = int_R y dA
         assert mixed == pytest.approx(0.5 * (0.6**2 - 0.2**2) / 2, abs=1e-12)
+
+    def test_zero_velocity_edges_are_dropped_without_changing_a_value(
+            self, monkeypatch):
+        # W(x) dy pulls back to 0 on the horizontal edges; a zero grid in the
+        # dx slot keeps every edge, so it gives the values without the drop
+        alpha = weierstrass_form(0.5, terms=6, resolution=512)
+        grid = alpha.a2
+        zero = GridField(grid.lo, grid.hi, grid.resolution, grid.periodic,
+                         np.zeros(grid.resolution))
+        disks = [rectangle_disk((0.05, 0.05), (3.4, 0.0564)),
+                 rectangle_disk((0.1, 0.2), (0.35, 0.45)),
+                 _polygon_disk([(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)]),
+                 _polygon_disk([(0.2, 0.3), (0.8, 0.3), (0.8, 0.3)])]
+        points = []
+        pullback = chains._pullback
+
+        def counting(form, pts, vel):
+            points.append(pts.shape[1])
+            return pullback(form, pts, vel)
+
+        monkeypatch.setattr(chains, "_pullback", counting)
+        dropped = polygon_boundary_integrals(alpha, disks)
+        kept = polygon_boundary_integrals(OneForm(zero, grid, 0.5), disks)
+        assert dropped == kept
+        assert points[0] < points[1]
 
 
 class TestGreenArea:

@@ -7,6 +7,7 @@ import pytest
 
 import holderforms.cli
 import holderforms.inequality
+from holderforms import chains
 from holderforms.chains import QuadratureError
 from holderforms.dynamics import AmbiguousSpectrumError
 from holderforms.cli import main
@@ -53,6 +54,21 @@ class TestSubcommands:
         code, _ = run(["stokes-check"], tmp_path)
         assert code == 0
         assert calls == [0.05]
+
+    def test_decay_makes_no_driver_call(self, tmp_path, monkeypatch):
+        # decay integrates the grid-sampled form it measures, exactly
+        calls = []
+        driver = chains.adaptive_quadrature
+
+        def counting(fn, *args, **kwargs):
+            calls.append(fn)
+            return driver(fn, *args, **kwargs)
+
+        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
+        code, outdir = run(["decay"], tmp_path)
+        assert code == 0
+        assert (outdir / "decay.csv").exists()
+        assert calls == []
 
     def test_svg_flag_emits_plot(self, tmp_path):
         code, outdir = run(["inequality", "--svg"], tmp_path)

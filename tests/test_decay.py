@@ -12,7 +12,6 @@ from holderforms.chains import (
     polygon_boundary_integrals,
 )
 from holderforms.decay import (
-    MAX_SEGMENT_LEN,
     LinearModel,
     USRectangle,
     choose_strip_count,
@@ -20,7 +19,10 @@ from holderforms.decay import (
     decay_bound_series,
     iterate_rectangle,
 )
-from holderforms.experiments import analytic_weierstrass_form
+from holderforms.experiments import (
+    analytic_weierstrass_form,
+    weierstrass_form,
+)
 from holderforms.inequality import verify_main_inequality
 
 
@@ -59,11 +61,8 @@ class TestRectangleIteration:
         disk = r2.disk()
         assert measure_disk(disk).length == pytest.approx(r2.boundary_length,
                                                           rel=1e-12)
-        # the long edges (0.9) are split at MAX_SEGMENT_LEN, but not above
-        # the perimeter
-        for max_len in (MAX_SEGMENT_LEN, r2.boundary_length + 1.0):
-            (area,) = polygon_boundary_integrals(half_xdy, [disk], max_len)
-            assert area == pytest.approx(r2.area, rel=1e-10)
+        (area,) = polygon_boundary_integrals(half_xdy, [disk])
+        assert area == pytest.approx(r2.area, rel=1e-10)
 
 
 class TestStrips:
@@ -87,14 +86,11 @@ class TestStrips:
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_strip_integrals_equal_integrate_one_form(self, k):
-        # decay defaults: every strip edge is shorter than MAX_SEGMENT_LEN,
-        # so the batched pieces are the polygon's own segments
         alpha = analytic_weierstrass_form(0.5, terms=6)
         sc = choose_strip_count(k, MODEL, RECT, sigma=0.5, c1=1.0)
         disks = [s.disk() for s in
                  cut_strips(iterate_rectangle(MODEL, RECT, k), sc.n)]
-        batch = polygon_boundary_integrals(alpha, disks, MAX_SEGMENT_LEN,
-                                           1e-10)
+        batch = polygon_boundary_integrals(alpha, disks, 1e-10)
         assert batch == [integrate_one_form(alpha, polygon(list(d.corners)),
                                             tol=1e-10) for d in disks]
 
@@ -107,10 +103,8 @@ class TestStrips:
                         lambda p: np.cos(2.0 * p[..., 0]), 1.0)
         rect = USRectangle((x, y), u_len, s_len)
         strips = cut_strips(rect, n)
-        parts = polygon_boundary_integrals(
-            alpha, [s.disk() for s in strips], MAX_SEGMENT_LEN)
-        (whole,) = polygon_boundary_integrals(alpha, [rect.disk()],
-                                              MAX_SEGMENT_LEN)
+        parts = polygon_boundary_integrals(alpha, [s.disk() for s in strips])
+        (whole,) = polygon_boundary_integrals(alpha, [rect.disk()])
         # |alpha| <= 1 along every edge, so the perimeters bound each term
         scale = rect.boundary_length + math.fsum(s.boundary_length
                                                  for s in strips)
@@ -175,6 +169,21 @@ class TestDecaySeries:
         assert step.strip_diameter_max == max(r.measures.diameter
                                               for r in reports)
         assert step.strip_diameter_max <= step.strip_boundary_max / 2.0
+
+    def test_sampled_form_integrates_to_its_corner_values(self):
+        # W(x) dy pulls back to 0 on the horizontal edges and to the constant
+        # w(x) on the vertical ones, so the whole iterate's integral is
+        # s_len * (w(x1) - w(x0)) of the grid interpolant w
+        alpha = weierstrass_form(0.5, terms=6, resolution=512)
+        series = decay_bound_series(alpha, MODEL, RECT, theta=0.5,
+                                    k_range=range(2, 9), sigma=0.5)
+        assert [s.k for s in series.steps] == list(range(2, 9))
+        for s in series.steps:
+            r = iterate_rectangle(MODEL, RECT, s.k)
+            (x0, y0), x1 = r.corner, r.corner[0] + r.u_len
+            w0, w1 = alpha.a2.evaluate(np.array([[x0, y0], [x1, y0]]))
+            expected = r.s_len * (w1 - w0)
+            assert s.lhs_whole == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_smallness_filter_names_k_and_n(self):
         alpha = analytic_weierstrass_form(0.5, 2, 8)

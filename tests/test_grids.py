@@ -11,9 +11,7 @@ from holderforms.grids import (
     _lag_maximum,
     extend_constant_y,
     holder_seminorm,
-    load_csv,
     make_weierstrass,
-    save_csv,
     weierstrass_callable,
 )
 
@@ -369,24 +367,3 @@ class TestExtendConstantY:
         g = extend_constant_y(f, 5)
         with pytest.raises(ValueError):
             extend_constant_y(g, 5)
-
-
-class TestCsvRoundTrip:
-    def test_1d_exact(self, tmp_path):
-        f = make_weierstrass(0.5, 2, 6, 300)
-        p = tmp_path / "w.csv"
-        save_csv(f, p)
-        g = load_csv(p)
-        assert g.resolution == f.resolution
-        assert g.periodic == f.periodic
-        np.testing.assert_array_equal(g.values, f.values)
-
-    def test_2d_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        vals = rng.standard_normal((12, 7))
-        f = GridField((0.0, -1.0), (2.0, 1.0), (12, 7), (False, False), vals)
-        p = tmp_path / "f.csv"
-        save_csv(f, p)
-        g = load_csv(p)
-        assert g.lo == f.lo and g.hi == f.hi
-        np.testing.assert_array_equal(g.values, f.values)

@@ -8,18 +8,22 @@ scalar driver serves line and area integrals.  The composite rule is cached
 per (panels, order, interval) and its arrays are read-only, so every
 caller, ``mollify`` included, shares them safely.
 
-A disk that is a polygon carries its vertices in ``ParamDisk.corners``
-(``rectangle_disk`` fills them).  It is measured and integrated from them:
-``measure_disk`` takes its length, area and diameter in closed form, and
-``polygon_boundary_integrals`` integrates a 1-form over the boundaries of
-many such disks at once.  A grid-sampled form is integrated there exactly,
-with no quadrature: its edges are cut at grid-line crossings, and on each
-piece the bilinear interpolant is a quadratic that a 2-point rule
-integrates exactly.  Analytic and mixed forms are integrated disk by disk
-along the polygon's edges, one driver call per edge, as
-``integrate_one_form`` does.  Both functions reject a disk without corners;
-curved disks (``ellipse_disk``, ``unit_disk``) are integrated along
-``ParamDisk.boundary`` with ``integrate_one_form``.
+A polygon is given by its corners, in boundary order; a polygonal
+``ParamDisk`` carries them in ``ParamDisk.corners`` (``rectangle_disk``
+fills them).  Polygons are measured and integrated in one array layout:
+the vertices of n polygons, of any mix of corner counts, in one flat array,
+each edge running to the next vertex of its polygon and the last one
+wrapping to the first.  ``measure_polygons`` takes the lengths, areas and
+diameters of n polygons in closed form (``measure_disk`` is its
+one-polygon case), and ``polygon_boundary_integrals`` integrates a 1-form
+over the boundaries of n polygons at once.  A grid-sampled form is
+integrated there exactly, with no quadrature: its edges are cut at
+grid-line crossings, and on each piece the bilinear interpolant is a
+quadratic that a 2-point rule integrates exactly.  Analytic and mixed
+forms are integrated polygon by polygon along the edges, one driver call
+per edge, as ``integrate_one_form`` does.  Both reject a curved disk (no
+corners); curved disks (``ellipse_disk``, ``unit_disk``) are integrated
+along ``ParamDisk.boundary`` with ``integrate_one_form``.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
@@ -32,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -54,6 +57,7 @@ __all__ = [
     "rectangle_disk",
     "ellipse_disk",
     "curve_length",
+    "measure_polygons",
     "measure_disk",
     "integrate_one_form",
     "polygon_boundary_integrals",
@@ -206,8 +210,8 @@ class ParamDisk:
 
     ``corners``, when set, is the tuple of vertices ``(x, y)`` of a disk
     whose boundary is a polygon, in boundary order and as ``psi`` evaluates
-    them; ``measure_disk`` measures the polygon in closed form from them and
-    ``polygon_boundary_integrals`` integrates along its edges.  ``None``
+    them; ``measure_polygons`` measures the polygon in closed form from them
+    and ``polygon_boundary_integrals`` integrates along its edges.  ``None``
     (the default) means a curved boundary, which can be integrated over
     but not measured.
     """
@@ -360,48 +364,94 @@ def _tensor_quadrature(fn: Callable, tol: float = QUAD_REL_TOL) -> float:
     return adaptive_quadrature(tensor, tol)
 
 
-def _distance(a, b) -> float:
-    """Flat distance ``sqrt(dx*dx + dy*dy)`` between two points."""
-    dx, dy = a[0] - b[0], a[1] - b[1]
-    return math.sqrt(dx * dx + dy * dy)
+def _polygon_edges(corners):
+    """Flat vertex layout of n polygons and the index of each edge's end.
+
+    ``corners`` is an ``(n, m, 2)`` array of n polygons with m corners each,
+    or a sequence of n vertex sequences of any lengths.  A ``None`` entry
+    (a curved disk's ``corners``), fewer than 3 corners or a non-finite
+    corner raises ``ValueError``.  Returns the ``(V, 2)`` vertices of all
+    polygons in boundary order; for each vertex its polygon ``owner``, the
+    index ``first`` of that polygon's first vertex and the index ``nxt`` of
+    the vertex that follows it on the boundary (the last one wraps to
+    ``first``); and n.
+    """
+    if isinstance(corners, np.ndarray) and corners.ndim == 3:
+        n, m = corners.shape[:2]
+        verts = corners.reshape(-1, 2).astype(float, copy=False)
+        counts = np.full(n, m)
+    else:
+        for i, c in enumerate(corners):
+            if c is None:
+                raise ValueError(f"a curved disk has no corners: "
+                                 f"corners[{i}] is None")
+        n = len(corners)
+        counts = np.array([len(c) for c in corners], dtype=int)
+        verts = np.array([v for c in corners for v in c],
+                         dtype=float).reshape(-1, 2)
+    if (counts < 3).any():
+        raise ValueError("a polygon needs at least 3 corners")
+    bad = ~np.isfinite(verts).all(axis=1)
+    if bad.any():
+        raise ValueError(f"corners must be finite: {verts[bad][0].tolist()}")
+    owner = np.repeat(np.arange(n), counts)
+    start = np.cumsum(counts) - counts
+    nxt = np.arange(len(verts)) + 1
+    nxt[start + counts - 1] = start
+    return verts, owner, start[owner], nxt, n
 
 
-def _vertex_diameter(corners) -> float:
-    """Max distance over vertex pairs."""
-    return max(_distance(a, b) for a, b in combinations(corners, 2))
+def measure_polygons(corners):
+    """Boundary lengths, areas and diameters of n polygons, closed form.
 
+    ``corners`` is an ``(n, m, 2)`` array of n polygons with m corners each,
+    or a sequence of n vertex sequences of any lengths (at least 3).  With a
+    polygon's vertices ``v_0 .. v_{m-1}`` and its closed boundary's edges
+    ``(dx, dy) = v_{i+1} - v_i``:
 
-def _polygon_corners(disk: ParamDisk, caller: str) -> tuple:
-    if disk.corners is None:
-        raise ValueError(f"{caller} needs a polygonal disk: "
-                         "disk.corners is None")
-    return disk.corners
+    * length: ``sum sqrt(dx*dx + dy*dy)`` over the edges, in vertex order;
+    * area: ``|shoelace| / 2`` about ``v_0``, i.e. half the absolute sum of
+      the cross products ``u_i x u_{i+1}`` of ``u_i = v_i - v_0``, in
+      vertex order.  For a rectangle the only nonzero terms are two copies
+      of ``dx*dy``, so the area is ``fl(dx*dy)`` exactly; a shoelace about
+      the origin would cancel away the digits of a small square far from
+      the origin;
+    * diameter: the largest vertex-pair distance ``sqrt(dx*dx + dy*dy)``,
+      because a polygon's diameter is attained at two of its vertices.
+
+    Sums run in vertex order through ``np.bincount`` (``np.sum`` would
+    reorder sums of 8 or more terms), so each value is the one a Python
+    loop over the vertices gives, bit for bit.  Returns three float arrays
+    of length n.
+    """
+    verts, owner, first, nxt, n = _polygon_edges(corners)
+    x, y = verts.T.copy()
+    ids = np.arange(len(x))
+    dx, dy = x[nxt] - x, y[nxt] - y
+    length = np.bincount(owner, np.sqrt(dx * dx + dy * dy), minlength=n)
+    ux, uy = x - x[first], y - y[first]
+    i = np.flatnonzero((ids != first) & (nxt == ids + 1))  # not first or last
+    cross = ux[i] * uy[i + 1] - ux[i + 1] * uy[i]
+    area = np.abs(np.bincount(owner[i], cross, minlength=n)) / 2.0
+    diameter = np.zeros(n)
+    count = np.bincount(owner, minlength=n)
+    stop = first + count[owner]
+    for k in range(1, count.max(initial=0)):
+        i = np.flatnonzero(ids + k < stop)  # pairs (v_i, v_{i+k}) of a polygon
+        dx, dy = x[i + k] - x[i], y[i + k] - y[i]
+        np.maximum.at(diameter, owner[i], np.sqrt(dx * dx + dy * dy))
+    return length, area, diameter
 
 
 def measure_disk(disk: ParamDisk) -> ChainMeasures:
     """Boundary length, area and diameter of a polygonal disk, closed form.
 
-    With the vertices ``v_0 .. v_{n-1}`` of ``disk.corners`` and the closed
-    polygon's edges ``(dx, dy) = v_{i+1} - v_i``:
-
-    * length: ``sum sqrt(dx*dx + dy*dy)`` over the edges, in vertex order;
-    * area: ``|shoelace| / 2`` about ``v_0``, i.e. half the absolute sum of
-      the cross products ``u_i x u_{i+1}`` of ``u_i = v_i - v_0``.  For a
-      rectangle the only nonzero terms are two copies of ``dx*dy``, so the
-      area is ``fl(dx*dy)`` exactly; a shoelace about the origin would
-      cancel away the digits of a small square far from the origin;
-    * diameter: the largest vertex-pair distance ``sqrt(dx*dx + dy*dy)``,
-      because a polygon's diameter is attained at two of its vertices.
-
-    A disk without ``corners`` (a curved boundary) raises ``ValueError``.
+    ``measure_polygons`` on the one polygon ``disk.corners``; a disk
+    without ``corners`` (a curved boundary) raises ``ValueError``.
     """
-    verts = _polygon_corners(disk, "measure_disk")
-    length = sum(_distance(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
-    x0, y0 = verts[0]
-    rel = [(x - x0, y - y0) for x, y in verts[1:]]
-    twice = sum(xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(rel, rel[1:]))
-    return ChainMeasures(length=length, area=abs(twice) / 2.0,
-                         diameter=_vertex_diameter(verts))
+    length, area, diameter = measure_polygons([disk.corners])
+    return ChainMeasures(length=float(length[0]), area=float(area[0]),
+                         diameter=float(diameter[0]))
 
 
 def _pullback(alpha: OneForm, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -418,34 +468,33 @@ def integrate_one_form(alpha: OneForm, curve: ParamCurve,
     return sum(_segment_integral(s, pull, tol) for s in curve.segments)
 
 
-def polygon_boundary_integrals(alpha: OneForm, disks,
+def polygon_boundary_integrals(alpha: OneForm, corners,
                                tol: float = QUAD_REL_TOL) -> list:
-    """``int_dD alpha`` for each polygonal disk D, from ``D.corners``.
+    """``int_dP alpha`` for each polygon P of ``corners``.
+
+    ``corners`` is laid out as ``measure_polygons`` reads it: an
+    ``(n, m, 2)`` array or a sequence of vertex sequences of mixed lengths,
+    such as polygonal disks' ``ParamDisk.corners``; a ``None`` entry, a
+    curved disk's, raises ``ValueError``.
 
     A form whose every non-``None`` component is a ``GridField`` is
     integrated exactly, with no driver call (``tol`` is not read): along a
     straight edge the bilinear interpolant is a quadratic in the edge
     parameter inside each grid cell, so splitting the edge at its grid-line
     crossings and applying the 2-point Gauss-Legendre rule, exact for
-    cubics, to each piece gives the integral up to rounding.  Disks may
-    have any mix of corner counts.
+    cubics, to each piece gives the integral up to rounding.
 
-    Any other form is integrated disk by disk as
-    ``integrate_one_form(alpha, polygon(corners), tol)``: one adaptive
-    driver call per edge, each converged to relative ``tol``.  A disk
-    without ``corners`` raises ``ValueError``.
+    Any other form is integrated polygon by polygon as
+    ``integrate_one_form(alpha, polygon(list(c)), tol)``: one adaptive
+    driver call per edge, each converged to relative ``tol``.
     """
-    corners = [_polygon_corners(d, "polygon_boundary_integrals")
-               for d in disks]
-    if not corners:
+    verts, owner, _, nxt, n = _polygon_edges(corners)
+    if n == 0:
         return []
     comps = [c for c in (alpha.a1, alpha.a2) if c is not None]
     if comps and all(isinstance(c, GridField) for c in comps):
-        polys = [np.array(c, dtype=float) for c in corners]
-        a = np.concatenate(polys)
-        d = np.concatenate([np.roll(p, -1, axis=0) - p for p in polys])
-        owner = np.repeat(np.arange(len(polys)), [len(p) for p in polys])
-        return _grid_boundary_integrals(alpha, a, d, owner, len(polys))
+        return _grid_boundary_integrals(alpha, verts, verts[nxt] - verts,
+                                        owner, n)
     return [integrate_one_form(alpha, polygon(list(c)), tol) for c in corners]
 
 

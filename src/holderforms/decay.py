@@ -6,12 +6,14 @@ N ~ mu^k strips so each strip boundary stays below the smallness threshold
 sigma, sum the per-strip right-hand sides of the main inequality, and check
 that the summed bound decays geometrically at rate mu * nu^theta.
 
-Only |dD| and |D| enter that right-hand side.  Each strip is measured by
-``measure_disk``, in closed form from its corners, the same path the family
-verifier takes; the strip diameter is the rectangle diagonal.  The
+Only |dD| and |D| enter that right-hand side.  ``cut_strips`` gives the
+corners of all strips as one ``(N, 4, 2)`` array, and ``measure_polygons``
+measures them in one call, in closed form, with the same formulas the
+family verifier uses; the strip diameter is the rectangle diagonal.  The
 telescoping check integrates the form over every strip boundary and over
-the whole iterate's boundary with ``polygon_boundary_integrals``, from the
-same corners.  The CLI passes the grid-sampled form whose C^theta norm and
+the whole iterate's boundary (``cut_strips(rect, 1)``) with
+``polygon_boundary_integrals``, from the same corners, so no ``ParamDisk``
+is built.  The CLI passes the grid-sampled form whose C^theta norm and
 family constant scale the bound, so those integrals are exact up to
 rounding and take no quadrature; an analytic form is integrated edge by
 edge with the adaptive driver.
@@ -27,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (
-    OneForm,
-    ParamDisk,
-    measure_disk,
-    polygon_boundary_integrals,
-    rectangle_disk,
-)
+from .chains import OneForm, measure_polygons, polygon_boundary_integrals
 
 __all__ = [
     "LinearModel",
@@ -85,10 +81,6 @@ class USRectangle:
     def boundary_length(self) -> float:
         return 2.0 * (self.u_len + self.s_len)
 
-    def disk(self) -> ParamDisk:
-        x, y = self.corner
-        return rectangle_disk((x, y), (x + self.u_len, y + self.s_len))
-
 
 def iterate_rectangle(model: LinearModel, rect: USRectangle, k: int) -> USRectangle:
     """Apply diag(mu, nu)^k; edges scale exactly by mu^k and nu^k."""
@@ -105,16 +97,28 @@ def iterate_rectangle(model: LinearModel, rect: USRectangle, k: int) -> USRectan
     )
 
 
-def cut_strips(rect: USRectangle, N: int):
-    """Partition into N strips along the unstable edge, equal areas."""
+def cut_strips(rect: USRectangle, N: int) -> np.ndarray:
+    """Corners of N equal strips cut along the unstable edge, ``(N, 4, 2)``.
+
+    Strip i is the rectangle with lower-left corner ``(x_i, y)``,
+    ``x_i = x + i*w`` and ``w = u_len / N``, whose corners run
+    counter-clockwise from there.  They are the float values
+    ``rectangle_disk((x_i, y), (x_i + w, y + s_len))`` gives: with
+    ``dx = (x_i + w) - x_i`` and ``dy = (y + s_len) - y``, corner
+    ``(r, s)`` of the unit square is ``(x_i + dx*r, y + dy*s)``.
+    ``cut_strips(rect, 1)`` is the whole rectangle.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     x, y = rect.corner
     width = rect.u_len / N
-    return [
-        USRectangle((x + i * width, y), width, rect.s_len)
-        for i in range(N)
-    ]
+    x_i = x + np.arange(N) * width
+    dx = (x_i + width) - x_i
+    dy = (y + rect.s_len) - y
+    r = np.array([0.0, 1.0, 1.0, 0.0])
+    s = np.array([0.0, 0.0, 1.0, 1.0])
+    return np.stack([x_i[:, None] + dx[:, None] * r,
+                     np.broadcast_to(y + dy * s, (N, 4))], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -201,9 +205,11 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
     they scale the reported bound but not the fitted rate.
 
     Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only;
-    ``measure_disk`` gives its length, area and diameter in closed form.  A
+    ``measure_polygons`` gives the lengths, areas and diameters of all
+    strips of a step in closed form from the ``cut_strips`` corners.  A
     closed curve has ``diam <= |dD|/2``, so the smallness filter is the
-    length test ``|dD| < sigma``.
+    length test ``|dD| < sigma``.  The powers are taken on Python floats,
+    one strip at a time, so every value is the one a per-strip loop gives.
     """
     if cnorm <= 0.0:
         raise ValueError("cnorm must be positive")
@@ -216,24 +222,23 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
             continue
         rect_k = iterate_rectangle(model, rect, k)
         strips = cut_strips(rect_k, sc.n)
-        disks = [s.disk() for s in strips]
-        measures = [measure_disk(d) for d in disks]
-        if any(m.length >= sigma for m in measures):  # diam <= |dD|/2 < |dD|
+        length, area, diameter = measure_polygons(strips)
+        if (length >= sigma).any():  # diam <= |dD|/2 < |dD|
             raise AssertionError(
                 f"strip failed the smallness filter at k={k}; N={sc.n}")
-        rhs_shapes = [m.length ** (1.0 - theta) * m.area ** theta
-                      for m in measures]
+        rhs_shapes = [ln ** (1.0 - theta) * ar ** theta
+                      for ln, ar in zip(length.tolist(), area.tolist())]
         bound = k_emp * cnorm * math.fsum(rhs_shapes)
-        lhs_sum = math.fsum(polygon_boundary_integrals(alpha, disks,
+        lhs_sum = math.fsum(polygon_boundary_integrals(alpha, strips,
                                                        quad_tol))
-        (lhs_whole,) = polygon_boundary_integrals(alpha, [rect_k.disk()],
+        (lhs_whole,) = polygon_boundary_integrals(alpha, cut_strips(rect_k, 1),
                                                   quad_tol)
         steps.append(DecayStep(
             k=k,
             n0=sc.n0,
             n=sc.n,
-            strip_boundary_max=max(m.length for m in measures),
-            strip_diameter_max=max(m.diameter for m in measures),
+            strip_boundary_max=float(length.max()),
+            strip_diameter_max=float(diameter.max()),
             bound=bound,
             lhs_sum=lhs_sum,
             lhs_whole=lhs_whole,

@@ -21,6 +21,7 @@ from .chains import (
     ParamDisk,
     ChainMeasures,
     measure_disk,
+    measure_polygons,
     integrate_one_form,
     integrate_two_form,
     polygon_boundary_integrals,
@@ -257,12 +258,13 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
     disks.  Disks failing the smallness filter max(diam, |dD|) < sigma are
     reported as skipped, mirroring the smallness hypothesis of the estimate.
 
-    Every disk is measured by ``measure_disk``; the unskipped ones are then
-    integrated together by ``polygon_boundary_integrals``.  A grid-sampled
-    form is integrated exactly there, for any mix of polygons: along each
-    edge its bilinear interpolant is quadratic between grid-line crossings,
-    and the 2-point Gauss-Legendre rule on each such piece is exact, so
-    ``lhs`` carries rounding error only.  ``quad_tol`` is read as the
+    The whole family is measured by one ``measure_polygons`` call; the
+    unskipped disks are then integrated together by one
+    ``polygon_boundary_integrals`` call.  A grid-sampled form is integrated
+    exactly there, for any mix of polygons: along each edge its bilinear
+    interpolant is quadratic between grid-line crossings, and the 2-point
+    Gauss-Legendre rule on each such piece is exact, so ``lhs`` carries
+    rounding error only.  ``quad_tol`` is read as the
     relative tolerance of the adaptive driver, which only analytic or mixed
     forms use (one call per edge), and as the ``lhs`` below which a
     degenerate disk counts as ratio 0.
@@ -274,10 +276,12 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
         raise ValueError("cnorm must be positive")
     items = [item if isinstance(item, tuple) else (f"disk{idx}", item)
              for idx, item in enumerate(family)]
-    measures = [measure_disk(disk) for _, disk in items]
+    corners = [disk.corners for _, disk in items]
+    measures = [ChainMeasures(*m) for m in zip(
+        *(v.tolist() for v in measure_polygons(corners)))]
     skipped = [max(m.diameter, m.length) >= smallness_sigma for m in measures]
     integrals = iter(polygon_boundary_integrals(
-        alpha, [disk for (_, disk), skip in zip(items, skipped) if not skip],
+        alpha, [c for c, skip in zip(corners, skipped) if not skip],
         quad_tol))
     reports = []
     emp_k = 0.0

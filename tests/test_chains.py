@@ -1,9 +1,9 @@
-import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holderforms import chains
 from holderforms.chains import (
@@ -19,8 +19,8 @@ from holderforms.chains import (
     green_area,
     integrate_one_form,
     integrate_two_form,
-    line_segment,
     measure_disk,
+    measure_polygons,
     polygon,
     polygon_boundary_integrals,
     polyline,
@@ -149,12 +149,14 @@ def _sin_cos_form():
 class TestPolygonBoundaryIntegrals:
     def test_batch_equals_one_disk_at_a_time(self):
         alpha = _sin_cos_form()
-        disks = [rectangle_disk((x, y), (x + w, y + h))
-                 for x, y, w, h in [(0.0, 0.0, 2.0, 0.1), (0.3, -1.0, 0.1, 0.1),
-                                    (-1.0, 0.5, 0.45, 1.3), (0.2, 0.2, 0.2, 0.2)]]
-        batch = polygon_boundary_integrals(alpha, disks, tol=1e-10)
-        assert batch == [polygon_boundary_integrals(alpha, [d], tol=1e-10)[0]
-                         for d in disks]
+        corners = [rectangle_disk((x, y), (x + w, y + h)).corners
+                   for x, y, w, h in [(0.0, 0.0, 2.0, 0.1),
+                                      (0.3, -1.0, 0.1, 0.1),
+                                      (-1.0, 0.5, 0.45, 1.3),
+                                      (0.2, 0.2, 0.2, 0.2)]]
+        batch = polygon_boundary_integrals(alpha, corners, tol=1e-10)
+        assert batch == [polygon_boundary_integrals(alpha, [c], tol=1e-10)[0]
+                         for c in corners]
         assert all(type(v) is float for v in batch)
 
     @settings(max_examples=40, deadline=None)
@@ -162,8 +164,8 @@ class TestPolygonBoundaryIntegrals:
            w=st.floats(1e-3, 3.0), h=st.floats(1e-3, 3.0))
     def test_reversed_corners_negate(self, x0, y0, w, h):
         d = rectangle_disk((x0, y0), (x0 + w, y0 + h))
-        rev = dataclasses.replace(d, corners=d.corners[::-1])
-        fwd, back = polygon_boundary_integrals(_sin_cos_form(), [d, rev])
+        fwd, back = polygon_boundary_integrals(_sin_cos_form(),
+                                               [d.corners, d.corners[::-1]])
         # |sin|, |cos| <= 1, so each integral is at most the perimeter
         scale = measure_disk(d).length
         assert abs(fwd + back) <= 1e-12 * scale
@@ -171,21 +173,16 @@ class TestPolygonBoundaryIntegrals:
     def test_curved_disk_is_rejected(self):
         with pytest.raises(ValueError, match="corners"):
             polygon_boundary_integrals(
-                _sin_cos_form(), [rectangle_disk((0, 0), (1, 1)), unit_disk()])
+                _sin_cos_form(),
+                [rectangle_disk((0, 0), (1, 1)).corners, unit_disk().corners])
 
     def test_mixed_corner_counts_equal_integrate_one_form(self):
         alpha = _sin_cos_form()
-        square = rectangle_disk((0.0, 0.0), (1.0, 1.0))
-        triangle = dataclasses.replace(square, corners=square.corners[:3])
+        square = rectangle_disk((0.0, 0.0), (1.0, 1.0)).corners
+        triangle = square[:3]
         assert polygon_boundary_integrals(alpha, [square, triangle]) == [
-            integrate_one_form(alpha, polygon(list(d.corners)))
-            for d in (square, triangle)]
-
-
-def _polygon_disk(verts):
-    square = rectangle_disk((0.0, 0.0), (1.0, 1.0))
-    return dataclasses.replace(
-        square, corners=tuple((float(x), float(y)) for x, y in verts))
+            integrate_one_form(alpha, polygon(list(c)))
+            for c in (square, triangle)]
 
 
 @st.composite
@@ -268,10 +265,10 @@ class TestExactGridBoundaryIntegrals:
         mx = ((vx + xn) * cross).sum() / 6.0
         my = ((vy + yn) * cross).sum() / 6.0
         green = (qc[1] - pc[2]) * area + qc[3] * my - pc[3] * mx
-        disk = _polygon_disk(verts)
-        (exact,) = polygon_boundary_integrals(form, [disk])
+        (exact,) = polygon_boundary_integrals(form, [verts])
         size = max(form.a1.supnorm(), form.a2.supnorm())
-        assert abs(exact - green) <= 1e-13 * measure_disk(disk).length * size
+        ((length,), _, _) = measure_polygons([verts])
+        assert abs(exact - green) <= 1e-13 * length * size
 
     @settings(max_examples=60, deadline=None)
     @given(case=grid_polygons(), seed=st.integers(0, 2**32 - 1))
@@ -282,19 +279,19 @@ class TestExactGridBoundaryIntegrals:
         rng = np.random.default_rng(seed)
         form = OneForm(*(GridField(values=rng.normal(size=grid["resolution"]),
                                    **grid) for _ in range(2)), 0.5)
-        disk = _polygon_disk(verts)
-        (exact,) = polygon_boundary_integrals(form, [disk])
+        (exact,) = polygon_boundary_integrals(form, [verts])
         size = max(form.a1.supnorm(), form.a2.supnorm())
+        ((length,), _, _) = measure_polygons([verts])
         assert abs(exact - _reference_boundary_integral(form, verts)) <= (
-            1e-13 * measure_disk(disk).length * size)
+            1e-13 * length * size)
 
     def test_mixed_corner_counts_equal_one_disk_calls(self):
         alpha = weierstrass_form(0.5)
-        square = rectangle_disk((0.1, 0.2), (0.35, 0.45))
-        triangle = _polygon_disk([(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)])
+        square = rectangle_disk((0.1, 0.2), (0.35, 0.45)).corners
+        triangle = [(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)]
         family = [square, triangle, square]
         assert polygon_boundary_integrals(alpha, family) == [
-            polygon_boundary_integrals(alpha, [d])[0] for d in family]
+            polygon_boundary_integrals(alpha, [c])[0] for c in family]
 
     def test_mixed_form_keeps_the_driver(self, monkeypatch):
         grid = GridField.from_function(lambda x, y: x * y, (0.0, 0.0),
@@ -308,7 +305,7 @@ class TestExactGridBoundaryIntegrals:
             return val
 
         monkeypatch.setattr(chains, "adaptive_quadrature", counting)
-        square = rectangle_disk((0.2, 0.2), (0.7, 0.6))
+        square = rectangle_disk((0.2, 0.2), (0.7, 0.6)).corners
         polygon_boundary_integrals(OneForm(None, grid, 1.0), [square])
         assert calls == []
         (mixed,) = polygon_boundary_integrals(OneForm(one, grid, 1.0),
@@ -327,10 +324,10 @@ class TestExactGridBoundaryIntegrals:
         grid = alpha.a2
         zero = GridField(grid.lo, grid.hi, grid.resolution, grid.periodic,
                          np.zeros(grid.resolution))
-        disks = [rectangle_disk((0.05, 0.05), (3.4, 0.0564)),
-                 rectangle_disk((0.1, 0.2), (0.35, 0.45)),
-                 _polygon_disk([(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)]),
-                 _polygon_disk([(0.2, 0.3), (0.8, 0.3), (0.8, 0.3)])]
+        disks = [rectangle_disk((0.05, 0.05), (3.4, 0.0564)).corners,
+                 rectangle_disk((0.1, 0.2), (0.35, 0.45)).corners,
+                 [(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)],
+                 [(0.2, 0.3), (0.8, 0.3), (0.8, 0.3)]]
         points = []
         pullback = chains._pullback
 
@@ -434,6 +431,61 @@ class TestDisks:
         first = integrate_two_form(one, d)
         integrate_two_form(one, rectangle_disk((0.0, 0.0), (b, a)))
         assert integrate_two_form(one, d) == first
+
+
+def _reference_measures(verts):
+    """One polygon's length, area and diameter by per-vertex Python loops."""
+    def dist(a, b):
+        dx, dy = a[0] - b[0], a[1] - b[1]
+        return math.sqrt(dx * dx + dy * dy)
+
+    length = sum(dist(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+    x0, y0 = verts[0]
+    rel = [(x - x0, y - y0) for x, y in verts[1:]]
+    twice = sum(xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(rel, rel[1:]))
+    diameter = max(dist(a, b) for a, b in itertools.combinations(verts, 2))
+    return length, abs(twice) / 2.0, diameter
+
+
+_COORD = st.floats(-1e3, 1e3)
+_POLYGONS = st.lists(st.lists(st.tuples(_COORD, _COORD), min_size=3,
+                              max_size=12), min_size=1, max_size=10)
+_TWELVE_GON = [(math.cos(0.5 * i) * (1 + 0.1 * i), math.sin(0.5 * i))
+               for i in range(12)]
+
+
+class TestMeasurePolygons:
+    @settings(max_examples=60, deadline=None)
+    @given(polys=_POLYGONS)
+    @example(polys=[_TWELVE_GON, _TWELVE_GON[:3], _TWELVE_GON[:8]])
+    def test_mixed_list_equals_the_per_vertex_loops(self, polys):
+        # vertex-order sums: np.sum would reorder sums of 8 or more terms
+        got = zip(*(m.tolist() for m in measure_polygons(polys)))
+        assert [tuple(v.hex() for v in m) for m in got] == [
+            tuple(v.hex() for v in _reference_measures(p)) for p in polys]
+
+    def test_corner_array_equals_one_disk_calls(self):
+        disks = [rectangle_disk((x, y), (x + w, y + h))
+                 for x, y, w, h in [(0.0, 0.0, 2.0, 0.1), (0.3, 0.7, 0.1, 0.1),
+                                    (0.1, 0.5, 0.45, 0.3), (0.2, 0.2, 0.2, 0.2),
+                                    (0.61, 0.05, 1e-3, 0.33)]]
+        corners = np.array([d.corners for d in disks])
+        assert corners.shape == (5, 4, 2)
+        measures = zip(*(m.tolist() for m in measure_polygons(corners)))
+        assert [chains.ChainMeasures(*m) for m in measures] == [
+            measure_disk(d) for d in disks]
+        for alpha in (weierstrass_form(0.5, terms=6, resolution=512),
+                      _sin_cos_form()):
+            assert polygon_boundary_integrals(alpha, corners) == [
+                polygon_boundary_integrals(alpha, [d.corners])[0]
+                for d in disks]
+
+    def test_short_or_curved_polygons_are_rejected(self):
+        with pytest.raises(ValueError, match="3 corners"):
+            measure_polygons([[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+                              [(0.0, 0.0), (1.0, 0.0)]])
+        with pytest.raises(ValueError, match="corners"):
+            measure_polygons([unit_disk().corners])
 
 
 class TestStokesPairs:

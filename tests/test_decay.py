@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from holderforms.chains import (
     OneForm,
     integrate_one_form,
-    measure_disk,
+    measure_polygons,
     polygon,
     polygon_boundary_integrals,
+    rectangle_disk,
 )
 from holderforms.decay import (
     LinearModel,
@@ -28,6 +29,15 @@ from holderforms.inequality import verify_main_inequality
 
 MODEL = LinearModel(1.5, 0.4)
 RECT = USRectangle((0.05, 0.05), 0.4, 0.1)
+
+
+def strip_disks(rect, n):
+    """``rectangle_disk`` of each strip ``USRectangle((x + i*w, y), w, s)``."""
+    (x, y), w = rect.corner, rect.u_len / n
+    strips = [USRectangle((x + i * w, y), w, rect.s_len) for i in range(n)]
+    return [rectangle_disk(s.corner, (s.corner[0] + s.u_len,
+                                      s.corner[1] + s.s_len))
+            for s in strips]
 
 
 class TestLinearModel:
@@ -58,10 +68,10 @@ class TestRectangleIteration:
         half_xdy = OneForm(lambda p: -0.5 * p[..., 1],
                            lambda p: 0.5 * p[..., 0], 1.0)
         r2 = iterate_rectangle(MODEL, RECT, 2)
-        disk = r2.disk()
-        assert measure_disk(disk).length == pytest.approx(r2.boundary_length,
-                                                          rel=1e-12)
-        (area,) = polygon_boundary_integrals(half_xdy, [disk])
+        whole = cut_strips(r2, 1)
+        ((length,), _, _) = measure_polygons(whole)
+        assert length == pytest.approx(r2.boundary_length, rel=1e-12)
+        (area,) = polygon_boundary_integrals(half_xdy, whole)
         assert area == pytest.approx(r2.area, rel=1e-10)
 
 
@@ -69,14 +79,27 @@ class TestStrips:
     def test_partition_preserves_area(self):
         r = iterate_rectangle(MODEL, RECT, 3)
         strips = cut_strips(r, 17)
-        total = math.fsum(s.area for s in strips)
+        assert strips.shape == (17, 4, 2)
+        total = math.fsum(measure_polygons(strips)[1])
         assert total == pytest.approx(r.area, rel=1e-12)
 
     def test_strips_are_cut_along_the_expanding_side(self):
         r = iterate_rectangle(MODEL, RECT, 3)
         strips = cut_strips(r, 10)
-        assert all(s.u_len == pytest.approx(r.u_len / 10) for s in strips)
-        assert all(s.s_len == pytest.approx(r.s_len) for s in strips)
+        u_lens = strips[:, 1, 0] - strips[:, 0, 0]
+        s_lens = strips[:, 2, 1] - strips[:, 1, 1]
+        assert all(u == pytest.approx(r.u_len / 10) for u in u_lens)
+        assert all(s == pytest.approx(r.s_len) for s in s_lens)
+
+    @pytest.mark.parametrize("mu, nu", [(1.5, 0.4), (3.054, 0.1113)])
+    def test_corners_equal_the_strip_rectangles_bit_for_bit(self, mu, nu):
+        model = LinearModel(mu, nu)
+        for k in range(6):
+            r = iterate_rectangle(model, RECT, k)
+            sc = choose_strip_count(k, model, RECT, sigma=0.5, c1=1.0)
+            for n in {1, 3, 17, sc.n or 1}:
+                expected = np.array([d.corners for d in strip_disks(r, n)])
+                assert cut_strips(r, n).tobytes() == expected.tobytes()
 
     def test_strip_count_band(self):
         for k in range(2, 9):
@@ -88,11 +111,10 @@ class TestStrips:
     def test_strip_integrals_equal_integrate_one_form(self, k):
         alpha = analytic_weierstrass_form(0.5, terms=6)
         sc = choose_strip_count(k, MODEL, RECT, sigma=0.5, c1=1.0)
-        disks = [s.disk() for s in
-                 cut_strips(iterate_rectangle(MODEL, RECT, k), sc.n)]
-        batch = polygon_boundary_integrals(alpha, disks, 1e-10)
-        assert batch == [integrate_one_form(alpha, polygon(list(d.corners)),
-                                            tol=1e-10) for d in disks]
+        strips = cut_strips(iterate_rectangle(MODEL, RECT, k), sc.n)
+        batch = polygon_boundary_integrals(alpha, strips, 1e-10)
+        assert batch == [integrate_one_form(alpha, polygon(c.tolist()),
+                                            tol=1e-10) for c in strips]
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),
@@ -103,11 +125,10 @@ class TestStrips:
                         lambda p: np.cos(2.0 * p[..., 0]), 1.0)
         rect = USRectangle((x, y), u_len, s_len)
         strips = cut_strips(rect, n)
-        parts = polygon_boundary_integrals(alpha, [s.disk() for s in strips])
-        (whole,) = polygon_boundary_integrals(alpha, [rect.disk()])
+        parts = polygon_boundary_integrals(alpha, strips)
+        (whole,) = polygon_boundary_integrals(alpha, cut_strips(rect, 1))
         # |alpha| <= 1 along every edge, so the perimeters bound each term
-        scale = rect.boundary_length + math.fsum(s.boundary_length
-                                                 for s in strips)
+        scale = rect.boundary_length + math.fsum(measure_polygons(strips)[0])
         assert abs(math.fsum(parts) - whole) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
@@ -115,7 +136,7 @@ class TestStrips:
            u_len=st.floats(1e-3, 10.0), s_len=st.floats(1e-3, 10.0))
     def test_diameter_is_the_exact_diagonal(self, x, y, u_len, s_len):
         rect = USRectangle((x, y), u_len, s_len)
-        diameter = measure_disk(rect.disk()).diameter
+        (_, _, (diameter,)) = measure_polygons(cut_strips(rect, 1))
         assert diameter == pytest.approx(math.hypot(u_len, s_len), rel=1e-12)
         assert diameter <= rect.boundary_length / 2.0
 
@@ -156,11 +177,11 @@ class TestDecaySeries:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_strip_measures_match_family_verifier(self, series, k):
-        # the strips and the family verifier share measure_disk
+        # the strips and the family verifier share measure_polygons
         step = next(s for s in series.steps if s.k == k)
-        strips = cut_strips(iterate_rectangle(MODEL, RECT, k), step.n)
         reports = verify_main_inequality(
-            analytic_weierstrass_form(0.5, 2, 8), [s.disk() for s in strips],
+            analytic_weierstrass_form(0.5, 2, 8),
+            strip_disks(iterate_rectangle(MODEL, RECT, k), step.n),
             theta=0.5, smallness_sigma=0.5, cnorm=1.0)
         assert not any(r.skipped for r in reports)
         assert step.bound == math.fsum(r.rhs_shape for r in reports)

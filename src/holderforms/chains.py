@@ -28,7 +28,11 @@ along ``ParamDisk.boundary`` with ``integrate_one_form``.
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
 callables are admitted as exact evaluators for oracles.  A ``None``
-component means identically zero.
+component means identically zero.  A 1-D field is a function of x alone
+(``W(x) dy`` stores its ``W`` so), read at the x coordinates of points:
+``_read_component`` is the one place a component is read at points.  Its
+boundary integrals cut edges at x grid lines only, and its exterior
+derivative is again a 1-D field.
 """
 
 from __future__ import annotations
@@ -298,6 +302,21 @@ def unit_disk(center=(0.0, 0.0), radius: float = 1.0) -> ParamDisk:
     return ellipse_disk(center, radius, radius)
 
 
+def _read_component(c, pts: np.ndarray) -> np.ndarray:
+    """Values at planar points ``pts`` (shape ``(..., 2)``) of a component.
+
+    ``None`` is identically zero, a callable is evaluated at ``pts``, a 2-D
+    ``GridField`` is interpolated there, and a 1-D one, a function of x
+    alone, is interpolated at the x coordinates ``pts[..., :1]`` (its
+    ``(..., 1)`` points, never mistaken for a batch of coordinates).
+    """
+    if c is None:
+        return np.zeros(pts.shape[:-1])
+    if isinstance(c, GridField):
+        return c.evaluate(pts[..., :c.dim])
+    return np.asarray(c(pts), dtype=float)
+
+
 @dataclass(frozen=True)
 class OneForm:
     """1-form a1 dx + a2 dy; components are GridFields, callables, or None."""
@@ -312,12 +331,7 @@ class OneForm:
             grids[0]._check_same_grid(grids[1])
 
     def component(self, i: int, pts: np.ndarray) -> np.ndarray:
-        c = self.a1 if i == 0 else self.a2
-        if c is None:
-            return np.zeros(pts.shape[:-1])
-        if isinstance(c, GridField):
-            return c.evaluate(pts)
-        return np.asarray(c(pts), dtype=float)
+        return _read_component(self.a1 if i == 0 else self.a2, pts)
 
     def scaled(self, factor: float) -> "OneForm":
         def scale(c):
@@ -506,7 +520,8 @@ def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
     ``owner[i]``; each disk lists its edges in boundary order, and disks may
     have different numbers of edges.  An edge is cut at every parameter
     ``t`` in (0, 1) where it crosses a grid line ``lo[ax] + m*h[ax]``, for
-    every integer ``m``, so periodic wraps need no special case.  Each
+    every integer ``m`` and every axis ``ax`` of the grid, so periodic
+    wraps need no special case; a 1-D grid has lines in x only.  Each
     piece ``[t0, t1]`` lies in one cell, where ``alpha(a + t*d) . d`` is a
     quadratic in ``t``; the 2-point rule with nodes ``mid -/+ half/sqrt(3)``
     and weights ``half`` integrates it exactly.  All pieces of all edges are
@@ -527,7 +542,7 @@ def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
     grid = alpha.grid_components()[0]
     ids = np.arange(len(a))
     edge, t = [ids, ids], [np.zeros(len(a)), np.ones(len(a))]
-    for ax in range(2):
+    for ax in range(grid.dim):
         # edge coordinates in grid-index units; integers are grid lines
         u0 = (a[:, ax] - grid.lo[ax]) / grid.spacing[ax]
         u1 = (a[:, ax] + d[:, ax] - grid.lo[ax]) / grid.spacing[ax]
@@ -555,12 +570,7 @@ def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
 def integrate_two_form(beta, disk: ParamDisk, tol: float = QUAD_REL_TOL) -> float:
     """int int beta(psi(r,s)) det J_psi dr ds (beta: GridField or callable)."""
     def fn(r, s):
-        pts = disk.psi(r, s)
-        if isinstance(beta, GridField):
-            b = beta.evaluate(pts)
-        else:
-            b = np.asarray(beta(pts), dtype=float)
-        return b * disk.jacobian_det(r, s)
+        return _read_component(beta, disk.psi(r, s)) * disk.jacobian_det(r, s)
     return _tensor_quadrature(fn, tol)
 
 
@@ -578,23 +588,23 @@ def _centered_diff(values: np.ndarray, ax: int, h: float, periodic: bool):
 def exterior_derivative(alpha: OneForm) -> GridField:
     """d alpha = (da2/dx - da1/dy) by centered differences on the grid.
 
+    On 1-D components, functions of x alone, ``da2/dx`` is taken along
+    their one axis, ``da1/dy`` is 0, and the 2-form is a 1-D field too.
+
     Caller contract: only mollified or otherwise smooth-at-grid-scale forms.
     """
     grids = alpha.grid_components()
     if not grids:
         raise ValueError("exterior_derivative needs at least one grid component")
+    if any(c is not None and not isinstance(c, GridField)
+           for c in (alpha.a1, alpha.a2)):
+        raise ValueError("analytic components have no sampled derivative")
     ref = grids[0]
-    if ref.dim != 2:
-        raise ValueError("exterior derivative is implemented for 2D forms")
     out = np.zeros(ref.resolution)
-    if isinstance(alpha.a2, GridField):
+    if alpha.a2 is not None:
         out += _centered_diff(alpha.a2.values, 0, ref.spacing[0], ref.periodic[0])
-    elif alpha.a2 is not None:
-        raise ValueError("analytic components have no sampled derivative")
-    if isinstance(alpha.a1, GridField):
+    if alpha.a1 is not None and ref.dim == 2:
         out -= _centered_diff(alpha.a1.values, 1, ref.spacing[1], ref.periodic[1])
-    elif alpha.a1 is not None:
-        raise ValueError("analytic components have no sampled derivative")
     return GridField(ref.lo, ref.hi, ref.resolution, ref.periodic, out)
 
 

@@ -52,9 +52,6 @@ from .experiments import (
 )
 from . import svgplot
 
-SUBCOMMANDS = ("mollify-check", "stokes-check", "inequality", "isoperimetric",
-               "criteria", "pisot", "decay")
-
 KNOWN_KEYS = {
     "common": {"seed", "slack", "sigma", "outdir"},
     "form": {"theta", "base", "terms", "resolution"},
@@ -386,6 +383,23 @@ RUNNERS = {
 }
 
 
+# The flags each runner reads, with their types (bool: a switch), besides
+# --config, --outdir and --seed, which every subcommand takes; argparse
+# rejects any other flag with exit 2.
+FLAGS = {
+    "mollify-check": {"theta": float, "resolution": int},
+    "stokes-check": {"theta": float, "resolution": int},
+    "inequality": {"theta": float, "sigma": float, "resolution": int,
+                   "svg": bool},
+    "isoperimetric": {},
+    "criteria": {"theta": float, "matrix": str, "ell": int,
+                 "extra-center-dims": int},
+    "pisot": {},
+    "decay": {"theta": float, "sigma": float, "mu": float, "nu": float,
+              "k-max": int, "svg": bool},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="holderforms",
@@ -393,25 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "inequality and its dynamical rate criteria.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name, flags in FLAGS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--outdir", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--svg", action="store_true")
-        sp.add_argument("--theta", type=float, default=None)
-        sp.add_argument("--sigma", type=float, default=None)
-        sp.add_argument("--resolution", type=int, default=None)
-        if name == "criteria":
-            sp.add_argument("--matrix", default=None,
-                            help="row-major integer entries")
-            sp.add_argument("--ell", type=int, default=None)
-            sp.add_argument("--extra-center-dims", type=int, default=None,
-                            dest="extra_center_dims")
-        if name == "decay":
-            sp.add_argument("--mu", type=float, default=None)
-            sp.add_argument("--nu", type=float, default=None)
-            sp.add_argument("--k-max", type=int, default=None, dest="k_max")
+        for flag, kind in flags.items():
+            if kind is bool:
+                sp.add_argument(f"--{flag}", action="store_true")
+            else:
+                sp.add_argument(f"--{flag}", type=kind)
     return p
 
 

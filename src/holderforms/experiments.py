@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .grids import make_weierstrass, weierstrass_callable, extend_constant_y
+from .grids import make_weierstrass, weierstrass_callable
 from .chains import OneForm, rectangle_disk
 
 __all__ = [
@@ -20,10 +20,14 @@ __all__ = [
 
 
 def weierstrass_form(theta: float, base: int = 2, terms: int = 8,
-                     resolution: int = 2048, ny: int = 9) -> OneForm:
-    """Grid-sampled alpha = W(x) dy on the unit torus."""
-    w = make_weierstrass(theta, base, terms, resolution)
-    return OneForm(None, extend_constant_y(w, ny), theta)
+                     resolution: int = 2048) -> OneForm:
+    """Grid-sampled alpha = W(x) dy on the unit torus.
+
+    Its dy component depends on x alone, so it is the periodic 1-D field
+    ``make_weierstrass(...)``, read at planar points through x.
+    """
+    return OneForm(None, make_weierstrass(theta, base, terms, resolution),
+                   theta)
 
 
 def analytic_weierstrass_form(theta: float, base: int = 2,
@@ -46,19 +50,17 @@ def dyadic_square_family(j_range=range(2, 9), anchors: int = 8):
     return family
 
 
-def family_scale_slope(reports, j_of_id=None):
+def family_scale_slope(reports):
     """Least-squares slope of log(max ratio per scale) against log(side).
 
     Report ids follow the ``j<j>a<i>`` convention from
-    :func:`dyadic_square_family` unless a parser is supplied.
+    :func:`dyadic_square_family`.
     """
-    if j_of_id is None:
-        j_of_id = lambda disk_id: int(disk_id[1:].split("a")[0])
     per_scale = {}
     for rep in reports:
         if rep.skipped:
             continue
-        j = j_of_id(rep.disk_id)
+        j = int(rep.disk_id[1:].split("a")[0])
         per_scale[j] = max(per_scale.get(j, 0.0), rep.ratio)
     js = sorted(per_scale)
     if len(js) < 2:

@@ -10,10 +10,13 @@ The Holder seminorm is the exact maximum over all node pairs, found by a
 branch-and-bound over index lags: block maxima and minima bound the largest
 difference at every lag, and only the lags whose bound can still beat the
 running best are evaluated exactly (88 of 2047 on the 2048-node Weierstrass
-field); a field constant in y is scanned as one column.  It is
-deterministic and a *lower* bound for the seminorm of the sampled function;
-callers that need upper bounds multiply by a declared slack factor (default
-1.05).
+field).  It is deterministic and a *lower* bound for the seminorm of the
+sampled function; callers that need upper bounds multiply by a declared
+slack factor (default 1.05).
+
+A function of the first coordinate alone is stored as its 1-D field;
+``chains`` reads it at planar points through their x coordinate, so the
+Weierstrass form ``W(x) dy`` costs what its 1-D column costs.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "make_weierstrass",
     "weierstrass_callable",
     "holder_seminorm",
-    "extend_constant_y",
 ]
 
 DEFAULT_SLACK = 1.05
@@ -331,19 +333,10 @@ def _lag_scan(f: GridField, theta: float) -> float:
     over ``d ** theta`` and evaluated exactly.  M(k) is at most the bound
     and both divide by the same float ``d ** theta``, so once the ranked
     bound is at or below the running best no later lag can beat it.
-
-    A 2-D field with equal columns is scanned as its first column: lag
-    (0, ky) has M = 0, and lag (kx, ky) repeats M(kx, 0) at the distance
-    ``hypot(dx, dy)``, never below dx, so (the power and the division being
-    monotone) it cannot beat (kx, 0).  A periodic x axis also needs equal
-    end values there, as its wrapped lag pairs the ends at dx = 0 but dy > 0.
     """
     dx = _lag_distances(f, 0)
     dy = _lag_distances(f, 1) if f.dim == 2 else np.zeros(1)
     v = f.values.reshape(len(dx), len(dy))
-    if (len(dy) > 1 and (v == v[:, :1]).all()
-            and (dx[-1] > 0.0 or v[0, 0] == v[-1, 0])):
-        v, dy = np.ascontiguousarray(v[:, :1]), dy[:1]
     nx, ny = v.shape
     d = np.hypot(dx[:, None], dy[None, :])
     dpow = d ** theta
@@ -369,9 +362,7 @@ def holder_seminorm(f: GridField, theta: float, pairs=None) -> HolderEstimate:
     branch-and-bound over index lags (``_lag_scan``): block maxima and
     minima bound every lag, in work quadratic in the number of blocks, and
     only the lags whose bound can still win are evaluated exactly, O(N)
-    array work each for N nodes; a field with equal columns is scanned as
-    one column.  An
-    explicit ``pairs`` array (shape (m, 2) of flat node indices) restricts
+    array work each for N nodes.  An explicit ``pairs`` array (shape (m, 2) of flat node indices) restricts
     the maximum to those pairs, which makes the monotonicity-under-
     refinement property directly testable.  A pair's distance is that of
     its index lag, the same float the scan divides by, so ``pairs`` listing
@@ -391,16 +382,4 @@ def holder_seminorm(f: GridField, theta: float, pairs=None) -> HolderEstimate:
     mask = d > 0.0
     best = float(np.max(diff[mask] / d[mask] ** theta)) if mask.any() else 0.0
     return HolderEstimate(theta, best, sup)
-
-
-def extend_constant_y(f: GridField, ny: int, lo: float = 0.0, hi: float = 1.0,
-                      periodic: bool = True) -> GridField:
-    """Extend a 1D field to 2D, constant in the second coordinate."""
-    if f.dim != 1:
-        raise ValueError("expected a 1D field")
-    vals = np.repeat(f.values[:, None], ny, axis=1)
-    return GridField(
-        (f.lo[0], lo), (f.hi[0], hi), (f.resolution[0], ny),
-        (f.periodic[0], periodic), vals,
-    )
 

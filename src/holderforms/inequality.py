@@ -26,6 +26,7 @@ from .chains import (
     integrate_two_form,
     polygon_boundary_integrals,
     exterior_derivative,
+    _read_component,
 )
 
 __all__ = [
@@ -214,17 +215,11 @@ def mollification_split_check(alpha: OneForm, disk: ParamDisk, epsilon: float,
 def _component_diff(a, b):
     if a is None and b is None:
         return None
-    if isinstance(a, GridField) and isinstance(b, GridField):
-        if (a.lo, a.hi, a.resolution) == (b.lo, b.hi, b.resolution):
-            return a - b
-        # mollified component may live on a shrunk grid; compare via evaluators
-        return lambda pts, a=a, b=b: a.evaluate(pts) - b.evaluate(pts)
-    fa = (lambda pts: np.zeros(pts.shape[:-1])) if a is None else (
-        a.evaluate if isinstance(a, GridField) else a)
-    fb = (lambda pts: np.zeros(pts.shape[:-1])) if b is None else (
-        b.evaluate if isinstance(b, GridField) else b)
-    return lambda pts: np.asarray(fa(pts), dtype=float) - np.asarray(
-        fb(pts), dtype=float)
+    if (isinstance(a, GridField) and isinstance(b, GridField)
+            and (a.lo, a.hi, a.resolution) == (b.lo, b.hi, b.resolution)):
+        return a - b
+    # a mollified component may live on a shrunk grid; compare the readings
+    return lambda pts: _read_component(a, pts) - _read_component(b, pts)
 
 
 @dataclass(frozen=True)

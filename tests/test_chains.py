@@ -27,8 +27,10 @@ from holderforms.chains import (
     rectangle_disk,
     unit_disk,
 )
+from holderforms.decay import USRectangle, cut_strips
 from holderforms.experiments import dyadic_square_family, weierstrass_form
-from holderforms.grids import GridField
+from holderforms.grids import GridField, make_weierstrass
+from holderforms.inequality import mollify_one_form, one_form_cnorm
 
 
 def one(p):
@@ -550,3 +552,103 @@ class TestOneForm:
         pts = np.zeros((4, 2))
         assert np.all(alpha.component(0, pts) == 0.0)
         assert abs(integrate_one_form(alpha, circle((0, 0), 1.0))) == 0.0
+
+    def test_x_only_component_is_constant_in_y(self):
+        alpha = weierstrass_form(0.5, 2, 5, 128)
+        pts_lo = np.array([[0.3, 0.1]])
+        pts_hi = np.array([[0.3, 0.9]])
+        assert alpha.component(1, pts_lo)[0] == pytest.approx(
+            alpha.component(1, pts_hi)[0], abs=1e-12)
+        # read at x: W is even about 1/2, so y = 0.1 and 0.9 cannot tell
+        assert alpha.component(1, pts_lo)[0] == make_weierstrass(
+            0.5, 2, 5, 128)(np.array([0.3]))[0]
+
+
+@st.composite
+def x_only_forms(draw):
+    """A form whose components are 1-D fields of x, and its 2-D extension.
+
+    The extension repeats each 1-D field's samples over ``ny`` columns of a
+    grid periodic in y on [0, 1], so it is constant in y.
+    """
+    n, ny = draw(st.integers(5, 40)), draw(st.integers(2, 10))
+    periodic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def field():
+        v = rng.normal(size=n)
+        if periodic:
+            v[-1] = v[0]
+        return GridField((0.0,), (1.0,), (n,), (periodic,), v)
+
+    def extend(c):
+        return None if c is None else GridField(
+            (0.0, 0.0), (1.0, 1.0), (n, ny), (periodic, True),
+            np.repeat(c.values[:, None], ny, axis=1))
+
+    a1 = field() if draw(st.booleans()) else None
+    a2 = field()
+    theta = draw(st.floats(0.1, 1.0))
+    return OneForm(a1, a2, theta), OneForm(extend(a1), extend(a2), theta)
+
+
+@st.composite
+def unit_square_polygons(draw):
+    """Corners of a square, a triangle or ``cut_strips`` strips in [0, 1]^2."""
+    shape = draw(st.sampled_from(["square", "triangle", "strips"]))
+    if shape == "triangle":
+        coord = st.floats(0.0, 1.0)
+        return [[(draw(coord), draw(coord)) for _ in range(3)]]
+    x, y = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
+    w, h = draw(st.floats(1e-3, 0.5)), draw(st.floats(1e-3, 0.5))
+    if shape == "square":
+        return [rectangle_disk((x, y), (x + w, y + w)).corners]
+    return cut_strips(USRectangle((x, y), w, h), draw(st.integers(1, 20)))
+
+
+class TestXOnlyComponents:
+    """A 1-D component computes what its constant-in-y extension does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(forms=x_only_forms(), corners=unit_square_polygons())
+    def test_boundary_integrals_agree(self, forms, corners):
+        one_d, two_d = forms
+        length = measure_polygons(corners)[0]
+        size = max(c.supnorm() for c in one_d.grid_components())
+        got = np.array(polygon_boundary_integrals(one_d, corners))
+        want = np.array(polygon_boundary_integrals(two_d, corners))
+        assert (np.abs(got - want) <= 1e-13 * length * size).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(forms=x_only_forms())
+    def test_cnorm_is_equal(self, forms):
+        # lag (kx, ky) of the extension repeats M(kx, 0) at a distance of at
+        # least dx, so the 2-D scan's maximum is the 1-D one, bit for bit
+        one_d, two_d = forms
+        assert one_form_cnorm(one_d).hex() == one_form_cnorm(two_d).hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(forms=x_only_forms())
+    def test_exterior_derivative_is_the_first_column(self, forms):
+        one_d, two_d = forms
+        got = exterior_derivative(one_d)
+        assert got.dim == 1
+        assert got.values.tobytes() == (
+            exterior_derivative(two_d).values[:, 0].tobytes())
+
+    @settings(max_examples=40, deadline=None)
+    @given(forms=x_only_forms(), frac=st.floats(0.01, 0.99))
+    def test_mollified_form_agrees_to_rounding(self, forms, frac):
+        # below one y spacing the 2-D kernel is one column, the 1-D kernel
+        one_d, two_d = forms
+        eps = frac * min(two_d.a2.spacing[1], 0.49)
+        size = max(c.supnorm() for c in one_d.grid_components())
+        got, want = mollify_one_form(one_d, eps), mollify_one_form(two_d, eps)
+        for a, b in ((got.a1, want.a1), (got.a2, want.a2)):
+            if a is None:
+                assert b is None
+                continue
+            assert (a.lo[0], a.hi[0], a.resolution[0]) == (
+                b.lo[0], b.hi[0], b.resolution[0])
+            np.testing.assert_allclose(a.values, b.values[:, 0], rtol=0.0,
+                                       atol=1e-13 * size)

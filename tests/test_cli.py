@@ -10,7 +10,7 @@ import holderforms.inequality
 from holderforms import chains
 from holderforms.chains import QuadratureError
 from holderforms.dynamics import AmbiguousSpectrumError
-from holderforms.cli import main
+from holderforms.cli import build_parser, main
 
 
 def run(argv, tmp_path, name="out"):
@@ -145,6 +145,50 @@ class TestImports:
                              capture_output=True, text=True, check=True,
                              timeout=120)
         assert out.stdout.strip() == "[]"
+
+
+# The flags each runner reads, besides --config, --outdir and --seed, and a
+# value for each flag
+READ_FLAGS = {
+    "mollify-check": {"--theta", "--resolution"},
+    "stokes-check": {"--theta", "--resolution"},
+    "inequality": {"--theta", "--sigma", "--resolution", "--svg"},
+    "isoperimetric": set(),
+    "criteria": {"--theta", "--matrix", "--ell", "--extra-center-dims"},
+    "pisot": set(),
+    "decay": {"--theta", "--sigma", "--mu", "--nu", "--k-max", "--svg"},
+}
+FLAG_VALUES = {"--theta": ["7"], "--sigma": ["nan"], "--resolution": ["4"],
+               "--svg": [], "--matrix": ["2 1 1 1"], "--ell": ["1"],
+               "--extra-center-dims": ["2"], "--mu": ["1.5"],
+               "--nu": ["0.4"], "--k-max": ["8"]}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("sub,flag", [
+        (sub, flag) for sub, read in READ_FLAGS.items()
+        for flag in FLAG_VALUES if flag not in read])
+    def test_flag_the_runner_does_not_read_exits_2(self, sub, flag,
+                                                   tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([sub, flag, *FLAG_VALUES[flag]], tmp_path)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub,flag", [
+        (sub, flag) for sub, read in READ_FLAGS.items() for flag in read])
+    def test_flag_the_runner_reads_is_accepted(self, sub, flag):
+        args = build_parser().parse_args(
+            [sub, "--config", "c.ini", "--outdir", "out", "--seed", "1",
+             flag, *FLAG_VALUES[flag]])
+        assert (args.config, args.outdir, args.seed) == ("c.ini", "out", 1)
+        assert getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+
+    @pytest.mark.parametrize("sub", READ_FLAGS)
+    def test_no_other_flag_is_registered(self, sub):
+        args = build_parser().parse_args([sub, "--seed", "1"])
+        assert set(vars(args)) == {"command", "config", "outdir", "seed"} | {
+            f[2:].replace("-", "_") for f in READ_FLAGS[sub]}
 
 
 class TestConfig:

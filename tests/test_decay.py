@@ -202,7 +202,7 @@ class TestDecaySeries:
         for s in series.steps:
             r = iterate_rectangle(MODEL, RECT, s.k)
             (x0, y0), x1 = r.corner, r.corner[0] + r.u_len
-            w0, w1 = alpha.a2.evaluate(np.array([[x0, y0], [x1, y0]]))
+            w0, w1 = alpha.component(1, np.array([[x0, y0], [x1, y0]]))
             expected = r.s_len * (w1 - w0)
             assert s.lhs_whole == pytest.approx(expected, rel=1e-14, abs=0.0)
 

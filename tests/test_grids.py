@@ -8,7 +8,6 @@ from holderforms.grids import (
     GridField,
     UnderResolvedError,
     _lag_maximum,
-    extend_constant_y,
     holder_seminorm,
     make_weierstrass,
     weierstrass_callable,
@@ -226,7 +225,7 @@ class TestLagScan:
     def test_unequal_periodic_ends_keep_the_2d_scan(self, theta):
         # equal columns, but the periodic x ends differ by a rounding-sized
         # step: across the seam they sit at x distance 0 and y distance h_y,
-        # closer than any pair along x
+        # closer than any pair along x, so the scan must reach lag (n-1, 1)
         vals = np.full((9, 17), 0.25)
         vals[-1] += 1e-11
         f = GridField((0.0, 0.0), (1.0, 0.01), vals.shape, (True, False),
@@ -235,8 +234,7 @@ class TestLagScan:
         assert exact == pytest.approx(1e-11 / (0.01 / 16) ** theta, rel=1e-4)
         assert holder_seminorm(f, theta).seminorm == exact
 
-    @pytest.mark.parametrize("ny", [0, 9])
-    def test_cli_field_evaluates_few_lags_exactly(self, ny, monkeypatch):
+    def test_cli_field_evaluates_few_lags_exactly(self, monkeypatch):
         shapes = []
         evaluate = grids._lag_maximum
 
@@ -245,12 +243,8 @@ class TestLagScan:
             return evaluate(v, kx, ky)
 
         monkeypatch.setattr(grids, "_lag_maximum", counting)
-        f = make_weierstrass(0.5, 2, 8, 2048)
-        if ny:
-            f = extend_constant_y(f, ny)
-        holder_seminorm(f, 0.5)
+        holder_seminorm(make_weierstrass(0.5, 2, 8, 2048), 0.5)
         assert 0 < len(shapes) < 0.1 * 2047
-        # equal columns scan as one column
         assert set(shapes) == {(2048, 1)}
 
     @settings(max_examples=40, deadline=None)
@@ -305,7 +299,11 @@ class TestLagScan:
            periodic=st.booleans())
     def test_constant_extension_keeps_the_1d_value(self, f, theta, ny,
                                                     periodic):
-        g = extend_constant_y(f, ny, periodic=periodic)
+        # lag (kx, ky) of the extension repeats M(kx, 0) at a distance of at
+        # least dx, so the general 2-D scan finds the 1-D value
+        g = GridField((f.lo[0], 0.0), (f.hi[0], 1.0), (f.resolution[0], ny),
+                      (f.periodic[0], periodic),
+                      np.repeat(f.values[:, None], ny, axis=1))
         assert holder_seminorm(g, theta).seminorm == pytest.approx(
             holder_seminorm(f, theta).seminorm, rel=1e-12)
 
@@ -351,18 +349,3 @@ class TestWeierstrass:
         b = holder_seminorm(make_weierstrass(0.5, 2, 8, 2048), 0.5).seminorm
         assert abs(a - b) / b < 0.1
 
-
-class TestExtendConstantY:
-    def test_constant_in_second_coordinate(self):
-        f = make_weierstrass(0.5, 2, 5, 128)
-        g = extend_constant_y(f, 9)
-        pts_lo = np.array([[0.3, 0.1]])
-        pts_hi = np.array([[0.3, 0.9]])
-        assert g.evaluate(pts_lo)[0] == pytest.approx(g.evaluate(pts_hi)[0],
-                                                      abs=1e-12)
-
-    def test_rejects_2d_input(self):
-        f = make_weierstrass(0.5, 2, 5, 128)
-        g = extend_constant_y(f, 5)
-        with pytest.raises(ValueError):
-            extend_constant_y(g, 5)

@@ -8,7 +8,8 @@ seed gives byte-identical CSVs.  Exit codes:
 * 1: an assertion failed;
 * 2: configuration error (``config error: ...`` on stderr);
 * 3: numerical error, i.e. quadrature that did not converge, a grid too
-  coarse for its form, or an eigenvalue modulus too close to 1 to classify
+  coarse for its form, an eigenvalue modulus too close to 1 to classify,
+  or a decay strip count too small for the smallness threshold
   (``numerical error: ...`` on stderr, with the offending values).
 
 Config files are INI-style; command-line flags override config values.
@@ -45,7 +46,7 @@ from .dynamics import (
     anosov_section_criterion, accessibility_criterion, standard_holder_bound,
     pisot_example,
 )
-from .decay import LinearModel, USRectangle, decay_bound_series
+from .decay import LinearModel, SmallnessError, USRectangle, decay_bound_series
 from .experiments import (
     weierstrass_form, dyadic_square_family,
     family_scale_slope, random_convex_polygon_vertices,
@@ -131,6 +132,20 @@ def _positive(name, value):
     return value
 
 
+def _at_least(name, value, low):
+    if not value >= low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _config_call(fn, *args):
+    """Call ``fn(*args)``, re-raising its ``ValueError`` as ``ConfigError``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _theta_open(name, value):
     if not 0.0 < value < 1.0:
         raise ConfigError(f"{name} must lie in (0,1), got {value}")
@@ -142,13 +157,14 @@ def _theta_open(name, value):
 def run_mollify_check(args, cp, outdir: Path, checks: Checks) -> None:
     theta = _theta_open("theta", cfg_get(cp, "form", "theta", float, 0.5,
                                          args.theta))
-    base = int(cfg_get(cp, "form", "base", int, 2))
-    terms = int(cfg_get(cp, "form", "terms", int, 8))
+    base = _at_least("base", cfg_get(cp, "form", "base", int, 2), 2)
+    terms = _at_least("terms", cfg_get(cp, "form", "terms", int, 8), 1)
     res = _positive("resolution", cfg_get(cp, "form", "resolution", int, 2048,
                                           args.resolution))
-    eps_raw = cfg_get(cp, "mollify", "epsilons", str, "0.02 0.05 0.1")
-    epsilons = [float(x) for x in eps_raw.split()]
-    slack = cfg_get(cp, "common", "slack", float, 1.05)
+    epsilons = [_positive("epsilons", e) for e in cfg_get(
+        cp, "mollify", "epsilons", lambda raw: list(map(float, raw.split())),
+        [0.02, 0.05, 0.1])]
+    slack = _positive("slack", cfg_get(cp, "common", "slack", float, 1.05))
 
     for n in (1, 2):
         a = normalization_constant(n)
@@ -200,13 +216,13 @@ def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
 def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
     theta = _theta_open("theta", cfg_get(cp, "form", "theta", float, 0.5,
                                          args.theta))
-    base = int(cfg_get(cp, "form", "base", int, 2))
-    terms = int(cfg_get(cp, "form", "terms", int, 8))
+    base = _at_least("base", cfg_get(cp, "form", "base", int, 2), 2)
+    terms = _at_least("terms", cfg_get(cp, "form", "terms", int, 8), 1)
     res = _positive("resolution", cfg_get(cp, "form", "resolution", int, 2048,
                                           args.resolution))
-    j_min = int(cfg_get(cp, "disks", "j_min", int, 2))
-    j_max = int(cfg_get(cp, "disks", "j_max", int, 8))
-    anchors = int(cfg_get(cp, "disks", "anchors", int, 8))
+    j_min = cfg_get(cp, "disks", "j_min", int, 2)
+    j_max = _at_least("j_max", cfg_get(cp, "disks", "j_max", int, 8), j_min)
+    anchors = _at_least("anchors", cfg_get(cp, "disks", "anchors", int, 8), 1)
     sigma = _positive("sigma", cfg_get(cp, "common", "sigma", float, 0.5,
                                        args.sigma))
 
@@ -258,7 +274,7 @@ def run_isoperimetric(args, cp, outdir: Path, checks: Checks) -> None:
 def run_criteria(args, cp, outdir: Path, checks: Checks) -> None:
     entries_raw = cfg_get(cp, "matrix", "entries", str, "2 1 1 1",
                           args.matrix)
-    entries = [int(x) for x in entries_raw.split()]
+    entries = _config_call(lambda: [int(x) for x in entries_raw.split()])
     n = int(round(math.sqrt(len(entries))))
     if n * n != len(entries):
         raise ConfigError("matrix entries must form a square matrix "
@@ -268,7 +284,7 @@ def run_criteria(args, cp, outdir: Path, checks: Checks) -> None:
     ell = int(cfg_get(cp, "matrix", "ell", int, 0, args.ell))
     extra = int(cfg_get(cp, "matrix", "extra_center_dims", int, 0,
                         args.extra_center_dims))
-    A = toral_automorphism(np.array(entries).reshape(n, n))
+    A = _config_call(toral_automorphism, np.array(entries).reshape(n, n))
     rates = spectral_rates(A, extra_center_dims=extra)
     print(f"rates: lambda_u={rates.lambda_u} m_u={rates.m_u} "
           f"lambda_s={rates.lambda_s} m_s={rates.m_s} "
@@ -282,12 +298,12 @@ def run_criteria(args, cp, outdir: Path, checks: Checks) -> None:
         checks.check("anosov-section-evaluated", math.isfinite(rep.value),
                      f"value={rep.value:.6g} holds={rep.holds}")
     if ell > 0:
-        rep = accessibility_criterion(rates, theta, ell)
+        rep = _config_call(accessibility_criterion, rates, theta, ell)
         reports.append(rep)
         rows.append(rep.csv_row())
         checks.check("accessibility-evaluated", math.isfinite(rep.value),
                      f"value={rep.value:.6g} holds={rep.holds}")
-    std = standard_holder_bound(rates)
+    std = _config_call(standard_holder_bound, rates)
     rows.append(["standard_holder_bound", std, "", theta, std, int(0 < std <= 1)])
     checks.check("standard-holder-bound", 0.0 <= std <= 1.0,
                  f"theta_std={std:.6g}")
@@ -331,9 +347,9 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
     u_len = _positive("u_len", cfg_get(cp, "decay", "u_len", float, 0.4))
     s_len = _positive("s_len", cfg_get(cp, "decay", "s_len", float, 0.1))
     c1 = _positive("c1", cfg_get(cp, "decay", "c1", float, 1.0))
-    terms = int(cfg_get(cp, "form", "terms", int, 6))
+    terms = _at_least("terms", cfg_get(cp, "form", "terms", int, 6), 1)
 
-    model = LinearModel(mu, nu)
+    model = _config_call(LinearModel, mu, nu)
     rect = USRectangle((0.05, 0.05), u_len, s_len)
     sampled = weierstrass_form(theta, terms=terms,
                                resolution=max(512, 4 * 2 ** (terms - 1)))
@@ -435,8 +451,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, UnderResolvedError,
-            AmbiguousSpectrumError) as exc:
+    except (QuadratureError, UnderResolvedError, AmbiguousSpectrumError,
+            SmallnessError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     if checks.failures:

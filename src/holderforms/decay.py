@@ -33,6 +33,7 @@ from .chains import OneForm, measure_polygons, polygon_boundary_integrals
 
 __all__ = [
     "LinearModel",
+    "SmallnessError",
     "USRectangle",
     "StripCount",
     "DecaySeries",
@@ -43,6 +44,15 @@ __all__ = [
 ]
 
 OVERFLOW_EDGE = 1e12
+
+
+class SmallnessError(RuntimeError):
+    """Step k cut into N strips has one of boundary >= sigma (c1 too small)."""
+
+    def __init__(self, k: int, n: int, length: float, sigma: float):
+        super().__init__(f"strip failed the smallness filter at k={k}; N={n}: "
+                         f"longest boundary {length!r} >= sigma={sigma!r}")
+        self.k, self.n = k, n
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,8 @@ class LinearModel:
 
     def __post_init__(self):
         if not (self.mu > 1.0 > self.nu > 0.0):
-            raise ValueError("need mu > 1 > nu > 0 (eigenvalues split across 1)")
+            raise ValueError("need mu > 1 > nu > 0 (eigenvalues split across "
+                             f"1), got mu={self.mu}, nu={self.nu}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +235,7 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
         strips = cut_strips(rect_k, sc.n)
         length, area, diameter = measure_polygons(strips)
         if (length >= sigma).any():  # diam <= |dD|/2 < |dD|
-            raise AssertionError(
-                f"strip failed the smallness filter at k={k}; N={sc.n}")
+            raise SmallnessError(k, sc.n, float(length.max()), sigma)
         rhs_shapes = [ln ** (1.0 - theta) * ar ** theta
                       for ln, ar in zip(length.tolist(), area.tolist())]
         bound = k_emp * cnorm * math.fsum(rhs_shapes)

@@ -124,14 +124,14 @@ class GridField:
         return i, t - i
 
     def evaluate(self, pts) -> np.ndarray:
-        """Interpolate at points of shape (..., dim) (or (...,) in 1D)."""
+        """Interpolate at points of shape (..., dim), (..., 1) in 1-D, only."""
         pts = np.asarray(pts, dtype=float)
-        if self.dim == 1:
-            # accept plain coordinate arrays or (..., 1)-shaped points
-            x = pts[..., 0] if pts.ndim >= 2 and pts.shape[-1] == 1 else pts
-            i, f = self._axis_index(0, x)
-            return (1.0 - f) * self.values[i] + f * self.values[i + 1]
+        if pts.ndim == 0 or pts.shape[-1] != self.dim:
+            raise ValueError(f"expected points of shape (..., {self.dim}), "
+                             f"got {pts.shape}")
         i, fx = self._axis_index(0, pts[..., 0])
+        if self.dim == 1:
+            return (1.0 - fx) * self.values[i] + fx * self.values[i + 1]
         j, fy = self._axis_index(1, pts[..., 1])
         v = self.values
         return (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridField, holder_seminorm, DEFAULT_SLACK
-from .mollify import deta_l1, mollify
+from .mollify import _restrict_to, deta_l1, mollify
 from .chains import (
     OneForm,
     ParamDisk,
@@ -26,7 +26,6 @@ from .chains import (
     integrate_two_form,
     polygon_boundary_integrals,
     exterior_derivative,
-    _read_component,
 )
 
 __all__ = [
@@ -213,13 +212,12 @@ def mollification_split_check(alpha: OneForm, disk: ParamDisk, epsilon: float,
 
 
 def _component_diff(a, b):
-    if a is None and b is None:
+    """``a - b`` on the grid of its mollification ``b``: on a's grid, or on
+    the eps-shrunk sub-grid of a non-periodic one."""
+    if a is None:
         return None
-    if (isinstance(a, GridField) and isinstance(b, GridField)
-            and (a.lo, a.hi, a.resolution) == (b.lo, b.hi, b.resolution)):
-        return a - b
-    # a mollified component may live on a shrunk grid; compare the readings
-    return lambda pts: _read_component(a, pts) - _read_component(b, pts)
+    return GridField(b.lo, b.hi, b.resolution, b.periodic,
+                     _restrict_to(a, b) - b.values)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,13 @@ peak value at x_i = 0.
 
 Non-periodic axes are restricted rather than padded: the output lives on the
 eps-shrunk interior.
+
+One kernel builder and one convolution serve every dimension: a y spacing
+of at least eps gives a one-column kernel equal to the 1-D one bit for bit,
+and one ``np.einsum`` contracts a window view of the wrap-padded samples
+with the weights (no copy, no BLAS, one thread).  Its summation order is
+not that of ``np.convolve`` or of a sum over taps, so it agrees with them
+to rounding (1.8e-14 relative on the CLI derivative bound), not bitwise.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chains import _centered_diff, _gl_rule
 from .grids import GridField, HolderEstimate, holder_seminorm
@@ -86,11 +94,9 @@ def deta_l1(n: int) -> float:
                       else 1.0 / normalization_constant(1))
 
 
-def _discrete_kernel_1d(h: float, epsilon: float) -> np.ndarray:
-    m = max(int(math.ceil(epsilon / h)) - 1, 0)
-    offs = np.arange(-m, m + 1) * h / epsilon
-    w = _bump(offs * offs)
-    return _renormalize(w)
+def _half_width(h: float, epsilon: float) -> int:
+    """Kernel taps on each side of the centre: offsets j*h with |j*h| < eps."""
+    return max(int(math.ceil(epsilon / h)) - 1, 0)
 
 
 def _renormalize(w: np.ndarray) -> np.ndarray:
@@ -111,18 +117,17 @@ def discrete_kernel_mass(w: np.ndarray) -> float:
 
 
 def discrete_kernel(h, epsilon: float, n: int) -> np.ndarray:
-    """Unit-mass sampled kernel weights for spacing ``h`` (scalar or per-axis)."""
-    if n == 1:
-        hs = h if np.isscalar(h) else h[0]
-        return _discrete_kernel_1d(hs, epsilon)
-    if n != 2:
+    """Unit-mass sampled kernel weights for spacing ``h`` (scalar or per-axis).
+
+    The weights are ``eta`` at the grid offsets ``j*h`` with ``|j*h| < eps``
+    on each axis, shape ``(2*m + 1,)`` per axis, renormalized to unit mass.
+    """
+    if n not in (1, 2):
         raise ValueError("only dimensions 1 and 2 are supported")
-    h0, h1 = (h, h) if np.isscalar(h) else h
-    m0 = max(int(math.ceil(epsilon / h0)) - 1, 0)
-    m1 = max(int(math.ceil(epsilon / h1)) - 1, 0)
-    j = np.arange(-m0, m0 + 1) * h0 / epsilon
-    k = np.arange(-m1, m1 + 1) * h1 / epsilon
-    r2 = j[:, None] ** 2 + k[None, :] ** 2
+    hs = (h,) * n if np.isscalar(h) else h[:n]
+    ms = [_half_width(h_ax, epsilon) for h_ax in hs]
+    offs = [np.arange(-m, m + 1) * h_ax / epsilon for m, h_ax in zip(ms, hs)]
+    r2 = sum(o * o for o in np.ix_(*offs))
     return _renormalize(_bump(r2))
 
 
@@ -134,54 +139,23 @@ def mollify(u: GridField, epsilon: float) -> GridField:
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    h = u.spacing
-    ms = []
     for ax in range(u.dim):
         if not u.periodic[ax] and epsilon >= 0.5 * (u.hi[ax] - u.lo[ax]):
             raise ValueError(
                 f"epsilon {epsilon} too large for non-periodic axis {ax}"
             )
-        ms.append(max(int(math.ceil(epsilon / h[ax])) - 1, 0))
-
-    if u.dim == 1:
-        m = ms[0]
-        w = _discrete_kernel_1d(h[0], epsilon)
-        if u.periodic[0]:
-            core = u.values[:-1]
-            padded = np.concatenate([core[-m:] if m else core[:0], core,
-                                     core[:m]])
-            out = np.convolve(padded, w[::-1], mode="valid")
-            out = np.concatenate([out, out[:1]])
-            return GridField(u.lo, u.hi, u.resolution, u.periodic, out)
-        out = np.convolve(u.values, w[::-1], mode="valid")
-        lo = (u.lo[0] + m * h[0],)
-        hi = (u.hi[0] - m * h[0],)
-        return GridField(lo, hi, (u.resolution[0] - 2 * m,), u.periodic, out)
-
-    # 2D: radial kernel sampled at grid offsets
-    m0, m1 = ms
-    w = discrete_kernel(h, epsilon, 2)
-
-    cores = []
-    out_res = []
-    arr = u.values
+    h = u.spacing
+    w = discrete_kernel(h, epsilon, u.dim)
+    ms = [s // 2 for s in w.shape]
     # periodic axes: drop the duplicate endpoint, pad with wrap
-    sl = [slice(None), slice(None)]
-    for ax, per in enumerate(u.periodic):
-        if per:
-            sl[ax] = slice(0, u.resolution[ax] - 1)
-    arr = arr[tuple(sl)]
-    pad = tuple((ms[ax], ms[ax]) if u.periodic[ax] else (0, 0) for ax in (0, 1))
-    padded = np.pad(arr, pad, mode="wrap")
-    n0 = padded.shape[0] - 2 * m0
-    n1 = padded.shape[1] - 2 * m1
-    out = np.zeros((n0, n1))
-    for a in range(2 * m0 + 1):
-        for b in range(2 * m1 + 1):
-            wv = w[a, b]
-            if wv == 0.0:
-                continue
-            out += wv * padded[a:a + n0, b:b + n1]
+    core = u.values[tuple(slice(0, -1) if per else slice(None)
+                          for per in u.periodic)]
+    padded = np.pad(core, [(m, m) if per else (0, 0)
+                           for m, per in zip(ms, u.periodic)], mode="wrap")
+    # every window against w at once: the window view is not copied
+    taps = "ab"[:u.dim]
+    out = np.einsum(f"...{taps},{taps}->...",
+                    sliding_window_view(padded, w.shape), w)
     lo, hi, res = list(u.lo), list(u.hi), list(u.resolution)
     for ax, per in enumerate(u.periodic):
         if per:
@@ -239,8 +213,6 @@ class RegularizationReport:
 
 def _restrict_to(u: GridField, target: GridField) -> np.ndarray:
     """Values of u at the nodes of target (target grid is a sub-grid of u)."""
-    if u.resolution == target.resolution and u.lo == target.lo:
-        return u.values
     idx = []
     for ax in range(u.dim):
         h = u.spacing[ax]

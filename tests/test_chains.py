@@ -561,7 +561,7 @@ class TestOneForm:
             alpha.component(1, pts_hi)[0], abs=1e-12)
         # read at x: W is even about 1/2, so y = 0.1 and 0.9 cannot tell
         assert alpha.component(1, pts_lo)[0] == make_weierstrass(
-            0.5, 2, 5, 128)(np.array([0.3]))[0]
+            0.5, 2, 5, 128)(np.array([[0.3]]))[0]
 
 
 @st.composite

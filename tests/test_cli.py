@@ -131,6 +131,16 @@ class TestNumericalErrors:
         assert err.startswith("numerical error: ")
         assert "1.0000001" in err
 
+    def test_strips_too_long_for_sigma_exit_3(self, tmp_path, capsys):
+        # c1 = 0.2 sizes N = 2 strips at k = 0, each 0.6 long against 0.5
+        ini = tmp_path / "c.ini"
+        ini.write_text("[decay]\nc1 = 0.2\n")
+        code, _ = run(["decay", "--config", str(ini)], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert "k=0; N=2" in err
+
 
 class TestImports:
     def test_cli_import_loads_no_heavy_module(self):
@@ -219,6 +229,29 @@ class TestConfig:
         code, _ = run(argv, tmp_path)
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ini,argv,message", [
+        ("[mollify]\nepsilons = abc", ["mollify-check"], "'abc'"),
+        ("[mollify]\nepsilons = 0.05 -0.1", ["mollify-check"], "-0.1"),
+        ("[form]\nterms = 0", ["inequality"], "terms must be >= 1"),
+        ("[disks]\nj_min = 5\nj_max = 3", ["inequality"], "j_max must be"),
+        ("", ["decay", "--nu", "2"], "nu=2.0"),
+        ("", ["decay", "--mu", "0.5"], "mu=0.5"),
+        ("", ["criteria", "--matrix", "2 0 0 2"], "got 4"),
+        ("", ["criteria", "--matrix", "1 1 0 1"], "stable and unstable"),
+        ("", ["criteria", "--ell", "2"], "ell = 2"),
+        ("[common]\nslack = nan", ["mollify-check"], "slack"),
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, ini, argv,
+                                         message):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini + "\n")
+        code, _ = run(argv + ["--config", str(cfg)], tmp_path)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err
+        assert "FAIL" not in captured.out
 
     def test_config_value_used_and_flag_overrides(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"

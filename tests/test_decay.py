@@ -14,6 +14,7 @@ from holderforms.chains import (
 )
 from holderforms.decay import (
     LinearModel,
+    SmallnessError,
     USRectangle,
     choose_strip_count,
     cut_strips,
@@ -208,6 +209,8 @@ class TestDecaySeries:
 
     def test_smallness_filter_names_k_and_n(self):
         alpha = analytic_weierstrass_form(0.5, 2, 8)
-        with pytest.raises(AssertionError, match=r"k=2; N=3"):
+        with pytest.raises(SmallnessError, match=r"k=2; N=3") as info:
             decay_bound_series(alpha, MODEL, RECT, theta=0.5,
                                k_range=range(2, 5), sigma=0.5, c1=0.2)
+        assert (info.value.k, info.value.n) == (2, 3)
+        assert "sigma=0.5" in str(info.value)

@@ -1,3 +1,4 @@
+import re
 
 import numpy as np
 import pytest
@@ -22,21 +23,21 @@ def linear_field(n=33, periodic=False):
 class TestGridField:
     def test_bilinear_is_exact_on_linear_data(self):
         f = linear_field()
-        pts = np.array([0.0, 0.1234, 0.5, 0.999, 1.0])
-        np.testing.assert_allclose(f.evaluate(pts), 2.0 * pts - 0.5,
+        x = np.array([0.0, 0.1234, 0.5, 0.999, 1.0])
+        np.testing.assert_allclose(f.evaluate(x[:, None]), 2.0 * x - 0.5,
                                    atol=1e-14)
 
     def test_scalar_like_queries(self):
         f = linear_field()
-        assert f.evaluate(np.array([0.25]))[0] == pytest.approx(0.0)
+        assert f.evaluate(np.array([[0.25]]))[0] == pytest.approx(0.0)
 
     def test_periodic_wrap(self):
         n = 65
         x = np.linspace(0.0, 1.0, n)
         vals = np.sin(2 * np.pi * x)
         f = GridField((0.0,), (1.0,), (n,), (True,), vals)
-        a = f.evaluate(np.array([0.1]))
-        b = f.evaluate(np.array([1.1]))
+        a = f.evaluate(np.array([[0.1]]))
+        b = f.evaluate(np.array([[1.1]]))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_periodic_endpoint_mismatch_rejected(self):
@@ -47,7 +48,18 @@ class TestGridField:
     def test_out_of_window_query_rejected(self):
         f = linear_field()
         with pytest.raises(ValueError):
-            f.evaluate(np.array([1.5]))
+            f.evaluate(np.array([[1.5]]))
+
+    @pytest.mark.parametrize("dim,shape", [
+        (1, (2, 2)), (1, (5,)), (1, ()), (2, (3, 1)), (2, (3,)), (2, (4, 3)),
+    ])
+    def test_points_must_match_the_dimension(self, dim, shape):
+        # planar points on a 1-D field would be read as two x coordinates
+        f = linear_field() if dim == 1 else GridField(
+            (0.0, 0.0), (1.0, 1.0), (5, 5), (False, False), np.zeros((5, 5)))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"(..., {dim}), got {shape}")):
+            f.evaluate(np.full(shape, 0.5))
 
     def test_distance_uses_shortest_wrap(self):
         n = 33

@@ -22,7 +22,7 @@ from holderforms.experiments import (
     random_convex_polygon_vertices,
     weierstrass_form,
 )
-from holderforms.grids import GridField
+from holderforms.grids import GridField, make_weierstrass
 from holderforms.inequality import (
     c_theta_constant,
     closed_form_minimum,
@@ -292,6 +292,27 @@ class TestSplitCheck:
         assert chk.bound_boundary == meas.length * w_cnorm * 0.05 ** 0.5
         assert chk.bound_interior == (meas.area * deta_l1(2) * w_cnorm
                                       * 0.05 ** (0.5 - 1.0))
+
+    def test_non_periodic_1d_form(self):
+        # the mollified dy component lives on the eps-shrunk grid; on the
+        # square only its two vertical edges carry a2 dy, so the boundary
+        # term is 0.2 |d(0.5) - d(0.3)| for d = a2 - a2_eps.  The chain
+        # check's margin is the centred-difference error of d a2_eps, about
+        # 4.6e-6 here; at 2049 nodes it is 1.8e-5, above quad_tol = 1e-5.
+        n = 4097
+        a2 = GridField((0.0,), (1.0,), (n,), (False,),
+                       make_weierstrass(0.5, 2, 6, n).values)
+        disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
+        chk = mollification_split_check(OneForm(None, a2, 0.5), disk, 0.05)
+        b = chk.alpha_eps.a2
+        assert b.resolution[0] < n
+        assert chk.alpha_eps.a1 is None
+        d = a2.evaluate([[0.3], [0.5]]) - b.evaluate([[0.3], [0.5]])
+        assert chk.term_boundary == pytest.approx(0.2 * abs(d[1] - d[0]),
+                                                  rel=1e-12)
+        assert chk.chain_holds
+        assert chk.boundary_bound_holds
+        assert chk.interior_bound_holds
 
     def test_boundary_bound_scales_with_eps(self, w_form, w_cnorm):
         disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))

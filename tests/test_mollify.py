@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holderforms.chains import _gl_rule
 from holderforms.grids import GridField, holder_seminorm, make_weierstrass
 from holderforms.mollify import (
-    _discrete_kernel_1d,
+    _bump,
+    _renormalize,
     deta_l1,
+    discrete_kernel,
     discrete_kernel_mass,
     eta,
     grad_supnorm,
@@ -15,6 +18,61 @@ from holderforms.mollify import (
     normalization_constant,
     verify_regularization,
 )
+
+
+def two_formula_kernel(h, epsilon, n):
+    """The sampled kernel as separate 1-D and 2-D formulas build it."""
+    if n == 1:
+        m = max(int(math.ceil(epsilon / h)) - 1, 0)
+        offs = np.arange(-m, m + 1) * h / epsilon
+        return _renormalize(_bump(offs * offs))
+    h0, h1 = (h, h) if np.isscalar(h) else h
+    m0 = max(int(math.ceil(epsilon / h0)) - 1, 0)
+    m1 = max(int(math.ceil(epsilon / h1)) - 1, 0)
+    j = np.arange(-m0, m0 + 1) * h0 / epsilon
+    k = np.arange(-m1, m1 + 1) * h1 / epsilon
+    return _renormalize(_bump(j[:, None] ** 2 + k[None, :] ** 2))
+
+
+def loop_mollify(u, epsilon):
+    """Reference convolution: one loop over output nodes, one over taps.
+
+    A 1-D field is one column; periodic indices wrap over the ``n - 1``
+    distinct nodes, and a non-periodic axis keeps the nodes whose window
+    fits.
+    """
+    w = discrete_kernel(u.spacing, epsilon, u.dim)
+    v = u.values.reshape(u.values.shape + (1,) * (2 - u.dim))
+    w = w.reshape(w.shape + (1,) * (2 - u.dim))
+    per = u.periodic + (False,) * (2 - u.dim)
+    m = [s // 2 for s in w.shape]
+    keep = [range(n - 1) if p else range(k, n - k)
+            for n, p, k in zip(v.shape, per, m)]
+
+    def index(i, ax):
+        return i % (v.shape[ax] - 1) if per[ax] else i
+
+    out = np.zeros((len(keep[0]), len(keep[1])))
+    for a, i in enumerate(keep[0]):
+        for b, j in enumerate(keep[1]):
+            for p in range(-m[0], m[0] + 1):
+                for q in range(-m[1], m[1] + 1):
+                    out[a, b] += (w[p + m[0], q + m[1]]
+                                  * v[index(i + p, 0), index(j + q, 1)])
+    for ax in range(2):
+        if per[ax]:
+            out = np.concatenate([out, np.take(out, [0], axis=ax)], axis=ax)
+    return out.reshape(out.shape[:u.dim])
+
+
+def noise_field(resolution, periodic, hi, seed=0):
+    v = np.random.default_rng(seed).standard_normal(resolution)
+    for ax, per in enumerate(periodic):
+        if per:
+            last = [slice(None)] * len(resolution)
+            last[ax] = -1
+            v[tuple(last)] = np.take(v, 0, axis=ax)
+    return GridField((0.0,) * len(resolution), hi, resolution, periodic, v)
 
 
 def periodic_noise(seed, n=257):
@@ -29,12 +87,11 @@ class TestKernelNormalization:
     def test_analytic_unit_mass(self, n):
         # quadrature of A * exp(1/(|x|^2-1)) over the unit ball
         A = normalization_constant(n)
+        t, w = _gl_rule(1, 400, -1.0, 1.0)  # the 400-point rule, cached
         if n == 1:
-            t, w = np.polynomial.legendre.leggauss(400)
             x = 0.5 * (t + 1.0) * 2.0 - 1.0
             mass = float(np.sum(w * eta(x, 1)))
         else:
-            t, w = np.polynomial.legendre.leggauss(400)
             r = 0.5 * (t + 1.0)
             g = eta(np.stack([r, np.zeros_like(r)], axis=-1), 2)
             mass = float(2.0 * math.pi * 0.5 * np.sum(w * g * r))
@@ -70,10 +127,29 @@ class TestKernelNormalization:
                 total += float(np.sum(wx[:, None] * wy[None, :] * g))
         assert abs(v - total) <= 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("h", [1 / 256, 1 / 1024, 1 / 4096,
+                                   (1 / 2048, 1 / 8), (1 / 128, 1 / 64)])
+    @pytest.mark.parametrize("eps", [0.02, 0.03, 0.05, 0.1])
+    def test_kernel_equals_the_two_formulas_bit_for_bit(self, n, h, eps):
+        hh = h if n == 2 or np.isscalar(h) else h[0]
+        want = two_formula_kernel(hh, eps, n)
+        got = discrete_kernel(h, eps, n)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_column_kernel_is_the_1d_kernel(self):
+        # a y spacing of at least eps leaves one column, the 1-D weights
+        for eps in (0.02, 0.05, 0.1):
+            w2 = discrete_kernel((1 / 2048, 1 / 8), eps, 2)
+            assert w2.shape[1] == 1
+            assert w2[:, 0].tobytes() == discrete_kernel(1 / 2048, eps,
+                                                         1).tobytes()
+
     @pytest.mark.parametrize("h,eps", [(1 / 256, 0.02), (1 / 256, 0.05),
                                        (1 / 1024, 0.1), (1 / 4096, 0.03)])
     def test_discrete_mass_exactly_one(self, h, eps):
-        w = _discrete_kernel_1d(h, eps)
+        w = discrete_kernel(h, eps, 1)
         assert discrete_kernel_mass(w) == 1.0
 
 
@@ -127,7 +203,39 @@ class TestMollify:
         f = GridField((0.0,), (1.0,), (n,), (True,), np.abs(x - 0.5))
         g = mollify(f, 0.1)
         xs = np.linspace(g.lo[0], g.hi[0], 200)
-        assert np.max(np.abs(g.evaluate(xs) - np.abs(xs - 0.5))) <= 0.1
+        err = np.abs(g.evaluate(xs[:, None]) - np.abs(xs - 0.5))
+        assert np.max(err) <= 0.1
+
+
+class TestConvolution:
+    @pytest.mark.parametrize("resolution,periodic,hi", [
+        ((65,), (True,), (1.0,)),
+        ((65,), (False,), (1.0,)),
+        ((17, 13), (True, True), (1.0, 2.0)),
+        ((17, 13), (False, True), (1.0, 2.0)),
+        ((17, 13), (True, False), (1.0, 2.0)),
+        ((17, 13), (False, False), (1.0, 1.0)),
+        ((33, 5), (True, True), (1.0, 1.0)),
+    ])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
+    def test_equals_the_loop_reference(self, resolution, periodic, hi, eps):
+        # eps = 0.01 is below every grid spacing here: one tap, m = 0
+        u = noise_field(resolution, periodic, hi)
+        g = mollify(u, eps)
+        want = loop_mollify(u, eps)
+        assert g.values.shape == want.shape == g.resolution
+        assert np.max(np.abs(g.values - want)) <= 1e-14 * u.supnorm()
+        for ax in range(u.dim):
+            m = discrete_kernel(u.spacing, eps, u.dim).shape[ax] // 2
+            shift = 0 if periodic[ax] else m * u.spacing[ax]
+            assert g.lo[ax] == u.lo[ax] + shift
+            assert g.hi[ax] == u.hi[ax] - shift
+
+    def test_one_tap_is_the_identity(self):
+        u = noise_field((17, 13), (False, True), (1.0, 2.0))
+        g = mollify(u, 0.01)
+        assert g.values.tobytes() == u.values.tobytes()
+        assert (g.lo, g.hi, g.resolution) == (u.lo, u.hi, u.resolution)
 
 
 class TestGradSupnorm:

@@ -10,8 +10,8 @@ from .grids import (
 from .mollify import normalization_constant, deta_l1, mollify, \
     verify_regularization
 from .chains import (
-    OneForm, ParamCurve, ParamDisk, Segment, curve_length, integrate_one_form,
-    integrate_two_form, exterior_derivative,
+    OneForm, ParamCurve, Segment, curve_length, integrate_one_form,
+    integrate_two_form, exterior_derivative, rectangle_corners,
 )
 from .inequality import (
     c_theta_constant, theta_bracket, eps_star, eps_sweep,

@@ -1,29 +1,29 @@
-"""Piecewise-C1 curves, immersed 2-disks, and integration of 1- and 2-forms.
+"""Piecewise-C1 curves, polygonal 2-disks, and integration of 1- and 2-forms.
 
-Curve length, Green's area and form integrals use composite Gauss-Legendre
-quadrature: 16 nodes per segment/axis, panel count doubled until the
-relative change drops below 1e-8 (absolute floor 1e-10), at most 6
-doublings; non-convergence raises with the last two values attached.  One
-scalar driver serves line and area integrals.  The composite rule is cached
+Curve length, Green's area and line integrals of analytic forms use
+composite Gauss-Legendre quadrature: 16 nodes per segment, panel count
+doubled until the relative change drops below 1e-8 (absolute floor 1e-10),
+at most 6 doublings; non-convergence raises with the last two values
+attached.  One scalar driver serves them all.  The composite rule is cached
 per (panels, order, interval) and its arrays are read-only, so every
 caller, ``mollify`` included, shares them safely.
 
-A polygon is given by its corners, in boundary order; a polygonal
-``ParamDisk`` carries them in ``ParamDisk.corners`` (``rectangle_disk``
-fills them).  Polygons are measured and integrated in one array layout:
-the vertices of n polygons, of any mix of corner counts, in one flat array,
-each edge running to the next vertex of its polygon and the last one
-wrapping to the first.  ``measure_polygons`` takes the lengths, areas and
-diameters of n polygons in closed form (``measure_disk`` is its
-one-polygon case), and ``polygon_boundary_integrals`` integrates a 1-form
-over the boundaries of n polygons at once.  A grid-sampled form is
-integrated there exactly, with no quadrature: its edges are cut at
-grid-line crossings, and on each piece the bilinear interpolant is a
-quadratic that a 2-point rule integrates exactly.  Analytic and mixed
-forms are integrated polygon by polygon along the edges, one driver call
-per edge, as ``integrate_one_form`` does.  Both reject a curved disk (no
-corners); curved disks (``ellipse_disk``, ``unit_disk``) are integrated
-along ``ParamDisk.boundary`` with ``integrate_one_form``.
+A disk is a polygon, given by its corners in boundary order;
+``rectangle_corners`` gives those of axis-aligned rectangles.  Polygons are
+measured and integrated in one array layout: the vertices of n polygons, of
+any mix of corner counts, in one flat array, each edge running to the next
+vertex of its polygon and the last one wrapping to the first.
+``measure_polygons`` takes the lengths, areas and diameters of n polygons
+in closed form, and ``polygon_boundary_integrals`` integrates a 1-form over
+the boundaries of n polygons at once.  A grid-sampled form is integrated
+there exactly, with no quadrature: its edges are cut at grid-line
+crossings, and on each piece the bilinear interpolant is a quadratic that a
+2-point rule integrates exactly.  Analytic and mixed forms are integrated
+polygon by polygon along the edges, one driver call per edge, as
+``integrate_one_form`` does.  ``integrate_two_form`` integrates a
+grid-sampled 2-form over an axis-aligned rectangle exactly, by the midpoint
+rule on the rectangle's pieces between grid lines.  Curves that are not
+polygons (the circle oracles) are integrated with ``integrate_one_form``.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
@@ -32,7 +32,7 @@ component means identically zero.  A 1-D field is a function of x alone
 (``W(x) dy`` stores its ``W`` so), read at the x coordinates of points:
 ``_read_component`` is the one place a component is read at points.  Its
 boundary integrals cut edges at x grid lines only, and its exterior
-derivative is again a 1-D field.
+derivative, a 2-form, is again a 1-D field.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "QuadratureError",
     "Segment",
     "ParamCurve",
-    "ParamDisk",
     "OneForm",
     "ChainMeasures",
     "line_segment",
@@ -58,11 +57,9 @@ __all__ = [
     "polyline",
     "circle",
     "polygon",
-    "rectangle_disk",
-    "ellipse_disk",
+    "rectangle_corners",
     "curve_length",
     "measure_polygons",
-    "measure_disk",
     "integrate_one_form",
     "polygon_boundary_integrals",
     "integrate_two_form",
@@ -133,11 +130,6 @@ class Segment:
     point: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[np.ndarray], np.ndarray]
 
-    def reversed(self) -> "Segment":
-        p, v = self.point, self.velocity
-        return Segment(lambda t: p(1.0 - np.asarray(t)),
-                       lambda t: -v(1.0 - np.asarray(t)))
-
 
 def line_segment(a, b) -> Segment:
     a = np.asarray(a, dtype=float)
@@ -185,9 +177,6 @@ class ParamCurve:
             if gap > 1e-10:
                 raise ValueError(f"segment endpoints do not meet (gap {gap:.3e})")
 
-    def reversed(self) -> "ParamCurve":
-        return ParamCurve(tuple(s.reversed() for s in reversed(self.segments)))
-
     def is_closed(self, tol: float = 1e-10) -> bool:
         a = self.segments[0].point(np.array([0.0]))[0]
         b = self.segments[-1].point(np.array([1.0]))[0]
@@ -208,98 +197,21 @@ def polygon(vertices) -> ParamCurve:
     return polyline(pts)
 
 
-@dataclass(frozen=True)
-class ParamDisk:
-    """Immersion psi: [0,1]^2 -> R^2 with partial-velocity evaluators.
+_UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
-    ``corners``, when set, is the tuple of vertices ``(x, y)`` of a disk
-    whose boundary is a polygon, in boundary order and as ``psi`` evaluates
-    them; ``measure_polygons`` measures the polygon in closed form from them
-    and ``polygon_boundary_integrals`` integrates along its edges.  ``None``
-    (the default) means a curved boundary, which can be integrated over
-    but not measured.
+
+def rectangle_corners(lo, hi) -> np.ndarray:
+    """Corners of the axis-aligned rectangles ``[lo, hi]``, ``(..., 4, 2)``.
+
+    ``lo`` and ``hi`` are ``(..., 2)`` arrays that broadcast together.  The
+    corners run counter-clockwise from ``lo``: corner ``(r, s)`` of the unit
+    square is ``lo + (hi - lo) * (r, s)``, so the far corner is
+    ``x0 + (x1 - x0)``, which need not be ``x1`` in floating point.  Every
+    rectangle the package builds takes its corners from here.
     """
-
-    psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d_dr: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d_ds: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    corners: tuple | None = None
-
-    def boundary(self) -> ParamCurve:
-        """psi restricted to the unit-square boundary, positively oriented."""
-        psi, dr, ds = self.psi, self.d_dr, self.d_ds
-
-        def edge(r_of_t, s_of_t, vel):
-            def point(t):
-                t = np.asarray(t, dtype=float)
-                return psi(r_of_t(t), s_of_t(t))
-            return Segment(point, vel)
-
-        zeros = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        ident = lambda t: np.asarray(t, dtype=float)
-        rev = lambda t: 1.0 - np.asarray(t, dtype=float)
-
-        bottom = edge(ident, zeros, lambda t: dr(ident(t), zeros(t)))
-        right = edge(ones, ident, lambda t: ds(ones(t), ident(t)))
-        top = edge(rev, ones, lambda t: -dr(rev(t), ones(t)))
-        left = edge(zeros, rev, lambda t: -ds(zeros(t), rev(t)))
-        return ParamCurve((bottom, right, top, left))
-
-    def jacobian_det(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-        a = self.d_dr(r, s)
-        b = self.d_ds(r, s)
-        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def rectangle_disk(lo, hi) -> ParamDisk:
-    (x0, y0), (x1, y1) = lo, hi
-    dx, dy = x1 - x0, y1 - y0
-
-    def psi(r, s):
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return np.stack([x0 + dx * r, y0 + dy * s], axis=-1)
-
-    def d_dr(r, s):
-        r = np.asarray(r, dtype=float)
-        return np.broadcast_to(np.array([dx, 0.0]), r.shape + (2,)).copy()
-
-    def d_ds(r, s):
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(np.array([0.0, dy]), s.shape + (2,)).copy()
-
-    corners = tuple((float(x), float(y))
-                    for x, y in psi([0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]))
-    return ParamDisk(psi, d_dr, d_ds, corners)
-
-
-def ellipse_disk(center, a: float, b: float) -> ParamDisk:
-    """Polar chart of an axis-aligned ellipse; rank 2 away from the center."""
-    c = np.asarray(center, dtype=float)
-    tau = 2.0 * np.pi
-
-    def psi(r, s):
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return c + np.stack([a * r * np.cos(tau * s), b * r * np.sin(tau * s)],
-                            axis=-1)
-
-    def d_dr(r, s):
-        s = np.asarray(s, dtype=float)
-        return np.stack([a * np.cos(tau * s), b * np.sin(tau * s)], axis=-1)
-
-    def d_ds(r, s):
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return np.stack([-a * tau * r * np.sin(tau * s),
-                         b * tau * r * np.cos(tau * s)], axis=-1)
-
-    return ParamDisk(psi, d_dr, d_ds)
-
-
-def unit_disk(center=(0.0, 0.0), radius: float = 1.0) -> ParamDisk:
-    return ellipse_disk(center, radius, radius)
+    lo = np.asarray(lo, dtype=float)[..., None, :]
+    hi = np.asarray(hi, dtype=float)[..., None, :]
+    return lo + (hi - lo) * _UNIT_SQUARE
 
 
 def _read_component(c, pts: np.ndarray) -> np.ndarray:
@@ -369,26 +281,16 @@ def curve_length(curve: ParamCurve, tol: float = QUAD_REL_TOL) -> float:
     return sum(_segment_integral(s, speed, tol) for s in curve.segments)
 
 
-def _tensor_quadrature(fn: Callable, tol: float = QUAD_REL_TOL) -> float:
-    """Tensor-product rule for fn(r, s) over [0,1]^2 on the adaptive driver."""
-    def tensor(t, w):
-        r = np.broadcast_to(t[:, None], (t.size, t.size))
-        s = np.broadcast_to(t[None, :], (t.size, t.size))
-        return float(np.sum(w[:, None] * w[None, :] * fn(r, s)))
-    return adaptive_quadrature(tensor, tol)
-
-
 def _polygon_edges(corners):
     """Flat vertex layout of n polygons and the index of each edge's end.
 
     ``corners`` is an ``(n, m, 2)`` array of n polygons with m corners each,
-    or a sequence of n vertex sequences of any lengths.  A ``None`` entry
-    (a curved disk's ``corners``), fewer than 3 corners or a non-finite
-    corner raises ``ValueError``.  Returns the ``(V, 2)`` vertices of all
-    polygons in boundary order; for each vertex its polygon ``owner``, the
-    index ``first`` of that polygon's first vertex and the index ``nxt`` of
-    the vertex that follows it on the boundary (the last one wraps to
-    ``first``); and n.
+    or a sequence of n vertex sequences of any lengths.  A ``None`` entry,
+    fewer than 3 corners or a non-finite corner raises ``ValueError``.
+    Returns the ``(V, 2)`` vertices of all polygons in boundary order; for
+    each vertex its polygon ``owner``, the index ``first`` of that
+    polygon's first vertex and the index ``nxt`` of the vertex that follows
+    it on the boundary (the last one wraps to ``first``); and n.
     """
     if isinstance(corners, np.ndarray) and corners.ndim == 3:
         n, m = corners.shape[:2]
@@ -397,7 +299,7 @@ def _polygon_edges(corners):
     else:
         for i, c in enumerate(corners):
             if c is None:
-                raise ValueError(f"a curved disk has no corners: "
+                raise ValueError(f"a disk is given by its corners: "
                                  f"corners[{i}] is None")
         n = len(corners)
         counts = np.array([len(c) for c in corners], dtype=int)
@@ -457,17 +359,6 @@ def measure_polygons(corners):
     return length, area, diameter
 
 
-def measure_disk(disk: ParamDisk) -> ChainMeasures:
-    """Boundary length, area and diameter of a polygonal disk, closed form.
-
-    ``measure_polygons`` on the one polygon ``disk.corners``; a disk
-    without ``corners`` (a curved boundary) raises ``ValueError``.
-    """
-    length, area, diameter = measure_polygons([disk.corners])
-    return ChainMeasures(length=float(length[0]), area=float(area[0]),
-                         diameter=float(diameter[0]))
-
-
 def _pullback(alpha: OneForm, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
     """``a1(p)*vx + a2(p)*vy``: alpha along a curve through p with velocity v."""
     return (alpha.component(0, pts) * vel[..., 0]
@@ -488,8 +379,8 @@ def polygon_boundary_integrals(alpha: OneForm, corners,
 
     ``corners`` is laid out as ``measure_polygons`` reads it: an
     ``(n, m, 2)`` array or a sequence of vertex sequences of mixed lengths,
-    such as polygonal disks' ``ParamDisk.corners``; a ``None`` entry, a
-    curved disk's, raises ``ValueError``.
+    such as ``rectangle_corners`` gives; a ``None`` entry raises
+    ``ValueError``.
 
     A form whose every non-``None`` component is a ``GridField`` is
     integrated exactly, with no driver call (``tol`` is not read): along a
@@ -567,11 +458,34 @@ def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
     return np.bincount(owner[e], weights=values, minlength=n_disks).tolist()
 
 
-def integrate_two_form(beta, disk: ParamDisk, tol: float = QUAD_REL_TOL) -> float:
-    """int int beta(psi(r,s)) det J_psi dr ds (beta: GridField or callable)."""
-    def fn(r, s):
-        return _read_component(beta, disk.psi(r, s)) * disk.jacobian_det(r, s)
-    return _tensor_quadrature(fn, tol)
+def integrate_two_form(beta: GridField, lo, hi) -> float:
+    """``int beta dx dy`` over the rectangle ``[lo, hi]``, exact.
+
+    Each axis of the rectangle is cut at the grid lines
+    ``beta.lo[ax] + m*h[ax]`` inside it, for every integer ``m``, so
+    periodic wraps need no special case; a 1-D field, a function of x
+    alone, has lines in x only and one piece in y.  On each product of
+    pieces the interpolant is bilinear, and the midpoint rule integrates a
+    bilinear function exactly, so the sum of ``len_x * len_y * beta(mid)``
+    carries rounding error only.  No quadrature driver is called.
+    """
+    pieces = []
+    for ax in range(2):
+        a, b = float(lo[ax]), float(hi[ax])
+        if not a <= b:
+            raise ValueError(f"need lo <= hi on axis {ax}, got {a} > {b}")
+        cuts = np.array([a, b])
+        if ax < beta.dim:
+            g0, h = beta.lo[ax], beta.spacing[ax]
+            m = np.arange(math.floor((a - g0) / h) + 1,
+                          math.ceil((b - g0) / h))
+            cuts = np.concatenate([[a], np.clip(g0 + m * h, a, b), [b]])
+        pieces.append((np.diff(cuts), 0.5 * (cuts[:-1] + cuts[1:])))
+    (wx, mx), (wy, my) = pieces
+    if beta.dim == 1:
+        return float(wy[0] * np.sum(wx * beta.evaluate(mx[:, None])))
+    mid = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1)
+    return float(np.sum(np.outer(wx, wy) * beta.evaluate(mid)))
 
 
 def _centered_diff(values: np.ndarray, ax: int, h: float, periodic: bool):

@@ -33,9 +33,9 @@ from . import __version__
 from .grids import UnderResolvedError, make_weierstrass
 from .mollify import normalization_constant, verify_regularization
 from .chains import (
-    OneForm, QuadratureError, circle, polygon, rectangle_disk,
-    integrate_one_form, integrate_two_form, exterior_derivative,
-    green_area, curve_length,
+    OneForm, QuadratureError, circle, rectangle_corners, integrate_one_form,
+    integrate_two_form, exterior_derivative, green_area, curve_length,
+    measure_polygons, polygon_boundary_integrals,
 )
 from .inequality import (
     isoperimetric_check, mollification_split_check, verify_main_inequality,
@@ -197,11 +197,11 @@ def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
     res = _positive("resolution", cfg_get(cp, "form", "resolution", int, 4096,
                                           args.resolution))
     alpha = weierstrass_form(theta, resolution=res)
-    disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
-    split = mollification_split_check(alpha, disk, epsilon=0.05)
+    lo, hi = (0.3, 0.3), (0.5, 0.5)
+    split = mollification_split_check(alpha, lo, hi, epsilon=0.05)
     a_eps = split.alpha_eps
-    lhs = integrate_one_form(a_eps, disk.boundary(), tol=1e-6)
-    rhs = integrate_two_form(exterior_derivative(a_eps), disk, tol=1e-6)
+    (lhs,) = polygon_boundary_integrals(a_eps, [rectangle_corners(lo, hi)])
+    rhs = integrate_two_form(exterior_derivative(a_eps), lo, hi)
     err2 = abs(lhs - rhs)
     rows.append(["mollified_weierstrass_stokes", lhs, rhs, err2])
     checks.check("stokes-mollified-weierstrass", err2 <= 1e-5,
@@ -257,11 +257,11 @@ def run_isoperimetric(args, cp, outdir: Path, checks: Checks) -> None:
     checks.check("isoperimetric-disk-equality", abs(rep.equality_gap) <= 1e-6,
                  f"gap={rep.equality_gap:.2e}")
     rng = np.random.default_rng(args.seed)
-    for i in range(10):
-        verts = random_convex_polygon_vertices(rng, n_vertices=5 + i % 5)
-        curve = polygon(verts)
-        rep = isoperimetric_check(curve_length(curve),
-                                  abs(green_area(curve)))
+    polygons = [random_convex_polygon_vertices(rng, n_vertices=5 + i % 5)
+                for i in range(10)]
+    lengths, areas, _ = measure_polygons(polygons)
+    for i, (length, area) in enumerate(zip(lengths.tolist(), areas.tolist())):
+        rep = isoperimetric_check(length, area)
         rows.append([f"polygon{i}", rep.length, rep.area, rep.bound,
                      rep.equality_gap])
         checks.check(f"isoperimetric-polygon{i}",

@@ -12,11 +12,10 @@ measures them in one call, in closed form, with the same formulas the
 family verifier uses; the strip diameter is the rectangle diagonal.  The
 telescoping check integrates the form over every strip boundary and over
 the whole iterate's boundary (``cut_strips(rect, 1)``) with
-``polygon_boundary_integrals``, from the same corners, so no ``ParamDisk``
-is built.  The CLI passes the grid-sampled form whose C^theta norm and
-family constant scale the bound, so those integrals are exact up to
-rounding and take no quadrature; an analytic form is integrated edge by
-edge with the adaptive driver.
+``polygon_boundary_integrals``, from the same corners.  The CLI passes the
+grid-sampled form whose C^theta norm and family constant scale the bound,
+so those integrals are exact up to rounding and take no quadrature; an
+analytic form is integrated edge by edge with the adaptive driver.
 
 Form invariance is NOT assumed; the experiment certifies the decay of the
 upper bound and the telescoping identity, which is what the argument needs.
@@ -29,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import OneForm, measure_polygons, polygon_boundary_integrals
+from .chains import (
+    OneForm, measure_polygons, polygon_boundary_integrals, rectangle_corners,
+)
 
 __all__ = [
     "LinearModel",
@@ -111,25 +112,19 @@ def iterate_rectangle(model: LinearModel, rect: USRectangle, k: int) -> USRectan
 def cut_strips(rect: USRectangle, N: int) -> np.ndarray:
     """Corners of N equal strips cut along the unstable edge, ``(N, 4, 2)``.
 
-    Strip i is the rectangle with lower-left corner ``(x_i, y)``,
-    ``x_i = x + i*w`` and ``w = u_len / N``, whose corners run
-    counter-clockwise from there.  They are the float values
-    ``rectangle_disk((x_i, y), (x_i + w, y + s_len))`` gives: with
-    ``dx = (x_i + w) - x_i`` and ``dy = (y + s_len) - y``, corner
-    ``(r, s)`` of the unit square is ``(x_i + dx*r, y + dy*s)``.
-    ``cut_strips(rect, 1)`` is the whole rectangle.
+    Strip i is ``rectangle_corners((x_i, y), (x_i + w, y + s_len))``, with
+    ``x_i = x + i*w`` and ``w = u_len / N``: its corners run
+    counter-clockwise from ``(x_i, y)``.  ``cut_strips(rect, 1)`` is the
+    whole rectangle.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     x, y = rect.corner
     width = rect.u_len / N
     x_i = x + np.arange(N) * width
-    dx = (x_i + width) - x_i
-    dy = (y + rect.s_len) - y
-    r = np.array([0.0, 1.0, 1.0, 0.0])
-    s = np.array([0.0, 0.0, 1.0, 1.0])
-    return np.stack([x_i[:, None] + dx[:, None] * r,
-                     np.broadcast_to(y + dy * s, (N, 4))], axis=-1)
+    lo = np.stack([x_i, np.full(N, y)], axis=-1)
+    hi = np.stack([x_i + width, np.full(N, y + rect.s_len)], axis=-1)
+    return rectangle_corners(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .grids import make_weierstrass, weierstrass_callable
-from .chains import OneForm, rectangle_disk
+from .chains import OneForm, rectangle_corners
 
 __all__ = [
     "weierstrass_form",
@@ -38,15 +38,19 @@ def analytic_weierstrass_form(theta: float, base: int = 2,
 
 
 def dyadic_square_family(j_range=range(2, 9), anchors: int = 8):
-    """Squares of side 2^-j at evenly spread anchors, labelled by scale."""
+    """Squares of side 2^-j at evenly spread anchors, labelled by scale.
+
+    Returns ``(disk_id, corners)`` pairs, as ``verify_main_inequality``
+    reads them.
+    """
     family = []
     for j in j_range:
         r = 2.0 ** (-j)
         for i in range(anchors):
             x0 = (i / anchors) * (1.0 - r)
             y0 = ((i + 0.5) / anchors) * (1.0 - r)
-            family.append((f"j{j}a{i}", rectangle_disk((x0, y0),
-                                                       (x0 + r, y0 + r))))
+            family.append((f"j{j}a{i}", rectangle_corners((x0, y0),
+                                                          (x0 + r, y0 + r))))
     return family
 
 

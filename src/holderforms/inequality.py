@@ -18,14 +18,12 @@ from .grids import GridField, holder_seminorm, DEFAULT_SLACK
 from .mollify import _restrict_to, deta_l1, mollify
 from .chains import (
     OneForm,
-    ParamDisk,
     ChainMeasures,
-    measure_disk,
     measure_polygons,
-    integrate_one_form,
     integrate_two_form,
     polygon_boundary_integrals,
     exterior_derivative,
+    rectangle_corners,
 )
 
 __all__ = [
@@ -153,7 +151,12 @@ def mollify_one_form(alpha: OneForm, epsilon: float) -> OneForm:
 
 @dataclass(frozen=True)
 class SplitCheck:
-    """The subtract-and-add estimate, instantiated and measured."""
+    """The subtract-and-add estimate, instantiated and measured.
+
+    Every term is integrated exactly; ``quad_tol`` is the absolute
+    allowance of the chain check, which absorbs the centred-difference
+    error of ``d alpha_eps`` in the interior term.
+    """
 
     epsilon: float
     lhs: float               # |int_dD alpha|
@@ -178,33 +181,38 @@ class SplitCheck:
         return self.term_interior <= self.bound_interior * self.slack
 
 
-def mollification_split_check(alpha: OneForm, disk: ParamDisk, epsilon: float,
+def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
                               theta: float | None = None,
                               cnorm: float | None = None,
                               slack: float = DEFAULT_SLACK,
                               quad_tol: float = 1e-5) -> SplitCheck:
+    """The split of ``int_dD alpha`` on the rectangle ``D = [lo, hi]``.
+
+    ``alpha`` is grid-sampled, as ``mollify_one_form`` requires, so the two
+    boundary terms are exact ``polygon_boundary_integrals`` and the interior
+    term is an exact ``integrate_two_form``; no quadrature driver is called.
+    """
     theta = alpha.theta if theta is None else theta
     if cnorm is None:
         cnorm = one_form_cnorm(alpha, theta)
     alpha_eps = mollify_one_form(alpha, epsilon)
-    bnd = disk.boundary()
-    lhs = abs(integrate_one_form(alpha, bnd, tol=quad_tol))
     diff = OneForm(
         _component_diff(alpha.a1, alpha_eps.a1),
         _component_diff(alpha.a2, alpha_eps.a2),
         theta,
     )
-    term_boundary = abs(integrate_one_form(diff, bnd, tol=quad_tol))
-    term_interior = abs(integrate_two_form(exterior_derivative(alpha_eps), disk,
-                                           tol=quad_tol))
-    meas = measure_disk(disk)
+    corners = [rectangle_corners(lo, hi)]
+    (lhs,) = polygon_boundary_integrals(alpha, corners)
+    (term_boundary,) = polygon_boundary_integrals(diff, corners)
+    term_interior = integrate_two_form(exterior_derivative(alpha_eps), lo, hi)
+    length, area, _ = (float(m[0]) for m in measure_polygons(corners))
     return SplitCheck(
         epsilon=epsilon,
-        lhs=lhs,
-        term_boundary=term_boundary,
-        term_interior=term_interior,
-        bound_boundary=meas.length * cnorm * epsilon ** theta,
-        bound_interior=meas.area * deta_l1(2) * cnorm * epsilon ** (theta - 1.0),
+        lhs=abs(lhs),
+        term_boundary=abs(term_boundary),
+        term_interior=abs(term_interior),
+        bound_boundary=length * cnorm * epsilon ** theta,
+        bound_interior=area * deta_l1(2) * cnorm * epsilon ** (theta - 1.0),
         quad_tol=quad_tol,
         slack=slack,
         alpha_eps=alpha_eps,
@@ -247,9 +255,11 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
                            quad_tol: float = 1e-8):
     """Apply the main-inequality comparison to a family of disks.
 
-    ``family`` is a sequence of (disk_id, ParamDisk) pairs or bare polygonal
-    disks.  Disks failing the smallness filter max(diam, |dD|) < sigma are
-    reported as skipped, mirroring the smallness hypothesis of the estimate.
+    ``family`` is a sequence of (disk_id, corners) pairs, each disk's
+    corners in boundary order as ``measure_polygons`` reads them (such as
+    ``dyadic_square_family`` gives).  Disks failing the smallness filter
+    max(diam, |dD|) < sigma are reported as skipped, mirroring the
+    smallness hypothesis of the estimate.
 
     The whole family is measured by one ``measure_polygons`` call; the
     unskipped disks are then integrated together by one
@@ -267,9 +277,8 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
         cnorm = one_form_cnorm(alpha, theta)
     if cnorm <= 0.0:
         raise ValueError("cnorm must be positive")
-    items = [item if isinstance(item, tuple) else (f"disk{idx}", item)
-             for idx, item in enumerate(family)]
-    corners = [disk.corners for _, disk in items]
+    family = list(family)
+    corners = [c for _, c in family]
     measures = [ChainMeasures(*m) for m in zip(
         *(v.tolist() for v in measure_polygons(corners)))]
     skipped = [max(m.diameter, m.length) >= smallness_sigma for m in measures]
@@ -278,7 +287,7 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
         quad_tol))
     reports = []
     emp_k = 0.0
-    for (disk_id, _), meas, skip in zip(items, measures, skipped):
+    for (disk_id, _), meas, skip in zip(family, measures, skipped):
         if skip:
             reports.append(InequalityReport(disk_id, meas, theta, cnorm,
                                             math.nan, math.nan, math.nan,

@@ -19,9 +19,9 @@ from holderforms.chains import (
     green_area,
     integrate_one_form,
     integrate_two_form,
-    polygon,
-    rectangle_disk,
-    unit_disk,
+    measure_polygons,
+    polygon_boundary_integrals,
+    rectangle_corners,
 )
 from holderforms.cli import main as cli_main
 from holderforms.decay import LinearModel, USRectangle, decay_bound_series
@@ -140,13 +140,13 @@ def test_c04_derivative_bound(w_field):
 
 def test_c05_stokes(w_form_fine):
     x_dy = OneForm(None, lambda p: p[..., 0], 1.0)
-    val = integrate_one_form(x_dy, unit_disk().boundary())
+    val = integrate_one_form(x_dy, circle((0.0, 0.0), 1.0))
     assert abs(val - math.pi) <= 1e-6
     alpha, _ = w_form_fine
-    disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
+    lo, hi = (0.3, 0.3), (0.5, 0.5)
     a_eps = mollify_one_form(alpha, 0.05)
-    lhs = integrate_one_form(a_eps, disk.boundary(), tol=1e-6)
-    rhs = integrate_two_form(exterior_derivative(a_eps), disk, tol=1e-6)
+    (lhs,) = polygon_boundary_integrals(a_eps, [rectangle_corners(lo, hi)])
+    rhs = integrate_two_form(exterior_derivative(a_eps), lo, hi)
     assert abs(lhs - rhs) <= 1e-5
     report("criterion 05: x dy = pi to 1e-6; mollified Stokes to 1e-5")
 
@@ -156,10 +156,10 @@ def test_c06_isoperimetric():
     c = circle((0.0, 0.0), 1.0)
     rep = isoperimetric_check(curve_length(c), abs(green_area(c)))
     assert rep.holds and abs(rep.equality_gap) <= 1e-6
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        poly = polygon(random_convex_polygon_vertices(rng))
-        rep = isoperimetric_check(curve_length(poly), abs(green_area(poly)))
+    polys = [random_convex_polygon_vertices(np.random.default_rng(seed))
+             for seed in range(10)]
+    for seed, (length, area) in enumerate(zip(*measure_polygons(polys)[:2])):
+        rep = isoperimetric_check(length, area)
         assert rep.holds and rep.equality_gap > 1e-6, seed
     report("criterion 06: disk equality to 1e-6, 10 convex polygons strict")
 

@@ -42,6 +42,31 @@ class TestSubcommands:
         assert code == 0
         assert (outdir / "stokes.csv").exists()
 
+    def test_coarse_stokes_check_exits_1(self, tmp_path, capsys):
+        # at 2048 nodes the centred-difference error of d(alpha_eps),
+        # 1.27e-5, exceeds the 1e-5 bound of both checks: a failed check,
+        # not a numerical error
+        code, _ = run(["stokes-check", "--resolution", "2048"], tmp_path)
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL stokes-mollified-weierstrass" in out
+        assert "FAIL split-chain" in out
+
+    def test_stokes_check_integrates_its_grid_form_exactly(self, tmp_path,
+                                                           monkeypatch):
+        calls = []
+        driver = chains.adaptive_quadrature
+
+        def counting(fn, *args, **kwargs):
+            calls.append(fn)
+            return driver(fn, *args, **kwargs)
+
+        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
+        code, _ = run(["stokes-check"], tmp_path)
+        assert code == 0
+        # the one driver call is the x dy oracle on the unit circle
+        assert len(calls) == 1
+
     def test_stokes_check_mollifies_once(self, tmp_path, monkeypatch):
         calls = []
         real = holderforms.inequality.mollify

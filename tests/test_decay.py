@@ -10,7 +10,6 @@ from holderforms.chains import (
     measure_polygons,
     polygon,
     polygon_boundary_integrals,
-    rectangle_disk,
 )
 from holderforms.decay import (
     LinearModel,
@@ -33,12 +32,20 @@ RECT = USRectangle((0.05, 0.05), 0.4, 0.1)
 
 
 def strip_disks(rect, n):
-    """``rectangle_disk`` of each strip ``USRectangle((x + i*w, y), w, s)``."""
+    """Corners of each strip ``USRectangle((x + i*w, y), w, s)``, in Python.
+
+    Corner ``(r, t)`` of the unit square is ``(x0 + (x1 - x0)*r,
+    y0 + (y1 - y0)*t)``, the formula of ``rectangle_corners``.
+    """
     (x, y), w = rect.corner, rect.u_len / n
     strips = [USRectangle((x + i * w, y), w, rect.s_len) for i in range(n)]
-    return [rectangle_disk(s.corner, (s.corner[0] + s.u_len,
-                                      s.corner[1] + s.s_len))
-            for s in strips]
+    out = []
+    for s in strips:
+        (x0, y0) = s.corner
+        x1, y1 = x0 + s.u_len, y0 + s.s_len
+        out.append([(x0 + (x1 - x0) * r, y0 + (y1 - y0) * t)
+                    for r, t in ((0, 0), (1, 0), (1, 1), (0, 1))])
+    return out
 
 
 class TestLinearModel:
@@ -99,7 +106,7 @@ class TestStrips:
             r = iterate_rectangle(model, RECT, k)
             sc = choose_strip_count(k, model, RECT, sigma=0.5, c1=1.0)
             for n in {1, 3, 17, sc.n or 1}:
-                expected = np.array([d.corners for d in strip_disks(r, n)])
+                expected = np.array(strip_disks(r, n))
                 assert cut_strips(r, n).tobytes() == expected.tobytes()
 
     def test_strip_count_band(self):
@@ -182,7 +189,8 @@ class TestDecaySeries:
         step = next(s for s in series.steps if s.k == k)
         reports = verify_main_inequality(
             analytic_weierstrass_form(0.5, 2, 8),
-            strip_disks(iterate_rectangle(MODEL, RECT, k), step.n),
+            [(f"strip{i}", c) for i, c in enumerate(
+                strip_disks(iterate_rectangle(MODEL, RECT, k), step.n))],
             theta=0.5, smallness_sigma=0.5, cnorm=1.0)
         assert not any(r.skipped for r in reports)
         assert step.bound == math.fsum(r.rhs_shape for r in reports)

@@ -11,10 +11,10 @@ from holderforms.chains import (
     curve_length,
     green_area,
     integrate_one_form,
-    measure_disk,
+    measure_polygons,
     polygon,
     polygon_boundary_integrals,
-    rectangle_disk,
+    rectangle_corners,
 )
 from holderforms.experiments import (
     dyadic_square_family,
@@ -181,8 +181,8 @@ class TestMainInequality:
             assert r.ratio <= 1e-8
 
     def test_smallness_filter_skips_large_disks(self, w_form, w_cnorm):
-        fam = [("big", rectangle_disk((0.0, 0.0), (0.5, 0.5))),
-               ("small", rectangle_disk((0.1, 0.1), (0.15, 0.15)))]
+        fam = [("big", rectangle_corners((0.0, 0.0), (0.5, 0.5))),
+               ("small", rectangle_corners((0.1, 0.1), (0.15, 0.15)))]
         reports = verify_main_inequality(w_form, fam, theta=0.5,
                                          smallness_sigma=0.5, cnorm=w_cnorm)
         assert reports[0].skipped
@@ -230,23 +230,24 @@ class TestExactBoundaryIntegrals:
     def test_rough_periodic_form(self, seed, x0, y0, w, h, cuts):
         form = seeded_trig_form(seed)
         sup = max(form.a1.supnorm(), form.a2.supnorm())
-        rect = rectangle_disk((x0, y0), (x0 + w, y0 + h))
-        fwd, back = polygon_boundary_integrals(
-            form, [rect.corners, rect.corners[::-1]])
-        assert abs(fwd + back) <= 1e-13 * measure_disk(rect).length * sup
+        rect = rectangle_corners((x0, y0), (x0 + w, y0 + h))
+        fwd, back = polygon_boundary_integrals(form, [rect, rect[::-1]])
+        ((length,), _, _) = measure_polygons([rect])
+        assert abs(fwd + back) <= 1e-13 * length * sup
         # strips of the rectangle telescope to the whole
         xs = np.linspace(x0, x0 + w, cuts + 1)
-        strips = [rectangle_disk((a, y0), (b, y0 + h))
-                  for a, b in zip(xs, xs[1:])]
-        parts = polygon_boundary_integrals(form, [d.corners for d in strips])
-        scale = sup * sum(measure_disk(d).length for d in strips)
+        strips = rectangle_corners(np.stack([xs[:-1], np.full(cuts, y0)], -1),
+                                   np.stack([xs[1:], np.full(cuts, y0 + h)],
+                                            -1))
+        parts = polygon_boundary_integrals(form, strips)
+        scale = sup * measure_polygons(strips)[0].sum()
         assert abs(math.fsum(parts) - fwd) <= 1e-13 * scale
         # a polygon straddling the seam x = 1 equals its copy shifted by -1
-        seam = rectangle_disk((1.0 - 0.5 * w, y0), (1.0 + 0.5 * w, y0 + h))
-        shifted = rectangle_disk((-0.5 * w, y0), (0.5 * w, y0 + h))
-        a, b = polygon_boundary_integrals(form, [seam.corners,
-                                                 shifted.corners])
-        assert abs(a - b) <= 1e-13 * measure_disk(seam).length * sup
+        seam = rectangle_corners((1.0 - 0.5 * w, y0), (1.0 + 0.5 * w, y0 + h))
+        shifted = rectangle_corners((-0.5 * w, y0), (0.5 * w, y0 + h))
+        a, b = polygon_boundary_integrals(form, [seam, shifted])
+        ((length,), _, _) = measure_polygons([seam])
+        assert abs(a - b) <= 1e-13 * length * sup
 
     def test_cli_family_matches_adaptive_quadrature(self, w_form, w_cnorm):
         fam = dyadic_square_family(range(2, 9), 8)
@@ -256,7 +257,8 @@ class TestExactBoundaryIntegrals:
                      if not r.skipped]
         assert len(unskipped) == 40
         for rep, disk in unskipped:
-            ref = abs(integrate_one_form(w_form, disk.boundary(), tol=1e-8))
+            ref = abs(integrate_one_form(w_form, polygon(list(disk)),
+                                         tol=1e-8))
             assert abs(rep.lhs - ref) <= 1e-16
 
     def test_family_makes_no_driver_call(self, w_form, w_cnorm, monkeypatch):
@@ -274,24 +276,36 @@ class TestExactBoundaryIntegrals:
         assert calls == []
 
 
+SQUARE = (0.3, 0.3), (0.5, 0.5)  # the stokes-check square
+
+
 class TestSplitCheck:
     def test_split_bounds_on_weierstrass(self, w_form, w_cnorm):
-        disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
-        chk = mollification_split_check(w_form, disk, 0.05, theta=0.5,
+        chk = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
                                         cnorm=w_cnorm, quad_tol=1e-4)
         assert chk.chain_holds
         assert chk.boundary_bound_holds
         assert chk.interior_bound_holds
 
     def test_bounds_equal_the_measured_disk_bounds(self, w_form, w_cnorm):
-        # the stokes-check square; the bounds read only length and area
-        disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
-        chk = mollification_split_check(w_form, disk, 0.05, theta=0.5,
+        # the bounds read only length and area
+        chk = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
                                         cnorm=w_cnorm, quad_tol=1e-4)
-        meas = measure_disk(disk)
-        assert chk.bound_boundary == meas.length * w_cnorm * 0.05 ** 0.5
-        assert chk.bound_interior == (meas.area * deta_l1(2) * w_cnorm
+        ((length,), (area,), _) = measure_polygons(
+            [rectangle_corners(*SQUARE)])
+        assert chk.bound_boundary == length * w_cnorm * 0.05 ** 0.5
+        assert chk.bound_interior == (area * deta_l1(2) * w_cnorm
                                       * 0.05 ** (0.5 - 1.0))
+
+    def test_split_makes_no_driver_call(self, w_form, w_cnorm, monkeypatch):
+        # both boundary terms and the interior term are exact
+        def no_driver(*args, **kwargs):
+            raise AssertionError("adaptive_quadrature was called")
+
+        monkeypatch.setattr(chains, "adaptive_quadrature", no_driver)
+        chk = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
+                                        cnorm=w_cnorm, quad_tol=1e-4)
+        assert chk.chain_holds
 
     def test_non_periodic_1d_form(self):
         # the mollified dy component lives on the eps-shrunk grid; on the
@@ -302,8 +316,7 @@ class TestSplitCheck:
         n = 4097
         a2 = GridField((0.0,), (1.0,), (n,), (False,),
                        make_weierstrass(0.5, 2, 6, n).values)
-        disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
-        chk = mollification_split_check(OneForm(None, a2, 0.5), disk, 0.05)
+        chk = mollification_split_check(OneForm(None, a2, 0.5), *SQUARE, 0.05)
         b = chk.alpha_eps.a2
         assert b.resolution[0] < n
         assert chk.alpha_eps.a1 is None
@@ -315,10 +328,9 @@ class TestSplitCheck:
         assert chk.interior_bound_holds
 
     def test_boundary_bound_scales_with_eps(self, w_form, w_cnorm):
-        disk = rectangle_disk((0.3, 0.3), (0.5, 0.5))
-        a = mollification_split_check(w_form, disk, 0.02, theta=0.5,
+        a = mollification_split_check(w_form, *SQUARE, 0.02, theta=0.5,
                                       cnorm=w_cnorm, quad_tol=1e-4)
-        b = mollification_split_check(w_form, disk, 0.08, theta=0.5,
+        b = mollification_split_check(w_form, *SQUARE, 0.08, theta=0.5,
                                       cnorm=w_cnorm, quad_tol=1e-4)
         assert b.bound_boundary == pytest.approx(2.0 * a.bound_boundary,
                                                  rel=1e-12)

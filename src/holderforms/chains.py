@@ -4,9 +4,10 @@ Curve length, Green's area and line integrals of analytic forms use
 composite Gauss-Legendre quadrature: 16 nodes per segment, panel count
 doubled until the relative change drops below 1e-8 (absolute floor 1e-10),
 at most 6 doublings; non-convergence raises with the last two values
-attached.  One scalar driver serves them all.  The composite rule is cached
-per (panels, order, interval) and its arrays are read-only, so every
-caller, ``mollify`` included, shares them safely.
+attached.  One scalar driver serves them all.  The 16-point rule is a
+literal table, so no run computes it; the composite rule is cached per
+(panels, interval) and its arrays are read-only, so every caller,
+``mollify`` included, shares them safely.
 
 A disk is a polygon, given by its corners in boundary order;
 ``rectangle_corners`` gives those of axis-aligned rectangles.  Polygons are
@@ -67,7 +68,6 @@ __all__ = [
     "green_area",
 ]
 
-QUAD_ORDER = 16
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_FLOOR = 1e-10
 MAX_DOUBLINGS = 6
@@ -85,11 +85,29 @@ class QuadratureError(RuntimeError):
         self.previous = previous
 
 
+# The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
+# weights, as ``numpy.polynomial.legendre.leggauss(16)`` gives them.  The
+# rule is symmetric, so the table is mirrored into ascending order.
+_GL_POSITIVE_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+)
+_GL_POSITIVE_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176,
+)
+_GL_NODES = np.array([-x for x in reversed(_GL_POSITIVE_NODES)]
+                     + list(_GL_POSITIVE_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_GL_POSITIVE_WEIGHTS))
+                       + list(_GL_POSITIVE_WEIGHTS))
+
+
 @lru_cache(maxsize=None)
-def _gl_rule(panels: int, order: int = QUAD_ORDER, a: float = 0.0,
-             b: float = 1.0):
-    """Composite Gauss-Legendre nodes/weights on [a, b], read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gl_rule(panels: int, a: float = 0.0, b: float = 1.0):
+    """Composite 16-point Gauss-Legendre nodes/weights on [a, b], read-only."""
+    x, w = _GL_NODES, _GL_WEIGHTS
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -24,6 +24,7 @@ import configparser
 import csv
 import math
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -256,7 +257,7 @@ def run_isoperimetric(args, cp, outdir: Path, checks: Checks) -> None:
                  rep.equality_gap])
     checks.check("isoperimetric-disk-equality", abs(rep.equality_gap) <= 1e-6,
                  f"gap={rep.equality_gap:.2e}")
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     polygons = [random_convex_polygon_vertices(rng, n_vertices=5 + i % 5)
                 for i in range(10)]
     lengths, areas, _ = measure_polygons(polygons)

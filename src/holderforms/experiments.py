@@ -15,7 +15,6 @@ __all__ = [
     "dyadic_square_family",
     "family_scale_slope",
     "random_convex_polygon_vertices",
-    "cat_map_conjugates",
 ]
 
 
@@ -75,37 +74,15 @@ def family_scale_slope(reports):
     return slope, per_scale
 
 
-def random_convex_polygon_vertices(rng: np.random.Generator,
-                                   n_vertices: int = 8,
+def random_convex_polygon_vertices(rng, n_vertices: int = 8,
                                    center=(0.0, 0.0), radius: float = 1.0):
-    """Convex polygon inscribed in a circle: sorted random angles."""
-    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n_vertices))
+    """Convex polygon inscribed in a circle: sorted random angles.
+
+    Each angle is ``2 pi rng.random()``, so ``rng`` may be a
+    ``random.Random`` or a ``numpy.random.Generator``; for the latter the
+    angles are those of ``rng.uniform(0, 2 pi, size=n_vertices)``.
+    """
+    angles = sorted(2.0 * math.pi * rng.random() for _ in range(n_vertices))
     cx, cy = center
     return [(cx + radius * math.cos(a), cy + radius * math.sin(a))
             for a in angles]
-
-
-def cat_map_conjugates(seed: int, count: int):
-    """Unimodular integer conjugates B A B^-1 of the cat map (det B = +-1)."""
-    from .dynamics import CAT_MAP
-
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        B = np.eye(2, dtype=np.int64)
-        for _ in range(rng.integers(1, 4)):
-            k = int(rng.integers(-3, 4))
-            if rng.integers(2):
-                S = np.array([[1, k], [0, 1]], dtype=np.int64)
-            else:
-                S = np.array([[1, 0], [k, 1]], dtype=np.int64)
-            B = B @ S
-        # B is a product of shears, so det B = 1 and the integer inverse is exact
-        Binv = np.round(np.linalg.inv(B.astype(float))).astype(np.int64)
-        if not np.array_equal(B @ Binv, np.eye(2, dtype=np.int64)):
-            continue
-        M = B @ CAT_MAP @ Binv
-        if np.max(np.abs(M)) > 10**6:
-            continue
-        out.append(M)
-    return out

@@ -10,9 +10,10 @@ The Holder seminorm is the exact maximum over all node pairs, found by a
 branch-and-bound over index lags: block maxima and minima bound the largest
 difference at every lag, and only the lags whose bound can still beat the
 running best are evaluated exactly (88 of 2047 on the 2048-node Weierstrass
-field).  It is deterministic and a *lower* bound for the seminorm of the
-sampled function; callers that need upper bounds multiply by a declared
-slack factor (default 1.05).
+field).  It is deterministic.  In 1-D it is the seminorm of the
+piecewise-linear interpolant exactly; in 2-D it is only a *lower* bound for
+that of the bilinear interpolant, and callers that need upper bounds
+multiply by a declared slack factor (default 1.05).
 
 A function of the first coordinate alone is stored as its 1-D field;
 ``chains`` reads it at planar points through their x coordinate, so the
@@ -212,8 +213,14 @@ class HolderEstimate:
     """sup|f| and the theta-Holder seminorm over grid nodes.
 
     ``seminorm`` is the exact maximum over all node pairs (or over the
-    pairs given), so it is a lower bound for the seminorm of the sampled
-    function; ``cnorm == supnorm + seminorm`` exactly.
+    pairs given).  Over all pairs of a 1-D field it is the seminorm of the
+    piecewise-linear interpolant exactly: with one point fixed, the ratio
+    is quasi-convex in the other on each cell (a linear difference over a
+    concave power of the distance), so its supremum is reached at nodes.
+    In 2-D it is only a lower bound for the seminorm of the bilinear
+    interpolant: on the one-cell field ``xy`` at theta = 1 the node maximum
+    is 1, while pairs on the diagonal near (1, 1) approach sqrt(2).
+    ``cnorm == supnorm + seminorm`` exactly.
     """
 
     theta: float
@@ -357,12 +364,14 @@ def holder_seminorm(f: GridField, theta: float, pairs=None) -> HolderEstimate:
     """H_theta(f) = max |f(x)-f(y)| / d(x,y)^theta, exact over all node pairs.
 
     The result is the exact maximum over all node pairs (the duplicate
-    periodic endpoint included), so it is deterministic and a lower bound
-    for the seminorm of the sampled function.  It is found by a
-    branch-and-bound over index lags (``_lag_scan``): block maxima and
-    minima bound every lag, in work quadratic in the number of blocks, and
-    only the lags whose bound can still win are evaluated exactly, O(N)
-    array work each for N nodes.  An explicit ``pairs`` array (shape (m, 2) of flat node indices) restricts
+    periodic endpoint included), so it is deterministic; in 1-D it is the
+    seminorm of the piecewise-linear interpolant exactly, and in 2-D a
+    lower bound for that of the bilinear interpolant (see
+    :class:`HolderEstimate`).  It is found by a branch-and-bound over index
+    lags (``_lag_scan``): block maxima and minima bound every lag, in work
+    quadratic in the number of blocks, and only the lags whose bound can
+    still win are evaluated exactly, O(N) array work each for N nodes.  An
+    explicit ``pairs`` array (shape (m, 2) of flat node indices) restricts
     the maximum to those pairs, which makes the monotonicity-under-
     refinement property directly testable.  A pair's distance is that of
     its index lag, the same float the scan divides by, so ``pairs`` listing

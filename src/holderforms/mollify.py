@@ -46,7 +46,6 @@ __all__ = [
 
 QUAD_TOL = 1e-8  # declared tolerance on kernel-mass quadrature
 KERNEL_PANELS = 120  # composite GL rule for the kernel mass
-KERNEL_ORDER = 16
 
 
 def _bump(r2: np.ndarray) -> np.ndarray:
@@ -63,11 +62,11 @@ def normalization_constant(n: int) -> float:
     """A = 1 / integral of exp(1/(|x|^2-1)) over the unit ball in R^n."""
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    x, w = _gl_rule(KERNEL_PANELS, KERNEL_ORDER, -1.0, 1.0)
+    x, w = _gl_rule(KERNEL_PANELS, -1.0, 1.0)
     if n == 1:
         integral = float(np.sum(w * _bump(x * x)))
     else:
-        r, wr = _gl_rule(KERNEL_PANELS, KERNEL_ORDER, 0.0, 1.0)
+        r, wr = _gl_rule(KERNEL_PANELS, 0.0, 1.0)
         integral = float(2.0 * np.pi * np.sum(wr * _bump(r * r) * r))
     return 1.0 / integral
 

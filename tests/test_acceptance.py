@@ -12,7 +12,6 @@ import pytest
 
 from holderforms.chains import (
     OneForm,
-    _gl_rule,
     circle,
     curve_length,
     exterior_derivative,
@@ -34,7 +33,6 @@ from holderforms.dynamics import (
 )
 from holderforms.experiments import (
     analytic_weierstrass_form,
-    cat_map_conjugates,
     dyadic_square_family,
     family_scale_slope,
     random_convex_polygon_vertices,
@@ -60,6 +58,8 @@ from holderforms.mollify import (
     normalization_constant,
     verify_regularization,
 )
+
+from helpers import cat_map_conjugates
 
 
 EPSILONS = (0.02, 0.05, 0.1)
@@ -91,7 +91,7 @@ def test_c01_mollifier_normalization():
         for eps in EPSILONS:
             w = discrete_kernel(1.0 / 1024, eps, n)
             assert discrete_kernel_mass(w) == 1.0, (n, eps)
-    t, gw = _gl_rule(1, 400, -1.0, 1.0)  # the 400-point rule, cached
+    t, gw = np.polynomial.legendre.leggauss(400)
     for n in (1, 2):
         A = normalization_constant(n)
         if n == 1:

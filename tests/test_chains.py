@@ -41,9 +41,9 @@ def constant_field(c):
                      np.full((2, 2), c))
 
 
-def _fresh_gl_rule(panels, order, a, b):
-    """Reference composite Gauss-Legendre rule, rebuilt on every call."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _fresh_gl_rule(panels, a, b):
+    """Reference composite 16-point rule from the table, rebuilt per call."""
+    x, w = chains._GL_NODES, chains._GL_WEIGHTS
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -51,19 +51,40 @@ def _fresh_gl_rule(panels, order, a, b):
             (half[:, None] * w[None, :]).ravel())
 
 
+class TestGLTable:
+    def test_symmetric_exactly(self):
+        x, w = chains._GL_NODES, chains._GL_WEIGHTS
+        assert x.shape == w.shape == (16,)
+        assert np.all(np.diff(x) > 0.0)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+
+    def test_integrates_monomials_to_degree_31(self):
+        x, w = chains._GL_NODES, chains._GL_WEIGHTS
+        for k in range(32):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(w * x ** k) - want) <= 1e-15, k
+
+    def test_matches_leggauss_to_one_ulp(self):
+        # bit-equal with numpy 2.4's leggauss; another LAPACK may round
+        # the eigenvalues differently
+        x, w = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_array_max_ulp(chains._GL_NODES, x, maxulp=1)
+        np.testing.assert_array_max_ulp(chains._GL_WEIGHTS, w, maxulp=1)
+
+
 class TestGLRule:
-    @pytest.mark.parametrize("panels, order, a, b", [
-        (1, 16, 0.0, 1.0), (64, 16, 0.0, 1.0), (120, 16, -1.0, 1.0),
-        (160, 12, 0.0, 1.0)])
-    def test_cached_rule_matches_fresh_rule_bitwise(self, panels, order, a, b):
-        nodes, weights = _gl_rule(panels, order, a, b)
-        ref_nodes, ref_weights = _fresh_gl_rule(panels, order, a, b)
+    @pytest.mark.parametrize("panels, a, b", [
+        (1, 0.0, 1.0), (64, 0.0, 1.0), (120, -1.0, 1.0), (160, 0.0, 1.0)])
+    def test_cached_rule_matches_fresh_rule_bitwise(self, panels, a, b):
+        nodes, weights = _gl_rule(panels, a, b)
+        ref_nodes, ref_weights = _fresh_gl_rule(panels, a, b)
         assert nodes.tobytes() == ref_nodes.tobytes()
         assert weights.tobytes() == ref_weights.tobytes()
 
     def test_second_call_returns_same_arrays(self):
-        first = _gl_rule(8, 16, 0.0, 1.0)
-        second = _gl_rule(8, 16, 0.0, 1.0)
+        first = _gl_rule(8, 0.0, 1.0)
+        second = _gl_rule(8, 0.0, 1.0)
         assert first[0] is second[0]
         assert first[1] is second[1]
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -167,19 +168,48 @@ class TestNumericalErrors:
         assert "k=0; N=2" in err
 
 
+HEAVY_MODULES = ("scipy", "numpy.random", "numpy.polynomial")
+
+# Runs each subcommand at its defaults, in turn, through cli.main; prints,
+# per subcommand, its exit code and the modules named in argv loaded so far.
+RUN_ALL = """
+import contextlib, io, json, sys
+import holderforms.cli as cli
+heavy = set(sys.argv[2:])
+seen = {}
+for cmd in cli.FLAGS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([cmd, "--outdir", sys.argv[1]])
+    seen[cmd] = [rc, sorted(heavy & set(sys.modules))]
+print(json.dumps(seen))
+"""
+
+
+def run_fresh(code, *args):
+    """stdout of ``code`` run in a fresh interpreter that imports src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    return out.stdout
+
+
 class TestImports:
     def test_cli_import_loads_no_heavy_module(self):
         # set-up time is a gated benchmark metric; these would add to it
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, holderforms.cli; print(sorted({'scipy', "
-                "'numpy.random', 'numpy.polynomial'} & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=120)
-        assert out.stdout.strip() == "[]"
+        code = ("import sys, holderforms.cli; "
+                "print(sorted(set(sys.argv[1:]) & set(sys.modules)))")
+        assert run_fresh(code, *HEAVY_MODULES).strip() == "[]"
+
+    def test_no_subcommand_loads_a_heavy_module(self, tmp_path):
+        # every run is a new process: the GL rule is a table and the
+        # polygons are drawn by the stdlib, so neither numpy.polynomial nor
+        # numpy.random is loaded
+        seen = json.loads(run_fresh(RUN_ALL, str(tmp_path), *HEAVY_MODULES))
+        assert seen == {cmd: [0, []] for cmd in holderforms.cli.FLAGS}
 
 
 # The flags each runner reads, besides --config, --outdir and --seed, and a

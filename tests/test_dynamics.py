@@ -16,7 +16,7 @@ from holderforms.dynamics import (
     standard_holder_bound,
     toral_automorphism,
 )
-from holderforms.experiments import cat_map_conjugates
+from helpers import cat_map_conjugates
 
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0  # larger cat-map eigenvalue

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -112,6 +113,38 @@ class TestHolderSeminorm:
         f = linear_field(65)
         est = holder_seminorm(f, 1.0)
         assert est.cnorm == pytest.approx(est.supnorm + est.seminorm)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_1d_node_maximum_is_the_interpolant_seminorm(self, seed):
+        # no pair among 400 off-grid points and the nodes beats the node
+        # maximum of the piecewise-linear interpolant
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 41))
+        theta = float(rng.uniform(0.1, 0.95))
+        periodic = seed % 2 == 1
+        vals = rng.standard_normal(n)
+        if periodic:
+            vals[-1] = vals[0]
+        f = GridField((0.0,), (1.0,), (n,), (periodic,), vals)
+        est = holder_seminorm(f, theta).seminorm
+        x = np.concatenate([rng.uniform(0.0, 1.0, 400),
+                            np.linspace(0.0, 1.0, n)])[:, None]
+        v = f.evaluate(x)
+        d = f.distance(x[:, None, :], x[None, :, :])
+        apart = d > 0.0
+        ratio = np.abs(v[:, None] - v[None, :])[apart] / d[apart] ** theta
+        assert np.max(ratio) <= est * (1.0 + 1e-12)
+
+    def test_2d_node_maximum_is_a_lower_bound(self):
+        # xy on one cell: the node pairs give 1 at theta = 1, but the
+        # gradient (1, 1) at the corner (1, 1) has length sqrt(2)
+        f = GridField((0.0, 0.0), (1.0, 1.0), (2, 2), (False, False),
+                      np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert holder_seminorm(f, 1.0).seminorm == 1.0
+        t = 1.0 - 1e-6
+        ratio = ((f.evaluate([1.0, 1.0]) - f.evaluate([t, t]))
+                 / f.distance(np.array([1.0, 1.0]), np.array([t, t])))
+        assert float(ratio[0]) == pytest.approx(math.sqrt(2.0), rel=1e-5)
 
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(0.1, 50.0), seed=st.integers(0, 10))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -118,6 +119,28 @@ class TestIsoperimetric:
             rep = isoperimetric_check(curve_length(c), abs(green_area(c)))
             assert rep.holds
             assert rep.equality_gap > 1e-6
+
+    def test_generator_gives_the_uniform_angles_bitwise(self):
+        # the polygons of the numpy formula the draw replaced: a Generator
+        # still gives them bit for bit
+        for seed in range(20):
+            for n in range(3, 13):
+                rng = np.random.default_rng(seed)
+                angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
+                want = [(0.0 + 1.0 * math.cos(a), 0.0 + 1.0 * math.sin(a))
+                        for a in angles]
+                got = random_convex_polygon_vertices(
+                    np.random.default_rng(seed), n)
+                assert (np.array(got).tobytes()
+                        == np.array(want).tobytes()), (seed, n)
+
+    def test_stdlib_random_repeats_its_polygons(self):
+        for seed in range(20):
+            first = [random_convex_polygon_vertices(random.Random(seed), n)
+                     for n in range(3, 13)]
+            again = [random_convex_polygon_vertices(random.Random(seed), n)
+                     for n in range(3, 13)]
+            assert first == again, seed
 
     def test_dimension_guard(self):
         # only the planar constant is implemented

@@ -6,7 +6,8 @@ seed gives byte-identical CSVs.  Exit codes:
 
 * 0: every assertion passed;
 * 1: an assertion failed;
-* 2: configuration error (``config error: ...`` on stderr);
+* 2: configuration error (``config error: ...`` on stderr), or a command
+  line that does not parse (the usage and ``holderforms: error: ...``);
 * 3: numerical error, i.e. quadrature that did not converge, a grid too
   coarse for its form, an eigenvalue modulus too close to 1 to classify,
   or a decay strip count too small for the smallness threshold
@@ -15,18 +16,24 @@ seed gives byte-identical CSVs.  Exit codes:
 Config files are INI-style; command-line flags override config values.
 The output directory can also be set via the HOLDERFORMS_OUTDIR
 environment variable (flag > config > env > default).
+
+``parse_args`` reads the command line from the ``FLAGS`` table, by
+argparse's rules (``--flag value`` or ``--flag=value``, unique prefixes,
+``-h``/``--help``, ``--version``) but without building a parser, so a run
+does not import argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import csv
 import math
 import os
 import random
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -231,6 +238,11 @@ def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
     family = dyadic_square_family(range(j_min, j_max + 1), anchors)
     reports = verify_main_inequality(alpha, family, theta=theta,
                                      smallness_sigma=sigma)
+    try:
+        slope, per_scale = family_scale_slope(reports)
+    except ValueError as exc:
+        raise ConfigError(f"j = {j_min}..{j_max} at sigma = {sigma:g}: "
+                          f"{exc}") from exc
     write_csv(outdir / "inequality.csv",
               ["disk_id", "length", "area", "diameter", "lhs", "rhs_shape",
                "ratio", "eps_star", "skipped"],
@@ -238,7 +250,6 @@ def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
     emp_k = max(r.empirical_k for r in reports)
     checks.check("empirical-K-finite", math.isfinite(emp_k) and emp_k > 0.0,
                  f"K={emp_k:.4f}")
-    slope, per_scale = family_scale_slope(reports)
     checks.check("scale-slope", slope <= 0.1, f"slope={slope:.4f}")
     if args.svg:
         js = sorted(per_scale)
@@ -282,9 +293,10 @@ def run_criteria(args, cp, outdir: Path, checks: Checks) -> None:
                           "(row-major)")
     theta = _theta_open("theta", cfg_get(cp, "matrix", "theta", float, 0.5,
                                          args.theta))
-    ell = int(cfg_get(cp, "matrix", "ell", int, 0, args.ell))
-    extra = int(cfg_get(cp, "matrix", "extra_center_dims", int, 0,
-                        args.extra_center_dims))
+    ell = _at_least("ell", cfg_get(cp, "matrix", "ell", int, 0, args.ell), 0)
+    extra = _at_least("extra_center_dims",
+                      cfg_get(cp, "matrix", "extra_center_dims", int, 0,
+                              args.extra_center_dims), 0)
     A = _config_call(toral_automorphism, np.array(entries).reshape(n, n))
     rates = spectral_rates(A, extra_center_dims=extra)
     print(f"rates: lambda_u={rates.lambda_u} m_u={rates.m_u} "
@@ -363,6 +375,12 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
     series = decay_bound_series(sampled, model, rect, theta,
                                 range(k_min, k_max + 1), sigma,
                                 c1=c1, k_emp=k_emp, cnorm=cnorm)
+    if len(series.steps) < 2:
+        skipped = ", ".join(map(str, series.skipped_k)) or "none"
+        raise ConfigError(
+            f"k = {k_min}..{k_max} gives {len(series.steps)} admissible "
+            f"step(s) and a rate needs two; pre-asymptotic k skipped: "
+            f"{skipped}")
     write_csv(outdir / "decay.csv",
               ["k", "n_strips", "bound", "ratio_to_previous",
                "predicted_rate"], series.csv_rows())
@@ -401,8 +419,8 @@ RUNNERS = {
 
 
 # The flags each runner reads, with their types (bool: a switch), besides
-# --config, --outdir and --seed, which every subcommand takes; argparse
-# rejects any other flag with exit 2.
+# the COMMON_FLAGS, which every subcommand takes; parse_args rejects any
+# other flag with exit 2.
 FLAGS = {
     "mollify-check": {"theta": float, "resolution": int},
     "stokes-check": {"theta": float, "resolution": int},
@@ -415,30 +433,174 @@ FLAGS = {
     "decay": {"theta": float, "sigma": float, "mu": float, "nu": float,
               "k-max": int, "svg": bool},
 }
+COMMON_FLAGS = {"config": str, "outdir": str, "seed": int}
+
+PROG = "holderforms"
+DESCRIPTION = ("Desk-scale verifiers for the Holder-form boundary "
+               "inequality and its dynamical\nrate criteria.")
+# The kinds of -h/--help and --version; like the bool switches they take
+# no value.  -h is the only single-dash flag.
+HELP, VERSION = "help", "version"
+_NO_VALUE = (bool, HELP, VERSION)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="holderforms",
-        description="Desk-scale verifiers for the Holder-form boundary "
-                    "inequality and its dynamical rate criteria.")
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, flags in FLAGS.items():
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--outdir", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        for flag, kind in flags.items():
-            if kind is bool:
-                sp.add_argument(f"--{flag}", action="store_true")
-            else:
-                sp.add_argument(f"--{flag}", type=kind)
-    return p
+def _usage(command):
+    """The usage line, wrapped at 78 columns as argparse wraps it."""
+    if command is None:
+        prog = PROG
+        words = ["[-h]", "[--version]", "{" + ",".join(FLAGS) + "}", "..."]
+    else:
+        prog = f"{PROG} {command}"
+        words = ["[-h]"] + [
+            f"[--{flag}]" if kind is bool
+            else f"[--{flag} {flag.upper().replace('-', '_')}]"
+            for flag, kind in {**COMMON_FLAGS, **FLAGS[command]}.items()]
+    lines = [f"usage: {prog}"]
+    indent = len(lines[0])
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) > 78 and len(lines[-1]) > indent:
+            lines.append(" " * indent)
+        lines[-1] += " " + word
+    return "\n".join(lines) + "\n"
+
+
+def _print_and_exit(text):
+    sys.stdout.write(text)
+    sys.exit(0)
+
+
+def _fail(command, message):
+    prog = PROG if command is None else f"{PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    sys.exit(2)
+
+
+def _match(arg, options, command):
+    """Read one argument against ``options`` (option string -> type).
+
+    Returns None for a positional, ``(None, None)`` for an unknown flag and
+    ``(option, value)`` otherwise, ``value`` being the text after ``=`` (or
+    after ``-h``), if any.  A ``--`` flag may be shortened to any prefix
+    that names one flag; a prefix that names several is an error.
+    """
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in options:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in options:
+        return name, value
+    if arg[1] == "-":
+        hits = [(o, value if eq else None) for o in options
+                if o.startswith(name)]
+    else:
+        hits = [("-h", arg[2:])] if arg.startswith("-h") else []
+    if len(hits) > 1:
+        _fail(command, f"ambiguous option: {arg} could match "
+                       + ", ".join(o for o, _ in hits))
+    if hits:
+        return hits[0]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _flag_value(command, option, kind, value):
+    """The value of one flag; a switch, -h or --version returns True."""
+    if kind in _NO_VALUE:
+        if option == "-h" and value:
+            value = value.lstrip("h") or None  # -hh is -h given twice
+        if value is None:
+            return True
+        name = "-h/--help" if kind == HELP else option
+        _fail(command, f"argument {name}: "
+                       f"ignored explicit argument {value!r}")
+    try:
+        return kind(value)
+    except ValueError:
+        _fail(command, f"argument {option}: "
+                       f"invalid {kind.__name__} value: {value!r}")
+
+
+def _scan(argv, options, command, extras):
+    """Yield ``(option, value)`` for each flag of ``argv``, in order.
+
+    A positional yields ``(None, index)``; a flag that ``options`` lacks
+    goes to ``extras``.  After ``--`` every argument is a positional.
+    """
+    stop = argv.index("--") if "--" in argv else len(argv)
+    # every flag is read before any is acted on, so an ambiguous prefix
+    # is an error wherever it stands
+    matches = [_match(arg, options, command) for arg in argv[:stop]]
+    matches += [None] * (len(argv) - stop)
+    i = 0
+    while i < len(argv):
+        match = matches[i]
+        i += 1
+        if match is None:
+            yield None, i - 1
+        elif match[0] is None:
+            extras.append(argv[i - 1])
+        else:
+            option, value = match
+            kind = options[option]
+            if value is None and kind not in _NO_VALUE:
+                if i == len(argv) or i == stop or matches[i] is not None:
+                    _fail(command,
+                          f"argument {option}: expected one argument")
+                value = argv[i]
+                i += 1
+            yield option, _flag_value(command, option, kind, value)
+
+
+def parse_args(argv):
+    """Parse ``holderforms [--version] COMMAND [flags]`` as argparse would.
+
+    Returns a namespace with ``command``, the ``COMMON_FLAGS`` and the
+    command's ``FLAGS`` (dashes become underscores), unset flags being
+    None, or False for a switch.  Flags are ``--flag value`` or
+    ``--flag=value``, may be shortened to a unique prefix and may repeat
+    (the last wins).  ``-h``/``--help`` and ``--version`` print and exit 0;
+    any other misuse prints the usage and an error and exits 2.
+    """
+    extras = []
+    top = {"-h": HELP, "--help": HELP, "--version": VERSION}
+    for option, value in _scan(argv, top, None, extras):
+        if option is None:
+            # the command, unless it is a trailing "--"
+            if argv[value] != "--" or value + 1 < len(argv):
+                command, rest = argv[value], argv[value + 1:]
+                break
+            extras.append("--")
+        elif top[option] == HELP:
+            _print_and_exit(f"{_usage(None)}\n{DESCRIPTION}\n")
+        else:
+            _print_and_exit(f"{__version__}\n")
+    else:
+        _fail(None, "the following arguments are required: command")
+    if command not in FLAGS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, FLAGS))})")
+    kinds = {**COMMON_FLAGS, **FLAGS[command]}
+    options = {"-h": HELP, "--help": HELP,
+               **{f"--{flag}": kind for flag, kind in kinds.items()}}
+    args = {flag.replace("-", "_"): False if kind is bool else None
+            for flag, kind in kinds.items()}
+    for option, value in _scan(rest, options, command, extras):
+        if option is None:
+            extras.append(rest[value])
+        elif options[option] == HELP:
+            _print_and_exit(f"{_usage(command)}\n{DESCRIPTION}\n")
+        else:
+            args[option[2:].replace("-", "_")] = value
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         cp = load_config(args.config)
         args.seed = int(cfg_get(cp, "common", "seed", int, 0, args.seed))

@@ -6,12 +6,11 @@ import math
 
 import numpy as np
 
-from .grids import make_weierstrass, weierstrass_callable
+from .grids import make_weierstrass
 from .chains import OneForm, rectangle_corners
 
 __all__ = [
     "weierstrass_form",
-    "analytic_weierstrass_form",
     "dyadic_square_family",
     "family_scale_slope",
     "random_convex_polygon_vertices",
@@ -27,13 +26,6 @@ def weierstrass_form(theta: float, base: int = 2, terms: int = 8,
     """
     return OneForm(None, make_weierstrass(theta, base, terms, resolution),
                    theta)
-
-
-def analytic_weierstrass_form(theta: float, base: int = 2,
-                              terms: int = 8) -> OneForm:
-    """Exact-evaluator counterpart of :func:`weierstrass_form` (oracle use)."""
-    w = weierstrass_callable(theta, base, terms)
-    return OneForm(None, lambda pts: w(pts[..., 0]), theta)
 
 
 def dyadic_square_family(j_range=range(2, 9), anchors: int = 8):
@@ -67,7 +59,8 @@ def family_scale_slope(reports):
         per_scale[j] = max(per_scale.get(j, 0.0), rep.ratio)
     js = sorted(per_scale)
     if len(js) < 2:
-        raise ValueError("need at least two scales to fit a slope")
+        raise ValueError("need at least two scales with an unskipped square "
+                         f"to fit a slope, got j = {js}")
     log_r = np.array([-j * math.log(2.0) for j in js])
     log_ratio = np.log([per_scale[j] for j in js])
     slope = float(np.polyfit(log_r, log_ratio, 1)[0])

@@ -2,7 +2,16 @@
 
 import numpy as np
 
+from holderforms.chains import OneForm
 from holderforms.dynamics import CAT_MAP
+from holderforms.grids import weierstrass_callable
+
+
+def analytic_weierstrass_form(theta: float, base: int = 2,
+                              terms: int = 8) -> OneForm:
+    """Exact-evaluator counterpart of ``experiments.weierstrass_form``."""
+    w = weierstrass_callable(theta, base, terms)
+    return OneForm(None, lambda pts: w(pts[..., 0]), theta)
 
 
 def cat_map_conjugates(seed: int, count: int):

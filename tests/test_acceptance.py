@@ -32,7 +32,6 @@ from holderforms.dynamics import (
     toral_automorphism,
 )
 from holderforms.experiments import (
-    analytic_weierstrass_form,
     dyadic_square_family,
     family_scale_slope,
     random_convex_polygon_vertices,
@@ -59,7 +58,7 @@ from holderforms.mollify import (
     verify_regularization,
 )
 
-from helpers import cat_map_conjugates
+from helpers import analytic_weierstrass_form, cat_map_conjugates
 
 
 EPSILONS = (0.02, 0.05, 0.1)

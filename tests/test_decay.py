@@ -20,11 +20,10 @@ from holderforms.decay import (
     decay_bound_series,
     iterate_rectangle,
 )
-from holderforms.experiments import (
-    analytic_weierstrass_form,
-    weierstrass_form,
-)
+from holderforms.experiments import weierstrass_form
 from holderforms.inequality import verify_main_inequality
+
+from helpers import analytic_weierstrass_form
 
 
 MODEL = LinearModel(1.5, 0.4)

@@ -7,15 +7,18 @@ sigma, sum the per-strip right-hand sides of the main inequality, and check
 that the summed bound decays geometrically at rate mu * nu^theta.
 
 Only |dD| and |D| enter that right-hand side.  ``cut_strips`` gives the
-corners of all strips as one ``(N, 4, 2)`` array, and ``measure_polygons``
-measures them in one call, in closed form, with the same formulas the
-family verifier uses; the strip diameter is the rectangle diagonal.  The
-telescoping check integrates the form over every strip boundary and over
-the whole iterate's boundary (``cut_strips(rect, 1)``) with
-``polygon_boundary_integrals``, from the same corners.  The CLI passes the
-grid-sampled form whose C^theta norm and family constant scale the bound,
-so those integrals are exact up to rounding and take no quadrature; an
-analytic form is integrated edge by edge with the adaptive driver.
+corners of all strips of an iterate as one ``(N, 4, 2)`` array, and
+``measure_polygons`` measures strips in closed form, with the same formulas
+the family verifier uses; the strip diameter is the rectangle diagonal.
+The telescoping check integrates the form over every strip boundary and
+over the whole iterate's boundary (``cut_strips(rect, 1)``) with
+``polygon_boundary_integrals``, from the same corners.  ``decay_bound_series``
+feeds the strips of all its steps to both in batches of at most
+``STRIP_CHUNK``, so a step of any size costs bounded memory and many small
+steps share one call.  The CLI passes the grid-sampled form whose C^theta
+norm and family constant scale the bound, so those integrals are exact up
+to rounding and take no quadrature; an analytic form is integrated edge by
+edge with the adaptive driver.
 
 Form invariance is NOT assumed; the experiment certifies the decay of the
 upper bound and the telescoping identity, which is what the argument needs.
@@ -25,12 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .chains import (
     OneForm, measure_polygons, polygon_boundary_integrals, rectangle_corners,
 )
+from .experiments import least_squares_slope
 
 __all__ = [
     "LinearModel",
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 OVERFLOW_EDGE = 1e12
+STRIP_CHUNK = 1 << 14    # strips per measure_polygons / integrals call
 
 
 class SmallnessError(RuntimeError):
@@ -119,12 +125,31 @@ def cut_strips(rect: USRectangle, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    return _strip_corners(rect, N, 0, N)
+
+
+def _strip_corners(rect: USRectangle, N: int, start: int,
+                   stop: int) -> np.ndarray:
+    """``cut_strips(rect, N)[start:stop]``, computed for those strips only."""
     x, y = rect.corner
     width = rect.u_len / N
-    x_i = x + np.arange(N) * width
-    lo = np.stack([x_i, np.full(N, y)], axis=-1)
-    hi = np.stack([x_i + width, np.full(N, y + rect.s_len)], axis=-1)
+    x_i = x + np.arange(start, stop) * width
+    lo = np.stack([x_i, np.full(len(x_i), y)], axis=-1)
+    hi = np.stack([x_i + width, np.full(len(x_i), y + rect.s_len)], axis=-1)
     return rectangle_corners(lo, hi)
+
+
+def _batches(cuts):
+    """The strips of ``cut_strips(rect, n)`` for each ``(rect, n)`` of
+    ``cuts``, one cut after another, in batches of at most ``STRIP_CHUNK``
+    strips: pairs of the index of a batch's first strip and its corners."""
+    starts = [0, *accumulate(n for _, n in cuts)]
+    for first in range(0, starts[-1], STRIP_CHUNK):
+        stop = first + STRIP_CHUNK
+        parts = [_strip_corners(rect, n, max(first - s, 0), min(stop - s, n))
+                 for (rect, n), s in zip(cuts, starts)
+                 if s < stop and s + n > first]
+        yield first, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -179,10 +204,8 @@ class DecaySeries:
         tail = self.steps[-3:]
         if len(tail) < 2:
             raise ValueError("need at least two admissible steps to fit a rate")
-        ks = np.array([s.k for s in tail], dtype=float)
-        logs = np.log([s.bound for s in tail])
-        slope = np.polyfit(ks, logs, 1)[0]
-        return float(np.exp(slope))
+        return math.exp(least_squares_slope([s.k for s in tail],
+                                            [math.log(s.bound) for s in tail]))
 
     def consecutive_ratios(self):
         return [b.bound / a.bound for a, b in zip(self.steps, self.steps[1:])
@@ -211,42 +234,71 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
     they scale the reported bound but not the fitted rate.
 
     Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only;
-    ``measure_polygons`` gives the lengths, areas and diameters of all
-    strips of a step in closed form from the ``cut_strips`` corners.  A
-    closed curve has ``diam <= |dD|/2``, so the smallness filter is the
-    length test ``|dD| < sigma``.  The powers are taken on Python floats,
-    one strip at a time, so every value is the one a per-strip loop gives.
+    ``measure_polygons`` gives the lengths, areas and diameters of the
+    ``cut_strips`` strips in closed form.  A closed curve has
+    ``diam <= |dD|/2``, so the smallness filter is the length test
+    ``|dD| < sigma``.
+
+    The run plans every admissible step first, then measures the strips of
+    all steps, in k order, in batches of at most ``STRIP_CHUNK`` strips,
+    and applies the smallness filter step by step before it takes any
+    integral.  It then integrates over the strips and the whole iterates
+    in batches of the same size.  A step that cannot be planned (say, its
+    iterate overflows) raises after the smallness filter of the steps
+    before it, so errors come in k order.  The batch boundaries cannot
+    move any value: every per-polygon sum runs over that polygon's own
+    vertices or edges only, ``lhs_sum`` is a ``math.fsum``, and the powers
+    are taken on Python floats, one strip at a time, so every field is the
+    one a per-step, per-strip loop gives, bit for bit.
     """
     if cnorm <= 0.0:
         raise ValueError("cnorm must be positive")
-    steps = []
-    skipped = []
+    plan, skipped, failed = [], [], None
     for k in k_range:
-        sc = choose_strip_count(k, model, rect, sigma, c1)
-        if not sc.admissible:
-            skipped.append(k)
-            continue
-        rect_k = iterate_rectangle(model, rect, k)
-        strips = cut_strips(rect_k, sc.n)
-        length, area, diameter = measure_polygons(strips)
-        if (length >= sigma).any():  # diam <= |dD|/2 < |dD|
-            raise SmallnessError(k, sc.n, float(length.max()), sigma)
-        rhs_shapes = [ln ** (1.0 - theta) * ar ** theta
-                      for ln, ar in zip(length.tolist(), area.tolist())]
-        bound = k_emp * cnorm * math.fsum(rhs_shapes)
-        lhs_sum = math.fsum(polygon_boundary_integrals(alpha, strips,
-                                                       quad_tol))
-        (lhs_whole,) = polygon_boundary_integrals(alpha, cut_strips(rect_k, 1),
-                                                  quad_tol)
+        try:
+            sc = choose_strip_count(k, model, rect, sigma, c1)
+            if not sc.admissible:
+                skipped.append(k)
+                continue
+            rect_k = iterate_rectangle(model, rect, k)
+            if sc.n < 1:
+                raise ValueError("N must be >= 1")
+        except (OverflowError, ValueError) as exc:
+            failed = exc
+            break
+        plan.append((sc, rect_k))
+    cuts = [(rect_k, sc.n) for sc, rect_k in plan]
+    spans = [slice(stop - n, stop)
+             for (_, n), stop in zip(cuts, accumulate(n for _, n in cuts))]
+    total = spans[-1].stop if spans else 0
+    # allocated before any batch, so a run too large to hold fails at once
+    measures = np.empty((3, total))  # length, area, diameter of each strip
+    lhs = np.empty(total + len(plan))  # each strip, then each whole iterate
+    for first, corners in _batches(cuts):
+        measures[:, first:first + len(corners)] = measure_polygons(corners)
+    length, area, diameter = measures
+    for (sc, _), span in zip(plan, spans):
+        if (length[span] >= sigma).any():  # diam <= |dD|/2 < |dD|
+            raise SmallnessError(sc.k, sc.n, float(length[span].max()), sigma)
+    if failed is not None:
+        raise failed
+    for first, corners in _batches(cuts + [(r, 1) for _, r in plan]):
+        lhs[first:first + len(corners)] = polygon_boundary_integrals(
+            alpha, corners, quad_tol)
+    steps, length_power = [], 1.0 - theta
+    for j, ((sc, _), span) in enumerate(zip(plan, spans)):
+        rhs_shapes = [ln ** length_power * ar ** theta
+                      for ln, ar in zip(length[span].tolist(),
+                                        area[span].tolist())]
         steps.append(DecayStep(
-            k=k,
+            k=sc.k,
             n0=sc.n0,
             n=sc.n,
-            strip_boundary_max=float(length.max()),
-            strip_diameter_max=float(diameter.max()),
-            bound=bound,
-            lhs_sum=lhs_sum,
-            lhs_whole=lhs_whole,
+            strip_boundary_max=float(length[span].max()),
+            strip_diameter_max=float(diameter[span].max()),
+            bound=k_emp * cnorm * math.fsum(rhs_shapes),
+            lhs_sum=math.fsum(lhs[span].tolist()),
+            lhs_whole=float(lhs[total + j]),
         ))
     return DecaySeries(
         theta=theta, sigma=sigma, c1=c1, k_emp=k_emp, cnorm=cnorm,

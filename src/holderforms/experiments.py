@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .grids import make_weierstrass
 from .chains import OneForm, rectangle_corners
 
@@ -13,6 +11,7 @@ __all__ = [
     "weierstrass_form",
     "dyadic_square_family",
     "family_scale_slope",
+    "least_squares_slope",
     "random_convex_polygon_vertices",
 ]
 
@@ -61,10 +60,28 @@ def family_scale_slope(reports):
     if len(js) < 2:
         raise ValueError("need at least two scales with an unskipped square "
                          f"to fit a slope, got j = {js}")
-    log_r = np.array([-j * math.log(2.0) for j in js])
-    log_ratio = np.log([per_scale[j] for j in js])
-    slope = float(np.polyfit(log_r, log_ratio, 1)[0])
+    slope = least_squares_slope([-j * math.log(2.0) for j in js],
+                                [math.log(per_scale[j]) for j in js])
     return slope, per_scale
+
+
+def least_squares_slope(x, y) -> float:
+    """Slope of the least-squares line through the points ``(x_i, y_i)``.
+
+    The closed form ``sum (x_i - mx)(y_i - my) / sum (x_i - mx)^2`` about
+    the means ``mx`` and ``my``, every sum a ``math.fsum``.  When the means
+    and the centred products are exact floats, as for collinear points
+    with integer x in arithmetic progression of odd length, the slope is
+    exact.
+    """
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    if len(x) != len(y) or len(x) < 2:
+        raise ValueError(f"need two or more (x, y) pairs, got {len(x)} x "
+                         f"and {len(y)} y values")
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - mx for v in x]
+    return (math.fsum(d * (v - my) for d, v in zip(dx, y))
+            / math.fsum(d * d for d in dx))
 
 
 def random_convex_polygon_vertices(rng, n_vertices: int = 8,

@@ -1,8 +1,16 @@
-"""Builders that only the tests use."""
+"""Builders and reference implementations that only the tests use."""
+
+import math
 
 import numpy as np
 
-from holderforms.chains import OneForm
+from holderforms.chains import (
+    OneForm, measure_polygons, polygon_boundary_integrals,
+)
+from holderforms.decay import (
+    DecayStep, SmallnessError, choose_strip_count, cut_strips,
+    iterate_rectangle,
+)
 from holderforms.dynamics import CAT_MAP
 from holderforms.grids import weierstrass_callable
 
@@ -36,3 +44,40 @@ def cat_map_conjugates(seed: int, count: int):
             continue
         out.append(M)
     return out
+
+
+def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
+                           c1=1.0, k_emp=1.0, cnorm=1.0, quad_tol=1e-10):
+    """The ``steps`` and ``skipped_k`` of ``decay_bound_series``, step by step.
+
+    The reference for the batched series: per admissible k, one
+    ``cut_strips``, one ``measure_polygons`` and two
+    ``polygon_boundary_integrals`` calls.
+    """
+    steps, skipped = [], []
+    for k in k_range:
+        sc = choose_strip_count(k, model, rect, sigma, c1)
+        if not sc.admissible:
+            skipped.append(k)
+            continue
+        rect_k = iterate_rectangle(model, rect, k)
+        strips = cut_strips(rect_k, sc.n)
+        length, area, diameter = measure_polygons(strips)
+        if (length >= sigma).any():
+            raise SmallnessError(k, sc.n, float(length.max()), sigma)
+        rhs_shapes = [ln ** (1.0 - theta) * ar ** theta
+                      for ln, ar in zip(length.tolist(), area.tolist())]
+        (lhs_whole,) = polygon_boundary_integrals(alpha, cut_strips(rect_k, 1),
+                                                  quad_tol)
+        steps.append(DecayStep(
+            k=k,
+            n0=sc.n0,
+            n=sc.n,
+            strip_boundary_max=float(length.max()),
+            strip_diameter_max=float(diameter.max()),
+            bound=k_emp * cnorm * math.fsum(rhs_shapes),
+            lhs_sum=math.fsum(polygon_boundary_integrals(alpha, strips,
+                                                         quad_tol)),
+            lhs_whole=lhs_whole,
+        ))
+    return tuple(steps), tuple(skipped)

@@ -1,9 +1,12 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holderforms import decay
 from holderforms.chains import (
     OneForm,
     integrate_one_form,
@@ -23,7 +26,7 @@ from holderforms.decay import (
 from holderforms.experiments import weierstrass_form
 from holderforms.inequality import verify_main_inequality
 
-from helpers import analytic_weierstrass_form
+from helpers import analytic_weierstrass_form, decay_steps_one_by_one
 
 
 MODEL = LinearModel(1.5, 0.4)
@@ -214,10 +217,59 @@ class TestDecaySeries:
             expected = r.s_len * (w1 - w0)
             assert s.lhs_whole == pytest.approx(expected, rel=1e-14, abs=0.0)
 
-    def test_smallness_filter_names_k_and_n(self):
+    def test_smallness_filter_names_k_and_n(self, monkeypatch):
+        # every step is measured and filtered before any integral is taken
+        calls = []
+        monkeypatch.setattr(decay, "polygon_boundary_integrals",
+                            lambda *args: calls.append(args))
         alpha = analytic_weierstrass_form(0.5, 2, 8)
         with pytest.raises(SmallnessError, match=r"k=2; N=3") as info:
             decay_bound_series(alpha, MODEL, RECT, theta=0.5,
                                k_range=range(2, 5), sigma=0.5, c1=0.2)
         assert (info.value.k, info.value.n) == (2, 3)
         assert "sigma=0.5" in str(info.value)
+        assert calls == []
+
+    def test_errors_come_in_k_order(self, monkeypatch):
+        # k = 200 overflows the iterate; a smallness failure before it wins
+        calls = []
+        monkeypatch.setattr(decay, "polygon_boundary_integrals",
+                            lambda *args: calls.append(args))
+        alpha = weierstrass_form(0.5, terms=6, resolution=512)
+        with pytest.raises(SmallnessError, match=r"k=2; N=3"):
+            decay_bound_series(alpha, MODEL, RECT, theta=0.5,
+                               k_range=[2, 3, 200], sigma=0.5, c1=0.2)
+        with pytest.raises(OverflowError, match=r"k=200"):
+            decay_bound_series(alpha, MODEL, RECT, theta=0.5,
+                               k_range=[2, 3, 200], sigma=0.5)
+        assert calls == []
+
+
+FORMS = {
+    "sampled": lambda: weierstrass_form(0.5, terms=6, resolution=512),
+    "analytic": lambda: analytic_weierstrass_form(0.5, 2, 8),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def one_by_one(form):
+    return decay_steps_one_by_one(FORMS[form](), MODEL, RECT, theta=0.5,
+                                  k_range=range(0, 9), sigma=0.5,
+                                  k_emp=0.3, cnorm=7.0)
+
+
+def hexed(steps):
+    return [[v.hex() if isinstance(v, float) else v
+             for v in dataclasses.astuple(s)] for s in steps]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16384])
+@pytest.mark.parametrize("form", ["sampled", "analytic"])
+def test_batches_do_not_change_any_field(monkeypatch, form, chunk):
+    steps, skipped = one_by_one(form)
+    monkeypatch.setattr(decay, "STRIP_CHUNK", chunk)
+    series = decay_bound_series(FORMS[form](), MODEL, RECT, theta=0.5,
+                                k_range=range(0, 9), sigma=0.5,
+                                k_emp=0.3, cnorm=7.0)
+    assert series.skipped_k == skipped == (0, 1)
+    assert hexed(series.steps) == hexed(steps)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from holderforms import chains
 from holderforms.chains import (
@@ -20,6 +20,7 @@ from holderforms.chains import (
 from holderforms.experiments import (
     dyadic_square_family,
     family_scale_slope,
+    least_squares_slope,
     random_convex_polygon_vertices,
     weierstrass_form,
 )
@@ -241,6 +242,33 @@ class TestMainInequality:
         computed = verify_main_inequality(form, fam, theta=0.5, quad_tol=1e-4)
         assert repr([r.csv_row() for r in by_cnorm]) == repr(
             [r.csv_row() for r in computed])
+
+
+class TestLeastSquaresSlope:
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=9,
+                      unique=True),
+           a=st.floats(-100.0, 100.0),
+           b=st.floats(0.5, 10.0) | st.floats(-10.0, -0.5),
+           noise=st.lists(st.floats(-0.01, 0.01), min_size=9, max_size=9))
+    def test_equals_polyfit(self, x, a, b, noise):
+        assume(max(x) - min(x) >= 1.0)
+        y = [a + b * v + e for v, e in zip(x, noise)]
+        expected = np.polyfit(x, y, 1)[0]
+        assert least_squares_slope(x, y) == pytest.approx(expected,
+                                                          rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x0=st.integers(-1000, 1000), half=st.integers(1, 4),
+           a=st.integers(-1000, 1000), b=st.integers(-1000, 1000),
+           shift=st.integers(0, 4))
+    def test_collinear_points_give_the_exact_slope(self, x0, half, a, b,
+                                                   shift):
+        # an odd run of integers has an integer mean, so every centred
+        # product is exact
+        slope = b / 2 ** shift
+        x = [x0 + i for i in range(2 * half + 1)]
+        assert least_squares_slope(x, [a + slope * v for v in x]) == slope
 
 
 class TestExactBoundaryIntegrals:

@@ -372,9 +372,12 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
         smallness_sigma=sigma, cnorm=cnorm)
     k_emp = max(r.empirical_k for r in fam_reports)
 
-    series = decay_bound_series(sampled, model, rect, theta,
-                                range(k_min, k_max + 1), sigma,
-                                c1=c1, k_emp=k_emp, cnorm=cnorm)
+    try:
+        series = decay_bound_series(sampled, model, rect, theta,
+                                    range(k_min, k_max + 1), sigma,
+                                    c1=c1, k_emp=k_emp, cnorm=cnorm)
+    except (OverflowError, MemoryError) as exc:
+        raise ConfigError(str(exc)) from exc
     if len(series.steps) < 2:
         skipped = ", ".join(map(str, series.skipped_k)) or "none"
         raise ConfigError(

@@ -106,8 +106,11 @@ def iterate_rectangle(model: LinearModel, rect: USRectangle, k: int) -> USRectan
         raise ValueError("k must be nonnegative")
     mu_k = model.mu ** k
     nu_k = model.nu ** k
-    if mu_k * max(abs(rect.corner[0]) + rect.u_len, 1.0) > OVERFLOW_EDGE:
-        raise OverflowError(f"iterate k={k} exceeds the overflow guard")
+    reach = mu_k * max(abs(rect.corner[0]) + rect.u_len, 1.0)
+    if reach > OVERFLOW_EDGE:
+        raise OverflowError(
+            f"iterate k={k} at mu={model.mu!r} reaches x = {reach:.3g}, "
+            f"beyond the overflow guard {OVERFLOW_EDGE:g}")
     return USRectangle(
         corner=(rect.corner[0] * mu_k, rect.corner[1] * nu_k),
         u_len=rect.u_len * mu_k,
@@ -272,8 +275,13 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
              for (_, n), stop in zip(cuts, accumulate(n for _, n in cuts))]
     total = spans[-1].stop if spans else 0
     # allocated before any batch, so a run too large to hold fails at once
-    measures = np.empty((3, total))  # length, area, diameter of each strip
-    lhs = np.empty(total + len(plan))  # each strip, then each whole iterate
+    try:
+        measures = np.empty((3, total))  # length, area, diameter per strip
+        lhs = np.empty(total + len(plan))  # each strip, then each iterate
+    except MemoryError as exc:
+        raise MemoryError(
+            f"k = {plan[0][0].k}..{plan[-1][0].k} plans {total} strips, "
+            f"too many to hold in memory") from exc
     for first, corners in _batches(cuts):
         measures[:, first:first + len(corners)] = measure_polygons(corners)
     length, area, diameter = measures

@@ -7,10 +7,13 @@ Lipschitz estimate conservative (interpolation never increases the cellwise
 Lipschitz constant).
 
 The Holder seminorm is the exact maximum over all node pairs, found by a
-branch-and-bound over index lags: block maxima and minima bound the largest
+branch-and-bound over index lags: tile maxima and minima bound the largest
 difference at every lag, and only the lags whose bound can still beat the
 running best are evaluated exactly (88 of 2047 on the 2048-node Weierstrass
-field).  It is deterministic.  In 1-D it is the seminorm of the
+field).  On large grids coarse tiles bound blocks of 64 lags first, so that
+only the blocks that can still win get fine bounds (15 of 2048 on the
+131072-node field, where 95 lags are evaluated).  It is deterministic.  In
+1-D it is the seminorm of the
 piecewise-linear interpolant exactly; in 2-D it is only a *lower* bound for
 that of the bilinear interpolant, and callers that need upper bounds
 multiply by a declared slack factor (default 1.05).
@@ -40,12 +43,18 @@ __all__ = [
 DEFAULT_SLACK = 1.05
 
 # The lag scan bounds its lags blockwise: blocks of _BLOCK nodes per axis,
-# _BLOCK x _BLOCK tiles in 2-D; one temporary of the bound holds at most
-# _CHUNK elements.  Without the cap, the 256-block bound of the default
-# `holderforms inequality` field (2048 nodes) raised that run's peak RSS
-# from 33.07 to 33.51 MB and its wall time by 4% (median of 10).
+# _BLOCK x _BLOCK tiles in 2-D, and coarse tiles of _BLOCK tiles per axis
+# once there are more than _FEW_TILES tiles; one temporary of the bound, or
+# one batch of lags evaluated at once, holds at most _CHUNK elements (one
+# lag's differences if it has more).  Without the cap, the 256-block bound
+# of the default `holderforms inequality` field (2048 nodes) raised that
+# run's peak RSS from 33.07 to 33.51 MB and its wall time by 4% (median of
+# 10).  The coarse level pays from about 1024 tiles on: on 1-D Weierstrass
+# fields (2-core Xeon) it took 6.7 ms against 4.0 ms for one level at 8192
+# nodes (1024 tiles), and 8.2 ms against 13.3 ms at 16384 (2048 tiles).
 _BLOCK = 8
 _CHUNK = 1 << 14
+_FEW_TILES = 1024
 
 
 class UnderResolvedError(ValueError):
@@ -94,7 +103,7 @@ class GridField:
             if self.periodic[ax]:
                 first = np.take(v, 0, axis=ax)
                 last = np.take(v, self.resolution[ax] - 1, axis=ax)
-                if not np.allclose(first, last, atol=1e-10, rtol=0.0):
+                if np.any(np.abs(first - last) > 1e-10):
                     raise ValueError(f"periodic axis {ax}: endpoint values differ")
 
     @property
@@ -274,60 +283,148 @@ def _lag_distances(f: GridField, ax: int) -> np.ndarray:
     return k * f.spacing[ax]
 
 
-def _lag_maximum(v: np.ndarray, kx: int, ky: int) -> float:
+def _lag_maximum(v: np.ndarray, kx: int, ky: int, out: np.ndarray) -> float:
     """``M(kx, ky) = max |v[p + (kx, ±ky)] - v[p]|`` over pairs on the grid.
 
     ``v`` is 2-D (a 1-D field is one column) and ``kx, ky >= 0``; both signs
-    of ``ky`` share the distance, so they form one lag.
+    of ``ky`` share the distance, so they form one lag.  The differences go
+    into the front of ``out`` (flat, of ``v.size`` elements), so that no
+    array the size of the grid is allocated per lag.
     """
     nx, ny = v.shape
-    m = np.abs(v[kx:, ky:] - v[:nx - kx, :ny - ky]).max()
+    diff = out[:(nx - kx) * (ny - ky)].reshape(nx - kx, ny - ky)
+    m = np.abs(np.subtract(v[kx:, ky:], v[:nx - kx, :ny - ky], out=diff),
+               out=diff).max()
     if kx and ky:
-        m = max(m, np.abs(v[kx:, :ny - ky] - v[:nx - kx, ky:]).max())
+        np.subtract(v[kx:, :ny - ky], v[:nx - kx, ky:], out=diff)
+        m = max(m, np.abs(diff, out=diff).max())
     return m
 
 
-def _block_bounds(v: np.ndarray) -> np.ndarray:
-    """``b[qx, qy] >= M(kx, ky)`` for every lag with ``k // _BLOCK == q``.
+def _partner_window(v: np.ndarray):
+    """The view whose ``[kx, ny - 1 + ky]`` holds ``v[p + (kx, ky)]`` at
+    ``p``, NaN where ``p + (kx, ky)`` is off the grid (``|ky| < ny``)."""
+    nx, ny = v.shape
+    padded = np.full((2 * nx - 1, 3 * ny - 2), np.nan)
+    padded[:nx, ny - 1:2 * ny - 1] = v
+    return sliding_window_view(padded, v.shape)
 
-    The axes are cut into blocks of ``_BLOCK`` nodes (tiles in 2-D) with
-    maxima ``hi`` and minima ``lo``.  A pair at lag (kx, ky) joins a tile I
-    to a tile J offset by ``kx // _BLOCK`` or one more along x, and likewise
-    by ``±(ky // _BLOCK)`` or one more along y, so its difference is at most
-    ``max(hi[J] - lo[I], hi[I] - lo[J])`` over those tile pairs.  Rounding
-    is monotone, so each computed bound is at least every computed
-    difference it covers.
+
+def _lag_maxima(window, v: np.ndarray, kx: np.ndarray,
+                ky: np.ndarray) -> np.ndarray:
+    """``M(kx[j], ky[j])`` (``_lag_maximum``) for a batch of lags at once.
+
+    ``window`` is ``_partner_window(v)``, whose NaNs off the grid ``fmax``
+    skips; the batch is one gather for each sign of ``ky``.
     """
-    starts = [np.arange(0, n, _BLOCK) for n in v.shape]
-    hi = np.maximum.reduceat(np.maximum.reduceat(v, starts[0], axis=0),
-                             starts[1], axis=1)
-    lo = np.minimum.reduceat(np.minimum.reduceat(v, starts[0], axis=0),
-                             starts[1], axis=1)
+    ny = v.shape[1]
+
+    def signed(cols):
+        diff = window[kx, cols]
+        np.subtract(diff, v, out=diff)
+        return np.fmax.reduce(np.abs(diff, out=diff), axis=(1, 2))
+
+    m = signed(ny - 1 + ky)
+    if ky.any():  # the other sign (at ky = 0 or kx = 0, the same pairs)
+        m = np.fmax(m, signed(ny - 1 - ky))
+    return m
+
+
+def _tile_extrema(hi: np.ndarray, lo: np.ndarray):
+    """Maxima of ``hi`` and minima of ``lo`` over tiles of ``_BLOCK``
+    entries per axis (the last tile of an axis may be shorter)."""
+    starts = [np.arange(0, n, _BLOCK) for n in hi.shape]
+    return (np.maximum.reduceat(np.maximum.reduceat(hi, starts[0], axis=0),
+                                starts[1], axis=1),
+            np.minimum.reduceat(np.minimum.reduceat(lo, starts[0], axis=0),
+                                starts[1], axis=1))
+
+
+def _pair_maxima(hi, lo, x0: int, wx: int, y0: int, wy: int) -> np.ndarray:
+    """``u[px - x0, py - y0] = max(hi[J] - lo[I], hi[I] - lo[J])`` over the
+    tile pairs with ``J = I + (px, py)`` both on the grid, for the offsets
+    ``x0 <= px < x0 + wx`` (``x0 >= 0``) and ``y0 <= py < y0 + wy``; -inf
+    where no pair has that offset.
+
+    Only offsets on the grid are visited, and at offset ``px`` only the
+    ``tx - px`` rows of tiles that have a partner, so a window of ``w``
+    offsets costs at most ``w`` times the tile count, and all offsets
+    together half the square of the tile count.
+    """
     tx, ty = hi.shape
-    # his[Ix + px, Iy + py + ty - 1] = hi[Ix + px, Iy + py] for the tile
-    # offsets 0 <= px < tx, |py| < ty, padded with -inf (los: +inf) so that
-    # a tile off the grid never wins; its window view reads it at
-    # [Ix, Iy, px, py + ty - 1]
-    window = (tx, 2 * ty - 1)
-    inner = (slice(0, tx), slice(ty - 1, 2 * ty - 1))
-    his = np.full((2 * tx - 1, 3 * ty - 2), -np.inf)
-    los = np.full((2 * tx - 1, 3 * ty - 2), np.inf)
-    his[inner], los[inner] = hi, lo
-    his = sliding_window_view(his, window)
-    los = sliding_window_view(los, window)
-    u = np.full((tx + 1, 2 * ty + 1), -np.inf)  # u[px, py + ty], padded
-    core = u[:tx, 1:2 * ty]
-    rows = max(1, _CHUNK // (tx * ty * (2 * ty - 1)))
-    for i in range(0, tx, rows):
-        r = slice(i, i + rows)
-        np.maximum(core, (his[r] - lo[r, :, None, None]).max(axis=(0, 1)),
-                   out=core)
-        np.maximum(core, (hi[r, :, None, None] - los[r]).max(axis=(0, 1)),
-                   out=core)
+    u = np.full((wx, wy), -np.inf)
+    b0, b1 = max(y0, 1 - ty), min(y0 + wy, ty)
+    if x0 >= tx or b1 <= b0:
+        return u
+    window = (min(wx, tx - x0), b1 - b0)
+    rows = tx - x0
+    # his[i, j] = hi[i + x0, j + b0], padded with -inf (los: +inf) so that
+    # a tile off the grid never wins; the transposed window view reads the
+    # tile at offset (x0 + a, b0 + b) from tile I at [a, b, Ix, Iy], so
+    # each reduction runs over a long axis of tiles
+    shape = (rows + window[0] - 1, ty + window[1] - 1)
+    j0, j1 = max(0, -b0), min(shape[1], ty - b0)
+    his = np.full(shape, -np.inf)
+    los = np.full(shape, np.inf)
+    his[:rows, j0:j1] = hi[x0:, b0 + j0:b0 + j1]
+    los[:rows, j0:j1] = lo[x0:, b0 + j0:b0 + j1]
+    his = sliding_window_view(his, window).transpose(2, 3, 0, 1)
+    los = sliding_window_view(los, window).transpose(2, 3, 0, 1)
+    core = u[:window[0], b0 - y0:b1 - y0]
+    a = 0
+    while a < window[0]:
+        n = rows - a  # rows of tiles with a partner at offset x0 + a
+        width = max(1, _CHUNK // (n * ty * window[1]))  # offsets at once
+        c = slice(a, min(window[0], a + width))
+        np.maximum(core[c], (his[c, :, :n] - lo[:n]).max(axis=(2, 3)),
+                   out=core[c])
+        np.maximum(core[c], (hi[:n] - los[c, :, :n]).max(axis=(2, 3)),
+                   out=core[c])
+        a = c.stop
+    return u
+
+
+def _block_bounds(hi, lo, x0: int, wx: int, c0: int, wc: int) -> np.ndarray:
+    """``b[qx - x0, qy - c0] >= M(kx, ky)`` for every lag with
+    ``k // s == q``, over the lag blocks ``x0 <= qx < x0 + wx`` and
+    ``c0 <= qy < c0 + wc``, from the maxima ``hi`` and minima ``lo`` of
+    tiles of ``s`` nodes per axis.
+
+    A pair at lag (kx, ky) joins a tile I to a tile J offset by
+    ``kx // s`` or one more along x, and likewise by ``±(ky // s)`` or one
+    more along y, so its difference is at most
+    ``max(hi[J] - lo[I], hi[I] - lo[J])`` over those tile pairs
+    (``_pair_maxima``).  Rounding is monotone, so each computed bound is at
+    least every computed difference it covers.
+    """
+    # py from -(c0 + wc) to -c0, then from c0 to c0 + wc (from 1 if c0 is
+    # 0, so that py = 0 is visited once)
+    u = np.concatenate([
+        _pair_maxima(hi, lo, x0, wx + 1, -(c0 + wc), wc + 1),
+        _pair_maxima(hi, lo, x0, wx + 1, c0 + (c0 == 0), wc + (c0 != 0)),
+    ], axis=1)
     u = np.maximum(u[:-1], u[1:])  # px in {qx, qx + 1}
+    pos = u.shape[1] - wc - 1       # the column of py = c0
     return np.maximum(
-        np.maximum(u[:, ty:2 * ty], u[:, ty + 1:]),     # py in {qy, qy + 1}
-        np.maximum(u[:, ty:0:-1], u[:, ty - 1::-1]))    # py in {-qy, -qy - 1}
+        np.maximum(u[:, pos:pos + wc], u[:, pos + 1:]),  # py in {qy, qy + 1}
+        np.maximum(u[:, wc:0:-1], u[:, wc - 1::-1]))     # py in {-qy, -qy - 1}
+
+
+def _ranked_lags(hi, lo, dpow, x0: int, wx: int, c0: int, wc: int):
+    """Flat indices and ranks of the lags in the ``_BLOCK`` lag blocks
+    ``[x0, x0 + wx) x [c0, c0 + wc)``: each lag's block bound over its
+    ``d ** theta``, and 0 where ``d`` is 0 (``d ** theta`` is 0 exactly
+    there, since theta > 0)."""
+    b = _block_bounds(hi, lo, x0, wx, c0, wc)
+    xs = slice(_BLOCK * x0, _BLOCK * (x0 + wx))
+    ys = slice(_BLOCK * c0, _BLOCK * (c0 + wc))
+    dp = dpow[xs, ys]
+    bound = np.repeat(np.repeat(b, _BLOCK, axis=0), _BLOCK,
+                      axis=1)[:dp.shape[0], :dp.shape[1]]
+    rank = np.divide(bound, dp, out=np.zeros_like(dp), where=dp > 0.0)
+    flat = (np.arange(xs.start, xs.start + dp.shape[0])[:, None]
+            * dpow.shape[1] + np.arange(ys.start, ys.start + dp.shape[1]))
+    return flat.ravel(), rank.ravel()
 
 
 def _lag_scan(f: GridField, theta: float) -> float:
@@ -337,27 +434,75 @@ def _lag_scan(f: GridField, theta: float) -> float:
     d(p,q) depends only on k, so the all-pairs maximum is the maximum over
     lags of M(k) / d(k)^theta with M(k) = max_i |v[i+k] - v[i]|.  Lags are
     visited in decreasing order of their block bound (``_block_bounds``)
-    over ``d ** theta`` and evaluated exactly.  M(k) is at most the bound
-    and both divide by the same float ``d ** theta``, so once the ranked
-    bound is at or below the running best no later lag can beat it.
+    over ``d ** theta`` and evaluated exactly (``_lag_maxima``), in batches
+    of up to ``_CHUNK`` grid values.  M(k) is at most the bound and both
+    divide by the same float ``d ** theta``, so once the ranked bound is at
+    or below the running best no later lag can beat it.
+
+    The bounds come from two levels of tiles.  Tiles of ``_BLOCK`` nodes
+    per axis bound the lag blocks of ``_BLOCK`` lags, at a cost of the
+    tile count per tile offset.  With at most ``_FEW_TILES`` tiles every
+    lag block is bounded at once (half the square of the tile count).
+    Beyond that, coarse tiles of ``_BLOCK`` tiles per axis first bound the
+    coarse lag blocks of ``_BLOCK ** 2`` lags, each ranked by its bound
+    over its smallest ``d ** theta``, which is at least every lag rank in
+    it, again by monotone rounding.  The scan is best first: a coarse block
+    gets its fine bounds when its rank is the largest pending rank of a
+    block or lag, and a lag is evaluated when its rank is.  So it evaluates
+    lags in the order the one-level scan would, and stops when no block or
+    lag still ranks above the running best.  Which lags are evaluated
+    cannot change the maximum, so the result is the same float either way.
     """
     dx = _lag_distances(f, 0)
     dy = _lag_distances(f, 1) if f.dim == 2 else np.zeros(1)
     v = f.values.reshape(len(dx), len(dy))
-    nx, ny = v.shape
-    d = np.hypot(dx[:, None], dy[None, :])
-    dpow = d ** theta
-    bound = np.repeat(np.repeat(_block_bounds(v), _BLOCK, axis=0), _BLOCK,
-                      axis=1)[:nx, :ny]
-    rank = np.divide(bound, dpow, out=np.zeros_like(d), where=d > 0.0)
-    order = np.argsort(rank, axis=None)[::-1]
-    best = 0.0
-    for flat, r in zip(order, rank.ravel()[order]):
-        if r <= best:
-            break
-        kx, ky = divmod(int(flat), ny)
-        best = max(best, float(_lag_maximum(v, kx, ky) / dpow[kx, ky]))
-    return best
+    ny = v.shape[1]
+    dpow = np.hypot(dx[:, None], dy[None, :]) ** theta
+    hi, lo = _tile_extrema(v, v)
+    tx, ty = hi.shape
+    if hi.size <= _FEW_TILES:
+        # one block of every lag
+        blocks, block_rank = iter([(0, tx, 0, ty)]), [np.inf]
+    else:
+        chi, clo = _tile_extrema(hi, lo)
+        starts = [np.arange(0, n, _BLOCK * _BLOCK) for n in v.shape]
+        dmin = np.minimum.reduceat(np.minimum.reduceat(
+            np.where(dpow > 0.0, dpow, np.inf), starts[0], axis=0),
+            starts[1], axis=1)
+        coarse = (_block_bounds(chi, clo, 0, chi.shape[0], 0, chi.shape[1])
+                  / dmin).ravel()
+        order = np.argsort(coarse)[::-1]
+        block_rank = coarse[order]
+        blocks = ((_BLOCK * qx, _BLOCK, _BLOCK * qy, _BLOCK) for qx, qy in
+                  zip(*(q.tolist() for q in np.divmod(order, chi.shape[1]))))
+    step = max(1, _CHUNK // v.size)  # lags evaluated at once
+    if step > 1:
+        window = _partner_window(v)
+    else:
+        out = np.empty(v.size)
+    best, b, i = 0.0, 0, 0
+    flat, rank = np.zeros(0, dtype=int), np.zeros(0)  # lags ranked, from i
+    while True:
+        top = rank[i] if i < len(rank) else 0.0
+        if b < len(block_rank) and block_rank[b] > max(top, best):
+            new_flat, new_rank = _ranked_lags(hi, lo, dpow, *next(blocks))
+            b += 1
+            keep = new_rank > best
+            flat = np.concatenate([flat[i:], new_flat[keep]])
+            rank = np.concatenate([rank[i:], new_rank[keep]])
+            order = np.argsort(rank)[::-1]
+            flat, rank, i = flat[order], rank[order], 0
+        elif top <= best:
+            return best
+        elif step > 1:
+            kx, ky = np.divmod(flat[i:i + step], ny)
+            m = _lag_maxima(window, v, kx, ky)
+            best = max(best, float((m / dpow[kx, ky]).max()))
+            i += step
+        else:
+            kx, ky = divmod(int(flat[i]), ny)
+            best = max(best, float(_lag_maximum(v, kx, ky, out) / dpow[kx, ky]))
+            i += 1
 
 
 def holder_seminorm(f: GridField, theta: float, pairs=None) -> HolderEstimate:
@@ -368,9 +513,12 @@ def holder_seminorm(f: GridField, theta: float, pairs=None) -> HolderEstimate:
     seminorm of the piecewise-linear interpolant exactly, and in 2-D a
     lower bound for that of the bilinear interpolant (see
     :class:`HolderEstimate`).  It is found by a branch-and-bound over index
-    lags (``_lag_scan``): block maxima and minima bound every lag, in work
-    quadratic in the number of blocks, and only the lags whose bound can
-    still win are evaluated exactly, O(N) array work each for N nodes.  An
+    lags (``_lag_scan``): tile maxima and minima bound every lag, and only
+    the lags whose bound can still win are evaluated exactly, O(N) array
+    work each for N nodes.  The bounds take work quadratic in the number of
+    8-node tiles up to ``_FEW_TILES`` of them; beyond, quadratic in the
+    number of 64-node tiles, plus the tile count for each block of 64 lags
+    that can still win.  An
     explicit ``pairs`` array (shape (m, 2) of flat node indices) restricts
     the maximum to those pairs, which makes the monotonicity-under-
     refinement property directly testable.  A pair's distance is that of

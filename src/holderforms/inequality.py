@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,17 +157,42 @@ class SplitCheck:
     Every term is integrated exactly; ``quad_tol`` is the absolute
     allowance of the chain check, which absorbs the centred-difference
     error of ``d alpha_eps`` in the interior term.
+
+    ``cnorm`` and the two bounds are computed the first time one of them is
+    read, so a caller that reads only the terms and ``chain_holds`` runs no
+    Holder seminorm.  ``cnorm`` is ``given_cnorm`` when one was given, and
+    ``one_form_cnorm(alpha, theta)`` otherwise, computed at most once.
     """
 
     epsilon: float
     lhs: float               # |int_dD alpha|
     term_boundary: float     # |int_dD (alpha - alpha_eps)|
     term_interior: float     # |int_D d alpha_eps|
-    bound_boundary: float    # |dD| cnorm eps^theta
-    bound_interior: float    # |D| ||d eta||_L1 cnorm eps^(theta-1)
+    length: float            # |dD|
+    area: float              # |D|
     quad_tol: float
     slack: float
     alpha_eps: OneForm       # the mollified form the terms were measured on
+    alpha: OneForm           # the form whose C^theta norm scales the bounds
+    theta: float
+    given_cnorm: float | None = None
+
+    @cached_property
+    def cnorm(self) -> float:
+        if self.given_cnorm is not None:
+            return self.given_cnorm
+        return one_form_cnorm(self.alpha, self.theta)
+
+    @property
+    def bound_boundary(self) -> float:
+        """|dD| cnorm eps^theta"""
+        return self.length * self.cnorm * self.epsilon ** self.theta
+
+    @property
+    def bound_interior(self) -> float:
+        """|D| ||d eta||_L1 cnorm eps^(theta-1)"""
+        return (self.area * deta_l1(2) * self.cnorm
+                * self.epsilon ** (self.theta - 1.0))
 
     @property
     def chain_holds(self) -> bool:
@@ -191,10 +217,11 @@ def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
     ``alpha`` is grid-sampled, as ``mollify_one_form`` requires, so the two
     boundary terms are exact ``polygon_boundary_integrals`` and the interior
     term is an exact ``integrate_two_form``; no quadrature driver is called.
+    The C^theta norm that scales the bounds is ``cnorm`` if given; if not,
+    it is computed from ``alpha`` when the check's ``cnorm`` or a bound is
+    first read (see :class:`SplitCheck`).
     """
     theta = alpha.theta if theta is None else theta
-    if cnorm is None:
-        cnorm = one_form_cnorm(alpha, theta)
     alpha_eps = mollify_one_form(alpha, epsilon)
     diff = OneForm(
         _component_diff(alpha.a1, alpha_eps.a1),
@@ -211,11 +238,14 @@ def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
         lhs=abs(lhs),
         term_boundary=abs(term_boundary),
         term_interior=abs(term_interior),
-        bound_boundary=length * cnorm * epsilon ** theta,
-        bound_interior=area * deta_l1(2) * cnorm * epsilon ** (theta - 1.0),
+        length=length,
+        area=area,
         quad_tol=quad_tol,
         slack=slack,
         alpha_eps=alpha_eps,
+        alpha=alpha,
+        theta=theta,
+        given_cnorm=cnorm,
     )
 
 

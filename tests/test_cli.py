@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,6 +85,26 @@ class TestSubcommands:
         code, _ = run(["stokes-check"], tmp_path)
         assert code == 0
         assert calls == [0.05]
+
+    def test_stokes_check_computes_no_seminorm(self, tmp_path, monkeypatch):
+        # it reads the split's terms and chain check, never its bounds
+        calls = []
+
+        def counting(module):
+            real = module.holder_seminorm
+
+            def seminorm(f, theta, pairs=None):
+                calls.append(f.resolution)
+                return real(f, theta, pairs)
+            return seminorm
+
+        # the package's ``mollify`` attribute is the function
+        for module in (holderforms.inequality,
+                       sys.modules["holderforms.mollify"]):
+            monkeypatch.setattr(module, "holder_seminorm", counting(module))
+        code, _ = run(["stokes-check"], tmp_path)
+        assert code == 0
+        assert calls == []
 
     def test_decay_makes_no_driver_call(self, tmp_path, monkeypatch):
         # decay integrates the grid-sampled form it measures, exactly
@@ -443,6 +464,9 @@ class TestConfig:
          "j = 5..5 at sigma = 0.5: need at least two scales with an "
          "unskipped square to fit a slope, got j = [5]"),
         ("[common]\nslack = nan", ["mollify-check"], "slack"),
+        ("", ["decay", "--mu", "1e7", "--nu", "0.3", "--k-max", "3"],
+         "iterate k=2 at mu=10000000.0 reaches x = 1e+14, beyond the "
+         "overflow guard 1e+12"),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, ini, argv,
                                          message):
@@ -454,6 +478,25 @@ class TestConfig:
         assert captured.err.startswith("config error: ")
         assert message in captured.err
         assert "FAIL" not in captured.out
+
+    def test_decay_too_many_strips_for_memory_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # mu = 1e6 plans 6e12 strips at k = 2; the allocation of their
+        # measures fails (here by a stand-in, before any real attempt)
+        empty = np.empty
+
+        def bounded_empty(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 1e9:
+                raise MemoryError(f"cannot allocate {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", bounded_empty)
+        code, _ = run(["decay", "--mu", "1e6", "--nu", "0.3", "--k-max", "3"],
+                      tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: k = 2..2 plans 6000000000000 strips, "
+                       "too many to hold in memory\n")
 
     def test_config_value_used_and_flag_overrides(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"

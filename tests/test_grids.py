@@ -9,11 +9,14 @@ from holderforms import grids
 from holderforms.grids import (
     GridField,
     UnderResolvedError,
+    _lag_maxima,
     _lag_maximum,
+    _partner_window,
     holder_seminorm,
     make_weierstrass,
     weierstrass_callable,
 )
+from helpers import _one_level_block_bounds, lag_scan_one_level
 
 
 def linear_field(n=33, periodic=False):
@@ -281,13 +284,13 @@ class TestLagScan:
 
     def test_cli_field_evaluates_few_lags_exactly(self, monkeypatch):
         shapes = []
-        evaluate = grids._lag_maximum
+        evaluate = grids._lag_maxima
 
-        def counting(v, kx, ky):
-            shapes.append(v.shape)
-            return evaluate(v, kx, ky)
+        def counting(window, v, kx, ky):
+            shapes.extend([v.shape] * len(kx))
+            return evaluate(window, v, kx, ky)
 
-        monkeypatch.setattr(grids, "_lag_maximum", counting)
+        monkeypatch.setattr(grids, "_lag_maxima", counting)
         holder_seminorm(make_weierstrass(0.5, 2, 8, 2048), 0.5)
         assert 0 < len(shapes) < 0.1 * 2047
         assert set(shapes) == {(2048, 1)}
@@ -365,7 +368,141 @@ class TestLagScan:
         naive = [max(abs(v[i + k, j] - v[i, j])
                      for i in range(n - k) for j in range(ny))
                  for k in range(1, n)]
-        assert [_lag_maximum(v, k, 0) for k in range(1, n)] == naive
+        out = np.empty(v.size)
+        assert [_lag_maximum(v, k, 0, out) for k in range(1, n)] == naive
+        lags = np.arange(1, n)
+        assert _lag_maxima(_partner_window(v), v, lags,
+                           np.zeros_like(lags)).tolist() == naive
+
+
+def long_field(n, periodic, kind, seed):
+    """A 1-D field of ``n`` nodes on [0, 1]: noise or a Weierstrass sum."""
+    if kind == "noise":
+        vals = np.random.default_rng(seed).standard_normal(n)
+    else:
+        terms = int(np.log2(n // 4)) + 1
+        vals = make_weierstrass(0.3 + 0.6 * (seed % 7) / 6, 2, terms,
+                                n).values.copy()
+    return GridField((0.0,), (1.0,), (n,), (periodic,),
+                     _snap_periodic(vals, (periodic,)))
+
+
+def all_pairs_seminorm(f, theta, chunk=1 << 19):
+    """The ``pairs=`` maximum over all pairs, a bounded chunk at a time."""
+    pairs = all_pairs(f)
+    return max(holder_seminorm(f, theta, pairs=pairs[i:i + chunk]).seminorm
+               for i in range(0, len(pairs), chunk))
+
+
+class TestTwoLevelScan:
+    """``_lag_scan`` against the one-level scan it refines, on grids with
+    more tiles than ``_FEW_TILES``, where coarse tiles bound lag blocks
+    first, and on grids near that size."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(600, 20000), periodic=st.booleans(),
+           kind=st.sampled_from(["noise", "weierstrass"]),
+           theta=st.one_of(st.just(1.0), thetas),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_one_level_scan(self, n, periodic, kind, theta,
+                                       seed):
+        f = long_field(n, periodic, kind, seed)
+        assert holder_seminorm(f, theta).seminorm == \
+            lag_scan_one_level(f, theta)
+
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(600, 3000), periodic=st.booleans(),
+           kind=st.sampled_from(["noise", "weierstrass"]),
+           theta=st.one_of(st.just(1.0), thetas),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_all_pairs_maximum(self, n, periodic, kind, theta,
+                                          seed):
+        f = long_field(n, periodic, kind, seed)
+        assert holder_seminorm(f, theta).seminorm == \
+            all_pairs_seminorm(f, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=block_grids(), data=st.data())
+    def test_bounds_equal_the_one_level_bounds(self, f, data):
+        # the whole table, and any window of it, bit for bit
+        v = f.values.reshape(f.resolution[0], -1)
+        hi, lo = grids._tile_extrema(v, v)
+        tx, ty = hi.shape
+        full = grids._block_bounds(hi, lo, 0, tx, 0, ty)
+        np.testing.assert_array_equal(full, _one_level_block_bounds(v))
+        x0 = data.draw(st.integers(0, tx - 1))
+        c0 = data.draw(st.integers(0, ty - 1))
+        wx, wc = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        part = grids._block_bounds(hi, lo, x0, wx, c0, wc)
+        np.testing.assert_array_equal(part[:tx - x0, :ty - c0],
+                                      full[x0:x0 + wx, c0:c0 + wc])
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_coarse_bounds_cover_every_lag(self, data):
+        dim = data.draw(st.sampled_from([1, 2]))
+        res = ((data.draw(st.integers(65, 1500)),) if dim == 1 else
+               (data.draw(st.integers(20, 70)), data.draw(st.integers(20, 70))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.standard_normal(res).cumsum(axis=0).reshape(res[0], -1)
+        if data.draw(st.booleans()):  # spikes
+            v = 1e-3 * v
+            for _ in range(3):
+                v[tuple(rng.integers(0, n) for n in v.shape)] += 5.0
+        coarse = grids._block_bounds(*grids._tile_extrema(
+            *grids._tile_extrema(v, v)), 0, -(-v.shape[0] // 64), 0,
+            -(-v.shape[1] // 64))
+        out = np.empty(v.size)
+        for kx in range(v.shape[0]):
+            for ky in range(v.shape[1]):
+                assert _lag_maximum(v, kx, ky, out) <= coarse[kx // 64,
+                                                              ky // 64]
+
+    @pytest.mark.parametrize("n", [8192, 8193, 8200])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_either_side_of_the_coarse_level(self, n, theta):
+        # 8192 nodes make 1024 tiles, one level; 8193 make 1025, two
+        f = long_field(n, True, "weierstrass", 3)
+        assert holder_seminorm(f, theta).seminorm == \
+            lag_scan_one_level(f, theta)
+
+    @pytest.mark.parametrize("kind", ["ridges", "walk"])
+    @pytest.mark.parametrize("periodic", [(False, False), (True, False),
+                                          (False, True)])
+    @pytest.mark.parametrize("theta", [0.2, 1.0])
+    def test_2d_fields_with_coarse_tiles(self, kind, periodic, theta):
+        # 600 x 120 nodes make 75 x 15 tiles and 10 x 2 coarse tiles;
+        # 300 x 300 make 38 x 38 and 5 x 5; the walk at theta = 0.2
+        # refines coarse blocks off the x axis on both sides of it
+        rng = np.random.default_rng(11)
+        if kind == "ridges":
+            x = np.linspace(0.0, 1.0, 600)[:, None]
+            vals = (np.sin(40.0 * x) + 0.3 * rng.standard_normal((600, 120))
+                    .cumsum(axis=1) / 12.0)
+        else:
+            vals = rng.standard_normal((300, 300)).cumsum(axis=0).cumsum(
+                axis=1)
+        f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape, periodic,
+                      _snap_periodic(vals, periodic))
+        assert f.values[::8, ::8].size > grids._FEW_TILES
+        assert holder_seminorm(f, theta).seminorm == \
+            lag_scan_one_level(f, theta)
+
+    def test_coarse_blocks_prune_most_lags(self, monkeypatch):
+        # 16384 nodes: 256 coarse lag blocks of 64 lags; few get fine bounds
+        windows = []
+        ranked = grids._ranked_lags
+
+        def counting(hi, lo, dpow, *window):
+            windows.append(window)
+            return ranked(hi, lo, dpow, *window)
+
+        monkeypatch.setattr(grids, "_ranked_lags", counting)
+        f = make_weierstrass(0.5, 2, 12, 16384)
+        assert holder_seminorm(f, 0.5).seminorm == \
+            lag_scan_one_level(f, 0.5)
+        assert 0 < len(windows) < 0.1 * 256
+        assert {w[1] for w in windows} == {grids._BLOCK}
 
 
 class TestWeierstrass:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import holderforms.inequality
 from holderforms import chains
 from holderforms.chains import (
     OneForm,
@@ -347,6 +348,40 @@ class TestSplitCheck:
         assert chk.bound_boundary == length * w_cnorm * 0.05 ** 0.5
         assert chk.bound_interior == (area * deta_l1(2) * w_cnorm
                                       * 0.05 ** (0.5 - 1.0))
+
+    @pytest.mark.parametrize("eps", [0.02, 0.05])
+    def test_lazy_bounds_equal_the_given_cnorm_bounds(self, w_form, eps):
+        lazy = mollification_split_check(w_form, *SQUARE, eps, theta=0.5)
+        given = mollification_split_check(
+            w_form, *SQUARE, eps, theta=0.5,
+            cnorm=one_form_cnorm(w_form, 0.5))
+        assert lazy.cnorm.hex() == given.cnorm.hex()
+        assert lazy.bound_boundary.hex() == given.bound_boundary.hex()
+        assert lazy.bound_interior.hex() == given.bound_interior.hex()
+
+    def test_cnorm_is_computed_once_and_only_when_read(self, w_form,
+                                                      monkeypatch):
+        calls = []
+        real = holderforms.inequality.one_form_cnorm
+
+        def counting(alpha, theta=None):
+            calls.append(theta)
+            return real(alpha, theta)
+
+        monkeypatch.setattr(holderforms.inequality, "one_form_cnorm",
+                            counting)
+        chk = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
+                                        quad_tol=1e-4)
+        assert chk.chain_holds
+        assert calls == []
+        assert chk.boundary_bound_holds and chk.interior_bound_holds
+        assert (chk.bound_boundary, chk.bound_interior) == (
+            chk.bound_boundary, chk.bound_interior)
+        assert calls == [0.5]
+        given = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
+                                          cnorm=2.5)
+        assert given.cnorm == 2.5 and given.bound_boundary > 0.0
+        assert calls == [0.5]
 
     def test_split_makes_no_driver_call(self, w_form, w_cnorm, monkeypatch):
         # both boundary terms and the interior term are exact

@@ -54,7 +54,10 @@ from .dynamics import (
     anosov_section_criterion, accessibility_criterion, standard_holder_bound,
     pisot_example,
 )
-from .decay import LinearModel, SmallnessError, USRectangle, decay_bound_series
+from .decay import (
+    DecayRangeError, LinearModel, SmallnessError, USRectangle,
+    decay_bound_series,
+)
 from .experiments import (
     weierstrass_form, dyadic_square_family,
     family_scale_slope, random_convex_polygon_vertices,
@@ -376,7 +379,7 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
         series = decay_bound_series(sampled, model, rect, theta,
                                     range(k_min, k_max + 1), sigma,
                                     c1=c1, k_emp=k_emp, cnorm=cnorm)
-    except (OverflowError, MemoryError) as exc:
+    except DecayRangeError as exc:
         raise ConfigError(str(exc)) from exc
     if len(series.steps) < 2:
         skipped = ", ".join(map(str, series.skipped_k)) or "none"

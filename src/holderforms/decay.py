@@ -38,6 +38,7 @@ from .chains import (
 from .experiments import least_squares_slope
 
 __all__ = [
+    "DecayRangeError",
     "LinearModel",
     "SmallnessError",
     "USRectangle",
@@ -60,6 +61,11 @@ class SmallnessError(RuntimeError):
         super().__init__(f"strip failed the smallness filter at k={k}; N={n}: "
                          f"longest boundary {length!r} >= sigma={sigma!r}")
         self.k, self.n = k, n
+
+
+class DecayRangeError(OverflowError):
+    """The k range reaches past what a run can hold: an iterate beyond the
+    ``OVERFLOW_EDGE`` guard, or more strips than memory holds."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ def iterate_rectangle(model: LinearModel, rect: USRectangle, k: int) -> USRectan
     nu_k = model.nu ** k
     reach = mu_k * max(abs(rect.corner[0]) + rect.u_len, 1.0)
     if reach > OVERFLOW_EDGE:
-        raise OverflowError(
+        raise DecayRangeError(
             f"iterate k={k} at mu={model.mu!r} reaches x = {reach:.3g}, "
             f"beyond the overflow guard {OVERFLOW_EDGE:g}")
     return USRectangle(
@@ -279,7 +285,7 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
         measures = np.empty((3, total))  # length, area, diameter per strip
         lhs = np.empty(total + len(plan))  # each strip, then each iterate
     except MemoryError as exc:
-        raise MemoryError(
+        raise DecayRangeError(
             f"k = {plan[0][0].k}..{plan[-1][0].k} plans {total} strips, "
             f"too many to hold in memory") from exc
     for first, corners in _batches(cuts):

@@ -12,9 +12,9 @@ difference at every lag, and only the lags whose bound can still beat the
 running best are evaluated exactly (88 of 2047 on the 2048-node Weierstrass
 field).  On large grids coarse tiles bound blocks of 64 lags first, so that
 only the blocks that can still win get fine bounds (15 of 2048 on the
-131072-node field, where 95 lags are evaluated).  It is deterministic.  In
-1-D it is the seminorm of the
-piecewise-linear interpolant exactly; in 2-D it is only a *lower* bound for
+16-term Weierstrass field at 131072 nodes, where 95 lags are evaluated).
+It is deterministic.  In 1-D it is the seminorm of the piecewise-linear
+interpolant exactly; in 2-D it is only a *lower* bound for
 that of the bilinear interpolant, and callers that need upper bounds
 multiply by a declared slack factor (default 1.05).
 
@@ -44,9 +44,8 @@ DEFAULT_SLACK = 1.05
 
 # The lag scan bounds its lags blockwise: blocks of _BLOCK nodes per axis,
 # _BLOCK x _BLOCK tiles in 2-D, and coarse tiles of _BLOCK tiles per axis
-# once there are more than _FEW_TILES tiles; one temporary of the bound, or
-# one batch of lags evaluated at once, holds at most _CHUNK elements (one
-# lag's differences if it has more).  Without the cap, the 256-block bound
+# once there are more than _FEW_TILES tiles; one temporary of the bound
+# holds at most _CHUNK elements.  Without the cap, the 256-block bound
 # of the default `holderforms inequality` field (2048 nodes) raised that
 # run's peak RSS from 33.07 to 33.51 MB and its wall time by 4% (median of
 # 10).  The coarse level pays from about 1024 tiles on: on 1-D Weierstrass
@@ -288,45 +287,16 @@ def _lag_maximum(v: np.ndarray, kx: int, ky: int, out: np.ndarray) -> float:
 
     ``v`` is 2-D (a 1-D field is one column) and ``kx, ky >= 0``; both signs
     of ``ky`` share the distance, so they form one lag.  The differences go
-    into the front of ``out`` (flat, of ``v.size`` elements), so that no
-    array the size of the grid is allocated per lag.
+    into a corner of ``out`` (an array of ``v``'s shape), so that no array
+    the size of the grid is allocated per lag.
     """
     nx, ny = v.shape
-    diff = out[:(nx - kx) * (ny - ky)].reshape(nx - kx, ny - ky)
-    m = np.abs(np.subtract(v[kx:, ky:], v[:nx - kx, :ny - ky], out=diff),
-               out=diff).max()
+    diff = out[:nx - kx, :ny - ky]
+    m = np.abs(np.subtract(v[kx:, ky:], v[:nx - kx, :ny - ky], diff),
+               diff).max()
     if kx and ky:
-        np.subtract(v[kx:, :ny - ky], v[:nx - kx, ky:], out=diff)
-        m = max(m, np.abs(diff, out=diff).max())
-    return m
-
-
-def _partner_window(v: np.ndarray):
-    """The view whose ``[kx, ny - 1 + ky]`` holds ``v[p + (kx, ky)]`` at
-    ``p``, NaN where ``p + (kx, ky)`` is off the grid (``|ky| < ny``)."""
-    nx, ny = v.shape
-    padded = np.full((2 * nx - 1, 3 * ny - 2), np.nan)
-    padded[:nx, ny - 1:2 * ny - 1] = v
-    return sliding_window_view(padded, v.shape)
-
-
-def _lag_maxima(window, v: np.ndarray, kx: np.ndarray,
-                ky: np.ndarray) -> np.ndarray:
-    """``M(kx[j], ky[j])`` (``_lag_maximum``) for a batch of lags at once.
-
-    ``window`` is ``_partner_window(v)``, whose NaNs off the grid ``fmax``
-    skips; the batch is one gather for each sign of ``ky``.
-    """
-    ny = v.shape[1]
-
-    def signed(cols):
-        diff = window[kx, cols]
-        np.subtract(diff, v, out=diff)
-        return np.fmax.reduce(np.abs(diff, out=diff), axis=(1, 2))
-
-    m = signed(ny - 1 + ky)
-    if ky.any():  # the other sign (at ky = 0 or kx = 0, the same pairs)
-        m = np.fmax(m, signed(ny - 1 - ky))
+        np.subtract(v[kx:, :ny - ky], v[:nx - kx, ky:], diff)
+        m = max(m, np.abs(diff, diff).max())
     return m
 
 
@@ -362,14 +332,13 @@ def _pair_maxima(hi, lo, x0: int, wx: int, y0: int, wy: int) -> np.ndarray:
     # a tile off the grid never wins; the transposed window view reads the
     # tile at offset (x0 + a, b0 + b) from tile I at [a, b, Ix, Iy], so
     # each reduction runs over a long axis of tiles
-    shape = (rows + window[0] - 1, ty + window[1] - 1)
-    j0, j1 = max(0, -b0), min(shape[1], ty - b0)
-    his = np.full(shape, -np.inf)
-    los = np.full(shape, np.inf)
-    his[:rows, j0:j1] = hi[x0:, b0 + j0:b0 + j1]
-    los[:rows, j0:j1] = lo[x0:, b0 + j0:b0 + j1]
-    his = sliding_window_view(his, window).transpose(2, 3, 0, 1)
-    los = sliding_window_view(los, window).transpose(2, 3, 0, 1)
+    j0, j1 = max(0, -b0), min(ty + window[1] - 1, ty - b0)
+    pad = np.empty((2, rows + window[0] - 1, ty + window[1] - 1))
+    pad[0], pad[1] = -np.inf, np.inf
+    pad[0, :rows, j0:j1] = hi[x0:, b0 + j0:b0 + j1]
+    pad[1, :rows, j0:j1] = lo[x0:, b0 + j0:b0 + j1]
+    his, los = sliding_window_view(pad, window,
+                                   axis=(1, 2)).transpose(0, 3, 4, 1, 2)
     core = u[:window[0], b0 - y0:b1 - y0]
     a = 0
     while a < window[0]:
@@ -434,8 +403,8 @@ def _lag_scan(f: GridField, theta: float) -> float:
     d(p,q) depends only on k, so the all-pairs maximum is the maximum over
     lags of M(k) / d(k)^theta with M(k) = max_i |v[i+k] - v[i]|.  Lags are
     visited in decreasing order of their block bound (``_block_bounds``)
-    over ``d ** theta`` and evaluated exactly (``_lag_maxima``), in batches
-    of up to ``_CHUNK`` grid values.  M(k) is at most the bound and both
+    over ``d ** theta`` and evaluated exactly (``_lag_maximum``), one at a
+    time into one reused buffer.  M(k) is at most the bound and both
     divide by the same float ``d ** theta``, so once the ranked bound is at
     or below the running best no later lag can beat it.
 
@@ -461,8 +430,7 @@ def _lag_scan(f: GridField, theta: float) -> float:
     hi, lo = _tile_extrema(v, v)
     tx, ty = hi.shape
     if hi.size <= _FEW_TILES:
-        # one block of every lag
-        blocks, block_rank = iter([(0, tx, 0, ty)]), [np.inf]
+        blocks = [(np.inf, (0, tx, 0, ty))]  # one block of every lag
     else:
         chi, clo = _tile_extrema(hi, lo)
         starts = [np.arange(0, n, _BLOCK * _BLOCK) for n in v.shape]
@@ -472,37 +440,30 @@ def _lag_scan(f: GridField, theta: float) -> float:
         coarse = (_block_bounds(chi, clo, 0, chi.shape[0], 0, chi.shape[1])
                   / dmin).ravel()
         order = np.argsort(coarse)[::-1]
-        block_rank = coarse[order]
-        blocks = ((_BLOCK * qx, _BLOCK, _BLOCK * qy, _BLOCK) for qx, qy in
-                  zip(*(q.tolist() for q in np.divmod(order, chi.shape[1]))))
-    step = max(1, _CHUNK // v.size)  # lags evaluated at once
-    if step > 1:
-        window = _partner_window(v)
-    else:
-        out = np.empty(v.size)
-    best, b, i = 0.0, 0, 0
-    flat, rank = np.zeros(0, dtype=int), np.zeros(0)  # lags ranked, from i
-    while True:
-        top = rank[i] if i < len(rank) else 0.0
-        if b < len(block_rank) and block_rank[b] > max(top, best):
-            new_flat, new_rank = _ranked_lags(hi, lo, dpow, *next(blocks))
-            b += 1
-            keep = new_rank > best
-            flat = np.concatenate([flat[i:], new_flat[keep]])
-            rank = np.concatenate([rank[i:], new_rank[keep]])
-            order = np.argsort(rank)[::-1]
-            flat, rank, i = flat[order], rank[order], 0
-        elif top <= best:
+        qx, qy = np.divmod(order, chi.shape[1])
+        blocks = [(r, (_BLOCK * x, _BLOCK, _BLOCK * y, _BLOCK)) for r, x, y
+                  in zip(coarse[order].tolist(), qx.tolist(), qy.tolist())]
+    out = np.empty_like(v)
+    best = 0.0
+    flat, rank = np.zeros(0, dtype=int), np.zeros(0)  # pending, best first
+    # the last entry ranks at or below any best, so it ends the scan
+    for block_rank, block in blocks + [(0.0, None)]:
+        done = 0
+        for r, k in zip(rank, flat):
+            if r <= best or r <= block_rank:
+                break
+            kx, ky = divmod(int(k), ny)
+            best = max(best,
+                       float(_lag_maximum(v, kx, ky, out) / dpow[kx, ky]))
+            done += 1
+        if block_rank <= best:
             return best
-        elif step > 1:
-            kx, ky = np.divmod(flat[i:i + step], ny)
-            m = _lag_maxima(window, v, kx, ky)
-            best = max(best, float((m / dpow[kx, ky]).max()))
-            i += step
-        else:
-            kx, ky = divmod(int(flat[i]), ny)
-            best = max(best, float(_lag_maximum(v, kx, ky, out) / dpow[kx, ky]))
-            i += 1
+        new_flat, new_rank = _ranked_lags(hi, lo, dpow, *block)
+        keep = new_rank > best
+        flat = np.concatenate([flat[done:], new_flat[keep]])
+        rank = np.concatenate([rank[done:], new_rank[keep]])
+        order = np.argsort(rank)[::-1]
+        flat, rank = flat[order], rank[order]
 
 
 def holder_seminorm(f: GridField, theta: float, pairs=None) -> HolderEstimate:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import holderforms.cli
+import holderforms.decay
 import holderforms.inequality
 from holderforms import chains
 from holderforms.chains import QuadratureError
@@ -497,6 +498,17 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err == ("config error: k = 2..2 plans 6000000000000 strips, "
                        "too many to hold in memory\n")
+
+    def test_decay_other_memory_error_is_not_a_config_error(self, tmp_path,
+                                                            monkeypatch):
+        # only the guards' own errors mean a k range too large; a failure
+        # inside a strip batch keeps its traceback
+        def failing(corners):
+            raise MemoryError("batch")
+
+        monkeypatch.setattr(holderforms.decay, "measure_polygons", failing)
+        with pytest.raises(MemoryError, match="batch"):
+            run(["decay"], tmp_path)
 
     def test_config_value_used_and_flag_overrides(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"

@@ -9,13 +9,12 @@ from holderforms import grids
 from holderforms.grids import (
     GridField,
     UnderResolvedError,
-    _lag_maxima,
     _lag_maximum,
-    _partner_window,
     holder_seminorm,
     make_weierstrass,
     weierstrass_callable,
 )
+import helpers
 from helpers import _one_level_block_bounds, lag_scan_one_level
 
 
@@ -284,13 +283,13 @@ class TestLagScan:
 
     def test_cli_field_evaluates_few_lags_exactly(self, monkeypatch):
         shapes = []
-        evaluate = grids._lag_maxima
+        evaluate = grids._lag_maximum
 
-        def counting(window, v, kx, ky):
-            shapes.extend([v.shape] * len(kx))
-            return evaluate(window, v, kx, ky)
+        def counting(v, kx, ky, out):
+            shapes.append(v.shape)
+            return evaluate(v, kx, ky, out)
 
-        monkeypatch.setattr(grids, "_lag_maxima", counting)
+        monkeypatch.setattr(grids, "_lag_maximum", counting)
         holder_seminorm(make_weierstrass(0.5, 2, 8, 2048), 0.5)
         assert 0 < len(shapes) < 0.1 * 2047
         assert set(shapes) == {(2048, 1)}
@@ -368,11 +367,8 @@ class TestLagScan:
         naive = [max(abs(v[i + k, j] - v[i, j])
                      for i in range(n - k) for j in range(ny))
                  for k in range(1, n)]
-        out = np.empty(v.size)
+        out = np.empty_like(v)
         assert [_lag_maximum(v, k, 0, out) for k in range(1, n)] == naive
-        lags = np.arange(1, n)
-        assert _lag_maxima(_partner_window(v), v, lags,
-                           np.zeros_like(lags)).tolist() == naive
 
 
 def long_field(n, periodic, kind, seed):
@@ -452,7 +448,7 @@ class TestTwoLevelScan:
         coarse = grids._block_bounds(*grids._tile_extrema(
             *grids._tile_extrema(v, v)), 0, -(-v.shape[0] // 64), 0,
             -(-v.shape[1] // 64))
-        out = np.empty(v.size)
+        out = np.empty_like(v)
         for kx in range(v.shape[0]):
             for ky in range(v.shape[1]):
                 assert _lag_maximum(v, kx, ky, out) <= coarse[kx // 64,
@@ -503,6 +499,34 @@ class TestTwoLevelScan:
             lag_scan_one_level(f, 0.5)
         assert 0 < len(windows) < 0.1 * 256
         assert {w[1] for w in windows} == {grids._BLOCK}
+
+    @pytest.mark.parametrize("kind", ["weierstrass", "noise", "walk"])
+    def test_evaluates_the_lags_the_one_level_scan_does(self, kind,
+                                                         monkeypatch):
+        # best first: a block is refined before any lag it may outrank is
+        # evaluated, so no lag is evaluated that one level would skip
+        if kind == "walk":
+            vals = np.random.default_rng(5).standard_normal(
+                (300, 300)).cumsum(axis=0).cumsum(axis=1)
+            f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape,
+                          (False, False), vals)
+        else:
+            f = long_field(16384 if kind == "weierstrass" else 9000, True,
+                           kind, 2)
+        lags = {"two": [], "one": []}
+
+        def recording(name, fn):
+            def evaluate(v, kx, ky, *out):
+                lags[name].append((kx, ky))
+                return fn(v, kx, ky, *out)
+            return evaluate
+
+        monkeypatch.setattr(grids, "_lag_maximum",
+                            recording("two", grids._lag_maximum))
+        monkeypatch.setattr(helpers, "_one_level_lag_maximum",
+                            recording("one", helpers._one_level_lag_maximum))
+        assert holder_seminorm(f, 0.5).seminorm == lag_scan_one_level(f, 0.5)
+        assert sorted(lags["two"]) == sorted(lags["one"])
 
 
 class TestWeierstrass:

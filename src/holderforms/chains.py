@@ -429,8 +429,8 @@ def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
     ``owner[i]``; each disk lists its edges in boundary order, and disks may
     have different numbers of edges.  An edge is cut at every parameter
     ``t`` in (0, 1) where it crosses a grid line ``lo[ax] + m*h[ax]``, for
-    every integer ``m`` and every axis ``ax`` of the grid, so periodic
-    wraps need no special case; a 1-D grid has lines in x only.  Each
+    every integer ``m`` and every axis ``ax`` of the grid, so wraps round
+    the torus need no special case; a 1-D grid has lines in x only.  Each
     piece ``[t0, t1]`` lies in one cell, where ``alpha(a + t*d) . d`` is a
     quadratic in ``t``; the 2-point rule with nodes ``mid -/+ half/sqrt(3)``
     and weights ``half`` integrates it exactly.  All pieces of all edges are
@@ -481,7 +481,7 @@ def integrate_two_form(beta: GridField, lo, hi) -> float:
 
     Each axis of the rectangle is cut at the grid lines
     ``beta.lo[ax] + m*h[ax]`` inside it, for every integer ``m``, so
-    periodic wraps need no special case; a 1-D field, a function of x
+    wraps round the torus need no special case; a 1-D field, a function of x
     alone, has lines in x only and one piece in y.  On each product of
     pieces the interpolant is bilinear, and the midpoint rule integrates a
     bilinear function exactly, so the sum of ``len_x * len_y * beta(mid)``
@@ -506,15 +506,14 @@ def integrate_two_form(beta: GridField, lo, hi) -> float:
     return float(np.sum(np.outer(wx, wy) * beta.evaluate(mid)))
 
 
-def _centered_diff(values: np.ndarray, ax: int, h: float, periodic: bool):
-    if periodic:
-        n = values.shape[ax]
-        core = np.take(values, range(n - 1), axis=ax)
-        d = (np.roll(core, -1, axis=ax) - np.roll(core, 1, axis=ax)) / (2 * h)
-        edge = np.take(d, [0], axis=ax)
-        return np.concatenate([d, edge], axis=ax)
-    d = np.gradient(values, h, axis=ax, edge_order=2)
-    return d
+def _centered_diff(values: np.ndarray, ax: int, h: float):
+    """Centred difference along ``ax``, wrapping round the torus; the
+    duplicate endpoint gets the value at the first node."""
+    n = values.shape[ax]
+    core = np.take(values, range(n - 1), axis=ax)
+    d = (np.roll(core, -1, axis=ax) - np.roll(core, 1, axis=ax)) / (2 * h)
+    edge = np.take(d, [0], axis=ax)
+    return np.concatenate([d, edge], axis=ax)
 
 
 def exterior_derivative(alpha: OneForm) -> GridField:
@@ -534,10 +533,10 @@ def exterior_derivative(alpha: OneForm) -> GridField:
     ref = grids[0]
     out = np.zeros(ref.resolution)
     if alpha.a2 is not None:
-        out += _centered_diff(alpha.a2.values, 0, ref.spacing[0], ref.periodic[0])
+        out += _centered_diff(alpha.a2.values, 0, ref.spacing[0])
     if alpha.a1 is not None and ref.dim == 2:
-        out -= _centered_diff(alpha.a1.values, 1, ref.spacing[1], ref.periodic[1])
-    return GridField(ref.lo, ref.hi, ref.resolution, ref.periodic, out)
+        out -= _centered_diff(alpha.a1.values, 1, ref.spacing[1])
+    return GridField(ref.lo, ref.hi, ref.resolution, out)
 
 
 def green_area(curve: ParamCurve, tol: float = QUAD_REL_TOL) -> float:

@@ -216,10 +216,6 @@ class DecaySeries:
         return math.exp(least_squares_slope([s.k for s in tail],
                                             [math.log(s.bound) for s in tail]))
 
-    def consecutive_ratios(self):
-        return [b.bound / a.bound for a, b in zip(self.steps, self.steps[1:])
-                if b.k == a.k + 1]
-
     def csv_rows(self):
         rows = []
         prev = None

@@ -1,10 +1,10 @@
-"""Sampled scalar fields on boxes and flat tori.
+"""Sampled scalar fields on flat tori.
 
-A :class:`GridField` stores uniform samples of a scalar function on an
-axis-aligned box (dimension 1 or 2), with per-axis periodicity.  Values
-between nodes are obtained by bilinear interpolation, which keeps every
-Lipschitz estimate conservative (interpolation never increases the cellwise
-Lipschitz constant).
+A :class:`GridField` stores uniform samples of a scalar function on a flat
+torus of dimension 1 or 2: an axis-aligned box whose opposite edges are
+identified, so every axis wraps.  Values between nodes are obtained by
+bilinear interpolation, which keeps every Lipschitz estimate conservative
+(interpolation never increases the cellwise Lipschitz constant).
 
 The Holder seminorm is the exact maximum over all node pairs, found by a
 branch-and-bound over index lags: tile maxima and minima bound the largest
@@ -71,17 +71,17 @@ def _as_tuple(x, dim, cast):
 
 @dataclass(frozen=True)
 class GridField:
-    """Uniformly sampled scalar function on a box, bilinear between nodes.
+    """Uniformly sampled scalar function on a flat torus, bilinear between
+    nodes.
 
     ``values`` has shape ``resolution`` (axis 0 is the first coordinate).
-    Periodic axes must satisfy ``value(lo) == value(hi)`` at matching nodes;
-    the duplicate boundary node is stored explicitly.
+    Every axis is periodic with period ``hi - lo``: the duplicate endpoint
+    node is stored explicitly, and its values must equal those at ``lo``.
     """
 
     lo: tuple
     hi: tuple
     resolution: tuple
-    periodic: tuple
     values: np.ndarray
 
     def __post_init__(self):
@@ -99,11 +99,10 @@ class GridField:
         for ax in range(dim):
             if self.hi[ax] <= self.lo[ax]:
                 raise ValueError("domain must have positive extent")
-            if self.periodic[ax]:
-                first = np.take(v, 0, axis=ax)
-                last = np.take(v, self.resolution[ax] - 1, axis=ax)
-                if np.any(np.abs(first - last) > 1e-10):
-                    raise ValueError(f"periodic axis {ax}: endpoint values differ")
+            first = np.take(v, 0, axis=ax)
+            last = np.take(v, self.resolution[ax] - 1, axis=ax)
+            if np.any(np.abs(first - last) > 1e-10):
+                raise ValueError(f"axis {ax}: endpoint values differ")
 
     @property
     def dim(self) -> int:
@@ -120,15 +119,7 @@ class GridField:
         lo, hi = self.lo[ax], self.hi[ax]
         n = self.resolution[ax]
         h = (hi - lo) / (n - 1)
-        t = (x - lo) / h
-        if self.periodic[ax]:
-            t = np.mod(t, n - 1)
-        else:
-            # tolerate roundoff just outside the box
-            eps = 1e-9 * (n - 1)
-            if np.any(t < -eps) or np.any(t > n - 1 + eps):
-                raise ValueError(f"coordinates exit domain on axis {ax}")
-            t = np.clip(t, 0.0, n - 1)
+        t = np.mod((x - lo) / h, n - 1)
         i = np.minimum(t.astype(int), n - 2)
         return i, t - i
 
@@ -157,40 +148,33 @@ class GridField:
         return float(np.max(np.abs(self.values)))
 
     def scaled(self, c: float) -> "GridField":
-        return GridField(self.lo, self.hi, self.resolution, self.periodic,
-                         c * self.values)
-
-    def __add__(self, other: "GridField") -> "GridField":
-        self._check_same_grid(other)
-        return GridField(self.lo, self.hi, self.resolution, self.periodic,
-                         self.values + other.values)
+        return GridField(self.lo, self.hi, self.resolution, c * self.values)
 
     def __sub__(self, other: "GridField") -> "GridField":
         self._check_same_grid(other)
-        return GridField(self.lo, self.hi, self.resolution, self.periodic,
+        return GridField(self.lo, self.hi, self.resolution,
                          self.values - other.values)
 
     def _check_same_grid(self, other: "GridField"):
-        if (self.lo, self.hi, self.resolution, self.periodic) != (
-            other.lo, other.hi, other.resolution, other.periodic
+        if (self.lo, self.hi, self.resolution) != (
+            other.lo, other.hi, other.resolution
         ):
             raise ValueError("grids do not match")
 
     def distance(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Flat metric of the domain; periodic axes use the shortest wrap."""
+        """Flat metric of the torus: each axis takes the shortest wrap."""
         p = np.atleast_2d(p)
         q = np.atleast_2d(q)
         d2 = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]))
         for ax in range(self.dim):
             dx = np.abs(p[..., ax] - q[..., ax])
-            if self.periodic[ax]:
-                period = self.hi[ax] - self.lo[ax]
-                dx = np.minimum(dx, period - dx)
+            period = self.hi[ax] - self.lo[ax]
+            dx = np.minimum(dx, period - dx)
             d2 = d2 + dx * dx
         return np.sqrt(d2)
 
     @classmethod
-    def from_function(cls, fn: Callable, lo, hi, resolution, periodic) -> "GridField":
+    def from_function(cls, fn: Callable, lo, hi, resolution) -> "GridField":
         if np.isscalar(resolution):
             dim = 1
         else:
@@ -198,22 +182,20 @@ class GridField:
         lo = _as_tuple(lo, dim, float)
         hi = _as_tuple(hi, dim, float)
         resolution = _as_tuple(resolution, dim, int)
-        periodic = _as_tuple(periodic, dim, bool)
         axes = [np.linspace(lo[a], hi[a], resolution[a]) for a in range(dim)]
         if dim == 1:
             vals = np.asarray(fn(axes[0]), dtype=float)
         else:
             gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
             vals = np.asarray(fn(gx, gy), dtype=float)
-        # snap periodic endpoints: fn may miss exact equality by roundoff
+        # snap the endpoints: fn may miss exact equality by roundoff
         for ax in range(dim):
-            if periodic[ax]:
-                idx_first = [slice(None)] * dim
-                idx_last = [slice(None)] * dim
-                idx_first[ax] = 0
-                idx_last[ax] = resolution[ax] - 1
-                vals[tuple(idx_last)] = vals[tuple(idx_first)]
-        return cls(lo, hi, resolution, periodic, vals)
+            idx_first = [slice(None)] * dim
+            idx_last = [slice(None)] * dim
+            idx_first[ax] = 0
+            idx_last[ax] = resolution[ax] - 1
+            vals[tuple(idx_last)] = vals[tuple(idx_first)]
+        return cls(lo, hi, resolution, vals)
 
 
 @dataclass(frozen=True)
@@ -226,8 +208,9 @@ class HolderEstimate:
     is quasi-convex in the other on each cell (a linear difference over a
     concave power of the distance), so its supremum is reached at nodes.
     In 2-D it is only a lower bound for the seminorm of the bilinear
-    interpolant: on the one-cell field ``xy`` at theta = 1 the node maximum
-    is 1, while pairs on the diagonal near (1, 1) approach sqrt(2).
+    interpolant: on the 3 x 3 grid of the unit torus with 1 at the centre
+    node and 0 elsewhere, the node maximum at theta = 1 is 2, while pairs
+    on the diagonal from the peak approach 2 sqrt(2).
     ``cnorm == supnorm + seminorm`` exactly.
     """
 
@@ -270,16 +253,14 @@ def make_weierstrass(theta: float, base: int, terms: int, resolution: int) -> Gr
             "the finest oscillation would be aliased"
         )
     w = weierstrass_callable(theta, base, terms)
-    return GridField.from_function(w, 0.0, 1.0, resolution, True)
+    return GridField.from_function(w, 0.0, 1.0, resolution)
 
 
 def _lag_distances(f: GridField, ax: int) -> np.ndarray:
-    """Axis distance of index lags 0..n-1; periodic axes use the wrapped lag."""
+    """Axis distance of index lags 0..n-1: the shorter way round the axis."""
     n = f.resolution[ax]
     k = np.arange(n)
-    if f.periodic[ax]:
-        k = np.minimum(k, n - 1 - k)
-    return k * f.spacing[ax]
+    return np.minimum(k, n - 1 - k) * f.spacing[ax]
 
 
 def _lag_maximum(v: np.ndarray, kx: int, ky: int, out: np.ndarray) -> float:
@@ -470,7 +451,7 @@ def holder_seminorm(f: GridField, theta: float, pairs=None) -> HolderEstimate:
     """H_theta(f) = max |f(x)-f(y)| / d(x,y)^theta, exact over all node pairs.
 
     The result is the exact maximum over all node pairs (the duplicate
-    periodic endpoint included), so it is deterministic; in 1-D it is the
+    endpoint included), so it is deterministic; in 1-D it is the
     seminorm of the piecewise-linear interpolant exactly, and in 2-D a
     lower bound for that of the bilinear interpolant (see
     :class:`HolderEstimate`).  It is found by a branch-and-bound over index

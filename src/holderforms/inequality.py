@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import GridField, holder_seminorm, DEFAULT_SLACK
-from .mollify import _restrict_to, deta_l1, mollify
+from .mollify import deta_l1, mollify
 from .chains import (
     OneForm,
     ChainMeasures,
@@ -156,7 +156,9 @@ class SplitCheck:
 
     Every term is integrated exactly; ``quad_tol`` is the absolute
     allowance of the chain check, which absorbs the centred-difference
-    error of ``d alpha_eps`` in the interior term.
+    error of ``d alpha_eps`` in the interior term.  ``interior`` is that
+    term with its sign, ``int_D d alpha_eps``, and ``term_interior`` its
+    absolute value.
 
     ``cnorm`` and the two bounds are computed the first time one of them is
     read, so a caller that reads only the terms and ``chain_holds`` runs no
@@ -167,7 +169,7 @@ class SplitCheck:
     epsilon: float
     lhs: float               # |int_dD alpha|
     term_boundary: float     # |int_dD (alpha - alpha_eps)|
-    term_interior: float     # |int_D d alpha_eps|
+    interior: float          # int_D d alpha_eps
     length: float            # |dD|
     area: float              # |D|
     quad_tol: float
@@ -182,6 +184,11 @@ class SplitCheck:
         if self.given_cnorm is not None:
             return self.given_cnorm
         return one_form_cnorm(self.alpha, self.theta)
+
+    @property
+    def term_interior(self) -> float:
+        """|int_D d alpha_eps|"""
+        return abs(self.interior)
 
     @property
     def bound_boundary(self) -> float:
@@ -224,20 +231,20 @@ def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
     theta = alpha.theta if theta is None else theta
     alpha_eps = mollify_one_form(alpha, epsilon)
     diff = OneForm(
-        _component_diff(alpha.a1, alpha_eps.a1),
-        _component_diff(alpha.a2, alpha_eps.a2),
+        None if alpha.a1 is None else alpha.a1 - alpha_eps.a1,
+        None if alpha.a2 is None else alpha.a2 - alpha_eps.a2,
         theta,
     )
     corners = [rectangle_corners(lo, hi)]
     (lhs,) = polygon_boundary_integrals(alpha, corners)
     (term_boundary,) = polygon_boundary_integrals(diff, corners)
-    term_interior = integrate_two_form(exterior_derivative(alpha_eps), lo, hi)
+    interior = integrate_two_form(exterior_derivative(alpha_eps), lo, hi)
     length, area, _ = (float(m[0]) for m in measure_polygons(corners))
     return SplitCheck(
         epsilon=epsilon,
         lhs=abs(lhs),
         term_boundary=abs(term_boundary),
-        term_interior=abs(term_interior),
+        interior=interior,
         length=length,
         area=area,
         quad_tol=quad_tol,
@@ -247,15 +254,6 @@ def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
         theta=theta,
         given_cnorm=cnorm,
     )
-
-
-def _component_diff(a, b):
-    """``a - b`` on the grid of its mollification ``b``: on a's grid, or on
-    the eps-shrunk sub-grid of a non-periodic one."""
-    if a is None:
-        return None
-    return GridField(b.lo, b.hi, b.resolution, b.periodic,
-                     _restrict_to(a, b) - b.values)
 
 
 @dataclass(frozen=True)

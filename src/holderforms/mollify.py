@@ -9,8 +9,8 @@ constant ||d eta||_L1 in closed form: eta is unimodal along every coordinate
 line (it decreases in |x|^2), so the line integral of |d_i eta| is twice its
 peak value at x_i = 0.
 
-Non-periodic axes are restricted rather than padded: the output lives on the
-eps-shrunk interior.
+Every field lives on a flat torus, so the convolution wraps on every axis
+and the mollified field lives on the same grid as its input.
 
 One kernel builder and one convolution serve every dimension: a y spacing
 of at least eps gives a one-column kernel equal to the 1-D one bit for bit,
@@ -44,7 +44,6 @@ __all__ = [
     "verify_regularization",
 ]
 
-QUAD_TOL = 1e-8  # declared tolerance on kernel-mass quadrature
 KERNEL_PANELS = 120  # composite GL rule for the kernel mass
 
 
@@ -133,49 +132,29 @@ def discrete_kernel(h, epsilon: float, n: int) -> np.ndarray:
 def mollify(u: GridField, epsilon: float) -> GridField:
     """Discrete convolution with eta_eps, renormalized to unit mass.
 
-    Periodic axes wrap; non-periodic axes require epsilon < half the axis
-    width and the output is restricted to the eps-shrunk interior.
+    Every axis wraps, so the output lives on the grid of ``u``.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    for ax in range(u.dim):
-        if not u.periodic[ax] and epsilon >= 0.5 * (u.hi[ax] - u.lo[ax]):
-            raise ValueError(
-                f"epsilon {epsilon} too large for non-periodic axis {ax}"
-            )
-    h = u.spacing
-    w = discrete_kernel(h, epsilon, u.dim)
-    ms = [s // 2 for s in w.shape]
-    # periodic axes: drop the duplicate endpoint, pad with wrap
-    core = u.values[tuple(slice(0, -1) if per else slice(None)
-                          for per in u.periodic)]
-    padded = np.pad(core, [(m, m) if per else (0, 0)
-                           for m, per in zip(ms, u.periodic)], mode="wrap")
+    w = discrete_kernel(u.spacing, epsilon, u.dim)
+    # drop the duplicate endpoints, pad with wrap
+    padded = np.pad(u.values[(slice(0, -1),) * u.dim],
+                    [(s // 2, s // 2) for s in w.shape], mode="wrap")
     # every window against w at once: the window view is not copied
     taps = "ab"[:u.dim]
     out = np.einsum(f"...{taps},{taps}->...",
                     sliding_window_view(padded, w.shape), w)
-    lo, hi, res = list(u.lo), list(u.hi), list(u.resolution)
-    for ax, per in enumerate(u.periodic):
-        if per:
-            # re-append the duplicate periodic endpoint
-            edge = np.take(out, [0], axis=ax)
-            out = np.concatenate([out, edge], axis=ax)
-        else:
-            lo[ax] += ms[ax] * h[ax]
-            hi[ax] -= ms[ax] * h[ax]
-            res[ax] -= 2 * ms[ax]
-    return GridField(tuple(lo), tuple(hi), tuple(res), u.periodic, out)
+    for ax in range(u.dim):
+        # re-append the duplicate endpoint
+        out = np.concatenate([out, np.take(out, [0], axis=ax)], axis=ax)
+    return GridField(u.lo, u.hi, u.resolution, out)
 
 
 def grad_supnorm(u: GridField) -> float:
-    """Max |centered difference| over axes, interior nodes (wrap if periodic)."""
+    """Max |centered difference| over axes and nodes, wrapping every axis."""
     best = 0.0
     for ax in range(u.dim):
-        d = _centered_diff(u.values, ax, u.spacing[ax], u.periodic[ax])
-        if not u.periodic[ax]:
-            # drop the one-sided edge values
-            d = np.take(d, range(1, u.resolution[ax] - 1), axis=ax)
+        d = _centered_diff(u.values, ax, u.spacing[ax])
         best = max(best, float(np.max(np.abs(d))))
     return best
 
@@ -210,16 +189,6 @@ class RegularizationReport:
                 self.measured_d, self.bound_d, self.pass_c, self.pass_d]
 
 
-def _restrict_to(u: GridField, target: GridField) -> np.ndarray:
-    """Values of u at the nodes of target (target grid is a sub-grid of u)."""
-    idx = []
-    for ax in range(u.dim):
-        h = u.spacing[ax]
-        start = int(round((target.lo[ax] - u.lo[ax]) / h))
-        idx.append(slice(start, start + target.resolution[ax]))
-    return u.values[tuple(idx)]
-
-
 def verify_regularization(
     u: GridField,
     theta: float,
@@ -235,9 +204,8 @@ def verify_regularization(
     reports = []
     for eps in epsilons:
         ue = mollify(u, eps)
-        uv = _restrict_to(u, ue)
         measured_b = ue.supnorm()
-        measured_c = float(np.max(np.abs(ue.values - uv)))
+        measured_c = float(np.max(np.abs(ue.values - u.values)))
         measured_d = grad_supnorm(ue)
         reports.append(RegularizationReport(
             epsilon=float(eps),

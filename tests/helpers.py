@@ -16,6 +16,16 @@ from holderforms.dynamics import CAT_MAP
 from holderforms.grids import _lag_distances, weierstrass_callable
 
 
+def matched_ends(vals):
+    """``vals``, in place, with its last entry on every axis set to its
+    first: the duplicate endpoint of a field on the torus."""
+    for ax in range(vals.ndim):
+        last = [slice(None)] * vals.ndim
+        last[ax] = -1
+        vals[tuple(last)] = np.take(vals, 0, axis=ax)
+    return vals
+
+
 def analytic_weierstrass_form(theta: float, base: int = 2,
                               terms: int = 8) -> OneForm:
     """Exact-evaluator counterpart of ``experiments.weierstrass_form``."""

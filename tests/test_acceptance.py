@@ -108,7 +108,7 @@ def test_c02_sup_bound_random_fields():
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(257)
         vals[-1] = vals[0]
-        u = GridField((0.0,), (1.0,), (257,), (True,), vals)
+        u = GridField((0.0,), (1.0,), (257,), vals)
         sup = float(np.max(np.abs(vals)))
         for eps in EPSILONS:
             ue = mollify(u, eps)

@@ -28,6 +28,7 @@ from holderforms.decay import USRectangle, cut_strips
 from holderforms.experiments import dyadic_square_family, weierstrass_form
 from holderforms.grids import GridField, make_weierstrass
 from holderforms.inequality import mollify_one_form, one_form_cnorm
+from helpers import matched_ends
 
 
 def one(p):
@@ -37,8 +38,7 @@ def one(p):
 
 def constant_field(c):
     """The constant ``c`` on [-4, 4]^2, whose 2-form integral is c * area."""
-    return GridField((-4.0, -4.0), (4.0, 4.0), (2, 2), (False, False),
-                     np.full((2, 2), c))
+    return GridField((-4.0, -4.0), (4.0, 4.0), (2, 2), np.full((2, 2), c))
 
 
 def _fresh_gl_rule(panels, a, b):
@@ -199,15 +199,18 @@ class TestPolygonBoundaryIntegrals:
 
 @st.composite
 def grid_polygons(draw):
-    """A non-periodic grid (as GridField keywords) and a polygon inside it.
+    """A grid (as GridField keywords) and a polygon inside the box
+    ``[lo, lo + size]``, which ends one cell before the grid's ``hi`` on
+    each axis: there a field with matched ends equals a sampled function
+    that is not periodic, and only its last cell wraps.
 
     The polygon is a rotated square, a triangle or a thin rotated rectangle.
     """
     lo = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
     size = np.array([draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))])
     res = (draw(st.integers(3, 40)), draw(st.integers(3, 40)))
-    grid = dict(lo=tuple(lo), hi=tuple(lo + size), resolution=res,
-                periodic=(False, False))
+    hi = lo + size * (np.array(res) - 1) / (np.array(res) - 2)
+    grid = dict(lo=tuple(lo), hi=tuple(hi), resolution=res)
     centre = lo + size * np.array([draw(st.floats(0.25, 0.75)),
                                    draw(st.floats(0.25, 0.75))])
     r = 0.24 * min(size) * draw(st.floats(0.05, 1.0))
@@ -267,9 +270,9 @@ class TestExactGridBoundaryIntegrals:
         pc, qc = np.array(coef).reshape(2, 4)
         x, y = np.meshgrid(*(np.linspace(a, b, n) for a, b, n in zip(
             grid["lo"], grid["hi"], grid["resolution"])), indexing="ij")
-        form = OneForm(*(GridField(values=c[0] + c[1] * x + c[2] * y
-                                   + c[3] * x * y, **grid) for c in (pc, qc)),
-                       0.5)
+        form = OneForm(*(GridField(values=matched_ends(
+            c[0] + c[1] * x + c[2] * y + c[3] * x * y), **grid)
+            for c in (pc, qc)), 0.5)
         vx, vy = verts[:, 0], verts[:, 1]
         xn, yn = np.roll(vx, -1), np.roll(vy, -1)
         cross = vx * yn - xn * vy
@@ -289,8 +292,9 @@ class TestExactGridBoundaryIntegrals:
         # a missed crossing shows
         grid, verts = case
         rng = np.random.default_rng(seed)
-        form = OneForm(*(GridField(values=rng.normal(size=grid["resolution"]),
-                                   **grid) for _ in range(2)), 0.5)
+        form = OneForm(*(GridField(values=matched_ends(
+            rng.normal(size=grid["resolution"])), **grid)
+            for _ in range(2)), 0.5)
         (exact,) = polygon_boundary_integrals(form, [verts])
         size = max(form.a1.supnorm(), form.a2.supnorm())
         ((length,), _, _) = measure_polygons([verts])
@@ -306,8 +310,9 @@ class TestExactGridBoundaryIntegrals:
             polygon_boundary_integrals(alpha, [c])[0] for c in family]
 
     def test_mixed_form_keeps_the_driver(self, monkeypatch):
+        # xy with matched ends: the interpolant is xy off the last cells
         grid = GridField.from_function(lambda x, y: x * y, (0.0, 0.0),
-                                       (1.0, 1.0), (5, 5), (False, False))
+                                       (1.0, 1.0), (5, 5))
         calls = []
         driver = chains.adaptive_quadrature
 
@@ -334,7 +339,7 @@ class TestExactGridBoundaryIntegrals:
         # dx slot keeps every edge, so it gives the values without the drop
         alpha = weierstrass_form(0.5, terms=6, resolution=512)
         grid = alpha.a2
-        zero = GridField(grid.lo, grid.hi, grid.resolution, grid.periodic,
+        zero = GridField(grid.lo, grid.hi, grid.resolution,
                          np.zeros(grid.resolution))
         disks = [rectangle_corners((0.05, 0.05), (3.4, 0.0564)),
                  rectangle_corners((0.1, 0.2), (0.35, 0.45)),
@@ -440,36 +445,39 @@ class TestDisks:
 def bilinear_fields(draw):
     """A grid sampling p = c0 + c1 x + c2 y + c3 xy, and a rectangle.
 
-    1-D grids sample p(x) = c0 + c1 x.  An axis is periodic only where p
-    does not vary along it (its coefficients are 0), so the interpolant is
-    p everywhere; on a periodic axis the rectangle may wrap around the
-    period several times, on any other it lies inside the grid.
+    1-D grids sample p(x) = c0 + c1 x.  Along an axis where p does not vary
+    (its coefficients are 0) the rectangle may wrap around the period
+    several times.  Along any other the grid's ends are matched one cell
+    after ``lo + size``, and the rectangle lies in ``[lo, lo + size]``,
+    where the interpolant is p.
     """
     dim = draw(st.integers(1, 2))
-    periodic = [draw(st.booleans()) for _ in range(dim)]
+    wraps = [draw(st.booleans()) for _ in range(dim)]
     c = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4,
                                max_size=4)))
     if dim == 1:
         c[2:] = 0.0
-    if periodic[0]:
+    if wraps[0]:
         c[[1, 3]] = 0.0
-    if dim == 2 and periodic[1]:
+    if dim == 2 and wraps[1]:
         c[[2, 3]] = 0.0
     lo = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
     size = np.array([draw(st.floats(0.5, 3.0)) for _ in range(dim)])
-    res = tuple(draw(st.integers(2, 40)) for _ in range(dim))
-    axes = [np.linspace(a, a + w, n) for a, w, n in zip(lo, size, res)]
+    res = tuple(draw(st.integers(2 if w else 3, 40)) for w in wraps)
+    # a wrapping axis spans lo + size; any other one cell more
+    hi = lo + np.array([w if wrap else w * (n - 1) / (n - 2)
+                        for w, n, wrap in zip(size, res, wraps)])
+    axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, res)]
     x, y = (np.meshgrid(*axes, indexing="ij") if dim == 2
             else (axes[0], 0.0))
     values = np.broadcast_to(c[0] + c[1] * x + c[2] * y + c[3] * x * y, res)
-    field = GridField(tuple(lo), tuple(lo + size), res, tuple(periodic),
-                      values.copy())
+    field = GridField(tuple(lo), tuple(hi), res, matched_ends(values.copy()))
     rect_lo, rect_hi = [], []
     for ax in range(2):
         if ax >= dim:  # a 1-D field is constant in y
             a = draw(st.floats(-3.0, 3.0))
             b = a + draw(st.floats(0.0, 3.0))
-        elif periodic[ax]:
+        elif wraps[ax]:
             a = lo[ax] + size[ax] * draw(st.floats(-2.0, 2.0))
             b = a + size[ax] * draw(st.floats(0.0, 3.0))
         else:
@@ -481,7 +489,8 @@ def bilinear_fields(draw):
 
 
 def _cell_reference(beta, lo, hi):
-    """``integrate_two_form`` of a non-periodic field, by Python loops.
+    """``integrate_two_form`` over a rectangle inside the grid's box, by
+    Python loops.
 
     On each grid cell's overlap with ``[lo, hi]`` the interpolant is
     bilinear (linear in x for a 1-D field), which the 2 x 2 Gauss rule
@@ -542,8 +551,8 @@ class TestIntegrateTwoForm:
     def test_rough_field_equals_a_cell_loop(self, seed, res, corners):
         # random node values: the interpolant kinks at every grid line, so
         # a missed cut shows
-        beta = GridField((-1.0, 0.5), (2.0, 1.5), res, (False, False),
-                         np.random.default_rng(seed).normal(size=res))
+        beta = GridField((-1.0, 0.5), (2.0, 1.5), res, matched_ends(
+            np.random.default_rng(seed).normal(size=res)))
         (u0, u1), (v0, v1) = sorted(corners[:2]), sorted(corners[2:])
         lo, hi = (-1.0 + 3.0 * u0, 0.5 + v0), (-1.0 + 3.0 * u1, 0.5 + v1)
         got = integrate_two_form(beta, lo, hi)
@@ -635,7 +644,7 @@ class TestStokesPairs:
         x = np.linspace(0.0, 1.0, n)[:, None]
         y = np.linspace(0.0, 1.0, n)[None, :]
         vals = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
-        a2 = GridField((0.0, 0.0), (1.0, 1.0), (n, n), (True, True), vals)
+        a2 = GridField((0.0, 0.0), (1.0, 1.0), (n, n), vals)
         alpha = OneForm(None, a2, 0.5)
         lo, hi = (0.1, 0.1), (0.4, 0.35)
         (lhs,) = polygon_boundary_integrals(alpha, [rectangle_corners(lo, hi)])
@@ -644,16 +653,21 @@ class TestStokesPairs:
 
 
 class TestExteriorDerivative:
-    def test_grid_linear_form(self):
+    def test_grid_sine_form(self):
+        # d(2 sin(2 pi y) dx + 5 sin(2 pi x) dy) by centred differences:
+        # sin(2 pi (x + h)) - sin(2 pi (x - h)) = 2 cos(2 pi x) sin(2 pi h)
         n = 65
+        h = 1.0 / (n - 1)
         x = np.linspace(0.0, 1.0, n)[:, None]
         y = np.linspace(0.0, 1.0, n)[None, :]
-        a1 = GridField((0.0, 0.0), (1.0, 1.0), (n, n), (False, False),
-                       np.broadcast_to(y, (n, n)).copy() * 2.0)
-        a2 = GridField((0.0, 0.0), (1.0, 1.0), (n, n), (False, False),
-                       np.broadcast_to(x, (n, n)).copy() * 5.0)
+        a1 = GridField.from_function(lambda x, y: 2.0 * np.sin(2 * np.pi * y),
+                                     (0.0, 0.0), (1.0, 1.0), (n, n))
+        a2 = GridField.from_function(lambda x, y: 5.0 * np.sin(2 * np.pi * x),
+                                     (0.0, 0.0), (1.0, 1.0), (n, n))
         d = exterior_derivative(OneForm(a1, a2, 1.0))
-        np.testing.assert_allclose(d.values, 3.0, atol=1e-9)
+        want = ((5.0 * np.cos(2 * np.pi * x) - 2.0 * np.cos(2 * np.pi * y))
+                * np.sin(2 * np.pi * h) / h)
+        np.testing.assert_allclose(d.values, want, atol=1e-9)
 
     def test_analytic_component_rejected(self):
         alpha = OneForm(None, lambda p: p[..., 0], 1.0)
@@ -690,21 +704,18 @@ def x_only_forms(draw):
     """A form whose components are 1-D fields of x, and its 2-D extension.
 
     The extension repeats each 1-D field's samples over ``ny`` columns of a
-    grid periodic in y on [0, 1], so it is constant in y.
+    grid on [0, 1]^2, so it is constant in y.
     """
     n, ny = draw(st.integers(5, 40)), draw(st.integers(2, 10))
-    periodic = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def field():
-        v = rng.normal(size=n)
-        if periodic:
-            v[-1] = v[0]
-        return GridField((0.0,), (1.0,), (n,), (periodic,), v)
+        return GridField((0.0,), (1.0,), (n,),
+                         matched_ends(rng.normal(size=n)))
 
     def extend(c):
         return None if c is None else GridField(
-            (0.0, 0.0), (1.0, 1.0), (n, ny), (periodic, True),
+            (0.0, 0.0), (1.0, 1.0), (n, ny),
             np.repeat(c.values[:, None], ny, axis=1))
 
     a1 = field() if draw(st.booleans()) else None

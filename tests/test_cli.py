@@ -87,6 +87,23 @@ class TestSubcommands:
         assert code == 0
         assert calls == [0.05]
 
+    def test_stokes_check_takes_one_exterior_derivative(self, tmp_path,
+                                                        monkeypatch):
+        # the Stokes row reads the split's interior integral
+        calls = []
+        real = holderforms.inequality.exterior_derivative
+
+        def counting(alpha):
+            calls.append(alpha)
+            return real(alpha)
+
+        for module in (holderforms.inequality, holderforms.cli):
+            monkeypatch.setattr(module, "exterior_derivative", counting,
+                                raising=False)
+        code, _ = run(["stokes-check"], tmp_path)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_stokes_check_computes_no_seminorm(self, tmp_path, monkeypatch):
         # it reads the split's terms and chain check, never its bounds
         calls = []

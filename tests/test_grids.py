@@ -15,30 +15,49 @@ from holderforms.grids import (
     weierstrass_callable,
 )
 import helpers
-from helpers import _one_level_block_bounds, lag_scan_one_level
+from helpers import _one_level_block_bounds, lag_scan_one_level, matched_ends
 
 
-def linear_field(n=33, periodic=False):
+def tent(x, lo=0.0, hi=1.0):
+    """Distance from ``x`` to ``lo`` round the circle [lo, hi): slope 1 but
+    for the kinks at ``lo`` and at the midpoint."""
+    return np.minimum(x - lo, hi - x)
+
+
+def tent_field(n=33):
+    """0.5 - 2 |x - 1/2| on [0, 1], which is 2x - 0.5 on [0, 1/2]; ``n`` is
+    odd, so the kinks lie on nodes and the interpolant is the function."""
     x = np.linspace(0.0, 1.0, n)
-    return GridField((0.0,), (1.0,), (n,), (periodic,), 2.0 * x - 0.5)
+    return GridField((0.0,), (1.0,), (n,), 2.0 * tent(x) - 0.5)
+
+
+def without_drift(vals):
+    """``vals`` less the line through its end values along every axis, with
+    matched ends: a random walk made periodic, its steps kept."""
+    for ax, n in enumerate(vals.shape):
+        ramp = np.linspace(0.0, 1.0, n).reshape(
+            [-1 if a == ax else 1 for a in range(vals.ndim)])
+        vals = vals - ramp * (np.take(vals, [-1], axis=ax)
+                              - np.take(vals, [0], axis=ax))
+    return matched_ends(vals)
 
 
 class TestGridField:
     def test_bilinear_is_exact_on_linear_data(self):
-        f = linear_field()
-        x = np.array([0.0, 0.1234, 0.5, 0.999, 1.0])
-        np.testing.assert_allclose(f.evaluate(x[:, None]), 2.0 * x - 0.5,
-                                   atol=1e-14)
+        f = tent_field()
+        x = np.array([0.0, 0.1234, 0.5, 0.7, 0.999, 1.0])
+        np.testing.assert_allclose(f.evaluate(x[:, None]),
+                                   0.5 - 2.0 * np.abs(x - 0.5), atol=1e-14)
 
     def test_scalar_like_queries(self):
-        f = linear_field()
+        f = tent_field()
         assert f.evaluate(np.array([[0.25]]))[0] == pytest.approx(0.0)
 
     def test_periodic_wrap(self):
         n = 65
         x = np.linspace(0.0, 1.0, n)
         vals = np.sin(2 * np.pi * x)
-        f = GridField((0.0,), (1.0,), (n,), (True,), vals)
+        f = GridField((0.0,), (1.0,), (n,), vals)
         a = f.evaluate(np.array([[0.1]]))
         b = f.evaluate(np.array([[1.1]]))
         assert a == pytest.approx(b, abs=1e-12)
@@ -46,58 +65,58 @@ class TestGridField:
     def test_periodic_endpoint_mismatch_rejected(self):
         vals = np.linspace(0.0, 1.0, 17)  # endpoints differ
         with pytest.raises(ValueError):
-            GridField((0.0,), (1.0,), (17,), (True,), vals)
-
-    def test_out_of_window_query_rejected(self):
-        f = linear_field()
-        with pytest.raises(ValueError):
-            f.evaluate(np.array([[1.5]]))
+            GridField((0.0,), (1.0,), (17,), vals)
 
     @pytest.mark.parametrize("dim,shape", [
         (1, (2, 2)), (1, (5,)), (1, ()), (2, (3, 1)), (2, (3,)), (2, (4, 3)),
     ])
     def test_points_must_match_the_dimension(self, dim, shape):
         # planar points on a 1-D field would be read as two x coordinates
-        f = linear_field() if dim == 1 else GridField(
-            (0.0, 0.0), (1.0, 1.0), (5, 5), (False, False), np.zeros((5, 5)))
+        f = tent_field() if dim == 1 else GridField(
+            (0.0, 0.0), (1.0, 1.0), (5, 5), np.zeros((5, 5)))
         with pytest.raises(ValueError,
                            match=re.escape(f"(..., {dim}), got {shape}")):
             f.evaluate(np.full(shape, 0.5))
 
     def test_distance_uses_shortest_wrap(self):
         n = 33
-        f = GridField((0.0,), (1.0,), (n,), (True,), np.zeros(n))
+        f = GridField((0.0,), (1.0,), (n,), np.zeros(n))
         d = f.distance(np.array([[0.05]]), np.array([[0.95]]))
         assert d[0] == pytest.approx(0.1)
 
-    def test_2d_bilinear_matches_tensor_polynomial(self):
+    def test_2d_bilinear_matches_a_tensor_of_tents(self):
+        # tents in x and in y, kinked on nodes, are linear on each cell, so
+        # the bilinear interpolant of 3 s + 0.5 t - s t is that function
         nx, ny = 21, 17
-        x = np.linspace(0.0, 1.0, nx)[:, None]
-        y = np.linspace(0.0, 2.0, ny)[None, :]
+        x = tent(np.linspace(0.0, 1.0, nx))[:, None]
+        y = tent(np.linspace(0.0, 2.0, ny), hi=2.0)[None, :]
         vals = 3.0 * x + 0.5 * y - x * y
-        f = GridField((0.0, 0.0), (1.0, 2.0), (nx, ny), (False, False), vals)
-        pts = np.array([[0.3, 0.7], [0.95, 1.9], [0.0, 0.0]])
-        want = 3.0 * pts[:, 0] + 0.5 * pts[:, 1] - pts[:, 0] * pts[:, 1]
+        f = GridField((0.0, 0.0), (1.0, 2.0), (nx, ny), vals)
+        pts = np.array([[0.3, 0.7], [0.95, 1.9], [0.0, 0.0], [-0.05, 2.1]])
+        s, t = tent(pts[:, 0] % 1.0), tent(pts[:, 1] % 2.0, hi=2.0)
+        want = 3.0 * s + 0.5 * t - s * t
         np.testing.assert_allclose(f.evaluate(pts), want, atol=1e-13)
 
 
 class TestHolderSeminorm:
     def test_lipschitz_line_has_unit_slope(self):
-        f = linear_field(129)
+        f = tent_field(129)
         est = holder_seminorm(f, 1.0)
         assert est.seminorm == pytest.approx(2.0, rel=1e-12)
 
     def test_theta_must_be_in_range(self):
-        f = linear_field()
+        f = tent_field()
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 holder_seminorm(f, bad)
 
     def test_root_singularity_seminorm(self):
-        # f(x) = sqrt(x) has H_{1/2} = 1, attained at pairs touching 0
+        # f = sqrt(d(x, 0)) has H_{1/2} = 1, attained at pairs touching 0:
+        # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), and |d(x, 0) - d(y, 0)|
+        # is at most d(x, y)
         n = 513
         x = np.linspace(0.0, 1.0, n)
-        f = GridField((0.0,), (1.0,), (n,), (False,), np.sqrt(x))
+        f = GridField((0.0,), (1.0,), (n,), np.sqrt(tent(x)))
         est = holder_seminorm(f, 0.5)
         assert est.seminorm == pytest.approx(1.0, rel=1e-9)
 
@@ -112,7 +131,7 @@ class TestHolderSeminorm:
         assert refined >= coarse
 
     def test_cnorm_is_sup_plus_seminorm(self):
-        f = linear_field(65)
+        f = tent_field(65)
         est = holder_seminorm(f, 1.0)
         assert est.cnorm == pytest.approx(est.supnorm + est.seminorm)
 
@@ -123,11 +142,9 @@ class TestHolderSeminorm:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 41))
         theta = float(rng.uniform(0.1, 0.95))
-        periodic = seed % 2 == 1
         vals = rng.standard_normal(n)
-        if periodic:
-            vals[-1] = vals[0]
-        f = GridField((0.0,), (1.0,), (n,), (periodic,), vals)
+        vals[-1] = vals[0]
+        f = GridField((0.0,), (1.0,), (n,), vals)
         est = holder_seminorm(f, theta).seminorm
         x = np.concatenate([rng.uniform(0.0, 1.0, 400),
                             np.linspace(0.0, 1.0, n)])[:, None]
@@ -138,45 +155,37 @@ class TestHolderSeminorm:
         assert np.max(ratio) <= est * (1.0 + 1e-12)
 
     def test_2d_node_maximum_is_a_lower_bound(self):
-        # xy on one cell: the node pairs give 1 at theta = 1, but the
-        # gradient (1, 1) at the corner (1, 1) has length sqrt(2)
-        f = GridField((0.0, 0.0), (1.0, 1.0), (2, 2), (False, False),
-                      np.array([[0.0, 0.0], [0.0, 1.0]]))
-        assert holder_seminorm(f, 1.0).seminorm == 1.0
-        t = 1.0 - 1e-6
-        ratio = ((f.evaluate([1.0, 1.0]) - f.evaluate([t, t]))
-                 / f.distance(np.array([1.0, 1.0]), np.array([t, t])))
-        assert float(ratio[0]) == pytest.approx(math.sqrt(2.0), rel=1e-5)
+        # the tent 1 at the centre of a 3 x 3 torus grid, 0 elsewhere: the
+        # node pairs give 2 at theta = 1, but along the diagonal from the
+        # peak the interpolant is (1 - 2t)^2, whose slope there is 2 sqrt(2)
+        vals = np.zeros((3, 3))
+        vals[1, 1] = 1.0
+        f = GridField((0.0, 0.0), (1.0, 1.0), (3, 3), vals)
+        assert holder_seminorm(f, 1.0).seminorm == 2.0
+        t = 0.5 + 1e-6
+        ratio = ((f.evaluate([0.5, 0.5]) - f.evaluate([t, t]))
+                 / f.distance(np.array([0.5, 0.5]), np.array([t, t])))
+        assert float(ratio[0]) == pytest.approx(2.0 * math.sqrt(2.0),
+                                                rel=1e-5)
 
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(0.1, 50.0), seed=st.integers(0, 10))
     def test_scale_equivariance(self, scale, seed):
         rng = np.random.default_rng(seed)
-        vals = rng.standard_normal(64)
-        f = GridField((0.0,), (1.0,), (64,), (False,), vals)
-        g = GridField((0.0,), (1.0,), (64,), (False,), scale * vals)
+        vals = matched_ends(rng.standard_normal(64))
+        f = GridField((0.0,), (1.0,), (64,), vals)
+        g = GridField((0.0,), (1.0,), (64,), scale * vals)
         a = holder_seminorm(f, 0.7).seminorm
         b = holder_seminorm(g, 0.7).seminorm
         assert b == pytest.approx(scale * a, rel=1e-12)
 
 
-def _snap_periodic(vals, periodic):
-    for ax, per in enumerate(periodic):
-        if per:
-            last = [slice(None)] * vals.ndim
-            last[ax] = -1
-            vals[tuple(last)] = np.take(vals, 0, axis=ax)
-    return vals
-
-
 @st.composite
-def lag_grids(draw, dim=None, periodic=None):
+def lag_grids(draw, dim=None):
     """Small random grids: noise, y-constant (pruned) or tilted (not pruned)."""
     dim = draw(st.sampled_from([1, 2])) if dim is None else dim
     res = (draw(st.integers(2, 24)),) + (
         (draw(st.integers(2, 10)),) if dim == 2 else ())
-    if periodic is None:
-        periodic = tuple(draw(st.booleans()) for _ in res)
     kind = draw(st.sampled_from(["noise", "y_constant", "tilted"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo = rng.uniform(-1.0, 1.0, dim)
@@ -185,13 +194,14 @@ def lag_grids(draw, dim=None, periodic=None):
     if kind == "y_constant" and dim == 2:
         vals = np.repeat(vals[:, :1], res[1], axis=1)
     elif kind == "tilted":
-        # a steep linear ramp: the largest quotients sit on off-axis lags
-        axes = np.meshgrid(*(np.linspace(lo[a], hi[a], res[a])
+        # steep tents, linear but at two kinks per axis: the largest
+        # quotients sit on off-axis lags
+        axes = np.meshgrid(*(tent(np.linspace(lo[a], hi[a], res[a]),
+                                  lo[a], hi[a])
                              for a in range(dim)), indexing="ij")
         slope = rng.uniform(-20.0, 20.0, dim)
         vals = 1e-3 * vals + sum(s * x for s, x in zip(slope, axes))
-    vals = _snap_periodic(vals, periodic)
-    return GridField(tuple(lo), tuple(hi), res, periodic, vals)
+    return GridField(tuple(lo), tuple(hi), res, matched_ends(vals))
 
 
 @st.composite
@@ -201,12 +211,11 @@ def block_grids(draw):
     dim = draw(st.sampled_from([1, 2]))
     res = ((draw(st.integers(2, 300)),) if dim == 1
            else (draw(st.integers(2, 40)), draw(st.integers(2, 40))))
-    periodic = tuple(draw(st.booleans()) for _ in res)
     kind = draw(st.sampled_from(["spikes", "walk", "constant", "y_constant"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo = rng.uniform(-1.0, 1.0, dim)
     hi = lo + rng.uniform(0.1, 3.0, dim)
-    walk = rng.standard_normal(res).cumsum(axis=0)
+    walk = without_drift(rng.standard_normal(res).cumsum(axis=0))
     if kind == "spikes":
         vals = 1e-3 * rng.standard_normal(res)
         for _ in range(draw(st.integers(1, 3))):
@@ -216,13 +225,12 @@ def block_grids(draw):
                 - int(rng.integers(0, 2)))) for n in res)
             vals[idx] += rng.uniform(-5.0, 5.0)
     elif kind == "walk":
-        vals = walk.cumsum(axis=-1) if dim == 2 else walk
+        vals = without_drift(walk.cumsum(axis=-1)) if dim == 2 else walk
     elif kind == "constant":
         vals = np.full(res, rng.uniform(-2.0, 2.0))
     else:
         vals = np.repeat(walk[:, :1], res[1], axis=1) if dim == 2 else walk
-    vals = _snap_periodic(vals, periodic)
-    return GridField(tuple(lo), tuple(hi), res, periodic, vals)
+    return GridField(tuple(lo), tuple(hi), res, matched_ends(vals))
 
 
 thetas = st.floats(0.05, 1.0, exclude_min=True)
@@ -270,13 +278,12 @@ class TestLagScan:
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_unequal_periodic_ends_keep_the_2d_scan(self, theta):
-        # equal columns, but the periodic x ends differ by a rounding-sized
-        # step: across the seam they sit at x distance 0 and y distance h_y,
+        # equal columns, but the x ends differ by a rounding-sized step:
+        # across the seam they sit at x distance 0 and y distance h_y,
         # closer than any pair along x, so the scan must reach lag (n-1, 1)
         vals = np.full((9, 17), 0.25)
         vals[-1] += 1e-11
-        f = GridField((0.0, 0.0), (1.0, 0.01), vals.shape, (True, False),
-                      vals)
+        f = GridField((0.0, 0.0), (1.0, 0.01), vals.shape, vals)
         exact = holder_seminorm(f, theta, pairs=all_pairs(f)).seminorm
         assert exact == pytest.approx(1e-11 / (0.01 / 16) ** theta, rel=1e-4)
         assert holder_seminorm(f, theta).seminorm == exact
@@ -319,8 +326,7 @@ class TestLagScan:
         vals = np.tile(line, (3, 1))
         if ax == 0:
             vals = vals.T
-        periodic = (ax == 0, ax == 1)
-        f = GridField((0.0, 0.0), (1.0, 1.0), vals.shape, periodic, vals)
+        f = GridField((0.0, 0.0), (1.0, 1.0), vals.shape, vals)
         assert holder_seminorm(f, theta).seminorm == pytest.approx(
             2.0 / (2.0 * h) ** theta, rel=1e-12)
 
@@ -329,27 +335,21 @@ class TestLagScan:
     def test_rolling_a_periodic_axis_leaves_it_unchanged(self, data, theta):
         dim = data.draw(st.sampled_from([1, 2]))
         ax = data.draw(st.integers(0, dim - 1))
-        periodic = tuple(a == ax or data.draw(st.booleans())
-                         for a in range(dim))
-        f = data.draw(lag_grids(dim=dim, periodic=periodic))
+        f = data.draw(lag_grids(dim=dim))
         n = f.resolution[ax]
         shift = data.draw(st.integers(0, n - 2))
         body = np.roll(np.take(f.values, range(n - 1), axis=ax), shift, axis=ax)
-        rolled = _snap_periodic(np.concatenate(
-            [body, np.take(body, [0], axis=ax)], axis=ax), periodic)
-        g = GridField(f.lo, f.hi, f.resolution, f.periodic, rolled)
+        rolled = np.concatenate([body, np.take(body, [0], axis=ax)], axis=ax)
+        g = GridField(f.lo, f.hi, f.resolution, rolled)
         assert holder_seminorm(g, theta).seminorm == pytest.approx(
             holder_seminorm(f, theta).seminorm, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(f=lag_grids(dim=1), theta=thetas, ny=st.integers(2, 10),
-           periodic=st.booleans())
-    def test_constant_extension_keeps_the_1d_value(self, f, theta, ny,
-                                                    periodic):
+    @given(f=lag_grids(dim=1), theta=thetas, ny=st.integers(2, 10))
+    def test_constant_extension_keeps_the_1d_value(self, f, theta, ny):
         # lag (kx, ky) of the extension repeats M(kx, 0) at a distance of at
         # least dx, so the general 2-D scan finds the 1-D value
         g = GridField((f.lo[0], 0.0), (f.hi[0], 1.0), (f.resolution[0], ny),
-                      (f.periodic[0], periodic),
                       np.repeat(f.values[:, None], ny, axis=1))
         assert holder_seminorm(g, theta).seminorm == pytest.approx(
             holder_seminorm(f, theta).seminorm, rel=1e-12)
@@ -371,16 +371,16 @@ class TestLagScan:
         assert [_lag_maximum(v, k, 0, out) for k in range(1, n)] == naive
 
 
-def long_field(n, periodic, kind, seed):
-    """A 1-D field of ``n`` nodes on [0, 1]: noise or a Weierstrass sum."""
+def long_field(n, kind, seed):
+    """A 1-D field of ``n`` nodes on [0, 1]: noise with matched ends or a
+    Weierstrass sum."""
     if kind == "noise":
-        vals = np.random.default_rng(seed).standard_normal(n)
+        vals = matched_ends(np.random.default_rng(seed).standard_normal(n))
     else:
         terms = int(np.log2(n // 4)) + 1
         vals = make_weierstrass(0.3 + 0.6 * (seed % 7) / 6, 2, terms,
-                                n).values.copy()
-    return GridField((0.0,), (1.0,), (n,), (periodic,),
-                     _snap_periodic(vals, (periodic,)))
+                                n).values
+    return GridField((0.0,), (1.0,), (n,), vals)
 
 
 def all_pairs_seminorm(f, theta, chunk=1 << 19):
@@ -396,24 +396,22 @@ class TestTwoLevelScan:
     first, and on grids near that size."""
 
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(600, 20000), periodic=st.booleans(),
+    @given(n=st.integers(600, 20000),
            kind=st.sampled_from(["noise", "weierstrass"]),
            theta=st.one_of(st.just(1.0), thetas),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_the_one_level_scan(self, n, periodic, kind, theta,
-                                       seed):
-        f = long_field(n, periodic, kind, seed)
+    def test_equals_the_one_level_scan(self, n, kind, theta, seed):
+        f = long_field(n, kind, seed)
         assert holder_seminorm(f, theta).seminorm == \
             lag_scan_one_level(f, theta)
 
     @settings(max_examples=6, deadline=None)
-    @given(n=st.integers(600, 3000), periodic=st.booleans(),
+    @given(n=st.integers(600, 3000),
            kind=st.sampled_from(["noise", "weierstrass"]),
            theta=st.one_of(st.just(1.0), thetas),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_the_all_pairs_maximum(self, n, periodic, kind, theta,
-                                          seed):
-        f = long_field(n, periodic, kind, seed)
+    def test_equals_the_all_pairs_maximum(self, n, kind, theta, seed):
+        f = long_field(n, kind, seed)
         assert holder_seminorm(f, theta).seminorm == \
             all_pairs_seminorm(f, theta)
 
@@ -458,15 +456,13 @@ class TestTwoLevelScan:
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_either_side_of_the_coarse_level(self, n, theta):
         # 8192 nodes make 1024 tiles, one level; 8193 make 1025, two
-        f = long_field(n, True, "weierstrass", 3)
+        f = long_field(n, "weierstrass", 3)
         assert holder_seminorm(f, theta).seminorm == \
             lag_scan_one_level(f, theta)
 
     @pytest.mark.parametrize("kind", ["ridges", "walk"])
-    @pytest.mark.parametrize("periodic", [(False, False), (True, False),
-                                          (False, True)])
     @pytest.mark.parametrize("theta", [0.2, 1.0])
-    def test_2d_fields_with_coarse_tiles(self, kind, periodic, theta):
+    def test_2d_fields_with_coarse_tiles(self, kind, theta):
         # 600 x 120 nodes make 75 x 15 tiles and 10 x 2 coarse tiles;
         # 300 x 300 make 38 x 38 and 5 x 5; the walk at theta = 0.2
         # refines coarse blocks off the x axis on both sides of it
@@ -478,8 +474,8 @@ class TestTwoLevelScan:
         else:
             vals = rng.standard_normal((300, 300)).cumsum(axis=0).cumsum(
                 axis=1)
-        f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape, periodic,
-                      _snap_periodic(vals, periodic))
+        f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape,
+                      without_drift(vals))
         assert f.values[::8, ::8].size > grids._FEW_TILES
         assert holder_seminorm(f, theta).seminorm == \
             lag_scan_one_level(f, theta)
@@ -509,10 +505,9 @@ class TestTwoLevelScan:
             vals = np.random.default_rng(5).standard_normal(
                 (300, 300)).cumsum(axis=0).cumsum(axis=1)
             f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape,
-                          (False, False), vals)
+                          without_drift(vals))
         else:
-            f = long_field(16384 if kind == "weierstrass" else 9000, True,
-                           kind, 2)
+            f = long_field(16384 if kind == "weierstrass" else 9000, kind, 2)
         lags = {"two": [], "one": []}
 
         def recording(name, fn):

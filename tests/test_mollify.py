@@ -17,6 +17,7 @@ from holderforms.mollify import (
     normalization_constant,
     verify_regularization,
 )
+from helpers import matched_ends
 
 
 def two_formula_kernel(h, epsilon, n):
@@ -36,49 +37,31 @@ def two_formula_kernel(h, epsilon, n):
 def loop_mollify(u, epsilon):
     """Reference convolution: one loop over output nodes, one over taps.
 
-    A 1-D field is one column; periodic indices wrap over the ``n - 1``
-    distinct nodes, and a non-periodic axis keeps the nodes whose window
-    fits.
+    A 1-D field is one column, the only node of its second axis; the
+    indices of every axis of the grid wrap over its ``n - 1`` distinct
+    nodes.
     """
     w = discrete_kernel(u.spacing, epsilon, u.dim)
     v = u.values.reshape(u.values.shape + (1,) * (2 - u.dim))
     w = w.reshape(w.shape + (1,) * (2 - u.dim))
-    per = u.periodic + (False,) * (2 - u.dim)
     m = [s // 2 for s in w.shape]
-    keep = [range(n - 1) if p else range(k, n - k)
-            for n, p, k in zip(v.shape, per, m)]
-
-    def index(i, ax):
-        return i % (v.shape[ax] - 1) if per[ax] else i
-
-    out = np.zeros((len(keep[0]), len(keep[1])))
-    for a, i in enumerate(keep[0]):
-        for b, j in enumerate(keep[1]):
+    nodes = [n - 1 if ax < u.dim else 1 for ax, n in enumerate(v.shape)]
+    out = np.zeros(nodes)
+    for i in range(nodes[0]):
+        for j in range(nodes[1]):
             for p in range(-m[0], m[0] + 1):
                 for q in range(-m[1], m[1] + 1):
-                    out[a, b] += (w[p + m[0], q + m[1]]
-                                  * v[index(i + p, 0), index(j + q, 1)])
-    for ax in range(2):
-        if per[ax]:
-            out = np.concatenate([out, np.take(out, [0], axis=ax)], axis=ax)
+                    out[i, j] += (w[p + m[0], q + m[1]]
+                                  * v[(i + p) % nodes[0], (j + q) % nodes[1]])
+    for ax in range(u.dim):
+        out = np.concatenate([out, np.take(out, [0], axis=ax)], axis=ax)
     return out.reshape(out.shape[:u.dim])
 
 
-def noise_field(resolution, periodic, hi, seed=0):
+def noise_field(resolution, hi, seed=0):
     v = np.random.default_rng(seed).standard_normal(resolution)
-    for ax, per in enumerate(periodic):
-        if per:
-            last = [slice(None)] * len(resolution)
-            last[ax] = -1
-            v[tuple(last)] = np.take(v, 0, axis=ax)
-    return GridField((0.0,) * len(resolution), hi, resolution, periodic, v)
-
-
-def periodic_noise(seed, n=257):
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(n)
-    vals[-1] = vals[0]
-    return GridField((0.0,), (1.0,), (n,), (True,), vals)
+    return GridField((0.0,) * len(resolution), hi, resolution,
+                     matched_ends(v))
 
 
 class TestKernelNormalization:
@@ -154,44 +137,29 @@ class TestKernelNormalization:
 
 class TestMollify:
     def test_constant_field_is_fixed(self):
-        f = GridField((0.0,), (1.0,), (129,), (True,), np.full(129, 3.5))
+        f = GridField((0.0,), (1.0,), (129,), np.full(129, 3.5))
         g = mollify(f, 0.05)
         np.testing.assert_array_equal(g.values, 3.5)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 100), eps=st.sampled_from([0.02, 0.05, 0.1]))
     def test_sup_never_grows(self, seed, eps):
-        f = periodic_noise(seed)
+        f = noise_field((257,), (1.0,), seed)
         g = mollify(f, eps)
         assert np.max(np.abs(g.values)) <= np.max(np.abs(f.values))
 
     def test_smooth_field_converges_as_eps_shrinks(self):
         n = 1025
         x = np.linspace(0.0, 1.0, n)
-        f = GridField((0.0,), (1.0,), (n,), (True,), np.sin(2 * np.pi * x))
+        f = GridField((0.0,), (1.0,), (n,), np.sin(2 * np.pi * x))
         errs = [np.max(np.abs(mollify(f, e).values - f.values))
                 for e in (0.2, 0.1, 0.05)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.05
 
-    def test_nonperiodic_output_shrinks_to_interior(self):
-        n = 513
-        x = np.linspace(0.0, 1.0, n)
-        f = GridField((0.0,), (1.0,), (n,), (False,), x ** 2)
-        g = mollify(f, 0.1)
-        h = 1.0 / (n - 1)
-        assert g.lo[0] >= 0.1 - h
-        assert g.hi[0] <= 0.9 + h
-
-    def test_nonperiodic_epsilon_too_large_rejected(self):
-        f = GridField((0.0,), (1.0,), (65,), (False,),
-                      np.linspace(0.0, 1.0, 65))
-        with pytest.raises(ValueError):
-            mollify(f, 0.6)
-
     def test_2d_constant_field_is_fixed(self):
         vals = np.full((65, 65), -1.25)
-        f = GridField((0.0, 0.0), (1.0, 1.0), (65, 65), (True, True), vals)
+        f = GridField((0.0, 0.0), (1.0, 1.0), (65, 65), vals)
         g = mollify(f, 0.05)
         np.testing.assert_allclose(g.values, -1.25, atol=1e-12)
 
@@ -199,7 +167,7 @@ class TestMollify:
         # |x - 1/2| is Lipschitz; mollification moves it by at most eps
         n = 1025
         x = np.linspace(0.0, 1.0, n)
-        f = GridField((0.0,), (1.0,), (n,), (True,), np.abs(x - 0.5))
+        f = GridField((0.0,), (1.0,), (n,), np.abs(x - 0.5))
         g = mollify(f, 0.1)
         xs = np.linspace(g.lo[0], g.hi[0], 200)
         err = np.abs(g.evaluate(xs[:, None]) - np.abs(xs - 0.5))
@@ -207,65 +175,61 @@ class TestMollify:
 
 
 class TestConvolution:
-    @pytest.mark.parametrize("resolution,periodic,hi", [
-        ((65,), (True,), (1.0,)),
-        ((65,), (False,), (1.0,)),
-        ((17, 13), (True, True), (1.0, 2.0)),
-        ((17, 13), (False, True), (1.0, 2.0)),
-        ((17, 13), (True, False), (1.0, 2.0)),
-        ((17, 13), (False, False), (1.0, 1.0)),
-        ((33, 5), (True, True), (1.0, 1.0)),
+    @pytest.mark.parametrize("resolution,hi", [
+        ((65,), (1.0,)),
+        ((17, 13), (1.0, 2.0)),
+        ((17, 13), (1.0, 1.0)),
+        ((33, 5), (1.0, 1.0)),
     ])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
-    def test_equals_the_loop_reference(self, resolution, periodic, hi, eps):
+    def test_equals_the_loop_reference(self, resolution, hi, eps):
         # eps = 0.01 is below every grid spacing here: one tap, m = 0
-        u = noise_field(resolution, periodic, hi)
+        u = noise_field(resolution, hi)
         g = mollify(u, eps)
         want = loop_mollify(u, eps)
         assert g.values.shape == want.shape == g.resolution
         assert np.max(np.abs(g.values - want)) <= 1e-14 * u.supnorm()
-        for ax in range(u.dim):
-            m = discrete_kernel(u.spacing, eps, u.dim).shape[ax] // 2
-            shift = 0 if periodic[ax] else m * u.spacing[ax]
-            assert g.lo[ax] == u.lo[ax] + shift
-            assert g.hi[ax] == u.hi[ax] - shift
+        assert (g.lo, g.hi) == (u.lo, u.hi)
 
     def test_one_tap_is_the_identity(self):
-        u = noise_field((17, 13), (False, True), (1.0, 2.0))
+        u = noise_field((17, 13), (1.0, 2.0))
         g = mollify(u, 0.01)
         assert g.values.tobytes() == u.values.tobytes()
         assert (g.lo, g.hi, g.resolution) == (u.lo, u.hi, u.resolution)
 
 
 class TestGradSupnorm:
-    def test_linear_ramp(self):
+    def test_tent_slope(self):
+        # 3 min(x, 1 - x) has slope +-3 but at its kinks, the nodes 0 and
+        # 1/2, where the centred difference is 0
         n = 129
         x = np.linspace(0.0, 1.0, n)
-        f = GridField((0.0,), (1.0,), (n,), (False,), 3.0 * x)
+        f = GridField((0.0,), (1.0,), (n,), 3.0 * np.minimum(x, 1.0 - x))
         assert grad_supnorm(f) == pytest.approx(3.0, rel=1e-10)
 
     def test_sine_derivative(self):
         n = 2049
         x = np.linspace(0.0, 1.0, n)
-        f = GridField((0.0,), (1.0,), (n,), (True,), np.sin(2 * np.pi * x))
+        f = GridField((0.0,), (1.0,), (n,), np.sin(2 * np.pi * x))
         assert grad_supnorm(f) == pytest.approx(2 * np.pi, rel=1e-4)
 
-    def test_2d_mixed_periodicity_matches_hand_difference(self):
-        # x not periodic (interior nodes only), y periodic (wrapped)
+    def test_2d_matches_hand_difference(self):
+        # both axes wrapped; a spike on the seam x = 0 gives the largest
+        # difference at the nodes beside it, one of them across the seam
         nx, ny = 17, 13
         v = np.random.default_rng(3).standard_normal((nx, ny))
-        v[-1, 4] = 50.0  # largest difference at the last interior x node
-        v[:, -1] = v[:, 0]
-        f = GridField((0.0, 0.0), (1.0, 2.0), (nx, ny), (False, True), v)
+        v[0, 4] = 50.0
+        f = GridField((0.0, 0.0), (1.0, 2.0), (nx, ny), matched_ends(v))
         hx, hy = f.spacing
         best = 0.0
-        for i in range(1, nx - 1):
+        mx, my = nx - 1, ny - 1
+        for i in range(mx):
             for j in range(ny):
-                best = max(best, abs(v[i + 1, j] - v[i - 1, j]) / (2 * hx))
-        m = ny - 1
+                d = v[(i + 1) % mx, j] - v[(i - 1) % mx, j]
+                best = max(best, abs(d) / (2 * hx))
         for i in range(nx):
-            for j in range(m):
-                d = v[i, (j + 1) % m] - v[i, (j - 1) % m]
+            for j in range(my):
+                d = v[i, (j + 1) % my] - v[i, (j - 1) % my]
                 best = max(best, abs(d) / (2 * hy))
         assert grad_supnorm(f) == best
 

@@ -26,6 +26,16 @@ def matched_ends(vals):
     return vals
 
 
+def rolled(vals, shift):
+    """The samples of a field on the torus moved by ``shift`` nodes along
+    every axis: the distinct nodes rolled, the duplicate endpoint matched
+    again."""
+    axes = tuple(range(vals.ndim))
+    core = vals[(slice(0, -1),) * vals.ndim]
+    return np.pad(np.roll(core, shift, axis=axes), [(0, 1)] * vals.ndim,
+                  mode="wrap")
+
+
 def analytic_weierstrass_form(theta: float, base: int = 2,
                               terms: int = 8) -> OneForm:
     """Exact-evaluator counterpart of ``experiments.weierstrass_form``."""

@@ -15,7 +15,9 @@ from holderforms.grids import (
     weierstrass_callable,
 )
 import helpers
-from helpers import _one_level_block_bounds, lag_scan_one_level, matched_ends
+from helpers import (
+    _one_level_block_bounds, lag_scan_one_level, matched_ends, rolled,
+)
 
 
 def tent(x, lo=0.0, hi=1.0):
@@ -61,6 +63,17 @@ class TestGridField:
         a = f.evaluate(np.array([[0.1]]))
         b = f.evaluate(np.array([[1.1]]))
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_queries_periods_away_wrap(self):
+        # decay reads its iterates many periods off the window, on both
+        # sides of it; each query lands on the node it wraps to
+        vals = matched_ends(np.random.default_rng(4).standard_normal((9, 5)))
+        f = GridField((0.0, 0.0), (1.0, 2.0), vals.shape, vals)
+        nodes = np.array([[0.25, 0.5], [0.875, 1.5], [0.0, 0.0]])
+        far = nodes + np.array([[11.0, -6.0], [-3.0, 8.0], [-1.0, 2.0]])
+        want = vals[[2, 7, 0], [1, 3, 0]]
+        np.testing.assert_array_equal(f.evaluate(nodes), want)
+        np.testing.assert_allclose(f.evaluate(far), want, atol=1e-12)
 
     def test_periodic_endpoint_mismatch_rejected(self):
         vals = np.linspace(0.0, 1.0, 17)  # endpoints differ
@@ -461,11 +474,15 @@ class TestTwoLevelScan:
             lag_scan_one_level(f, theta)
 
     @pytest.mark.parametrize("kind", ["ridges", "walk"])
+    @pytest.mark.parametrize("seam", [None, 0, 1])
     @pytest.mark.parametrize("theta", [0.2, 1.0])
-    def test_2d_fields_with_coarse_tiles(self, kind, theta):
+    def test_2d_fields_with_coarse_tiles(self, kind, seam, theta):
         # 600 x 120 nodes make 75 x 15 tiles and 10 x 2 coarse tiles;
         # 300 x 300 make 38 x 38 and 5 x 5; the walk at theta = 0.2
-        # refines coarse blocks off the x axis on both sides of it
+        # refines coarse blocks off the x axis on both sides of it. With a
+        # seam axis, the field is rolled by half its nodes along that axis,
+        # which moves every lag's differences across the seam and keeps
+        # the seminorm of the torus field
         rng = np.random.default_rng(11)
         if kind == "ridges":
             x = np.linspace(0.0, 1.0, 600)[:, None]
@@ -474,8 +491,15 @@ class TestTwoLevelScan:
         else:
             vals = rng.standard_normal((300, 300)).cumsum(axis=0).cumsum(
                 axis=1)
-        f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape,
-                      without_drift(vals))
+        vals = without_drift(vals)
+        f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape, vals)
+        if seam is not None:
+            shift = [0, 0]
+            shift[seam] = vals.shape[seam] // 2
+            g = GridField(f.lo, f.hi, f.resolution, rolled(vals, shift))
+            assert holder_seminorm(g, theta).seminorm == \
+                holder_seminorm(f, theta).seminorm
+            f = g
         assert f.values[::8, ::8].size > grids._FEW_TILES
         assert holder_seminorm(f, theta).seminorm == \
             lag_scan_one_level(f, theta)

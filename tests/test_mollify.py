@@ -17,7 +17,7 @@ from holderforms.mollify import (
     normalization_constant,
     verify_regularization,
 )
-from helpers import matched_ends
+from helpers import matched_ends, rolled
 
 
 def two_formula_kernel(h, epsilon, n):
@@ -180,16 +180,29 @@ class TestConvolution:
         ((17, 13), (1.0, 2.0)),
         ((17, 13), (1.0, 1.0)),
         ((33, 5), (1.0, 1.0)),
+        ((33,), (0.5,)),
+        ((13, 17), (2.0, 1.0)),
+        ((5, 33), (0.5, 1.0)),
     ])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
     def test_equals_the_loop_reference(self, resolution, hi, eps):
-        # eps = 0.01 is below every grid spacing here: one tap, m = 0
+        # eps = 0.01 is below every grid spacing here: one tap, m = 0; on a
+        # period of 0.5, eps = 0.3 makes the window wrap more than once
         u = noise_field(resolution, hi)
         g = mollify(u, eps)
         want = loop_mollify(u, eps)
         assert g.values.shape == want.shape == g.resolution
         assert np.max(np.abs(g.values - want)) <= 1e-14 * u.supnorm()
         assert (g.lo, g.hi) == (u.lo, u.hi)
+
+    @pytest.mark.parametrize("shift", [(5, 0), (0, 7), (-3, 11)])
+    def test_commutes_with_a_torus_shift(self, shift):
+        # the kernel is the same at every node, seam or not
+        u = noise_field((17, 13), (1.0, 2.0))
+        v = GridField(u.lo, u.hi, u.resolution, rolled(u.values, shift))
+        np.testing.assert_allclose(mollify(v, 0.3).values,
+                                   rolled(mollify(u, 0.3).values, shift),
+                                   rtol=0, atol=1e-14 * u.supnorm())
 
     def test_one_tap_is_the_identity(self):
         u = noise_field((17, 13), (1.0, 2.0))

@@ -23,5 +23,5 @@ from .dynamics import (
     anosov_section_criterion, accessibility_criterion, standard_holder_bound,
     pisot_example,
 )
-from .decay import LinearModel, USRectangle, iterate_rectangle, cut_strips, \
+from .decay import LinearModel, USRectangle, iterate_rectangle, \
     choose_strip_count, decay_bound_series

@@ -6,12 +6,12 @@ N ~ mu^k strips so each strip boundary stays below the smallness threshold
 sigma, sum the per-strip right-hand sides of the main inequality, and check
 that the summed bound decays geometrically at rate mu * nu^theta.
 
-Only |dD| and |D| enter that right-hand side.  ``cut_strips`` gives the
-corners of all strips of an iterate as one ``(N, 4, 2)`` array, and
+Only |dD| and |D| enter that right-hand side.  ``_strip_corners`` gives
+the corners of a run of strips of an iterate as one ``(N, 4, 2)`` array, and
 ``measure_polygons`` measures strips in closed form, with the same formulas
 the family verifier uses; the strip diameter is the rectangle diagonal.
 The telescoping check integrates the form over every strip boundary and
-over the whole iterate's boundary (``cut_strips(rect, 1)``) with
+over the whole iterate's boundary (the iterate cut into one strip) with
 ``polygon_boundary_integrals``, from the same corners.  ``decay_bound_series``
 feeds the strips of all its steps to both in batches of at most
 ``STRIP_CHUNK``, so a step of any size costs bounded memory and many small
@@ -45,7 +45,6 @@ __all__ = [
     "StripCount",
     "DecaySeries",
     "iterate_rectangle",
-    "cut_strips",
     "choose_strip_count",
     "decay_bound_series",
 ]
@@ -124,22 +123,16 @@ def iterate_rectangle(model: LinearModel, rect: USRectangle, k: int) -> USRectan
     )
 
 
-def cut_strips(rect: USRectangle, N: int) -> np.ndarray:
-    """Corners of N equal strips cut along the unstable edge, ``(N, 4, 2)``.
+def _strip_corners(rect: USRectangle, N: int, start: int,
+                   stop: int) -> np.ndarray:
+    """Corners of strips ``start`` to ``stop - 1`` of N equal strips cut
+    along the unstable edge, ``(stop - start, 4, 2)``.
 
     Strip i is ``rectangle_corners((x_i, y), (x_i + w, y + s_len))``, with
     ``x_i = x + i*w`` and ``w = u_len / N``: its corners run
-    counter-clockwise from ``(x_i, y)``.  ``cut_strips(rect, 1)`` is the
-    whole rectangle.
+    counter-clockwise from ``(x_i, y)``.  One strip of one is the whole
+    rectangle.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return _strip_corners(rect, N, 0, N)
-
-
-def _strip_corners(rect: USRectangle, N: int, start: int,
-                   stop: int) -> np.ndarray:
-    """``cut_strips(rect, N)[start:stop]``, computed for those strips only."""
     x, y = rect.corner
     width = rect.u_len / N
     x_i = x + np.arange(start, stop) * width
@@ -149,7 +142,7 @@ def _strip_corners(rect: USRectangle, N: int, start: int,
 
 
 def _batches(cuts):
-    """The strips of ``cut_strips(rect, n)`` for each ``(rect, n)`` of
+    """The ``n`` strips of ``rect`` for each ``(rect, n)`` of
     ``cuts``, one cut after another, in batches of at most ``STRIP_CHUNK``
     strips: pairs of the index of a batch's first strip and its corners."""
     starts = [0, *accumulate(n for _, n in cuts)]
@@ -240,9 +233,8 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
 
     Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only;
     ``measure_polygons`` gives the lengths, areas and diameters of the
-    ``cut_strips`` strips in closed form.  A closed curve has
-    ``diam <= |dD|/2``, so the smallness filter is the length test
-    ``|dD| < sigma``.
+    strips in closed form.  A closed curve has ``diam <= |dD|/2``, so the
+    smallness filter is the length test ``|dD| < sigma``.
 
     The run plans every admissible step first, then measures the strips of
     all steps, in k order, in batches of at most ``STRIP_CHUNK`` strips,

@@ -27,13 +27,10 @@ __all__ = [
     "accessibility_criterion",
     "standard_holder_bound",
     "pisot_example",
-    "CAT_MAP",
 ]
 
 MODULUS_CENTER_TOL = 1e-9
 MODULUS_AMBIGUOUS_TOL = 1e-6
-
-CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
 
 
 class AmbiguousSpectrumError(ValueError):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import GridField, holder_seminorm, DEFAULT_SLACK
+from .grids import GridField, holder_seminorm
 from .mollify import deta_l1, mollify
 from .chains import (
     OneForm,
@@ -131,7 +131,12 @@ def isoperimetric_check(length: float, area: float,
 
 
 def one_form_cnorm(alpha: OneForm, theta: float | None = None) -> float:
-    """Max over grid components of the sampled C^theta norm."""
+    """Max over grid components of ``holder_seminorm(c, theta).cnorm``.
+
+    Each is an upper bound for the C^theta norm of the interpolated
+    component: sup|c| plus the seminorm, exact for a 1-D component and the
+    per-axis bound ``U`` for a 2-D one (see ``grids.HolderEstimate``).
+    """
     theta = alpha.theta if theta is None else theta
     comps = alpha.grid_components()
     if not comps:
@@ -164,6 +169,8 @@ class SplitCheck:
     read, so a caller that reads only the terms and ``chain_holds`` runs no
     Holder seminorm.  ``cnorm`` is ``given_cnorm`` when one was given, and
     ``one_form_cnorm(alpha, theta)`` otherwise, computed at most once.
+    That norm is an upper bound, so the bound checks compare each term
+    with its bound itself.
     """
 
     epsilon: float
@@ -173,7 +180,6 @@ class SplitCheck:
     length: float            # |dD|
     area: float              # |D|
     quad_tol: float
-    slack: float
     alpha_eps: OneForm       # the mollified form the terms were measured on
     alpha: OneForm           # the form whose C^theta norm scales the bounds
     theta: float
@@ -207,17 +213,16 @@ class SplitCheck:
 
     @property
     def boundary_bound_holds(self) -> bool:
-        return self.term_boundary <= self.bound_boundary * self.slack
+        return self.term_boundary <= self.bound_boundary
 
     @property
     def interior_bound_holds(self) -> bool:
-        return self.term_interior <= self.bound_interior * self.slack
+        return self.term_interior <= self.bound_interior
 
 
 def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
                               theta: float | None = None,
                               cnorm: float | None = None,
-                              slack: float = DEFAULT_SLACK,
                               quad_tol: float = 1e-5) -> SplitCheck:
     """The split of ``int_dD alpha`` on the rectangle ``D = [lo, hi]``.
 
@@ -248,7 +253,6 @@ def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
         length=length,
         area=area,
         quad_tol=quad_tol,
-        slack=slack,
         alpha_eps=alpha_eps,
         alpha=alpha,
         theta=theta,

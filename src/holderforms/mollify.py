@@ -38,7 +38,6 @@ __all__ = [
     "eta",
     "deta_l1",
     "discrete_kernel",
-    "discrete_kernel_mass",
     "mollify",
     "grad_supnorm",
     "verify_regularization",
@@ -108,10 +107,6 @@ def _renormalize(w: np.ndarray) -> np.ndarray:
             break
         flat[center] += 1.0 - total
     return w
-
-
-def discrete_kernel_mass(w: np.ndarray) -> float:
-    return math.fsum(np.ravel(w))
 
 
 def discrete_kernel(h, epsilon: float, n: int) -> np.ndarray:

@@ -9,11 +9,34 @@ from holderforms.chains import (
     OneForm, measure_polygons, polygon_boundary_integrals,
 )
 from holderforms.decay import (
-    DecayStep, SmallnessError, choose_strip_count, cut_strips,
+    DecayStep, SmallnessError, _strip_corners, choose_strip_count,
     iterate_rectangle,
 )
-from holderforms.dynamics import CAT_MAP
 from holderforms.grids import _lag_distances, weierstrass_callable
+
+CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
+
+
+def cut_strips(rect, N: int) -> np.ndarray:
+    """Corners of the N equal strips of ``rect``, ``(N, 4, 2)``, as the
+    decay run cuts them; ``cut_strips(rect, 1)`` is the whole rectangle."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return _strip_corners(rect, N, 0, N)
+
+
+def torus_distance(f, p, q) -> np.ndarray:
+    """Flat metric of the torus of ``f``: each axis takes the shortest
+    wrap."""
+    p = np.atleast_2d(p)
+    q = np.atleast_2d(q)
+    d2 = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]))
+    for ax in range(f.dim):
+        dx = np.abs(p[..., ax] - q[..., ax])
+        period = f.hi[ax] - f.lo[ax]
+        dx = np.minimum(dx, period - dx)
+        d2 = d2 + dx * dx
+    return np.sqrt(d2)
 
 
 def matched_ends(vals):
@@ -104,33 +127,55 @@ def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
     return tuple(steps), tuple(skipped)
 
 
+def pair_quotient(f, theta: float, pairs) -> float:
+    """Largest |f(p) - f(q)| / d(p, q)^theta over ``pairs`` (shape (m, 2) of
+    flat node indices), 0 if no pair is apart.  A pair's distance is that of
+    its index lag, the same float the lag scan divides by, so the pairs of
+    one axis give the scan's ``S_a`` bit for bit."""
+    vals = f.values.ravel()
+    diff = np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]])
+    ends = np.unravel_index(pairs, f.values.shape)
+    dist = [_lag_distances(f, ax)[np.abs(e[:, 0] - e[:, 1])]
+            for ax, e in enumerate(ends)] + [0.0]
+    d = np.hypot(dist[0], dist[1])
+    mask = d > 0.0
+    return float(np.max(diff[mask] / d[mask] ** theta)) if mask.any() else 0.0
+
+
+def all_pairs(f):
+    """Every pair of distinct nodes of ``f``, as flat node indices."""
+    return np.stack(np.triu_indices(f.values.size, 1), axis=1)
+
+
+def axis_pairs(f, ax: int):
+    """The pairs of distinct nodes of ``f`` that differ along axis ``ax``
+    only, as flat node indices."""
+    idx = np.moveaxis(np.arange(f.values.size).reshape(f.values.shape),
+                      ax, 0).reshape(f.resolution[ax], -1)
+    i, j = np.triu_indices(f.resolution[ax], 1)
+    return np.stack([idx[i].ravel(), idx[j].ravel()], axis=1)
+
+
 # The one-level Holder lag scan, kept as the reference for the two-level
-# ``grids._lag_scan``: 8-node tiles bound every lag block at once, and the
-# lags are evaluated one by one in decreasing order of bound over d**theta.
+# ``grids._axis_seminorm``: 8-node tiles bound every lag block at once, and
+# the lags are evaluated one by one in decreasing order of bound over
+# d**theta.
 _BLOCK = 8
 _CHUNK = 1 << 14
 
 
-def _one_level_lag_maximum(v: np.ndarray, kx: int, ky: int) -> float:
-    """``M(kx, ky) = max |v[p + (kx, ±ky)] - v[p]|`` over pairs on the grid.
-
-    ``v`` is 2-D (a 1-D field is one column) and ``kx, ky >= 0``; both signs
-    of ``ky`` share the distance, so they form one lag.
-    """
-    nx, ny = v.shape
-    m = np.abs(v[kx:, ky:] - v[:nx - kx, :ny - ky]).max()
-    if kx and ky:
-        m = max(m, np.abs(v[kx:, :ny - ky] - v[:nx - kx, ky:]).max())
-    return m
+def _one_level_lag_maximum(v: np.ndarray, k: int) -> float:
+    """``M(k) = max |v[i + k, j] - v[i, j]|`` over the pairs on the grid."""
+    return np.abs(v[k:] - v[:len(v) - k]).max()
 
 
 def _one_level_block_bounds(v: np.ndarray) -> np.ndarray:
-    """``b[qx, qy] >= M(kx, ky)`` for every lag with ``k // _BLOCK == q``.
+    """``b[q] >= M(k)`` for every lag with ``k // _BLOCK == q``.
 
     The axes are cut into blocks of ``_BLOCK`` nodes (tiles in 2-D) with
-    maxima ``hi`` and minima ``lo``.  A pair at lag (kx, ky) joins a tile I
-    to a tile J offset by ``kx // _BLOCK`` or one more along x, and likewise
-    by ``±(ky // _BLOCK)`` or one more along y, so its difference is at most
+    maxima ``hi`` and minima ``lo``.  A pair at lag k joins a tile I to the
+    tile J of the same column of tiles offset by ``k // _BLOCK`` or one
+    more along axis 0, so its difference is at most
     ``max(hi[J] - lo[I], hi[I] - lo[J])`` over those tile pairs.  Rounding
     is monotone, so each computed bound is at least every computed
     difference it covers.
@@ -141,59 +186,47 @@ def _one_level_block_bounds(v: np.ndarray) -> np.ndarray:
     lo = np.minimum.reduceat(np.minimum.reduceat(v, starts[0], axis=0),
                              starts[1], axis=1)
     tx, ty = hi.shape
-    # his[Ix + px, Iy + py + ty - 1] = hi[Ix + px, Iy + py] for the tile
-    # offsets 0 <= px < tx, |py| < ty, padded with -inf (los: +inf) so that
-    # a tile off the grid never wins; its window view reads it at
-    # [Ix, Iy, px, py + ty - 1]
-    window = (tx, 2 * ty - 1)
-    inner = (slice(0, tx), slice(ty - 1, 2 * ty - 1))
-    his = np.full((2 * tx - 1, 3 * ty - 2), -np.inf)
-    los = np.full((2 * tx - 1, 3 * ty - 2), np.inf)
-    his[inner], los[inner] = hi, lo
-    his = sliding_window_view(his, window)
-    los = sliding_window_view(los, window)
-    u = np.full((tx + 1, 2 * ty + 1), -np.inf)  # u[px, py + ty], padded
-    core = u[:tx, 1:2 * ty]
-    rows = max(1, _CHUNK // (tx * ty * (2 * ty - 1)))
+    # his[Ix + p, Iy] = hi[Ix + p, Iy] for the tile offsets 0 <= p < tx,
+    # padded with -inf (los: +inf) so that a tile off the grid never wins;
+    # its window view reads it at [Ix, Iy, p]
+    his = np.full((2 * tx - 1, ty), -np.inf)
+    los = np.full((2 * tx - 1, ty), np.inf)
+    his[:tx], los[:tx] = hi, lo
+    his = sliding_window_view(his, tx, axis=0)
+    los = sliding_window_view(los, tx, axis=0)
+    u = np.full(tx + 1, -np.inf)  # u[p], padded
+    rows = max(1, _CHUNK // (tx * ty))
     for i in range(0, tx, rows):
         r = slice(i, i + rows)
-        np.maximum(core, (his[r] - lo[r, :, None, None]).max(axis=(0, 1)),
-                   out=core)
-        np.maximum(core, (hi[r, :, None, None] - los[r]).max(axis=(0, 1)),
-                   out=core)
-    u = np.maximum(u[:-1], u[1:])  # px in {qx, qx + 1}
-    return np.maximum(
-        np.maximum(u[:, ty:2 * ty], u[:, ty + 1:]),     # py in {qy, qy + 1}
-        np.maximum(u[:, ty:0:-1], u[:, ty - 1::-1]))    # py in {-qy, -qy - 1}
+        np.maximum(u[:tx], (his[r] - lo[r, :, None]).max(axis=(0, 1)),
+                   out=u[:tx])
+        np.maximum(u[:tx], (hi[r, :, None] - los[r]).max(axis=(0, 1)),
+                   out=u[:tx])
+    return np.maximum(u[:-1], u[1:])  # p in {q, q + 1}
 
 
-def lag_scan_one_level(f, theta: float) -> float:
-    """Exact max of |f(p)-f(q)| / d(p,q)^theta over all node pairs.
+def lag_scan_one_level(f, theta: float, ax: int = 0) -> float:
+    """Exact max of |f(p)-f(q)| / d(p,q)^theta over the node pairs that
+    differ along axis ``ax`` only: ``S_ax`` of ``grids.holder_seminorm``.
 
-    Every pair of nodes differs by an index lag k, and on a uniform grid
-    d(p,q) depends only on k, so the all-pairs maximum is the maximum over
-    lags of M(k) / d(k)^theta with M(k) = max_i |v[i+k] - v[i]|.  Lags are
-    visited in decreasing order of their block bound
-    (``_one_level_block_bounds``) over ``d ** theta`` and evaluated
-    exactly.  M(k) is at most the bound and both divide by the same float
-    ``d ** theta``, so once the ranked bound is at or below the running
-    best no later lag can beat it.
+    Every such pair differs by an index lag k, and on a uniform grid
+    d(p,q) depends only on k, so the maximum is the maximum over lags of
+    M(k) / d(k)^theta with M(k) = max |v[i + k, j] - v[i, j]|, where ``v``
+    is the field with axis ``ax`` moved first.  Lags are visited in
+    decreasing order of their block bound (``_one_level_block_bounds``)
+    over ``d ** theta`` and evaluated exactly.  M(k) is at most the bound
+    and both divide by the same float ``d ** theta``, so once the ranked
+    bound is at or below the running best no later lag can beat it.
     """
-    dx = _lag_distances(f, 0)
-    dy = _lag_distances(f, 1) if f.dim == 2 else np.zeros(1)
-    v = f.values.reshape(len(dx), len(dy))
-    nx, ny = v.shape
-    d = np.hypot(dx[:, None], dy[None, :])
+    d = _lag_distances(f, ax)
+    v = np.moveaxis(f.values, ax, 0).reshape(len(d), -1)
     dpow = d ** theta
-    bound = np.repeat(np.repeat(_one_level_block_bounds(v), _BLOCK, axis=0),
-                      _BLOCK, axis=1)[:nx, :ny]
+    bound = np.repeat(_one_level_block_bounds(v), _BLOCK)[:len(d)]
     rank = np.divide(bound, dpow, out=np.zeros_like(d), where=d > 0.0)
-    order = np.argsort(rank, axis=None)[::-1]
+    order = np.argsort(rank)[::-1]
     best = 0.0
-    for flat, r in zip(order, rank.ravel()[order]):
+    for k, r in zip(order.tolist(), rank[order]):
         if r <= best:
             break
-        kx, ky = divmod(int(flat), ny)
-        best = max(best, float(_one_level_lag_maximum(v, kx, ky)
-                               / dpow[kx, ky]))
+        best = max(best, float(_one_level_lag_maximum(v, k) / dpow[k]))
     return best

@@ -24,11 +24,11 @@ from holderforms.chains import (
     polyline,
     rectangle_corners,
 )
-from holderforms.decay import USRectangle, cut_strips
+from holderforms.decay import USRectangle
 from holderforms.experiments import dyadic_square_family, weierstrass_form
 from holderforms.grids import GridField, make_weierstrass
 from holderforms.inequality import mollify_one_form, one_form_cnorm
-from helpers import matched_ends
+from helpers import cut_strips, matched_ends
 
 
 def one(p):

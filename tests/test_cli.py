@@ -111,9 +111,9 @@ class TestSubcommands:
         def counting(module):
             real = module.holder_seminorm
 
-            def seminorm(f, theta, pairs=None):
+            def seminorm(f, theta):
                 calls.append(f.resolution)
-                return real(f, theta, pairs)
+                return real(f, theta)
             return seminorm
 
         # the package's ``mollify`` attribute is the function

@@ -19,14 +19,15 @@ from holderforms.decay import (
     SmallnessError,
     USRectangle,
     choose_strip_count,
-    cut_strips,
     decay_bound_series,
     iterate_rectangle,
 )
 from holderforms.experiments import weierstrass_form
 from holderforms.inequality import verify_main_inequality
 
-from helpers import analytic_weierstrass_form, decay_steps_one_by_one
+from helpers import (
+    analytic_weierstrass_form, cut_strips, decay_steps_one_by_one,
+)
 
 
 MODEL = LinearModel(1.5, 0.4)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holderforms.dynamics import (
-    CAT_MAP,
     AmbiguousSpectrumError,
     ToralAutomorphism,
     accessibility_criterion,
@@ -16,7 +15,7 @@ from holderforms.dynamics import (
     standard_holder_bound,
     toral_automorphism,
 )
-from helpers import cat_map_conjugates
+from helpers import CAT_MAP, cat_map_conjugates
 
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0  # larger cat-map eigenvalue

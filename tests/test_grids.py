@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from holderforms import grids
 from holderforms.grids import (
     GridField,
     UnderResolvedError,
+    _axis_seminorms,
     _lag_maximum,
     holder_seminorm,
     make_weierstrass,
@@ -16,7 +18,8 @@ from holderforms.grids import (
 )
 import helpers
 from helpers import (
-    _one_level_block_bounds, lag_scan_one_level, matched_ends, rolled,
+    _one_level_block_bounds, all_pairs, axis_pairs, lag_scan_one_level,
+    matched_ends, pair_quotient, rolled, torus_distance,
 )
 
 
@@ -94,7 +97,7 @@ class TestGridField:
     def test_distance_uses_shortest_wrap(self):
         n = 33
         f = GridField((0.0,), (1.0,), (n,), np.zeros(n))
-        d = f.distance(np.array([[0.05]]), np.array([[0.95]]))
+        d = torus_distance(f, np.array([[0.05]]), np.array([[0.95]]))
         assert d[0] == pytest.approx(0.1)
 
     def test_2d_bilinear_matches_a_tensor_of_tents(self):
@@ -133,16 +136,6 @@ class TestHolderSeminorm:
         est = holder_seminorm(f, 0.5)
         assert est.seminorm == pytest.approx(1.0, rel=1e-9)
 
-    def test_monotone_under_pair_refinement(self):
-        f = make_weierstrass(0.5, 2, 6, 512)
-        rng = np.random.default_rng(7)
-        pairs = rng.integers(0, f.values.size, size=(200, 2))
-        coarse = holder_seminorm(f, 0.5, pairs=pairs).seminorm
-        more = rng.integers(0, f.values.size, size=(2000, 2))
-        refined = holder_seminorm(f, 0.5,
-                                  pairs=np.vstack([pairs, more])).seminorm
-        assert refined >= coarse
-
     def test_cnorm_is_sup_plus_seminorm(self):
         f = tent_field(65)
         est = holder_seminorm(f, 1.0)
@@ -162,24 +155,53 @@ class TestHolderSeminorm:
         x = np.concatenate([rng.uniform(0.0, 1.0, 400),
                             np.linspace(0.0, 1.0, n)])[:, None]
         v = f.evaluate(x)
-        d = f.distance(x[:, None, :], x[None, :, :])
+        d = torus_distance(f, x[:, None, :], x[None, :, :])
         apart = d > 0.0
         ratio = np.abs(v[:, None] - v[None, :])[apart] / d[apart] ** theta
         assert np.max(ratio) <= est * (1.0 + 1e-12)
 
-    def test_2d_node_maximum_is_a_lower_bound(self):
-        # the tent 1 at the centre of a 3 x 3 torus grid, 0 elsewhere: the
-        # node pairs give 2 at theta = 1, but along the diagonal from the
-        # peak the interpolant is (1 - 2t)^2, whose slope there is 2 sqrt(2)
+    def test_2d_bound_is_sharp_on_the_tent(self):
+        # the tent 1 at the centre of a 3 x 3 torus grid, 0 elsewhere: each
+        # axis gives 2 at theta = 1, and along the diagonal from the peak
+        # the interpolant is (1 - 2t)^2, whose slope there is 2 sqrt(2)
         vals = np.zeros((3, 3))
         vals[1, 1] = 1.0
         f = GridField((0.0, 0.0), (1.0, 1.0), (3, 3), vals)
-        assert holder_seminorm(f, 1.0).seminorm == 2.0
+        assert _axis_seminorms(f, 1.0) == [2.0, 2.0]
+        assert holder_seminorm(f, 1.0).seminorm == 2.0 * math.sqrt(2.0)
         t = 0.5 + 1e-6
         ratio = ((f.evaluate([0.5, 0.5]) - f.evaluate([t, t]))
-                 / f.distance(np.array([0.5, 0.5]), np.array([t, t])))
+                 / torus_distance(f, np.array([0.5, 0.5]), np.array([t, t])))
         assert float(ratio[0]) == pytest.approx(2.0 * math.sqrt(2.0),
                                                 rel=1e-5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(res=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+           theta=st.floats(0.1, 1.0), scaled=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_2d_bound_covers_the_interpolant(self, res, theta, scaled, seed):
+        # the interpolant's own quotient over a lattice of 16 points per
+        # cell and axis, which holds every node, never exceeds U
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-1.0, 1.0, 2)
+        hi = lo + rng.uniform(0.1, 3.0, 2)
+        vals = rng.standard_normal(res)
+        if scaled:  # columns of very different steepness
+            vals *= rng.uniform(0.01, 10.0, res[1])
+        f = GridField(tuple(lo), tuple(hi), res, matched_ends(vals))
+        est = holder_seminorm(f, theta).seminorm
+        assert est >= max(_axis_seminorms(f, theta))
+        assert lattice_quotient(f, theta, 16) <= est * (1.0 + 1e-12)
+
+    def test_2d_bound_on_a_diagonal_weierstrass_field(self):
+        # every column and row of W(x + y) is a roll of the 1-D W, so both
+        # axes give its seminorm s, and U = 2^(1 - theta/2) s
+        w = weierstrass_callable(0.5, 2, 7)
+        f = GridField.from_function(lambda x, y: w(x + y), (0.0, 0.0),
+                                    (1.0, 1.0), (257, 257))
+        s = holder_seminorm(make_weierstrass(0.5, 2, 7, 257), 0.5).seminorm
+        assert holder_seminorm(f, 0.5).seminorm == pytest.approx(
+            2.0 ** 0.75 * s, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(0.1, 50.0), seed=st.integers(0, 10))
@@ -249,65 +271,94 @@ def block_grids(draw):
 thetas = st.floats(0.05, 1.0, exclude_min=True)
 
 
-def all_pairs(f):
-    return np.stack(np.triu_indices(f.values.size, 1), axis=1)
-
-
 def coordinate_quotient(f, theta, pairs):
-    """Largest quotient over ``pairs``, with distances from ``f.distance``
-    on node coordinates: a reference independent of the scan's lag
-    distances, equal to them up to rounding."""
+    """Largest quotient over ``pairs``, with distances from
+    ``torus_distance`` on node coordinates: a reference independent of the
+    scan's lag distances, equal to them up to rounding."""
     axes = [np.linspace(f.lo[a], f.hi[a], f.resolution[a])
             for a in range(f.dim)]
     coords = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")],
                       axis=1)
     vals = f.values.ravel()
-    d = f.distance(coords[pairs[:, 0]], coords[pairs[:, 1]])
+    d = torus_distance(f, coords[pairs[:, 0]], coords[pairs[:, 1]])
     diff = np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]])
     mask = d > 0.0
     return float(np.max(diff[mask] / d[mask] ** theta)) if mask.any() else 0.0
 
 
+def lattice_quotient(f, theta, per_cell):
+    """Exact largest quotient of the interpolant of the 2-D field ``f`` over
+    the pairs of a lattice of ``per_cell`` points per cell and axis on its
+    torus, with torus distances: a lower bound for the interpolant's
+    seminorm."""
+    axes = [f.lo[a] + (f.hi[a] - f.lo[a]) * np.arange(per_cell * (n - 1))
+            / (per_cell * (n - 1)) for a, n in enumerate(f.resolution)]
+    v = f.evaluate(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+    nx, ny = v.shape
+    d = [np.minimum(k, n - k) * (f.hi[a] - f.lo[a]) / n
+         for a, (k, n) in enumerate(((np.arange(nx), nx),
+                                     (np.arange(ny), ny)))]
+    best = 0.0
+    # lags (kx, ky) and (-kx, -ky) join the same pairs, so kx <= nx / 2
+    for kx in range(nx // 2 + 1):
+        shifted = np.roll(v, -kx, axis=0)
+        # moved[i, ky, j] = v[i + kx, j + ky], round the torus
+        moved = sliding_window_view(np.concatenate([shifted, shifted],
+                                                   axis=1), ny, axis=1)[:, :ny]
+        m = np.abs(moved - v[:, None, :]).max(axis=(0, 2))
+        dist = np.hypot(d[0][kx], d[1])
+        apart = dist > 0.0
+        if apart.any():
+            best = max(best, float(np.max(m[apart] / dist[apart] ** theta)))
+    return best
+
+
+def assert_axis_maxima_equal_the_axis_pairs(f, theta):
+    """Each ``S_a`` is the maximum over the pairs along axis ``a``, bit for
+    bit, and their coordinate quotient up to rounding; in 1-D the seminorm
+    is the all-pairs maximum."""
+    scans = _axis_seminorms(f, theta)
+    for ax, scan in enumerate(scans):
+        pairs = axis_pairs(f, ax)
+        assert scan == pair_quotient(f, theta, pairs)
+        assert scan == pytest.approx(coordinate_quotient(f, theta, pairs),
+                                     rel=1e-12)
+    if f.dim == 1:
+        assert holder_seminorm(f, theta).seminorm == scans[0] == \
+            pair_quotient(f, theta, all_pairs(f))
+
+
 class TestLagScan:
     @settings(max_examples=80, deadline=None)
     @given(f=lag_grids(), theta=thetas)
-    def test_equals_the_all_pairs_maximum(self, f, theta):
-        pairs = all_pairs(f)
-        exact = holder_seminorm(f, theta, pairs=pairs).seminorm
-        scan = holder_seminorm(f, theta).seminorm
-        assert scan == exact
-        assert scan == pytest.approx(coordinate_quotient(f, theta, pairs),
-                                     rel=1e-12)
+    def test_axis_maxima_equal_the_axis_pairs(self, f, theta):
+        assert_axis_maxima_equal_the_axis_pairs(f, theta)
 
     @settings(max_examples=60, deadline=None)
     @given(f=block_grids(), theta=st.one_of(st.just(1.0), thetas))
-    def test_pruned_scan_equals_the_all_pairs_maximum(self, f, theta):
-        pairs = all_pairs(f)
-        exact = holder_seminorm(f, theta, pairs=pairs).seminorm
-        scan = holder_seminorm(f, theta).seminorm
-        assert scan == exact
-        assert scan == pytest.approx(coordinate_quotient(f, theta, pairs),
-                                     rel=1e-12)
+    def test_pruned_axis_maxima_equal_the_axis_pairs(self, f, theta):
+        assert_axis_maxima_equal_the_axis_pairs(f, theta)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_unequal_periodic_ends_keep_the_2d_scan(self, theta):
+    def test_unequal_periodic_ends_skip_the_seam_lag(self, theta):
         # equal columns, but the x ends differ by a rounding-sized step:
-        # across the seam they sit at x distance 0 and y distance h_y,
-        # closer than any pair along x, so the scan must reach lag (n-1, 1)
+        # across the seam they sit at distance 0, where no quotient is
+        # taken, so the step counts from the nearest other node, 1/8 away
         vals = np.full((9, 17), 0.25)
         vals[-1] += 1e-11
         f = GridField((0.0, 0.0), (1.0, 0.01), vals.shape, vals)
-        exact = holder_seminorm(f, theta, pairs=all_pairs(f)).seminorm
-        assert exact == pytest.approx(1e-11 / (0.01 / 16) ** theta, rel=1e-4)
-        assert holder_seminorm(f, theta).seminorm == exact
+        s0 = pair_quotient(f, theta, axis_pairs(f, 0))
+        assert s0 == pytest.approx(1e-11 / (1.0 / 8) ** theta, rel=1e-4)
+        assert _axis_seminorms(f, theta) == [s0, 0.0]
+        assert holder_seminorm(f, theta).seminorm == s0
 
     def test_cli_field_evaluates_few_lags_exactly(self, monkeypatch):
         shapes = []
         evaluate = grids._lag_maximum
 
-        def counting(v, kx, ky, out):
+        def counting(v, k, out):
             shapes.append(v.shape)
-            return evaluate(v, kx, ky, out)
+            return evaluate(v, k, out)
 
         monkeypatch.setattr(grids, "_lag_maximum", counting)
         holder_seminorm(make_weierstrass(0.5, 2, 8, 2048), 0.5)
@@ -317,14 +368,17 @@ class TestLagScan:
     @settings(max_examples=40, deadline=None)
     @given(f=lag_grids(), theta=thetas, seed=st.integers(0, 2**32 - 1))
     def test_bounds_every_pair_subset(self, f, theta, seed):
+        # in 2-D too, pairs off the axes included: U bounds the
+        # interpolant, whose values at the nodes are the samples
         pairs = all_pairs(f)
         rng = np.random.default_rng(seed)
         subset = pairs[rng.random(len(pairs)) < rng.uniform(0.05, 1.0)]
         if len(subset) == 0:
             return
         scan = holder_seminorm(f, theta).seminorm
-        # the pairs path divides by the scan's own lag distances
-        assert scan >= holder_seminorm(f, theta, pairs=subset).seminorm
+        # in 1-D the reference divides by the scan's own lag distances
+        if f.dim == 1:
+            assert scan >= pair_quotient(f, theta, subset)
         # k*h lag distances and coordinate differences agree to rounding
         assert scan * (1 + 1e-12) >= coordinate_quotient(f, theta, subset)
 
@@ -360,12 +414,12 @@ class TestLagScan:
     @settings(max_examples=40, deadline=None)
     @given(f=lag_grids(dim=1), theta=thetas, ny=st.integers(2, 10))
     def test_constant_extension_keeps_the_1d_value(self, f, theta, ny):
-        # lag (kx, ky) of the extension repeats M(kx, 0) at a distance of at
-        # least dx, so the general 2-D scan finds the 1-D value
+        # every column of the extension is the 1-D field, so S_0 is its
+        # value, and S_1 is 0, so U is S_0 itself
         g = GridField((f.lo[0], 0.0), (f.hi[0], 1.0), (f.resolution[0], ny),
                       np.repeat(f.values[:, None], ny, axis=1))
-        assert holder_seminorm(g, theta).seminorm == pytest.approx(
-            holder_seminorm(f, theta).seminorm, rel=1e-12)
+        assert holder_seminorm(g, theta).seminorm.hex() == \
+            holder_seminorm(f, theta).seminorm.hex()
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 24), ny=st.integers(1, 10),
@@ -381,7 +435,7 @@ class TestLagScan:
                      for i in range(n - k) for j in range(ny))
                  for k in range(1, n)]
         out = np.empty_like(v)
-        assert [_lag_maximum(v, k, 0, out) for k in range(1, n)] == naive
+        assert [_lag_maximum(v, k, out) for k in range(1, n)] == naive
 
 
 def long_field(n, kind, seed):
@@ -397,16 +451,33 @@ def long_field(n, kind, seed):
 
 
 def all_pairs_seminorm(f, theta, chunk=1 << 19):
-    """The ``pairs=`` maximum over all pairs, a bounded chunk at a time."""
+    """``pair_quotient`` over all pairs, a bounded chunk at a time."""
     pairs = all_pairs(f)
-    return max(holder_seminorm(f, theta, pairs=pairs[i:i + chunk]).seminorm
+    return max(pair_quotient(f, theta, pairs[i:i + chunk])
                for i in range(0, len(pairs), chunk))
 
 
+def long_2d_field(kind, ax):
+    """A torus field of 8200 x 6 nodes, or 6 x 8200 if ``ax`` is 1: ridges
+    along the long axis with a random walk across it, or a random walk
+    along both axes."""
+    rng = np.random.default_rng(11)
+    if kind == "ridges":
+        x = np.linspace(0.0, 1.0, 8200)[:, None]
+        vals = (np.sin(80.0 * np.pi * x)
+                + 0.3 * rng.standard_normal((8200, 6)).cumsum(axis=1))
+    else:
+        vals = rng.standard_normal((8200, 6)).cumsum(axis=0).cumsum(axis=1)
+    vals = without_drift(vals)
+    if ax == 1:
+        vals = vals.T.copy()
+    return GridField((0.0, 0.0), (1.0, 0.5), vals.shape, vals)
+
+
 class TestTwoLevelScan:
-    """``_lag_scan`` against the one-level scan it refines, on grids with
-    more tiles than ``_FEW_TILES``, where coarse tiles bound lag blocks
-    first, and on grids near that size."""
+    """``_axis_seminorm`` against the one-level scan it refines, on axes of
+    more than ``_FEW_TILES`` tiles, where coarse tiles bound lag blocks
+    first, and on axes near that size."""
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(600, 20000),
@@ -431,25 +502,25 @@ class TestTwoLevelScan:
     @settings(max_examples=60, deadline=None)
     @given(f=block_grids(), data=st.data())
     def test_bounds_equal_the_one_level_bounds(self, f, data):
-        # the whole table, and any window of it, bit for bit
-        v = f.values.reshape(f.resolution[0], -1)
+        # the whole table, and any window of it, bit for bit, on each axis
+        ax = data.draw(st.integers(0, f.dim - 1))
+        v = np.moveaxis(f.values, ax, 0).reshape(f.resolution[ax], -1)
         hi, lo = grids._tile_extrema(v, v)
-        tx, ty = hi.shape
-        full = grids._block_bounds(hi, lo, 0, tx, 0, ty)
+        tx = len(hi)
+        full = grids._block_bounds(hi, lo, 0, tx)
         np.testing.assert_array_equal(full, _one_level_block_bounds(v))
         x0 = data.draw(st.integers(0, tx - 1))
-        c0 = data.draw(st.integers(0, ty - 1))
-        wx, wc = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
-        part = grids._block_bounds(hi, lo, x0, wx, c0, wc)
-        np.testing.assert_array_equal(part[:tx - x0, :ty - c0],
-                                      full[x0:x0 + wx, c0:c0 + wc])
+        wx = data.draw(st.integers(1, 9))
+        part = grids._block_bounds(hi, lo, x0, wx)
+        np.testing.assert_array_equal(part[:tx - x0], full[x0:x0 + wx])
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_coarse_bounds_cover_every_lag(self, data):
         dim = data.draw(st.sampled_from([1, 2]))
         res = ((data.draw(st.integers(65, 1500)),) if dim == 1 else
-               (data.draw(st.integers(20, 70)), data.draw(st.integers(20, 70))))
+               (data.draw(st.integers(65, 600)),
+                data.draw(st.integers(2, 40))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         v = rng.standard_normal(res).cumsum(axis=0).reshape(res[0], -1)
         if data.draw(st.booleans()):  # spikes
@@ -457,13 +528,10 @@ class TestTwoLevelScan:
             for _ in range(3):
                 v[tuple(rng.integers(0, n) for n in v.shape)] += 5.0
         coarse = grids._block_bounds(*grids._tile_extrema(
-            *grids._tile_extrema(v, v)), 0, -(-v.shape[0] // 64), 0,
-            -(-v.shape[1] // 64))
+            *grids._tile_extrema(v, v)), 0, -(-len(v) // 64))
         out = np.empty_like(v)
-        for kx in range(v.shape[0]):
-            for ky in range(v.shape[1]):
-                assert _lag_maximum(v, kx, ky, out) <= coarse[kx // 64,
-                                                              ky // 64]
+        for k in range(len(v)):
+            assert _lag_maximum(v, k, out) <= coarse[k // 64]
 
     @pytest.mark.parametrize("n", [8192, 8193, 8200])
     @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -474,35 +542,23 @@ class TestTwoLevelScan:
             lag_scan_one_level(f, theta)
 
     @pytest.mark.parametrize("kind", ["ridges", "walk"])
-    @pytest.mark.parametrize("seam", [None, 0, 1])
+    @pytest.mark.parametrize("ax", [0, 1])
+    @pytest.mark.parametrize("seam", [False, True])
     @pytest.mark.parametrize("theta", [0.2, 1.0])
-    def test_2d_fields_with_coarse_tiles(self, kind, seam, theta):
-        # 600 x 120 nodes make 75 x 15 tiles and 10 x 2 coarse tiles;
-        # 300 x 300 make 38 x 38 and 5 x 5; the walk at theta = 0.2
-        # refines coarse blocks off the x axis on both sides of it. With a
-        # seam axis, the field is rolled by half its nodes along that axis,
-        # which moves every lag's differences across the seam and keeps
-        # the seminorm of the torus field
-        rng = np.random.default_rng(11)
-        if kind == "ridges":
-            x = np.linspace(0.0, 1.0, 600)[:, None]
-            vals = (np.sin(40.0 * x) + 0.3 * rng.standard_normal((600, 120))
-                    .cumsum(axis=1) / 12.0)
-        else:
-            vals = rng.standard_normal((300, 300)).cumsum(axis=0).cumsum(
-                axis=1)
-        vals = without_drift(vals)
-        f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape, vals)
-        if seam is not None:
+    def test_2d_fields_with_coarse_tiles(self, kind, ax, seam, theta):
+        # 8200 nodes along axis ax make 1025 tiles and 129 coarse tiles;
+        # with a seam, the field is rolled by half its nodes along that
+        # axis, which moves every lag's differences across the seam and
+        # keeps each axis maximum of the torus field
+        f = long_2d_field(kind, ax)
+        scans = _axis_seminorms(f, theta)
+        if seam:
             shift = [0, 0]
-            shift[seam] = vals.shape[seam] // 2
-            g = GridField(f.lo, f.hi, f.resolution, rolled(vals, shift))
-            assert holder_seminorm(g, theta).seminorm == \
-                holder_seminorm(f, theta).seminorm
-            f = g
-        assert f.values[::8, ::8].size > grids._FEW_TILES
-        assert holder_seminorm(f, theta).seminorm == \
-            lag_scan_one_level(f, theta)
+            shift[ax] = f.resolution[ax] // 2
+            f = GridField(f.lo, f.hi, f.resolution, rolled(f.values, shift))
+            assert _axis_seminorms(f, theta) == scans
+        assert f.resolution[ax] // grids._BLOCK > grids._FEW_TILES
+        assert scans == [lag_scan_one_level(f, theta, a) for a in (0, 1)]
 
     def test_coarse_blocks_prune_most_lags(self, monkeypatch):
         # 16384 nodes: 256 coarse lag blocks of 64 lags; few get fine bounds
@@ -526,25 +582,23 @@ class TestTwoLevelScan:
         # best first: a block is refined before any lag it may outrank is
         # evaluated, so no lag is evaluated that one level would skip
         if kind == "walk":
-            vals = np.random.default_rng(5).standard_normal(
-                (300, 300)).cumsum(axis=0).cumsum(axis=1)
-            f = GridField((0.0, 0.0), (1.0, 0.5), vals.shape,
-                          without_drift(vals))
+            f = long_2d_field("walk", 0)
         else:
             f = long_field(16384 if kind == "weierstrass" else 9000, kind, 2)
         lags = {"two": [], "one": []}
 
         def recording(name, fn):
-            def evaluate(v, kx, ky, *out):
-                lags[name].append((kx, ky))
-                return fn(v, kx, ky, *out)
+            def evaluate(v, k, *out):
+                lags[name].append((v.shape, k))
+                return fn(v, k, *out)
             return evaluate
 
         monkeypatch.setattr(grids, "_lag_maximum",
                             recording("two", grids._lag_maximum))
         monkeypatch.setattr(helpers, "_one_level_lag_maximum",
                             recording("one", helpers._one_level_lag_maximum))
-        assert holder_seminorm(f, 0.5).seminorm == lag_scan_one_level(f, 0.5)
+        assert _axis_seminorms(f, 0.5) == [lag_scan_one_level(f, 0.5, a)
+                                           for a in range(f.dim)]
         assert sorted(lags["two"]) == sorted(lags["one"])
 
 

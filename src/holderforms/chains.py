@@ -2,12 +2,12 @@
 
 Curve length, Green's area and line integrals of analytic forms use
 composite Gauss-Legendre quadrature: 16 nodes per segment, panel count
-doubled until the relative change drops below 1e-8 (absolute floor 1e-10),
-at most 6 doublings; non-convergence raises with the last two values
-attached.  One scalar driver serves them all.  The 16-point rule is a
-literal table, so no run computes it; the composite rule is cached per
-(panels, interval) and its arrays are read-only, so every caller,
-``mollify`` included, shares them safely.
+doubled until the relative change drops below ``QUAD_REL_TOL`` = 1e-8
+(absolute floor 1e-10), at most 6 doublings; non-convergence raises with
+the last two values attached.  One scalar driver serves them all, at that
+one tolerance.  The 16-point rule is a literal table, so no run computes
+it; the composite rule is cached per (panels, interval) and its arrays are
+read-only, so every caller, ``mollify`` included, shares them safely.
 
 A disk is a polygon, given by its corners in boundary order;
 ``rectangle_corners`` gives those of axis-aligned rectangles.  Polygons are
@@ -118,22 +118,21 @@ def _gl_rule(panels: int, a: float = 0.0, b: float = 1.0):
     return nodes, weights
 
 
-def adaptive_quadrature(fn: Callable[[np.ndarray, np.ndarray], float],
-                        tol: float = QUAD_REL_TOL) -> float:
+def adaptive_quadrature(fn: Callable[..., float]) -> float:
     """Refine the scalar ``fn(t, w)`` over [0,1] by doubling the panel count.
 
     Returns the value of the first doubling at which
-    ``|val - prev| <= max(tol*|val|, QUAD_ABS_FLOOR)``; still open after
-    ``MAX_DOUBLINGS`` doublings, it raises ``QuadratureError`` with the last
-    and previous values.
+    ``|val - prev| <= max(QUAD_REL_TOL*|val|, QUAD_ABS_FLOOR)``; still open
+    after ``MAX_DOUBLINGS`` doublings, it raises ``QuadratureError`` with
+    the last and previous values.
     """
     prev = None
     panels = 1
     for step in range(MAX_DOUBLINGS + 1):
         t, w = _gl_rule(panels)
         val = float(fn(t, w))
-        if prev is not None and (abs(val - prev)
-                                 <= max(tol * abs(val), QUAD_ABS_FLOOR)):
+        if prev is not None and abs(val - prev) <= max(
+                QUAD_REL_TOL * abs(val), QUAD_ABS_FLOOR):
             return val
         if step == MAX_DOUBLINGS:
             raise QuadratureError(val, prev)
@@ -195,10 +194,10 @@ class ParamCurve:
             if gap > 1e-10:
                 raise ValueError(f"segment endpoints do not meet (gap {gap:.3e})")
 
-    def is_closed(self, tol: float = 1e-10) -> bool:
+    def is_closed(self) -> bool:
         a = self.segments[0].point(np.array([0.0]))[0]
         b = self.segments[-1].point(np.array([1.0]))[0]
-        return bool(np.linalg.norm(a - b) <= tol)
+        return bool(np.linalg.norm(a - b) <= 1e-10)
 
 
 def polyline(points) -> ParamCurve:
@@ -263,15 +262,6 @@ class OneForm:
     def component(self, i: int, pts: np.ndarray) -> np.ndarray:
         return _read_component(self.a1 if i == 0 else self.a2, pts)
 
-    def scaled(self, factor: float) -> "OneForm":
-        def scale(c):
-            if c is None:
-                return None
-            if isinstance(c, GridField):
-                return c.scaled(factor)
-            return lambda pts, c=c: factor * np.asarray(c(pts), dtype=float)
-        return OneForm(scale(self.a1), scale(self.a2), self.theta)
-
     def grid_components(self):
         return [c for c in (self.a1, self.a2) if isinstance(c, GridField)]
 
@@ -287,16 +277,16 @@ class ChainMeasures:
             raise ValueError("measures must be nonnegative numbers")
 
 
-def _segment_integral(seg: Segment, values_of: Callable, tol: float) -> float:
+def _segment_integral(seg: Segment, values_of: Callable) -> float:
     def fn(t, w):
         return float(np.sum(w * values_of(seg, t)))
-    return adaptive_quadrature(fn, tol=tol)
+    return adaptive_quadrature(fn)
 
 
-def curve_length(curve: ParamCurve, tol: float = QUAD_REL_TOL) -> float:
+def curve_length(curve: ParamCurve) -> float:
     def speed(seg, t):
         return np.linalg.norm(seg.velocity(t), axis=-1)
-    return sum(_segment_integral(s, speed, tol) for s in curve.segments)
+    return sum(_segment_integral(s, speed) for s in curve.segments)
 
 
 def _polygon_edges(corners):
@@ -383,16 +373,14 @@ def _pullback(alpha: OneForm, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
             + alpha.component(1, pts) * vel[..., 1])
 
 
-def integrate_one_form(alpha: OneForm, curve: ParamCurve,
-                       tol: float = QUAD_REL_TOL) -> float:
+def integrate_one_form(alpha: OneForm, curve: ParamCurve) -> float:
     """Sum over segments of int_0^1 a(gamma(t)) . gamma'(t) dt."""
     def pull(seg, t):
         return _pullback(alpha, seg.point(t), seg.velocity(t))
-    return sum(_segment_integral(s, pull, tol) for s in curve.segments)
+    return sum(_segment_integral(s, pull) for s in curve.segments)
 
 
-def polygon_boundary_integrals(alpha: OneForm, corners,
-                               tol: float = QUAD_REL_TOL) -> list:
+def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
     """``int_dP alpha`` for each polygon P of ``corners``.
 
     ``corners`` is laid out as ``measure_polygons`` reads it: an
@@ -401,15 +389,15 @@ def polygon_boundary_integrals(alpha: OneForm, corners,
     ``ValueError``.
 
     A form whose every non-``None`` component is a ``GridField`` is
-    integrated exactly, with no driver call (``tol`` is not read): along a
-    straight edge the bilinear interpolant is a quadratic in the edge
-    parameter inside each grid cell, so splitting the edge at its grid-line
-    crossings and applying the 2-point Gauss-Legendre rule, exact for
-    cubics, to each piece gives the integral up to rounding.
+    integrated exactly, with no driver call: along a straight edge the
+    bilinear interpolant is a quadratic in the edge parameter inside each
+    grid cell, so splitting the edge at its grid-line crossings and
+    applying the 2-point Gauss-Legendre rule, exact for cubics, to each
+    piece gives the integral up to rounding.
 
     Any other form is integrated polygon by polygon as
-    ``integrate_one_form(alpha, polygon(list(c)), tol)``: one adaptive
-    driver call per edge, each converged to relative ``tol``.
+    ``integrate_one_form(alpha, polygon(list(c)))``: one adaptive driver
+    call per edge, each converged to relative ``QUAD_REL_TOL``.
     """
     verts, owner, _, nxt, n = _polygon_edges(corners)
     if n == 0:
@@ -418,7 +406,7 @@ def polygon_boundary_integrals(alpha: OneForm, corners,
     if comps and all(isinstance(c, GridField) for c in comps):
         return _grid_boundary_integrals(alpha, verts, verts[nxt] - verts,
                                         owner, n)
-    return [integrate_one_form(alpha, polygon(list(c)), tol) for c in corners]
+    return [integrate_one_form(alpha, polygon(list(c))) for c in corners]
 
 
 def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
@@ -539,9 +527,9 @@ def exterior_derivative(alpha: OneForm) -> GridField:
     return GridField(ref.lo, ref.hi, ref.resolution, out)
 
 
-def green_area(curve: ParamCurve, tol: float = QUAD_REL_TOL) -> float:
+def green_area(curve: ParamCurve) -> float:
     """Signed area of a closed curve via 0.5 * integral (x dy - y dx)."""
     if not curve.is_closed():
         raise ValueError("green_area needs a closed curve")
     half_xdy = OneForm(lambda p: -0.5 * p[..., 1], lambda p: 0.5 * p[..., 0], 1.0)
-    return integrate_one_form(half_xdy, curve, tol)
+    return integrate_one_form(half_xdy, curve)

@@ -175,6 +175,8 @@ def run_mollify_check(args, cp, outdir: Path, checks: Checks) -> None:
     epsilons = [_positive("epsilons", e) for e in cfg_get(
         cp, "mollify", "epsilons", lambda raw: list(map(float, raw.split())),
         [0.02, 0.05, 0.1])]
+    if not epsilons:
+        raise ConfigError("[mollify] epsilons: need at least one value")
     slack = _positive("slack", cfg_get(cp, "common", "slack", float, 1.05))
 
     for n in (1, 2):

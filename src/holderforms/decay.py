@@ -97,10 +97,6 @@ class USRectangle:
             raise ValueError("edge lengths must be positive")
 
     @property
-    def area(self) -> float:
-        return self.u_len * self.s_len
-
-    @property
     def boundary_length(self) -> float:
         return 2.0 * (self.u_len + self.s_len)
 
@@ -223,8 +219,7 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
                        theta: float, k_range, sigma: float,
                        c1: float = 1.0,
                        k_emp: float = 1.0,
-                       cnorm: float = 1.0,
-                       quad_tol: float = 1e-10) -> DecaySeries:
+                       cnorm: float = 1.0) -> DecaySeries:
     """Run the cut-and-bound experiment over a range of iteration counts.
 
     ``k_emp`` and ``cnorm`` are frozen constants (the empirical inequality
@@ -286,7 +281,7 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
         raise failed
     for first, corners in _batches(cuts + [(r, 1) for _, r in plan]):
         lhs[first:first + len(corners)] = polygon_boundary_integrals(
-            alpha, corners, quad_tol)
+            alpha, corners)
     steps, length_power = [], 1.0 - theta
     for j, ((sc, _), span) in enumerate(zip(plan, spans)):
         rhs_shapes = [ln ** length_power * ar ** theta

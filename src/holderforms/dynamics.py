@@ -58,19 +58,20 @@ def _char_poly(M: np.ndarray) -> np.ndarray:
     return np.array(coeffs, dtype=float)
 
 
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray,
-                  iters: int = 50, tol: float = 1e-14) -> np.ndarray:
+def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Newton-polish each root: at most 50 steps, until a step is at most
+    1e-14 relative to the root (absolute below modulus 1)."""
     dcoeffs = np.polyder(coeffs)
     out = roots.astype(complex).copy()
     for i, z in enumerate(out):
-        for _ in range(iters):
+        for _ in range(50):
             p = np.polyval(coeffs, z)
             dp = np.polyval(dcoeffs, z)
             if dp == 0:
                 break
             step = p / dp
             z = z - step
-            if abs(step) <= tol * max(1.0, abs(z)):
+            if abs(step) <= 1e-14 * max(1.0, abs(z)):
                 break
         out[i] = z
     return out
@@ -177,7 +178,7 @@ class SpectralRates:
         return self.lambda_s
 
 
-def spectral_rates(A: ToralAutomorphism | np.ndarray,
+def spectral_rates(A: ToralAutomorphism,
                    extra_center_dims: int = 0) -> SpectralRates:
     """Partition eigenvalue moduli against 1 and report the extreme rates.
 
@@ -185,8 +186,6 @@ def spectral_rates(A: ToralAutomorphism | np.ndarray,
     circles.  A modulus within 1e-9 of 1 is center; a modulus within 1e-6
     but not 1e-9 of 1 is ambiguous and raises ``AmbiguousSpectrumError``.
     """
-    if not isinstance(A, ToralAutomorphism):
-        A = ToralAutomorphism(np.asarray(A))
     mods = np.abs(A.eigenvalues())
     stable, center, unstable = [], [], []
     for m in mods:

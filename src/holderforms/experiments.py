@@ -84,15 +84,12 @@ def least_squares_slope(x, y) -> float:
             / math.fsum(d * d for d in dx))
 
 
-def random_convex_polygon_vertices(rng, n_vertices: int = 8,
-                                   center=(0.0, 0.0), radius: float = 1.0):
-    """Convex polygon inscribed in a circle: sorted random angles.
+def random_convex_polygon_vertices(rng, n_vertices: int = 8):
+    """Convex polygon inscribed in the unit circle: sorted random angles.
 
     Each angle is ``2 pi rng.random()``, so ``rng`` may be a
     ``random.Random`` or a ``numpy.random.Generator``; for the latter the
     angles are those of ``rng.uniform(0, 2 pi, size=n_vertices)``.
     """
     angles = sorted(2.0 * math.pi * rng.random() for _ in range(n_vertices))
-    cx, cy = center
-    return [(cx + radius * math.cos(a), cy + radius * math.sin(a))
-            for a in angles]
+    return [(math.cos(a), math.sin(a)) for a in angles]

@@ -60,6 +60,16 @@ class UnderResolvedError(ValueError):
     """Requested resolution cannot resolve the finest feature."""
 
 
+def _matched_ends(v: np.ndarray) -> np.ndarray:
+    """``v``, in place, with its last entry on every axis set to its first:
+    the duplicate endpoint of a field on the torus."""
+    for ax in range(v.ndim):
+        last = [slice(None)] * v.ndim
+        last[ax] = -1
+        v[tuple(last)] = np.take(v, 0, axis=ax)
+    return v
+
+
 def _as_tuple(x, dim, cast):
     if np.isscalar(x):
         return (cast(x),) * dim
@@ -76,7 +86,9 @@ class GridField:
 
     ``values`` has shape ``resolution`` (axis 0 is the first coordinate).
     Every axis is periodic with period ``hi - lo``: the duplicate endpoint
-    node is stored explicitly, and its values must equal those at ``lo``.
+    node is stored explicitly.  Its given values must lie within 1e-10 of
+    those at ``lo``, and a copy of ``values`` stores them equal, so the
+    interpolant is continuous across the seam.
     """
 
     lo: tuple
@@ -90,19 +102,19 @@ class GridField:
             raise ValueError("only dimensions 1 and 2 are supported")
         if any(r < 2 for r in self.resolution):
             raise ValueError("resolution must be >= 2 per axis")
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != tuple(self.resolution):
             raise ValueError(f"values shape {v.shape} != resolution {self.resolution}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
-        object.__setattr__(self, "values", v)
         for ax in range(dim):
             if self.hi[ax] <= self.lo[ax]:
                 raise ValueError("domain must have positive extent")
             first = np.take(v, 0, axis=ax)
-            last = np.take(v, self.resolution[ax] - 1, axis=ax)
+            last = np.take(v, -1, axis=ax)
             if np.any(np.abs(first - last) > 1e-10):
                 raise ValueError(f"axis {ax}: endpoint values differ")
+        object.__setattr__(self, "values", _matched_ends(v))
 
     @property
     def dim(self) -> int:
@@ -141,14 +153,8 @@ class GridField:
             + fx * fy * v[i + 1, j + 1]
         )
 
-    def __call__(self, pts) -> np.ndarray:
-        return self.evaluate(pts)
-
     def supnorm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def scaled(self, c: float) -> "GridField":
-        return GridField(self.lo, self.hi, self.resolution, c * self.values)
 
     def __sub__(self, other: "GridField") -> "GridField":
         self._check_same_grid(other)
@@ -176,14 +182,9 @@ class GridField:
         else:
             gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
             vals = np.asarray(fn(gx, gy), dtype=float)
-        # snap the endpoints: fn may miss exact equality by roundoff
-        for ax in range(dim):
-            idx_first = [slice(None)] * dim
-            idx_last = [slice(None)] * dim
-            idx_first[ax] = 0
-            idx_last[ax] = resolution[ax] - 1
-            vals[tuple(idx_last)] = vals[tuple(idx_first)]
-        return cls(lo, hi, resolution, vals)
+        # fn need not be periodic (x*y is not), so its ends are matched
+        # before the constructor's 1e-10 check
+        return cls(lo, hi, resolution, _matched_ends(vals))
 
 
 @dataclass(frozen=True)

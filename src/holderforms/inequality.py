@@ -45,6 +45,10 @@ __all__ = [
     "verify_main_inequality",
 ]
 
+# a disk with |dD|^(1-theta) |D|^theta = 0 has ratio 0 if its boundary
+# integral is at most this, and an infinite one otherwise
+DEGENERATE_LHS = 1e-8
+
 
 def theta_bracket(theta: float) -> float:
     """((1-t)/t)^t + (t/(1-t))^(1-t); equals 2 at t = 1/2, >= 1 on (0,1)."""
@@ -122,12 +126,11 @@ class IsoperimetricReport:
     equality_gap: float  # bound - area
 
 
-def isoperimetric_check(length: float, area: float,
-                        tol: float = 1e-9) -> IsoperimetricReport:
-    """Flat planar check |D| <= |dD|^2 / (4 pi)."""
+def isoperimetric_check(length: float, area: float) -> IsoperimetricReport:
+    """Flat planar check |D| <= |dD|^2 / (4 pi), to an absolute 1e-9."""
     bound = isoperimetric_constant(2) * length * length
     return IsoperimetricReport(length, area, bound,
-                               area <= bound + tol, bound - area)
+                               area <= bound + 1e-9, bound - area)
 
 
 def one_form_cnorm(alpha: OneForm, theta: float | None = None) -> float:
@@ -165,12 +168,11 @@ class SplitCheck:
     term with its sign, ``int_D d alpha_eps``, and ``term_interior`` its
     absolute value.
 
-    ``cnorm`` and the two bounds are computed the first time one of them is
-    read, so a caller that reads only the terms and ``chain_holds`` runs no
-    Holder seminorm.  ``cnorm`` is ``given_cnorm`` when one was given, and
-    ``one_form_cnorm(alpha, theta)`` otherwise, computed at most once.
-    That norm is an upper bound, so the bound checks compare each term
-    with its bound itself.
+    ``cnorm``, ``one_form_cnorm(alpha)``, is computed the first time it or
+    a bound is read, and at most once, so a caller that reads only the
+    terms and ``chain_holds`` runs no Holder seminorm.  The bounds take
+    their exponent from ``alpha.theta``.  That norm is an upper bound, so
+    the bound checks compare each term with its bound itself.
     """
 
     epsilon: float
@@ -182,14 +184,10 @@ class SplitCheck:
     quad_tol: float
     alpha_eps: OneForm       # the mollified form the terms were measured on
     alpha: OneForm           # the form whose C^theta norm scales the bounds
-    theta: float
-    given_cnorm: float | None = None
 
     @cached_property
     def cnorm(self) -> float:
-        if self.given_cnorm is not None:
-            return self.given_cnorm
-        return one_form_cnorm(self.alpha, self.theta)
+        return one_form_cnorm(self.alpha)
 
     @property
     def term_interior(self) -> float:
@@ -199,13 +197,13 @@ class SplitCheck:
     @property
     def bound_boundary(self) -> float:
         """|dD| cnorm eps^theta"""
-        return self.length * self.cnorm * self.epsilon ** self.theta
+        return self.length * self.cnorm * self.epsilon ** self.alpha.theta
 
     @property
     def bound_interior(self) -> float:
         """|D| ||d eta||_L1 cnorm eps^(theta-1)"""
         return (self.area * deta_l1(2) * self.cnorm
-                * self.epsilon ** (self.theta - 1.0))
+                * self.epsilon ** (self.alpha.theta - 1.0))
 
     @property
     def chain_holds(self) -> bool:
@@ -221,24 +219,21 @@ class SplitCheck:
 
 
 def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
-                              theta: float | None = None,
-                              cnorm: float | None = None,
                               quad_tol: float = 1e-5) -> SplitCheck:
     """The split of ``int_dD alpha`` on the rectangle ``D = [lo, hi]``.
 
     ``alpha`` is grid-sampled, as ``mollify_one_form`` requires, so the two
     boundary terms are exact ``polygon_boundary_integrals`` and the interior
     term is an exact ``integrate_two_form``; no quadrature driver is called.
-    The C^theta norm that scales the bounds is ``cnorm`` if given; if not,
-    it is computed from ``alpha`` when the check's ``cnorm`` or a bound is
+    The C^theta norm of ``alpha`` that scales the bounds, at
+    ``alpha.theta``, is computed when the check's ``cnorm`` or a bound is
     first read (see :class:`SplitCheck`).
     """
-    theta = alpha.theta if theta is None else theta
     alpha_eps = mollify_one_form(alpha, epsilon)
     diff = OneForm(
         None if alpha.a1 is None else alpha.a1 - alpha_eps.a1,
         None if alpha.a2 is None else alpha.a2 - alpha_eps.a2,
-        theta,
+        alpha.theta,
     )
     corners = [rectangle_corners(lo, hi)]
     (lhs,) = polygon_boundary_integrals(alpha, corners)
@@ -255,8 +250,6 @@ def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
         quad_tol=quad_tol,
         alpha_eps=alpha_eps,
         alpha=alpha,
-        theta=theta,
-        given_cnorm=cnorm,
     )
 
 
@@ -283,8 +276,7 @@ class InequalityReport:
 
 def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
                            smallness_sigma: float = 0.5,
-                           cnorm: float | None = None,
-                           quad_tol: float = 1e-8):
+                           cnorm: float | None = None):
     """Apply the main-inequality comparison to a family of disks.
 
     ``family`` is a sequence of (disk_id, corners) pairs, each disk's
@@ -299,10 +291,9 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
     exactly there, for any mix of polygons: along each edge its bilinear
     interpolant is quadratic between grid-line crossings, and the 2-point
     Gauss-Legendre rule on each such piece is exact, so ``lhs`` carries
-    rounding error only.  ``quad_tol`` is read as the
-    relative tolerance of the adaptive driver, which only analytic or mixed
-    forms use (one call per edge), and as the ``lhs`` below which a
-    degenerate disk counts as ratio 0.
+    rounding error only.  Analytic or mixed forms take one adaptive driver
+    call per edge instead.  A degenerate disk (``rhs_shape`` 0) counts as
+    ratio 0 when its ``lhs`` is at most ``DEGENERATE_LHS``.
     """
     theta = alpha.theta if theta is None else theta
     if cnorm is None:
@@ -315,8 +306,7 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
         *(v.tolist() for v in measure_polygons(corners)))]
     skipped = [max(m.diameter, m.length) >= smallness_sigma for m in measures]
     integrals = iter(polygon_boundary_integrals(
-        alpha, [c for c, skip in zip(corners, skipped) if not skip],
-        quad_tol))
+        alpha, [c for c, skip in zip(corners, skipped) if not skip]))
     reports = []
     emp_k = 0.0
     for (disk_id, _), meas, skip in zip(family, measures, skipped):
@@ -331,7 +321,7 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
             ratio = lhs / (cnorm * rhs_shape)
         else:
             # degenerate disk: ratio meaningful only if lhs vanishes too
-            ratio = 0.0 if lhs <= quad_tol else math.inf
+            ratio = 0.0 if lhs <= DEGENERATE_LHS else math.inf
         if not math.isfinite(ratio):
             raise ArithmeticError(
                 f"non-finite ratio for {disk_id}: lhs={lhs}, rhs={rhs_shape}")

@@ -30,12 +30,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chains import _centered_diff, _gl_rule
-from .grids import GridField, HolderEstimate, holder_seminorm
+from .grids import GridField, holder_seminorm
 
 __all__ = [
     "RegularizationReport",
     "normalization_constant",
-    "eta",
     "deta_l1",
     "discrete_kernel",
     "mollify",
@@ -67,14 +66,6 @@ def normalization_constant(n: int) -> float:
         r, wr = _gl_rule(KERNEL_PANELS, 0.0, 1.0)
         integral = float(2.0 * np.pi * np.sum(wr * _bump(r * r) * r))
     return 1.0 / integral
-
-
-def eta(x, n: int) -> np.ndarray:
-    """Standard mollifier in R^n; x is (...,) in 1D or (..., 2) in 2D."""
-    A = normalization_constant(n)
-    x = np.asarray(x, dtype=float)
-    r2 = x * x if n == 1 else np.sum(x * x, axis=-1)
-    return A * _bump(r2)
 
 
 def deta_l1(n: int) -> float:
@@ -184,17 +175,13 @@ class RegularizationReport:
                 self.measured_d, self.bound_d, self.pass_c, self.pass_d]
 
 
-def verify_regularization(
-    u: GridField,
-    theta: float,
-    epsilons,
-    slack: float = 1.05,
-    norm: HolderEstimate | None = None,
-):
-    """Check the sup, approximation and derivative bounds for each epsilon."""
-    if norm is None:
-        norm = holder_seminorm(u, theta)
-    cn = norm.cnorm
+def verify_regularization(u: GridField, theta: float, epsilons,
+                          slack: float = 1.05):
+    """Check the sup, approximation and derivative bounds for each epsilon.
+
+    The bounds scale with ``holder_seminorm(u, theta).cnorm``, computed once.
+    """
+    cn = holder_seminorm(u, theta).cnorm
     dl1 = deta_l1(u.dim)
     reports = []
     for eps in epsilons:

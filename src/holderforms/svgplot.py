@@ -6,15 +6,18 @@ import math
 
 WIDTH, HEIGHT = 800, 600
 MARGIN = 70
+# ticks step by 1, 2, 5 or 10 times a power of 10, the first of these that
+# cuts the axis into at most TICK_STEPS steps
+TICK_STEPS = 6
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / TICK_STEPS))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= TICK_STEPS:
             step *= mult
             break
     start = math.ceil(lo / step) * step

@@ -12,7 +12,11 @@ from holderforms.decay import (
     DecayStep, SmallnessError, _strip_corners, choose_strip_count,
     iterate_rectangle,
 )
-from holderforms.grids import _lag_distances, weierstrass_callable
+from holderforms.grids import (
+    GridField, _lag_distances, _matched_ends as matched_ends,
+    weierstrass_callable,
+)
+from holderforms.mollify import _bump, normalization_constant
 
 CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
 
@@ -39,16 +43,6 @@ def torus_distance(f, p, q) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def matched_ends(vals):
-    """``vals``, in place, with its last entry on every axis set to its
-    first: the duplicate endpoint of a field on the torus."""
-    for ax in range(vals.ndim):
-        last = [slice(None)] * vals.ndim
-        last[ax] = -1
-        vals[tuple(last)] = np.take(vals, 0, axis=ax)
-    return vals
-
-
 def rolled(vals, shift):
     """The samples of a field on the torus moved by ``shift`` nodes along
     every axis: the distinct nodes rolled, the duplicate endpoint matched
@@ -57,6 +51,26 @@ def rolled(vals, shift):
     core = vals[(slice(0, -1),) * vals.ndim]
     return np.pad(np.roll(core, shift, axis=axes), [(0, 1)] * vals.ndim,
                   mode="wrap")
+
+
+def eta(x, n: int) -> np.ndarray:
+    """The standard mollifier in R^n, ``A exp(1/(|x|^2 - 1))`` of unit mass;
+    ``x`` is (...,) in 1-D or (..., 2) in 2-D."""
+    x = np.asarray(x, dtype=float)
+    r2 = x * x if n == 1 else np.sum(x * x, axis=-1)
+    return normalization_constant(n) * _bump(r2)
+
+
+def scaled_form(alpha: OneForm, factor: float) -> OneForm:
+    """``factor * alpha``: a grid component with its samples scaled, an
+    analytic one scaled where it is evaluated."""
+    def scale(c):
+        if c is None:
+            return None
+        if isinstance(c, GridField):
+            return GridField(c.lo, c.hi, c.resolution, factor * c.values)
+        return lambda pts: factor * np.asarray(c(pts), dtype=float)
+    return OneForm(scale(alpha.a1), scale(alpha.a2), alpha.theta)
 
 
 def analytic_weierstrass_form(theta: float, base: int = 2,
@@ -91,7 +105,7 @@ def cat_map_conjugates(seed: int, count: int):
 
 
 def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
-                           c1=1.0, k_emp=1.0, cnorm=1.0, quad_tol=1e-10):
+                           c1=1.0, k_emp=1.0, cnorm=1.0):
     """The ``steps`` and ``skipped_k`` of ``decay_bound_series``, step by step.
 
     The reference for the batched series: per admissible k, one
@@ -111,8 +125,7 @@ def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
             raise SmallnessError(k, sc.n, float(length.max()), sigma)
         rhs_shapes = [ln ** (1.0 - theta) * ar ** theta
                       for ln, ar in zip(length.tolist(), area.tolist())]
-        (lhs_whole,) = polygon_boundary_integrals(alpha, cut_strips(rect_k, 1),
-                                                  quad_tol)
+        (lhs_whole,) = polygon_boundary_integrals(alpha, cut_strips(rect_k, 1))
         steps.append(DecayStep(
             k=k,
             n0=sc.n0,
@@ -120,8 +133,7 @@ def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
             strip_boundary_max=float(length.max()),
             strip_diameter_max=float(diameter.max()),
             bound=k_emp * cnorm * math.fsum(rhs_shapes),
-            lhs_sum=math.fsum(polygon_boundary_integrals(alpha, strips,
-                                                         quad_tol)),
+            lhs_sum=math.fsum(polygon_boundary_integrals(alpha, strips)),
             lhs_whole=lhs_whole,
         ))
     return tuple(steps), tuple(skipped)

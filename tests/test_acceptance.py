@@ -50,13 +50,14 @@ from holderforms.inequality import (
 from holderforms.mollify import (
     deta_l1,
     discrete_kernel,
-    eta,
     mollify,
     normalization_constant,
     verify_regularization,
 )
 
-from helpers import CAT_MAP, analytic_weierstrass_form, cat_map_conjugates
+from helpers import (
+    CAT_MAP, analytic_weierstrass_form, cat_map_conjugates, eta, scaled_form,
+)
 
 
 EPSILONS = (0.02, 0.05, 0.1)
@@ -116,8 +117,7 @@ def test_c02_sup_bound_random_fields():
 
 def test_c03_approximation_bound(w_field):
     norm = holder_seminorm(w_field, 0.5)
-    reports = verify_regularization(w_field, 0.5, EPSILONS, slack=1.05,
-                                    norm=norm)
+    reports = verify_regularization(w_field, 0.5, EPSILONS, slack=1.05)
     for r in reports:
         assert r.measured_c <= norm.cnorm * r.epsilon ** 0.5 * 1.05, r
     report("criterion 03: |u_eps - u| within cnorm sqrt(eps) x 1.05")
@@ -128,8 +128,7 @@ def test_c04_derivative_bound(w_field):
     dl1 = deta_l1(1)
     closed_form = 2.0 * float(eta(np.array([0.0]), 1)[0])
     assert abs(dl1 - closed_form) <= 1e-6
-    reports = verify_regularization(w_field, 0.5, EPSILONS, slack=1.05,
-                                    norm=norm)
+    reports = verify_regularization(w_field, 0.5, EPSILONS, slack=1.05)
     for r in reports:
         assert r.measured_d <= dl1 * norm.cnorm * r.epsilon ** -0.5 * 1.05, r
     report("criterion 04: derivative bound with |d eta|_L1 = 2 eta(0) to 1e-6")
@@ -188,7 +187,7 @@ def test_c08_main_inequality_family(w_form_family):
 
     sub = dyadic_square_family(range(4, 7), 3)
     a = verify_main_inequality(alpha, sub, theta=0.5, cnorm=cnorm)
-    b = verify_main_inequality(alpha.scaled(5.0), sub, theta=0.5,
+    b = verify_main_inequality(scaled_form(alpha, 5.0), sub, theta=0.5,
                                cnorm=5.0 * cnorm)
     assert all(abs(ra.ratio - rb.ratio) <= 1e-10 for ra, rb in zip(a, b))
     report("criterion 08: K finite, dy exact, slope <= 0.1, homogeneity 1e-10")

@@ -114,7 +114,7 @@ class TestAdaptiveQuadrature:
             return float(np.sum(w * rng.standard_normal(t.shape)))
 
         with pytest.raises(QuadratureError) as exc:
-            adaptive_quadrature(noisy, tol=1e-15)
+            adaptive_quadrature(noisy)
         assert exc.value.last is not None
         assert exc.value.previous is not None
         assert exc.value.last != exc.value.previous
@@ -167,8 +167,8 @@ class TestPolygonBoundaryIntegrals:
                                       (0.3, -1.0, 0.1, 0.1),
                                       (-1.0, 0.5, 0.45, 1.3),
                                       (0.2, 0.2, 0.2, 0.2)]]
-        batch = polygon_boundary_integrals(alpha, corners, tol=1e-10)
-        assert batch == [polygon_boundary_integrals(alpha, [c], tol=1e-10)[0]
+        batch = polygon_boundary_integrals(alpha, corners)
+        assert batch == [polygon_boundary_integrals(alpha, [c])[0]
                          for c in corners]
         assert all(type(v) is float for v in batch)
 
@@ -676,12 +676,6 @@ class TestExteriorDerivative:
 
 
 class TestOneForm:
-    def test_scaled(self):
-        alpha = OneForm(None, lambda p: p[..., 0], 0.5)
-        c = circle((0.0, 0.0), 1.0)
-        assert integrate_one_form(alpha.scaled(5.0), c) == pytest.approx(
-            5.0 * integrate_one_form(alpha, c), rel=1e-12)
-
     def test_zero_component(self):
         alpha = OneForm(None, None, 0.5)
         pts = np.zeros((4, 2))
@@ -696,7 +690,7 @@ class TestOneForm:
             alpha.component(1, pts_hi)[0], abs=1e-12)
         # read at x: W is even about 1/2, so y = 0.1 and 0.9 cannot tell
         assert alpha.component(1, pts_lo)[0] == make_weierstrass(
-            0.5, 2, 5, 128)(np.array([[0.3]]))[0]
+            0.5, 2, 5, 128).evaluate(np.array([[0.3]]))[0]
 
 
 @st.composite

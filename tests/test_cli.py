@@ -456,6 +456,8 @@ class TestConfig:
     @pytest.mark.parametrize("ini,argv,message", [
         ("[mollify]\nepsilons = abc", ["mollify-check"], "'abc'"),
         ("[mollify]\nepsilons = 0.05 -0.1", ["mollify-check"], "-0.1"),
+        ("[mollify]\nepsilons =", ["mollify-check"],
+         "[mollify] epsilons: need at least one value"),
         ("[form]\nterms = 0", ["inequality"], "terms must be >= 1"),
         ("[disks]\nj_min = 5\nj_max = 3", ["inequality"], "j_max must be"),
         ("", ["decay", "--nu", "2"], "nu=2.0"),

@@ -67,8 +67,8 @@ class TestRectangleIteration:
 
     def test_area_contracts_when_det_below_one(self):
         r5 = iterate_rectangle(MODEL, RECT, 5)
-        assert r5.area == pytest.approx(RECT.area * (1.5 * 0.4) ** 5,
-                                        rel=1e-12)
+        assert r5.u_len * r5.s_len == pytest.approx(
+            RECT.u_len * RECT.s_len * (1.5 * 0.4) ** 5, rel=1e-12)
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
@@ -83,7 +83,7 @@ class TestRectangleIteration:
         ((length,), _, _) = measure_polygons(whole)
         assert length == pytest.approx(r2.boundary_length, rel=1e-12)
         (area,) = polygon_boundary_integrals(half_xdy, whole)
-        assert area == pytest.approx(r2.area, rel=1e-10)
+        assert area == pytest.approx(r2.u_len * r2.s_len, rel=1e-10)
 
 
 class TestStrips:
@@ -92,7 +92,7 @@ class TestStrips:
         strips = cut_strips(r, 17)
         assert strips.shape == (17, 4, 2)
         total = math.fsum(measure_polygons(strips)[1])
-        assert total == pytest.approx(r.area, rel=1e-12)
+        assert total == pytest.approx(r.u_len * r.s_len, rel=1e-12)
 
     def test_strips_are_cut_along_the_expanding_side(self):
         r = iterate_rectangle(MODEL, RECT, 3)
@@ -123,9 +123,9 @@ class TestStrips:
         alpha = analytic_weierstrass_form(0.5, terms=6)
         sc = choose_strip_count(k, MODEL, RECT, sigma=0.5, c1=1.0)
         strips = cut_strips(iterate_rectangle(MODEL, RECT, k), sc.n)
-        batch = polygon_boundary_integrals(alpha, strips, 1e-10)
-        assert batch == [integrate_one_form(alpha, polygon(c.tolist()),
-                                            tol=1e-10) for c in strips]
+        batch = polygon_boundary_integrals(alpha, strips)
+        assert batch == [integrate_one_form(alpha, polygon(c.tolist()))
+                         for c in strips]
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),

@@ -340,17 +340,20 @@ class TestLagScan:
         assert_axis_maxima_equal_the_axis_pairs(f, theta)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_unequal_periodic_ends_skip_the_seam_lag(self, theta):
+    def test_unequal_periodic_ends_are_matched(self, theta):
         # equal columns, but the x ends differ by a rounding-sized step:
-        # across the seam they sit at distance 0, where no quotient is
-        # taken, so the step counts from the nearest other node, 1/8 away
+        # across the seam they sit at distance 0, so the field stores its
+        # last node as its first, and the interpolant has no jump there
+        # that the scan, which takes no quotient at distance 0, would miss
         vals = np.full((9, 17), 0.25)
         vals[-1] += 1e-11
         f = GridField((0.0, 0.0), (1.0, 0.01), vals.shape, vals)
-        s0 = pair_quotient(f, theta, axis_pairs(f, 0))
-        assert s0 == pytest.approx(1e-11 / (1.0 / 8) ** theta, rel=1e-4)
-        assert _axis_seminorms(f, theta) == [s0, 0.0]
-        assert holder_seminorm(f, theta).seminorm == s0
+        assert f.values[-1].tolist() == f.values[0].tolist()
+        assert vals[-1, 0] == 0.25 + 1e-11  # the given samples are copied
+        snapped = GridField((0.0, 0.0), (1.0, 0.01), vals.shape,
+                            np.full((9, 17), 0.25))
+        assert holder_seminorm(f, theta) == holder_seminorm(snapped, theta)
+        assert holder_seminorm(f, theta).seminorm == 0.0
 
     def test_cli_field_evaluates_few_lags_exactly(self, monkeypatch):
         shapes = []

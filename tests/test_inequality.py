@@ -39,6 +39,7 @@ from holderforms.inequality import (
     verify_main_inequality,
 )
 from holderforms.mollify import deta_l1
+from helpers import scaled_form
 
 
 class TestThetaConstant:
@@ -193,7 +194,7 @@ class TestMainInequality:
     def test_homogeneity(self, w_form, w_cnorm):
         fam = dyadic_square_family(range(4, 6), 3)
         a = verify_main_inequality(w_form, fam, theta=0.5, cnorm=w_cnorm)
-        b = verify_main_inequality(w_form.scaled(5.0), fam, theta=0.5,
+        b = verify_main_inequality(scaled_form(w_form, 5.0), fam, theta=0.5,
                                    cnorm=5.0 * w_cnorm)
         for ra, rb in zip(a, b):
             assert rb.ratio == pytest.approx(ra.ratio, abs=1e-10)
@@ -238,9 +239,8 @@ class TestMainInequality:
         form = seeded_trig_form(seed)
         fam = dyadic_square_family(range(2, 6), 3)
         by_cnorm = verify_main_inequality(
-            form, fam, theta=0.5, cnorm=one_form_cnorm(form, 0.5),
-            quad_tol=1e-4)
-        computed = verify_main_inequality(form, fam, theta=0.5, quad_tol=1e-4)
+            form, fam, theta=0.5, cnorm=one_form_cnorm(form, 0.5))
+        computed = verify_main_inequality(form, fam, theta=0.5)
         assert repr([r.csv_row() for r in by_cnorm]) == repr(
             [r.csv_row() for r in computed])
 
@@ -309,8 +309,7 @@ class TestExactBoundaryIntegrals:
                      if not r.skipped]
         assert len(unskipped) == 40
         for rep, disk in unskipped:
-            ref = abs(integrate_one_form(w_form, polygon(list(disk)),
-                                         tol=1e-8))
+            ref = abs(integrate_one_form(w_form, polygon(list(disk))))
             assert abs(rep.lhs - ref) <= 1e-16
 
     def test_family_makes_no_driver_call(self, w_form, w_cnorm, monkeypatch):
@@ -332,32 +331,22 @@ SQUARE = (0.3, 0.3), (0.5, 0.5)  # the stokes-check square
 
 
 class TestSplitCheck:
-    def test_split_bounds_on_weierstrass(self, w_form, w_cnorm):
-        chk = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
-                                        cnorm=w_cnorm, quad_tol=1e-4)
+    def test_split_bounds_on_weierstrass(self, w_form):
+        chk = mollification_split_check(w_form, *SQUARE, 0.05,
+                                        quad_tol=1e-4)
         assert chk.chain_holds
         assert chk.boundary_bound_holds
         assert chk.interior_bound_holds
 
     def test_bounds_equal_the_measured_disk_bounds(self, w_form, w_cnorm):
         # the bounds read only length and area
-        chk = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
-                                        cnorm=w_cnorm, quad_tol=1e-4)
+        chk = mollification_split_check(w_form, *SQUARE, 0.05,
+                                        quad_tol=1e-4)
         ((length,), (area,), _) = measure_polygons(
             [rectangle_corners(*SQUARE)])
         assert chk.bound_boundary == length * w_cnorm * 0.05 ** 0.5
         assert chk.bound_interior == (area * deta_l1(2) * w_cnorm
                                       * 0.05 ** (0.5 - 1.0))
-
-    @pytest.mark.parametrize("eps", [0.02, 0.05])
-    def test_lazy_bounds_equal_the_given_cnorm_bounds(self, w_form, eps):
-        lazy = mollification_split_check(w_form, *SQUARE, eps, theta=0.5)
-        given = mollification_split_check(
-            w_form, *SQUARE, eps, theta=0.5,
-            cnorm=one_form_cnorm(w_form, 0.5))
-        assert lazy.cnorm.hex() == given.cnorm.hex()
-        assert lazy.bound_boundary.hex() == given.bound_boundary.hex()
-        assert lazy.bound_interior.hex() == given.bound_interior.hex()
 
     def test_cnorm_is_computed_once_and_only_when_read(self, w_form,
                                                       monkeypatch):
@@ -365,12 +354,12 @@ class TestSplitCheck:
         real = holderforms.inequality.one_form_cnorm
 
         def counting(alpha, theta=None):
-            calls.append(theta)
+            calls.append(alpha.theta if theta is None else theta)
             return real(alpha, theta)
 
         monkeypatch.setattr(holderforms.inequality, "one_form_cnorm",
                             counting)
-        chk = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
+        chk = mollification_split_check(w_form, *SQUARE, 0.05,
                                         quad_tol=1e-4)
         assert chk.chain_holds
         assert calls == []
@@ -378,19 +367,15 @@ class TestSplitCheck:
         assert (chk.bound_boundary, chk.bound_interior) == (
             chk.bound_boundary, chk.bound_interior)
         assert calls == [0.5]
-        given = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
-                                          cnorm=2.5)
-        assert given.cnorm == 2.5 and given.bound_boundary > 0.0
-        assert calls == [0.5]
 
-    def test_split_makes_no_driver_call(self, w_form, w_cnorm, monkeypatch):
+    def test_split_makes_no_driver_call(self, w_form, monkeypatch):
         # both boundary terms and the interior term are exact
         def no_driver(*args, **kwargs):
             raise AssertionError("adaptive_quadrature was called")
 
         monkeypatch.setattr(chains, "adaptive_quadrature", no_driver)
-        chk = mollification_split_check(w_form, *SQUARE, 0.05, theta=0.5,
-                                        cnorm=w_cnorm, quad_tol=1e-4)
+        chk = mollification_split_check(w_form, *SQUARE, 0.05,
+                                        quad_tol=1e-4)
         assert chk.chain_holds
 
     def test_1d_form_boundary_term(self):
@@ -411,11 +396,9 @@ class TestSplitCheck:
         assert chk.boundary_bound_holds
         assert chk.interior_bound_holds
 
-    def test_boundary_bound_scales_with_eps(self, w_form, w_cnorm):
-        a = mollification_split_check(w_form, *SQUARE, 0.02, theta=0.5,
-                                      cnorm=w_cnorm, quad_tol=1e-4)
-        b = mollification_split_check(w_form, *SQUARE, 0.08, theta=0.5,
-                                      cnorm=w_cnorm, quad_tol=1e-4)
+    def test_boundary_bound_scales_with_eps(self, w_form):
+        a = mollification_split_check(w_form, *SQUARE, 0.02, quad_tol=1e-4)
+        b = mollification_split_check(w_form, *SQUARE, 0.08, quad_tol=1e-4)
         assert b.bound_boundary == pytest.approx(2.0 * a.bound_boundary,
                                                  rel=1e-12)
         assert b.bound_interior == pytest.approx(0.5 * a.bound_interior,

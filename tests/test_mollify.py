@@ -10,13 +10,12 @@ from holderforms.mollify import (
     _renormalize,
     deta_l1,
     discrete_kernel,
-    eta,
     grad_supnorm,
     mollify,
     normalization_constant,
     verify_regularization,
 )
-from helpers import matched_ends, rolled
+from helpers import eta, matched_ends, rolled
 
 
 def two_formula_kernel(h, epsilon, n):
@@ -261,8 +260,8 @@ class TestRegularizationBounds:
         # quadrupling eps should roughly double the sup error, never more
         assert r2.measured_c <= 2.5 * r1.measured_c
 
-    def test_frozen_norm_is_respected(self):
+    def test_bound_reads_the_field_cnorm(self):
         u = make_weierstrass(0.5, 2, 6, 1024)
         est = holder_seminorm(u, 0.5)
-        reports = verify_regularization(u, 0.5, [0.05], norm=est)
+        reports = verify_regularization(u, 0.5, [0.05])
         assert reports[0].bound_c == pytest.approx(est.cnorm * 0.05 ** 0.5)

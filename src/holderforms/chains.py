@@ -1,13 +1,14 @@
-"""Piecewise-C1 curves, polygonal 2-disks, and integration of 1- and 2-forms.
+"""C1 curves, polygonal 2-disks, and integration of 1- and 2-forms.
 
-Curve length, Green's area and line integrals of analytic forms use
-composite Gauss-Legendre quadrature: 16 nodes per segment, panel count
-doubled until the relative change drops below ``QUAD_REL_TOL`` = 1e-8
-(absolute floor 1e-10), at most 6 doublings; non-convergence raises with
-the last two values attached.  One scalar driver serves them all, at that
-one tolerance.  The 16-point rule is a literal table, so no run computes
-it; the composite rule is cached per (panels, interval) and its arrays are
-read-only, so every caller, ``mollify`` included, shares them safely.
+A curve is one C1 map ``ParamCurve`` of [0, 1]; ``circle`` builds the
+circle oracles.  Curve length, Green's area and line integrals along a
+curve each make one call of the adaptive driver: composite Gauss-Legendre
+quadrature, 16 nodes per panel, panel count doubled until the relative
+change drops below ``QUAD_REL_TOL`` = 1e-8 (absolute floor 1e-10), at most
+6 doublings; non-convergence raises with the last two values attached.
+The 16-point rule is a literal table, so no run computes it; the composite
+rule is cached per (panels, interval) and its arrays are read-only, so
+every caller, ``mollify`` included, shares them safely.
 
 A disk is a polygon, given by its corners in boundary order;
 ``rectangle_corners`` gives those of axis-aligned rectangles.  Polygons are
@@ -15,25 +16,22 @@ measured and integrated in one array layout: the vertices of n polygons, of
 any mix of corner counts, in one flat array, each edge running to the next
 vertex of its polygon and the last one wrapping to the first.
 ``measure_polygons`` takes the lengths, areas and diameters of n polygons
-in closed form, and ``polygon_boundary_integrals`` integrates a 1-form over
-the boundaries of n polygons at once.  A grid-sampled form is integrated
-there exactly, with no quadrature: its edges are cut at grid-line
-crossings, and on each piece the bilinear interpolant is a quadratic that a
-2-point rule integrates exactly.  Analytic and mixed forms are integrated
-polygon by polygon along the edges, one driver call per edge, as
-``integrate_one_form`` does.  ``integrate_two_form`` integrates a
-grid-sampled 2-form over an axis-aligned rectangle exactly, by the midpoint
-rule on the rectangle's pieces between grid lines.  Curves that are not
-polygons (the circle oracles) are integrated with ``integrate_one_form``.
+in closed form, and ``polygon_boundary_integrals`` integrates a
+grid-sampled 1-form over the boundaries of n polygons at once, exactly,
+with no quadrature: its edges are cut at grid-line crossings, and on each
+piece the bilinear interpolant is a quadratic that a 2-point rule
+integrates exactly.  ``integrate_two_form`` integrates a grid-sampled
+2-form over an axis-aligned rectangle exactly, by the midpoint rule on the
+rectangle's pieces between grid lines.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms); analytic
-callables are admitted as exact evaluators for oracles.  A ``None``
-component means identically zero.  A 1-D field is a function of x alone
-(``W(x) dy`` stores its ``W`` so), read at the x coordinates of points:
-``_read_component`` is the one place a component is read at points.  Its
-boundary integrals cut edges at x grid lines only, and its exterior
-derivative, a 2-form, is again a 1-D field.
+callables are admitted as exact evaluators for the curve oracles only.  A
+``None`` component means identically zero.  A 1-D field is a function of
+x alone (``W(x) dy`` stores its ``W`` so), read at the x coordinates of
+points: ``_read_component`` is the one place a component is read at
+points.  Its boundary integrals cut edges at x grid lines only, and its
+exterior derivative, a 2-form, is again a 1-D field.
 """
 
 from __future__ import annotations
@@ -49,15 +47,10 @@ from .grids import GridField
 
 __all__ = [
     "QuadratureError",
-    "Segment",
     "ParamCurve",
     "OneForm",
     "ChainMeasures",
-    "line_segment",
-    "arc_segment",
-    "polyline",
     "circle",
-    "polygon",
     "rectangle_corners",
     "curve_length",
     "measure_polygons",
@@ -141,77 +134,32 @@ def adaptive_quadrature(fn: Callable[..., float]) -> float:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """C1 map [0,1] -> R^2 with a velocity evaluator (both vectorized)."""
+class ParamCurve:
+    """C1 map [0,1] -> R^2 with its velocity, both vectorized."""
 
     point: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[np.ndarray], np.ndarray]
 
-
-def line_segment(a, b) -> Segment:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-
-    def point(t):
-        t = np.asarray(t, dtype=float)
-        return a + t[..., None] * d
-
-    def velocity(t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(d, t.shape + (2,)).copy()
-
-    return Segment(point, velocity)
-
-
-def arc_segment(center, radius: float, ang0: float, ang1: float) -> Segment:
-    c = np.asarray(center, dtype=float)
-
-    def point(t):
-        a = ang0 + (ang1 - ang0) * np.asarray(t, dtype=float)
-        return c + radius * np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-    def velocity(t):
-        a = ang0 + (ang1 - ang0) * np.asarray(t, dtype=float)
-        return radius * (ang1 - ang0) * np.stack([-np.sin(a), np.cos(a)], axis=-1)
-
-    return Segment(point, velocity)
-
-
-@dataclass(frozen=True)
-class ParamCurve:
-    """Concatenation of C1 segments; consecutive endpoints must coincide."""
-
-    segments: tuple
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        object.__setattr__(self, "segments", segs)
-        one = np.array([1.0])
-        zero = np.array([0.0])
-        for s0, s1 in zip(segs, segs[1:]):
-            gap = np.linalg.norm(s0.point(one)[0] - s1.point(zero)[0])
-            if gap > 1e-10:
-                raise ValueError(f"segment endpoints do not meet (gap {gap:.3e})")
-
     def is_closed(self) -> bool:
-        a = self.segments[0].point(np.array([0.0]))[0]
-        b = self.segments[-1].point(np.array([1.0]))[0]
+        a = self.point(np.array([0.0]))[0]
+        b = self.point(np.array([1.0]))[0]
         return bool(np.linalg.norm(a - b) <= 1e-10)
 
 
-def polyline(points) -> ParamCurve:
-    pts = [np.asarray(p, dtype=float) for p in points]
-    return ParamCurve(tuple(line_segment(a, b) for a, b in zip(pts, pts[1:])))
-
-
 def circle(center, radius: float) -> ParamCurve:
-    return ParamCurve((arc_segment(center, radius, 0.0, 2.0 * np.pi),))
+    """The circle about ``center``, once counter-clockwise from angle 0."""
+    c = np.asarray(center, dtype=float)
+    turn = 2.0 * np.pi
 
+    def point(t):
+        a = turn * np.asarray(t, dtype=float)
+        return c + radius * np.stack([np.cos(a), np.sin(a)], axis=-1)
 
-def polygon(vertices) -> ParamCurve:
-    pts = list(vertices) + [vertices[0]]
-    return polyline(pts)
+    def velocity(t):
+        a = turn * np.asarray(t, dtype=float)
+        return radius * turn * np.stack([-np.sin(a), np.cos(a)], axis=-1)
+
+    return ParamCurve(point, velocity)
 
 
 _UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -263,7 +211,21 @@ class OneForm:
         return _read_component(self.a1 if i == 0 else self.a2, pts)
 
     def grid_components(self):
-        return [c for c in (self.a1, self.a2) if isinstance(c, GridField)]
+        """The ``GridField`` components of a grid-sampled form.
+
+        A form is grid-sampled when each component is a ``GridField`` or
+        ``None`` and at least one is a ``GridField``; any other form raises
+        ``ValueError`` naming the type of each component.
+        """
+        comps = (self.a1, self.a2)
+        grids = [c for c in comps if isinstance(c, GridField)]
+        if not grids or any(c is not None and not isinstance(c, GridField)
+                            for c in comps):
+            a1, a2 = (type(c).__name__ for c in comps)
+            raise ValueError(f"need a grid-sampled form, each component a "
+                             f"GridField or None and at least one a "
+                             f"GridField; got a1: {a1}, a2: {a2}")
+        return grids
 
 
 @dataclass(frozen=True)
@@ -277,16 +239,16 @@ class ChainMeasures:
             raise ValueError("measures must be nonnegative numbers")
 
 
-def _segment_integral(seg: Segment, values_of: Callable) -> float:
+def _curve_integral(values_of: Callable) -> float:
+    """``int_0^1 values_of(t) dt`` by one adaptive driver call."""
     def fn(t, w):
-        return float(np.sum(w * values_of(seg, t)))
+        return float(np.sum(w * values_of(t)))
     return adaptive_quadrature(fn)
 
 
 def curve_length(curve: ParamCurve) -> float:
-    def speed(seg, t):
-        return np.linalg.norm(seg.velocity(t), axis=-1)
-    return sum(_segment_integral(s, speed) for s in curve.segments)
+    return _curve_integral(
+        lambda t: np.linalg.norm(curve.velocity(t), axis=-1))
 
 
 def _polygon_edges(corners):
@@ -374,10 +336,9 @@ def _pullback(alpha: OneForm, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
 
 
 def integrate_one_form(alpha: OneForm, curve: ParamCurve) -> float:
-    """Sum over segments of int_0^1 a(gamma(t)) . gamma'(t) dt."""
-    def pull(seg, t):
-        return _pullback(alpha, seg.point(t), seg.velocity(t))
-    return sum(_segment_integral(s, pull) for s in curve.segments)
+    """int_0^1 a(gamma(t)) . gamma'(t) dt."""
+    return _curve_integral(
+        lambda t: _pullback(alpha, curve.point(t), curve.velocity(t)))
 
 
 def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
@@ -388,55 +349,36 @@ def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
     such as ``rectangle_corners`` gives; a ``None`` entry raises
     ``ValueError``.
 
-    A form whose every non-``None`` component is a ``GridField`` is
-    integrated exactly, with no driver call: along a straight edge the
-    bilinear interpolant is a quadratic in the edge parameter inside each
-    grid cell, so splitting the edge at its grid-line crossings and
-    applying the 2-point Gauss-Legendre rule, exact for cubics, to each
-    piece gives the integral up to rounding.
+    ``alpha`` must be grid-sampled: a form with an analytic component, or
+    with no component, raises ``ValueError`` (see
+    ``OneForm.grid_components``).  It is integrated exactly, with no driver
+    call.  Each edge ``a + t*d``, ``t`` in [0, 1], is cut at every ``t``
+    where it crosses a grid line ``lo[ax] + m*h[ax]``, for every integer
+    ``m`` and every axis ``ax`` of the grid, so wraps round the torus need
+    no special case; a 1-D grid has lines in x only.  Each piece
+    ``[t0, t1]`` lies in one cell, where ``alpha(a + t*d) . d`` is a
+    quadratic in ``t``; the 2-point Gauss-Legendre rule with nodes
+    ``mid -/+ half/sqrt(3)`` and weights ``half`` integrates it exactly.
+    All pieces of all edges are evaluated together and summed per polygon
+    in boundary order (by edge, then by ``t``), so the integrals carry
+    rounding error only.
 
-    Any other form is integrated polygon by polygon as
-    ``integrate_one_form(alpha, polygon(list(c)))``: one adaptive driver
-    call per edge, each converged to relative ``QUAD_REL_TOL``.
-    """
-    verts, owner, _, nxt, n = _polygon_edges(corners)
-    if n == 0:
-        return []
-    comps = [c for c in (alpha.a1, alpha.a2) if c is not None]
-    if comps and all(isinstance(c, GridField) for c in comps):
-        return _grid_boundary_integrals(alpha, verts, verts[nxt] - verts,
-                                        owner, n)
-    return [integrate_one_form(alpha, polygon(list(c))) for c in corners]
-
-
-def _grid_boundary_integrals(alpha: OneForm, a: np.ndarray, d: np.ndarray,
-                             owner: np.ndarray, n_disks: int) -> list:
-    """Exact boundary integrals of a grid-sampled form over polygons.
-
-    Edge ``i`` runs from ``a[i]`` to ``a[i] + d[i]`` on the boundary of disk
-    ``owner[i]``; each disk lists its edges in boundary order, and disks may
-    have different numbers of edges.  An edge is cut at every parameter
-    ``t`` in (0, 1) where it crosses a grid line ``lo[ax] + m*h[ax]``, for
-    every integer ``m`` and every axis ``ax`` of the grid, so wraps round
-    the torus need no special case; a 1-D grid has lines in x only.  Each
-    piece ``[t0, t1]`` lies in one cell, where ``alpha(a + t*d) . d`` is a
-    quadratic in ``t``; the 2-point rule with nodes ``mid -/+ half/sqrt(3)``
-    and weights ``half`` integrates it exactly.  All pieces of all edges are
-    evaluated together and summed per disk in boundary order (by edge, then
-    by ``t``).
-
-    An edge whose velocity entry ``d[i, ax]`` is 0 for every non-``None``
+    An edge whose velocity entry ``d[ax]`` is 0 for every non-``None``
     component ``ax`` (a horizontal edge under ``W(x) dy``) pulls back to
     exactly 0, so it is dropped before cutting: its pieces would only add
-    zeros to its disk's sum, and the long horizontal edges of ``decay``
+    zeros to its polygon's sum, and the long horizontal edges of ``decay``
     would each be cut at thousands of grid crossings.
     """
+    grid = alpha.grid_components()[0]
+    a, owner, _, nxt, n_disks = _polygon_edges(corners)
+    if n_disks == 0:
+        return []
+    d = a[nxt] - a
     live = np.zeros(len(a), dtype=bool)
     for ax, c in enumerate((alpha.a1, alpha.a2)):
         if c is not None:
             live |= d[:, ax] != 0.0
     a, d, owner = a[live], d[live], owner[live]
-    grid = alpha.grid_components()[0]
     ids = np.arange(len(a))
     edge, t = [ids, ids], [np.zeros(len(a)), np.ones(len(a))]
     for ax in range(grid.dim):
@@ -512,13 +454,7 @@ def exterior_derivative(alpha: OneForm) -> GridField:
 
     Caller contract: only mollified or otherwise smooth-at-grid-scale forms.
     """
-    grids = alpha.grid_components()
-    if not grids:
-        raise ValueError("exterior_derivative needs at least one grid component")
-    if any(c is not None and not isinstance(c, GridField)
-           for c in (alpha.a1, alpha.a2)):
-        raise ValueError("analytic components have no sampled derivative")
-    ref = grids[0]
+    ref = alpha.grid_components()[0]
     out = np.zeros(ref.resolution)
     if alpha.a2 is not None:
         out += _centered_diff(alpha.a2.values, 0, ref.spacing[0])

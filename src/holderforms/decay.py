@@ -15,10 +15,10 @@ over the whole iterate's boundary (the iterate cut into one strip) with
 ``polygon_boundary_integrals``, from the same corners.  ``decay_bound_series``
 feeds the strips of all its steps to both in batches of at most
 ``STRIP_CHUNK``, so a step of any size costs bounded memory and many small
-steps share one call.  The CLI passes the grid-sampled form whose C^theta
-norm and family constant scale the bound, so those integrals are exact up
-to rounding and take no quadrature; an analytic form is integrated edge by
-edge with the adaptive driver.
+steps share one call.  The form is grid-sampled, as
+``polygon_boundary_integrals`` requires (the CLI passes the one whose
+C^theta norm and family constant scale the bound), so those integrals are
+exact up to rounding and take no quadrature.
 
 Form invariance is NOT assumed; the experiment certifies the decay of the
 upper bound and the telescoping identity, which is what the argument needs.
@@ -63,8 +63,10 @@ class SmallnessError(RuntimeError):
 
 
 class DecayRangeError(OverflowError):
-    """The k range reaches past what a run can hold: an iterate beyond the
-    ``OVERFLOW_EDGE`` guard, or more strips than memory holds."""
+    """The k range reaches past what a run can hold: a step k that cannot
+    be planned (a negative k, a power of a rate that overflows, an iterate
+    beyond the ``OVERFLOW_EDGE`` guard), or more strips than memory
+    holds."""
 
 
 @dataclass(frozen=True)
@@ -235,8 +237,9 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
     all steps, in k order, in batches of at most ``STRIP_CHUNK`` strips,
     and applies the smallness filter step by step before it takes any
     integral.  It then integrates over the strips and the whole iterates
-    in batches of the same size.  A step that cannot be planned (say, its
-    iterate overflows) raises after the smallness filter of the steps
+    in batches of the same size.  A step that cannot be planned (a negative
+    k, a rate power or an iterate that overflows) raises
+    ``DecayRangeError`` naming k after the smallness filter of the steps
     before it, so errors come in k order.  The batch boundaries cannot
     move any value: every per-polygon sum runs over that polygon's own
     vertices or edges only, ``lhs_sum`` is a ``math.fsum``, and the powers
@@ -256,7 +259,7 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
             if sc.n < 1:
                 raise ValueError("N must be >= 1")
         except (OverflowError, ValueError) as exc:
-            failed = exc
+            failed = k, exc
             break
         plan.append((sc, rect_k))
     cuts = [(rect_k, sc.n) for sc, rect_k in plan]
@@ -278,7 +281,12 @@ def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
         if (length[span] >= sigma).any():  # diam <= |dD|/2 < |dD|
             raise SmallnessError(sc.k, sc.n, float(length[span].max()), sigma)
     if failed is not None:
-        raise failed
+        k, exc = failed
+        if isinstance(exc, DecayRangeError):
+            raise exc
+        raise DecayRangeError(
+            f"step k={k} at mu={model.mu!r}, nu={model.nu!r} cannot be "
+            f"planned: {type(exc).__name__}: {exc}") from exc
     for first, corners in _batches(cuts + [(r, 1) for _, r in plan]):
         lhs[first:first + len(corners)] = polygon_boundary_integrals(
             alpha, corners)

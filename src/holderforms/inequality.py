@@ -139,13 +139,12 @@ def one_form_cnorm(alpha: OneForm, theta: float | None = None) -> float:
     Each is an upper bound for the C^theta norm of the interpolated
     component: sup|c| plus the seminorm, exact for a 1-D component and the
     per-axis bound ``U`` for a 2-D one (see ``grids.HolderEstimate``).
+    ``alpha`` must be grid-sampled; any other form raises ``ValueError``
+    naming its component types (see ``OneForm.grid_components``).
     """
     theta = alpha.theta if theta is None else theta
-    comps = alpha.grid_components()
-    if not comps:
-        raise ValueError("cnorm needs grid-sampled components; pass an "
-                         "explicit cnorm for analytic forms")
-    return max(holder_seminorm(c, theta).cnorm for c in comps)
+    return max(holder_seminorm(c, theta).cnorm
+               for c in alpha.grid_components())
 
 
 def mollify_one_form(alpha: OneForm, epsilon: float) -> OneForm:
@@ -287,13 +286,12 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
 
     The whole family is measured by one ``measure_polygons`` call; the
     unskipped disks are then integrated together by one
-    ``polygon_boundary_integrals`` call.  A grid-sampled form is integrated
-    exactly there, for any mix of polygons: along each edge its bilinear
-    interpolant is quadratic between grid-line crossings, and the 2-point
-    Gauss-Legendre rule on each such piece is exact, so ``lhs`` carries
-    rounding error only.  Analytic or mixed forms take one adaptive driver
-    call per edge instead.  A degenerate disk (``rhs_shape`` 0) counts as
-    ratio 0 when its ``lhs`` is at most ``DEGENERATE_LHS``.
+    ``polygon_boundary_integrals`` call, which takes grid-sampled forms
+    only and integrates them exactly, for any mix of polygons: along each
+    edge the bilinear interpolant is quadratic between grid-line crossings,
+    and the 2-point Gauss-Legendre rule on each such piece is exact, so
+    ``lhs`` carries rounding error only.  A degenerate disk (``rhs_shape``
+    0) counts as ratio 0 when its ``lhs`` is at most ``DEGENERATE_LHS``.
     """
     theta = alpha.theta if theta is None else theta
     if cnorm is None:

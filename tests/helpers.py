@@ -6,7 +6,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from holderforms.chains import (
-    OneForm, measure_polygons, polygon_boundary_integrals,
+    OneForm, ParamCurve, integrate_one_form, measure_polygons,
+    polygon_boundary_integrals,
 )
 from holderforms.decay import (
     DecayStep, SmallnessError, _strip_corners, choose_strip_count,
@@ -14,7 +15,6 @@ from holderforms.decay import (
 )
 from holderforms.grids import (
     GridField, _lag_distances, _matched_ends as matched_ends,
-    weierstrass_callable,
 )
 from holderforms.mollify import _bump, normalization_constant
 
@@ -62,22 +62,43 @@ def eta(x, n: int) -> np.ndarray:
 
 
 def scaled_form(alpha: OneForm, factor: float) -> OneForm:
-    """``factor * alpha``: a grid component with its samples scaled, an
-    analytic one scaled where it is evaluated."""
+    """``factor * alpha`` for a grid-sampled form: its samples scaled."""
     def scale(c):
         if c is None:
             return None
-        if isinstance(c, GridField):
-            return GridField(c.lo, c.hi, c.resolution, factor * c.values)
-        return lambda pts: factor * np.asarray(c(pts), dtype=float)
+        return GridField(c.lo, c.hi, c.resolution, factor * c.values)
     return OneForm(scale(alpha.a1), scale(alpha.a2), alpha.theta)
 
 
-def analytic_weierstrass_form(theta: float, base: int = 2,
-                              terms: int = 8) -> OneForm:
-    """Exact-evaluator counterpart of ``experiments.weierstrass_form``."""
-    w = weierstrass_callable(theta, base, terms)
-    return OneForm(None, lambda pts: w(pts[..., 0]), theta)
+def line_segment(a, b) -> ParamCurve:
+    """The straight edge from ``a`` to ``b``, ``a + t*(b - a)``."""
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(b, dtype=float) - a
+
+    def point(t):
+        t = np.asarray(t, dtype=float)
+        return a + t[..., None] * d
+
+    def velocity(t):
+        t = np.asarray(t, dtype=float)
+        return np.broadcast_to(d, t.shape + (2,)).copy()
+
+    return ParamCurve(point, velocity)
+
+
+def polygon_edges(corners):
+    """The edges of the polygon ``corners`` as ``line_segment`` curves, in
+    boundary order, the last one closing it."""
+    pts = list(corners) + [corners[0]]
+    return [line_segment(a, b) for a, b in zip(pts, pts[1:])]
+
+
+def per_edge_quadrature(alpha: OneForm, corners) -> float:
+    """``int_dP alpha`` over the polygon ``corners`` by quadrature: one
+    adaptive driver call per edge, each converged to relative
+    ``QUAD_REL_TOL``, summed in boundary order.  The reference that the
+    exact boundary integrals of grid-sampled forms are compared against."""
+    return sum(integrate_one_form(alpha, e) for e in polygon_edges(corners))
 
 
 def cat_map_conjugates(seed: int, count: int):

@@ -55,9 +55,7 @@ from holderforms.mollify import (
     verify_regularization,
 )
 
-from helpers import (
-    CAT_MAP, analytic_weierstrass_form, cat_map_conjugates, eta, scaled_form,
-)
+from helpers import CAT_MAP, cat_map_conjugates, eta, scaled_form
 
 
 EPSILONS = (0.02, 0.05, 0.1)
@@ -180,7 +178,7 @@ def test_c08_main_inequality_family(w_form_family):
     slope, _ = family_scale_slope(reports)
     assert slope <= 0.1
 
-    dy = OneForm(None, lambda p: np.ones(p.shape[:-1]), 0.5)
+    dy = OneForm(None, GridField((0.0,), (1.0,), (2,), np.ones(2)), 0.5)
     dy_reports = verify_main_inequality(dy, fam, theta=0.5,
                                         smallness_sigma=1.25, cnorm=1.0)
     assert all(r.ratio <= 1e-8 for r in dy_reports)
@@ -227,7 +225,7 @@ def test_c11_unimodular_obstruction():
 
 
 def test_c12_decay_experiment():
-    alpha = analytic_weierstrass_form(0.5, 2, 8)
+    alpha = weierstrass_form(0.5, 2, 8)
     model = LinearModel(1.5, 0.4)
     rect = USRectangle((0.05, 0.05), 0.4, 0.1)
     series = decay_bound_series(alpha, model, rect, theta=0.5,

@@ -16,10 +16,10 @@ PACKAGE = Path(holderforms.__file__).parent
 UNREAD_EXPORTS = {"inequality.eps_sweep", "inequality.closed_form_minimum"}
 
 # Public functions, methods and properties that no subcommand runs yet.
+# Polygons integrate grid-sampled forms only, so every curve builder left
+# in the package runs in a subcommand; a test that needs straight edges as
+# curves builds them in ``tests/helpers.py``.
 UNRUN_CALLABLES = {
-    # the curve builders of the per-edge path of analytic forms on polygons,
-    # which only the tests take until ridge forms are exact (ROADMAP item 3)
-    "chains.line_segment", "chains.polyline", "chains.polygon",
     # the paper's constant and its epsilon sweep (ROADMAP item 1)
     "inequality.theta_bracket", "inequality.c_theta_constant",
     "inequality.closed_form_minimum", "inequality.eps_sweep",

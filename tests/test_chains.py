@@ -19,16 +19,17 @@ from holderforms.chains import (
     integrate_one_form,
     integrate_two_form,
     measure_polygons,
-    polygon,
     polygon_boundary_integrals,
-    polyline,
     rectangle_corners,
 )
 from holderforms.decay import USRectangle
 from holderforms.experiments import dyadic_square_family, weierstrass_form
 from holderforms.grids import GridField, make_weierstrass
 from holderforms.inequality import mollify_one_form, one_form_cnorm
-from helpers import cut_strips, matched_ends
+from helpers import (
+    cut_strips, line_segment, matched_ends, per_edge_quadrature,
+    polygon_edges,
+)
 
 
 def one(p):
@@ -126,42 +127,54 @@ class TestAdaptiveQuadrature:
         assert val == pytest.approx(0.5, abs=1e-15)
 
 
+def reversed_curve(c):
+    """``c`` run backwards: ``t -> c(1 - t)``."""
+    return ParamCurve(lambda t: c.point(1.0 - np.asarray(t)),
+                      lambda t: -c.velocity(1.0 - np.asarray(t)))
+
+
+def ellipse(a, b):
+    """The ellipse with semi-axes ``a`` and ``b`` about the origin, once
+    counter-clockwise."""
+    turn = 2.0 * np.pi
+    return ParamCurve(
+        lambda t: np.stack([a * np.cos(turn * t), b * np.sin(turn * t)], -1),
+        lambda t: turn * np.stack([-a * np.sin(turn * t),
+                                   b * np.cos(turn * t)], -1))
+
+
 class TestCurves:
     def test_circle_length(self):
         assert curve_length(circle((0.0, 0.0), 2.0)) == pytest.approx(
             4.0 * math.pi, rel=1e-10)
 
-    def test_rectangle_length(self):
-        c = polygon([(0.0, 0.0), (0.3, 0.0), (0.3, 0.1), (0.0, 0.1)])
-        assert curve_length(c) == pytest.approx(0.8, abs=1e-12)
-
-    def test_polyline_open_curve(self):
-        c = polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_open_curve(self):
+        c = line_segment((0.0, 0.0), (1.0, 1.0))
         assert not c.is_closed()
-        assert curve_length(c) == pytest.approx(2.0)
-
-    def test_discontinuous_chain_rejected(self):
-        a = polyline([(0.0, 0.0), (1.0, 0.0)])
-        b = polyline([(2.0, 0.0), (3.0, 0.0)])
-        with pytest.raises(ValueError):
-            ParamCurve(a.segments + b.segments)
+        assert circle((0.3, -0.2), 0.5).is_closed()
+        assert curve_length(c) == pytest.approx(math.sqrt(2.0))
 
     def test_reversed_negates_line_integral(self):
         alpha = OneForm(lambda p: p[..., 1], lambda p: p[..., 0] ** 2, 1.0)
-        verts = [(0.0, 0.0), (0.5, 0.2), (0.3, 0.9)]
-        a = integrate_one_form(alpha, polyline(verts))
-        b = integrate_one_form(alpha, polyline(verts[::-1]))
-        assert b == pytest.approx(-a, abs=1e-12)
+        for c in (line_segment((0.5, 0.2), (0.3, 0.9)),
+                  circle((0.3, -0.2), 0.5)):
+            a = integrate_one_form(alpha, c)
+            b = integrate_one_form(alpha, reversed_curve(c))
+            assert b == pytest.approx(-a, abs=1e-12)
 
 
-def _sin_cos_form():
-    return OneForm(lambda p: np.sin(p[..., 1]), lambda p: np.cos(p[..., 0]),
-                   1.0)
+def torus_sin_cos_form(n=65):
+    """``sin(2 pi y) dx + cos(2 pi x) dy`` sampled on n x n nodes of the unit
+    torus: a grid-sampled form whose interpolant is at most 1 in size."""
+    def sampled(fn):
+        return GridField.from_function(fn, (0.0, 0.0), (1.0, 1.0), (n, n))
+    return OneForm(sampled(lambda x, y: np.sin(2.0 * np.pi * y)),
+                   sampled(lambda x, y: np.cos(2.0 * np.pi * x)), 1.0)
 
 
 class TestPolygonBoundaryIntegrals:
     def test_batch_equals_one_disk_at_a_time(self):
-        alpha = _sin_cos_form()
+        alpha = torus_sin_cos_form()
         corners = [rectangle_corners((x, y), (x + w, y + h))
                    for x, y, w, h in [(0.0, 0.0, 2.0, 0.1),
                                       (0.3, -1.0, 0.1, 0.1),
@@ -177,8 +190,10 @@ class TestPolygonBoundaryIntegrals:
            w=st.floats(1e-3, 3.0), h=st.floats(1e-3, 3.0))
     def test_reversed_corners_negate(self, x0, y0, w, h):
         d = rectangle_corners((x0, y0), (x0 + w, y0 + h))
-        fwd, back = polygon_boundary_integrals(_sin_cos_form(), [d, d[::-1]])
-        # |sin|, |cos| <= 1, so each integral is at most the perimeter
+        fwd, back = polygon_boundary_integrals(torus_sin_cos_form(),
+                                               [d, d[::-1]])
+        # the samples of sin and cos are at most 1 in size, and so is their
+        # interpolant: each integral is at most the perimeter
         ((scale,), _, _) = measure_polygons([d])
         assert abs(fwd + back) <= 1e-12 * scale
 
@@ -186,15 +201,20 @@ class TestPolygonBoundaryIntegrals:
         # a disk without corners (None) is not a polygon
         with pytest.raises(ValueError, match="corners"):
             polygon_boundary_integrals(
-                _sin_cos_form(), [rectangle_corners((0, 0), (1, 1)), None])
+                torus_sin_cos_form(),
+                [rectangle_corners((0, 0), (1, 1)), None])
 
-    def test_mixed_corner_counts_equal_integrate_one_form(self):
-        alpha = _sin_cos_form()
-        square = rectangle_corners((0.0, 0.0), (1.0, 1.0))
-        triangle = square[:3]
-        assert polygon_boundary_integrals(alpha, [square, triangle]) == [
-            integrate_one_form(alpha, polygon(list(c)))
-            for c in (square, triangle)]
+    def test_form_that_is_not_grid_sampled_is_rejected(self):
+        # an analytic component, or no component at all; the error names
+        # the type of each component
+        grid = torus_sin_cos_form().a2
+        square = [rectangle_corners((0.2, 0.2), (0.7, 0.6))]
+        for a1, a2, names in [(None, one, "a1: NoneType, a2: function"),
+                              (one, grid, "a1: function, a2: GridField"),
+                              (None, None, "a1: NoneType, a2: NoneType")]:
+            with pytest.raises(ValueError, match="GridField or None") as info:
+                polygon_boundary_integrals(OneForm(a1, a2, 1.0), square)
+            assert names in str(info.value)
 
 
 @st.composite
@@ -309,30 +329,6 @@ class TestExactGridBoundaryIntegrals:
         assert polygon_boundary_integrals(alpha, family) == [
             polygon_boundary_integrals(alpha, [c])[0] for c in family]
 
-    def test_mixed_form_keeps_the_driver(self, monkeypatch):
-        # xy with matched ends: the interpolant is xy off the last cells
-        grid = GridField.from_function(lambda x, y: x * y, (0.0, 0.0),
-                                       (1.0, 1.0), (5, 5))
-        calls = []
-        driver = chains.adaptive_quadrature
-
-        def counting(fn, *args, **kwargs):
-            val = driver(fn, *args, **kwargs)
-            calls.append(val)
-            return val
-
-        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
-        square = rectangle_corners((0.2, 0.2), (0.7, 0.6))
-        polygon_boundary_integrals(OneForm(None, grid, 1.0), [square])
-        assert calls == []
-        (mixed,) = polygon_boundary_integrals(OneForm(one, grid, 1.0),
-                                              [square])
-        # one scalar driver call per edge
-        assert len(calls) == 4
-        assert all(type(v) is float for v in calls)
-        # int_dR dx + xy dy = int_R y dA
-        assert mixed == pytest.approx(0.5 * (0.6**2 - 0.2**2) / 2, abs=1e-12)
-
     def test_zero_velocity_edges_are_dropped_without_changing_a_value(
             self, monkeypatch):
         # W(x) dy pulls back to 0 on the horizontal edges; a zero grid in the
@@ -360,17 +356,22 @@ class TestExactGridBoundaryIntegrals:
 
 
 class TestGreenArea:
-    def test_rectangle(self):
-        c = polygon([(0.1, 0.2), (0.5, 0.2), (0.5, 0.9), (0.1, 0.9)])
-        assert green_area(c) == pytest.approx(0.4 * 0.7, abs=1e-12)
+    def test_circle_off_the_origin(self):
+        c = circle((0.3, -0.2), 0.5)
+        assert green_area(c) == pytest.approx(math.pi * 0.25, abs=1e-12)
 
-    def test_triangle(self):
-        c = polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-        assert green_area(c) == pytest.approx(0.5, abs=1e-12)
+    def test_ellipse(self):
+        assert green_area(ellipse(0.4, 0.7)) == pytest.approx(
+            math.pi * 0.4 * 0.7, abs=1e-12)
 
     def test_orientation_flips_sign(self):
-        c = polygon([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
-        assert green_area(c) == pytest.approx(-0.5, abs=1e-12)
+        c = reversed_curve(ellipse(0.4, 0.7))
+        assert green_area(c) == pytest.approx(-math.pi * 0.4 * 0.7,
+                                              abs=1e-12)
+
+    def test_open_curve_is_rejected(self):
+        with pytest.raises(ValueError, match="closed"):
+            green_area(line_segment((0.0, 0.0), (1.0, 1.0)))
 
 
 class TestDisks:
@@ -401,8 +402,8 @@ class TestDisks:
         dx, dy = xb - xa, yb - ya
         ((length,), (area,), (diameter,)) = measure_polygons([d])
         assert area == abs(dx * dy)
-        assert length == pytest.approx(curve_length(polygon(list(d))),
-                                       rel=1e-15)
+        assert length == pytest.approx(
+            sum(curve_length(e) for e in polygon_edges(d)), rel=1e-15)
         assert area == pytest.approx(
             integrate_two_form(constant_field(1.0), lo, hi), rel=1e-15)
         assert diameter <= length / 2.0
@@ -609,7 +610,7 @@ class TestMeasurePolygons:
         assert list(measures) == [
             tuple(m[0] for m in measure_polygons([d])) for d in disks]
         for alpha in (weierstrass_form(0.5, terms=6, resolution=512),
-                      _sin_cos_form()):
+                      torus_sin_cos_form()):
             assert polygon_boundary_integrals(alpha, corners) == [
                 polygon_boundary_integrals(alpha, [d])[0] for d in disks]
 
@@ -629,10 +630,10 @@ class TestStokesPairs:
 
     def test_exact_form_dy_closed_curve_vanishes(self):
         dy = OneForm(None, lambda p: np.ones(p.shape[:-1]), 1.0)
-        for curve in (circle((0.3, 0.3), 0.2),
-                      polygon([(0.0, 0.0), (0.4, 0.0), (0.4, 0.7), (0.0, 0.7)]),
-                      polygon([(0.0, 0.0), (1.0, 0.2), (0.4, 0.8)])):
-            assert abs(integrate_one_form(dy, curve)) <= 1e-10
+        assert abs(integrate_one_form(dy, circle((0.3, 0.3), 0.2))) <= 1e-10
+        for corners in ([(0.0, 0.0), (0.4, 0.0), (0.4, 0.7), (0.0, 0.7)],
+                        [(0.0, 0.0), (1.0, 0.2), (0.4, 0.8)]):
+            assert abs(per_edge_quadrature(dy, corners)) <= 1e-10
 
     def test_two_form_constant(self):
         assert integrate_two_form(constant_field(3.0), (0.0, 0.0),
@@ -671,7 +672,7 @@ class TestExteriorDerivative:
 
     def test_analytic_component_rejected(self):
         alpha = OneForm(None, lambda p: p[..., 0], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a1: NoneType, a2: function"):
             exterior_derivative(alpha)
 
 

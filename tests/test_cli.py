@@ -487,6 +487,13 @@ class TestConfig:
         ("", ["decay", "--mu", "1e7", "--nu", "0.3", "--k-max", "3"],
          "iterate k=2 at mu=10000000.0 reaches x = 1e+14, beyond the "
          "overflow guard 1e+12"),
+        # mu ** k overflows a float while the strip count is chosen
+        ("", ["decay", "--mu", "1e300", "--nu", "0.5", "--k-max", "3"],
+         "step k=3 at mu=1e+300, nu=0.5 cannot be planned: OverflowError: "),
+        # a small c1 makes k = -1 admissible, and no iterate has k < 0
+        ("[decay]\nk_min = -1\nc1 = 0.001", ["decay"],
+         "step k=-1 at mu=1.5, nu=0.4 cannot be planned: ValueError: k must "
+         "be nonnegative"),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, ini, argv,
                                          message):

@@ -12,9 +12,7 @@ from holderforms.chains import (
     circle,
     curve_length,
     green_area,
-    integrate_one_form,
     measure_polygons,
-    polygon,
     polygon_boundary_integrals,
     rectangle_corners,
 )
@@ -39,7 +37,7 @@ from holderforms.inequality import (
     verify_main_inequality,
 )
 from holderforms.mollify import deta_l1
-from helpers import scaled_form
+from helpers import per_edge_quadrature, scaled_form
 
 
 class TestThetaConstant:
@@ -116,10 +114,10 @@ class TestIsoperimetric:
         assert abs(rep.equality_gap) <= 1e-6
 
     def test_random_convex_polygons_strict(self):
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            c = polygon(random_convex_polygon_vertices(rng))
-            rep = isoperimetric_check(curve_length(c), abs(green_area(c)))
+        polygons = [random_convex_polygon_vertices(np.random.default_rng(s))
+                    for s in range(10)]
+        for length, area in zip(*measure_polygons(polygons)[:2]):
+            rep = isoperimetric_check(length, area)
             assert rep.holds
             assert rep.equality_gap > 1e-6
 
@@ -180,6 +178,12 @@ def w_cnorm(w_form):
     return one_form_cnorm(w_form, 0.5)
 
 
+@pytest.fixture(scope="module")
+def stokes_form():
+    """The form of ``stokes-check`` at its default 4096 nodes."""
+    return weierstrass_form(0.5, resolution=4096)
+
+
 class TestMainInequality:
     def test_family_ratios_bounded_and_slope_flat(self, w_form, w_cnorm):
         fam = dyadic_square_family(range(4, 8), 4)
@@ -200,7 +204,7 @@ class TestMainInequality:
             assert rb.ratio == pytest.approx(ra.ratio, abs=1e-10)
 
     def test_exact_form_has_zero_ratio(self, w_cnorm):
-        dy = OneForm(None, lambda p: np.ones(p.shape[:-1]), 0.5)
+        dy = OneForm(None, GridField((0.0,), (1.0,), (2,), np.ones(2)), 0.5)
         fam = dyadic_square_family(range(4, 6), 2)
         reports = verify_main_inequality(dy, fam, theta=0.5, cnorm=1.0)
         for r in reports:
@@ -216,6 +220,18 @@ class TestMainInequality:
         (only,) = verify_main_inequality(w_form, fam[:1], theta=0.5,
                                          smallness_sigma=0.5, cnorm=w_cnorm)
         assert only.skipped
+
+    def test_form_that_is_not_grid_sampled_is_rejected(self, w_form):
+        # the norm and the boundary integrals both name the component types
+        x_dy = OneForm(None, lambda p: p[..., 0], 0.5)
+        with pytest.raises(ValueError, match="a1: NoneType, a2: function"):
+            one_form_cnorm(x_dy)
+        mixed = OneForm(lambda p: p[..., 1], w_form.a2, 0.5)
+        with pytest.raises(ValueError, match="a1: function, a2: GridField"):
+            one_form_cnorm(mixed)
+        fam = dyadic_square_family(range(4, 5), 1)
+        with pytest.raises(ValueError, match="a1: NoneType, a2: function"):
+            verify_main_inequality(x_dy, fam, theta=0.5, cnorm=1.0)
 
     def test_nonpositive_cnorm_rejected(self, w_form):
         fam = dyadic_square_family(range(5, 6), 1)
@@ -309,7 +325,7 @@ class TestExactBoundaryIntegrals:
                      if not r.skipped]
         assert len(unskipped) == 40
         for rep, disk in unskipped:
-            ref = abs(integrate_one_form(w_form, polygon(list(disk))))
+            ref = abs(per_edge_quadrature(w_form, disk))
             assert abs(rep.lhs - ref) <= 1e-16
 
     def test_family_makes_no_driver_call(self, w_form, w_cnorm, monkeypatch):
@@ -331,24 +347,31 @@ SQUARE = (0.3, 0.3), (0.5, 0.5)  # the stokes-check square
 
 
 class TestSplitCheck:
-    def test_split_bounds_on_weierstrass(self, w_form):
-        chk = mollification_split_check(w_form, *SQUARE, 0.05,
-                                        quad_tol=1e-4)
+    """The chain is asserted at the CLI's default allowance, 1e-5."""
+
+    def test_split_bounds_on_weierstrass(self, stokes_form):
+        # the chain residual is 2.56e-6 at 4096 nodes
+        chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
         assert chk.chain_holds
         assert chk.boundary_bound_holds
         assert chk.interior_bound_holds
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 6: at 2048 nodes the chain residual, 1.27e-5, is "
+        "above the fixed 1e-5 allowance"))
+    def test_chain_holds_at_2048_nodes(self, w_form):
+        assert mollification_split_check(w_form, *SQUARE, 0.05).chain_holds
+
     def test_bounds_equal_the_measured_disk_bounds(self, w_form, w_cnorm):
         # the bounds read only length and area
-        chk = mollification_split_check(w_form, *SQUARE, 0.05,
-                                        quad_tol=1e-4)
+        chk = mollification_split_check(w_form, *SQUARE, 0.05)
         ((length,), (area,), _) = measure_polygons(
             [rectangle_corners(*SQUARE)])
         assert chk.bound_boundary == length * w_cnorm * 0.05 ** 0.5
         assert chk.bound_interior == (area * deta_l1(2) * w_cnorm
                                       * 0.05 ** (0.5 - 1.0))
 
-    def test_cnorm_is_computed_once_and_only_when_read(self, w_form,
+    def test_cnorm_is_computed_once_and_only_when_read(self, stokes_form,
                                                       monkeypatch):
         calls = []
         real = holderforms.inequality.one_form_cnorm
@@ -359,8 +382,7 @@ class TestSplitCheck:
 
         monkeypatch.setattr(holderforms.inequality, "one_form_cnorm",
                             counting)
-        chk = mollification_split_check(w_form, *SQUARE, 0.05,
-                                        quad_tol=1e-4)
+        chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
         assert chk.chain_holds
         assert calls == []
         assert chk.boundary_bound_holds and chk.interior_bound_holds
@@ -368,14 +390,13 @@ class TestSplitCheck:
             chk.bound_boundary, chk.bound_interior)
         assert calls == [0.5]
 
-    def test_split_makes_no_driver_call(self, w_form, monkeypatch):
+    def test_split_makes_no_driver_call(self, stokes_form, monkeypatch):
         # both boundary terms and the interior term are exact
         def no_driver(*args, **kwargs):
             raise AssertionError("adaptive_quadrature was called")
 
         monkeypatch.setattr(chains, "adaptive_quadrature", no_driver)
-        chk = mollification_split_check(w_form, *SQUARE, 0.05,
-                                        quad_tol=1e-4)
+        chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
         assert chk.chain_holds
 
     def test_1d_form_boundary_term(self):
@@ -397,8 +418,8 @@ class TestSplitCheck:
         assert chk.interior_bound_holds
 
     def test_boundary_bound_scales_with_eps(self, w_form):
-        a = mollification_split_check(w_form, *SQUARE, 0.02, quad_tol=1e-4)
-        b = mollification_split_check(w_form, *SQUARE, 0.08, quad_tol=1e-4)
+        a = mollification_split_check(w_form, *SQUARE, 0.02)
+        b = mollification_split_check(w_form, *SQUARE, 0.08)
         assert b.bound_boundary == pytest.approx(2.0 * a.bound_boundary,
                                                  rel=1e-12)
         assert b.bound_interior == pytest.approx(0.5 * a.bound_interior,

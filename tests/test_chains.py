@@ -148,6 +148,13 @@ class TestCurves:
         assert curve_length(circle((0.0, 0.0), 2.0)) == pytest.approx(
             4.0 * math.pi, rel=1e-10)
 
+    def test_rectangle_length(self):
+        d = rectangle_corners((0.0, 0.0), (0.3, 0.1))
+        ((perimeter,), _, _) = measure_polygons([d])
+        assert sum(curve_length(e) for e in polygon_edges(d)) == \
+            pytest.approx(0.8, abs=1e-12)
+        assert perimeter == pytest.approx(0.8, abs=1e-12)
+
     def test_open_curve(self):
         c = line_segment((0.0, 0.0), (1.0, 1.0))
         assert not c.is_closed()

@@ -24,7 +24,9 @@ from holderforms.experiments import weierstrass_form
 from holderforms.grids import GridField
 from holderforms.inequality import verify_main_inequality
 
-from helpers import cut_strips, decay_steps_one_by_one
+from helpers import (
+    cut_strips, decay_steps_one_by_one, per_edge_quadrature,
+)
 
 
 MODEL = LinearModel(1.5, 0.4)
@@ -119,6 +121,17 @@ class TestStrips:
             sc = choose_strip_count(k, MODEL, RECT, sigma=0.5, c1=1.0)
             assert sc.admissible
             assert sc.n0 < sc.n < 2 * sc.n0
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_strip_integrals_equal_integrate_one_form(self, k):
+        # the exact batch against one adaptive driver call per strip edge
+        alpha = weierstrass_form(0.5, terms=6, resolution=512)
+        sc = choose_strip_count(k, MODEL, RECT, sigma=0.5, c1=1.0)
+        strips = cut_strips(iterate_rectangle(MODEL, RECT, k), sc.n)
+        batch = polygon_boundary_integrals(alpha, strips)
+        lengths = measure_polygons(strips)[0]
+        for val, c, length in zip(batch, strips, lengths):
+            assert abs(val - per_edge_quadrature(alpha, c)) <= 1e-13 * length
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),

@@ -10,8 +10,7 @@ from .grids import (
 from .mollify import normalization_constant, deta_l1, mollify, \
     verify_regularization
 from .chains import (
-    OneForm, ParamCurve, curve_length, integrate_one_form,
-    integrate_two_form, exterior_derivative, rectangle_corners,
+    OneForm, integrate_two_form, exterior_derivative, rectangle_corners,
 )
 from .inequality import (
     c_theta_constant, theta_bracket, eps_star, eps_sweep,

@@ -1,14 +1,4 @@
-"""C1 curves, polygonal 2-disks, and integration of 1- and 2-forms.
-
-A curve is one C1 map ``ParamCurve`` of [0, 1]; ``circle`` builds the
-circle oracles.  Curve length, Green's area and line integrals along a
-curve each make one call of the adaptive driver: composite Gauss-Legendre
-quadrature, 16 nodes per panel, panel count doubled until the relative
-change drops below ``QUAD_REL_TOL`` = 1e-8 (absolute floor 1e-10), at most
-6 doublings; non-convergence raises with the last two values attached.
-The 16-point rule is a literal table, so no run computes it; the composite
-rule is cached per (panels, interval) and its arrays are read-only, so
-every caller, ``mollify`` included, shares them safely.
+"""Polygonal 2-disks, and exact integration of grid-sampled 1- and 2-forms.
 
 A disk is a polygon, given by its corners in boundary order;
 ``rectangle_corners`` gives those of axis-aligned rectangles.  Polygons are
@@ -25,142 +15,32 @@ integrates exactly.  ``integrate_two_form`` integrates a grid-sampled
 rectangle's pieces between grid lines.
 
 One-form components are grid-sampled fields read through bilinear
-interpolation (the native representation for Holder forms); analytic
-callables are admitted as exact evaluators for the curve oracles only.  A
-``None`` component means identically zero.  A 1-D field is a function of
-x alone (``W(x) dy`` stores its ``W`` so), read at the x coordinates of
-points: ``_read_component`` is the one place a component is read at
-points.  Its boundary integrals cut edges at x grid lines only, and its
-exterior derivative, a 2-form, is again a 1-D field.
+interpolation (the native representation for Holder forms), or ``None``
+for identically zero; ``OneForm`` checks this when it is built.  A 1-D
+field is a function of x alone (``W(x) dy`` stores its ``W`` so), read at
+the x coordinates of points: ``_read_component`` is the one place a
+component is read at points.  Its boundary integrals cut edges at x grid
+lines only, and its exterior derivative, a 2-form, is again a 1-D field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .grids import GridField
 
 __all__ = [
-    "QuadratureError",
-    "ParamCurve",
     "OneForm",
     "ChainMeasures",
-    "circle",
     "rectangle_corners",
-    "curve_length",
     "measure_polygons",
-    "integrate_one_form",
     "polygon_boundary_integrals",
     "integrate_two_form",
     "exterior_derivative",
-    "green_area",
 ]
-
-QUAD_REL_TOL = 1e-8
-QUAD_ABS_FLOOR = 1e-10
-MAX_DOUBLINGS = 6
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to converge; carries the last two values."""
-
-    def __init__(self, last, previous):
-        super().__init__(
-            f"quadrature did not converge after {MAX_DOUBLINGS} doublings: "
-            f"last={last!r}, previous={previous!r}"
-        )
-        self.last = last
-        self.previous = previous
-
-
-# The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
-# weights, as ``numpy.polynomial.legendre.leggauss(16)`` gives them.  The
-# rule is symmetric, so the table is mirrored into ascending order.
-_GL_POSITIVE_NODES = (
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-    0.9445750230732326, 0.9894009349916499,
-)
-_GL_POSITIVE_WEIGHTS = (
-    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-    0.062253523938647456, 0.027152459411754176,
-)
-_GL_NODES = np.array([-x for x in reversed(_GL_POSITIVE_NODES)]
-                     + list(_GL_POSITIVE_NODES))
-_GL_WEIGHTS = np.array(list(reversed(_GL_POSITIVE_WEIGHTS))
-                       + list(_GL_POSITIVE_WEIGHTS))
-
-
-@lru_cache(maxsize=None)
-def _gl_rule(panels: int, a: float = 0.0, b: float = 1.0):
-    """Composite 16-point Gauss-Legendre nodes/weights on [a, b], read-only."""
-    x, w = _GL_NODES, _GL_WEIGHTS
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def adaptive_quadrature(fn: Callable[..., float]) -> float:
-    """Refine the scalar ``fn(t, w)`` over [0,1] by doubling the panel count.
-
-    Returns the value of the first doubling at which
-    ``|val - prev| <= max(QUAD_REL_TOL*|val|, QUAD_ABS_FLOOR)``; still open
-    after ``MAX_DOUBLINGS`` doublings, it raises ``QuadratureError`` with
-    the last and previous values.
-    """
-    prev = None
-    panels = 1
-    for step in range(MAX_DOUBLINGS + 1):
-        t, w = _gl_rule(panels)
-        val = float(fn(t, w))
-        if prev is not None and abs(val - prev) <= max(
-                QUAD_REL_TOL * abs(val), QUAD_ABS_FLOOR):
-            return val
-        if step == MAX_DOUBLINGS:
-            raise QuadratureError(val, prev)
-        prev = val
-        panels *= 2
-
-
-@dataclass(frozen=True)
-class ParamCurve:
-    """C1 map [0,1] -> R^2 with its velocity, both vectorized."""
-
-    point: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray]
-
-    def is_closed(self) -> bool:
-        a = self.point(np.array([0.0]))[0]
-        b = self.point(np.array([1.0]))[0]
-        return bool(np.linalg.norm(a - b) <= 1e-10)
-
-
-def circle(center, radius: float) -> ParamCurve:
-    """The circle about ``center``, once counter-clockwise from angle 0."""
-    c = np.asarray(center, dtype=float)
-    turn = 2.0 * np.pi
-
-    def point(t):
-        a = turn * np.asarray(t, dtype=float)
-        return c + radius * np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-    def velocity(t):
-        a = turn * np.asarray(t, dtype=float)
-        return radius * turn * np.stack([-np.sin(a), np.cos(a)], axis=-1)
-
-    return ParamCurve(point, velocity)
-
 
 _UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -182,28 +62,39 @@ def rectangle_corners(lo, hi) -> np.ndarray:
 def _read_component(c, pts: np.ndarray) -> np.ndarray:
     """Values at planar points ``pts`` (shape ``(..., 2)``) of a component.
 
-    ``None`` is identically zero, a callable is evaluated at ``pts``, a 2-D
-    ``GridField`` is interpolated there, and a 1-D one, a function of x
-    alone, is interpolated at the x coordinates ``pts[..., :1]`` (its
-    ``(..., 1)`` points, never mistaken for a batch of coordinates).
+    ``None`` is identically zero, a 2-D ``GridField`` is interpolated at
+    ``pts``, and a 1-D one, a function of x alone, is interpolated at the x
+    coordinates ``pts[..., :1]`` (its ``(..., 1)`` points, never mistaken
+    for a batch of coordinates).
     """
     if c is None:
         return np.zeros(pts.shape[:-1])
-    if isinstance(c, GridField):
-        return c.evaluate(pts[..., :c.dim])
-    return np.asarray(c(pts), dtype=float)
+    return c.evaluate(pts[..., :c.dim])
 
 
 @dataclass(frozen=True)
 class OneForm:
-    """1-form a1 dx + a2 dy; components are GridFields, callables, or None."""
+    """Grid-sampled 1-form a1 dx + a2 dy.
+
+    Each component is a ``GridField`` or ``None`` (identically zero), and
+    at least one is a ``GridField``; any other pair raises ``ValueError``
+    naming the type of each component.  Two ``GridField`` components must
+    share one grid.
+    """
 
     a1: object
     a2: object
     theta: float
 
     def __post_init__(self):
-        grids = [c for c in (self.a1, self.a2) if isinstance(c, GridField)]
+        comps = (self.a1, self.a2)
+        grids = self.grid_components()
+        if not grids or any(c is not None and not isinstance(c, GridField)
+                            for c in comps):
+            a1, a2 = (type(c).__name__ for c in comps)
+            raise ValueError(f"need a grid-sampled form, each component a "
+                             f"GridField or None and at least one a "
+                             f"GridField; got a1: {a1}, a2: {a2}")
         if len(grids) == 2:
             grids[0]._check_same_grid(grids[1])
 
@@ -211,21 +102,8 @@ class OneForm:
         return _read_component(self.a1 if i == 0 else self.a2, pts)
 
     def grid_components(self):
-        """The ``GridField`` components of a grid-sampled form.
-
-        A form is grid-sampled when each component is a ``GridField`` or
-        ``None`` and at least one is a ``GridField``; any other form raises
-        ``ValueError`` naming the type of each component.
-        """
-        comps = (self.a1, self.a2)
-        grids = [c for c in comps if isinstance(c, GridField)]
-        if not grids or any(c is not None and not isinstance(c, GridField)
-                            for c in comps):
-            a1, a2 = (type(c).__name__ for c in comps)
-            raise ValueError(f"need a grid-sampled form, each component a "
-                             f"GridField or None and at least one a "
-                             f"GridField; got a1: {a1}, a2: {a2}")
-        return grids
+        """The ``GridField`` components, in the order a1, a2."""
+        return [c for c in (self.a1, self.a2) if isinstance(c, GridField)]
 
 
 @dataclass(frozen=True)
@@ -237,18 +115,6 @@ class ChainMeasures:
     def __post_init__(self):
         if not all(v >= 0.0 for v in (self.length, self.area, self.diameter)):
             raise ValueError("measures must be nonnegative numbers")
-
-
-def _curve_integral(values_of: Callable) -> float:
-    """``int_0^1 values_of(t) dt`` by one adaptive driver call."""
-    def fn(t, w):
-        return float(np.sum(w * values_of(t)))
-    return adaptive_quadrature(fn)
-
-
-def curve_length(curve: ParamCurve) -> float:
-    return _curve_integral(
-        lambda t: np.linalg.norm(curve.velocity(t), axis=-1))
 
 
 def _polygon_edges(corners):
@@ -335,12 +201,6 @@ def _pullback(alpha: OneForm, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
             + alpha.component(1, pts) * vel[..., 1])
 
 
-def integrate_one_form(alpha: OneForm, curve: ParamCurve) -> float:
-    """int_0^1 a(gamma(t)) . gamma'(t) dt."""
-    return _curve_integral(
-        lambda t: _pullback(alpha, curve.point(t), curve.velocity(t)))
-
-
 def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
     """``int_dP alpha`` for each polygon P of ``corners``.
 
@@ -349,10 +209,8 @@ def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
     such as ``rectangle_corners`` gives; a ``None`` entry raises
     ``ValueError``.
 
-    ``alpha`` must be grid-sampled: a form with an analytic component, or
-    with no component, raises ``ValueError`` (see
-    ``OneForm.grid_components``).  It is integrated exactly, with no driver
-    call.  Each edge ``a + t*d``, ``t`` in [0, 1], is cut at every ``t``
+    ``alpha``, grid-sampled as every ``OneForm`` is, is integrated
+    exactly.  Each edge ``a + t*d``, ``t`` in [0, 1], is cut at every ``t``
     where it crosses a grid line ``lo[ax] + m*h[ax]``, for every integer
     ``m`` and every axis ``ax`` of the grid, so wraps round the torus need
     no special case; a 1-D grid has lines in x only.  Each piece
@@ -415,7 +273,7 @@ def integrate_two_form(beta: GridField, lo, hi) -> float:
     alone, has lines in x only and one piece in y.  On each product of
     pieces the interpolant is bilinear, and the midpoint rule integrates a
     bilinear function exactly, so the sum of ``len_x * len_y * beta(mid)``
-    carries rounding error only.  No quadrature driver is called.
+    carries rounding error only.
     """
     pieces = []
     for ax in range(2):
@@ -462,10 +320,3 @@ def exterior_derivative(alpha: OneForm) -> GridField:
         out -= _centered_diff(alpha.a1.values, 1, ref.spacing[1])
     return GridField(ref.lo, ref.hi, ref.resolution, out)
 
-
-def green_area(curve: ParamCurve) -> float:
-    """Signed area of a closed curve via 0.5 * integral (x dy - y dx)."""
-    if not curve.is_closed():
-        raise ValueError("green_area needs a closed curve")
-    half_xdy = OneForm(lambda p: -0.5 * p[..., 1], lambda p: 0.5 * p[..., 0], 1.0)
-    return integrate_one_form(half_xdy, curve)

@@ -8,10 +8,10 @@ seed gives byte-identical CSVs.  Exit codes:
 * 1: an assertion failed;
 * 2: configuration error (``config error: ...`` on stderr), or a command
   line that does not parse (the usage and ``holderforms: error: ...``);
-* 3: numerical error, i.e. quadrature that did not converge, a grid too
-  coarse for its form, an eigenvalue modulus too close to 1 to classify,
-  or a decay strip count too small for the smallness threshold
-  (``numerical error: ...`` on stderr, with the offending values).
+* 3: numerical error, i.e. a grid too coarse for its form, an eigenvalue
+  modulus too close to 1 to classify, or a decay strip count too small for
+  the smallness threshold (``numerical error: ...`` on stderr, with the
+  offending values).
 
 Config files are INI-style; command-line flags override config values.
 The output directory can also be set via the HOLDERFORMS_OUTDIR
@@ -38,12 +38,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .grids import UnderResolvedError, make_weierstrass
+from .grids import GridField, UnderResolvedError, make_weierstrass
 from .mollify import normalization_constant, verify_regularization
 from .chains import (
-    OneForm, QuadratureError, circle, rectangle_corners, integrate_one_form,
-    green_area, curve_length,
-    measure_polygons, polygon_boundary_integrals,
+    OneForm, rectangle_corners, measure_polygons, polygon_boundary_integrals,
 )
 from .inequality import (
     isoperimetric_check, mollification_split_check, verify_main_inequality,
@@ -199,11 +197,17 @@ def run_mollify_check(args, cp, outdir: Path, checks: Checks) -> None:
 
 def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
     rows = []
-    x_dy = OneForm(None, lambda p: p[..., 0], 1.0)
-    val = integrate_one_form(x_dy, circle((0.0, 0.0), 1.0))
-    err = abs(val - math.pi)
-    rows.append(["x_dy_unit_circle", val, math.pi, err])
-    checks.check("stokes-oracle-x-dy", err <= 1e-6, f"|pi - {val:.10f}|={err:.2e}")
+    # x on [-2, 2] at 9 exact nodes; its seam cell [1.5, 2] misses the polygon
+    x = np.append(np.arange(-2.0, 2.0, 0.5), -2.0)
+    x_dy = OneForm(None, GridField((-2.0,), (2.0,), (9,), x), 1.0)
+    turn = 2.0 * math.pi * np.arange(64) / 64
+    gon = np.stack([np.cos(turn), np.sin(turn)], axis=-1)
+    (val,) = polygon_boundary_integrals(x_dy, [gon])
+    area = 32.0 * math.sin(2.0 * math.pi / 64)
+    err = abs(val - area)
+    rows.append(["x_dy_inscribed_64gon", val, area, err])
+    checks.check("stokes-oracle-x-dy", err <= 1e-6,
+                 f"|{area:.10f} - {val:.10f}|={err:.2e}")
 
     theta = _theta_open("theta", cfg_get(cp, "form", "theta", float, 0.5,
                                          args.theta))
@@ -267,8 +271,7 @@ def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
 
 def run_isoperimetric(args, cp, outdir: Path, checks: Checks) -> None:
     rows = []
-    c = circle((0.0, 0.0), 1.0)
-    rep = isoperimetric_check(curve_length(c), green_area(c))
+    rep = isoperimetric_check(2.0 * math.pi, math.pi)
     rows.append(["unit_disk", rep.length, rep.area, rep.bound,
                  rep.equality_gap])
     checks.check("isoperimetric-disk-equality", abs(rep.equality_gap) <= 1e-6,
@@ -622,7 +625,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, UnderResolvedError, AmbiguousSpectrumError,
+    except (UnderResolvedError, AmbiguousSpectrumError,
             SmallnessError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

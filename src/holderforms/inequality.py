@@ -2,9 +2,14 @@
 
 Covers the theta-dependent constant, the epsilon-sweep bound and its
 closed-form minimizer, the mollification-split estimate, the flat planar
-isoperimetric inequality, and the end-to-end family verifier that reports an
-empirical constant (the abstract constants are non-constructive, so the
-supremum ratio is reported, never asserted against a target).
+isoperimetric inequality, and the end-to-end family verifier, which reports
+the supremum ratio over the family as an empirical constant.
+
+The constant is constructive: for every eps the mollification split bounds
+``|int_dD alpha|`` by ``cnorm (|dD| eps^theta + ||d eta||_L1 |D|
+eps^(theta-1))``, whose minimum over eps is a constant times
+``cnorm |dD|^(1-theta) |D|^theta``.  The family verifier reports its ratio
+and does not yet assert it against that constant.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import GridField, holder_seminorm
+from .grids import holder_seminorm
 from .mollify import deta_l1, mollify
 from .chains import (
     OneForm,
@@ -139,8 +144,6 @@ def one_form_cnorm(alpha: OneForm, theta: float | None = None) -> float:
     Each is an upper bound for the C^theta norm of the interpolated
     component: sup|c| plus the seminorm, exact for a 1-D component and the
     per-axis bound ``U`` for a 2-D one (see ``grids.HolderEstimate``).
-    ``alpha`` must be grid-sampled; any other form raises ``ValueError``
-    naming its component types (see ``OneForm.grid_components``).
     """
     theta = alpha.theta if theta is None else theta
     return max(holder_seminorm(c, theta).cnorm
@@ -149,11 +152,7 @@ def one_form_cnorm(alpha: OneForm, theta: float | None = None) -> float:
 
 def mollify_one_form(alpha: OneForm, epsilon: float) -> OneForm:
     def m(c):
-        if c is None:
-            return None
-        if not isinstance(c, GridField):
-            raise ValueError("can only mollify grid-sampled components")
-        return mollify(c, epsilon)
+        return None if c is None else mollify(c, epsilon)
     return OneForm(m(alpha.a1), m(alpha.a2), alpha.theta)
 
 
@@ -221,9 +220,8 @@ def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
                               quad_tol: float = 1e-5) -> SplitCheck:
     """The split of ``int_dD alpha`` on the rectangle ``D = [lo, hi]``.
 
-    ``alpha`` is grid-sampled, as ``mollify_one_form`` requires, so the two
-    boundary terms are exact ``polygon_boundary_integrals`` and the interior
-    term is an exact ``integrate_two_form``; no quadrature driver is called.
+    The two boundary terms are exact ``polygon_boundary_integrals`` and the
+    interior term is an exact ``integrate_two_form``.
     The C^theta norm of ``alpha`` that scales the bounds, at
     ``alpha.theta``, is computed when the check's ``cnorm`` or a bound is
     first read (see :class:`SplitCheck`).

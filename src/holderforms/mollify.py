@@ -1,13 +1,16 @@
 """Standard-mollifier regularization with quantitative bounds.
 
 The kernel is eta(x) = A * exp(1/(|x|^2 - 1)) on the open unit ball, zero
-outside, with A fixed by unit mass.  Discrete convolution uses the kernel
-sampled on the grid and renormalized to *exactly* unit discrete mass, so the
-sup bound sup|u_eps| <= sup|u| holds exactly at any resolution (each output
-is a convex combination of samples).  The analytic A also gives the kernel
-constant ||d eta||_L1 in closed form: eta is unimodal along every coordinate
-line (it decreases in |x|^2), so the line integral of |d_i eta| is twice its
-peak value at x_i = 0.
+outside, with A fixed by unit mass: a composite 16-point Gauss-Legendre
+rule of ``KERNEL_PANELS`` panels integrates the bump once per dimension,
+from a literal table of the rule, so no run computes its nodes.  Discrete
+convolution uses the kernel sampled on the grid and renormalized to
+*exactly* unit discrete mass, so the sup bound sup|u_eps| <= sup|u| holds
+exactly at any resolution (each output is a convex combination of
+samples).  The analytic A also gives the kernel constant ||d eta||_L1 in
+closed form: eta is unimodal along every coordinate line (it decreases in
+|x|^2), so the line integral of |d_i eta| is twice its peak value at
+x_i = 0.
 
 Every field lives on a flat torus, so the convolution wraps on every axis
 and the mollified field lives on the same grid as its input.
@@ -29,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chains import _centered_diff, _gl_rule
+from .chains import _centered_diff
 from .grids import GridField, holder_seminorm
 
 __all__ = [
@@ -43,6 +46,35 @@ __all__ = [
 ]
 
 KERNEL_PANELS = 120  # composite GL rule for the kernel mass
+
+# The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
+# weights, as ``numpy.polynomial.legendre.leggauss(16)`` gives them.  The
+# rule is symmetric, so the table is mirrored into ascending order.
+_GL_POSITIVE_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+)
+_GL_POSITIVE_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176,
+)
+_GL_NODES = np.array([-x for x in reversed(_GL_POSITIVE_NODES)]
+                     + list(_GL_POSITIVE_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_GL_POSITIVE_WEIGHTS))
+                       + list(_GL_POSITIVE_WEIGHTS))
+
+
+def _gl_rule(panels: int, a: float, b: float):
+    """Composite 16-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = _GL_NODES, _GL_WEIGHTS
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def _bump(r2: np.ndarray) -> np.ndarray:

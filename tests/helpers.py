@@ -1,13 +1,14 @@
 """Builders and reference implementations that only the tests use."""
 
 import math
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from holderforms.chains import (
-    OneForm, ParamCurve, integrate_one_form, measure_polygons,
-    polygon_boundary_integrals,
+    OneForm, _pullback, measure_polygons, polygon_boundary_integrals,
 )
 from holderforms.decay import (
     DecayStep, SmallnessError, _strip_corners, choose_strip_count,
@@ -16,7 +17,7 @@ from holderforms.decay import (
 from holderforms.grids import (
     GridField, _lag_distances, _matched_ends as matched_ends,
 )
-from holderforms.mollify import _bump, normalization_constant
+from holderforms.mollify import _bump, _gl_rule, normalization_constant
 
 CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
 
@@ -70,6 +71,125 @@ def scaled_form(alpha: OneForm, factor: float) -> OneForm:
     return OneForm(scale(alpha.a1), scale(alpha.a2), alpha.theta)
 
 
+# The adaptive curve quadrature: the reference that the exact boundary
+# integrals of grid-sampled forms are compared against.  Composite
+# Gauss-Legendre quadrature, 16 nodes per panel, panel count doubled until
+# the relative change drops below ``QUAD_REL_TOL`` (absolute floor
+# ``QUAD_ABS_FLOOR``), at most ``MAX_DOUBLINGS`` doublings.
+QUAD_REL_TOL = 1e-8
+QUAD_ABS_FLOOR = 1e-10
+MAX_DOUBLINGS = 6
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive refinement failed to converge; carries the last two values."""
+
+    def __init__(self, last, previous):
+        super().__init__(
+            f"quadrature did not converge after {MAX_DOUBLINGS} doublings: "
+            f"last={last!r}, previous={previous!r}"
+        )
+        self.last = last
+        self.previous = previous
+
+
+def adaptive_quadrature(fn: Callable[..., float]) -> float:
+    """Refine the scalar ``fn(t, w)`` over [0,1] by doubling the panel count.
+
+    Returns the value of the first doubling at which
+    ``|val - prev| <= max(QUAD_REL_TOL*|val|, QUAD_ABS_FLOOR)``; still open
+    after ``MAX_DOUBLINGS`` doublings, it raises ``QuadratureError`` with
+    the last and previous values.
+    """
+    prev = None
+    panels = 1
+    for step in range(MAX_DOUBLINGS + 1):
+        t, w = _gl_rule(panels, 0.0, 1.0)
+        val = float(fn(t, w))
+        if prev is not None and abs(val - prev) <= max(
+                QUAD_REL_TOL * abs(val), QUAD_ABS_FLOOR):
+            return val
+        if step == MAX_DOUBLINGS:
+            raise QuadratureError(val, prev)
+        prev = val
+        panels *= 2
+
+
+@dataclass(frozen=True)
+class ParamCurve:
+    """C1 map [0,1] -> R^2 with its velocity, both vectorized."""
+
+    point: Callable[[np.ndarray], np.ndarray]
+    velocity: Callable[[np.ndarray], np.ndarray]
+
+    def is_closed(self) -> bool:
+        a = self.point(np.array([0.0]))[0]
+        b = self.point(np.array([1.0]))[0]
+        return bool(np.linalg.norm(a - b) <= 1e-10)
+
+
+def circle(center, radius: float) -> ParamCurve:
+    """The circle about ``center``, once counter-clockwise from angle 0."""
+    c = np.asarray(center, dtype=float)
+    turn = 2.0 * np.pi
+
+    def point(t):
+        a = turn * np.asarray(t, dtype=float)
+        return c + radius * np.stack([np.cos(a), np.sin(a)], axis=-1)
+
+    def velocity(t):
+        a = turn * np.asarray(t, dtype=float)
+        return radius * turn * np.stack([-np.sin(a), np.cos(a)], axis=-1)
+
+    return ParamCurve(point, velocity)
+
+
+class AnalyticForm(NamedTuple):
+    """An analytic 1-form a1 dx + a2 dy for the curve quadrature.
+
+    Each component is a callable of planar points ``(..., 2)``, or ``None``
+    for identically zero.  It is read at points as a ``OneForm`` is, through
+    ``component``.
+    """
+
+    a1: object
+    a2: object
+
+    def component(self, i: int, pts: np.ndarray) -> np.ndarray:
+        c = self.a1 if i == 0 else self.a2
+        if c is None:
+            return np.zeros(pts.shape[:-1])
+        return np.asarray(c(pts), dtype=float)
+
+
+def _curve_integral(values_of: Callable) -> float:
+    """``int_0^1 values_of(t) dt`` by one adaptive driver call."""
+    def fn(t, w):
+        return float(np.sum(w * values_of(t)))
+    return adaptive_quadrature(fn)
+
+
+def curve_length(curve: ParamCurve) -> float:
+    return _curve_integral(
+        lambda t: np.linalg.norm(curve.velocity(t), axis=-1))
+
+
+def integrate_one_form(alpha, curve: ParamCurve) -> float:
+    """int_0^1 a(gamma(t)) . gamma'(t) dt, for a ``OneForm`` or an
+    ``AnalyticForm`` ``alpha``."""
+    return _curve_integral(
+        lambda t: _pullback(alpha, curve.point(t), curve.velocity(t)))
+
+
+def green_area(curve: ParamCurve) -> float:
+    """Signed area of a closed curve via 0.5 * integral (x dy - y dx)."""
+    if not curve.is_closed():
+        raise ValueError("green_area needs a closed curve")
+    half_xdy = AnalyticForm(lambda p: -0.5 * p[..., 1],
+                            lambda p: 0.5 * p[..., 0])
+    return integrate_one_form(half_xdy, curve)
+
+
 def line_segment(a, b) -> ParamCurve:
     """The straight edge from ``a`` to ``b``, ``a + t*(b - a)``."""
     a = np.asarray(a, dtype=float)
@@ -93,8 +213,9 @@ def polygon_edges(corners):
     return [line_segment(a, b) for a, b in zip(pts, pts[1:])]
 
 
-def per_edge_quadrature(alpha: OneForm, corners) -> float:
-    """``int_dP alpha`` over the polygon ``corners`` by quadrature: one
+def per_edge_quadrature(alpha, corners) -> float:
+    """``int_dP alpha``, for a ``OneForm`` or an ``AnalyticForm``
+    ``alpha``, over the polygon ``corners`` by quadrature: one
     adaptive driver call per edge, each converged to relative
     ``QUAD_REL_TOL``, summed in boundary order.  The reference that the
     exact boundary integrals of grid-sampled forms are compared against."""

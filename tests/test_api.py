@@ -16,9 +16,8 @@ PACKAGE = Path(holderforms.__file__).parent
 UNREAD_EXPORTS = {"inequality.eps_sweep", "inequality.closed_form_minimum"}
 
 # Public functions, methods and properties that no subcommand runs yet.
-# Polygons integrate grid-sampled forms only, so every curve builder left
-# in the package runs in a subcommand; a test that needs straight edges as
-# curves builds them in ``tests/helpers.py``.
+# The package has no curves: the curve quadrature that tests compare the
+# exact polygon integrals against lives in ``tests/helpers.py``.
 UNRUN_CALLABLES = {
     # the paper's constant and its epsilon sweep (ROADMAP item 1)
     "inequality.theta_bracket", "inequality.c_theta_constant",

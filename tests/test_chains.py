@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,27 +9,22 @@ from hypothesis import example, given, settings, strategies as st
 from holderforms import chains
 from holderforms.chains import (
     OneForm,
-    ParamCurve,
-    QuadratureError,
-    _gl_rule,
-    adaptive_quadrature,
-    circle,
-    curve_length,
     exterior_derivative,
-    green_area,
-    integrate_one_form,
     integrate_two_form,
     measure_polygons,
     polygon_boundary_integrals,
     rectangle_corners,
 )
 from holderforms.decay import USRectangle
-from holderforms.experiments import dyadic_square_family, weierstrass_form
+from holderforms.experiments import (
+    random_convex_polygon_vertices, weierstrass_form,
+)
 from holderforms.grids import GridField, make_weierstrass
 from holderforms.inequality import mollify_one_form, one_form_cnorm
 from helpers import (
-    cut_strips, line_segment, matched_ends, per_edge_quadrature,
-    polygon_edges,
+    AnalyticForm, ParamCurve, QuadratureError, adaptive_quadrature, circle,
+    curve_length, cut_strips, green_area, integrate_one_form, line_segment,
+    matched_ends, per_edge_quadrature, polygon_edges,
 )
 
 
@@ -42,62 +38,9 @@ def constant_field(c):
     return GridField((-4.0, -4.0), (4.0, 4.0), (2, 2), np.full((2, 2), c))
 
 
-def _fresh_gl_rule(panels, a, b):
-    """Reference composite 16-point rule from the table, rebuilt per call."""
-    x, w = chains._GL_NODES, chains._GL_WEIGHTS
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
-            (half[:, None] * w[None, :]).ravel())
-
-
-class TestGLTable:
-    def test_symmetric_exactly(self):
-        x, w = chains._GL_NODES, chains._GL_WEIGHTS
-        assert x.shape == w.shape == (16,)
-        assert np.all(np.diff(x) > 0.0)
-        assert np.array_equal(x, -x[::-1])
-        assert np.array_equal(w, w[::-1])
-
-    def test_integrates_monomials_to_degree_31(self):
-        x, w = chains._GL_NODES, chains._GL_WEIGHTS
-        for k in range(32):
-            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(math.fsum(w * x ** k) - want) <= 1e-15, k
-
-    def test_matches_leggauss_to_one_ulp(self):
-        # bit-equal with numpy 2.4's leggauss; another LAPACK may round
-        # the eigenvalues differently
-        x, w = np.polynomial.legendre.leggauss(16)
-        np.testing.assert_array_max_ulp(chains._GL_NODES, x, maxulp=1)
-        np.testing.assert_array_max_ulp(chains._GL_WEIGHTS, w, maxulp=1)
-
-
-class TestGLRule:
-    @pytest.mark.parametrize("panels, a, b", [
-        (1, 0.0, 1.0), (64, 0.0, 1.0), (120, -1.0, 1.0), (160, 0.0, 1.0)])
-    def test_cached_rule_matches_fresh_rule_bitwise(self, panels, a, b):
-        nodes, weights = _gl_rule(panels, a, b)
-        ref_nodes, ref_weights = _fresh_gl_rule(panels, a, b)
-        assert nodes.tobytes() == ref_nodes.tobytes()
-        assert weights.tobytes() == ref_weights.tobytes()
-
-    def test_second_call_returns_same_arrays(self):
-        first = _gl_rule(8, 0.0, 1.0)
-        second = _gl_rule(8, 0.0, 1.0)
-        assert first[0] is second[0]
-        assert first[1] is second[1]
-
-    def test_arrays_are_read_only(self):
-        nodes, weights = _gl_rule(4)
-        with pytest.raises(ValueError):
-            nodes[0] = 0.5
-        with pytest.raises(ValueError):
-            weights[:] = 0.0
-
-
 class TestAdaptiveQuadrature:
+    """The reference quadrature of ``tests/helpers.py``."""
+
     def test_polynomial_is_exact(self):
         val = adaptive_quadrature(
             lambda t, w: float(np.sum(w * t ** 7)))
@@ -162,7 +105,7 @@ class TestCurves:
         assert curve_length(c) == pytest.approx(math.sqrt(2.0))
 
     def test_reversed_negates_line_integral(self):
-        alpha = OneForm(lambda p: p[..., 1], lambda p: p[..., 0] ** 2, 1.0)
+        alpha = AnalyticForm(lambda p: p[..., 1], lambda p: p[..., 0] ** 2)
         for c in (line_segment((0.5, 0.2), (0.3, 0.9)),
                   circle((0.3, -0.2), 0.5)):
             a = integrate_one_form(alpha, c)
@@ -212,15 +155,14 @@ class TestPolygonBoundaryIntegrals:
                 [rectangle_corners((0, 0), (1, 1)), None])
 
     def test_form_that_is_not_grid_sampled_is_rejected(self):
-        # an analytic component, or no component at all; the error names
-        # the type of each component
+        # an analytic component, or no component at all, is rejected when
+        # the form is built; the error names the type of each component
         grid = torus_sin_cos_form().a2
-        square = [rectangle_corners((0.2, 0.2), (0.7, 0.6))]
         for a1, a2, names in [(None, one, "a1: NoneType, a2: function"),
                               (one, grid, "a1: function, a2: GridField"),
                               (None, None, "a1: NoneType, a2: NoneType")]:
             with pytest.raises(ValueError, match="GridField or None") as info:
-                polygon_boundary_integrals(OneForm(a1, a2, 1.0), square)
+                OneForm(a1, a2, 1.0)
             assert names in str(info.value)
 
 
@@ -328,6 +270,37 @@ class TestExactGridBoundaryIntegrals:
         assert abs(exact - _reference_boundary_integral(form, verts)) <= (
             1e-13 * length * size)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_vertices=st.integers(3, 12),
+           res=st.integers(3, 40), frac=st.floats(0.01, 1.0),
+           cx=st.floats(0.0, 1.0), cy=st.floats(0.0, 1.0))
+    def test_green_identity_on_convex_polygons(self, seed, n_vertices, res,
+                                               frac, cx, cy):
+        # x dy as a 1-D field and (x dy - y dx)/2 as a 2-D one, sampled on
+        # [-2, 2] with matched ends: below the seam cell [2 - h, 2] their
+        # interpolants are x and y, so each boundary integral is the area.
+        # The interpolant rounds to the samples' size, not to the area's,
+        # so the error is bounded per unit of boundary length
+        h = 4.0 / (res - 1)
+        r = frac * (2.0 - 0.5 * h)
+        centre = -2.0 + r + (4.0 - h - 2.0 * r) * np.array([cx, cy])
+        verts = centre + r * np.array(random_convex_polygon_vertices(
+            random.Random(seed), n_vertices))
+        x = np.linspace(-2.0, 2.0, res)
+        xs, ys = np.meshgrid(x, x, indexing="ij")
+
+        def field(values):
+            lo, hi = (-2.0,) * values.ndim, (2.0,) * values.ndim
+            return GridField(lo, hi, values.shape, matched_ends(values))
+
+        x_dy = OneForm(None, field(x.copy()), 1.0)
+        half = OneForm(field(-0.5 * ys), field(0.5 * xs), 1.0)
+        ((length,), (area,), _) = measure_polygons([verts])
+        for form, size in ((x_dy, 2.0), (half, 1.0)):
+            fwd, back = polygon_boundary_integrals(form, [verts, verts[::-1]])
+            assert abs(fwd - area) <= 1e-13 * length * size
+            assert abs(back + area) <= 1e-13 * length * size
+
     def test_mixed_corner_counts_equal_one_disk_calls(self):
         alpha = weierstrass_form(0.5)
         square = rectangle_corners((0.1, 0.2), (0.35, 0.45))
@@ -363,6 +336,8 @@ class TestExactGridBoundaryIntegrals:
 
 
 class TestGreenArea:
+    """The reference Green's area of ``tests/helpers.py``."""
+
     def test_circle_off_the_origin(self):
         c = circle((0.3, -0.2), 0.5)
         assert green_area(c) == pytest.approx(math.pi * 0.25, abs=1e-12)
@@ -414,20 +389,6 @@ class TestDisks:
         assert area == pytest.approx(
             integrate_two_form(constant_field(1.0), lo, hi), rel=1e-15)
         assert diameter <= length / 2.0
-
-    def test_square_family_samples_no_diameter(self, monkeypatch):
-        calls = []
-        driver = chains.adaptive_quadrature
-
-        def counting(fn, *args, **kwargs):
-            calls.append(fn)
-            return driver(fn, *args, **kwargs)
-
-        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
-        family = dyadic_square_family(range(2, 9), 8)
-        lengths, _, _ = measure_polygons([c for _, c in family])
-        assert len(lengths) == 56
-        assert calls == []
 
     def test_curved_disk_is_rejected(self):
         # a disk without corners (None) is not a polygon
@@ -631,12 +592,12 @@ class TestMeasurePolygons:
 
 class TestStokesPairs:
     def test_x_dy_over_unit_circle_is_pi(self):
-        alpha = OneForm(None, lambda p: p[..., 0], 1.0)
+        alpha = AnalyticForm(None, lambda p: p[..., 0])
         val = integrate_one_form(alpha, circle((0.0, 0.0), 1.0))
         assert val == pytest.approx(math.pi, abs=1e-6)
 
     def test_exact_form_dy_closed_curve_vanishes(self):
-        dy = OneForm(None, lambda p: np.ones(p.shape[:-1]), 1.0)
+        dy = AnalyticForm(None, one)
         assert abs(integrate_one_form(dy, circle((0.3, 0.3), 0.2))) <= 1e-10
         for corners in ([(0.0, 0.0), (0.4, 0.0), (0.4, 0.7), (0.0, 0.7)],
                         [(0.0, 0.0), (1.0, 0.2), (0.4, 0.8)]):
@@ -678,17 +639,19 @@ class TestExteriorDerivative:
         np.testing.assert_allclose(d.values, want, atol=1e-9)
 
     def test_analytic_component_rejected(self):
-        alpha = OneForm(None, lambda p: p[..., 0], 1.0)
+        # rejected when the form is built, before it reaches the derivative
         with pytest.raises(ValueError, match="a1: NoneType, a2: function"):
-            exterior_derivative(alpha)
+            OneForm(None, lambda p: p[..., 0], 1.0)
 
 
 class TestOneForm:
     def test_zero_component(self):
-        alpha = OneForm(None, None, 0.5)
+        # a None component reads as 0; a form needs one GridField component
+        alpha = OneForm(None, constant_field(1.0), 0.5)
         pts = np.zeros((4, 2))
         assert np.all(alpha.component(0, pts) == 0.0)
-        assert abs(integrate_one_form(alpha, circle((0, 0), 1.0))) == 0.0
+        with pytest.raises(ValueError, match="a1: NoneType, a2: NoneType"):
+            OneForm(None, None, 0.5)
 
     def test_x_only_component_is_constant_in_y(self):
         alpha = weierstrass_form(0.5, 2, 5, 128)

@@ -14,8 +14,6 @@ from hypothesis import given, settings, strategies as st
 import holderforms.cli
 import holderforms.decay
 import holderforms.inequality
-from holderforms import chains
-from holderforms.chains import QuadratureError
 from holderforms.dynamics import AmbiguousSpectrumError
 from holderforms.cli import COMMON_FLAGS, FLAGS, main, parse_args
 
@@ -58,21 +56,6 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "FAIL stokes-mollified-weierstrass" in out
         assert "FAIL split-chain" in out
-
-    def test_stokes_check_integrates_its_grid_form_exactly(self, tmp_path,
-                                                           monkeypatch):
-        calls = []
-        driver = chains.adaptive_quadrature
-
-        def counting(fn, *args, **kwargs):
-            calls.append(fn)
-            return driver(fn, *args, **kwargs)
-
-        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
-        code, _ = run(["stokes-check"], tmp_path)
-        assert code == 0
-        # the one driver call is the x dy oracle on the unit circle
-        assert len(calls) == 1
 
     def test_stokes_check_mollifies_once(self, tmp_path, monkeypatch):
         calls = []
@@ -124,21 +107,6 @@ class TestSubcommands:
         assert code == 0
         assert calls == []
 
-    def test_decay_makes_no_driver_call(self, tmp_path, monkeypatch):
-        # decay integrates the grid-sampled form it measures, exactly
-        calls = []
-        driver = chains.adaptive_quadrature
-
-        def counting(fn, *args, **kwargs):
-            calls.append(fn)
-            return driver(fn, *args, **kwargs)
-
-        monkeypatch.setattr(chains, "adaptive_quadrature", counting)
-        code, outdir = run(["decay"], tmp_path)
-        assert code == 0
-        assert (outdir / "decay.csv").exists()
-        assert calls == []
-
     def test_svg_flag_emits_plot(self, tmp_path):
         code, outdir = run(["inequality", "--svg"], tmp_path)
         assert code == 0
@@ -175,19 +143,6 @@ class TestNumericalErrors:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ")
         assert "512" in err
-
-    def test_unconverged_quadrature_exits_3(self, tmp_path, capsys,
-                                            monkeypatch):
-        def unconverged(*args, **kwargs):
-            raise QuadratureError(0.25, 0.5)
-
-        monkeypatch.setattr(holderforms.cli, "decay_bound_series",
-                            unconverged)
-        code, _ = run(["decay"], tmp_path)
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical error: ")
-        assert "last=0.25, previous=0.5" in err
 
     def test_ambiguous_spectrum_exits_3(self, tmp_path, capsys, monkeypatch):
         def ambiguous(*args, **kwargs):

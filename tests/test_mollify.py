@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from holderforms.grids import GridField, holder_seminorm, make_weierstrass
 from holderforms.mollify import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _bump,
     _renormalize,
     deta_l1,
@@ -60,6 +62,28 @@ def noise_field(resolution, hi, seed=0):
     v = np.random.default_rng(seed).standard_normal(resolution)
     return GridField((0.0,) * len(resolution), hi, resolution,
                      matched_ends(v))
+
+
+class TestGLTable:
+    def test_symmetric_exactly(self):
+        x, w = _GL_NODES, _GL_WEIGHTS
+        assert x.shape == w.shape == (16,)
+        assert np.all(np.diff(x) > 0.0)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+
+    def test_integrates_monomials_to_degree_31(self):
+        x, w = _GL_NODES, _GL_WEIGHTS
+        for k in range(32):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(w * x ** k) - want) <= 1e-15, k
+
+    def test_matches_leggauss_to_one_ulp(self):
+        # bit-equal with numpy 2.4's leggauss; another LAPACK may round
+        # the eigenvalues differently
+        x, w = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_array_max_ulp(_GL_NODES, x, maxulp=1)
+        np.testing.assert_array_max_ulp(_GL_WEIGHTS, w, maxulp=1)
 
 
 class TestKernelNormalization:

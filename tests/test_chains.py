@@ -17,7 +17,7 @@ from holderforms.chains import (
 )
 from holderforms.decay import USRectangle
 from holderforms.experiments import (
-    random_convex_polygon_vertices, weierstrass_form,
+    dyadic_square_family, random_convex_polygon_vertices, weierstrass_form,
 )
 from holderforms.grids import GridField, make_weierstrass
 from holderforms.inequality import mollify_one_form, one_form_cnorm
@@ -389,6 +389,16 @@ class TestDisks:
         assert area == pytest.approx(
             integrate_two_form(constant_field(1.0), lo, hi), rel=1e-15)
         assert diameter <= length / 2.0
+
+    def test_square_family_measures_in_closed_form(self):
+        # the CLI's 56 squares of side 2^-j, j = 2..8, measured in one call
+        family = dyadic_square_family(range(2, 9), 8)
+        lengths, areas, diameters = measure_polygons([c for _, c in family])
+        side = np.repeat(2.0 ** -np.arange(2, 9), 8)
+        np.testing.assert_allclose(lengths, 4.0 * side, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(areas, side * side, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(diameters, math.sqrt(2.0) * side,
+                                   rtol=1e-14, atol=0)
 
     def test_curved_disk_is_rejected(self):
         # a disk without corners (None) is not a polygon

@@ -57,6 +57,53 @@ class TestSubcommands:
         assert "FAIL stokes-mollified-weierstrass" in out
         assert "FAIL split-chain" in out
 
+    def test_stokes_check_integrates_its_grid_form_exactly(self, tmp_path,
+                                                           monkeypatch):
+        # every line integral is an exact polygon integral: the oracle's
+        # 64-gon and the mollified form's square in the runner, the form's
+        # and the difference's square in the split
+        calls = []
+        real = holderforms.cli.polygon_boundary_integrals
+
+        def counting(alpha, corners):
+            calls.append(len(corners))
+            return real(alpha, corners)
+
+        for module in (holderforms.cli, holderforms.inequality):
+            monkeypatch.setattr(module, "polygon_boundary_integrals",
+                                counting)
+        code, outdir = run(["stokes-check"], tmp_path)
+        assert code == 0
+        assert calls == [1, 1, 1, 1]
+        rows = (outdir / "stokes.csv").read_text().splitlines()
+        case, value, reference, _ = rows[1].split(",")
+        assert case == "x_dy_inscribed_64gon"
+        assert float(reference) == 32.0 * np.sin(2.0 * np.pi / 64)
+        assert abs(float(value) - float(reference)) <= 1e-14
+
+    def test_decay_integrates_each_strip_and_iterate_once(self, tmp_path,
+                                                          monkeypatch):
+        # decay integrates the grid-sampled form it measures, exactly: each
+        # measured strip once, then each step's whole iterate once
+        counts = {"measure_polygons": 0, "polygon_boundary_integrals": 0}
+
+        def counting(name):
+            real = getattr(holderforms.decay, name)
+
+            def spy(*args):
+                counts[name] += len(args[-1])
+                return real(*args)
+            return spy
+
+        for name in counts:
+            monkeypatch.setattr(holderforms.decay, name, counting(name))
+        code, outdir = run(["decay"], tmp_path)
+        assert code == 0
+        rows = (outdir / "decay.csv").read_text().splitlines()[1:]
+        strips = sum(int(row.split(",")[1]) for row in rows)
+        assert counts == {"measure_polygons": strips,
+                          "polygon_boundary_integrals": strips + len(rows)}
+
     def test_stokes_check_mollifies_once(self, tmp_path, monkeypatch):
         calls = []
         real = holderforms.inequality.mollify

@@ -320,6 +320,29 @@ class TestExactBoundaryIntegrals:
             ref = abs(per_edge_quadrature(w_form, disk))
             assert abs(rep.lhs - ref) <= 1e-16
 
+    def test_family_is_integrated_in_one_call(self, w_form, w_cnorm,
+                                              monkeypatch):
+        # one measure of all 56 squares, one exact integral of the 40
+        # that pass the smallness filter
+        calls = []
+
+        def counting(name):
+            real = getattr(holderforms.inequality, name)
+
+            def spy(*args):
+                calls.append((name, len(args[-1])))
+                return real(*args)
+            return spy
+
+        for name in ("measure_polygons", "polygon_boundary_integrals"):
+            monkeypatch.setattr(holderforms.inequality, name, counting(name))
+        fam = dyadic_square_family(range(2, 9), 8)
+        reports = verify_main_inequality(w_form, fam, theta=0.5,
+                                         cnorm=w_cnorm)
+        assert sum(not r.skipped for r in reports) == 40
+        assert calls == [("measure_polygons", 56),
+                         ("polygon_boundary_integrals", 40)]
+
 
 SQUARE = (0.3, 0.3), (0.5, 0.5)  # the stokes-check square
 
@@ -367,6 +390,22 @@ class TestSplitCheck:
         assert (chk.bound_boundary, chk.bound_interior) == (
             chk.bound_boundary, chk.bound_interior)
         assert calls == [0.5]
+
+    def test_split_terms_are_exact_boundary_integrals(self, stokes_form):
+        # |int alpha| and |int (alpha - alpha_eps)| on the square are the
+        # exact integrals, and the triangle inequality closes them with
+        # the exact integral of alpha_eps
+        chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
+        corners = [rectangle_corners(*SQUARE)]
+        alpha_eps = chk.alpha_eps
+        assert stokes_form.a1 is None  # x dy-type: a2 only
+        diff = OneForm(None, stokes_form.a2 - alpha_eps.a2, 0.5)
+        ((lhs,), (term,), (smooth,)) = (
+            polygon_boundary_integrals(form, corners)
+            for form in (stokes_form, diff, alpha_eps))
+        assert chk.lhs == abs(lhs)
+        assert chk.term_boundary == abs(term)
+        assert chk.lhs <= chk.term_boundary + abs(smooth) + 1e-15
 
     def test_empty_or_analytic_form_never_reaches_mollify(self, w_form):
         # an empty form used to mollify silently to an empty form, and an

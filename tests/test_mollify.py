@@ -9,6 +9,7 @@ from holderforms.mollify import (
     _GL_NODES,
     _GL_WEIGHTS,
     _bump,
+    _gl_rule,
     _renormalize,
     deta_l1,
     discrete_kernel,
@@ -86,7 +87,30 @@ class TestGLTable:
         np.testing.assert_array_max_ulp(_GL_WEIGHTS, w, maxulp=1)
 
 
+class TestGLRule:
+    @pytest.mark.parametrize("panels, a, b", [
+        (1, 0.0, 1.0), (64, 0.0, 1.0), (120, -1.0, 1.0), (160, 0.0, 1.0)])
+    def test_composite_rule_is_exact_to_degree_31(self, panels, a, b):
+        # 16 ascending interior nodes and positive weights per panel; each
+        # panel is exact to degree 31, so the whole rule is too
+        nodes, weights = _gl_rule(panels, a, b)
+        assert nodes.shape == weights.shape == (16 * panels,)
+        assert a < nodes[0] and nodes[-1] < b
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.all(weights > 0.0)
+        for k in range(32):
+            want = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+            assert abs(math.fsum(weights * nodes ** k) - want) <= 1e-15, k
+
+
 class TestKernelNormalization:
+    @pytest.mark.parametrize("n, bits", [(1, "0x1.204ad466d96d0p+1"),
+                                         (2, "0x1.12605d03ed1f9p+1")])
+    def test_constant_keeps_its_bits(self, n, bits):
+        # the 120-panel composite rule's values with numpy 2.4; another
+        # libm may round exp differently
+        assert normalization_constant(n) == float.fromhex(bits)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_analytic_unit_mass(self, n):
         # quadrature of A * exp(1/(|x|^2-1)) over the unit ball

@@ -3,6 +3,11 @@ and the derived rate criteria for hyperbolic dynamics."""
 
 __version__ = "0.1.0"
 
+import os
+
+# one OpenBLAS thread unless set: no BLAS/LAPACK operand here exceeds 4x4
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .grids import (
     GridField, HolderEstimate, make_weierstrass, weierstrass_callable,
     holder_seminorm,

@@ -1,10 +1,11 @@
 """Rate algebra for linear toral maps.
 
 Spectral rates are eigenvalue moduli (sharp for linear maps in an adapted
-metric, so the comparison constant is 1).  Eigenvalues of the n <= 4 integer
-matrices come from the characteristic polynomial, with every root polished
-by Newton iteration to ~1e-14 so the closed-form identities (reciprocal
-duality, unimodular obstruction) hold to tight tolerance.
+metric, so the comparison constant is 1).  One exact Faddeev-LeVerrier run
+in integers gives an n <= 4 integer matrix's characteristic polynomial,
+determinant and integer inverse.  Eigenvalues are the polynomial's roots,
+each polished by Newton iteration to ~1e-14 so the closed-form identities
+(reciprocal duality, unimodular obstruction) hold to tight tolerance.
 """
 
 from __future__ import annotations
@@ -43,19 +44,21 @@ class AmbiguousSpectrumError(ValueError):
         self.modulus = modulus
 
 
-def _char_poly(M: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest degree first."""
-    # Faddeev-LeVerrier: exact in integer arithmetic for integer matrices
+def _faddeev_leverrier(M: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Coefficients ``[1, c_1, ..., c_n]`` of det(xI - M), highest degree
+    first, and the last auxiliary matrix N_n, for which M N_n = -c_n I.
+
+    Runs in Python integers, so it is exact for any integer matrix.
+    """
     n = M.shape[0]
-    Mf = M.astype(np.int64)
+    A = M.astype(object)
+    eye = np.eye(n, dtype=object)
     coeffs = [1]
-    Nmat = np.zeros_like(Mf)
+    N = np.zeros((n, n), dtype=object)
     for k in range(1, n + 1):
-        Nmat = Mf @ Nmat + coeffs[-1] * np.eye(n, dtype=np.int64)
-        prod = Mf @ Nmat
-        c = -np.trace(prod) // k
-        coeffs.append(int(c))
-    return np.array(coeffs, dtype=float)
+        N = A @ N + coeffs[-1] * eye
+        coeffs.append(-np.trace(A @ N) // k)
+    return coeffs, N
 
 
 def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -89,11 +92,10 @@ class ToralAutomorphism:
             raise ValueError("need a square matrix of size <= 4")
         if not np.array_equal(M, np.round(M)):
             raise ValueError("matrix entries must be integers")
-        M = M.astype(np.int64)
-        det = int(round(np.linalg.det(M.astype(float))))
+        object.__setattr__(self, "matrix", M.astype(np.int64))
+        det = self.det
         if abs(det) != 1:
             raise ValueError(f"|det| must be 1 (volume preserving), got {det}")
-        object.__setattr__(self, "matrix", M)
 
     @property
     def n(self) -> int:
@@ -101,10 +103,13 @@ class ToralAutomorphism:
 
     @property
     def det(self) -> int:
-        return int(round(np.linalg.det(self.matrix.astype(float))))
+        # det(xI - M) = (-1)^n det(M) at x = 0
+        return (-1) ** self.n * _faddeev_leverrier(self.matrix)[0][-1]
 
     def char_poly(self) -> np.ndarray:
-        return _char_poly(self.matrix)
+        """Monic characteristic polynomial coefficients, highest degree
+        first, as floats."""
+        return np.array(_faddeev_leverrier(self.matrix)[0], dtype=float)
 
     def eigenvalues(self) -> np.ndarray:
         coeffs = self.char_poly()
@@ -116,12 +121,9 @@ class ToralAutomorphism:
         return roots[np.argsort(np.abs(roots))]
 
     def inverse(self) -> "ToralAutomorphism":
-        # adjugate / det stays integer for a unimodular matrix
-        Mf = self.matrix.astype(float)
-        inv = np.round(np.linalg.inv(Mf)).astype(np.int64)
-        if not np.array_equal(self.matrix @ inv, np.eye(self.n, dtype=np.int64)):
-            raise ArithmeticError("integer inverse reconstruction failed")
-        return ToralAutomorphism(inv)
+        # M^-1 = -N_n / c_n, and c_n = +-1 for a unimodular M
+        coeffs, N = _faddeev_leverrier(self.matrix)
+        return ToralAutomorphism(np.array(-N * coeffs[-1], dtype=np.int64))
 
 
 def toral_automorphism(matrix) -> ToralAutomorphism:

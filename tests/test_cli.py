@@ -230,12 +230,18 @@ print(json.dumps(seen))
 """
 
 
-def run_fresh(code, *args):
-    """stdout of ``code`` run in a fresh interpreter that imports src/."""
+def run_fresh(code, *args, **env_vars):
+    """stdout of ``code`` run in a fresh interpreter that imports src/, with
+    ``env_vars`` set in its environment (a None value unsets the name)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=120)
@@ -255,6 +261,22 @@ class TestImports:
         # numpy.random is loaded
         seen = json.loads(run_fresh(RUN_ALL, str(tmp_path), *HEAVY_MODULES))
         assert seen == {cmd: [0, []] for cmd in holderforms.cli.FLAGS}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count threads")
+    def test_cli_import_starts_no_blas_thread(self):
+        # set-up and CPU time are gated benchmark metrics: an OpenBLAS pool
+        # for 4x4 operands would only add to both
+        code = ("import os, holderforms.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                "len(os.listdir('/proc/self/task')))")
+        out = run_fresh(code, OPENBLAS_NUM_THREADS=None)
+        assert out.split() == ["1", "1"]
+
+    def test_cli_import_keeps_an_explicit_blas_thread_count(self):
+        code = ("import os, holderforms.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert run_fresh(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
     def test_no_subcommand_loads_argparse(self, tmp_path):
         # parse_args reads FLAGS itself: no run builds an argparse parser

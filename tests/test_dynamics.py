@@ -35,6 +35,15 @@ class TestToralAutomorphism:
         assert fw[0] * bw[1] == pytest.approx(1.0, abs=1e-12)
         assert fw[1] * bw[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [30, 40, 44])
+    def test_fibonacci_power_has_exact_det_and_inverse(self, n):
+        # [[F(n+1), F(n)], [F(n), F(n-1)]]: a float det reads 0 at n = 40
+        # and 68 at n = 44, and a rounded float inverse fails from n = 30
+        A = toral_automorphism(np.linalg.matrix_power([[1, 1], [1, 0]], n))
+        assert A.det == (-1) ** n
+        assert np.array_equal(A.matrix @ A.inverse().matrix,
+                              np.eye(2, dtype=np.int64))
+
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             toral_automorphism([[2, 0], [0, 1]])

@@ -16,24 +16,18 @@ seed gives byte-identical CSVs.  Exit codes:
 Config files are INI-style; command-line flags override config values.
 The output directory can also be set via the HOLDERFORMS_OUTDIR
 environment variable (flag > config > env > default).
-
-``parse_args`` reads the command line from the ``FLAGS`` table, by
-argparse's rules (``--flag value`` or ``--flag=value``, unique prefixes,
-``-h``/``--help``, ``--version``) but without building a parser, so a run
-does not import argparse.
 """
 
 from __future__ import annotations
 
+import argparse
 import configparser
 import csv
 import math
 import os
 import random
-import re
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -446,168 +440,48 @@ FLAGS = {
 }
 COMMON_FLAGS = {"config": str, "outdir": str, "seed": int}
 
-PROG = "holderforms"
 DESCRIPTION = ("Desk-scale verifiers for the Holder-form boundary "
-               "inequality and its dynamical\nrate criteria.")
-# The kinds of -h/--help and --version; like the bool switches they take
-# no value.  -h is the only single-dash flag.
-HELP, VERSION = "help", "version"
-_NO_VALUE = (bool, HELP, VERSION)
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+               "inequality and its dynamical rate criteria.")
 
 
-def _usage(command):
-    """The usage line, wrapped at 78 columns as argparse wraps it."""
-    if command is None:
-        prog = PROG
-        words = ["[-h]", "[--version]", "{" + ",".join(FLAGS) + "}", "..."]
-    else:
-        prog = f"{PROG} {command}"
-        words = ["[-h]"] + [
-            f"[--{flag}]" if kind is bool
-            else f"[--{flag} {flag.upper().replace('-', '_')}]"
-            for flag, kind in {**COMMON_FLAGS, **FLAGS[command]}.items()]
-    lines = [f"usage: {prog}"]
-    indent = len(lines[0])
-    for word in words:
-        if len(lines[-1]) + 1 + len(word) > 78 and len(lines[-1]) > indent:
-            lines.append(" " * indent)
-        lines[-1] += " " + word
-    return "\n".join(lines) + "\n"
+def _build_parser():
+    """The parser of ``holderforms [--version] COMMAND [flags]``, and the
+    subparser of each command."""
+    parser = argparse.ArgumentParser(prog="holderforms",
+                                     description=DESCRIPTION)
+    parser.add_argument("--version", action="version", version=__version__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, flags in FLAGS.items():
+        sub = commands.add_parser(command, description=DESCRIPTION)
+        for flag, kind in {**COMMON_FLAGS, **flags}.items():
+            if kind is bool:
+                sub.add_argument(f"--{flag}", action="store_true")
+            else:
+                sub.add_argument(f"--{flag}", type=kind)
+    return parser, commands.choices
 
 
-def _print_and_exit(text):
-    sys.stdout.write(text)
-    sys.exit(0)
-
-
-def _fail(command, message):
-    prog = PROG if command is None else f"{PROG} {command}"
-    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
-    sys.exit(2)
-
-
-def _match(arg, options, command):
-    """Read one argument against ``options`` (option string -> type).
-
-    Returns None for a positional, ``(None, None)`` for an unknown flag and
-    ``(option, value)`` otherwise, ``value`` being the text after ``=`` (or
-    after ``-h``), if any.  A ``--`` flag may be shortened to any prefix
-    that names one flag; a prefix that names several is an error.
-    """
-    if not arg.startswith("-") or arg == "-":
-        return None
-    if arg in options:
-        return arg, None
-    name, eq, value = arg.partition("=")
-    if eq and name in options:
-        return name, value
-    if arg[1] == "-":
-        hits = [(o, value if eq else None) for o in options
-                if o.startswith(name)]
-    else:
-        hits = [("-h", arg[2:])] if arg.startswith("-h") else []
-    if len(hits) > 1:
-        _fail(command, f"ambiguous option: {arg} could match "
-                       + ", ".join(o for o, _ in hits))
-    if hits:
-        return hits[0]
-    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
-        return None
-    return None, None
-
-
-def _flag_value(command, option, kind, value):
-    """The value of one flag; a switch, -h or --version returns True."""
-    if kind in _NO_VALUE:
-        if option == "-h" and value:
-            value = value.lstrip("h") or None  # -hh is -h given twice
-        if value is None:
-            return True
-        name = "-h/--help" if kind == HELP else option
-        _fail(command, f"argument {name}: "
-                       f"ignored explicit argument {value!r}")
-    try:
-        return kind(value)
-    except ValueError:
-        _fail(command, f"argument {option}: "
-                       f"invalid {kind.__name__} value: {value!r}")
-
-
-def _scan(argv, options, command, extras):
-    """Yield ``(option, value)`` for each flag of ``argv``, in order.
-
-    A positional yields ``(None, index)``; a flag that ``options`` lacks
-    goes to ``extras``.  After ``--`` every argument is a positional.
-    """
-    stop = argv.index("--") if "--" in argv else len(argv)
-    # every flag is read before any is acted on, so an ambiguous prefix
-    # is an error wherever it stands
-    matches = [_match(arg, options, command) for arg in argv[:stop]]
-    matches += [None] * (len(argv) - stop)
-    i = 0
-    while i < len(argv):
-        match = matches[i]
-        i += 1
-        if match is None:
-            yield None, i - 1
-        elif match[0] is None:
-            extras.append(argv[i - 1])
-        else:
-            option, value = match
-            kind = options[option]
-            if value is None and kind not in _NO_VALUE:
-                if i == len(argv) or i == stop or matches[i] is not None:
-                    _fail(command,
-                          f"argument {option}: expected one argument")
-                value = argv[i]
-                i += 1
-            yield option, _flag_value(command, option, kind, value)
+# built once, at import: a parser built per run would add gettext's cold
+# start to every run's own time
+_PARSER, _SUBPARSERS = _build_parser()
 
 
 def parse_args(argv):
-    """Parse ``holderforms [--version] COMMAND [flags]`` as argparse would.
+    """Parse the command line with the one argparse parser.
 
-    Returns a namespace with ``command``, the ``COMMON_FLAGS`` and the
-    command's ``FLAGS`` (dashes become underscores), unset flags being
-    None, or False for a switch.  Flags are ``--flag value`` or
-    ``--flag=value``, may be shortened to a unique prefix and may repeat
-    (the last wins).  ``-h``/``--help`` and ``--version`` print and exit 0;
-    any other misuse prints the usage and an error and exits 2.
+    Before Python 3.13, argparse stores an explicit ``--flag=--`` as an
+    empty list; it is read as the value ``"--"`` it is.
     """
-    extras = []
-    top = {"-h": HELP, "--help": HELP, "--version": VERSION}
-    for option, value in _scan(argv, top, None, extras):
-        if option is None:
-            # the command, unless it is a trailing "--"
-            if argv[value] != "--" or value + 1 < len(argv):
-                command, rest = argv[value], argv[value + 1:]
-                break
-            extras.append("--")
-        elif top[option] == HELP:
-            _print_and_exit(f"{_usage(None)}\n{DESCRIPTION}\n")
-        else:
-            _print_and_exit(f"{__version__}\n")
-    else:
-        _fail(None, "the following arguments are required: command")
-    if command not in FLAGS:
-        _fail(None, f"argument command: invalid choice: {command!r} "
-                    f"(choose from {', '.join(map(repr, FLAGS))})")
-    kinds = {**COMMON_FLAGS, **FLAGS[command]}
-    options = {"-h": HELP, "--help": HELP,
-               **{f"--{flag}": kind for flag, kind in kinds.items()}}
-    args = {flag.replace("-", "_"): False if kind is bool else None
-            for flag, kind in kinds.items()}
-    for option, value in _scan(rest, options, command, extras):
-        if option is None:
-            extras.append(rest[value])
-        elif options[option] == HELP:
-            _print_and_exit(f"{_usage(command)}\n{DESCRIPTION}\n")
-        else:
-            args[option[2:].replace("-", "_")] = value
-    if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(command=command, **args)
+    args = _PARSER.parse_args(argv)
+    for flag, kind in {**COMMON_FLAGS, **FLAGS[args.command]}.items():
+        name = flag.replace("-", "_")
+        if getattr(args, name) == []:
+            try:
+                setattr(args, name, kind("--"))
+            except ValueError:
+                _SUBPARSERS[args.command].error(
+                    f"argument --{flag}: invalid {kind.__name__} value: '--'")
+    return args
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,7 @@ from holderforms.decay import (
     DecayStep, SmallnessError, _strip_corners, choose_strip_count,
     iterate_rectangle,
 )
+from holderforms.dynamics import toral_automorphism
 from holderforms.grids import (
     GridField, _lag_distances, _matched_ends as matched_ends,
 )
@@ -235,11 +236,8 @@ def cat_map_conjugates(seed: int, count: int):
             else:
                 S = np.array([[1, 0], [k, 1]], dtype=np.int64)
             B = B @ S
-        # B is a product of shears, so det B = 1 and the integer inverse is exact
-        Binv = np.round(np.linalg.inv(B.astype(float))).astype(np.int64)
-        if not np.array_equal(B @ Binv, np.eye(2, dtype=np.int64)):
-            continue
-        M = B @ CAT_MAP @ Binv
+        # B is a product of shears, so det B = 1
+        M = B @ CAT_MAP @ toral_automorphism(B).inverse().matrix
         if np.max(np.abs(M)) > 10**6:
             continue
         out.append(M)

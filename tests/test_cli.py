@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holderforms.cli
 import holderforms.decay
 import holderforms.inequality
 from holderforms.dynamics import AmbiguousSpectrumError
-from holderforms.cli import main, parse_args
+from holderforms.cli import COMMON_FLAGS, FLAGS, main, parse_args
 
 
 def run(argv, tmp_path, name="out"):
@@ -329,6 +332,101 @@ class TestFlags:
             f[2:].replace("-", "_") for f in READ_FLAGS[sub]}
 
 
+def reference_parser():
+    """A plain argparse parser built from FLAGS by the CLI's recipe, with
+    none of parse_args's fix-up for an explicit ``--flag=--``."""
+    p = argparse.ArgumentParser(prog="holderforms",
+                                description=holderforms.cli.DESCRIPTION)
+    p.add_argument("--version", action="version",
+                   version=holderforms.__version__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, flags in FLAGS.items():
+        sp = sub.add_parser(name)
+        sp.add_argument("--config", default=None)
+        sp.add_argument("--outdir", default=None)
+        sp.add_argument("--seed", type=int, default=None)
+        for flag, kind in flags.items():
+            if kind is bool:
+                sp.add_argument(f"--{flag}", action="store_true")
+            else:
+                sp.add_argument(f"--{flag}", type=kind)
+    return p
+
+
+REFERENCE = reference_parser()
+
+
+def parse_outcome(parse, argv):
+    """What one parse of ``argv`` gives: the parsed values (as reprs, so
+    that nan equals nan) and None; or, on exit, the exit code and the
+    error line (exit 2), the version (--version) or "help"."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            if exc.code:
+                return exc.code, err.getvalue().splitlines()[-1]
+            printed = out.getvalue()
+            return 0, "help" if printed.startswith("usage:") else printed
+    assert not out.getvalue() and not err.getvalue()
+    return None, {k: repr(v) for k, v in vars(args).items()}
+
+
+# The cases parse_args must parse as the plain parser does: every rejection
+# (exit 2) and every accepted form
+PARSER_CORPUS = [
+    # a missing or unknown command
+    [], ["--seed", "1"], ["bogus"], ["-1"], ["--"], ["--", "pisot"],
+    ["--version", "bogus"], ["bogus", "--version"], ["-x", "pisot"],
+    # a flag the command does not take, or an extra positional
+    ["pisot", "--theta", "7"], ["isoperimetric", "--svg"],
+    ["criteria", "--bogus"], ["pisot", "--version"], ["pisot", "extra"],
+    ["decay", "--mu", "2", "3"], ["pisot", "--", "--seed", "1"],
+    # a missing value
+    ["pisot", "--seed"], ["decay", "--mu", "--nu", "1"],
+    ["decay", "--theta", "-x"], ["pisot", "--seed", "--", "1"],
+    # a value that does not parse as its type
+    ["pisot", "--seed", "1.5"], ["decay", "--mu", "x"],
+    ["decay", "--k-max=nan"], ["decay", "--mu="],
+    # an ambiguous prefix, also after -h, and at the top level
+    ["decay", "--s", "1"], ["inequality", "--s=1"], ["criteria", "--e", "1"],
+    ["decay", "-h", "--s"], ["pisot", "--=1"],
+    # a switch given a value
+    ["inequality", "--svg=1"], ["decay", "--svg="], ["--version=1"],
+    ["pisot", "-hx"], ["pisot", "-h=1"], ["-hx"],
+    # --flag value and --flag=value, unique prefixes, repeats, negatives
+    ["decay", "--mu", "2"], ["decay", "--mu=2"], ["inequality", "--res", "64"],
+    ["decay", "--k", "3", "--sv"], ["pisot", "--seed", "1", "--seed", "2"],
+    ["decay", "--theta", "-0.5"], ["criteria", "--ell", "-1"],
+    ["decay", "--k-max", "-3"], ["decay", "--nu", "nan", "--svg", "--svg"],
+    ["criteria", "--matrix", "-1 1 1 0"], ["criteria", "--matrix=-x"],
+    ["criteria", "--mat", "2 1 1 1", "--extra", "2", "--el=0"],
+    ["stokes-check", "--config", "c.ini", "--out", "o", "--res=-4"],
+    # --version and help, at the top level and for each command; help
+    # acts when it is reached, before later errors
+    ["--version"], ["--ver"], ["-h"], ["--help"], ["--he"], ["-hh"],
+    *([cmd, "-h"] for cmd in FLAGS), ["decay", "--help"], ["pisot", "--h"],
+    ["pisot", "-h", "--seed", "x"], ["pisot", "--seed", "x", "-h"],
+    ["pisot", "--bogus", "-h"],
+]
+
+FLAG_TOKENS = sorted({"-h", "--help", "--version", "--bogus"}
+                     | {f"--{f}" for f in COMMON_FLAGS}
+                     | {f"--{f}" for flags in FLAGS.values() for f in flags})
+PREFIX_TOKENS = ["--s", "--se", "--si", "--th", "--k", "--e", "--m", "--n",
+                 "--r", "--o", "--c", "--h", "--v", "-", "--"]
+VALUE_TOKENS = ["1", "-0.5", "nan", "x", "="]
+_TOKEN = st.one_of(
+    st.sampled_from(FLAG_TOKENS + PREFIX_TOKENS + VALUE_TOKENS),
+    st.builds("{}={}".format, st.sampled_from(FLAG_TOKENS + PREFIX_TOKENS),
+              st.sampled_from(VALUE_TOKENS)))
+_ARGV = st.one_of(
+    st.builds(lambda cmd, rest: [cmd, *rest],
+              st.sampled_from([*FLAGS, "bogus"]), st.lists(_TOKEN, max_size=6)),
+    st.lists(_TOKEN, max_size=4))
+
+
 class TestParser:
     @pytest.mark.parametrize("argv,start,message", [
         (["inequality", "--sigma=--"], "usage: ",
@@ -353,6 +451,19 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith(start)
         assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_parses_as_argparse_did(self, argv):
+        # the module's parser is built from the tables by the recipe above,
+        # and the --flag=-- fix-up leaves every other command line alone
+        assert parse_outcome(parse_args, argv) == \
+            parse_outcome(REFERENCE.parse_args, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_ARGV)
+    def test_any_flag_sequence_parses_as_argparse_did(self, argv):
+        assert parse_outcome(parse_args, argv) == \
+            parse_outcome(REFERENCE.parse_args, argv)
 
 
 class TestConfig:

@@ -1,4 +1,4 @@
-"""Polygonal 2-disks, and exact integration of grid-sampled 1- and 2-forms.
+"""Polygonal 2-disks, and exact integration of grid-sampled 1-forms.
 
 A disk is a polygon, given by its corners in boundary order;
 ``rectangle_corners`` gives those of axis-aligned rectangles.  Polygons are
@@ -10,9 +10,10 @@ in closed form, and ``polygon_boundary_integrals`` integrates a
 grid-sampled 1-form over the boundaries of n polygons at once, exactly,
 with no quadrature: its edges are cut at grid-line crossings, and on each
 piece the bilinear interpolant is a quadratic that a 2-point rule
-integrates exactly.  ``integrate_two_form`` integrates a grid-sampled
-2-form over an axis-aligned rectangle exactly, by the midpoint rule on the
-rectangle's pieces between grid lines.
+integrates exactly.  No 2-form is integrated on its own: the bilinear
+interpolant is Lipschitz, so by Stokes' theorem the integral of
+``d alpha`` over a polygon is the boundary integral of ``alpha``, which
+is how ``inequality.mollification_split_check`` takes its interior term.
 
 One-form components are grid-sampled fields read through bilinear
 interpolation (the native representation for Holder forms), or ``None``
@@ -20,7 +21,7 @@ for identically zero; ``OneForm`` checks this when it is built.  A 1-D
 field is a function of x alone (``W(x) dy`` stores its ``W`` so), read at
 the x coordinates of points: ``_read_component`` is the one place a
 component is read at points.  Its boundary integrals cut edges at x grid
-lines only, and its exterior derivative, a 2-form, is again a 1-D field.
+lines only.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "rectangle_corners",
     "measure_polygons",
     "polygon_boundary_integrals",
-    "integrate_two_form",
-    "exterior_derivative",
 ]
 
 _UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -262,61 +261,3 @@ def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
     pts = a[e] + nodes[..., None] * d[e]
     values = half * np.sum(_pullback(alpha, pts, d[e]), axis=0)
     return np.bincount(owner[e], weights=values, minlength=n_disks).tolist()
-
-
-def integrate_two_form(beta: GridField, lo, hi) -> float:
-    """``int beta dx dy`` over the rectangle ``[lo, hi]``, exact.
-
-    Each axis of the rectangle is cut at the grid lines
-    ``beta.lo[ax] + m*h[ax]`` inside it, for every integer ``m``, so
-    wraps round the torus need no special case; a 1-D field, a function of x
-    alone, has lines in x only and one piece in y.  On each product of
-    pieces the interpolant is bilinear, and the midpoint rule integrates a
-    bilinear function exactly, so the sum of ``len_x * len_y * beta(mid)``
-    carries rounding error only.
-    """
-    pieces = []
-    for ax in range(2):
-        a, b = float(lo[ax]), float(hi[ax])
-        if not a <= b:
-            raise ValueError(f"need lo <= hi on axis {ax}, got {a} > {b}")
-        cuts = np.array([a, b])
-        if ax < beta.dim:
-            g0, h = beta.lo[ax], beta.spacing[ax]
-            m = np.arange(math.floor((a - g0) / h) + 1,
-                          math.ceil((b - g0) / h))
-            cuts = np.concatenate([[a], np.clip(g0 + m * h, a, b), [b]])
-        pieces.append((np.diff(cuts), 0.5 * (cuts[:-1] + cuts[1:])))
-    (wx, mx), (wy, my) = pieces
-    if beta.dim == 1:
-        return float(wy[0] * np.sum(wx * beta.evaluate(mx[:, None])))
-    mid = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1)
-    return float(np.sum(np.outer(wx, wy) * beta.evaluate(mid)))
-
-
-def _centered_diff(values: np.ndarray, ax: int, h: float):
-    """Centred difference along ``ax``, wrapping round the torus; the
-    duplicate endpoint gets the value at the first node."""
-    n = values.shape[ax]
-    core = np.take(values, range(n - 1), axis=ax)
-    d = (np.roll(core, -1, axis=ax) - np.roll(core, 1, axis=ax)) / (2 * h)
-    edge = np.take(d, [0], axis=ax)
-    return np.concatenate([d, edge], axis=ax)
-
-
-def exterior_derivative(alpha: OneForm) -> GridField:
-    """d alpha = (da2/dx - da1/dy) by centered differences on the grid.
-
-    On 1-D components, functions of x alone, ``da2/dx`` is taken along
-    their one axis, ``da1/dy`` is 0, and the 2-form is a 1-D field too.
-
-    Caller contract: only mollified or otherwise smooth-at-grid-scale forms.
-    """
-    ref = alpha.grid_components()[0]
-    out = np.zeros(ref.resolution)
-    if alpha.a2 is not None:
-        out += _centered_diff(alpha.a2.values, 0, ref.spacing[0])
-    if alpha.a1 is not None and ref.dim == 2:
-        out -= _centered_diff(alpha.a1.values, 1, ref.spacing[1])
-    return GridField(ref.lo, ref.hi, ref.resolution, out)
-

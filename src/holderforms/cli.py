@@ -7,7 +7,8 @@ seed gives byte-identical CSVs.  Exit codes:
 * 0: every assertion passed;
 * 1: an assertion failed;
 * 2: configuration error (``config error: ...`` on stderr), or a command
-  line that does not parse (the usage and ``holderforms: error: ...``);
+  line that does not parse (the usage and ``holderforms: error: ...``, or
+  ``holderforms <command>: error: ...`` once the command is named);
 * 3: numerical error, i.e. a grid too coarse for its form, an eigenvalue
   modulus too close to 1 to classify, or a decay strip count too small for
   the smallness threshold (``numerical error: ...`` on stderr, with the
@@ -35,7 +36,7 @@ from . import __version__
 from .grids import GridField, UnderResolvedError, make_weierstrass
 from .mollify import normalization_constant, verify_regularization
 from .chains import (
-    OneForm, rectangle_corners, measure_polygons, polygon_boundary_integrals,
+    OneForm, measure_polygons, polygon_boundary_integrals,
 )
 from .inequality import (
     isoperimetric_check, mollification_split_check, verify_main_inequality,
@@ -210,13 +211,17 @@ def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
     alpha = weierstrass_form(theta, resolution=res)
     lo, hi = (0.3, 0.3), (0.5, 0.5)
     split = mollification_split_check(alpha, lo, hi, epsilon=0.05)
-    (lhs,) = polygon_boundary_integrals(split.alpha_eps,
-                                        [rectangle_corners(lo, hi)])
-    rhs = split.interior
-    err2 = abs(lhs - rhs)
-    rows.append(["mollified_weierstrass_stokes", lhs, rhs, err2])
+    # int_D d(a_eps dy) in closed form: a_eps depends on x alone, so
+    # d(a_eps dy) = a_eps'(x) dx dy integrates to a difference in x
+    (x0, y0), (x1, y1) = lo, hi
+    a_eps = split.alpha_eps.a2.evaluate(np.array([[x0], [x1]]))
+    value, closed = split.interior, (y1 - y0) * (a_eps[1] - a_eps[0])
+    err2 = abs(value - closed)
+    rows.append(["mollified_weierstrass_stokes", value, closed, err2])
+    # both values are exact, so the 1e-5 absorbs rounding only: 2.8e-17 at
+    # the default 4096 nodes, and no more from 512 to 65536 nodes
     checks.check("stokes-mollified-weierstrass", err2 <= 1e-5,
-                 f"|{lhs:.8g} - {rhs:.8g}|={err2:.2e}")
+                 f"|{value:.8g} - {closed:.8g}|={err2:.2e}")
     checks.check("split-chain", split.chain_holds,
                  f"lhs={split.lhs:.4g} <= {split.term_boundary:.4g}+"
                  f"{split.term_interior:.4g}")
@@ -268,6 +273,8 @@ def run_isoperimetric(args, cp, outdir: Path, checks: Checks) -> None:
     rep = isoperimetric_check(2.0 * math.pi, math.pi)
     rows.append(["unit_disk", rep.length, rep.area, rep.bound,
                  rep.equality_gap])
+    # the disk is the equality case, so the 1e-6 absorbs the rounding of
+    # (2 pi)^2 / (4 pi) against pi only; the gap is 0.0 in binary64
     checks.check("isoperimetric-disk-equality", abs(rep.equality_gap) <= 1e-6,
                  f"gap={rep.equality_gap:.2e}")
     rng = random.Random(args.seed)
@@ -369,10 +376,17 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
     sampled = weierstrass_form(theta, terms=terms,
                                resolution=max(512, 4 * 2 ** (terms - 1)))
     cnorm = one_form_cnorm(sampled, theta)
+    js = range(2, 7)
     fam_reports = verify_main_inequality(
-        sampled, dyadic_square_family(range(2, 7), 4), theta=theta,
+        sampled, dyadic_square_family(js, 4), theta=theta,
         smallness_sigma=sigma, cnorm=cnorm)
     k_emp = max(r.empirical_k for r in fam_reports)
+    if not k_emp > 0.0:
+        unskipped = sum(not r.skipped for r in fam_reports)
+        raise ConfigError(
+            f"j = {js[0]}..{js[-1]} at sigma = {sigma:g}: the empirical "
+            f"constant K is {k_emp:g} over {unskipped} square(s) that pass "
+            f"the smallness filter, and the decay bound needs K > 0")
 
     try:
         series = decay_bound_series(sampled, model, rect, theta,
@@ -395,6 +409,8 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
         checks.check(f"strip-smallness-k={s.k}",
                      max(s.strip_boundary_max, s.strip_diameter_max) < sigma,
                      f"max boundary {s.strip_boundary_max:.4f}")
+        # the strips' shared edges cancel exactly in real numbers, so the
+        # 1e-8 absorbs rounding only: at most 1.6e-16 at the defaults
         checks.check(f"telescoping-k={s.k}",
                      abs(s.lhs_sum - s.lhs_whole) <= 1e-8,
                      f"|{s.lhs_sum:.10g} - {s.lhs_whole:.10g}|="

@@ -156,11 +156,6 @@ class GridField:
     def supnorm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def __sub__(self, other: "GridField") -> "GridField":
-        self._check_same_grid(other)
-        return GridField(self.lo, self.hi, self.resolution,
-                         self.values - other.values)
-
     def _check_same_grid(self, other: "GridField"):
         if (self.lo, self.hi, self.resolution) != (
             other.lo, other.hi, other.resolution

@@ -26,9 +26,7 @@ from .chains import (
     OneForm,
     ChainMeasures,
     measure_polygons,
-    integrate_two_form,
     polygon_boundary_integrals,
-    exterior_derivative,
     rectangle_corners,
 )
 
@@ -160,10 +158,8 @@ def mollify_one_form(alpha: OneForm, epsilon: float) -> OneForm:
 class SplitCheck:
     """The subtract-and-add estimate, instantiated and measured.
 
-    Every term is integrated exactly; ``quad_tol`` is the absolute
-    allowance of the chain check, which absorbs the centred-difference
-    error of ``d alpha_eps`` in the interior term.  ``interior`` is that
-    term with its sign, ``int_D d alpha_eps``, and ``term_interior`` its
+    Every term is exact to rounding.  ``interior`` is the interior term
+    with its sign, ``int_D d alpha_eps``, and ``term_interior`` its
     absolute value.
 
     ``cnorm``, ``one_form_cnorm(alpha)``, is computed the first time it or
@@ -179,7 +175,6 @@ class SplitCheck:
     interior: float          # int_D d alpha_eps
     length: float            # |dD|
     area: float              # |D|
-    quad_tol: float
     alpha_eps: OneForm       # the mollified form the terms were measured on
     alpha: OneForm           # the form whose C^theta norm scales the bounds
 
@@ -205,7 +200,23 @@ class SplitCheck:
 
     @property
     def chain_holds(self) -> bool:
-        return self.lhs <= self.term_boundary + self.term_interior + self.quad_tol
+        """``lhs <= term_boundary + term_interior``, to one ulp of ``lhs``.
+
+        With ``a = int_dD alpha`` and ``b = int_dD alpha_eps`` the terms are
+        ``|a|``, ``fl(|a - b|)`` and ``|b|``.  Rounding is monotone, so the
+        sum ``fl(fl(|a - b|) + |b|)`` is at least ``|a|`` when a and b
+        differ in sign (``|a - b| = |a| + |b|``), when ``|b| >= |a|`` (the
+        sum is at least ``|b|``), and when ``|a|/2 <= |b| < |a|`` (the
+        subtraction is exact by Sterbenz's lemma, and the sum is ``|a|``).
+        In the remaining case, a and b of one sign and ``|b| < |a|/2``, the
+        chain is an equality in real numbers, and ``fl(a - b)`` may lose
+        half an ulp of ``|a|``; the sum is then at least the float just
+        below ``|a|``, at most ``math.ulp(lhs)`` away.  That one ulp is the
+        whole allowance: it covers rounding, and nothing else.
+        """
+        return (self.lhs
+                <= self.term_boundary + self.term_interior
+                + math.ulp(self.lhs))
 
     @property
     def boundary_bound_holds(self) -> bool:
@@ -216,35 +227,31 @@ class SplitCheck:
         return self.term_interior <= self.bound_interior
 
 
-def mollification_split_check(alpha: OneForm, lo, hi, epsilon: float,
-                              quad_tol: float = 1e-5) -> SplitCheck:
+def mollification_split_check(alpha: OneForm, lo, hi,
+                              epsilon: float) -> SplitCheck:
     """The split of ``int_dD alpha`` on the rectangle ``D = [lo, hi]``.
 
-    The two boundary terms are exact ``polygon_boundary_integrals`` and the
-    interior term is an exact ``integrate_two_form``.
+    All three terms come from two exact ``polygon_boundary_integrals`` on
+    the rectangle, ``I(alpha)`` and ``I(alpha_eps)``.  The interpolant of
+    ``alpha_eps`` is Lipschitz, so Stokes' theorem gives the interior term
+    ``int_D d alpha_eps = I(alpha_eps)``, and interpolation is linear in
+    the samples, so ``int_dD (alpha - alpha_eps) = I(alpha) - I(alpha_eps)``.
     The C^theta norm of ``alpha`` that scales the bounds, at
     ``alpha.theta``, is computed when the check's ``cnorm`` or a bound is
     first read (see :class:`SplitCheck`).
     """
     alpha_eps = mollify_one_form(alpha, epsilon)
-    diff = OneForm(
-        None if alpha.a1 is None else alpha.a1 - alpha_eps.a1,
-        None if alpha.a2 is None else alpha.a2 - alpha_eps.a2,
-        alpha.theta,
-    )
     corners = [rectangle_corners(lo, hi)]
-    (lhs,) = polygon_boundary_integrals(alpha, corners)
-    (term_boundary,) = polygon_boundary_integrals(diff, corners)
-    interior = integrate_two_form(exterior_derivative(alpha_eps), lo, hi)
+    (whole,) = polygon_boundary_integrals(alpha, corners)
+    (interior,) = polygon_boundary_integrals(alpha_eps, corners)
     length, area, _ = (float(m[0]) for m in measure_polygons(corners))
     return SplitCheck(
         epsilon=epsilon,
-        lhs=abs(lhs),
-        term_boundary=abs(term_boundary),
+        lhs=abs(whole),
+        term_boundary=abs(whole - interior),
         interior=interior,
         length=length,
         area=area,
-        quad_tol=quad_tol,
         alpha_eps=alpha_eps,
         alpha=alpha,
     )

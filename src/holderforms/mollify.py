@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chains import _centered_diff
 from .grids import GridField, holder_seminorm
 
 __all__ = [
@@ -166,6 +165,16 @@ def mollify(u: GridField, epsilon: float) -> GridField:
         # re-append the duplicate endpoint
         out = np.concatenate([out, np.take(out, [0], axis=ax)], axis=ax)
     return GridField(u.lo, u.hi, u.resolution, out)
+
+
+def _centered_diff(values: np.ndarray, ax: int, h: float):
+    """Centred difference along ``ax``, wrapping round the torus; the
+    duplicate endpoint gets the value at the first node."""
+    n = values.shape[ax]
+    core = np.take(values, range(n - 1), axis=ax)
+    d = (np.roll(core, -1, axis=ax) - np.roll(core, 1, axis=ax)) / (2 * h)
+    edge = np.take(d, [0], axis=ax)
+    return np.concatenate([d, edge], axis=ax)
 
 
 def grad_supnorm(u: GridField) -> float:

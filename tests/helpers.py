@@ -18,7 +18,9 @@ from holderforms.dynamics import toral_automorphism
 from holderforms.grids import (
     GridField, _lag_distances, _matched_ends as matched_ends,
 )
-from holderforms.mollify import _bump, _gl_rule, normalization_constant
+from holderforms.mollify import (
+    _bump, _centered_diff, _gl_rule, normalization_constant,
+)
 
 CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
 
@@ -221,6 +223,56 @@ def per_edge_quadrature(alpha, corners) -> float:
     ``QUAD_REL_TOL``, summed in boundary order.  The reference that the
     exact boundary integrals of grid-sampled forms are compared against."""
     return sum(integrate_one_form(alpha, e) for e in polygon_edges(corners))
+
+
+# The centred-difference 2-form path: the reference that the exact Stokes
+# identity of ``inequality.mollification_split_check`` is compared against.
+
+def integrate_two_form(beta: GridField, lo, hi) -> float:
+    """``int beta dx dy`` over the rectangle ``[lo, hi]``, exact.
+
+    Each axis of the rectangle is cut at the grid lines
+    ``beta.lo[ax] + m*h[ax]`` inside it, for every integer ``m``, so
+    wraps round the torus need no special case; a 1-D field, a function of x
+    alone, has lines in x only and one piece in y.  On each product of
+    pieces the interpolant is bilinear, and the midpoint rule integrates a
+    bilinear function exactly, so the sum of ``len_x * len_y * beta(mid)``
+    carries rounding error only.
+    """
+    pieces = []
+    for ax in range(2):
+        a, b = float(lo[ax]), float(hi[ax])
+        if not a <= b:
+            raise ValueError(f"need lo <= hi on axis {ax}, got {a} > {b}")
+        cuts = np.array([a, b])
+        if ax < beta.dim:
+            g0, h = beta.lo[ax], beta.spacing[ax]
+            m = np.arange(math.floor((a - g0) / h) + 1,
+                          math.ceil((b - g0) / h))
+            cuts = np.concatenate([[a], np.clip(g0 + m * h, a, b), [b]])
+        pieces.append((np.diff(cuts), 0.5 * (cuts[:-1] + cuts[1:])))
+    (wx, mx), (wy, my) = pieces
+    if beta.dim == 1:
+        return float(wy[0] * np.sum(wx * beta.evaluate(mx[:, None])))
+    mid = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1)
+    return float(np.sum(np.outer(wx, wy) * beta.evaluate(mid)))
+
+
+def exterior_derivative(alpha: OneForm) -> GridField:
+    """d alpha = (da2/dx - da1/dy) by centered differences on the grid.
+
+    On 1-D components, functions of x alone, ``da2/dx`` is taken along
+    their one axis, ``da1/dy`` is 0, and the 2-form is a 1-D field too.
+
+    Caller contract: only mollified or otherwise smooth-at-grid-scale forms.
+    """
+    ref = alpha.grid_components()[0]
+    out = np.zeros(ref.resolution)
+    if alpha.a2 is not None:
+        out += _centered_diff(alpha.a2.values, 0, ref.spacing[0])
+    if alpha.a1 is not None and ref.dim == 2:
+        out -= _centered_diff(alpha.a1.values, 1, ref.spacing[1])
+    return GridField(ref.lo, ref.hi, ref.resolution, out)
 
 
 def cat_map_conjugates(seed: int, count: int):

@@ -12,8 +12,6 @@ import pytest
 
 from holderforms.chains import (
     OneForm,
-    exterior_derivative,
-    integrate_two_form,
     measure_polygons,
     polygon_boundary_integrals,
     rectangle_corners,
@@ -51,7 +49,10 @@ from holderforms.mollify import (
     verify_regularization,
 )
 
-from helpers import CAT_MAP, cat_map_conjugates, eta, scaled_form
+from helpers import (
+    CAT_MAP, cat_map_conjugates, eta, exterior_derivative, integrate_two_form,
+    scaled_form,
+)
 
 
 EPSILONS = (0.02, 0.05, 0.1)

@@ -24,7 +24,7 @@ UNRUN_CALLABLES = {
     "inequality.closed_form_minimum", "inequality.eps_sweep",
     "inequality.EpsSweep.argmin", "inequality.EpsSweep.min_value",
     # the split's norm and its two bound checks, which no check line reads
-    # until the Stokes and split allowances are derived (ROADMAP item 6)
+    # yet (ROADMAP item 6)
     "inequality.SplitCheck.cnorm", "inequality.SplitCheck.bound_boundary",
     "inequality.SplitCheck.bound_interior",
     "inequality.SplitCheck.boundary_bound_holds",
@@ -32,14 +32,12 @@ UNRUN_CALLABLES = {
 }
 
 # Defaulted parameters that no call in the package sets: the command line
-# of ``main``, the kernel constant the epsilon sweep and its minimum wait
-# to take from a check (ROADMAP item 1), and the split's chain allowance,
-# which waits for its derivation (ROADMAP item 6).
+# of ``main``, and the kernel constant the epsilon sweep and its minimum
+# wait to take from a check (ROADMAP item 1).
 UNSET_DEFAULTS = {
     "cli.main.argv",
     "inequality.eps_sweep.deta",
     "inequality.closed_form_minimum.deta",
-    "inequality.mollification_split_check.quad_tol",
 }
 
 # The seven subcommands at their defaults, and the two that draw plots.

@@ -9,8 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from holderforms import chains
 from holderforms.chains import (
     OneForm,
-    exterior_derivative,
-    integrate_two_form,
     measure_polygons,
     polygon_boundary_integrals,
     rectangle_corners,
@@ -23,8 +21,9 @@ from holderforms.grids import GridField, make_weierstrass
 from holderforms.inequality import mollify_one_form, one_form_cnorm
 from helpers import (
     AnalyticForm, ParamCurve, QuadratureError, adaptive_quadrature, circle,
-    curve_length, cut_strips, green_area, integrate_one_form, line_segment,
-    matched_ends, per_edge_quadrature, polygon_edges,
+    curve_length, cut_strips, exterior_derivative, green_area,
+    integrate_one_form, integrate_two_form, line_segment, matched_ends,
+    per_edge_quadrature, polygon_edges,
 )
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holderforms.chains
 import holderforms.cli
 import holderforms.decay
 import holderforms.inequality
@@ -47,21 +48,33 @@ class TestSubcommands:
         assert code == 0
         assert (outdir / "stokes.csv").exists()
 
-    def test_coarse_stokes_check_exits_1(self, tmp_path, capsys):
-        # at 2048 nodes the centred-difference error of d(alpha_eps),
-        # 1.27e-5, exceeds the 1e-5 bound of both checks: a failed check,
-        # not a numerical error
-        code, _ = run(["stokes-check", "--resolution", "2048"], tmp_path)
+    @pytest.mark.parametrize("resolution", ["512", "1024", "2048"])
+    def test_coarse_stokes_check_passes(self, resolution, tmp_path, capsys):
+        # every term of the split is an exact boundary integral, so no
+        # check depends on the grid resolving d(alpha_eps)
+        code, _ = run(["stokes-check", "--resolution", resolution], tmp_path)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "PASS stokes-mollified-weierstrass" in out
+        assert "PASS split-chain" in out
+        assert "FAIL" not in out
+
+    def test_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a check that fails is exit 1, not a numerical error
+        monkeypatch.setattr(holderforms.inequality.SplitCheck, "chain_holds",
+                            property(lambda self: False))
+        code, _ = run(["stokes-check"], tmp_path)
         assert code == 1
         out = capsys.readouterr().out
-        assert "FAIL stokes-mollified-weierstrass" in out
         assert "FAIL split-chain" in out
+        assert out.count("FAIL") == 1
+        assert out.endswith("1 assertion(s) failed\n")
 
     def test_stokes_check_integrates_its_grid_form_exactly(self, tmp_path,
                                                            monkeypatch):
         # every line integral is an exact polygon integral: the oracle's
-        # 64-gon and the mollified form's square in the runner, the form's
-        # and the difference's square in the split
+        # 64-gon in the runner, and the form's and the mollified form's
+        # square in the split
         calls = []
         real = holderforms.cli.polygon_boundary_integrals
 
@@ -74,7 +87,7 @@ class TestSubcommands:
                                 counting)
         code, outdir = run(["stokes-check"], tmp_path)
         assert code == 0
-        assert calls == [1, 1, 1, 1]
+        assert calls == [1, 1, 1]
         rows = (outdir / "stokes.csv").read_text().splitlines()
         case, value, reference, _ = rows[1].split(",")
         assert case == "x_dy_inscribed_64gon"
@@ -117,22 +130,26 @@ class TestSubcommands:
         assert code == 0
         assert calls == [0.05]
 
-    def test_stokes_check_takes_one_exterior_derivative(self, tmp_path,
-                                                        monkeypatch):
-        # the Stokes row reads the split's interior integral
+    def test_stokes_check_takes_no_exterior_derivative(self, tmp_path,
+                                                       monkeypatch):
+        # the interior term is a boundary integral (Stokes): the package
+        # has no 2-form path, and stokes-check takes no centred difference
+        for module in (holderforms.chains, holderforms.inequality,
+                       holderforms.cli):
+            assert not hasattr(module, "exterior_derivative")
+            assert not hasattr(module, "integrate_two_form")
         calls = []
-        real = holderforms.inequality.exterior_derivative
+        mollify_module = sys.modules["holderforms.mollify"]
+        real = mollify_module._centered_diff
 
-        def counting(alpha):
-            calls.append(alpha)
-            return real(alpha)
+        def counting(values, ax, h):
+            calls.append(values.shape)
+            return real(values, ax, h)
 
-        for module in (holderforms.inequality, holderforms.cli):
-            monkeypatch.setattr(module, "exterior_derivative", counting,
-                                raising=False)
+        monkeypatch.setattr(mollify_module, "_centered_diff", counting)
         code, _ = run(["stokes-check"], tmp_path)
         assert code == 0
-        assert len(calls) == 1
+        assert calls == []
 
     def test_stokes_check_computes_no_seminorm(self, tmp_path, monkeypatch):
         # it reads the split's terms and chain check, never its bounds
@@ -525,6 +542,12 @@ class TestConfig:
         ("[disks]\nj_min = 5\nj_max = 5", ["inequality"],
          "j = 5..5 at sigma = 0.5: need at least two scales with an "
          "unskipped square to fit a slope, got j = [5]"),
+        # at sigma <= 1/16 no square of decay's j = 2..6 family is small
+        # enough, so its constant K is 0 and the bound series is all 0
+        ("", ["decay", "--sigma", "0.05"],
+         "j = 2..6 at sigma = 0.05: the empirical constant K is 0 over 0 "
+         "square(s) that pass the smallness filter, and the decay bound "
+         "needs K > 0"),
         ("[common]\nslack = nan", ["mollify-check"], "slack"),
         ("", ["decay", "--mu", "1e7", "--nu", "0.3", "--k-max", "3"],
          "iterate k=2 at mu=10000000.0 reaches x = 1e+14, beyond the "

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import holderforms.inequality
 from holderforms.chains import (
@@ -30,6 +30,7 @@ from holderforms.inequality import (
     mollification_split_check,
     mollify_one_form,
     one_form_cnorm,
+    SplitCheck,
     theta_bracket,
     verify_main_inequality,
 )
@@ -348,20 +349,48 @@ SQUARE = (0.3, 0.3), (0.5, 0.5)  # the stokes-check square
 
 
 class TestSplitCheck:
-    """The chain is asserted at the CLI's default allowance, 1e-5."""
+    """Every term is an exact boundary integral, so the chain is the
+    floating-point triangle inequality, to one ulp of ``lhs``."""
 
     def test_split_bounds_on_weierstrass(self, stokes_form):
-        # the chain residual is 2.56e-6 at 4096 nodes
         chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
         assert chk.chain_holds
         assert chk.boundary_bound_holds
         assert chk.interior_bound_holds
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 6: at 2048 nodes the chain residual, 1.27e-5, is "
-        "above the fixed 1e-5 allowance"))
     def test_chain_holds_at_2048_nodes(self, w_form):
         assert mollification_split_check(w_form, *SQUARE, 0.05).chain_holds
+
+    @settings(max_examples=40, deadline=None)
+    @given(x0=st.floats(0.0, 1.0), y0=st.floats(-1.0, 1.0),
+           width=st.floats(1e-3, 0.5), height=st.floats(1e-3, 0.5),
+           epsilon=st.floats(0.005, 0.2))
+    def test_interior_is_the_closed_form_and_the_chain_holds(
+            self, w_form, x0, y0, width, height, epsilon):
+        # d(a dy) = a'(x) dx dy integrates to (y1 - y0)(a(x1) - a(x0)),
+        # read at the corners the rectangle is built with
+        lo, hi = (x0, y0), (x0 + width, y0 + height)
+        chk = mollification_split_check(w_form, lo, hi, epsilon)
+        (x0, y0), _, (x1, y1), _ = rectangle_corners(lo, hi)
+        a = chk.alpha_eps.a2.evaluate(np.array([[x0], [x1]]))
+        assert abs(chk.interior - (y1 - y0) * (a[1] - a[0])) <= 1e-15
+        assert chk.chain_holds
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(-1e6, 1e6), b=st.floats(-1e6, 1e6))
+    @example(a=-0.005445472771925581, b=-0.0006409900207965343)
+    def test_chain_holds_for_any_two_integrals(self, a, b):
+        # I(alpha) = a and I(alpha_eps) = b give the terms |a|, |a - b|, |b|
+        chk = SplitCheck(epsilon=0.05, lhs=abs(a), term_boundary=abs(a - b),
+                         interior=b, length=0.8, area=0.04, alpha_eps=None,
+                         alpha=None)
+        assert chk.chain_holds
+
+    def test_chain_needs_its_one_ulp(self):
+        # an equality in real numbers that rounding breaks by one ulp
+        a, b = -0.005445472771925581, -0.0006409900207965343
+        assert abs(a) > abs(a - b) + abs(b)
+        assert abs(a) - (abs(a - b) + abs(b)) == math.ulp(abs(a))
 
     def test_bounds_equal_the_measured_disk_bounds(self, w_form, w_cnorm):
         # the bounds read only length and area
@@ -392,20 +421,22 @@ class TestSplitCheck:
         assert calls == [0.5]
 
     def test_split_terms_are_exact_boundary_integrals(self, stokes_form):
-        # |int alpha| and |int (alpha - alpha_eps)| on the square are the
-        # exact integrals, and the triangle inequality closes them with
-        # the exact integral of alpha_eps
+        # |int alpha| and int alpha_eps on the square are the exact
+        # integrals, and |int (alpha - alpha_eps)| is their difference,
+        # which the integral of the difference form equals to rounding
         chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
         corners = [rectangle_corners(*SQUARE)]
-        alpha_eps = chk.alpha_eps
+        a2, b2 = stokes_form.a2, chk.alpha_eps.a2
         assert stokes_form.a1 is None  # x dy-type: a2 only
-        diff = OneForm(None, stokes_form.a2 - alpha_eps.a2, 0.5)
+        diff = OneForm(None, GridField(a2.lo, a2.hi, a2.resolution,
+                                       a2.values - b2.values), 0.5)
         ((lhs,), (term,), (smooth,)) = (
             polygon_boundary_integrals(form, corners)
-            for form in (stokes_form, diff, alpha_eps))
+            for form in (stokes_form, diff, chk.alpha_eps))
         assert chk.lhs == abs(lhs)
-        assert chk.term_boundary == abs(term)
-        assert chk.lhs <= chk.term_boundary + abs(smooth) + 1e-15
+        assert chk.interior == smooth
+        assert chk.term_boundary == abs(lhs - smooth)
+        assert abs(chk.term_boundary - abs(term)) <= 1e-15
 
     def test_empty_or_analytic_form_never_reaches_mollify(self, w_form):
         # an empty form used to mollify silently to an empty form, and an
@@ -419,10 +450,7 @@ class TestSplitCheck:
 
     def test_1d_form_boundary_term(self):
         # on the square only its two vertical edges carry a2 dy, so the
-        # boundary term is 0.2 |d(0.5) - d(0.3)| for d = a2 - a2_eps.  The
-        # chain check's margin is the centred-difference error of d a2_eps,
-        # about 4.5e-6 here; at 2049 nodes it is 1.7e-5, above
-        # quad_tol = 1e-5.
+        # boundary term is 0.2 |d(0.5) - d(0.3)| for d = a2 - a2_eps
         n = 4097
         a2 = make_weierstrass(0.5, 2, 6, n)
         chk = mollification_split_check(OneForm(None, a2, 0.5), *SQUARE, 0.05)

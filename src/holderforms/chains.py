@@ -27,7 +27,6 @@ lines only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +70,6 @@ def _read_component(c, pts: np.ndarray) -> np.ndarray:
     return c.evaluate(pts[..., :c.dim])
 
 
-@dataclass(frozen=True)
 class OneForm:
     """Grid-sampled 1-form a1 dx + a2 dy.
 
@@ -81,12 +79,9 @@ class OneForm:
     share one grid.
     """
 
-    a1: object
-    a2: object
-    theta: float
-
-    def __post_init__(self):
-        comps = (self.a1, self.a2)
+    def __init__(self, a1, a2, theta: float):
+        self.a1, self.a2, self.theta = a1, a2, theta
+        comps = (a1, a2)
         grids = self.grid_components()
         if not grids or any(c is not None and not isinstance(c, GridField)
                             for c in comps):
@@ -105,15 +100,11 @@ class OneForm:
         return [c for c in (self.a1, self.a2) if isinstance(c, GridField)]
 
 
-@dataclass(frozen=True)
 class ChainMeasures:
-    length: float
-    area: float
-    diameter: float
-
-    def __post_init__(self):
-        if not all(v >= 0.0 for v in (self.length, self.area, self.diameter)):
+    def __init__(self, length: float, area: float, diameter: float):
+        if not all(v >= 0.0 for v in (length, area, diameter)):
             raise ValueError("measures must be nonnegative numbers")
+        self.length, self.area, self.diameter = length, area, diameter
 
 
 def _polygon_edges(corners):

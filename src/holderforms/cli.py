@@ -6,9 +6,11 @@ seed gives byte-identical CSVs.  Exit codes:
 
 * 0: every assertion passed;
 * 1: an assertion failed;
-* 2: configuration error (``config error: ...`` on stderr), or a command
-  line that does not parse (the usage and ``holderforms: error: ...``, or
-  ``holderforms <command>: error: ...`` once the command is named);
+* 2: configuration error (``config error: ...`` on stderr), among them a
+  config file that is missing, unreadable or malformed and an output path
+  that is not a directory, or a command line that does not parse (the
+  usage and ``holderforms: error: ...``, or ``holderforms <command>:
+  error: ...`` once the command is named);
 * 3: numerical error, i.e. a grid too coarse for its form, an eigenvalue
   modulus too close to 1 to classify, or a decay strip count too small for
   the smallness threshold (``numerical error: ...`` on stderr, with the
@@ -22,8 +24,8 @@ environment variable (flag > config > env > default).
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
+import gc
 import math
 import os
 import random
@@ -55,7 +57,6 @@ from .experiments import (
     weierstrass_form, dyadic_square_family,
     family_scale_slope, random_convex_polygon_vertices,
 )
-from . import svgplot
 
 KNOWN_KEYS = {
     "common": {"seed", "slack", "sigma", "outdir"},
@@ -102,32 +103,51 @@ class Checks:
         return ok
 
 
-def load_config(path: str | None) -> configparser.ConfigParser:
+def load_config(path: str | None) -> dict:
+    """The INI file at ``path`` as ``{section: {key: raw value}}``; ``{}``
+    when no path is given, so that only a run with ``--config`` imports
+    configparser.
+
+    A file that cannot be read, or that configparser rejects (no section
+    header, a duplicate key, a bad interpolation), and an unknown section
+    or key raise ``ConfigError`` naming it.
+    """
+    if not path:
+        return {}
+    import configparser
+
+    if not os.path.exists(path):
+        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
-    if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        cp.read(path)
-        for section in cp.sections():
-            if section not in KNOWN_KEYS:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key in cp[section]:
-                if key not in KNOWN_KEYS[section]:
-                    raise ConfigError(
-                        f"unknown key '{key}' in section [{section}]")
-    return cp
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+        config = {section: dict(cp[section]) for section in cp.sections()}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
+    for section, values in config.items():
+        if section not in KNOWN_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in values:
+            if key not in KNOWN_KEYS[section]:
+                raise ConfigError(
+                    f"unknown key '{key}' in section [{section}]")
+    return config
 
 
-def cfg_get(cp, section, key, cast, default, override=None):
+def cfg_get(cfg, section, key, cast, default, override=None):
     if override is not None:
         return override
-    if cp.has_option(section, key):
-        raw = cp.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    return default
+    values = cfg.get(section, {})
+    if key not in values:
+        return default
+    try:
+        return cast(values[key])
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
 def _positive(name, value):
@@ -158,19 +178,19 @@ def _theta_open(name, value):
 
 # --- subcommands -----------------------------------------------------------
 
-def run_mollify_check(args, cp, outdir: Path, checks: Checks) -> None:
-    theta = _theta_open("theta", cfg_get(cp, "form", "theta", float, 0.5,
+def run_mollify_check(args, cfg, outdir: Path, checks: Checks) -> None:
+    theta = _theta_open("theta", cfg_get(cfg, "form", "theta", float, 0.5,
                                          args.theta))
-    base = _at_least("base", cfg_get(cp, "form", "base", int, 2), 2)
-    terms = _at_least("terms", cfg_get(cp, "form", "terms", int, 8), 1)
-    res = _positive("resolution", cfg_get(cp, "form", "resolution", int, 2048,
+    base = _at_least("base", cfg_get(cfg, "form", "base", int, 2), 2)
+    terms = _at_least("terms", cfg_get(cfg, "form", "terms", int, 8), 1)
+    res = _positive("resolution", cfg_get(cfg, "form", "resolution", int, 2048,
                                           args.resolution))
     epsilons = [_positive("epsilons", e) for e in cfg_get(
-        cp, "mollify", "epsilons", lambda raw: list(map(float, raw.split())),
+        cfg, "mollify", "epsilons", lambda raw: list(map(float, raw.split())),
         [0.02, 0.05, 0.1])]
     if not epsilons:
         raise ConfigError("[mollify] epsilons: need at least one value")
-    slack = _positive("slack", cfg_get(cp, "common", "slack", float, 1.05))
+    slack = _positive("slack", cfg_get(cfg, "common", "slack", float, 1.05))
 
     for n in (1, 2):
         a = normalization_constant(n)
@@ -190,7 +210,7 @@ def run_mollify_check(args, cp, outdir: Path, checks: Checks) -> None:
                      f"{r.measured_d:.6g} <= {r.bound_d * slack:.6g}")
 
 
-def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
+def run_stokes_check(args, cfg, outdir: Path, checks: Checks) -> None:
     rows = []
     # x on [-2, 2] at 9 exact nodes; its seam cell [1.5, 2] misses the polygon
     x = np.append(np.arange(-2.0, 2.0, 0.5), -2.0)
@@ -204,9 +224,9 @@ def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
     checks.check("stokes-oracle-x-dy", err <= 1e-6,
                  f"|{area:.10f} - {val:.10f}|={err:.2e}")
 
-    theta = _theta_open("theta", cfg_get(cp, "form", "theta", float, 0.5,
+    theta = _theta_open("theta", cfg_get(cfg, "form", "theta", float, 0.5,
                                          args.theta))
-    res = _positive("resolution", cfg_get(cp, "form", "resolution", int, 4096,
+    res = _positive("resolution", cfg_get(cfg, "form", "resolution", int, 4096,
                                           args.resolution))
     alpha = weierstrass_form(theta, resolution=res)
     lo, hi = (0.3, 0.3), (0.5, 0.5)
@@ -229,17 +249,17 @@ def run_stokes_check(args, cp, outdir: Path, checks: Checks) -> None:
               ["case", "value", "reference", "abs_error"], rows)
 
 
-def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
-    theta = _theta_open("theta", cfg_get(cp, "form", "theta", float, 0.5,
+def run_inequality(args, cfg, outdir: Path, checks: Checks) -> None:
+    theta = _theta_open("theta", cfg_get(cfg, "form", "theta", float, 0.5,
                                          args.theta))
-    base = _at_least("base", cfg_get(cp, "form", "base", int, 2), 2)
-    terms = _at_least("terms", cfg_get(cp, "form", "terms", int, 8), 1)
-    res = _positive("resolution", cfg_get(cp, "form", "resolution", int, 2048,
+    base = _at_least("base", cfg_get(cfg, "form", "base", int, 2), 2)
+    terms = _at_least("terms", cfg_get(cfg, "form", "terms", int, 8), 1)
+    res = _positive("resolution", cfg_get(cfg, "form", "resolution", int, 2048,
                                           args.resolution))
-    j_min = cfg_get(cp, "disks", "j_min", int, 2)
-    j_max = _at_least("j_max", cfg_get(cp, "disks", "j_max", int, 8), j_min)
-    anchors = _at_least("anchors", cfg_get(cp, "disks", "anchors", int, 8), 1)
-    sigma = _positive("sigma", cfg_get(cp, "common", "sigma", float, 0.5,
+    j_min = cfg_get(cfg, "disks", "j_min", int, 2)
+    j_max = _at_least("j_max", cfg_get(cfg, "disks", "j_max", int, 8), j_min)
+    anchors = _at_least("anchors", cfg_get(cfg, "disks", "anchors", int, 8), 1)
+    sigma = _positive("sigma", cfg_get(cfg, "common", "sigma", float, 0.5,
                                        args.sigma))
 
     alpha = weierstrass_form(theta, base, terms, res)
@@ -260,6 +280,8 @@ def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
                  f"K={emp_k:.4f}")
     checks.check("scale-slope", slope <= 0.1, f"slope={slope:.4f}")
     if args.svg:
+        from . import svgplot
+
         js = sorted(per_scale)
         svgplot.line_plot(outdir / "inequality_ratio.svg",
                           [2.0 ** (-j) for j in js],
@@ -268,7 +290,7 @@ def run_inequality(args, cp, outdir: Path, checks: Checks) -> None:
                           ylabel="ratio", logx=True, logy=True)
 
 
-def run_isoperimetric(args, cp, outdir: Path, checks: Checks) -> None:
+def run_isoperimetric(args, cfg, outdir: Path, checks: Checks) -> None:
     rows = []
     rep = isoperimetric_check(2.0 * math.pi, math.pi)
     rows.append(["unit_disk", rep.length, rep.area, rep.bound,
@@ -292,19 +314,19 @@ def run_isoperimetric(args, cp, outdir: Path, checks: Checks) -> None:
               ["case", "length", "area", "bound", "gap"], rows)
 
 
-def run_criteria(args, cp, outdir: Path, checks: Checks) -> None:
-    entries_raw = cfg_get(cp, "matrix", "entries", str, "2 1 1 1",
+def run_criteria(args, cfg, outdir: Path, checks: Checks) -> None:
+    entries_raw = cfg_get(cfg, "matrix", "entries", str, "2 1 1 1",
                           args.matrix)
     entries = _config_call(lambda: [int(x) for x in entries_raw.split()])
     n = int(round(math.sqrt(len(entries))))
     if n * n != len(entries):
         raise ConfigError("matrix entries must form a square matrix "
                           "(row-major)")
-    theta = _theta_open("theta", cfg_get(cp, "matrix", "theta", float, 0.5,
+    theta = _theta_open("theta", cfg_get(cfg, "matrix", "theta", float, 0.5,
                                          args.theta))
-    ell = _at_least("ell", cfg_get(cp, "matrix", "ell", int, 0, args.ell), 0)
+    ell = _at_least("ell", cfg_get(cfg, "matrix", "ell", int, 0, args.ell), 0)
     extra = _at_least("extra_center_dims",
-                      cfg_get(cp, "matrix", "extra_center_dims", int, 0,
+                      cfg_get(cfg, "matrix", "extra_center_dims", int, 0,
                               args.extra_center_dims), 0)
     A = _config_call(toral_automorphism, np.array(entries).reshape(n, n))
     rates = spectral_rates(A, extra_center_dims=extra)
@@ -337,7 +359,7 @@ def run_criteria(args, cp, outdir: Path, checks: Checks) -> None:
                "threshold_in_range"], rows)
 
 
-def run_pisot(args, cp, outdir: Path, checks: Checks) -> None:
+def run_pisot(args, cfg, outdir: Path, checks: Checks) -> None:
     rep = pisot_example()
     print(f"xi={rep.xi:.10f} eta={rep.eta:.10f}")
     print(f"accessibility threshold = {rep.accessibility_threshold:.12f}")
@@ -357,19 +379,19 @@ def run_pisot(args, cp, outdir: Path, checks: Checks) -> None:
                 rep.accessibility_threshold, rep.standard_theta]])
 
 
-def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
-    mu = _positive("mu", cfg_get(cp, "decay", "mu", float, 1.5, args.mu))
-    nu = _positive("nu", cfg_get(cp, "decay", "nu", float, 0.4, args.nu))
-    theta = _theta_open("theta", cfg_get(cp, "form", "theta", float, 0.5,
+def run_decay(args, cfg, outdir: Path, checks: Checks) -> None:
+    mu = _positive("mu", cfg_get(cfg, "decay", "mu", float, 1.5, args.mu))
+    nu = _positive("nu", cfg_get(cfg, "decay", "nu", float, 0.4, args.nu))
+    theta = _theta_open("theta", cfg_get(cfg, "form", "theta", float, 0.5,
                                          args.theta))
-    sigma = _positive("sigma", cfg_get(cp, "common", "sigma", float, 0.5,
+    sigma = _positive("sigma", cfg_get(cfg, "common", "sigma", float, 0.5,
                                        args.sigma))
-    k_min = int(cfg_get(cp, "decay", "k_min", int, 0))
-    k_max = int(cfg_get(cp, "decay", "k_max", int, 8, args.k_max))
-    u_len = _positive("u_len", cfg_get(cp, "decay", "u_len", float, 0.4))
-    s_len = _positive("s_len", cfg_get(cp, "decay", "s_len", float, 0.1))
-    c1 = _positive("c1", cfg_get(cp, "decay", "c1", float, 1.0))
-    terms = _at_least("terms", cfg_get(cp, "form", "terms", int, 6), 1)
+    k_min = int(cfg_get(cfg, "decay", "k_min", int, 0))
+    k_max = int(cfg_get(cfg, "decay", "k_max", int, 8, args.k_max))
+    u_len = _positive("u_len", cfg_get(cfg, "decay", "u_len", float, 0.4))
+    s_len = _positive("s_len", cfg_get(cfg, "decay", "s_len", float, 0.1))
+    c1 = _positive("c1", cfg_get(cfg, "decay", "c1", float, 1.0))
+    terms = _at_least("terms", cfg_get(cfg, "form", "terms", int, 6), 1)
 
     model = _config_call(LinearModel, mu, nu)
     rect = USRectangle((0.05, 0.05), u_len, s_len)
@@ -421,6 +443,8 @@ def run_decay(args, cp, outdir: Path, checks: Checks) -> None:
                  abs(fitted - predicted) <= 0.1 * predicted,
                  f"fitted={fitted:.4f} predicted={predicted:.4f}")
     if args.svg:
+        from . import svgplot
+
         svgplot.line_plot(outdir / "decay_bound.svg",
                           [s.k for s in series.steps],
                           [s.bound for s in series.steps],
@@ -503,15 +527,19 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        cp = load_config(args.config)
-        args.seed = int(cfg_get(cp, "common", "seed", int, 0, args.seed))
+        cfg = load_config(args.config)
+        args.seed = int(cfg_get(cfg, "common", "seed", int, 0, args.seed))
         outdir = Path(
             args.outdir
-            or cfg_get(cp, "common", "outdir", str, None)
+            or cfg_get(cfg, "common", "outdir", str, None)
             or os.environ.get("HOLDERFORMS_OUTDIR", "holderforms-out"))
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {outdir}: "
+                              f"{exc.strerror}") from exc
         checks = Checks()
-        RUNNERS[args.command](args, cp, outdir, checks)
+        RUNNERS[args.command](args, cfg, outdir, checks)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -525,6 +553,10 @@ def main(argv=None) -> int:
     print("all assertions passed")
     return 0
 
+
+# every object built so far, the parser and the module tables among them,
+# lives until exit: frozen, the cyclic GC no longer scans them in a run
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

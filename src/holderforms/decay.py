@@ -27,8 +27,8 @@ upper bound and the telescoping identity, which is what the argument needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class DecayRangeError(OverflowError):
     holds."""
 
 
-@dataclass(frozen=True)
 class LinearModel:
     """2x2 hyperbolic model with rates mu > 1 > nu > 0 (diagonal action).
 
@@ -77,26 +76,20 @@ class LinearModel:
     exactly diag(mu, nu).
     """
 
-    mu: float
-    nu: float
-
-    def __post_init__(self):
-        if not (self.mu > 1.0 > self.nu > 0.0):
+    def __init__(self, mu: float, nu: float):
+        if not (mu > 1.0 > nu > 0.0):
             raise ValueError("need mu > 1 > nu > 0 (eigenvalues split across "
-                             f"1), got mu={self.mu}, nu={self.nu}")
+                             f"1), got mu={mu}, nu={nu}")
+        self.mu, self.nu = mu, nu
 
 
-@dataclass(frozen=True)
 class USRectangle:
     """Axis-aligned rectangle: unstable-direction base edge, stable sides."""
 
-    corner: tuple
-    u_len: float
-    s_len: float
-
-    def __post_init__(self):
-        if self.u_len <= 0.0 or self.s_len <= 0.0:
+    def __init__(self, corner: tuple, u_len: float, s_len: float):
+        if u_len <= 0.0 or s_len <= 0.0:
             raise ValueError("edge lengths must be positive")
+        self.corner, self.u_len, self.s_len = corner, u_len, s_len
 
     @property
     def boundary_length(self) -> float:
@@ -152,8 +145,7 @@ def _batches(cuts):
         yield first, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-@dataclass(frozen=True)
-class StripCount:
+class StripCount(NamedTuple):
     k: int
     n0: float                # lower edge of the permitted band
     n: int | None            # chosen count; None when k is pre-asymptotic
@@ -175,8 +167,7 @@ def choose_strip_count(k: int, model: LinearModel, rect: USRectangle,
     return StripCount(k, n0, n, True)
 
 
-@dataclass(frozen=True)
-class DecayStep:
+class DecayStep(NamedTuple):
     k: int
     n0: float
     n: int
@@ -187,8 +178,7 @@ class DecayStep:
     lhs_whole: float             # boundary integral of the whole iterate
 
 
-@dataclass(frozen=True)
-class DecaySeries:
+class DecaySeries(NamedTuple):
     theta: float
     sigma: float
     c1: float

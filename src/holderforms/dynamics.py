@@ -11,7 +11,7 @@ each polished by Newton iteration to ~1e-14 so the closed-form identities
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,19 +80,16 @@ def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class ToralAutomorphism:
     """Integer matrix with |det| = 1 acting on the torus T^n (n <= 4)."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix)
+    def __init__(self, matrix: np.ndarray):
+        M = np.asarray(matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] > 4:
             raise ValueError("need a square matrix of size <= 4")
         if not np.array_equal(M, np.round(M)):
             raise ValueError("matrix entries must be integers")
-        object.__setattr__(self, "matrix", M.astype(np.int64))
+        self.matrix = M.astype(np.int64)
         det = self.det
         if abs(det) != 1:
             raise ValueError(f"|det| must be 1 (volume preserving), got {det}")
@@ -148,8 +145,7 @@ def companion_matrix(c2: int, c1: int, c0: int) -> ToralAutomorphism:
     return ToralAutomorphism(M)
 
 
-@dataclass(frozen=True)
-class SpectralRates:
+class SpectralRates(NamedTuple):
     """Grouped eigenvalue moduli of a (partially) hyperbolic linear map.
 
     Empty stable/unstable groups leave the corresponding rate at None;
@@ -212,8 +208,7 @@ def spectral_rates(A: ToralAutomorphism,
     )
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     name: str
     value: float
     holds: bool              # value < 1, strictly
@@ -281,8 +276,7 @@ def standard_holder_bound(rates: SpectralRates) -> float:
     return min(theta, 1.0)
 
 
-@dataclass(frozen=True)
-class PisotReport:
+class PisotReport(NamedTuple):
     xi: float
     eta: float
     det: int

@@ -26,8 +26,7 @@ Weierstrass form ``W(x) dy`` costs what its 1-D column costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,7 +78,6 @@ def _as_tuple(x, dim, cast):
     return t
 
 
-@dataclass(frozen=True)
 class GridField:
     """Uniformly sampled scalar function on a flat torus, bilinear between
     nodes.
@@ -91,30 +89,27 @@ class GridField:
     interpolant is continuous across the seam.
     """
 
-    lo: tuple
-    hi: tuple
-    resolution: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        dim = len(self.resolution)
+    def __init__(self, lo: tuple, hi: tuple, resolution: tuple,
+                 values: np.ndarray):
+        dim = len(resolution)
         if dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
-        if any(r < 2 for r in self.resolution):
+        if any(r < 2 for r in resolution):
             raise ValueError("resolution must be >= 2 per axis")
-        v = np.array(self.values, dtype=float)
-        if v.shape != tuple(self.resolution):
-            raise ValueError(f"values shape {v.shape} != resolution {self.resolution}")
+        v = np.array(values, dtype=float)
+        if v.shape != tuple(resolution):
+            raise ValueError(f"values shape {v.shape} != resolution {resolution}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         for ax in range(dim):
-            if self.hi[ax] <= self.lo[ax]:
+            if hi[ax] <= lo[ax]:
                 raise ValueError("domain must have positive extent")
             first = np.take(v, 0, axis=ax)
             last = np.take(v, -1, axis=ax)
             if np.any(np.abs(first - last) > 1e-10):
                 raise ValueError(f"axis {ax}: endpoint values differ")
-        object.__setattr__(self, "values", _matched_ends(v))
+        self.lo, self.hi, self.resolution = lo, hi, resolution
+        self.values = _matched_ends(v)
 
     @property
     def dim(self) -> int:
@@ -182,8 +177,7 @@ class GridField:
         return cls(lo, hi, resolution, _matched_ends(vals))
 
 
-@dataclass(frozen=True)
-class HolderEstimate:
+class HolderEstimate(NamedTuple):
     """sup|f| and an upper bound for the theta-Holder seminorm of the
     interpolant.
 

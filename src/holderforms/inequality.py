@@ -15,8 +15,8 @@ and does not yet assert it against that constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +82,7 @@ def closed_form_minimum(cnorm: float, area: float, length: float,
             * length ** (1.0 - theta) * area ** theta)
 
 
-@dataclass(frozen=True)
-class EpsSweep:
+class EpsSweep(NamedTuple):
     epsilons: np.ndarray
     bounds: np.ndarray
     argmin_index: int
@@ -120,8 +119,7 @@ def isoperimetric_constant(n: int) -> float:
     return 1.0 / (4.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class IsoperimetricReport:
+class IsoperimetricReport(NamedTuple):
     length: float
     area: float
     bound: float        # C_2 * length^2
@@ -154,7 +152,6 @@ def mollify_one_form(alpha: OneForm, epsilon: float) -> OneForm:
     return OneForm(m(alpha.a1), m(alpha.a2), alpha.theta)
 
 
-@dataclass(frozen=True)
 class SplitCheck:
     """The subtract-and-add estimate, instantiated and measured.
 
@@ -169,14 +166,19 @@ class SplitCheck:
     the bound checks compare each term with its bound itself.
     """
 
-    epsilon: float
-    lhs: float               # |int_dD alpha|
-    term_boundary: float     # |int_dD (alpha - alpha_eps)|
-    interior: float          # int_D d alpha_eps
-    length: float            # |dD|
-    area: float              # |D|
-    alpha_eps: OneForm       # the mollified form the terms were measured on
-    alpha: OneForm           # the form whose C^theta norm scales the bounds
+    def __init__(self, epsilon: float, lhs: float, term_boundary: float,
+                 interior: float, length: float, area: float,
+                 alpha_eps: OneForm, alpha: OneForm):
+        self.epsilon = epsilon
+        self.lhs = lhs                      # |int_dD alpha|
+        self.term_boundary = term_boundary  # |int_dD (alpha - alpha_eps)|
+        self.interior = interior            # int_D d alpha_eps
+        self.length = length                # |dD|
+        self.area = area                    # |D|
+        # the mollified form the terms were measured on, and the form whose
+        # C^theta norm scales the bounds
+        self.alpha_eps = alpha_eps
+        self.alpha = alpha
 
     @cached_property
     def cnorm(self) -> float:
@@ -257,8 +259,7 @@ def mollification_split_check(alpha: OneForm, lo, hi,
     )
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Per-disk comparison |int_dD alpha| vs cnorm |dD|^(1-theta) |D|^theta."""
 
     disk_id: str

@@ -26,8 +26,8 @@ to rounding (1.8e-14 relative on the CLI derivative bound), not bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -186,8 +186,7 @@ def grad_supnorm(u: GridField) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class RegularizationReport:
+class RegularizationReport(NamedTuple):
     """Measured-vs-bound record for the sup, approximation and derivative bounds."""
 
     epsilon: float

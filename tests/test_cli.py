@@ -230,7 +230,11 @@ class TestNumericalErrors:
         assert "k=0; N=2" in err
 
 
-HEAVY_MODULES = ("scipy", "numpy.random", "numpy.polynomial")
+# numpy.polynomial and numpy.random are heavy; dataclasses would generate
+# the code of every record at import, and configparser is read only with
+# --config
+HEAVY_MODULES = ("scipy", "numpy.random", "numpy.polynomial", "dataclasses",
+                 "configparser")
 
 # Runs each subcommand at its defaults, in turn, through cli.main; prints,
 # per subcommand, its exit code and the modules named in argv loaded so far.
@@ -275,9 +279,26 @@ class TestImports:
     def test_no_subcommand_loads_a_heavy_module(self, tmp_path):
         # every run is a new process: the GL rule is a table and the
         # polygons are drawn by the stdlib, so neither numpy.polynomial nor
-        # numpy.random is loaded
-        seen = json.loads(run_fresh(RUN_ALL, str(tmp_path), *HEAVY_MODULES))
+        # numpy.random is loaded; nor is the SVG writer without --svg
+        seen = json.loads(run_fresh(RUN_ALL, str(tmp_path), *HEAVY_MODULES,
+                                    "holderforms.svgplot"))
         assert seen == {cmd: [0, []] for cmd in holderforms.cli.FLAGS}
+
+    def test_svg_runs_load_svgplot(self, tmp_path):
+        code = ("import contextlib, io, sys, holderforms.cli as cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = cli.main([sys.argv[1], '--svg', '--outdir',"
+                " sys.argv[2]])\n"
+                "print(rc, 'holderforms.svgplot' in sys.modules)")
+        for cmd in ("inequality", "decay"):
+            assert run_fresh(code, cmd, str(tmp_path)).split() == \
+                ["0", "True"]
+
+    def test_cli_import_freezes_its_objects(self):
+        # the objects built at import live until exit; frozen, no cyclic
+        # collection during a run scans them again
+        code = "import gc, holderforms.cli; print(gc.get_freeze_count())"
+        assert int(run_fresh(code)) > 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc/self/task to count threads")
@@ -500,6 +521,51 @@ class TestConfig:
         ini.write_text("[nosuch]\nseed = 1\n")
         code, _ = run(["pisot", "--config", str(ini)], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("text,message", [
+        (b"theta = 0.5\n", "File contains no section headers"),
+        (b"[common]\nseed = 1\nseed = 2\n", "'seed' in section 'common' "
+         "already exists"),
+        (b"[common]\nseed = %(x)s\n", "interpolation key 'x'"),
+        (b"[common]\nseed = 1%\n", "'%' must be followed by"),
+        (b"\xff[common]\n", "can't decode byte 0xff"),
+    ], ids=["no-section-header", "duplicate-key", "missing-interpolation",
+            "bad-interpolation", "undecodable"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text,
+                                           message):
+        # configparser's errors are config errors that name the file, not
+        # tracebacks with exit 1
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text)
+        code, _ = run(["pisot", "--config", str(ini)], tmp_path)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config file {ini}: ")
+        assert message in captured.err
+        assert "PASS" not in captured.out
+
+    def test_directory_as_config_file_exits_2(self, tmp_path, capsys):
+        # a directory was skipped without a word, and the run took the
+        # defaults
+        code, _ = run(["pisot", "--config", str(tmp_path)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config file {tmp_path}: "
+            f"Is a directory\n")
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_outdir_that_is_not_a_directory_exits_2(self, tmp_path, capsys,
+                                                    monkeypatch, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "sub" if under else blocker
+        assert main(["pisot", "--outdir", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory "
+                              f"{target}: ")
+        monkeypatch.setenv("HOLDERFORMS_OUTDIR", str(target))
+        assert main(["pisot"]) == 2
+        assert str(target) in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["inequality", "--sigma", "nan"],

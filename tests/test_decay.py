@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -274,7 +273,7 @@ def one_by_one(form):
 
 def hexed(steps):
     return [[v.hex() if isinstance(v, float) else v
-             for v in dataclasses.astuple(s)] for s in steps]
+             for v in tuple(s)] for s in steps]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 16384])

@@ -5,7 +5,8 @@ __version__ = "0.1.0"
 
 import os
 
-# one OpenBLAS thread unless set: no BLAS/LAPACK operand here exceeds 4x4
+# one OpenBLAS thread unless set: numpy loads OpenBLAS at import, but no
+# run calls BLAS or LAPACK
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .grids import (

@@ -1,11 +1,20 @@
 """Rate algebra for linear toral maps.
 
 Spectral rates are eigenvalue moduli (sharp for linear maps in an adapted
-metric, so the comparison constant is 1).  One exact Faddeev-LeVerrier run
-in integers gives an n <= 4 integer matrix's characteristic polynomial,
-determinant and integer inverse.  Eigenvalues are the polynomial's roots,
-each polished by Newton iteration to ~1e-14 so the closed-form identities
-(reciprocal duality, unimodular obstruction) hold to tight tolerance.
+metric, so the comparison constant is 1).  Building a ``ToralAutomorphism``
+runs Faddeev-LeVerrier once, exactly in integers, for the n <= 4 matrix's
+characteristic polynomial, determinant and integer inverse.
+
+Eigenvalues are the polynomial's roots, found without LAPACK.  Yun's
+algorithm, on primitive pseudo-remainders in Python integers, splits the
+polynomial exactly into square-free factors, and the exponent of each factor
+is the multiplicity of its roots.  A factor's roots are simple:
+Durand-Kerner from fixed starting points finds them and Newton on the factor
+polishes each to ~1e-14, so a multiple root is as accurate as a simple one
+and the closed-form identities (reciprocal duality, unimodular obstruction)
+hold to tight tolerance.  A Sturm sequence in integers counts each factor's
+real roots; those have imaginary part exactly 0, and the others come as
+exact conjugate pairs.
 """
 
 from __future__ import annotations
@@ -61,23 +70,136 @@ def _faddeev_leverrier(M: np.ndarray) -> tuple[list[int], np.ndarray]:
     return coeffs, N
 
 
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton-polish each root: at most 50 steps, until a step is at most
-    1e-14 relative to the root (absolute below modulus 1)."""
-    dcoeffs = np.polyder(coeffs)
-    out = roots.astype(complex).copy()
-    for i, z in enumerate(out):
-        for _ in range(50):
-            p = np.polyval(coeffs, z)
-            dp = np.polyval(dcoeffs, z)
-            if dp == 0:
-                break
-            step = p / dp
-            z = z - step
-            if abs(step) <= 1e-14 * max(1.0, abs(z)):
-                break
-        out[i] = z
-    return out
+def _trim(p: list[int]) -> list[int]:
+    """``p`` without leading zeros; the zero polynomial is ``[]``."""
+    while p and p[0] == 0:
+        p = p[1:]
+    return p
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """``p`` over the gcd of its coefficients, leading coefficient > 0."""
+    p = _trim(p)
+    g = math.gcd(*p) if p and p[0] > 0 else -math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _derivative(p: list) -> list:
+    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+
+
+def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division: ``(q, r)`` with lc(b)^k a = q b + r, k = deg a -
+    deg b + 1 and deg r < deg b; for a monic ``b``, quotient and remainder."""
+    q, r = [], a
+    while len(r) >= len(b):
+        q = [b[0] * c for c in q] + [r[0]]
+        r = [b[0] * c - r[0] * (b[i] if i < len(b) else 0)
+             for i, c in enumerate(r)][1:]
+    return q, _trim(r)
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, from the primitive
+    pseudo-remainder sequence.  A divisor of a monic integer polynomial
+    comes out monic (Gauss's lemma), so dividing by it is exact."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_divide(a, b)[1])
+    return a
+
+
+def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free split of the monic ``f``: pairs ``(g, m)`` of monic,
+    square-free, pairwise coprime integer polynomials of positive degree
+    with ``f = prod g^m``."""
+    a = _gcd(f, _derivative(f))
+    b, c = _divide(f, a)[0], _divide(_derivative(f), a)[0]
+    factors, m = [], 1
+    while len(b) > 1:
+        db = _derivative(b)          # deg c <= deg b'
+        d = _trim([x - y for x, y in zip([0] * (len(db) - len(c)) + c, db)])
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((a, m))
+        b, c, m = _divide(b, a)[0], _divide(d, a)[0], m + 1
+    return factors
+
+
+def _real_root_count(g: list[int]) -> int:
+    """Number of real roots of the square-free ``g``: the sign changes of
+    its Sturm sequence, in integers, at -inf less those at +inf."""
+    seq = [g, _derivative(g)]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2:]
+        r = _divide(a, b)[1]
+        # -rem(a, b) is -r / lc(b)^(deg a - deg b + 1); scale by |content|
+        k = math.gcd(*r)
+        if b[0] > 0 or (len(a) - len(b)) % 2:
+            k = -k
+        seq.append([c // k for c in r])
+    changes = 0
+    for a, b in zip(seq, seq[1:]):
+        same = (a[0] > 0) == (b[0] > 0)
+        # a sign change at -inf less one at +inf
+        changes += (same == (len(a) - len(b)) % 2) - (not same)
+    return changes
+
+
+def _horner(p, z):
+    v = 0
+    for c in p:
+        v = v * z + c
+    return v
+
+
+def _newton(p, dp, z):
+    """Newton-polish ``z`` on ``p`` (derivative ``dp``): at most 50 steps,
+    until a step is at most 1e-14 relative to the root (absolute below
+    modulus 1)."""
+    for _ in range(50):
+        d = _horner(dp, z)
+        if d == 0:
+            break
+        step = _horner(p, z) / d
+        z -= step
+        if abs(step) <= 1e-14 * max(1.0, abs(z)):
+            break
+    return z
+
+
+def _factor_roots(g: list[int]) -> list[complex]:
+    """Roots of the monic square-free ``g``: Durand-Kerner from fixed points
+    inside Cauchy's bound, then Newton on ``g``.  As many roots as the Sturm
+    count are real, with imaginary part 0; the rest are conjugate pairs."""
+    d = len(g) - 1
+    if d == 1:
+        return [complex(-g[1])]
+    p = [float(c) for c in g]
+    dp = _derivative(p)
+    z = [(1.0 + max(map(abs, p[1:]))) * (0.4 + 0.9j) ** k for k in range(d)]
+    for _ in range(500):
+        moved = 0.0
+        for i, w in enumerate(z):
+            den = 1.0
+            for j, u in enumerate(z):
+                if j != i:
+                    den *= w - u
+            z[i] = w - _horner(p, w) / den
+            moved = max(moved, abs(z[i] - w) / max(1.0, abs(z[i])))
+        if moved <= 1e-12:
+            break
+    z.sort(key=lambda w: abs(w.imag))
+    n_real = _real_root_count(g)
+    roots = [complex(_newton(p, dp, w.real)) for w in z[:n_real]]
+    for w in z[n_real:]:
+        if w.imag > 0:
+            w = _newton(p, dp, w)
+            roots += [w, w.conjugate()]
+    if len(roots) != d:
+        raise ArithmeticError("eigenvalue iteration failed to separate "
+                              "conjugate roots")
+    return roots
 
 
 class ToralAutomorphism:
@@ -90,6 +212,7 @@ class ToralAutomorphism:
         if not np.array_equal(M, np.round(M)):
             raise ValueError("matrix entries must be integers")
         self.matrix = M.astype(np.int64)
+        self._coeffs, self._N = _faddeev_leverrier(self.matrix)
         det = self.det
         if abs(det) != 1:
             raise ValueError(f"|det| must be 1 (volume preserving), got {det}")
@@ -101,26 +224,30 @@ class ToralAutomorphism:
     @property
     def det(self) -> int:
         # det(xI - M) = (-1)^n det(M) at x = 0
-        return (-1) ** self.n * _faddeev_leverrier(self.matrix)[0][-1]
+        return (-1) ** self.n * self._coeffs[-1]
 
-    def char_poly(self) -> np.ndarray:
+    def char_poly(self) -> list[int]:
         """Monic characteristic polynomial coefficients, highest degree
-        first, as floats."""
-        return np.array(_faddeev_leverrier(self.matrix)[0], dtype=float)
+        first, as exact integers."""
+        return list(self._coeffs)
 
     def eigenvalues(self) -> np.ndarray:
+        """Roots of the characteristic polynomial, each repeated by its
+        multiplicity, sorted by modulus with ties broken by imaginary part.
+        Real roots have imaginary part exactly 0."""
         coeffs = self.char_poly()
-        roots = np.roots(coeffs)
-        roots = _polish_roots(coeffs, roots)
-        resid = np.abs(np.polyval(coeffs, roots))
-        if np.any(resid > 1e-9 * max(1.0, float(np.max(np.abs(coeffs))))):
+        roots = [z for g, m in _squarefree_factors(coeffs)
+                 for z in _factor_roots(g) for _ in range(m)]
+        scale = max(1.0, max(abs(float(c)) for c in coeffs))
+        if any(abs(_horner(coeffs, z)) > 1e-9 * scale for z in roots):
             raise ArithmeticError("eigenvalue polish failed to converge")
-        return roots[np.argsort(np.abs(roots))]
+        roots.sort(key=lambda z: (abs(z), z.imag))
+        return np.array(roots, dtype=complex)
 
     def inverse(self) -> "ToralAutomorphism":
         # M^-1 = -N_n / c_n, and c_n = +-1 for a unimodular M
-        coeffs, N = _faddeev_leverrier(self.matrix)
-        return ToralAutomorphism(np.array(-N * coeffs[-1], dtype=np.int64))
+        return ToralAutomorphism(
+            np.array(-self._N * self._coeffs[-1], dtype=np.int64))
 
 
 def toral_automorphism(matrix) -> ToralAutomorphism:

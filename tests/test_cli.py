@@ -231,10 +231,18 @@ class TestNumericalErrors:
 
 
 # numpy.polynomial and numpy.random are heavy; dataclasses would generate
-# the code of every record at import, and configparser is read only with
-# --config
+# the code of every record at import, configparser is read only with
+# --config, and the spectra are exact in Python ints, without fractions and
+# the decimal module it imports
 HEAVY_MODULES = ("scipy", "numpy.random", "numpy.polynomial", "dataclasses",
-                 "configparser")
+                 "configparser", "fractions", "decimal")
+
+# criteria matrices beyond the default cat map: a 3x3 one with
+# lambda_u != m_u, and the 4x4 doubled cat map with two double roots
+LAPACK_FREE_RUNS = [[cmd] for cmd in holderforms.cli.FLAGS] + [
+    ["criteria", "--matrix", "-1 -1 1 -1 -1 2 1 2 2"],
+    ["criteria", "--matrix", "2 1 0 0 1 1 0 0 0 0 2 1 0 0 1 1"],
+]
 
 # Runs each subcommand at its defaults, in turn, through cli.main; prints,
 # per subcommand, its exit code and the modules named in argv loaded so far.
@@ -304,7 +312,7 @@ class TestImports:
                         reason="needs /proc/self/task to count threads")
     def test_cli_import_starts_no_blas_thread(self):
         # set-up and CPU time are gated benchmark metrics: an OpenBLAS pool
-        # for 4x4 operands would only add to both
+        # that no run uses would only add to both
         code = ("import os, holderforms.cli; "
                 "print(os.environ['OPENBLAS_NUM_THREADS'], "
                 "len(os.listdir('/proc/self/task')))")
@@ -315,6 +323,18 @@ class TestImports:
         code = ("import os, holderforms.cli; "
                 "print(os.environ['OPENBLAS_NUM_THREADS'])")
         assert run_fresh(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+    def test_no_run_calls_lapack(self, tmp_path, monkeypatch):
+        # the eigenvalues come from the exact characteristic polynomial;
+        # a LAPACK eigensolver's first call would raise the peak RSS
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run called a LAPACK eigensolver")
+
+        for module, name in ((np.linalg, "eigvals"), (np.linalg, "eig"),
+                             (np, "roots")):
+            monkeypatch.setattr(module, name, refuse)
+        for argv in LAPACK_FREE_RUNS:
+            assert main(argv + ["--outdir", str(tmp_path)]) == 0, argv
 
     def test_main_builds_no_parser(self, tmp_path, monkeypatch):
         # the parser is built once, at import: one built per run would add

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holderforms.dynamics
+from holderforms.cli import main
 from holderforms.dynamics import (
     AmbiguousSpectrumError,
     ToralAutomorphism,
@@ -19,6 +21,29 @@ from helpers import CAT_MAP, cat_map_conjugates
 
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0  # larger cat-map eigenvalue
+DOUBLED_CAT_MAP = np.kron(np.eye(2, dtype=int), CAT_MAP)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of one or two upper and lower unitriangular integer matrices
+    (each a product of elementary matrices I + k e_ij) with off-diagonal
+    entries in [-2, 2], times an optional row sign flip, so |det| = 1.  The
+    entries stay below about 100, where LAPACK's eigenvalues are a 1e-9
+    reference: its error on the smallest moduli grows with the entries."""
+    n = draw(st.integers(2, 4))
+    M = np.eye(n, dtype=np.int64)
+    for _ in range(draw(st.integers(1, 2))):
+        for lower in (False, True):
+            T = np.eye(n, dtype=np.int64)
+            for i in range(n):
+                for j in range(n):
+                    if (i > j) if lower else (i < j):
+                        T[i, j] = draw(st.integers(-2, 2))
+            M = M @ T
+    if draw(st.booleans()):
+        M[0] = -M[0]
+    return M
 
 
 class TestToralAutomorphism:
@@ -57,6 +82,61 @@ class TestToralAutomorphism:
         prod = np.prod(A.eigenvalues())
         assert abs(prod) == pytest.approx(1.0, abs=1e-12)
 
+    def test_doubled_cat_map_has_real_double_eigenvalues(self):
+        # (x^2 - 3x + 1)^2: a float companion-matrix solver split each
+        # double root into a pair with imaginary parts near 1e-8
+        A = toral_automorphism(DOUBLED_CAT_MAP)
+        assert A.char_poly() == [1, -6, 11, -6, 1]
+        eig = A.eigenvalues()
+        assert len(eig) == 4
+        assert all(z.imag == 0.0 for z in eig)
+        mods = np.abs(eig)
+        assert np.all(np.abs(mods[:2] - 1.0 / GOLDEN) <= 1e-15)
+        assert np.all(np.abs(mods[2:] - GOLDEN) <= 1e-15)
+
+    def test_unipotent_eigenvalue_is_exactly_one(self):
+        # (x - 1)^2 splits into the exact root 1 with multiplicity 2
+        for M in ([[1, 1], [0, 1]], [[1, 0], [0, 1]]):
+            assert toral_automorphism(M).eigenvalues().tolist() == [1.0, 1.0]
+
+    def test_ties_in_modulus_break_by_imaginary_part(self):
+        A = toral_automorphism(
+            [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 0]])
+        eig = A.eigenvalues()
+        assert eig[0] == eig[1].conjugate() and eig[0].imag < 0
+        assert eig[2].imag == 0.0 and eig[3].imag == 0.0
+        assert list(eig) == sorted(eig, key=lambda z: (abs(z), z.imag))
+
+    def test_one_faddeev_leverrier_run_per_matrix(self, monkeypatch):
+        # pisot_example builds the companion matrix and its inverse; det,
+        # char_poly, eigenvalues and inverse read the stored run
+        runs = []
+        fl = holderforms.dynamics._faddeev_leverrier
+        monkeypatch.setattr(holderforms.dynamics, "_faddeev_leverrier",
+                            lambda M: runs.append(M) or fl(M))
+        pisot_example()
+        assert len(runs) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=unimodular_matrices())
+    def test_spectrum_matches_lapack_and_the_coefficients(self, M):
+        A = toral_automorphism(M)
+        eig = A.eigenvalues()
+        coeffs = A.char_poly()
+        scale = max(abs(c) for c in coeffs)
+        assert len(eig) == A.n
+        assert list(eig) == sorted(eig, key=lambda z: (abs(z), z.imag))
+        assert all(z.imag == 0.0 or z.conjugate() in eig for z in eig)
+        assert abs(np.prod(eig) - A.det) <= 1e-12 * scale
+        assert abs(np.sum(eig) - np.trace(M)) <= 1e-12 * scale
+        ref = np.linalg.eigvals(M.astype(float))
+        # LAPACK resolves a repeated eigenvalue only to about sqrt(eps),
+        # so it is a 1e-9 reference for well separated spectra only
+        gaps = np.abs(ref[:, None] - ref[None, :]) + np.eye(A.n)
+        if gaps.min() > 1e-3:
+            assert np.allclose(np.sort(np.abs(eig)), np.sort(np.abs(ref)),
+                               rtol=1e-9, atol=0.0)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 500))
     def test_conjugates_share_the_cat_spectrum(self, seed):
@@ -77,6 +157,16 @@ class TestSpectralRates:
         r = spectral_rates(toral_automorphism(CAT_MAP))
         assert r.mu == pytest.approx(r.lambda_u)
         assert r.nu == pytest.approx(r.lambda_s)
+
+    @pytest.mark.parametrize("matrix", ["1 1 0 1", "1 0 0 1"])
+    def test_double_root_one_is_center_not_ambiguous(self, matrix, tmp_path,
+                                                     capsys):
+        # the root 1 of (x - 1)^2 is exact, not sqrt(eps) away from 1
+        code = main(["criteria", "--matrix", matrix, "--outdir",
+                     str(tmp_path)])
+        assert code == 2
+        assert "need both stable and unstable directions" in \
+            capsys.readouterr().err
 
     def test_pisot_companion_has_one_dim_center_free_splitting(self):
         r = spectral_rates(companion_matrix(0, -1, -1))

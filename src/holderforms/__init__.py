@@ -15,7 +15,7 @@ from .grids import (
 )
 from .mollify import normalization_constant, deta_l1, mollify, \
     verify_regularization
-from .chains import OneForm, rectangle_corners
+from .chains import Term, rectangle_corners
 from .inequality import (
     c_theta_constant, theta_bracket, eps_star, eps_sweep,
     isoperimetric_constant, isoperimetric_check, verify_main_inequality,

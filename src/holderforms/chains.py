@@ -15,13 +15,13 @@ interpolant is Lipschitz, so by Stokes' theorem the integral of
 ``d alpha`` over a polygon is the boundary integral of ``alpha``, which
 is how ``inequality.mollification_split_check`` takes its interior term.
 
-One-form components are grid-sampled fields read through bilinear
-interpolation (the native representation for Holder forms), or ``None``
-for identically zero; ``OneForm`` checks this when it is built.  A 1-D
-field is a function of x alone (``W(x) dy`` stores its ``W`` so), read at
-the x coordinates of points: ``_read_component`` is the one place a
-component is read at points.  Its boundary integrals cut edges at x grid
-lines only.
+A 1-form is a tuple of ``Term``s, each a grid-sampled field ``w`` and a
+constant covector ``c``, contributing ``w(p) (c . dp)``: ``W(x) dy`` is
+``(Term(W, (0.0, 1.0)),)``.  A field reads the first ``field.dim``
+coordinates of a point, so a 1-D field is a function of x alone; that
+rule is written once, in ``polygon_boundary_integrals``, which cuts the
+edges of each term on that term's own grid.  The terms of a form need not
+share a grid, and the empty form is zero.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .grids import GridField
 
 __all__ = [
-    "OneForm",
+    "Term",
     "ChainMeasures",
     "rectangle_corners",
     "measure_polygons",
@@ -57,47 +57,19 @@ def rectangle_corners(lo, hi) -> np.ndarray:
     return lo + (hi - lo) * _UNIT_SQUARE
 
 
-def _read_component(c, pts: np.ndarray) -> np.ndarray:
-    """Values at planar points ``pts`` (shape ``(..., 2)``) of a component.
+class Term:
+    """One term ``w(p) (c . dp)`` of a grid-sampled 1-form: the
+    ``GridField`` ``field`` (``w``) and the covector ``(c1, c2)``.
 
-    ``None`` is identically zero, a 2-D ``GridField`` is interpolated at
-    ``pts``, and a 1-D one, a function of x alone, is interpolated at the x
-    coordinates ``pts[..., :1]`` (its ``(..., 1)`` points, never mistaken
-    for a batch of coordinates).
-    """
-    if c is None:
-        return np.zeros(pts.shape[:-1])
-    return c.evaluate(pts[..., :c.dim])
-
-
-class OneForm:
-    """Grid-sampled 1-form a1 dx + a2 dy.
-
-    Each component is a ``GridField`` or ``None`` (identically zero), and
-    at least one is a ``GridField``; any other pair raises ``ValueError``
-    naming the type of each component.  Two ``GridField`` components must
-    share one grid.
+    Any other field raises ``ValueError`` naming its type.
     """
 
-    def __init__(self, a1, a2, theta: float):
-        self.a1, self.a2, self.theta = a1, a2, theta
-        comps = (a1, a2)
-        grids = self.grid_components()
-        if not grids or any(c is not None and not isinstance(c, GridField)
-                            for c in comps):
-            a1, a2 = (type(c).__name__ for c in comps)
-            raise ValueError(f"need a grid-sampled form, each component a "
-                             f"GridField or None and at least one a "
-                             f"GridField; got a1: {a1}, a2: {a2}")
-        if len(grids) == 2:
-            grids[0]._check_same_grid(grids[1])
-
-    def component(self, i: int, pts: np.ndarray) -> np.ndarray:
-        return _read_component(self.a1 if i == 0 else self.a2, pts)
-
-    def grid_components(self):
-        """The ``GridField`` components, in the order a1, a2."""
-        return [c for c in (self.a1, self.a2) if isinstance(c, GridField)]
+    def __init__(self, field, covector):
+        if not isinstance(field, GridField):
+            raise ValueError(f"a term's field must be a GridField, got "
+                             f"{type(field).__name__}")
+        c1, c2 = covector
+        self.field, self.covector = field, (float(c1), float(c2))
 
 
 class ChainMeasures:
@@ -185,13 +157,7 @@ def measure_polygons(corners):
     return length, area, diameter
 
 
-def _pullback(alpha: OneForm, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    """``a1(p)*vx + a2(p)*vy``: alpha along a curve through p with velocity v."""
-    return (alpha.component(0, pts) * vel[..., 0]
-            + alpha.component(1, pts) * vel[..., 1])
-
-
-def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
+def polygon_boundary_integrals(alpha, corners) -> list:
     """``int_dP alpha`` for each polygon P of ``corners``.
 
     ``corners`` is laid out as ``measure_polygons`` reads it: an
@@ -199,34 +165,41 @@ def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
     such as ``rectangle_corners`` gives; a ``None`` entry raises
     ``ValueError``.
 
-    ``alpha``, grid-sampled as every ``OneForm`` is, is integrated
-    exactly.  Each edge ``a + t*d``, ``t`` in [0, 1], is cut at every ``t``
-    where it crosses a grid line ``lo[ax] + m*h[ax]``, for every integer
-    ``m`` and every axis ``ax`` of the grid, so wraps round the torus need
-    no special case; a 1-D grid has lines in x only.  Each piece
-    ``[t0, t1]`` lies in one cell, where ``alpha(a + t*d) . d`` is a
+    ``alpha``, a tuple of ``Term``s, is integrated exactly, term by term,
+    and the per-polygon sums of its terms are added in term order.  A term
+    ``w (c . dp)`` pulls an edge ``a + t*d``, ``t`` in [0, 1], back to
+    ``w(a + t*d) (c . d)``, with ``w`` read at the first ``w.dim``
+    coordinates of the point.  An edge with ``c . d`` = 0 (a horizontal
+    edge under ``W(x) dy``) pulls back to exactly 0, so it is dropped
+    before cutting: its pieces would only add zeros to its polygon's sum,
+    and the long horizontal edges of ``decay`` would each be cut at
+    thousands of grid crossings.  Every other edge is cut at every ``t``
+    where it crosses a grid line ``lo[ax] + m*h[ax]`` of the term's grid,
+    for every integer ``m`` and every axis ``ax`` of that grid, so wraps
+    round the torus need no special case; a 1-D grid has lines in x only.
+    Each piece ``[t0, t1]`` lies in one cell, where the pullback is a
     quadratic in ``t``; the 2-point Gauss-Legendre rule with nodes
     ``mid -/+ half/sqrt(3)`` and weights ``half`` integrates it exactly.
-    All pieces of all edges are evaluated together and summed per polygon
-    in boundary order (by edge, then by ``t``), so the integrals carry
-    rounding error only.
-
-    An edge whose velocity entry ``d[ax]`` is 0 for every non-``None``
-    component ``ax`` (a horizontal edge under ``W(x) dy``) pulls back to
-    exactly 0, so it is dropped before cutting: its pieces would only add
-    zeros to its polygon's sum, and the long horizontal edges of ``decay``
-    would each be cut at thousands of grid crossings.
+    All pieces of all edges of a term are evaluated together and summed
+    per polygon in boundary order (by edge, then by ``t``), so the
+    integrals carry rounding error only.
     """
-    grid = alpha.grid_components()[0]
     a, owner, _, nxt, n_disks = _polygon_edges(corners)
-    if n_disks == 0:
-        return []
     d = a[nxt] - a
-    live = np.zeros(len(a), dtype=bool)
-    for ax, c in enumerate((alpha.a1, alpha.a2)):
-        if c is not None:
-            live |= d[:, ax] != 0.0
-    a, d, owner = a[live], d[live], owner[live]
+    sums = np.zeros(n_disks)
+    for term in alpha:
+        sums += _term_integrals(term, a, d, owner, n_disks)
+    return sums.tolist()
+
+
+def _term_integrals(term: Term, a, d, owner, n_disks: int) -> np.ndarray:
+    """The integrals of one term over the edges ``a + t*d`` of ``n_disks``
+    polygons, each edge's polygon its ``owner``: see
+    ``polygon_boundary_integrals``."""
+    grid, (c1, c2) = term.field, term.covector
+    cd = d[:, 0] * c1 + d[:, 1] * c2
+    live = cd != 0.0
+    a, d, cd, owner = a[live], d[live], cd[live], owner[live]
     ids = np.arange(len(a))
     edge, t = [ids, ids], [np.zeros(len(a)), np.ones(len(a))]
     for ax in range(grid.dim):
@@ -250,5 +223,5 @@ def polygon_boundary_integrals(alpha: OneForm, corners) -> list:
     off = half / math.sqrt(3.0)
     nodes = np.stack([mid - off, mid + off])
     pts = a[e] + nodes[..., None] * d[e]
-    values = half * np.sum(_pullback(alpha, pts, d[e]), axis=0)
-    return np.bincount(owner[e], weights=values, minlength=n_disks).tolist()
+    values = half * np.sum(grid.evaluate(pts[..., :grid.dim]) * cd[e], axis=0)
+    return np.bincount(owner[e], weights=values, minlength=n_disks)

@@ -12,9 +12,10 @@ seed gives byte-identical CSVs.  Exit codes:
   usage and ``holderforms: error: ...``, or ``holderforms <command>:
   error: ...`` once the command is named);
 * 3: numerical error, i.e. a grid too coarse for its form, an eigenvalue
-  modulus too close to 1 to classify, or a decay strip count too small for
-  the smallness threshold (``numerical error: ...`` on stderr, with the
-  offending values).
+  modulus too close to 1 to classify, an eigenvalue the root finder could
+  not resolve, or a decay strip count too small for the smallness
+  threshold (``numerical error: ...`` on stderr, with the offending
+  values).
 
 Config files are INI-style; command-line flags override config values.
 The output directory can also be set via the HOLDERFORMS_OUTDIR
@@ -37,17 +38,15 @@ import numpy as np
 from . import __version__
 from .grids import GridField, UnderResolvedError, make_weierstrass
 from .mollify import normalization_constant, verify_regularization
-from .chains import (
-    OneForm, measure_polygons, polygon_boundary_integrals,
-)
+from .chains import Term, measure_polygons, polygon_boundary_integrals
 from .inequality import (
     isoperimetric_check, mollification_split_check, verify_main_inequality,
     one_form_cnorm,
 )
 from .dynamics import (
-    AmbiguousSpectrumError, spectral_rates, toral_automorphism,
-    anosov_section_criterion, accessibility_criterion, standard_holder_bound,
-    pisot_example,
+    AmbiguousSpectrumError, UnresolvedSpectrumError, spectral_rates,
+    toral_automorphism, anosov_section_criterion, accessibility_criterion,
+    standard_holder_bound, pisot_example,
 )
 from .decay import (
     DecayRangeError, LinearModel, SmallnessError, USRectangle,
@@ -214,7 +213,7 @@ def run_stokes_check(args, cfg, outdir: Path, checks: Checks) -> None:
     rows = []
     # x on [-2, 2] at 9 exact nodes; its seam cell [1.5, 2] misses the polygon
     x = np.append(np.arange(-2.0, 2.0, 0.5), -2.0)
-    x_dy = OneForm(None, GridField((-2.0,), (2.0,), (9,), x), 1.0)
+    x_dy = (Term(GridField((-2.0,), (2.0,), (9,), x), (0.0, 1.0)),)
     turn = 2.0 * math.pi * np.arange(64) / 64
     gon = np.stack([np.cos(turn), np.sin(turn)], axis=-1)
     (val,) = polygon_boundary_integrals(x_dy, [gon])
@@ -230,11 +229,12 @@ def run_stokes_check(args, cfg, outdir: Path, checks: Checks) -> None:
                                           args.resolution))
     alpha = weierstrass_form(theta, resolution=res)
     lo, hi = (0.3, 0.3), (0.5, 0.5)
-    split = mollification_split_check(alpha, lo, hi, epsilon=0.05)
+    split = mollification_split_check(alpha, lo, hi, epsilon=0.05,
+                                      theta=theta)
     # int_D d(a_eps dy) in closed form: a_eps depends on x alone, so
     # d(a_eps dy) = a_eps'(x) dx dy integrates to a difference in x
     (x0, y0), (x1, y1) = lo, hi
-    a_eps = split.alpha_eps.a2.evaluate(np.array([[x0], [x1]]))
+    a_eps = split.alpha_eps[0].field.evaluate(np.array([[x0], [x1]]))
     value, closed = split.interior, (y1 - y0) * (a_eps[1] - a_eps[0])
     err2 = abs(value - closed)
     rows.append(["mollified_weierstrass_stokes", value, closed, err2])
@@ -544,7 +544,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (UnderResolvedError, AmbiguousSpectrumError,
-            SmallnessError) as exc:
+            UnresolvedSpectrumError, SmallnessError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     if checks.failures:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import (
-    OneForm, measure_polygons, polygon_boundary_integrals, rectangle_corners,
+    measure_polygons, polygon_boundary_integrals, rectangle_corners,
 )
 from .experiments import least_squares_slope
 
@@ -207,7 +207,7 @@ class DecaySeries(NamedTuple):
         return rows
 
 
-def decay_bound_series(alpha: OneForm, model: LinearModel, rect: USRectangle,
+def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
                        theta: float, k_range, sigma: float,
                        c1: float = 1.0,
                        k_emp: float = 1.0,

@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "AmbiguousSpectrumError",
+    "UnresolvedSpectrumError",
     "ToralAutomorphism",
     "SpectralRates",
     "CriterionReport",
@@ -51,6 +52,17 @@ class AmbiguousSpectrumError(ValueError):
             f"eigenvalue modulus {modulus!r} is ambiguously close to 1; "
             "cannot classify as stable, center, or unstable")
         self.modulus = modulus
+
+
+class UnresolvedSpectrumError(ArithmeticError):
+    """A computed eigenvalue whose residual in the characteristic
+    polynomial exceeds its backward-error bound; carries both."""
+
+    def __init__(self, root: complex, residual: float, bound: float):
+        super().__init__(
+            f"eigenvalue {root!r} has residual {residual!r} in the "
+            f"characteristic polynomial, above its bound {bound!r}")
+        self.root, self.residual, self.bound = root, residual, bound
 
 
 def _faddeev_leverrier(M: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -207,8 +219,9 @@ class ToralAutomorphism:
 
     def __init__(self, matrix: np.ndarray):
         M = np.asarray(matrix)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] > 4:
-            raise ValueError("need a square matrix of size <= 4")
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or not 1 <= len(M) <= 4:
+            raise ValueError(f"need a square matrix of size 1 to 4, got "
+                             f"shape {M.shape}")
         if not np.array_equal(M, np.round(M)):
             raise ValueError("matrix entries must be integers")
         self.matrix = M.astype(np.int64)
@@ -234,13 +247,19 @@ class ToralAutomorphism:
     def eigenvalues(self) -> np.ndarray:
         """Roots of the characteristic polynomial, each repeated by its
         multiplicity, sorted by modulus with ties broken by imaginary part.
-        Real roots have imaginary part exactly 0."""
+        Real roots have imaginary part exactly 0.  A root ``z`` with
+        ``|p(z)| > 1e-9 sum |c_k| |z|^(n-k)``, a backward-error bound (that
+        sum scales Horner's rounding at ``z``), raises
+        ``UnresolvedSpectrumError``."""
         coeffs = self.char_poly()
         roots = [z for g, m in _squarefree_factors(coeffs)
                  for z in _factor_roots(g) for _ in range(m)]
-        scale = max(1.0, max(abs(float(c)) for c in coeffs))
-        if any(abs(_horner(coeffs, z)) > 1e-9 * scale for z in roots):
-            raise ArithmeticError("eigenvalue polish failed to converge")
+        sizes = [abs(float(c)) for c in coeffs]
+        for z in roots:
+            residual = abs(_horner(coeffs, z))
+            bound = 1e-9 * _horner(sizes, abs(z))
+            if residual > bound:
+                raise UnresolvedSpectrumError(z, residual, bound)
         roots.sort(key=lambda z: (abs(z), z.imag))
         return np.array(roots, dtype=complex)
 

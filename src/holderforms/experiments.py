@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .grids import make_weierstrass
-from .chains import OneForm, rectangle_corners
+from .chains import Term, rectangle_corners
 
 __all__ = [
     "weierstrass_form",
@@ -17,14 +17,14 @@ __all__ = [
 
 
 def weierstrass_form(theta: float, base: int = 2, terms: int = 8,
-                     resolution: int = 2048) -> OneForm:
+                     resolution: int = 2048) -> tuple:
     """Grid-sampled alpha = W(x) dy on the unit torus.
 
-    Its dy component depends on x alone, so it is the periodic 1-D field
-    ``make_weierstrass(...)``, read at planar points through x.
+    Its one term's field depends on x alone, so it is the periodic 1-D
+    field ``make_weierstrass(...)``, read at planar points through x.
     """
-    return OneForm(None, make_weierstrass(theta, base, terms, resolution),
-                   theta)
+    return (Term(make_weierstrass(theta, base, terms, resolution),
+                 (0.0, 1.0)),)
 
 
 def dyadic_square_family(j_range=range(2, 9), anchors: int = 8):

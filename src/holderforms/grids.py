@@ -19,9 +19,10 @@ piecewise-linear interpolant exactly; in 2-D the two axis maxima combine in
 closed form into an upper bound for that of the bilinear interpolant (see
 :class:`HolderEstimate`), so the C^theta norm needs no slack factor.
 
-A function of the first coordinate alone is stored as its 1-D field;
-``chains`` reads it at planar points through their x coordinate, so the
-Weierstrass form ``W(x) dy`` costs what its 1-D column costs.
+A function of the first coordinate alone is stored as its 1-D field:
+a term of a ``chains`` form reads its field at the first ``field.dim``
+coordinates of a point, so the Weierstrass form ``W(x) dy`` costs what its
+1-D column costs.
 """
 
 from __future__ import annotations
@@ -150,12 +151,6 @@ class GridField:
 
     def supnorm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def _check_same_grid(self, other: "GridField"):
-        if (self.lo, self.hi, self.resolution) != (
-            other.lo, other.hi, other.resolution
-        ):
-            raise ValueError("grids do not match")
 
     @classmethod
     def from_function(cls, fn: Callable, lo, hi, resolution) -> "GridField":

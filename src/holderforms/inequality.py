@@ -23,8 +23,8 @@ import numpy as np
 from .grids import holder_seminorm
 from .mollify import deta_l1, mollify
 from .chains import (
-    OneForm,
     ChainMeasures,
+    Term,
     measure_polygons,
     polygon_boundary_integrals,
     rectangle_corners,
@@ -134,22 +134,22 @@ def isoperimetric_check(length: float, area: float) -> IsoperimetricReport:
                                area <= bound + 1e-9, bound - area)
 
 
-def one_form_cnorm(alpha: OneForm, theta: float | None = None) -> float:
-    """Max over grid components of ``holder_seminorm(c, theta).cnorm``.
-
-    Each is an upper bound for the C^theta norm of the interpolated
-    component: sup|c| plus the seminorm, exact for a 1-D component and the
-    per-axis bound ``U`` for a 2-D one (see ``grids.HolderEstimate``).
+def one_form_cnorm(alpha, theta: float) -> float:
+    """The larger over i = 1, 2 of ``sum |c_i| cnorm(w)`` over the terms
+    ``w (c . dp)`` of ``alpha``: a bound for the C^theta norm of component
+    ``sum c_i w``, with ``cnorm(w) = holder_seminorm(w, theta).cnorm``
+    (see ``grids.HolderEstimate``).  The empty form raises ``ValueError``.
     """
-    theta = alpha.theta if theta is None else theta
-    return max(holder_seminorm(c, theta).cnorm
-               for c in alpha.grid_components())
+    if not alpha:
+        raise ValueError("the empty form has no C^theta norm")
+    norms = [holder_seminorm(term.field, theta).cnorm for term in alpha]
+    return max(sum(abs(term.covector[i]) * cn
+                   for term, cn in zip(alpha, norms)) for i in (0, 1))
 
 
-def mollify_one_form(alpha: OneForm, epsilon: float) -> OneForm:
-    def m(c):
-        return None if c is None else mollify(c, epsilon)
-    return OneForm(m(alpha.a1), m(alpha.a2), alpha.theta)
+def mollify_one_form(alpha, epsilon: float) -> tuple:
+    return tuple(Term(mollify(term.field, epsilon), term.covector)
+                 for term in alpha)
 
 
 class SplitCheck:
@@ -159,17 +159,18 @@ class SplitCheck:
     with its sign, ``int_D d alpha_eps``, and ``term_interior`` its
     absolute value.
 
-    ``cnorm``, ``one_form_cnorm(alpha)``, is computed the first time it or
-    a bound is read, and at most once, so a caller that reads only the
-    terms and ``chain_holds`` runs no Holder seminorm.  The bounds take
-    their exponent from ``alpha.theta``.  That norm is an upper bound, so
+    ``cnorm``, ``one_form_cnorm(alpha, theta)``, is computed the first
+    time it or a bound is read, and at most once, so a caller that reads
+    only the terms and ``chain_holds`` runs no Holder seminorm.  The bounds
+    take their exponent from ``theta``.  That norm is an upper bound, so
     the bound checks compare each term with its bound itself.
     """
 
-    def __init__(self, epsilon: float, lhs: float, term_boundary: float,
-                 interior: float, length: float, area: float,
-                 alpha_eps: OneForm, alpha: OneForm):
+    def __init__(self, epsilon: float, theta: float, lhs: float,
+                 term_boundary: float, interior: float, length: float,
+                 area: float, alpha_eps: tuple, alpha: tuple):
         self.epsilon = epsilon
+        self.theta = theta
         self.lhs = lhs                      # |int_dD alpha|
         self.term_boundary = term_boundary  # |int_dD (alpha - alpha_eps)|
         self.interior = interior            # int_D d alpha_eps
@@ -182,7 +183,7 @@ class SplitCheck:
 
     @cached_property
     def cnorm(self) -> float:
-        return one_form_cnorm(self.alpha)
+        return one_form_cnorm(self.alpha, self.theta)
 
     @property
     def term_interior(self) -> float:
@@ -192,13 +193,13 @@ class SplitCheck:
     @property
     def bound_boundary(self) -> float:
         """|dD| cnorm eps^theta"""
-        return self.length * self.cnorm * self.epsilon ** self.alpha.theta
+        return self.length * self.cnorm * self.epsilon ** self.theta
 
     @property
     def bound_interior(self) -> float:
         """|D| ||d eta||_L1 cnorm eps^(theta-1)"""
         return (self.area * deta_l1(2) * self.cnorm
-                * self.epsilon ** (self.alpha.theta - 1.0))
+                * self.epsilon ** (self.theta - 1.0))
 
     @property
     def chain_holds(self) -> bool:
@@ -229,8 +230,8 @@ class SplitCheck:
         return self.term_interior <= self.bound_interior
 
 
-def mollification_split_check(alpha: OneForm, lo, hi,
-                              epsilon: float) -> SplitCheck:
+def mollification_split_check(alpha, lo, hi, epsilon: float,
+                              theta: float) -> SplitCheck:
     """The split of ``int_dD alpha`` on the rectangle ``D = [lo, hi]``.
 
     All three terms come from two exact ``polygon_boundary_integrals`` on
@@ -238,9 +239,9 @@ def mollification_split_check(alpha: OneForm, lo, hi,
     ``alpha_eps`` is Lipschitz, so Stokes' theorem gives the interior term
     ``int_D d alpha_eps = I(alpha_eps)``, and interpolation is linear in
     the samples, so ``int_dD (alpha - alpha_eps) = I(alpha) - I(alpha_eps)``.
-    The C^theta norm of ``alpha`` that scales the bounds, at
-    ``alpha.theta``, is computed when the check's ``cnorm`` or a bound is
-    first read (see :class:`SplitCheck`).
+    The C^theta norm of ``alpha`` that scales the bounds, at ``theta``,
+    is computed when the check's ``cnorm`` or a bound is first read (see
+    :class:`SplitCheck`).
     """
     alpha_eps = mollify_one_form(alpha, epsilon)
     corners = [rectangle_corners(lo, hi)]
@@ -249,6 +250,7 @@ def mollification_split_check(alpha: OneForm, lo, hi,
     length, area, _ = (float(m[0]) for m in measure_polygons(corners))
     return SplitCheck(
         epsilon=epsilon,
+        theta=theta,
         lhs=abs(whole),
         term_boundary=abs(whole - interior),
         interior=interior,
@@ -279,7 +281,7 @@ class InequalityReport(NamedTuple):
                 self.eps_star, int(self.skipped)]
 
 
-def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
+def verify_main_inequality(alpha, family, theta: float,
                            smallness_sigma: float = 0.5,
                            cnorm: float | None = None):
     """Apply the main-inequality comparison to a family of disks.
@@ -299,7 +301,6 @@ def verify_main_inequality(alpha: OneForm, family, theta: float | None = None,
     ``lhs`` carries rounding error only.  A degenerate disk (``rhs_shape``
     0) counts as ratio 0 when its ``lhs`` is at most ``DEGENERATE_LHS``.
     """
-    theta = alpha.theta if theta is None else theta
     if cnorm is None:
         cnorm = one_form_cnorm(alpha, theta)
     if cnorm <= 0.0:

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from holderforms.chains import (
-    OneForm, _pullback, measure_polygons, polygon_boundary_integrals,
+    Term, measure_polygons, polygon_boundary_integrals,
 )
 from holderforms.decay import (
     DecayStep, SmallnessError, _strip_corners, choose_strip_count,
@@ -65,13 +65,18 @@ def eta(x, n: int) -> np.ndarray:
     return normalization_constant(n) * _bump(r2)
 
 
-def scaled_form(alpha: OneForm, factor: float) -> OneForm:
+def one_form(a1=None, a2=None) -> tuple:
+    """The grid-sampled form ``a1 dx + a2 dy`` as its tuple of terms, a
+    ``None`` component left out."""
+    return tuple(Term(c, covector) for c, covector in
+                 ((a1, (1.0, 0.0)), (a2, (0.0, 1.0))) if c is not None)
+
+
+def scaled_form(alpha, factor: float) -> tuple:
     """``factor * alpha`` for a grid-sampled form: its samples scaled."""
-    def scale(c):
-        if c is None:
-            return None
-        return GridField(c.lo, c.hi, c.resolution, factor * c.values)
-    return OneForm(scale(alpha.a1), scale(alpha.a2), alpha.theta)
+    return tuple(Term(GridField(t.field.lo, t.field.hi, t.field.resolution,
+                                factor * t.field.values), t.covector)
+                 for t in alpha)
 
 
 # The adaptive curve quadrature: the reference that the exact boundary
@@ -151,8 +156,7 @@ class AnalyticForm(NamedTuple):
     """An analytic 1-form a1 dx + a2 dy for the curve quadrature.
 
     Each component is a callable of planar points ``(..., 2)``, or ``None``
-    for identically zero.  It is read at points as a ``OneForm`` is, through
-    ``component``.
+    for identically zero, read at points through ``component``.
     """
 
     a1: object
@@ -163,6 +167,22 @@ class AnalyticForm(NamedTuple):
         if c is None:
             return np.zeros(pts.shape[:-1])
         return np.asarray(c(pts), dtype=float)
+
+
+def pullback(alpha, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    """``alpha`` along a curve through ``pts`` with velocity ``vel``:
+    ``a1(p)*vx + a2(p)*vy`` for an ``AnalyticForm``, and the sum of
+    ``w(p) (c . v)`` over the terms of a grid-sampled form, each field read
+    at the first ``w.dim`` coordinates of the points."""
+    if isinstance(alpha, AnalyticForm):
+        return (alpha.component(0, pts) * vel[..., 0]
+                + alpha.component(1, pts) * vel[..., 1])
+    total = np.zeros(pts.shape[:-1])
+    for t in alpha:
+        (c1, c2), w = t.covector, t.field
+        total = total + (w.evaluate(pts[..., :w.dim])
+                         * (vel[..., 0] * c1 + vel[..., 1] * c2))
+    return total
 
 
 def _curve_integral(values_of: Callable) -> float:
@@ -178,10 +198,10 @@ def curve_length(curve: ParamCurve) -> float:
 
 
 def integrate_one_form(alpha, curve: ParamCurve) -> float:
-    """int_0^1 a(gamma(t)) . gamma'(t) dt, for a ``OneForm`` or an
+    """int_0^1 a(gamma(t)) . gamma'(t) dt, for a grid-sampled form or an
     ``AnalyticForm`` ``alpha``."""
     return _curve_integral(
-        lambda t: _pullback(alpha, curve.point(t), curve.velocity(t)))
+        lambda t: pullback(alpha, curve.point(t), curve.velocity(t)))
 
 
 def green_area(curve: ParamCurve) -> float:
@@ -217,7 +237,7 @@ def polygon_edges(corners):
 
 
 def per_edge_quadrature(alpha, corners) -> float:
-    """``int_dP alpha``, for a ``OneForm`` or an ``AnalyticForm``
+    """``int_dP alpha``, for a grid-sampled form or an ``AnalyticForm``
     ``alpha``, over the polygon ``corners`` by quadrature: one
     adaptive driver call per edge, each converged to relative
     ``QUAD_REL_TOL``, summed in boundary order.  The reference that the
@@ -258,20 +278,25 @@ def integrate_two_form(beta: GridField, lo, hi) -> float:
     return float(np.sum(np.outer(wx, wy) * beta.evaluate(mid)))
 
 
-def exterior_derivative(alpha: OneForm) -> GridField:
-    """d alpha = (da2/dx - da1/dy) by centered differences on the grid.
+def exterior_derivative(alpha) -> GridField:
+    """d alpha by centered differences on the one grid of its terms: the
+    sum of ``c2 dw/dx - c1 dw/dy`` over its terms ``w (c . dp)``.
 
-    On 1-D components, functions of x alone, ``da2/dx`` is taken along
-    their one axis, ``da1/dy`` is 0, and the 2-form is a 1-D field too.
+    On 1-D fields, functions of x alone, ``dw/dx`` is taken along their
+    one axis, ``dw/dy`` is 0, and the 2-form is a 1-D field too.
 
-    Caller contract: only mollified or otherwise smooth-at-grid-scale forms.
+    Caller contract: only mollified or otherwise smooth-at-grid-scale forms,
+    every term on one grid.
     """
-    ref = alpha.grid_components()[0]
+    ref = alpha[0].field
     out = np.zeros(ref.resolution)
-    if alpha.a2 is not None:
-        out += _centered_diff(alpha.a2.values, 0, ref.spacing[0])
-    if alpha.a1 is not None and ref.dim == 2:
-        out -= _centered_diff(alpha.a1.values, 1, ref.spacing[1])
+    for t in alpha:
+        (c1, c2), w = t.covector, t.field
+        assert (w.lo, w.hi, w.resolution) == (ref.lo, ref.hi, ref.resolution)
+        if c2 != 0.0:
+            out += c2 * _centered_diff(w.values, 0, ref.spacing[0])
+        if c1 != 0.0 and ref.dim == 2:
+            out -= c1 * _centered_diff(w.values, 1, ref.spacing[1])
     return GridField(ref.lo, ref.hi, ref.resolution, out)
 
 

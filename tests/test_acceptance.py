@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from holderforms.chains import (
-    OneForm,
     measure_polygons,
     polygon_boundary_integrals,
     rectangle_corners,
@@ -51,7 +50,7 @@ from holderforms.mollify import (
 
 from helpers import (
     CAT_MAP, cat_map_conjugates, eta, exterior_derivative, integrate_two_form,
-    scaled_form,
+    one_form, scaled_form,
 )
 
 
@@ -133,7 +132,7 @@ def test_c05_stokes(w_form_fine):
     # x dy over the regular 64-gon inscribed in the unit circle: x sampled
     # at 9 exact nodes of [-2, 2], whose seam cell [1.5, 2] misses the gon
     x = np.append(np.arange(-2.0, 2.0, 0.5), -2.0)
-    x_dy = OneForm(None, GridField((-2.0,), (2.0,), (9,), x), 1.0)
+    x_dy = one_form(None, GridField((-2.0,), (2.0,), (9,), x))
     turn = 2.0 * math.pi * np.arange(64) / 64
     gon = np.stack([np.cos(turn), np.sin(turn)], axis=-1)
     (val,) = polygon_boundary_integrals(x_dy, [gon])
@@ -180,7 +179,7 @@ def test_c08_main_inequality_family(w_form_family):
     slope, _ = family_scale_slope(reports)
     assert slope <= 0.1
 
-    dy = OneForm(None, GridField((0.0,), (1.0,), (2,), np.ones(2)), 0.5)
+    dy = one_form(None, GridField((0.0,), (1.0,), (2,), np.ones(2)))
     dy_reports = verify_main_inequality(dy, fam, theta=0.5,
                                         smallness_sigma=1.25, cnorm=1.0)
     assert all(r.ratio <= 1e-8 for r in dy_reports)

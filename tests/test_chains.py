@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holderforms import chains
 from holderforms.chains import (
-    OneForm,
+    Term,
     measure_polygons,
     polygon_boundary_integrals,
     rectangle_corners,
@@ -23,7 +22,7 @@ from helpers import (
     AnalyticForm, ParamCurve, QuadratureError, adaptive_quadrature, circle,
     curve_length, cut_strips, exterior_derivative, green_area,
     integrate_one_form, integrate_two_form, line_segment, matched_ends,
-    per_edge_quadrature, polygon_edges,
+    one_form, per_edge_quadrature, polygon_edges,
 )
 
 
@@ -117,8 +116,8 @@ def torus_sin_cos_form(n=65):
     torus: a grid-sampled form whose interpolant is at most 1 in size."""
     def sampled(fn):
         return GridField.from_function(fn, (0.0, 0.0), (1.0, 1.0), (n, n))
-    return OneForm(sampled(lambda x, y: np.sin(2.0 * np.pi * y)),
-                   sampled(lambda x, y: np.cos(2.0 * np.pi * x)), 1.0)
+    return one_form(sampled(lambda x, y: np.sin(2.0 * np.pi * y)),
+                    sampled(lambda x, y: np.cos(2.0 * np.pi * x)))
 
 
 class TestPolygonBoundaryIntegrals:
@@ -154,15 +153,13 @@ class TestPolygonBoundaryIntegrals:
                 [rectangle_corners((0, 0), (1, 1)), None])
 
     def test_form_that_is_not_grid_sampled_is_rejected(self):
-        # an analytic component, or no component at all, is rejected when
-        # the form is built; the error names the type of each component
-        grid = torus_sin_cos_form().a2
-        for a1, a2, names in [(None, one, "a1: NoneType, a2: function"),
-                              (one, grid, "a1: function, a2: GridField"),
-                              (None, None, "a1: NoneType, a2: NoneType")]:
-            with pytest.raises(ValueError, match="GridField or None") as info:
-                OneForm(a1, a2, 1.0)
-            assert names in str(info.value)
+        # an analytic field, a missing one or bare samples are rejected when
+        # the term is built; the error names the field's type
+        for field, name in [(one, "function"), (None, "NoneType"),
+                            (np.ones(3), "ndarray")]:
+            with pytest.raises(ValueError,
+                               match=f"must be a GridField, got {name}$"):
+                Term(field, (0.0, 1.0))
 
 
 @st.composite
@@ -202,27 +199,29 @@ def grid_polygons(draw):
 
 
 def _reference_boundary_integral(form, verts):
-    """Edge by edge in Python: cut at each grid line, Simpson per piece."""
-    grid = form.grid_components()[0]
+    """Term by term, edge by edge in Python: cut at each line of the term's
+    grid, Simpson per piece."""
     total = 0.0
-    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
-        d = b - a
-        cuts = {0.0, 1.0}
-        for ax in range(2):
-            if d[ax] == 0.0:
-                continue
-            lo, h = grid.lo[ax], grid.spacing[ax]
-            first = math.floor((min(a[ax], b[ax]) - lo) / h)
-            last = math.ceil((max(a[ax], b[ax]) - lo) / h)
-            for m in range(first, last + 1):
-                t = (lo + m * h - a[ax]) / d[ax]
-                if 0.0 < t < 1.0:
-                    cuts.add(t)
-        ts = sorted(cuts)
-        for t0, t1 in zip(ts, ts[1:]):
-            pts = a + np.array([t0, 0.5 * (t0 + t1), t1])[:, None] * d
-            f = (form.a1.evaluate(pts) * d[0] + form.a2.evaluate(pts) * d[1])
-            total += (t1 - t0) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
+    for term in form:
+        grid, c = term.field, np.array(term.covector)
+        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+            d = b - a
+            cuts = {0.0, 1.0}
+            for ax in range(grid.dim):
+                if d[ax] == 0.0:
+                    continue
+                lo, h = grid.lo[ax], grid.spacing[ax]
+                first = math.floor((min(a[ax], b[ax]) - lo) / h)
+                last = math.ceil((max(a[ax], b[ax]) - lo) / h)
+                for m in range(first, last + 1):
+                    t = (lo + m * h - a[ax]) / d[ax]
+                    if 0.0 < t < 1.0:
+                        cuts.add(t)
+            ts = sorted(cuts)
+            for t0, t1 in zip(ts, ts[1:]):
+                pts = a + np.array([t0, 0.5 * (t0 + t1), t1])[:, None] * d
+                f = grid.evaluate(pts[:, :grid.dim]) * (c @ d)
+                total += (t1 - t0) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
     return total
 
 
@@ -238,9 +237,9 @@ class TestExactGridBoundaryIntegrals:
         pc, qc = np.array(coef).reshape(2, 4)
         x, y = np.meshgrid(*(np.linspace(a, b, n) for a, b, n in zip(
             grid["lo"], grid["hi"], grid["resolution"])), indexing="ij")
-        form = OneForm(*(GridField(values=matched_ends(
+        form = one_form(*(GridField(values=matched_ends(
             c[0] + c[1] * x + c[2] * y + c[3] * x * y), **grid)
-            for c in (pc, qc)), 0.5)
+            for c in (pc, qc)))
         vx, vy = verts[:, 0], verts[:, 1]
         xn, yn = np.roll(vx, -1), np.roll(vy, -1)
         cross = vx * yn - xn * vy
@@ -249,7 +248,7 @@ class TestExactGridBoundaryIntegrals:
         my = ((vy + yn) * cross).sum() / 6.0
         green = (qc[1] - pc[2]) * area + qc[3] * my - pc[3] * mx
         (exact,) = polygon_boundary_integrals(form, [verts])
-        size = max(form.a1.supnorm(), form.a2.supnorm())
+        size = max(t.field.supnorm() for t in form)
         ((length,), _, _) = measure_polygons([verts])
         assert abs(exact - green) <= 1e-13 * length * size
 
@@ -260,11 +259,11 @@ class TestExactGridBoundaryIntegrals:
         # a missed crossing shows
         grid, verts = case
         rng = np.random.default_rng(seed)
-        form = OneForm(*(GridField(values=matched_ends(
+        form = one_form(*(GridField(values=matched_ends(
             rng.normal(size=grid["resolution"])), **grid)
-            for _ in range(2)), 0.5)
+            for _ in range(2)))
         (exact,) = polygon_boundary_integrals(form, [verts])
-        size = max(form.a1.supnorm(), form.a2.supnorm())
+        size = max(t.field.supnorm() for t in form)
         ((length,), _, _) = measure_polygons([verts])
         assert abs(exact - _reference_boundary_integral(form, verts)) <= (
             1e-13 * length * size)
@@ -292,8 +291,8 @@ class TestExactGridBoundaryIntegrals:
             lo, hi = (-2.0,) * values.ndim, (2.0,) * values.ndim
             return GridField(lo, hi, values.shape, matched_ends(values))
 
-        x_dy = OneForm(None, field(x.copy()), 1.0)
-        half = OneForm(field(-0.5 * ys), field(0.5 * xs), 1.0)
+        x_dy = one_form(None, field(x.copy()))
+        half = one_form(field(-0.5 * ys), field(0.5 * xs))
         ((length,), (area,), _) = measure_polygons([verts])
         for form, size in ((x_dy, 2.0), (half, 1.0)):
             fwd, back = polygon_boundary_integrals(form, [verts, verts[::-1]])
@@ -309,29 +308,53 @@ class TestExactGridBoundaryIntegrals:
             polygon_boundary_integrals(alpha, [c])[0] for c in family]
 
     def test_zero_velocity_edges_are_dropped_without_changing_a_value(
-            self, monkeypatch):
-        # W(x) dy pulls back to 0 on the horizontal edges; a zero grid in the
-        # dx slot keeps every edge, so it gives the values without the drop
+            self):
+        # W(x) dy pulls back to 0 on the horizontal edges, which are dropped
+        # before cutting: a rectangle costs the 2 nodes of each of its two
+        # vertical edges, however long its horizontal edges are, and
+        # splitting those edges at extra corners changes no value
         alpha = weierstrass_form(0.5, terms=6, resolution=512)
-        grid = alpha.a2
-        zero = GridField(grid.lo, grid.hi, grid.resolution,
-                         np.zeros(grid.resolution))
-        disks = [rectangle_corners((0.05, 0.05), (3.4, 0.0564)),
-                 rectangle_corners((0.1, 0.2), (0.35, 0.45)),
-                 [(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)],
-                 [(0.2, 0.3), (0.8, 0.3), (0.8, 0.3)]]
+        field = alpha[0].field
         points = []
-        pullback = chains._pullback
 
-        def counting(form, pts, vel):
-            points.append(pts.shape[1])
-            return pullback(form, pts, vel)
+        def counting(pts):
+            points.append(np.size(pts))
+            return GridField.evaluate(field, pts)
 
-        monkeypatch.setattr(chains, "_pullback", counting)
-        dropped = polygon_boundary_integrals(alpha, disks)
-        kept = polygon_boundary_integrals(OneForm(zero, grid, 0.5), disks)
-        assert dropped == kept
-        assert points[0] < points[1]
+        field.evaluate = counting
+        strip = rectangle_corners((0.05, 0.05), (3.4, 0.0564))
+        (whole,) = polygon_boundary_integrals(alpha, [strip])
+        assert points == [4]
+        (x0, y0), (x1, _), (_, y1), _ = strip.tolist()
+        split = [(x0, y0), (0.7, y0), (2.9, y0), (x1, y0), (x1, y1),
+                 (1.3, y1), (x0, y1)]
+        assert polygon_boundary_integrals(alpha, [split]) == [whole]
+
+    def test_terms_on_different_grids_add_up(self):
+        # W(x) dy at 2048 nodes plus a dx term on a 33 x 17 grid: each term
+        # is cut on its own grid, and the form's integrals are the sums of
+        # the one-term integrals, bit for bit
+        (w_dy,) = weierstrass_form(0.5, resolution=2048)
+        rng = np.random.default_rng(7)
+        g_dx = Term(GridField((0.0, 0.0), (1.0, 1.0), (33, 17),
+                              matched_ends(rng.normal(size=(33, 17)))),
+                    (1.0, 0.0))
+        disks = [rectangle_corners((0.1, 0.2), (0.35, 0.45)),
+                 [(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)],
+                 rectangle_corners((-0.3, 0.6), (1.4, 0.61))]
+        both = polygon_boundary_integrals((w_dy, g_dx), disks)
+        first = polygon_boundary_integrals((w_dy,), disks)
+        second = polygon_boundary_integrals((g_dx,), disks)
+        assert both == [a + b for a, b in zip(first, second)]
+        assert all(a != 0.0 and b != 0.0 for a, b in zip(first, second))
+
+    def test_empty_form_integrates_to_zeros(self):
+        disks = [rectangle_corners((0.1, 0.2), (0.35, 0.45)),
+                 [(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)]]
+        assert polygon_boundary_integrals((), disks) == [0.0, 0.0]
+        assert polygon_boundary_integrals((), []) == []
+        with pytest.raises(ValueError, match="empty form has no"):
+            one_form_cnorm((), 0.5)
 
 
 class TestGreenArea:
@@ -412,7 +435,7 @@ class TestDisks:
     @given(a=st.floats(0.05, 2.0), b=st.floats(0.05, 2.0),
            cx=st.floats(-1.0, 1.0))
     def test_repeated_measures_are_bit_identical(self, a, b, cx):
-        rough = weierstrass_form(0.5, terms=6, resolution=512).a2
+        rough = weierstrass_form(0.5, terms=6, resolution=512)[0].field
         first = integrate_two_form(rough, (cx, 0.5), (cx + a, 0.5 + b))
         integrate_two_form(constant_field(1.0), (0.0, 0.0), (b, a))
         assert integrate_two_form(rough, (cx, 0.5),
@@ -623,7 +646,7 @@ class TestStokesPairs:
         y = np.linspace(0.0, 1.0, n)[None, :]
         vals = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
         a2 = GridField((0.0, 0.0), (1.0, 1.0), (n, n), vals)
-        alpha = OneForm(None, a2, 0.5)
+        alpha = one_form(None, a2)
         lo, hi = (0.1, 0.1), (0.4, 0.35)
         (lhs,) = polygon_boundary_integrals(alpha, [rectangle_corners(lo, hi)])
         rhs = integrate_two_form(exterior_derivative(alpha), lo, hi)
@@ -642,35 +665,41 @@ class TestExteriorDerivative:
                                      (0.0, 0.0), (1.0, 1.0), (n, n))
         a2 = GridField.from_function(lambda x, y: 5.0 * np.sin(2 * np.pi * x),
                                      (0.0, 0.0), (1.0, 1.0), (n, n))
-        d = exterior_derivative(OneForm(a1, a2, 1.0))
+        d = exterior_derivative(one_form(a1, a2))
         want = ((5.0 * np.cos(2 * np.pi * x) - 2.0 * np.cos(2 * np.pi * y))
                 * np.sin(2 * np.pi * h) / h)
         np.testing.assert_allclose(d.values, want, atol=1e-9)
 
-    def test_analytic_component_rejected(self):
-        # rejected when the form is built, before it reaches the derivative
-        with pytest.raises(ValueError, match="a1: NoneType, a2: function"):
-            OneForm(None, lambda p: p[..., 0], 1.0)
+    def test_covectors_weight_the_derivative(self):
+        # d(w (c1 dx + c2 dy)) = c2 dw/dx - c1 dw/dy, term by term
+        n = 65
+        w = GridField.from_function(
+            lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
+            (0.0, 0.0), (1.0, 1.0), (n, n))
+        d = exterior_derivative((Term(w, (3.0, -2.0)),))
+        want = (-2.0 * exterior_derivative(one_form(None, w)).values
+                + 3.0 * exterior_derivative(one_form(w, None)).values)
+        np.testing.assert_allclose(d.values, want, atol=1e-12)
 
 
-class TestOneForm:
-    def test_zero_component(self):
-        # a None component reads as 0; a form needs one GridField component
-        alpha = OneForm(None, constant_field(1.0), 0.5)
-        pts = np.zeros((4, 2))
-        assert np.all(alpha.component(0, pts) == 0.0)
-        with pytest.raises(ValueError, match="a1: NoneType, a2: NoneType"):
-            OneForm(None, None, 0.5)
-
-    def test_x_only_component_is_constant_in_y(self):
+class TestTerm:
+    def test_1d_field_is_read_at_x(self):
+        # W dy on a rectangle: the horizontal edges carry nothing, and each
+        # vertical edge is one cell piece at fixed x, where the 1-D field
+        # is read; y = 0.1 and 0.9 cannot tell
         alpha = weierstrass_form(0.5, 2, 5, 128)
-        pts_lo = np.array([[0.3, 0.1]])
-        pts_hi = np.array([[0.3, 0.9]])
-        assert alpha.component(1, pts_lo)[0] == pytest.approx(
-            alpha.component(1, pts_hi)[0], abs=1e-12)
-        # read at x: W is even about 1/2, so y = 0.1 and 0.9 cannot tell
-        assert alpha.component(1, pts_lo)[0] == make_weierstrass(
-            0.5, 2, 5, 128).evaluate(np.array([[0.3]]))[0]
+        rect = rectangle_corners((0.3, 0.1), (0.6, 0.9))
+        (val,) = polygon_boundary_integrals(alpha, [rect])
+        (x0, y0), _, (x1, y1), _ = rect.tolist()
+        w0, w1 = make_weierstrass(0.5, 2, 5, 128).evaluate([[x0], [x1]])
+        assert val == pytest.approx((y1 - y0) * (w1 - w0), abs=1e-15)
+
+    def test_covector_is_two_floats(self):
+        term = Term(constant_field(1.0), (0, 2))
+        assert term.covector == (0.0, 2.0)
+        assert all(type(c) is float for c in term.covector)
+        with pytest.raises(ValueError):
+            Term(constant_field(1.0), (1.0, 0.0, 0.0))
 
 
 @st.composite
@@ -695,7 +724,7 @@ def x_only_forms(draw):
     a1 = field() if draw(st.booleans()) else None
     a2 = field()
     theta = draw(st.floats(0.1, 1.0))
-    return OneForm(a1, a2, theta), OneForm(extend(a1), extend(a2), theta)
+    return one_form(a1, a2), one_form(extend(a1), extend(a2)), theta
 
 
 @st.composite
@@ -718,9 +747,9 @@ class TestXOnlyComponents:
     @settings(max_examples=60, deadline=None)
     @given(forms=x_only_forms(), corners=unit_square_polygons())
     def test_boundary_integrals_agree(self, forms, corners):
-        one_d, two_d = forms
+        one_d, two_d, _ = forms
         length = measure_polygons(corners)[0]
-        size = max(c.supnorm() for c in one_d.grid_components())
+        size = max(t.field.supnorm() for t in one_d)
         got = np.array(polygon_boundary_integrals(one_d, corners))
         want = np.array(polygon_boundary_integrals(two_d, corners))
         assert (np.abs(got - want) <= 1e-13 * length * size).all()
@@ -730,13 +759,14 @@ class TestXOnlyComponents:
     def test_cnorm_is_equal(self, forms):
         # lag (kx, ky) of the extension repeats M(kx, 0) at a distance of at
         # least dx, so the 2-D scan's maximum is the 1-D one, bit for bit
-        one_d, two_d = forms
-        assert one_form_cnorm(one_d).hex() == one_form_cnorm(two_d).hex()
+        one_d, two_d, theta = forms
+        assert one_form_cnorm(one_d, theta).hex() == one_form_cnorm(
+            two_d, theta).hex()
 
     @settings(max_examples=40, deadline=None)
     @given(forms=x_only_forms())
     def test_exterior_derivative_is_the_first_column(self, forms):
-        one_d, two_d = forms
+        one_d, two_d, _ = forms
         got = exterior_derivative(one_d)
         assert got.dim == 1
         assert got.values.tobytes() == (
@@ -746,14 +776,14 @@ class TestXOnlyComponents:
     @given(forms=x_only_forms(), frac=st.floats(0.01, 0.99))
     def test_mollified_form_agrees_to_rounding(self, forms, frac):
         # below one y spacing the 2-D kernel is one column, the 1-D kernel
-        one_d, two_d = forms
-        eps = frac * min(two_d.a2.spacing[1], 0.49)
-        size = max(c.supnorm() for c in one_d.grid_components())
+        one_d, two_d, _ = forms
+        eps = frac * min(two_d[-1].field.spacing[1], 0.49)
+        size = max(t.field.supnorm() for t in one_d)
         got, want = mollify_one_form(one_d, eps), mollify_one_form(two_d, eps)
-        for a, b in ((got.a1, want.a1), (got.a2, want.a2)):
-            if a is None:
-                assert b is None
-                continue
+        assert len(got) == len(want)
+        for s, t in zip(got, want):
+            assert s.covector == t.covector
+            a, b = s.field, t.field
             assert (a.lo[0], a.hi[0], a.resolution[0]) == (
                 b.lo[0], b.hi[0], b.resolution[0])
             np.testing.assert_allclose(a.values, b.values[:, 0], rtol=0.0,

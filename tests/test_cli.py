@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import holderforms.chains
 import holderforms.cli
 import holderforms.decay
+import holderforms.dynamics
 import holderforms.inequality
 from holderforms.dynamics import AmbiguousSpectrumError
 from holderforms.cli import COMMON_FLAGS, FLAGS, main, parse_args
@@ -218,6 +219,25 @@ class TestNumericalErrors:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ")
         assert "1.0000001" in err
+
+    def test_unresolved_spectrum_exits_3(self, tmp_path, capsys,
+                                         monkeypatch):
+        real = holderforms.dynamics._factor_roots
+        monkeypatch.setattr(holderforms.dynamics, "_factor_roots",
+                            lambda g: [z + 1e-3 for z in real(g)])
+        code, _ = run(["criteria"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: eigenvalue ")
+        assert "residual" in err
+
+    def test_large_entries_resolve(self, tmp_path, capsys):
+        # the small root's residual 0.079 is above 1e-9 max|c_k| = 0.036,
+        # but far below its backward-error bound
+        code, _ = run(["criteria", "--matrix",
+                       "-87091 1908042 1648044 -36106339"], tmp_path)
+        assert code == 0
+        assert "dims=(1, 0, 1)" in capsys.readouterr().out
 
     def test_strips_too_long_for_sigma_exit_3(self, tmp_path, capsys):
         # c1 = 0.2 sizes N = 2 strips at k = 0, each 0.6 long against 0.5
@@ -608,6 +628,8 @@ class TestConfig:
         ("", ["decay", "--nu", "2"], "nu=2.0"),
         ("", ["decay", "--mu", "0.5"], "mu=0.5"),
         ("", ["criteria", "--matrix", "2 0 0 2"], "got 4"),
+        # the empty product has determinant 1; no direction is missing
+        ("", ["criteria", "--matrix", ""], "size 1 to 4, got shape (0, 0)"),
         ("", ["criteria", "--matrix", "1 1 0 1"], "stable and unstable"),
         ("", ["criteria", "--ell", "2"], "ell = 2"),
         ("", ["criteria", "--ell", "-1"], "ell must be >= 0, got -1"),

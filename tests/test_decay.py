@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holderforms import decay
-from holderforms.chains import (
-    OneForm,
-    measure_polygons,
-    polygon_boundary_integrals,
-)
+from holderforms.chains import measure_polygons, polygon_boundary_integrals
 from holderforms.decay import (
     LinearModel,
     SmallnessError,
@@ -24,7 +20,7 @@ from holderforms.grids import GridField
 from holderforms.inequality import verify_main_inequality
 
 from helpers import (
-    cut_strips, decay_steps_one_by_one, per_edge_quadrature,
+    cut_strips, decay_steps_one_by_one, one_form, per_edge_quadrature,
 )
 
 
@@ -79,8 +75,8 @@ class TestRectangleIteration:
         def sampled(fn):
             return GridField.from_function(fn, (0.0, 0.0), (2.0, 1.0),
                                            (9, 9))
-        half_xdy = OneForm(sampled(lambda x, y: -0.5 * y),
-                           sampled(lambda x, y: 0.5 * x), 1.0)
+        half_xdy = one_form(sampled(lambda x, y: -0.5 * y),
+                            sampled(lambda x, y: 0.5 * x))
         r2 = iterate_rectangle(MODEL, RECT, 2)
         whole = cut_strips(r2, 1)
         ((length,), _, _) = measure_polygons(whole)
@@ -141,8 +137,8 @@ class TestStrips:
         def sampled(fn):
             return GridField.from_function(fn, (0.0, 0.0), (1.0, 1.0),
                                            (65, 65))
-        alpha = OneForm(sampled(lambda x, y: np.sin(2.0 * np.pi * y)),
-                        sampled(lambda x, y: np.cos(4.0 * np.pi * x)), 1.0)
+        alpha = one_form(sampled(lambda x, y: np.sin(2.0 * np.pi * y)),
+                         sampled(lambda x, y: np.cos(4.0 * np.pi * x)))
         rect = USRectangle((x, y), u_len, s_len)
         strips = cut_strips(rect, n)
         parts = polygon_boundary_integrals(alpha, strips)
@@ -226,7 +222,7 @@ class TestDecaySeries:
         for s in series.steps:
             r = iterate_rectangle(MODEL, RECT, s.k)
             (x0, y0), x1 = r.corner, r.corner[0] + r.u_len
-            w0, w1 = alpha.component(1, np.array([[x0, y0], [x1, y0]]))
+            w0, w1 = alpha[0].field.evaluate(np.array([[x0], [x1]]))
             expected = r.s_len * (w1 - w0)
             assert s.lhs_whole == pytest.approx(expected, rel=1e-14, abs=0.0)
 

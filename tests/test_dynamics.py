@@ -9,6 +9,7 @@ from holderforms.cli import main
 from holderforms.dynamics import (
     AmbiguousSpectrumError,
     ToralAutomorphism,
+    UnresolvedSpectrumError,
     accessibility_criterion,
     anosov_section_criterion,
     companion_matrix,
@@ -73,6 +74,16 @@ class TestToralAutomorphism:
         with pytest.raises(ValueError):
             toral_automorphism([[2, 0], [0, 1]])
 
+    @pytest.mark.parametrize("M", [np.zeros((0, 0), dtype=int),
+                                   np.eye(5, dtype=int),
+                                   np.ones((2, 3), dtype=int),
+                                   np.ones(4, dtype=int)])
+    def test_size_outside_one_to_four_rejected(self, M):
+        # the empty product has determinant 1, so a 0 x 0 matrix would pass
+        # the unimodularity check
+        with pytest.raises(ValueError, match=r"size 1 to 4, got shape"):
+            ToralAutomorphism(M)
+
     def test_non_integer_rejected(self):
         with pytest.raises((ValueError, TypeError)):
             toral_automorphism([[1.5, 0.0], [0.0, 1.0]])
@@ -116,6 +127,30 @@ class TestToralAutomorphism:
                             lambda M: runs.append(M) or fl(M))
         pisot_example()
         assert len(runs) == 2
+
+    def test_large_entries_pass_the_backward_error_bound(self):
+        # x^2 + 36193430 x + 1: the small root's residual is 0.079, above
+        # 1e-9 max|c_k| = 0.036 but far below the bound 1e-9 sum |c_k|
+        # |z|^(n-k), which is the size of Horner's rounding at z
+        A = toral_automorphism([[-87091, 1908042], [1648044, -36106339]])
+        eig = A.eigenvalues()
+        assert abs(abs(eig[0]) * abs(eig[1]) - 1.0) <= 1e-14
+        assert abs(eig[0] + eig[1] - (-87091 - 36106339)) <= 1e-8
+
+    def test_unresolved_root_raises_with_its_residual(self, monkeypatch):
+        # a root the polish leaves off is a typed error, not a bare
+        # ArithmeticError: it names the root, its residual and its bound
+        real = holderforms.dynamics._factor_roots
+        monkeypatch.setattr(holderforms.dynamics, "_factor_roots",
+                            lambda g: [z + 1e-3 for z in real(g)])
+        with pytest.raises(UnresolvedSpectrumError) as exc:
+            toral_automorphism(CAT_MAP).eigenvalues()
+        err = exc.value
+        assert isinstance(err, ArithmeticError)
+        assert err.residual > err.bound > 0.0
+        assert err.residual == pytest.approx(
+            abs(err.root ** 2 - 3 * err.root + 1), rel=1e-9)
+        assert repr(err.root) in str(err) and repr(err.residual) in str(err)
 
     @settings(max_examples=200, deadline=None)
     @given(M=unimodular_matrices())

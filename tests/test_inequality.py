@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import holderforms.inequality
 from holderforms.chains import (
-    OneForm,
+    Term,
     measure_polygons,
     polygon_boundary_integrals,
     rectangle_corners,
@@ -35,7 +35,7 @@ from holderforms.inequality import (
     verify_main_inequality,
 )
 from holderforms.mollify import deta_l1
-from helpers import per_edge_quadrature, scaled_form
+from helpers import one_form, per_edge_quadrature, scaled_form
 
 
 class TestThetaConstant:
@@ -162,7 +162,7 @@ def seeded_trig_form(seed, n=65):
         vals[:, -1] = vals[:, 0]
         return GridField((0.0, 0.0), (1.0, 1.0), (n, n), vals)
 
-    return OneForm(field(), field(), 0.5)
+    return one_form(field(), field())
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +201,7 @@ class TestMainInequality:
             assert rb.ratio == pytest.approx(ra.ratio, abs=1e-10)
 
     def test_exact_form_has_zero_ratio(self, w_cnorm):
-        dy = OneForm(None, GridField((0.0,), (1.0,), (2,), np.ones(2)), 0.5)
+        dy = one_form(None, GridField((0.0,), (1.0,), (2,), np.ones(2)))
         fam = dyadic_square_family(range(4, 6), 2)
         reports = verify_main_inequality(dy, fam, theta=0.5, cnorm=1.0)
         for r in reports:
@@ -219,12 +219,21 @@ class TestMainInequality:
         assert only.skipped
 
     def test_form_that_is_not_grid_sampled_is_rejected(self, w_form):
-        # the form names the component types when it is built, before the
-        # norm or the boundary integrals can read it
-        with pytest.raises(ValueError, match="a1: NoneType, a2: function"):
-            one_form_cnorm(OneForm(None, lambda p: p[..., 0], 0.5))
-        with pytest.raises(ValueError, match="a1: function, a2: GridField"):
-            one_form_cnorm(OneForm(lambda p: p[..., 1], w_form.a2, 0.5))
+        # a term names its field's type when it is built, before the norm or
+        # the boundary integrals can read it
+        with pytest.raises(ValueError, match="got function"):
+            one_form_cnorm((Term(lambda p: p[..., 0], (0.0, 1.0)),), 0.5)
+        with pytest.raises(ValueError, match="got NoneType"):
+            one_form_cnorm(w_form + (Term(None, (1.0, 0.0)),), 0.5)
+
+    def test_cnorm_bounds_each_component_by_its_terms(self, w_form, w_cnorm):
+        # component i of sum w (c . dp) is sum c_i w, whose norm is at most
+        # sum |c_i| cnorm(w); the form's bound is the larger component's
+        (w_dy,) = w_form
+        assert one_form_cnorm((Term(w_dy.field, (0.0, -3.0)),), 0.5) == (
+            3.0 * w_cnorm)
+        assert one_form_cnorm((w_dy, Term(w_dy.field, (0.5, 2.0))),
+                              0.5) == 3.0 * w_cnorm
 
     def test_nonpositive_cnorm_rejected(self, w_form):
         fam = dyadic_square_family(range(5, 6), 1)
@@ -290,7 +299,7 @@ class TestExactBoundaryIntegrals:
            h=st.floats(0.01, 0.6), cuts=st.integers(2, 7))
     def test_rough_periodic_form(self, seed, x0, y0, w, h, cuts):
         form = seeded_trig_form(seed)
-        sup = max(form.a1.supnorm(), form.a2.supnorm())
+        sup = max(t.field.supnorm() for t in form)
         rect = rectangle_corners((x0, y0), (x0 + w, y0 + h))
         fwd, back = polygon_boundary_integrals(form, [rect, rect[::-1]])
         ((length,), _, _) = measure_polygons([rect])
@@ -353,13 +362,14 @@ class TestSplitCheck:
     floating-point triangle inequality, to one ulp of ``lhs``."""
 
     def test_split_bounds_on_weierstrass(self, stokes_form):
-        chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
+        chk = mollification_split_check(stokes_form, *SQUARE, 0.05, 0.5)
         assert chk.chain_holds
         assert chk.boundary_bound_holds
         assert chk.interior_bound_holds
 
     def test_chain_holds_at_2048_nodes(self, w_form):
-        assert mollification_split_check(w_form, *SQUARE, 0.05).chain_holds
+        chk = mollification_split_check(w_form, *SQUARE, 0.05, 0.5)
+        assert chk.chain_holds
 
     @settings(max_examples=40, deadline=None)
     @given(x0=st.floats(0.0, 1.0), y0=st.floats(-1.0, 1.0),
@@ -370,9 +380,9 @@ class TestSplitCheck:
         # d(a dy) = a'(x) dx dy integrates to (y1 - y0)(a(x1) - a(x0)),
         # read at the corners the rectangle is built with
         lo, hi = (x0, y0), (x0 + width, y0 + height)
-        chk = mollification_split_check(w_form, lo, hi, epsilon)
+        chk = mollification_split_check(w_form, lo, hi, epsilon, 0.5)
         (x0, y0), _, (x1, y1), _ = rectangle_corners(lo, hi)
-        a = chk.alpha_eps.a2.evaluate(np.array([[x0], [x1]]))
+        a = chk.alpha_eps[0].field.evaluate(np.array([[x0], [x1]]))
         assert abs(chk.interior - (y1 - y0) * (a[1] - a[0])) <= 1e-15
         assert chk.chain_holds
 
@@ -381,9 +391,9 @@ class TestSplitCheck:
     @example(a=-0.005445472771925581, b=-0.0006409900207965343)
     def test_chain_holds_for_any_two_integrals(self, a, b):
         # I(alpha) = a and I(alpha_eps) = b give the terms |a|, |a - b|, |b|
-        chk = SplitCheck(epsilon=0.05, lhs=abs(a), term_boundary=abs(a - b),
-                         interior=b, length=0.8, area=0.04, alpha_eps=None,
-                         alpha=None)
+        chk = SplitCheck(epsilon=0.05, theta=0.5, lhs=abs(a),
+                         term_boundary=abs(a - b), interior=b, length=0.8,
+                         area=0.04, alpha_eps=None, alpha=None)
         assert chk.chain_holds
 
     def test_chain_needs_its_one_ulp(self):
@@ -394,7 +404,7 @@ class TestSplitCheck:
 
     def test_bounds_equal_the_measured_disk_bounds(self, w_form, w_cnorm):
         # the bounds read only length and area
-        chk = mollification_split_check(w_form, *SQUARE, 0.05)
+        chk = mollification_split_check(w_form, *SQUARE, 0.05, 0.5)
         ((length,), (area,), _) = measure_polygons(
             [rectangle_corners(*SQUARE)])
         assert chk.bound_boundary == length * w_cnorm * 0.05 ** 0.5
@@ -406,13 +416,13 @@ class TestSplitCheck:
         calls = []
         real = holderforms.inequality.one_form_cnorm
 
-        def counting(alpha, theta=None):
-            calls.append(alpha.theta if theta is None else theta)
+        def counting(alpha, theta):
+            calls.append(theta)
             return real(alpha, theta)
 
         monkeypatch.setattr(holderforms.inequality, "one_form_cnorm",
                             counting)
-        chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
+        chk = mollification_split_check(stokes_form, *SQUARE, 0.05, 0.5)
         assert chk.chain_holds
         assert calls == []
         assert chk.boundary_bound_holds and chk.interior_bound_holds
@@ -424,12 +434,13 @@ class TestSplitCheck:
         # |int alpha| and int alpha_eps on the square are the exact
         # integrals, and |int (alpha - alpha_eps)| is their difference,
         # which the integral of the difference form equals to rounding
-        chk = mollification_split_check(stokes_form, *SQUARE, 0.05)
+        chk = mollification_split_check(stokes_form, *SQUARE, 0.05, 0.5)
         corners = [rectangle_corners(*SQUARE)]
-        a2, b2 = stokes_form.a2, chk.alpha_eps.a2
-        assert stokes_form.a1 is None  # x dy-type: a2 only
-        diff = OneForm(None, GridField(a2.lo, a2.hi, a2.resolution,
-                                       a2.values - b2.values), 0.5)
+        (a2,), (b2,) = stokes_form, chk.alpha_eps
+        assert a2.covector == b2.covector == (0.0, 1.0)  # x dy-type
+        a2, b2 = a2.field, b2.field
+        diff = one_form(None, GridField(a2.lo, a2.hi, a2.resolution,
+                                        a2.values - b2.values))
         ((lhs,), (term,), (smooth,)) = (
             polygon_boundary_integrals(form, corners)
             for form in (stokes_form, diff, chk.alpha_eps))
@@ -438,24 +449,24 @@ class TestSplitCheck:
         assert chk.term_boundary == abs(lhs - smooth)
         assert abs(chk.term_boundary - abs(term)) <= 1e-15
 
-    def test_empty_or_analytic_form_never_reaches_mollify(self, w_form):
-        # an empty form used to mollify silently to an empty form, and an
-        # analytic component raised without its type; both forms are now
-        # rejected when they are built
-        for a1, a2, names in [(None, None, "a1: NoneType, a2: NoneType"),
-                              (lambda p: p[..., 1], w_form.a2,
-                               "a1: function, a2: GridField")]:
-            with pytest.raises(ValueError, match=names):
-                mollify_one_form(OneForm(a1, a2, 0.5), 0.05)
+    def test_empty_form_mollifies_to_itself_and_analytic_is_rejected(
+            self, w_form):
+        # the empty form is zero and mollifies to itself; an analytic field
+        # is rejected, with its type, when its term is built
+        assert mollify_one_form((), 0.05) == ()
+        with pytest.raises(ValueError, match="got function"):
+            mollify_one_form(
+                w_form + (Term(lambda p: p[..., 1], (1.0, 0.0)),), 0.05)
 
     def test_1d_form_boundary_term(self):
         # on the square only its two vertical edges carry a2 dy, so the
         # boundary term is 0.2 |d(0.5) - d(0.3)| for d = a2 - a2_eps
         n = 4097
         a2 = make_weierstrass(0.5, 2, 6, n)
-        chk = mollification_split_check(OneForm(None, a2, 0.5), *SQUARE, 0.05)
-        b = chk.alpha_eps.a2
-        assert chk.alpha_eps.a1 is None
+        chk = mollification_split_check(one_form(None, a2), *SQUARE, 0.05,
+                                        0.5)
+        ((b, covector),) = ((t.field, t.covector) for t in chk.alpha_eps)
+        assert covector == (0.0, 1.0)
         d = a2.evaluate([[0.3], [0.5]]) - b.evaluate([[0.3], [0.5]])
         assert chk.term_boundary == pytest.approx(0.2 * abs(d[1] - d[0]),
                                                   rel=1e-12)
@@ -464,8 +475,8 @@ class TestSplitCheck:
         assert chk.interior_bound_holds
 
     def test_boundary_bound_scales_with_eps(self, w_form):
-        a = mollification_split_check(w_form, *SQUARE, 0.02)
-        b = mollification_split_check(w_form, *SQUARE, 0.08)
+        a = mollification_split_check(w_form, *SQUARE, 0.02, 0.5)
+        b = mollification_split_check(w_form, *SQUARE, 0.08, 0.5)
         assert b.bound_boundary == pytest.approx(2.0 * a.bound_boundary,
                                                  rel=1e-12)
         assert b.bound_interior == pytest.approx(0.5 * a.bound_interior,

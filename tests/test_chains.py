@@ -311,10 +311,24 @@ class TestExactGridBoundaryIntegrals:
             self):
         # W(x) dy pulls back to 0 on the horizontal edges, which are dropped
         # before cutting: a rectangle costs the 2 nodes of each of its two
-        # vertical edges, however long its horizontal edges are, and
-        # splitting those edges at extra corners changes no value
+        # vertical edges, however long its horizontal edges are. Each value
+        # of a batch with a wrapping strip and a polygon whose every edge is
+        # dropped agrees with the reference, which evaluates every edge, and
+        # splitting the dropped edges at extra corners changes no value
         alpha = weierstrass_form(0.5, terms=6, resolution=512)
         field = alpha[0].field
+        strip = rectangle_corners((0.05, 0.05), (3.4, 0.0564))
+        disks = [strip,
+                 rectangle_corners((0.1, 0.2), (0.35, 0.45)),
+                 [(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)],
+                 [(0.2, 0.3), (0.8, 0.3), (0.8, 0.3)]]
+        dropped = polygon_boundary_integrals(alpha, disks)
+        lengths = measure_polygons(disks)[0]
+        size = field.supnorm()
+        for verts, value, length in zip(disks, dropped, lengths):
+            want = _reference_boundary_integral(alpha, np.array(verts, float))
+            assert abs(value - want) <= 1e-13 * length * size
+        assert dropped[3] == 0.0
         points = []
 
         def counting(pts):
@@ -322,9 +336,9 @@ class TestExactGridBoundaryIntegrals:
             return GridField.evaluate(field, pts)
 
         field.evaluate = counting
-        strip = rectangle_corners((0.05, 0.05), (3.4, 0.0564))
         (whole,) = polygon_boundary_integrals(alpha, [strip])
         assert points == [4]
+        assert whole == dropped[0]
         (x0, y0), (x1, _), (_, y1), _ = strip.tolist()
         split = [(x0, y0), (0.7, y0), (2.9, y0), (x1, y0), (x1, y1),
                  (1.3, y1), (x0, y1)]

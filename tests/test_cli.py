@@ -232,7 +232,7 @@ class TestNumericalErrors:
         assert "residual" in err
 
     def test_large_entries_resolve(self, tmp_path, capsys):
-        # the small root's residual 0.079 is above 1e-9 max|c_k| = 0.036,
+        # the large root's residual 0.079 is above 1e-9 max|c_k| = 0.036,
         # but far below its backward-error bound
         code, _ = run(["criteria", "--matrix",
                        "-87091 1908042 1648044 -36106339"], tmp_path)

@@ -129,7 +129,7 @@ class TestToralAutomorphism:
         assert len(runs) == 2
 
     def test_large_entries_pass_the_backward_error_bound(self):
-        # x^2 + 36193430 x + 1: the small root's residual is 0.079, above
+        # x^2 + 36193430 x + 1: the large root's residual is 0.079, above
         # 1e-9 max|c_k| = 0.036 but far below the bound 1e-9 sum |c_k|
         # |z|^(n-k), which is the size of Horner's rounding at z
         A = toral_automorphism([[-87091, 1908042], [1648044, -36106339]])

@@ -34,7 +34,6 @@ from .grids import GridField
 
 __all__ = [
     "Term",
-    "ChainMeasures",
     "rectangle_corners",
     "measure_polygons",
     "polygon_boundary_integrals",
@@ -70,13 +69,6 @@ class Term:
                              f"{type(field).__name__}")
         c1, c2 = covector
         self.field, self.covector = field, (float(c1), float(c2))
-
-
-class ChainMeasures:
-    def __init__(self, length: float, area: float, diameter: float):
-        if not all(v >= 0.0 for v in (length, area, diameter)):
-            raise ValueError("measures must be nonnegative numbers")
-        self.length, self.area, self.diameter = length, area, diameter
 
 
 def _polygon_edges(corners):

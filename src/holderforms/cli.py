@@ -44,8 +44,8 @@ from .inequality import (
     one_form_cnorm,
 )
 from .dynamics import (
-    AmbiguousSpectrumError, UnresolvedSpectrumError, spectral_rates,
-    toral_automorphism, anosov_section_criterion, accessibility_criterion,
+    AmbiguousSpectrumError, ToralAutomorphism, UnresolvedSpectrumError,
+    spectral_rates, anosov_section_criterion, accessibility_criterion,
     standard_holder_bound, pisot_example,
 )
 from .decay import (
@@ -58,7 +58,7 @@ from .experiments import (
 )
 
 KNOWN_KEYS = {
-    "common": {"seed", "slack", "sigma", "outdir"},
+    "common": {"seed", "sigma", "outdir"},
     "form": {"theta", "base", "terms", "resolution"},
     "disks": {"j_min", "j_max", "anchors"},
     "matrix": {"entries", "theta", "ell", "extra_center_dims"},
@@ -189,13 +189,12 @@ def run_mollify_check(args, cfg, outdir: Path, checks: Checks) -> None:
         [0.02, 0.05, 0.1])]
     if not epsilons:
         raise ConfigError("[mollify] epsilons: need at least one value")
-    slack = _positive("slack", cfg_get(cfg, "common", "slack", float, 1.05))
 
     for n in (1, 2):
         a = normalization_constant(n)
         checks.check(f"mollifier-normalization-{n}d", a > 0.0, f"A={a:.6f}")
     u = make_weierstrass(theta, base, terms, res)
-    reports = verify_regularization(u, theta, epsilons, slack=slack)
+    reports = verify_regularization(u, theta, epsilons, slack=1.05)
     write_csv(outdir / "regularization.csv",
               ["epsilon", "measured_c", "bound_c", "measured_d", "bound_d",
                "pass_c", "pass_d"],
@@ -204,9 +203,9 @@ def run_mollify_check(args, cfg, outdir: Path, checks: Checks) -> None:
         checks.check(f"sup-bound-eps={r.epsilon:g}", r.pass_b,
                      f"sup|u_eps|={r.measured_b:.6g} <= sup|u|={r.sup_u:.6g}")
         checks.check(f"approx-bound-eps={r.epsilon:g}", r.pass_c,
-                     f"{r.measured_c:.6g} <= {r.bound_c * slack:.6g}")
+                     f"{r.measured_c:.6g} <= {r.bound_c * r.slack:.6g}")
         checks.check(f"derivative-bound-eps={r.epsilon:g}", r.pass_d,
-                     f"{r.measured_d:.6g} <= {r.bound_d * slack:.6g}")
+                     f"{r.measured_d:.6g} <= {r.bound_d * r.slack:.6g}")
 
 
 def run_stokes_check(args, cfg, outdir: Path, checks: Checks) -> None:
@@ -225,9 +224,11 @@ def run_stokes_check(args, cfg, outdir: Path, checks: Checks) -> None:
 
     theta = _theta_open("theta", cfg_get(cfg, "form", "theta", float, 0.5,
                                          args.theta))
+    base = _at_least("base", cfg_get(cfg, "form", "base", int, 2), 2)
+    terms = _at_least("terms", cfg_get(cfg, "form", "terms", int, 8), 1)
     res = _positive("resolution", cfg_get(cfg, "form", "resolution", int, 4096,
                                           args.resolution))
-    alpha = weierstrass_form(theta, resolution=res)
+    alpha = weierstrass_form(theta, base, terms, res)
     lo, hi = (0.3, 0.3), (0.5, 0.5)
     split = mollification_split_check(alpha, lo, hi, epsilon=0.05,
                                       theta=theta)
@@ -328,7 +329,7 @@ def run_criteria(args, cfg, outdir: Path, checks: Checks) -> None:
     extra = _at_least("extra_center_dims",
                       cfg_get(cfg, "matrix", "extra_center_dims", int, 0,
                               args.extra_center_dims), 0)
-    A = _config_call(toral_automorphism, np.array(entries).reshape(n, n))
+    A = _config_call(ToralAutomorphism, np.array(entries).reshape(n, n))
     rates = spectral_rates(A, extra_center_dims=extra)
     print(f"rates: lambda_u={rates.lambda_u} m_u={rates.m_u} "
           f"lambda_s={rates.lambda_s} m_s={rates.m_s} "
@@ -391,12 +392,13 @@ def run_decay(args, cfg, outdir: Path, checks: Checks) -> None:
     u_len = _positive("u_len", cfg_get(cfg, "decay", "u_len", float, 0.4))
     s_len = _positive("s_len", cfg_get(cfg, "decay", "s_len", float, 0.1))
     c1 = _positive("c1", cfg_get(cfg, "decay", "c1", float, 1.0))
+    base = _at_least("base", cfg_get(cfg, "form", "base", int, 2), 2)
     terms = _at_least("terms", cfg_get(cfg, "form", "terms", int, 6), 1)
 
     model = _config_call(LinearModel, mu, nu)
     rect = USRectangle((0.05, 0.05), u_len, s_len)
-    sampled = weierstrass_form(theta, terms=terms,
-                               resolution=max(512, 4 * 2 ** (terms - 1)))
+    sampled = weierstrass_form(theta, base, terms,
+                               max(512, 4 * base ** (terms - 1)))
     cnorm = one_form_cnorm(sampled, theta)
     js = range(2, 7)
     fam_reports = verify_main_inequality(
@@ -429,7 +431,7 @@ def run_decay(args, cfg, outdir: Path, checks: Checks) -> None:
         checks.check(f"strip-band-k={s.k}", s.n0 < s.n < 2 * s.n0,
                      f"N0={s.n0:.2f} N={s.n}")
         checks.check(f"strip-smallness-k={s.k}",
-                     max(s.strip_boundary_max, s.strip_diameter_max) < sigma,
+                     s.strip_boundary_max < sigma,
                      f"max boundary {s.strip_boundary_max:.4f}")
         # the strips' shared edges cancel exactly in real numbers, so the
         # 1e-8 absorbs rounding only: at most 1.6e-16 at the defaults

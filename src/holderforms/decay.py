@@ -9,7 +9,7 @@ that the summed bound decays geometrically at rate mu * nu^theta.
 Only |dD| and |D| enter that right-hand side.  ``_strip_corners`` gives
 the corners of a run of strips of an iterate as one ``(N, 4, 2)`` array, and
 ``measure_polygons`` measures strips in closed form, with the same formulas
-the family verifier uses; the strip diameter is the rectangle diagonal.
+the family verifier uses.
 The telescoping check integrates the form over every strip boundary and
 over the whole iterate's boundary (the iterate cut into one strip) with
 ``polygon_boundary_integrals``, from the same corners.  ``decay_bound_series``
@@ -149,7 +149,6 @@ class StripCount(NamedTuple):
     k: int
     n0: float                # lower edge of the permitted band
     n: int | None            # chosen count; None when k is pre-asymptotic
-    admissible: bool
 
 
 def choose_strip_count(k: int, model: LinearModel, rect: USRectangle,
@@ -157,14 +156,13 @@ def choose_strip_count(k: int, model: LinearModel, rect: USRectangle,
     """N_k = ceil(1.5 N_0(k)), the midpoint of the band (N_0, 2 N_0).
 
     Pre-asymptotic k (the stable term has not yet dropped below sigma/2)
-    is reported as inadmissible rather than forced.
+    is reported as inadmissible, with no count, rather than forced.
     """
     L = rect.boundary_length
     if c1 * L * model.nu ** k >= 0.5 * sigma:
-        return StripCount(k, math.nan, None, False)
+        return StripCount(k, math.nan, None)
     n0 = 2.0 * c1 * L * model.mu ** k / sigma
-    n = int(math.ceil(1.5 * n0))
-    return StripCount(k, n0, n, True)
+    return StripCount(k, n0, int(math.ceil(1.5 * n0)))
 
 
 class DecayStep(NamedTuple):
@@ -172,18 +170,12 @@ class DecayStep(NamedTuple):
     n0: float
     n: int
     strip_boundary_max: float
-    strip_diameter_max: float
     bound: float                 # sum over strips of K_emp cnorm rhs_shape
     lhs_sum: float               # sum of per-strip boundary integrals
     lhs_whole: float             # boundary integral of the whole iterate
 
 
 class DecaySeries(NamedTuple):
-    theta: float
-    sigma: float
-    c1: float
-    k_emp: float
-    cnorm: float
     predicted_rate: float        # mu * nu^theta
     steps: tuple
     skipped_k: tuple
@@ -219,9 +211,9 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
     they scale the reported bound but not the fitted rate.
 
     Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only;
-    ``measure_polygons`` gives the lengths, areas and diameters of the
-    strips in closed form.  A closed curve has ``diam <= |dD|/2``, so the
-    smallness filter is the length test ``|dD| < sigma``.
+    ``measure_polygons`` gives the lengths and areas of the strips in
+    closed form, and the smallness filter is the length test
+    ``|dD| < sigma`` of ``inequality.verify_main_inequality``.
 
     The run plans every admissible step first, then measures the strips of
     all steps, in k order, in batches of at most ``STRIP_CHUNK`` strips,
@@ -242,7 +234,7 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
     for k in k_range:
         try:
             sc = choose_strip_count(k, model, rect, sigma, c1)
-            if not sc.admissible:
+            if sc.n is None:
                 skipped.append(k)
                 continue
             rect_k = iterate_rectangle(model, rect, k)
@@ -258,17 +250,18 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
     total = spans[-1].stop if spans else 0
     # allocated before any batch, so a run too large to hold fails at once
     try:
-        measures = np.empty((3, total))  # length, area, diameter per strip
+        measures = np.empty((2, total))  # length and area per strip
         lhs = np.empty(total + len(plan))  # each strip, then each iterate
     except MemoryError as exc:
         raise DecayRangeError(
             f"k = {plan[0][0].k}..{plan[-1][0].k} plans {total} strips, "
             f"too many to hold in memory") from exc
     for first, corners in _batches(cuts):
-        measures[:, first:first + len(corners)] = measure_polygons(corners)
-    length, area, diameter = measures
+        measures[:, first:first + len(corners)] = measure_polygons(
+            corners)[:2]
+    length, area = measures
     for (sc, _), span in zip(plan, spans):
-        if (length[span] >= sigma).any():  # diam <= |dD|/2 < |dD|
+        if (length[span] >= sigma).any():
             raise SmallnessError(sc.k, sc.n, float(length[span].max()), sigma)
     if failed is not None:
         k, exc = failed
@@ -290,13 +283,11 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
             n0=sc.n0,
             n=sc.n,
             strip_boundary_max=float(length[span].max()),
-            strip_diameter_max=float(diameter[span].max()),
             bound=k_emp * cnorm * math.fsum(rhs_shapes),
             lhs_sum=math.fsum(lhs[span].tolist()),
             lhs_whole=float(lhs[total + j]),
         ))
     return DecaySeries(
-        theta=theta, sigma=sigma, c1=c1, k_emp=k_emp, cnorm=cnorm,
         predicted_rate=model.mu * model.nu ** theta,
         steps=tuple(steps), skipped_k=tuple(skipped),
     )

@@ -32,7 +32,6 @@ __all__ = [
     "CriterionReport",
     "PisotReport",
     "companion_matrix",
-    "toral_automorphism",
     "spectral_rates",
     "anosov_section_criterion",
     "accessibility_criterion",
@@ -269,20 +268,14 @@ class ToralAutomorphism:
             np.array(-self._N * self._coeffs[-1], dtype=np.int64))
 
 
-def toral_automorphism(matrix) -> ToralAutomorphism:
-    return ToralAutomorphism(np.asarray(matrix))
-
-
 def companion_matrix(c2: int, c1: int, c0: int) -> ToralAutomorphism:
     """Companion matrix of the monic cubic x^3 + c2 x^2 + c1 x + c0.
 
-    Unimodularity requires |c0| = 1; determinant equals -c0.
+    Its determinant is -c0, so the class's |det| = 1 check is |c0| = 1.
     """
-    for c in (c2, c1, c0):
+    for c in (c2, c1, c0):  # the int64 array would truncate a fraction
         if int(c) != c:
             raise ValueError("coefficients must be integers")
-    if abs(c0) != 1:
-        raise ValueError("|constant term| must be 1 for a toral automorphism")
     M = np.array([
         [0, 0, -c0],
         [1, 0, -c1],
@@ -427,7 +420,6 @@ class PisotReport(NamedTuple):
     eta: float
     det: int
     unimodular_residual: float       # |xi eta^2 - 1|
-    rates: SpectralRates
     accessibility_threshold: float
     standard_theta: float
 
@@ -456,7 +448,6 @@ def pisot_example() -> PisotReport:
         eta=eta,
         det=A.det,
         unimodular_residual=abs(xi * eta * eta - 1.0),
-        rates=rates,
         accessibility_threshold=acc.theta_threshold,
         standard_theta=std,
     )

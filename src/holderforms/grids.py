@@ -195,7 +195,6 @@ class HolderEstimate(NamedTuple):
     ``cnorm == supnorm + seminorm`` exactly.
     """
 
-    theta: float
     seminorm: float
     supnorm: float
 
@@ -406,4 +405,4 @@ def holder_seminorm(f: GridField, theta: float) -> HolderEstimate:
         # a zero entry leaves the other's value bit for bit
         p = 2.0 / (2.0 - theta)
         top *= sum((x / top) ** p for x in s) ** (1.0 / p)
-    return HolderEstimate(theta, top, f.supnorm())
+    return HolderEstimate(top, f.supnorm())

@@ -23,7 +23,6 @@ import numpy as np
 from .grids import holder_seminorm
 from .mollify import deta_l1, mollify
 from .chains import (
-    ChainMeasures,
     Term,
     measure_polygons,
     polygon_boundary_integrals,
@@ -265,20 +264,20 @@ class InequalityReport(NamedTuple):
     """Per-disk comparison |int_dD alpha| vs cnorm |dD|^(1-theta) |D|^theta."""
 
     disk_id: str
-    measures: ChainMeasures
-    theta: float
-    cnorm: float
+    length: float       # |dD|
+    area: float         # |D|
+    diameter: float
     lhs: float
-    eps_star: float
     rhs_shape: float
     ratio: float
+    eps_star: float
     skipped: bool
     empirical_k: float  # running max ratio over the family so far
 
     def csv_row(self):
-        return [self.disk_id, self.measures.length, self.measures.area,
-                self.measures.diameter, self.lhs, self.rhs_shape, self.ratio,
-                self.eps_star, int(self.skipped)]
+        return [self.disk_id, self.length, self.area, self.diameter,
+                self.lhs, self.rhs_shape, self.ratio, self.eps_star,
+                int(self.skipped)]
 
 
 def verify_main_inequality(alpha, family, theta: float,
@@ -289,8 +288,9 @@ def verify_main_inequality(alpha, family, theta: float,
     ``family`` is a sequence of (disk_id, corners) pairs, each disk's
     corners in boundary order as ``measure_polygons`` reads them (such as
     ``dyadic_square_family`` gives).  Disks failing the smallness filter
-    max(diam, |dD|) < sigma are reported as skipped, mirroring the
-    smallness hypothesis of the estimate.
+    |dD| < sigma are reported as skipped, mirroring the smallness
+    hypothesis of the estimate.  No diameter test is needed, here or in
+    ``decay``: a closed polygon has diam <= |dD|/2.
 
     The whole family is measured by one ``measure_polygons`` call; the
     unskipped disks are then integrated together by one
@@ -307,21 +307,22 @@ def verify_main_inequality(alpha, family, theta: float,
         raise ValueError("cnorm must be positive")
     family = list(family)
     corners = [c for _, c in family]
-    measures = [ChainMeasures(*m) for m in zip(
-        *(v.tolist() for v in measure_polygons(corners)))]
-    skipped = [max(m.diameter, m.length) >= smallness_sigma for m in measures]
+    lengths, areas, diameters = (v.tolist()
+                                 for v in measure_polygons(corners))
+    skipped = [length >= smallness_sigma for length in lengths]
     integrals = iter(polygon_boundary_integrals(
         alpha, [c for c, skip in zip(corners, skipped) if not skip]))
     reports = []
     emp_k = 0.0
-    for (disk_id, _), meas, skip in zip(family, measures, skipped):
+    for (disk_id, _), length, area, diameter, skip in zip(
+            family, lengths, areas, diameters, skipped):
         if skip:
-            reports.append(InequalityReport(disk_id, meas, theta, cnorm,
+            reports.append(InequalityReport(disk_id, length, area, diameter,
                                             math.nan, math.nan, math.nan,
                                             math.nan, True, emp_k))
             continue
         lhs = abs(next(integrals))
-        rhs_shape = meas.length ** (1.0 - theta) * meas.area ** theta
+        rhs_shape = length ** (1.0 - theta) * area ** theta
         if rhs_shape > 0.0:
             ratio = lhs / (cnorm * rhs_shape)
         else:
@@ -332,8 +333,7 @@ def verify_main_inequality(alpha, family, theta: float,
                 f"non-finite ratio for {disk_id}: lhs={lhs}, rhs={rhs_shape}")
         emp_k = max(emp_k, ratio)
         reports.append(InequalityReport(
-            disk_id, meas, theta, cnorm, lhs,
-            eps_star(meas.area, meas.length, theta),
-            rhs_shape, ratio, False, emp_k,
+            disk_id, length, area, diameter, lhs, rhs_shape, ratio,
+            eps_star(area, length, theta), False, emp_k,
         ))
     return reports

@@ -14,7 +14,7 @@ from holderforms.decay import (
     DecayStep, SmallnessError, _strip_corners, choose_strip_count,
     iterate_rectangle,
 )
-from holderforms.dynamics import toral_automorphism
+from holderforms.dynamics import ToralAutomorphism
 from holderforms.grids import (
     GridField, _lag_distances, _matched_ends as matched_ends,
 )
@@ -314,7 +314,7 @@ def cat_map_conjugates(seed: int, count: int):
                 S = np.array([[1, 0], [k, 1]], dtype=np.int64)
             B = B @ S
         # B is a product of shears, so det B = 1
-        M = B @ CAT_MAP @ toral_automorphism(B).inverse().matrix
+        M = B @ CAT_MAP @ ToralAutomorphism(B).inverse().matrix
         if np.max(np.abs(M)) > 10**6:
             continue
         out.append(M)
@@ -332,12 +332,12 @@ def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
     steps, skipped = [], []
     for k in k_range:
         sc = choose_strip_count(k, model, rect, sigma, c1)
-        if not sc.admissible:
+        if sc.n is None:
             skipped.append(k)
             continue
         rect_k = iterate_rectangle(model, rect, k)
         strips = cut_strips(rect_k, sc.n)
-        length, area, diameter = measure_polygons(strips)
+        length, area, _ = measure_polygons(strips)
         if (length >= sigma).any():
             raise SmallnessError(k, sc.n, float(length.max()), sigma)
         rhs_shapes = [ln ** (1.0 - theta) * ar ** theta
@@ -348,7 +348,6 @@ def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
             n0=sc.n0,
             n=sc.n,
             strip_boundary_max=float(length.max()),
-            strip_diameter_max=float(diameter.max()),
             bound=k_emp * cnorm * math.fsum(rhs_shapes),
             lhs_sum=math.fsum(polygon_boundary_integrals(alpha, strips)),
             lhs_whole=lhs_whole,

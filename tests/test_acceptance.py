@@ -18,10 +18,10 @@ from holderforms.chains import (
 from holderforms.cli import main as cli_main
 from holderforms.decay import LinearModel, USRectangle, decay_bound_series
 from holderforms.dynamics import (
+    ToralAutomorphism,
     anosov_section_criterion,
     pisot_example,
     spectral_rates,
-    toral_automorphism,
 )
 from holderforms.experiments import (
     dyadic_square_family,
@@ -193,7 +193,7 @@ def test_c08_main_inequality_family(w_form_family):
 
 
 def test_c09_spectral_rates():
-    A = toral_automorphism(CAT_MAP)
+    A = ToralAutomorphism(CAT_MAP)
     mods = sorted(abs(e) for e in A.eigenvalues())
     golden = (3.0 + math.sqrt(5.0)) / 2.0
     assert abs(mods[1] - golden) <= 1e-12
@@ -216,7 +216,7 @@ def test_c10_pisot_example():
 
 def test_c11_unimodular_obstruction():
     for M in cat_map_conjugates(0, 10):
-        rates = spectral_rates(toral_automorphism(M))
+        rates = spectral_rates(ToralAutomorphism(M))
         for theta in np.linspace(0.02, 0.98, 25):
             assert not anosov_section_criterion(rates, theta).holds, M
         rep = anosov_section_criterion(rates, 0.5)

@@ -76,6 +76,24 @@ def test_every_exported_name_is_read_in_the_package():
     assert unread == UNREAD_EXPORTS
 
 
+def test_every_record_field_is_read_in_the_package():
+    # a field of a NamedTuple counts as read where the package's code loads
+    # an attribute of its name; unpacking a record does not count, so a
+    # field that no code reads by name cannot stay stored unnoticed
+    trees = package_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = {f"{mod}.{node.name}.{field.target.id}"
+              for mod, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              and any(getattr(b, "id", None) == "NamedTuple"
+                      for b in node.bases)
+              for field in node.body if isinstance(field, ast.AnnAssign)
+              and field.target.id not in read}
+    assert unread == set()
+
+
 def public_callables():
     """``{(file name, first line): "module.[Class.]name"}`` of every public
     function, method and property of the package.  The line is the one

@@ -656,7 +656,9 @@ class TestConfig:
          "j = 2..6 at sigma = 0.05: the empirical constant K is 0 over 0 "
          "square(s) that pass the smallness filter, and the decay bound "
          "needs K > 0"),
-        ("[common]\nslack = nan", ["mollify-check"], "slack"),
+        # the mollify bounds' slack is the constant 1.05, not a key
+        ("[common]\nslack = nan", ["mollify-check"],
+         "unknown key 'slack' in section [common]"),
         ("", ["decay", "--mu", "1e7", "--nu", "0.3", "--k-max", "3"],
          "iterate k=2 at mu=10000000.0 reaches x = 1e+14, beyond the "
          "overflow guard 1e+12"),
@@ -708,6 +710,19 @@ class TestConfig:
         monkeypatch.setattr(holderforms.decay, "measure_polygons", failing)
         with pytest.raises(MemoryError, match="batch"):
             run(["decay"], tmp_path)
+
+    @pytest.mark.parametrize("sub, csv", [("stokes-check", "stokes.csv"),
+                                          ("decay", "decay.csv")])
+    def test_form_base_and_terms_shape_the_form(self, tmp_path, capsys, sub,
+                                                csv):
+        # terms = 6 is decay's default, so only base can move its CSV
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[form]\nbase = 3\nterms = 6\n")
+        code, a = run([sub], tmp_path, "a")
+        assert code == 0
+        code, b = run([sub, "--config", str(cfg)], tmp_path, "b")
+        assert code == 0
+        assert (a / csv).read_bytes() != (b / csv).read_bytes()
 
     def test_config_value_used_and_flag_overrides(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"

@@ -16,7 +16,6 @@ from holderforms.dynamics import (
     pisot_example,
     spectral_rates,
     standard_holder_bound,
-    toral_automorphism,
 )
 from helpers import CAT_MAP, cat_map_conjugates
 
@@ -49,13 +48,13 @@ def unimodular_matrices(draw):
 
 class TestToralAutomorphism:
     def test_cat_map_eigenvalues(self):
-        A = toral_automorphism(CAT_MAP)
+        A = ToralAutomorphism(CAT_MAP)
         mods = sorted(abs(e) for e in A.eigenvalues())
         assert mods[1] == pytest.approx(GOLDEN, abs=1e-12)
         assert mods[0] == pytest.approx(1.0 / GOLDEN, abs=1e-12)
 
     def test_inverse_reciprocal_duality(self):
-        A = toral_automorphism(CAT_MAP)
+        A = ToralAutomorphism(CAT_MAP)
         fw = sorted(abs(e) for e in A.eigenvalues())
         bw = sorted(abs(e) for e in A.inverse().eigenvalues())
         assert fw[0] * bw[1] == pytest.approx(1.0, abs=1e-12)
@@ -65,14 +64,14 @@ class TestToralAutomorphism:
     def test_fibonacci_power_has_exact_det_and_inverse(self, n):
         # [[F(n+1), F(n)], [F(n), F(n-1)]]: a float det reads 0 at n = 40
         # and 68 at n = 44, and a rounded float inverse fails from n = 30
-        A = toral_automorphism(np.linalg.matrix_power([[1, 1], [1, 0]], n))
+        A = ToralAutomorphism(np.linalg.matrix_power([[1, 1], [1, 0]], n))
         assert A.det == (-1) ** n
         assert np.array_equal(A.matrix @ A.inverse().matrix,
                               np.eye(2, dtype=np.int64))
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
-            toral_automorphism([[2, 0], [0, 1]])
+            ToralAutomorphism([[2, 0], [0, 1]])
 
     @pytest.mark.parametrize("M", [np.zeros((0, 0), dtype=int),
                                    np.eye(5, dtype=int),
@@ -86,17 +85,17 @@ class TestToralAutomorphism:
 
     def test_non_integer_rejected(self):
         with pytest.raises((ValueError, TypeError)):
-            toral_automorphism([[1.5, 0.0], [0.0, 1.0]])
+            ToralAutomorphism([[1.5, 0.0], [0.0, 1.0]])
 
     def test_eigenvalue_product_is_det(self):
-        A = toral_automorphism([[3, 1], [2, 1]])
+        A = ToralAutomorphism([[3, 1], [2, 1]])
         prod = np.prod(A.eigenvalues())
         assert abs(prod) == pytest.approx(1.0, abs=1e-12)
 
     def test_doubled_cat_map_has_real_double_eigenvalues(self):
         # (x^2 - 3x + 1)^2: a float companion-matrix solver split each
         # double root into a pair with imaginary parts near 1e-8
-        A = toral_automorphism(DOUBLED_CAT_MAP)
+        A = ToralAutomorphism(DOUBLED_CAT_MAP)
         assert A.char_poly() == [1, -6, 11, -6, 1]
         eig = A.eigenvalues()
         assert len(eig) == 4
@@ -108,10 +107,10 @@ class TestToralAutomorphism:
     def test_unipotent_eigenvalue_is_exactly_one(self):
         # (x - 1)^2 splits into the exact root 1 with multiplicity 2
         for M in ([[1, 1], [0, 1]], [[1, 0], [0, 1]]):
-            assert toral_automorphism(M).eigenvalues().tolist() == [1.0, 1.0]
+            assert ToralAutomorphism(M).eigenvalues().tolist() == [1.0, 1.0]
 
     def test_ties_in_modulus_break_by_imaginary_part(self):
-        A = toral_automorphism(
+        A = ToralAutomorphism(
             [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 0]])
         eig = A.eigenvalues()
         assert eig[0] == eig[1].conjugate() and eig[0].imag < 0
@@ -132,7 +131,7 @@ class TestToralAutomorphism:
         # x^2 + 36193430 x + 1: the large root's residual is 0.079, above
         # 1e-9 max|c_k| = 0.036 but far below the bound 1e-9 sum |c_k|
         # |z|^(n-k), which is the size of Horner's rounding at z
-        A = toral_automorphism([[-87091, 1908042], [1648044, -36106339]])
+        A = ToralAutomorphism([[-87091, 1908042], [1648044, -36106339]])
         eig = A.eigenvalues()
         assert abs(abs(eig[0]) * abs(eig[1]) - 1.0) <= 1e-14
         assert abs(eig[0] + eig[1] - (-87091 - 36106339)) <= 1e-8
@@ -144,7 +143,7 @@ class TestToralAutomorphism:
         monkeypatch.setattr(holderforms.dynamics, "_factor_roots",
                             lambda g: [z + 1e-3 for z in real(g)])
         with pytest.raises(UnresolvedSpectrumError) as exc:
-            toral_automorphism(CAT_MAP).eigenvalues()
+            ToralAutomorphism(CAT_MAP).eigenvalues()
         err = exc.value
         assert isinstance(err, ArithmeticError)
         assert err.residual > err.bound > 0.0
@@ -155,7 +154,7 @@ class TestToralAutomorphism:
     @settings(max_examples=200, deadline=None)
     @given(M=unimodular_matrices())
     def test_spectrum_matches_lapack_and_the_coefficients(self, M):
-        A = toral_automorphism(M)
+        A = ToralAutomorphism(M)
         eig = A.eigenvalues()
         coeffs = A.char_poly()
         scale = max(abs(c) for c in coeffs)
@@ -176,20 +175,20 @@ class TestToralAutomorphism:
     @given(seed=st.integers(0, 500))
     def test_conjugates_share_the_cat_spectrum(self, seed):
         M = cat_map_conjugates(seed, 1)[0]
-        mods = sorted(abs(e) for e in toral_automorphism(M).eigenvalues())
+        mods = sorted(abs(e) for e in ToralAutomorphism(M).eigenvalues())
         assert mods[1] == pytest.approx(GOLDEN, abs=1e-9)
 
 
 class TestSpectralRates:
     def test_cat_map_rates(self):
-        r = spectral_rates(toral_automorphism(CAT_MAP))
+        r = spectral_rates(ToralAutomorphism(CAT_MAP))
         assert r.lambda_u == pytest.approx(GOLDEN, abs=1e-12)
         assert r.lambda_s == pytest.approx(1.0 / GOLDEN, abs=1e-12)
         assert r.dims == (1, 0, 1)
         assert r.m_c == 1.0 and r.M_c == 1.0
 
     def test_mu_nu_conventions(self):
-        r = spectral_rates(toral_automorphism(CAT_MAP))
+        r = spectral_rates(ToralAutomorphism(CAT_MAP))
         assert r.mu == pytest.approx(r.lambda_u)
         assert r.nu == pytest.approx(r.lambda_s)
 
@@ -208,16 +207,23 @@ class TestSpectralRates:
         ds, dc, du = r.dims
         assert du == 1 and ds == 2 and dc == 0
 
+    def test_companion_matrix_needs_integer_unit_constant_term(self):
+        # det = -c0, so |c0| != 1 fails the class's |det| = 1 check
+        with pytest.raises(ValueError, match=r"\|det\| must be 1.*got -2"):
+            companion_matrix(0, -1, 2)
+        with pytest.raises(ValueError, match="integers"):
+            companion_matrix(0, -1.5, -1)
+
 
 class TestCriteria:
     def test_section_criterion_monotone_in_theta(self):
-        r = spectral_rates(toral_automorphism(CAT_MAP))
+        r = spectral_rates(ToralAutomorphism(CAT_MAP))
         v1 = anosov_section_criterion(r, 0.2).value
         v2 = anosov_section_criterion(r, 0.8).value
         assert v2 < v1  # nu < 1, so larger theta helps
 
     def test_section_criterion_threshold_value(self):
-        r = spectral_rates(toral_automorphism(CAT_MAP))
+        r = spectral_rates(ToralAutomorphism(CAT_MAP))
         rep = anosov_section_criterion(r, 0.5)
         tt = rep.theta_threshold
         assert r.mu * r.nu ** tt == pytest.approx(1.0, abs=1e-9)
@@ -225,12 +231,12 @@ class TestCriteria:
     def test_unimodular_obstruction(self):
         # mu nu = 1 for area-preserving 2x2 maps, so mu nu^theta > 1 on (0,1)
         for M in cat_map_conjugates(0, 10):
-            r = spectral_rates(toral_automorphism(M))
+            r = spectral_rates(ToralAutomorphism(M))
             for theta in (0.05, 0.5, 0.95):
                 assert not anosov_section_criterion(r, theta).holds
 
     def test_theta_out_of_range_rejected(self):
-        r = spectral_rates(toral_automorphism(CAT_MAP))
+        r = spectral_rates(ToralAutomorphism(CAT_MAP))
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 anosov_section_criterion(r, bad)
@@ -241,7 +247,7 @@ class TestCriteria:
         monkeypatch.setattr(ToralAutomorphism, "eigenvalues",
                             lambda self: np.array([near, 1.0 / near]))
         with pytest.raises(AmbiguousSpectrumError) as exc:
-            spectral_rates(toral_automorphism(CAT_MAP))
+            spectral_rates(ToralAutomorphism(CAT_MAP))
         assert isinstance(exc.value, ValueError)
         assert exc.value.modulus == near
         assert repr(near) in str(exc.value)
@@ -270,5 +276,7 @@ class TestPisotExample:
 
     def test_standard_bound_consistency(self):
         p = pisot_example()
-        assert standard_holder_bound(p.rates) == pytest.approx(
+        rates = spectral_rates(companion_matrix(0, -1, -1).inverse(),
+                               extra_center_dims=1)
+        assert standard_holder_bound(rates) == pytest.approx(
             p.standard_theta, abs=1e-12)

@@ -37,7 +37,9 @@ import numpy as np
 
 from . import __version__
 from .grids import GridField, UnderResolvedError, make_weierstrass
-from .mollify import normalization_constant, verify_regularization
+from .mollify import (
+    BOUND_SLACK, normalization_constant, verify_regularization,
+)
 from .chains import Term, measure_polygons, polygon_boundary_integrals
 from .inequality import (
     isoperimetric_check, mollification_split_check, verify_main_inequality,
@@ -194,7 +196,7 @@ def run_mollify_check(args, cfg, outdir: Path, checks: Checks) -> None:
         a = normalization_constant(n)
         checks.check(f"mollifier-normalization-{n}d", a > 0.0, f"A={a:.6f}")
     u = make_weierstrass(theta, base, terms, res)
-    reports = verify_regularization(u, theta, epsilons, slack=1.05)
+    reports = verify_regularization(u, theta, epsilons)
     write_csv(outdir / "regularization.csv",
               ["epsilon", "measured_c", "bound_c", "measured_d", "bound_d",
                "pass_c", "pass_d"],
@@ -203,9 +205,9 @@ def run_mollify_check(args, cfg, outdir: Path, checks: Checks) -> None:
         checks.check(f"sup-bound-eps={r.epsilon:g}", r.pass_b,
                      f"sup|u_eps|={r.measured_b:.6g} <= sup|u|={r.sup_u:.6g}")
         checks.check(f"approx-bound-eps={r.epsilon:g}", r.pass_c,
-                     f"{r.measured_c:.6g} <= {r.bound_c * r.slack:.6g}")
+                     f"{r.measured_c:.6g} <= {r.bound_c * BOUND_SLACK:.6g}")
         checks.check(f"derivative-bound-eps={r.epsilon:g}", r.pass_d,
-                     f"{r.measured_d:.6g} <= {r.bound_d * r.slack:.6g}")
+                     f"{r.measured_d:.6g} <= {r.bound_d * BOUND_SLACK:.6g}")
 
 
 def run_stokes_check(args, cfg, outdir: Path, checks: Checks) -> None:

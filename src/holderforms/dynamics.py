@@ -361,17 +361,25 @@ class CriterionReport(NamedTuple):
                 int(self.threshold_in_range)]
 
 
+def _rate_criterion(name: str, lu: float, ls: float, mc: float, ell: int,
+                    theta: float) -> CriterionReport:
+    """The report of ``lu^l ls^theta / mc^l < 1`` and its threshold."""
+    value = lu ** ell * ls ** theta / mc ** ell
+    # lu^l ls^t / mc^l = 1  <=>  t = l (ln mc - ln lu) / ln ls
+    threshold = (ell * (math.log(mc) - math.log(lu)) / math.log(ls)
+                 if ls != 1.0 else None)
+    in_range = threshold is not None and 0.0 < threshold < 1.0
+    return CriterionReport(name, value, value < 1.0, theta, threshold,
+                           in_range)
+
+
 def anosov_section_criterion(rates: SpectralRates, theta: float) -> CriterionReport:
-    """Cross-section criterion mu * nu^theta < 1 for Anosov rates."""
+    """Cross-section criterion mu * nu^theta < 1 for Anosov rates: the
+    accessibility formula at l = 1 and m_c = 1, bit for bit."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0,1)")
-    mu, nu = rates.mu, rates.nu
-    value = mu * nu ** theta
-    # mu nu^t = 1  <=>  t = ln(mu) / (-ln(nu))
-    threshold = math.log(mu) / (-math.log(nu)) if nu != 1.0 else None
-    in_range = threshold is not None and 0.0 < threshold < 1.0
-    return CriterionReport("anosov_section", value, value < 1.0, theta,
-                           threshold, in_range)
+    return _rate_criterion("anosov_section", rates.mu, rates.nu, 1.0, 1,
+                           theta)
 
 
 def accessibility_criterion(rates: SpectralRates, theta: float,
@@ -389,14 +397,8 @@ def accessibility_criterion(rates: SpectralRates, theta: float,
         raise ValueError(
             f"dimension hypothesis violated: ell = {ell} exceeds "
             f"min(dim E^s, dim E^u) = {min(ds, du)}")
-    lu, ls, mc = rates.lambda_u, rates.lambda_s, rates.m_c
-    value = lu ** ell * ls ** theta / mc ** ell
-    # lu^l ls^t / mc^l = 1  <=>  t = l (ln mc - ln lu) / ln ls
-    threshold = (ell * (math.log(mc) - math.log(lu)) / math.log(ls)
-                 if ls != 1.0 else None)
-    in_range = threshold is not None and 0.0 < threshold < 1.0
-    return CriterionReport("accessibility", value, value < 1.0, theta,
-                           threshold, in_range)
+    return _rate_criterion("accessibility", rates.lambda_u, rates.lambda_s,
+                           rates.m_c, ell, theta)
 
 
 def standard_holder_bound(rates: SpectralRates) -> float:

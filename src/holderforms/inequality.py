@@ -1,15 +1,16 @@
 """Boundary-integral inequality machinery for Holder one-forms on small disks.
 
-Covers the theta-dependent constant, the epsilon-sweep bound and its
-closed-form minimizer, the mollification-split estimate, the flat planar
-isoperimetric inequality, and the end-to-end family verifier, which reports
-the supremum ratio over the family as an empirical constant.
+Covers the mollification-split estimate and the theta-dependent constant
+its two bounds give in closed form, the flat planar isoperimetric
+inequality, and the end-to-end family verifier, which reports the supremum
+ratio over the family as an empirical constant.
 
 The constant is constructive: for every eps the mollification split bounds
 ``|int_dD alpha|`` by ``cnorm (|dD| eps^theta + ||d eta||_L1 |D|
-eps^(theta-1))``, whose minimum over eps is a constant times
-``cnorm |dD|^(1-theta) |D|^theta``.  The family verifier reports its ratio
-and does not yet assert it against that constant.
+eps^(theta-1))`` (``SplitCheck.bound_boundary + bound_interior``), whose
+exact minimum over eps is ``c_theta_constant(theta) cnorm |dD|^(1-theta)
+|D|^theta``.  The family verifier reports its ratio and does not yet
+assert it against that constant.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .grids import holder_seminorm
 from .mollify import deta_l1, mollify
@@ -31,14 +30,11 @@ from .chains import (
 
 __all__ = [
     "InequalityReport",
-    "EpsSweep",
     "SplitCheck",
     "IsoperimetricReport",
     "theta_bracket",
     "c_theta_constant",
     "eps_star",
-    "eps_sweep",
-    "closed_form_minimum",
     "isoperimetric_constant",
     "isoperimetric_check",
     "one_form_cnorm",
@@ -60,50 +56,28 @@ def theta_bracket(theta: float) -> float:
     return r ** theta + (1.0 / r) ** (1.0 - theta)
 
 
-def c_theta_constant(theta: float, deta: float | None = None) -> float:
-    """max{1, ||d eta||_L1} times the theta bracket (planar kernel default)."""
-    if deta is None:
-        deta = deta_l1(2)
-    return max(1.0, deta) * theta_bracket(theta)
+def c_theta_constant(theta: float) -> float:
+    """``D1^theta theta_bracket(theta)``, with ``D1 = deta_l1(2)``: the
+    exact minimum over eps of the split bound in units of
+    ``cnorm |dD|^(1-theta) |D|^theta``.
+
+    With ``L = |dD|`` and ``A = |D|`` the split's two bounds sum to
+    ``cnorm f(eps)``, ``f(eps) = L eps^theta + D1 A eps^(theta-1)``
+    (``SplitCheck.bound_boundary + bound_interior``).  ``f`` is convex in
+    ``log eps``, and ``f'(eps) = 0`` at ``eps = D1 e``, ``e = eps_star(A,
+    L, theta) = r A / L``, ``r = (1-theta)/theta``.  There ``f = D1^theta
+    (L e^theta + A e^(theta-1)) = D1^theta L^(1-theta) A^theta (r^theta +
+    r^(theta-1))``, and the last factor is ``theta_bracket(theta)``.
+    """
+    return deta_l1(2) ** theta * theta_bracket(theta)
 
 
 def eps_star(area: float, length: float, theta: float) -> float:
-    """Minimizer (1-theta)|D| / (theta |dD|) of the epsilon bound."""
+    """``(1-theta)|D| / (theta |dD|)``.  The split bound's minimizer is
+    ``deta_l1(2)`` times this (see :func:`c_theta_constant`)."""
     if length <= 0.0:
         raise ValueError("boundary length must be positive")
     return (1.0 - theta) * area / (theta * length)
-
-
-def closed_form_minimum(cnorm: float, area: float, length: float,
-                        theta: float, deta: float | None = None) -> float:
-    """Value of the swept bound at its minimizer."""
-    return (c_theta_constant(theta, deta) * cnorm * theta_bracket(theta)
-            * length ** (1.0 - theta) * area ** theta)
-
-
-class EpsSweep(NamedTuple):
-    epsilons: np.ndarray
-    bounds: np.ndarray
-    argmin_index: int
-
-    @property
-    def argmin(self) -> float:
-        return float(self.epsilons[self.argmin_index])
-
-    @property
-    def min_value(self) -> float:
-        return float(self.bounds[self.argmin_index])
-
-
-def eps_sweep(cnorm: float, area: float, length: float, theta: float,
-              eps_grid, deta: float | None = None) -> EpsSweep:
-    """Evaluate C(theta) cnorm (|dD| eps^theta + |D| eps^(theta-1)) per eps."""
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.size == 0 or np.any(eps <= 0.0) or np.any(np.diff(eps) <= 0.0):
-        raise ValueError("eps grid must be positive and strictly increasing")
-    pref = c_theta_constant(theta, deta) * cnorm
-    bounds = pref * (length * eps ** theta + area * eps ** (theta - 1.0))
-    return EpsSweep(eps, bounds, int(np.argmin(bounds)))
 
 
 def isoperimetric_constant(n: int) -> float:
@@ -299,7 +273,8 @@ def verify_main_inequality(alpha, family, theta: float,
     edge the bilinear interpolant is quadratic between grid-line crossings,
     and the 2-point Gauss-Legendre rule on each such piece is exact, so
     ``lhs`` carries rounding error only.  A degenerate disk (``rhs_shape``
-    0) counts as ratio 0 when its ``lhs`` is at most ``DEGENERATE_LHS``.
+    0) counts as ratio 0 when its ``lhs`` is at most ``DEGENERATE_LHS``;
+    one of zero length, such as a point, reports ``eps_star`` nan.
     """
     if cnorm is None:
         cnorm = one_form_cnorm(alpha, theta)
@@ -332,8 +307,10 @@ def verify_main_inequality(alpha, family, theta: float,
             raise ArithmeticError(
                 f"non-finite ratio for {disk_id}: lhs={lhs}, rhs={rhs_shape}")
         emp_k = max(emp_k, ratio)
+        # a disk of zero length has no minimizer, like a skipped one
+        star = eps_star(area, length, theta) if length > 0.0 else math.nan
         reports.append(InequalityReport(
-            disk_id, length, area, diameter, lhs, rhs_shape, ratio,
-            eps_star(area, length, theta), False, emp_k,
+            disk_id, length, area, diameter, lhs, rhs_shape, ratio, star,
+            False, emp_k,
         ))
     return reports

@@ -19,7 +19,7 @@ from holderforms.grids import (
     GridField, _lag_distances, _matched_ends as matched_ends,
 )
 from holderforms.mollify import (
-    _bump, _centered_diff, _gl_rule, normalization_constant,
+    _bump, _centered_diff, _gl_rule, deta_l1, normalization_constant,
 )
 
 CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
@@ -77,6 +77,17 @@ def scaled_form(alpha, factor: float) -> tuple:
     return tuple(Term(GridField(t.field.lo, t.field.hi, t.field.resolution,
                                 factor * t.field.values), t.covector)
                  for t in alpha)
+
+
+def split_bound_sweep(cnorm: float, area: float, length: float,
+                      theta: float, eps) -> np.ndarray:
+    """The mollification split's bound ``cnorm (|dD| eps^theta + D1 |D|
+    eps^(theta-1))``, ``D1 = deta_l1(2)``, at each ``eps``: the sum
+    ``SplitCheck.bound_boundary + bound_interior`` of a disk with that
+    length and area."""
+    eps = np.asarray(eps, dtype=float)
+    return cnorm * (length * eps ** theta
+                    + deta_l1(2) * area * eps ** (theta - 1.0))
 
 
 # The adaptive curve quadrature: the reference that the exact boundary

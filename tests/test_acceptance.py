@@ -31,8 +31,7 @@ from holderforms.experiments import (
 )
 from holderforms.grids import GridField, holder_seminorm, make_weierstrass
 from holderforms.inequality import (
-    closed_form_minimum,
-    eps_sweep,
+    c_theta_constant,
     isoperimetric_check,
     isoperimetric_constant,
     mollify_one_form,
@@ -50,7 +49,7 @@ from holderforms.mollify import (
 
 from helpers import (
     CAT_MAP, cat_map_conjugates, eta, exterior_derivative, integrate_two_form,
-    one_form, scaled_form,
+    one_form, scaled_form, split_bound_sweep,
 )
 
 
@@ -111,7 +110,7 @@ def test_c02_sup_bound_random_fields():
 
 def test_c03_approximation_bound(w_field):
     norm = holder_seminorm(w_field, 0.5)
-    reports = verify_regularization(w_field, 0.5, EPSILONS, slack=1.05)
+    reports = verify_regularization(w_field, 0.5, EPSILONS)
     for r in reports:
         assert r.measured_c <= norm.cnorm * r.epsilon ** 0.5 * 1.05, r
     report("criterion 03: |u_eps - u| within cnorm sqrt(eps) x 1.05")
@@ -122,7 +121,7 @@ def test_c04_derivative_bound(w_field):
     dl1 = deta_l1(1)
     closed_form = 2.0 * float(eta(np.array([0.0]), 1)[0])
     assert abs(dl1 - closed_form) <= 1e-6
-    reports = verify_regularization(w_field, 0.5, EPSILONS, slack=1.05)
+    reports = verify_regularization(w_field, 0.5, EPSILONS)
     for r in reports:
         assert r.measured_d <= dl1 * norm.cnorm * r.epsilon ** -0.5 * 1.05, r
     report("criterion 04: derivative bound with |d eta|_L1 = 2 eta(0) to 1e-6")
@@ -162,10 +161,10 @@ def test_c06_isoperimetric():
 def test_c07_minimizer():
     assert theta_bracket(0.5) == 2.0
     grid = np.geomspace(1e-4, 10.0, 1000)
-    sw = eps_sweep(cnorm=2.0, area=0.25, length=1.0, theta=0.5,
-                   eps_grid=grid)
-    cf = closed_form_minimum(cnorm=2.0, area=0.25, length=1.0, theta=0.5)
-    assert abs(sw.min_value - cf) / cf < 0.005
+    sweep = split_bound_sweep(cnorm=2.0, area=0.25, length=1.0, theta=0.5,
+                              eps=grid)
+    cf = c_theta_constant(0.5) * 2.0 * 1.0 ** 0.5 * 0.25 ** 0.5
+    assert abs(sweep.min() - cf) / cf < 0.005
     report("criterion 07: sweep matches closed-form minimum to 0.5%")
 
 

@@ -11,18 +11,16 @@ import holderforms
 
 PACKAGE = Path(holderforms.__file__).parent
 
-# Public names that no code in the package reads yet: the epsilon sweep and
-# its closed-form minimum wait for a CLI check of the paper's constant.
-UNREAD_EXPORTS = {"inequality.eps_sweep", "inequality.closed_form_minimum"}
+# Public names that no code in the package reads yet: the paper's constant
+# waits for a CLI check of it (ROADMAP item 1).
+UNREAD_EXPORTS = {"inequality.c_theta_constant"}
 
 # Public functions, methods and properties that no subcommand runs yet.
 # The package has no curves: the curve quadrature that tests compare the
 # exact polygon integrals against lives in ``tests/helpers.py``.
 UNRUN_CALLABLES = {
-    # the paper's constant and its epsilon sweep (ROADMAP item 1)
+    # the paper's constant (ROADMAP item 1)
     "inequality.theta_bracket", "inequality.c_theta_constant",
-    "inequality.closed_form_minimum", "inequality.eps_sweep",
-    "inequality.EpsSweep.argmin", "inequality.EpsSweep.min_value",
     # the split's norm and its two bound checks, which no check line reads
     # yet (ROADMAP item 6)
     "inequality.SplitCheck.cnorm", "inequality.SplitCheck.bound_boundary",
@@ -32,13 +30,8 @@ UNRUN_CALLABLES = {
 }
 
 # Defaulted parameters that no call in the package sets: the command line
-# of ``main``, and the kernel constant the epsilon sweep and its minimum
-# wait to take from a check (ROADMAP item 1).
-UNSET_DEFAULTS = {
-    "cli.main.argv",
-    "inequality.eps_sweep.deta",
-    "inequality.closed_form_minimum.deta",
-}
+# of ``main``.
+UNSET_DEFAULTS = {"cli.main.argv"}
 
 # The seven subcommands at their defaults, and the two that draw plots.
 RUNS = [[cmd] for cmd in ("mollify-check", "stokes-check", "inequality",

@@ -8,6 +8,7 @@ import holderforms.dynamics
 from holderforms.cli import main
 from holderforms.dynamics import (
     AmbiguousSpectrumError,
+    SpectralRates,
     ToralAutomorphism,
     UnresolvedSpectrumError,
     accessibility_criterion,
@@ -256,6 +257,31 @@ class TestCriteria:
         r = spectral_rates(companion_matrix(0, -1, -1))
         with pytest.raises(ValueError):
             accessibility_criterion(r, 0.5, ell=1)  # dim E^c = 0 here
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=st.floats(1.0 + 1e-6, 1e3), nu=st.floats(1e-3, 1.0 - 1e-6),
+           theta=st.floats(0.01, 0.99))
+    def test_section_criterion_is_accessibility_at_one_center(self, mu, nu,
+                                                             theta):
+        # at l = 1 and m_c = 1 the accessibility formula is the section
+        # one, value and threshold bit for bit
+        r = SpectralRates(mu, mu, nu, nu, 1.0, 1.0, (1, 1, 1))
+        sec = anosov_section_criterion(r, theta)
+        acc = accessibility_criterion(r, theta, ell=1)
+        assert sec[1:] == acc[1:]
+        assert sec.value == mu * nu ** theta
+        assert sec.theta_threshold == math.log(mu) / (-math.log(nu))
+
+    def test_both_criteria_agree_on_a_product_with_a_circle(self):
+        # the --ell 1 example of the criteria subcommand
+        A = ToralAutomorphism(np.array([[0, 0, 1], [1, 0, 1], [0, 1, 0]]))
+        r = spectral_rates(A, extra_center_dims=1)
+        sec = anosov_section_criterion(r, 0.5)
+        acc = accessibility_criterion(r, 0.5, ell=1)
+        assert (sec.name, acc.name) == ("anosov_section", "accessibility")
+        assert sec[1:] == acc[1:]
+        assert (sec.value, sec.theta_threshold) == (1.2347884757843555,
+                                                    2.0000000000000022)
 
 
 class TestPisotExample:

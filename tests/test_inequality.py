@@ -22,9 +22,7 @@ from holderforms.experiments import (
 from holderforms.grids import GridField, make_weierstrass
 from holderforms.inequality import (
     c_theta_constant,
-    closed_form_minimum,
     eps_star,
-    eps_sweep,
     isoperimetric_check,
     isoperimetric_constant,
     mollification_split_check,
@@ -35,7 +33,9 @@ from holderforms.inequality import (
     verify_main_inequality,
 )
 from holderforms.mollify import deta_l1
-from helpers import one_form, per_edge_quadrature, scaled_form
+from helpers import (
+    one_form, per_edge_quadrature, scaled_form, split_bound_sweep,
+)
 
 
 class TestThetaConstant:
@@ -54,51 +54,30 @@ class TestThetaConstant:
         assert b >= 1.0
         assert math.isfinite(b)
 
-    def test_constant_uses_max_with_one(self):
-        c = c_theta_constant(0.5, deta=0.1)
-        assert c == pytest.approx(2.0)  # max(1, 0.1) * bracket
-        c2 = c_theta_constant(0.5, deta=3.0)
-        assert c2 == pytest.approx(6.0)
-
-    def test_default_deta_is_planar(self):
-        assert c_theta_constant(0.5) == pytest.approx(
-            max(1.0, deta_l1(2)) * 2.0)
+    def test_constant_at_half(self):
+        assert c_theta_constant(0.5) == deta_l1(2) ** 0.5 * 2.0
 
 
 class TestMinimizer:
     def test_eps_star_formula(self):
         assert eps_star(0.04, 0.8, 0.5) == pytest.approx(0.04 / 0.8)
 
-    def test_sweep_matches_closed_form(self):
-        grid = np.geomspace(1e-4, 10.0, 1000)
-        sw = eps_sweep(cnorm=2.0, area=0.25, length=1.0, theta=0.5,
-                       eps_grid=grid)
-        cf = closed_form_minimum(cnorm=2.0, area=0.25, length=1.0, theta=0.5)
-        assert abs(sw.min_value - cf) / cf < 0.005
-
-    def test_argmin_sits_near_eps_star(self):
+    def test_sweep_argmin_sits_near_scaled_eps_star(self):
+        # the split bound's minimizer is deta_l1(2) times eps_star
         grid = np.geomspace(1e-4, 10.0, 2000)
-        sw = eps_sweep(cnorm=1.0, area=0.1, length=0.9, theta=0.4,
-                       eps_grid=grid)
-        star = eps_star(0.1, 0.9, 0.4)
-        assert abs(math.log(sw.argmin / star)) < 0.02
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            eps_sweep(1.0, 0.1, 1.0, 0.5, [0.2, 0.1])
-        with pytest.raises(ValueError):
-            eps_sweep(1.0, 0.1, 1.0, 0.5, [-0.1, 0.2])
+        sweep = split_bound_sweep(1.0, 0.1, 0.9, 0.4, grid)
+        star = deta_l1(2) * eps_star(0.1, 0.9, 0.4)
+        assert abs(math.log(grid[np.argmin(sweep)] / star)) < 0.02
 
     @settings(max_examples=20, deadline=None)
     @given(theta=st.floats(0.1, 0.9), area=st.floats(0.01, 1.0),
            length=st.floats(0.1, 4.0))
     def test_sweep_never_beats_closed_form(self, theta, area, length):
         grid = np.geomspace(1e-5, 100.0, 400)
-        sw = eps_sweep(cnorm=1.0, area=area, length=length, theta=theta,
-                       eps_grid=grid)
-        cf = closed_form_minimum(cnorm=1.0, area=area, length=length,
-                                 theta=theta)
-        assert sw.min_value >= cf * (1.0 - 1e-12)
+        sweep = split_bound_sweep(1.0, area, length, theta, grid)
+        cf = (c_theta_constant(theta) * length ** (1.0 - theta)
+              * area ** theta)
+        assert sweep.min() >= cf * (1.0 - 1e-12)
 
 
 class TestIsoperimetric:
@@ -217,6 +196,21 @@ class TestMainInequality:
         (only,) = verify_main_inequality(w_form, fam[:1], theta=0.5,
                                          smallness_sigma=0.5, cnorm=w_cnorm)
         assert only.skipped
+
+    def test_degenerate_disks_have_ratio_zero(self):
+        # a point has zero length and a flat triangle zero area: both have
+        # rhs_shape 0 and a boundary integral within DEGENERATE_LHS; the
+        # point has no eps_star
+        form = weierstrass_form(0.5, 2, 6, 512)
+        fam = [("dot", [(0.3, 0.3)] * 3),
+               ("flat", [(0.1, 0.1), (0.2, 0.2), (0.15, 0.15)])]
+        dot, flat = verify_main_inequality(form, fam, theta=0.5, cnorm=1.0)
+        assert not dot.skipped and not flat.skipped
+        assert (dot.length, dot.rhs_shape, dot.ratio) == (0.0, 0.0, 0.0)
+        assert math.isnan(dot.eps_star)
+        assert flat.length > 0.0
+        assert (flat.area, flat.rhs_shape, flat.ratio, flat.eps_star) == (
+            0.0, 0.0, 0.0, 0.0)
 
     def test_form_that_is_not_grid_sampled_is_rejected(self, w_form):
         # a term names its field's type when it is built, before the norm or
@@ -473,6 +467,24 @@ class TestSplitCheck:
         assert chk.chain_holds
         assert chk.boundary_bound_holds
         assert chk.interior_bound_holds
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+    def test_bounds_sum_to_at_least_the_constant(self, w_form, theta):
+        # on W(x) dy the split's two bounds sum to at least c_theta_constant
+        # times cnorm |dD|^(1-theta) |D|^theta, with equality at
+        # eps = deta_l1(2) eps_star
+        ((length,), (area,), _) = measure_polygons(
+            [rectangle_corners(*SQUARE)])
+        star = deta_l1(2) * eps_star(area, length, theta)
+        for eps in (0.01, 0.03, star, 0.2, 0.5):
+            chk = mollification_split_check(w_form, *SQUARE, eps, theta)
+            total = chk.bound_boundary + chk.bound_interior
+            floor = (c_theta_constant(theta) * chk.cnorm
+                     * length ** (1.0 - theta) * area ** theta)
+            if eps == star:
+                assert total == pytest.approx(floor, rel=1e-12)
+            else:
+                assert total > floor
 
     def test_boundary_bound_scales_with_eps(self, w_form):
         a = mollification_split_check(w_form, *SQUARE, 0.02, 0.5)

@@ -177,15 +177,22 @@ def _theta_open(name, value):
     return value
 
 
-# --- subcommands -----------------------------------------------------------
-
-def run_mollify_check(args, cfg, outdir: Path, checks: Checks) -> None:
+def _form(args, cfg, resolution):
+    """The ``[form]`` theta, base, terms and resolution of the Weierstrass
+    form, read in that order, the resolution defaulting to ``resolution``."""
     theta = _theta_open("theta", cfg_get(cfg, "form", "theta", float, 0.5,
                                          args.theta))
     base = _at_least("base", cfg_get(cfg, "form", "base", int, 2), 2)
     terms = _at_least("terms", cfg_get(cfg, "form", "terms", int, 8), 1)
-    res = _positive("resolution", cfg_get(cfg, "form", "resolution", int, 2048,
-                                          args.resolution))
+    res = _positive("resolution", cfg_get(cfg, "form", "resolution", int,
+                                          resolution, args.resolution))
+    return theta, base, terms, res
+
+
+# --- subcommands -----------------------------------------------------------
+
+def run_mollify_check(args, cfg, outdir: Path, checks: Checks) -> None:
+    theta, base, terms, res = _form(args, cfg, 2048)
     epsilons = [_positive("epsilons", e) for e in cfg_get(
         cfg, "mollify", "epsilons", lambda raw: list(map(float, raw.split())),
         [0.02, 0.05, 0.1])]
@@ -224,12 +231,7 @@ def run_stokes_check(args, cfg, outdir: Path, checks: Checks) -> None:
     checks.check("stokes-oracle-x-dy", err <= 1e-6,
                  f"|{area:.10f} - {val:.10f}|={err:.2e}")
 
-    theta = _theta_open("theta", cfg_get(cfg, "form", "theta", float, 0.5,
-                                         args.theta))
-    base = _at_least("base", cfg_get(cfg, "form", "base", int, 2), 2)
-    terms = _at_least("terms", cfg_get(cfg, "form", "terms", int, 8), 1)
-    res = _positive("resolution", cfg_get(cfg, "form", "resolution", int, 4096,
-                                          args.resolution))
+    theta, base, terms, res = _form(args, cfg, 4096)
     alpha = weierstrass_form(theta, base, terms, res)
     lo, hi = (0.3, 0.3), (0.5, 0.5)
     split = mollification_split_check(alpha, lo, hi, epsilon=0.05,
@@ -253,12 +255,7 @@ def run_stokes_check(args, cfg, outdir: Path, checks: Checks) -> None:
 
 
 def run_inequality(args, cfg, outdir: Path, checks: Checks) -> None:
-    theta = _theta_open("theta", cfg_get(cfg, "form", "theta", float, 0.5,
-                                         args.theta))
-    base = _at_least("base", cfg_get(cfg, "form", "base", int, 2), 2)
-    terms = _at_least("terms", cfg_get(cfg, "form", "terms", int, 8), 1)
-    res = _positive("resolution", cfg_get(cfg, "form", "resolution", int, 2048,
-                                          args.resolution))
+    theta, base, terms, res = _form(args, cfg, 2048)
     j_min = cfg_get(cfg, "disks", "j_min", int, 2)
     j_max = _at_least("j_max", cfg_get(cfg, "disks", "j_max", int, 8), j_min)
     anchors = _at_least("anchors", cfg_get(cfg, "disks", "anchors", int, 8), 1)
@@ -402,22 +399,10 @@ def run_decay(args, cfg, outdir: Path, checks: Checks) -> None:
     sampled = weierstrass_form(theta, base, terms,
                                max(512, 4 * base ** (terms - 1)))
     cnorm = one_form_cnorm(sampled, theta)
-    js = range(2, 7)
-    fam_reports = verify_main_inequality(
-        sampled, dyadic_square_family(js, 4), theta=theta,
-        smallness_sigma=sigma, cnorm=cnorm)
-    k_emp = max(r.empirical_k for r in fam_reports)
-    if not k_emp > 0.0:
-        unskipped = sum(not r.skipped for r in fam_reports)
-        raise ConfigError(
-            f"j = {js[0]}..{js[-1]} at sigma = {sigma:g}: the empirical "
-            f"constant K is {k_emp:g} over {unskipped} square(s) that pass "
-            f"the smallness filter, and the decay bound needs K > 0")
-
     try:
         series = decay_bound_series(sampled, model, rect, theta,
                                     range(k_min, k_max + 1), sigma,
-                                    c1=c1, k_emp=k_emp, cnorm=cnorm)
+                                    c1=c1, cnorm=cnorm)
     except DecayRangeError as exc:
         raise ConfigError(str(exc)) from exc
     if len(series.steps) < 2:

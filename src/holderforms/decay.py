@@ -17,8 +17,13 @@ feeds the strips of all its steps to both in batches of at most
 ``STRIP_CHUNK``, so a step of any size costs bounded memory and many small
 steps share one call.  The form is grid-sampled, as
 ``polygon_boundary_integrals`` requires (the CLI passes the one whose
-C^theta norm and family constant scale the bound), so those integrals are
-exact up to rounding and take no quadrature.
+C^theta norm scales the bound), so those integrals are exact up to
+rounding and take no quadrature.
+
+A step's bound is the main inequality's bound ``c_theta_constant(theta)
+cnorm |dS|^(1-theta) |S|^theta`` summed over its strips S: the
+mollification split's bound at its best eps, so it is at least
+``sum_S |int_dS alpha|`` when ``cnorm`` bounds the C^theta norm of alpha.
 
 Form invariance is NOT assumed; the experiment certifies the decay of the
 upper bound and the telescoping identity, which is what the argument needs.
@@ -36,6 +41,7 @@ from .chains import (
     measure_polygons, polygon_boundary_integrals, rectangle_corners,
 )
 from .experiments import least_squares_slope
+from .inequality import c_theta_constant
 
 __all__ = [
     "DecayRangeError",
@@ -170,7 +176,7 @@ class DecayStep(NamedTuple):
     n0: float
     n: int
     strip_boundary_max: float
-    bound: float                 # sum over strips of K_emp cnorm rhs_shape
+    bound: float                 # c_theta cnorm times the sum of rhs_shape
     lhs_sum: float               # sum of per-strip boundary integrals
     lhs_whole: float             # boundary integral of the whole iterate
 
@@ -202,13 +208,14 @@ class DecaySeries(NamedTuple):
 def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
                        theta: float, k_range, sigma: float,
                        c1: float = 1.0,
-                       k_emp: float = 1.0,
                        cnorm: float = 1.0) -> DecaySeries:
     """Run the cut-and-bound experiment over a range of iteration counts.
 
-    ``k_emp`` and ``cnorm`` are frozen constants (the empirical inequality
-    constant from a family run on the same form, and its C^theta norm);
-    they scale the reported bound but not the fitted rate.
+    A step's ``bound`` is ``c_theta_constant(theta) cnorm`` times the sum
+    over its strips D of ``|dD|^(1-theta) |D|^theta``, an upper bound for
+    ``sum |int_dD alpha|`` when ``cnorm`` bounds the C^theta norm of
+    ``alpha`` (see the module docstring).  The constant factor scales the
+    bound but not the fitted rate.
 
     Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only;
     ``measure_polygons`` gives the lengths and areas of the strips in
@@ -274,6 +281,7 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
         lhs[first:first + len(corners)] = polygon_boundary_integrals(
             alpha, corners)
     steps, length_power = [], 1.0 - theta
+    scale = c_theta_constant(theta) * cnorm
     for j, ((sc, _), span) in enumerate(zip(plan, spans)):
         rhs_shapes = [ln ** length_power * ar ** theta
                       for ln, ar in zip(length[span].tolist(),
@@ -283,7 +291,7 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
             n0=sc.n0,
             n=sc.n,
             strip_boundary_max=float(length[span].max()),
-            bound=k_emp * cnorm * math.fsum(rhs_shapes),
+            bound=scale * math.fsum(rhs_shapes),
             lhs_sum=math.fsum(lhs[span].tolist()),
             lhs_whole=float(lhs[total + j]),
         ))

@@ -9,8 +9,9 @@ The constant is constructive: for every eps the mollification split bounds
 ``|int_dD alpha|`` by ``cnorm (|dD| eps^theta + ||d eta||_L1 |D|
 eps^(theta-1))`` (``SplitCheck.bound_boundary + bound_interior``), whose
 exact minimum over eps is ``c_theta_constant(theta) cnorm |dD|^(1-theta)
-|D|^theta``.  The family verifier reports its ratio and does not yet
-assert it against that constant.
+|D|^theta``.  ``decay`` sums that bound over its strips; the family
+verifier reports its ratio and does not yet assert it against the
+constant.
 """
 
 from __future__ import annotations
@@ -255,8 +256,7 @@ class InequalityReport(NamedTuple):
 
 
 def verify_main_inequality(alpha, family, theta: float,
-                           smallness_sigma: float = 0.5,
-                           cnorm: float | None = None):
+                           smallness_sigma: float = 0.5):
     """Apply the main-inequality comparison to a family of disks.
 
     ``family`` is a sequence of (disk_id, corners) pairs, each disk's
@@ -264,7 +264,8 @@ def verify_main_inequality(alpha, family, theta: float,
     ``dyadic_square_family`` gives).  Disks failing the smallness filter
     |dD| < sigma are reported as skipped, mirroring the smallness
     hypothesis of the estimate.  No diameter test is needed, here or in
-    ``decay``: a closed polygon has diam <= |dD|/2.
+    ``decay``: a closed polygon has diam <= |dD|/2.  Each ratio is in
+    units of ``one_form_cnorm(alpha, theta)``, which must be positive.
 
     The whole family is measured by one ``measure_polygons`` call; the
     unskipped disks are then integrated together by one
@@ -276,8 +277,7 @@ def verify_main_inequality(alpha, family, theta: float,
     0) counts as ratio 0 when its ``lhs`` is at most ``DEGENERATE_LHS``;
     one of zero length, such as a point, reports ``eps_star`` nan.
     """
-    if cnorm is None:
-        cnorm = one_form_cnorm(alpha, theta)
+    cnorm = one_form_cnorm(alpha, theta)
     if cnorm <= 0.0:
         raise ValueError("cnorm must be positive")
     family = list(family)

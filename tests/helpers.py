@@ -18,6 +18,7 @@ from holderforms.dynamics import ToralAutomorphism
 from holderforms.grids import (
     GridField, _lag_distances, _matched_ends as matched_ends,
 )
+from holderforms.inequality import c_theta_constant
 from holderforms.mollify import (
     _bump, _centered_diff, _gl_rule, deta_l1, normalization_constant,
 )
@@ -333,7 +334,7 @@ def cat_map_conjugates(seed: int, count: int):
 
 
 def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
-                           c1=1.0, k_emp=1.0, cnorm=1.0):
+                           c1=1.0, cnorm=1.0):
     """The ``steps`` and ``skipped_k`` of ``decay_bound_series``, step by step.
 
     The reference for the batched series: per admissible k, one
@@ -359,7 +360,7 @@ def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
             n0=sc.n0,
             n=sc.n,
             strip_boundary_max=float(length.max()),
-            bound=k_emp * cnorm * math.fsum(rhs_shapes),
+            bound=c_theta_constant(theta) * cnorm * math.fsum(rhs_shapes),
             lhs_sum=math.fsum(polygon_boundary_integrals(alpha, strips)),
             lhs_whole=lhs_whole,
         ))

@@ -172,7 +172,7 @@ def test_c08_main_inequality_family(w_form_family):
     alpha, cnorm = w_form_family
     fam = dyadic_square_family(range(2, 9), 8)
     reports = verify_main_inequality(alpha, fam, theta=0.5,
-                                     smallness_sigma=1.25, cnorm=cnorm)
+                                     smallness_sigma=1.25)
     emp = max(r.empirical_k for r in reports)
     assert math.isfinite(emp) and emp > 0.0
     slope, _ = family_scale_slope(reports)
@@ -180,13 +180,14 @@ def test_c08_main_inequality_family(w_form_family):
 
     dy = one_form(None, GridField((0.0,), (1.0,), (2,), np.ones(2)))
     dy_reports = verify_main_inequality(dy, fam, theta=0.5,
-                                        smallness_sigma=1.25, cnorm=1.0)
+                                        smallness_sigma=1.25)
     assert all(r.ratio <= 1e-8 for r in dy_reports)
 
     sub = dyadic_square_family(range(4, 7), 3)
-    a = verify_main_inequality(alpha, sub, theta=0.5, cnorm=cnorm)
-    b = verify_main_inequality(scaled_form(alpha, 5.0), sub, theta=0.5,
-                               cnorm=5.0 * cnorm)
+    five = scaled_form(alpha, 5.0)
+    assert abs(one_form_cnorm(five, 0.5) - 5.0 * cnorm) <= 1e-12 * cnorm
+    a = verify_main_inequality(alpha, sub, theta=0.5)
+    b = verify_main_inequality(five, sub, theta=0.5)
     assert all(abs(ra.ratio - rb.ratio) <= 1e-10 for ra, rb in zip(a, b))
     report("criterion 08: K finite, dy exact, slope <= 0.1, homogeneity 1e-10")
 

@@ -11,16 +11,13 @@ import holderforms
 
 PACKAGE = Path(holderforms.__file__).parent
 
-# Public names that no code in the package reads yet: the paper's constant
-# waits for a CLI check of it (ROADMAP item 1).
-UNREAD_EXPORTS = {"inequality.c_theta_constant"}
+# Public names that no code in the package reads.
+UNREAD_EXPORTS = set()
 
 # Public functions, methods and properties that no subcommand runs yet.
 # The package has no curves: the curve quadrature that tests compare the
 # exact polygon integrals against lives in ``tests/helpers.py``.
 UNRUN_CALLABLES = {
-    # the paper's constant (ROADMAP item 1)
-    "inequality.theta_bracket", "inequality.c_theta_constant",
     # the split's norm and its two bound checks, which no check line reads
     # yet (ROADMAP item 6)
     "inequality.SplitCheck.cnorm", "inequality.SplitCheck.bound_boundary",

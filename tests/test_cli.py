@@ -650,12 +650,6 @@ class TestConfig:
         ("[disks]\nj_min = 5\nj_max = 5", ["inequality"],
          "j = 5..5 at sigma = 0.5: need at least two scales with an "
          "unskipped square to fit a slope, got j = [5]"),
-        # at sigma <= 1/16 no square of decay's j = 2..6 family is small
-        # enough, so its constant K is 0 and the bound series is all 0
-        ("", ["decay", "--sigma", "0.05"],
-         "j = 2..6 at sigma = 0.05: the empirical constant K is 0 over 0 "
-         "square(s) that pass the smallness filter, and the decay bound "
-         "needs K > 0"),
         # the mollify bounds' slack is the constant 1.05, not a key
         ("[common]\nslack = nan", ["mollify-check"],
          "unknown key 'slack' in section [common]"),
@@ -680,6 +674,18 @@ class TestConfig:
         assert captured.err.startswith("config error: ")
         assert message in captured.err
         assert "FAIL" not in captured.out
+
+    def test_decay_at_small_sigma_runs(self, tmp_path, capsys):
+        # no dyadic square of side 1/4 or less passes the smallness filter
+        # at sigma = 0.05; decay's bound needs none, and its strips are cut
+        # small enough for sigma
+        code, outdir = run(["decay", "--sigma", "0.05"], tmp_path)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "PASS strip-smallness-k=5" in out
+        assert out.endswith("all assertions passed\n")
+        assert (outdir / "decay.csv").exists()
 
     def test_decay_too_many_strips_for_memory_exits_2(self, tmp_path, capsys,
                                                       monkeypatch):

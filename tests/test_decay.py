@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holderforms import decay
-from holderforms.chains import measure_polygons, polygon_boundary_integrals
+from holderforms.chains import (
+    Term, measure_polygons, polygon_boundary_integrals,
+)
 from holderforms.decay import (
     LinearModel,
     SmallnessError,
@@ -16,8 +18,10 @@ from holderforms.decay import (
     iterate_rectangle,
 )
 from holderforms.experiments import weierstrass_form
-from holderforms.grids import GridField
-from holderforms.inequality import verify_main_inequality
+from holderforms.grids import GridField, weierstrass_callable
+from holderforms.inequality import (
+    c_theta_constant, one_form_cnorm, verify_main_inequality,
+)
 
 from helpers import (
     cut_strips, decay_steps_one_by_one, one_form, per_edge_quadrature,
@@ -201,9 +205,11 @@ class TestDecaySeries:
             weierstrass_form(0.5, 2, 8),
             [(f"strip{i}", c) for i, c in enumerate(
                 strip_disks(iterate_rectangle(MODEL, RECT, k), step.n))],
-            theta=0.5, smallness_sigma=0.5, cnorm=1.0)
+            theta=0.5, smallness_sigma=0.5)
         assert not any(r.skipped for r in reports)
-        assert step.bound == math.fsum(r.rhs_shape for r in reports)
+        # the series runs at the default cnorm = 1.0
+        assert step.bound == c_theta_constant(0.5) * 1.0 * math.fsum(
+            r.rhs_shape for r in reports)
         assert step.strip_boundary_max == max(r.length for r in reports)
         # so the length filter is a diameter filter too
         assert max(r.diameter for r in reports) <= step.strip_boundary_max / 2
@@ -222,6 +228,30 @@ class TestDecaySeries:
             w0, w1 = alpha[0].field.evaluate(np.array([[x0], [x1]]))
             expected = r.s_len * (w1 - w0)
             assert s.lhs_whole == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_bound_holds_over_the_strips(self):
+        # alpha = W(y) dx at decay's default geometry: each step's bound is
+        # at least the strips' summed |boundary integral|, which is at least
+        # the whole iterate's.  Scaled by the largest ratio of a j = 2..6
+        # dyadic square family on this form, 0.271, instead of c_theta =
+        # 2.759, the bound at k = 2 would be 0.564, below the strips' 0.584
+        w = weierstrass_callable(0.5, 2, 6)
+        field = GridField.from_function(lambda x, y: w(y), (0, 0), (1, 1),
+                                        (3, 513))
+        alpha = (Term(field, (1.0, 0.0)),)
+        series = decay_bound_series(alpha, MODEL, RECT, theta=0.5,
+                                    k_range=range(0, 9), sigma=0.5,
+                                    cnorm=one_form_cnorm(alpha, 0.5))
+        assert [s.k for s in series.steps] == list(range(2, 9))
+        for s in series.steps:
+            strips = cut_strips(iterate_rectangle(MODEL, RECT, s.k), s.n)
+            strip_sum = math.fsum(
+                abs(v) for v in polygon_boundary_integrals(alpha, strips))
+            # fsum rounds once and rounding is monotone, so |lhs_sum| <=
+            # strip_sum holds exactly; the whole iterate's integral is
+            # lhs_sum up to rounding, as the telescoping check allows
+            assert abs(s.lhs_sum) <= strip_sum <= s.bound
+            assert abs(s.lhs_whole) <= strip_sum + 1e-8
 
     def test_smallness_filter_names_k_and_n(self, monkeypatch):
         # every step is measured and filtered before any integral is taken
@@ -261,7 +291,7 @@ FORMS = {
 def one_by_one(form):
     return decay_steps_one_by_one(FORMS[form](), MODEL, RECT, theta=0.5,
                                   k_range=range(0, 9), sigma=0.5,
-                                  k_emp=0.3, cnorm=7.0)
+                                  cnorm=7.0)
 
 
 def hexed(steps):
@@ -276,6 +306,11 @@ def test_batches_do_not_change_any_field(monkeypatch, form, chunk):
     monkeypatch.setattr(decay, "STRIP_CHUNK", chunk)
     series = decay_bound_series(FORMS[form](), MODEL, RECT, theta=0.5,
                                 k_range=range(0, 9), sigma=0.5,
-                                k_emp=0.3, cnorm=7.0)
+                                cnorm=7.0)
     assert series.skipped_k == skipped == (0, 1)
     assert hexed(series.steps) == hexed(steps)
+    for s in series.steps:
+        strips = cut_strips(iterate_rectangle(MODEL, RECT, s.k), s.n)
+        length, area, _ = (m.tolist() for m in measure_polygons(strips))
+        assert s.bound == c_theta_constant(0.5) * 7.0 * math.fsum(
+            ln ** 0.5 * ar ** 0.5 for ln, ar in zip(length, area))

@@ -161,10 +161,9 @@ def stokes_form():
 
 
 class TestMainInequality:
-    def test_family_ratios_bounded_and_slope_flat(self, w_form, w_cnorm):
+    def test_family_ratios_bounded_and_slope_flat(self, w_form):
         fam = dyadic_square_family(range(4, 8), 4)
-        reports = verify_main_inequality(w_form, fam, theta=0.5,
-                                         cnorm=w_cnorm)
+        reports = verify_main_inequality(w_form, fam, theta=0.5)
         assert all(not r.skipped for r in reports)
         emp = max(r.empirical_k for r in reports)
         assert math.isfinite(emp) and 0.0 < emp < 10.0
@@ -172,29 +171,33 @@ class TestMainInequality:
         assert slope <= 0.1
 
     def test_homogeneity(self, w_form, w_cnorm):
+        # the scaled form's norm is five times the form's, to rounding
         fam = dyadic_square_family(range(4, 6), 3)
-        a = verify_main_inequality(w_form, fam, theta=0.5, cnorm=w_cnorm)
-        b = verify_main_inequality(scaled_form(w_form, 5.0), fam, theta=0.5,
-                                   cnorm=5.0 * w_cnorm)
+        five = scaled_form(w_form, 5.0)
+        assert one_form_cnorm(five, 0.5) == pytest.approx(5.0 * w_cnorm,
+                                                          rel=1e-15)
+        a = verify_main_inequality(w_form, fam, theta=0.5)
+        b = verify_main_inequality(five, fam, theta=0.5)
         for ra, rb in zip(a, b):
             assert rb.ratio == pytest.approx(ra.ratio, abs=1e-10)
 
-    def test_exact_form_has_zero_ratio(self, w_cnorm):
+    def test_exact_form_has_zero_ratio(self):
         dy = one_form(None, GridField((0.0,), (1.0,), (2,), np.ones(2)))
+        assert one_form_cnorm(dy, 0.5) == 1.0
         fam = dyadic_square_family(range(4, 6), 2)
-        reports = verify_main_inequality(dy, fam, theta=0.5, cnorm=1.0)
+        reports = verify_main_inequality(dy, fam, theta=0.5)
         for r in reports:
             assert r.ratio <= 1e-8
 
-    def test_smallness_filter_skips_large_disks(self, w_form, w_cnorm):
+    def test_smallness_filter_skips_large_disks(self, w_form):
         fam = [("big", rectangle_corners((0.0, 0.0), (0.5, 0.5))),
                ("small", rectangle_corners((0.1, 0.1), (0.15, 0.15)))]
         reports = verify_main_inequality(w_form, fam, theta=0.5,
-                                         smallness_sigma=0.5, cnorm=w_cnorm)
+                                         smallness_sigma=0.5)
         assert reports[0].skipped
         assert not reports[1].skipped
         (only,) = verify_main_inequality(w_form, fam[:1], theta=0.5,
-                                         smallness_sigma=0.5, cnorm=w_cnorm)
+                                         smallness_sigma=0.5)
         assert only.skipped
 
     def test_degenerate_disks_have_ratio_zero(self):
@@ -204,7 +207,7 @@ class TestMainInequality:
         form = weierstrass_form(0.5, 2, 6, 512)
         fam = [("dot", [(0.3, 0.3)] * 3),
                ("flat", [(0.1, 0.1), (0.2, 0.2), (0.15, 0.15)])]
-        dot, flat = verify_main_inequality(form, fam, theta=0.5, cnorm=1.0)
+        dot, flat = verify_main_inequality(form, fam, theta=0.5)
         assert not dot.skipped and not flat.skipped
         assert (dot.length, dot.rhs_shape, dot.ratio) == (0.0, 0.0, 0.0)
         assert math.isnan(dot.eps_star)
@@ -230,31 +233,35 @@ class TestMainInequality:
                               0.5) == 3.0 * w_cnorm
 
     def test_nonpositive_cnorm_rejected(self, w_form):
+        # the zero form has norm 0, in which no ratio can be measured
         fam = dyadic_square_family(range(5, 6), 1)
-        with pytest.raises(ValueError):
-            verify_main_inequality(w_form, fam, theta=0.5, cnorm=0.0)
+        zero = scaled_form(w_form, 0.0)
+        assert one_form_cnorm(zero, 0.5) == 0.0
+        with pytest.raises(ValueError, match="cnorm must be positive"):
+            verify_main_inequality(zero, fam, theta=0.5)
 
-    def test_precomputed_cnorm_matches_computed_cnorm(self):
-        # the decay command passes its own cnorm to the family verification
-        form = weierstrass_form(0.5, terms=6, resolution=512)
-        fam = dyadic_square_family(range(2, 7), 4)
-        by_cnorm = verify_main_inequality(
-            form, fam, theta=0.5, cnorm=one_form_cnorm(form, 0.5))
-        computed = verify_main_inequality(form, fam, theta=0.5)
-        assert repr([r.csv_row() for r in by_cnorm]) == repr(
-            [r.csv_row() for r in computed])
+    @staticmethod
+    def assert_ratios_in_units_of_cnorm(form, fam):
+        cnorm = one_form_cnorm(form, 0.5)
+        reports = [r for r in verify_main_inequality(form, fam, theta=0.5)
+                   if not r.skipped]
+        assert reports
+        for r in reports:
+            assert r.ratio == r.lhs / (cnorm * r.rhs_shape)
+
+    def test_ratio_is_in_units_of_the_form_cnorm(self):
+        # each ratio is lhs / (cnorm rhs_shape) with the form's own norm,
+        # the one decay scales its bound by
+        self.assert_ratios_in_units_of_cnorm(
+            weierstrass_form(0.5, terms=6, resolution=512),
+            dyadic_square_family(range(2, 7), 4))
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_precomputed_cnorm_matches_seeded_cnorm(self, seed):
+    def test_ratio_is_in_units_of_the_seeded_form_cnorm(self, seed):
         # a form varying in both coordinates, unlike the Weierstrass form of
         # the test above
-        form = seeded_trig_form(seed)
-        fam = dyadic_square_family(range(2, 6), 3)
-        by_cnorm = verify_main_inequality(
-            form, fam, theta=0.5, cnorm=one_form_cnorm(form, 0.5))
-        computed = verify_main_inequality(form, fam, theta=0.5)
-        assert repr([r.csv_row() for r in by_cnorm]) == repr(
-            [r.csv_row() for r in computed])
+        self.assert_ratios_in_units_of_cnorm(
+            seeded_trig_form(seed), dyadic_square_family(range(2, 6), 3))
 
 
 class TestLeastSquaresSlope:
@@ -313,10 +320,9 @@ class TestExactBoundaryIntegrals:
         ((length,), _, _) = measure_polygons([seam])
         assert abs(a - b) <= 1e-13 * length * sup
 
-    def test_cli_family_matches_adaptive_quadrature(self, w_form, w_cnorm):
+    def test_cli_family_matches_adaptive_quadrature(self, w_form):
         fam = dyadic_square_family(range(2, 9), 8)
-        reports = verify_main_inequality(w_form, fam, theta=0.5,
-                                         cnorm=w_cnorm)
+        reports = verify_main_inequality(w_form, fam, theta=0.5)
         unskipped = [(r, d) for r, (_, d) in zip(reports, fam)
                      if not r.skipped]
         assert len(unskipped) == 40
@@ -324,8 +330,7 @@ class TestExactBoundaryIntegrals:
             ref = abs(per_edge_quadrature(w_form, disk))
             assert abs(rep.lhs - ref) <= 1e-16
 
-    def test_family_is_integrated_in_one_call(self, w_form, w_cnorm,
-                                              monkeypatch):
+    def test_family_is_integrated_in_one_call(self, w_form, monkeypatch):
         # one measure of all 56 squares, one exact integral of the 40
         # that pass the smallness filter
         calls = []
@@ -341,8 +346,7 @@ class TestExactBoundaryIntegrals:
         for name in ("measure_polygons", "polygon_boundary_integrals"):
             monkeypatch.setattr(holderforms.inequality, name, counting(name))
         fam = dyadic_square_family(range(2, 9), 8)
-        reports = verify_main_inequality(w_form, fam, theta=0.5,
-                                         cnorm=w_cnorm)
+        reports = verify_main_inequality(w_form, fam, theta=0.5)
         assert sum(not r.skipped for r in reports) == 40
         assert calls == [("measure_polygons", 56),
                          ("polygon_boundary_integrals", 40)]

@@ -166,9 +166,10 @@ def polygon_boundary_integrals(alpha, corners) -> list:
     before cutting: its pieces would only add zeros to its polygon's sum,
     and the long horizontal edges of ``decay`` would each be cut at
     thousands of grid crossings.  Every other edge is cut at every ``t``
-    where it crosses a grid line ``lo[ax] + m*h[ax]`` of the term's grid,
-    for every integer ``m`` and every axis ``ax`` of that grid, so wraps
-    round the torus need no special case; a 1-D grid has lines in x only.
+    where it crosses a grid line ``lo[ax] + m*h[ax]`` of the term's grid
+    (``h = field.spacing``, the period over the samples per axis), for
+    every integer ``m`` and every axis ``ax`` of that grid, so wraps round
+    the torus need no special case; a 1-D grid has lines in x only.
     Each piece ``[t0, t1]`` lies in one cell, where the pullback is a
     quadratic in ``t``; the 2-point Gauss-Legendre rule with nodes
     ``mid -/+ half/sqrt(3)`` and weights ``half`` integrates it exactly.

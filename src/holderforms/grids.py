@@ -2,19 +2,22 @@
 
 A :class:`GridField` stores uniform samples of a scalar function on a flat
 torus of dimension 1 or 2: an axis-aligned box whose opposite edges are
-identified, so every axis wraps.  Values between nodes are obtained by
-bilinear interpolation, which keeps every Lipschitz estimate conservative
+identified, so every axis wraps.  Each node of the torus is stored once,
+and index arithmetic alone makes the field periodic: a point's cell is
+taken mod the samples ``m`` of its axis, and an index lag ``k`` spans
+``min(k, m - k)`` cells.  Values between nodes are obtained by bilinear
+interpolation, which keeps every Lipschitz estimate conservative
 (interpolation never increases the cellwise Lipschitz constant).
 
 The Holder seminorm is scanned one axis at a time.  Along each axis it is
 the exact maximum over the node pairs that differ along that axis only,
 found by a branch-and-bound over index lags: tile maxima and minima bound
 the largest difference at every lag, and only the lags whose bound can
-still beat the running best are evaluated exactly (88 of 2047 on the
-2048-node Weierstrass field).  On long axes coarse tiles bound blocks of 64
-lags first, so that only the blocks that can still win get fine bounds (15
-of 2048 on the 16-term Weierstrass field at 131072 nodes, where 95 lags are
-evaluated).  It is deterministic.  In 1-D it is the seminorm of the
+still beat the running best are evaluated exactly (88 of 2046 on the
+Weierstrass field at resolution 2048, 2047 samples).  On long axes coarse
+tiles bound blocks of 64 lags first, so that only the blocks that can still
+win get fine bounds (15 of 2048 on the 16-term Weierstrass field at
+resolution 131072, where 95 lags are evaluated).  It is deterministic.  In 1-D it is the seminorm of the
 piecewise-linear interpolant exactly; in 2-D the two axis maxima combine in
 closed form into an upper bound for that of the bilinear interpolant (see
 :class:`HolderEstimate`), so the C^theta norm needs no slack factor.
@@ -60,76 +63,52 @@ class UnderResolvedError(ValueError):
     """Requested resolution cannot resolve the finest feature."""
 
 
-def _matched_ends(v: np.ndarray) -> np.ndarray:
-    """``v``, in place, with its last entry on every axis set to its first:
-    the duplicate endpoint of a field on the torus."""
-    for ax in range(v.ndim):
-        last = [slice(None)] * v.ndim
-        last[ax] = -1
-        v[tuple(last)] = np.take(v, 0, axis=ax)
-    return v
-
-
-def _as_tuple(x, dim, cast):
-    if np.isscalar(x):
-        return (cast(x),) * dim
-    t = tuple(cast(v) for v in x)
-    if len(t) != dim:
-        raise ValueError(f"expected {dim} entries, got {len(t)}")
-    return t
-
-
 class GridField:
     """Uniformly sampled scalar function on a flat torus, bilinear between
     nodes.
 
-    ``values`` has shape ``resolution`` (axis 0 is the first coordinate).
-    Every axis is periodic with period ``hi - lo``: the duplicate endpoint
-    node is stored explicitly.  Its given values must lie within 1e-10 of
-    those at ``lo``, and a copy of ``values`` stores them equal, so the
-    interpolant is continuous across the seam.
+    ``values`` holds one sample per node of the torus (axis 0 is the first
+    coordinate): along axis ``a`` node ``i`` sits at ``lo[a] + i*h`` with
+    ``h = (hi[a] - lo[a]) / m`` and ``m = values.shape[a]``.  Every axis is
+    periodic with period ``hi - lo``, so the cell after the last node runs
+    back to the node at ``lo``.
     """
 
-    def __init__(self, lo: tuple, hi: tuple, resolution: tuple,
-                 values: np.ndarray):
-        dim = len(resolution)
-        if dim not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
-        if any(r < 2 for r in resolution):
-            raise ValueError("resolution must be >= 2 per axis")
+    def __init__(self, lo: tuple, hi: tuple, values: np.ndarray):
         v = np.array(values, dtype=float)
-        if v.shape != tuple(resolution):
-            raise ValueError(f"values shape {v.shape} != resolution {resolution}")
+        if v.ndim not in (1, 2):
+            raise ValueError("only dimensions 1 and 2 are supported")
+        if v.size == 0:
+            raise ValueError("need at least one sample per axis")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
-        for ax in range(dim):
+        for ax in range(v.ndim):
             if hi[ax] <= lo[ax]:
                 raise ValueError("domain must have positive extent")
-            first = np.take(v, 0, axis=ax)
-            last = np.take(v, -1, axis=ax)
-            if np.any(np.abs(first - last) > 1e-10):
-                raise ValueError(f"axis {ax}: endpoint values differ")
-        self.lo, self.hi, self.resolution = lo, hi, resolution
-        self.values = _matched_ends(v)
+        self.lo, self.hi, self.values = lo, hi, v
+
+    @property
+    def resolution(self) -> tuple:
+        """Samples per axis: ``values.shape``."""
+        return self.values.shape
 
     @property
     def dim(self) -> int:
-        return len(self.resolution)
+        return self.values.ndim
 
     @property
     def spacing(self) -> tuple:
-        return tuple(
-            (self.hi[a] - self.lo[a]) / (self.resolution[a] - 1)
-            for a in range(self.dim)
-        )
+        return tuple((self.hi[a] - self.lo[a]) / m
+                     for a, m in enumerate(self.resolution))
 
     def _axis_index(self, ax: int, x: np.ndarray):
+        """The node at or below ``x`` along ``ax``, wrapped round the
+        torus, the node after it, and the fraction of the cell between."""
         lo, hi = self.lo[ax], self.hi[ax]
-        n = self.resolution[ax]
-        h = (hi - lo) / (n - 1)
-        t = np.mod((x - lo) / h, n - 1)
-        i = np.minimum(t.astype(int), n - 2)
-        return i, t - i
+        m = self.resolution[ax]
+        t = np.mod((x - lo) / ((hi - lo) / m), m)
+        i = np.minimum(t.astype(int), m - 1)
+        return i, (i + 1) % m, t - i
 
     def evaluate(self, pts) -> np.ndarray:
         """Interpolate at points of shape (..., dim), (..., 1) in 1-D, only."""
@@ -137,39 +116,31 @@ class GridField:
         if pts.ndim == 0 or pts.shape[-1] != self.dim:
             raise ValueError(f"expected points of shape (..., {self.dim}), "
                              f"got {pts.shape}")
-        i, fx = self._axis_index(0, pts[..., 0])
+        i, i1, fx = self._axis_index(0, pts[..., 0])
         if self.dim == 1:
-            return (1.0 - fx) * self.values[i] + fx * self.values[i + 1]
-        j, fy = self._axis_index(1, pts[..., 1])
+            return (1.0 - fx) * self.values[i] + fx * self.values[i1]
+        j, j1, fy = self._axis_index(1, pts[..., 1])
         v = self.values
         return (
             (1 - fx) * (1 - fy) * v[i, j]
-            + fx * (1 - fy) * v[i + 1, j]
-            + (1 - fx) * fy * v[i, j + 1]
-            + fx * fy * v[i + 1, j + 1]
+            + fx * (1 - fy) * v[i1, j]
+            + (1 - fx) * fy * v[i, j1]
+            + fx * fy * v[i1, j1]
         )
 
     def supnorm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
     @classmethod
-    def from_function(cls, fn: Callable, lo, hi, resolution) -> "GridField":
-        if np.isscalar(resolution):
-            dim = 1
-        else:
-            dim = len(resolution)
-        lo = _as_tuple(lo, dim, float)
-        hi = _as_tuple(hi, dim, float)
-        resolution = _as_tuple(resolution, dim, int)
-        axes = [np.linspace(lo[a], hi[a], resolution[a]) for a in range(dim)]
-        if dim == 1:
-            vals = np.asarray(fn(axes[0]), dtype=float)
-        else:
-            gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            vals = np.asarray(fn(gx, gy), dtype=float)
-        # fn need not be periodic (x*y is not), so its ends are matched
-        # before the constructor's 1e-10 check
-        return cls(lo, hi, resolution, _matched_ends(vals))
+    def from_function(cls, fn: Callable, lo: tuple, hi: tuple,
+                      samples: tuple) -> "GridField":
+        """``fn`` sampled at ``samples[a]`` nodes per axis, from ``lo`` up
+        to but not including ``hi``: ``fn(x)`` in 1-D, ``fn(x, y)`` on the
+        ``ij`` mesh in 2-D."""
+        axes = [np.linspace(a, b, m + 1)[:-1]
+                for a, b, m in zip(lo, hi, samples)]
+        vals = fn(*np.meshgrid(*axes, indexing="ij"))
+        return cls(lo, hi, vals)
 
 
 class HolderEstimate(NamedTuple):
@@ -188,8 +159,8 @@ class HolderEstimate(NamedTuple):
     ``|f(p) - f(q)| <= S_0 |dx|^theta + S_1 |dy|^theta``, going along x,
     then along y, each the shorter way round; the largest value of that
     at distance r is ``U r^theta``.  So ``U`` bounds the seminorm of the
-    bilinear interpolant, with equality on the 3 x 3 grid of the unit
-    torus with 1 at the centre node and 0 elsewhere at theta = 1
+    bilinear interpolant, with equality on the 2 x 2 grid of the unit
+    torus with 1 at node (1, 1), the centre, and 0 elsewhere at theta = 1
     (``U = 2 sqrt(2)``, the slope along the diagonal from the peak).
     ``U`` is ``S_0`` exactly when ``S_1`` is 0.
     ``cnorm == supnorm + seminorm`` exactly.
@@ -224,6 +195,8 @@ def weierstrass_callable(theta: float, base: int, terms: int) -> Callable:
 def make_weierstrass(theta: float, base: int, terms: int, resolution: int) -> GridField:
     """Reference C^theta-rough test function on [0,1], periodic.
 
+    ``resolution`` counts the nodes of [0, 1] with both ends, so the field
+    holds ``resolution - 1`` samples at spacing ``1 / (resolution - 1)``.
     The grid must resolve the finest oscillation: resolution >= 4 * base^(terms-1).
     """
     finest = base ** (terms - 1)
@@ -233,14 +206,14 @@ def make_weierstrass(theta: float, base: int, terms: int, resolution: int) -> Gr
             "the finest oscillation would be aliased"
         )
     w = weierstrass_callable(theta, base, terms)
-    return GridField.from_function(w, 0.0, 1.0, resolution)
+    return GridField.from_function(w, (0.0,), (1.0,), (resolution - 1,))
 
 
 def _lag_distances(f: GridField, ax: int) -> np.ndarray:
-    """Axis distance of index lags 0..n-1: the shorter way round the axis."""
-    n = f.resolution[ax]
-    k = np.arange(n)
-    return np.minimum(k, n - 1 - k) * f.spacing[ax]
+    """Axis distance of index lags 0..m-1: the shorter way round the axis."""
+    m = f.resolution[ax]
+    k = np.arange(m)
+    return np.minimum(k, m - k) * f.spacing[ax]
 
 
 def _lag_maximum(v: np.ndarray, k: int, out: np.ndarray) -> float:
@@ -383,7 +356,7 @@ def holder_seminorm(f: GridField, theta: float) -> HolderEstimate:
 
     Each axis is scanned on its own (``_axis_seminorms``): ``S_a`` is the
     exact maximum over the node pairs that differ along axis ``a`` only,
-    the duplicate endpoint included, so it is deterministic.  In 1-D the
+    at their torus distances, so it is deterministic.  In 1-D the
     result is ``S_0``, the seminorm of the piecewise-linear interpolant
     exactly.  In 2-D it is ``U``, the l^(2/(2-theta)) norm of
     ``(S_0, S_1)``, an upper bound for the seminorm of the bilinear

@@ -247,7 +247,6 @@ class InequalityReport(NamedTuple):
     ratio: float
     eps_star: float
     skipped: bool
-    empirical_k: float  # running max ratio over the family so far
 
     def csv_row(self):
         return [self.disk_id, self.length, self.area, self.diameter,
@@ -288,13 +287,12 @@ def verify_main_inequality(alpha, family, theta: float,
     integrals = iter(polygon_boundary_integrals(
         alpha, [c for c, skip in zip(corners, skipped) if not skip]))
     reports = []
-    emp_k = 0.0
     for (disk_id, _), length, area, diameter, skip in zip(
             family, lengths, areas, diameters, skipped):
         if skip:
             reports.append(InequalityReport(disk_id, length, area, diameter,
                                             math.nan, math.nan, math.nan,
-                                            math.nan, True, emp_k))
+                                            math.nan, True))
             continue
         lhs = abs(next(integrals))
         rhs_shape = length ** (1.0 - theta) * area ** theta
@@ -306,11 +304,9 @@ def verify_main_inequality(alpha, family, theta: float,
         if not math.isfinite(ratio):
             raise ArithmeticError(
                 f"non-finite ratio for {disk_id}: lhs={lhs}, rhs={rhs_shape}")
-        emp_k = max(emp_k, ratio)
         # a disk of zero length has no minimizer, like a skipped one
         star = eps_star(area, length, theta) if length > 0.0 else math.nan
         reports.append(InequalityReport(
             disk_id, length, area, diameter, lhs, rhs_shape, ratio, star,
-            False, emp_k,
-        ))
+            False))
     return reports

@@ -12,8 +12,9 @@ closed form: eta is unimodal along every coordinate line (it decreases in
 |x|^2), so the line integral of |d_i eta| is twice its peak value at
 x_i = 0.
 
-Every field lives on a flat torus, so the convolution wraps on every axis
-and the mollified field lives on the same grid as its input.
+Every field lives on a flat torus and stores each node once, so the
+convolution pads the samples as they are with a wrap on every axis, and the
+mollified field lives on the same grid as its input.
 
 One kernel builder and one convolution serve every dimension: a y spacing
 of at least eps gives a one-column kernel equal to the 1-D one bit for bit,
@@ -158,27 +159,19 @@ def mollify(u: GridField, epsilon: float) -> GridField:
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     w = discrete_kernel(u.spacing, epsilon, u.dim)
-    # drop the duplicate endpoints, pad with wrap
-    padded = np.pad(u.values[(slice(0, -1),) * u.dim],
-                    [(s // 2, s // 2) for s in w.shape], mode="wrap")
+    padded = np.pad(u.values, [(s // 2, s // 2) for s in w.shape],
+                    mode="wrap")
     # every window against w at once: the window view is not copied
     taps = "ab"[:u.dim]
     out = np.einsum(f"...{taps},{taps}->...",
                     sliding_window_view(padded, w.shape), w)
-    for ax in range(u.dim):
-        # re-append the duplicate endpoint
-        out = np.concatenate([out, np.take(out, [0], axis=ax)], axis=ax)
-    return GridField(u.lo, u.hi, u.resolution, out)
+    return GridField(u.lo, u.hi, out)
 
 
 def _centered_diff(values: np.ndarray, ax: int, h: float):
-    """Centred difference along ``ax``, wrapping round the torus; the
-    duplicate endpoint gets the value at the first node."""
-    n = values.shape[ax]
-    core = np.take(values, range(n - 1), axis=ax)
-    d = (np.roll(core, -1, axis=ax) - np.roll(core, 1, axis=ax)) / (2 * h)
-    edge = np.take(d, [0], axis=ax)
-    return np.concatenate([d, edge], axis=ax)
+    """Centred difference along ``ax``, wrapping round the torus."""
+    return ((np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax))
+            / (2 * h))
 
 
 def grad_supnorm(u: GridField) -> float:

@@ -60,14 +60,14 @@ def line_plot(path, xs, ys, title: str = "", xlabel: str = "",
         f'L {WIDTH - MARGIN} {HEIGHT - MARGIN}" stroke="black" fill="none"/>')
     for v in _ticks(x0, x1):
         px = sx(v)
-        label = f"1e{v:g}" if logx else f"{v:g}"
+        label = f"{10.0 ** v:.3g}" if logx else f"{v:g}"
         parts.append(f'<line x1="{px:.1f}" y1="{HEIGHT - MARGIN}" '
                      f'x2="{px:.1f}" y2="{HEIGHT - MARGIN + 6}" stroke="black"/>')
         parts.append(f'<text x="{px:.1f}" y="{HEIGHT - MARGIN + 22}" '
                      f'text-anchor="middle" font-size="12">{label}</text>')
     for v in _ticks(y0, y1):
         py = sy(v)
-        label = f"1e{v:g}" if logy else f"{v:g}"
+        label = f"{10.0 ** v:.3g}" if logy else f"{v:g}"
         parts.append(f'<line x1="{MARGIN - 6}" y1="{py:.1f}" '
                      f'x2="{MARGIN}" y2="{py:.1f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN - 10}" y="{py + 4:.1f}" '

@@ -15,9 +15,7 @@ from holderforms.decay import (
     iterate_rectangle,
 )
 from holderforms.dynamics import ToralAutomorphism
-from holderforms.grids import (
-    GridField, _lag_distances, _matched_ends as matched_ends,
-)
+from holderforms.grids import GridField, _lag_distances
 from holderforms.inequality import c_theta_constant
 from holderforms.mollify import (
     _bump, _centered_diff, _gl_rule, deta_l1, normalization_constant,
@@ -48,14 +46,10 @@ def torus_distance(f, p, q) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def rolled(vals, shift):
-    """The samples of a field on the torus moved by ``shift`` nodes along
-    every axis: the distinct nodes rolled, the duplicate endpoint matched
-    again."""
-    axes = tuple(range(vals.ndim))
-    core = vals[(slice(0, -1),) * vals.ndim]
-    return np.pad(np.roll(core, shift, axis=axes), [(0, 1)] * vals.ndim,
-                  mode="wrap")
+def torus_nodes(lo: float, hi: float, m: int) -> np.ndarray:
+    """The ``m`` node coordinates of a grid axis on the circle [lo, hi),
+    as ``GridField.from_function`` samples them."""
+    return np.linspace(lo, hi, m + 1)[:-1]
 
 
 def eta(x, n: int) -> np.ndarray:
@@ -75,7 +69,7 @@ def one_form(a1=None, a2=None) -> tuple:
 
 def scaled_form(alpha, factor: float) -> tuple:
     """``factor * alpha`` for a grid-sampled form: its samples scaled."""
-    return tuple(Term(GridField(t.field.lo, t.field.hi, t.field.resolution,
+    return tuple(Term(GridField(t.field.lo, t.field.hi,
                                 factor * t.field.values), t.covector)
                  for t in alpha)
 
@@ -309,7 +303,7 @@ def exterior_derivative(alpha) -> GridField:
             out += c2 * _centered_diff(w.values, 0, ref.spacing[0])
         if c1 != 0.0 and ref.dim == 2:
             out -= c1 * _centered_diff(w.values, 1, ref.spacing[1])
-    return GridField(ref.lo, ref.hi, ref.resolution, out)
+    return GridField(ref.lo, ref.hi, out)
 
 
 def cat_map_conjugates(seed: int, count: int):

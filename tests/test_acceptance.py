@@ -98,9 +98,8 @@ def test_c01_mollifier_normalization():
 def test_c02_sup_bound_random_fields():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        vals = rng.standard_normal(257)
-        vals[-1] = vals[0]
-        u = GridField((0.0,), (1.0,), (257,), vals)
+        vals = rng.standard_normal(256)
+        u = GridField((0.0,), (1.0,), vals)
         sup = float(np.max(np.abs(vals)))
         for eps in EPSILONS:
             ue = mollify(u, eps)
@@ -129,9 +128,10 @@ def test_c04_derivative_bound(w_field):
 
 def test_c05_stokes(w_form_fine):
     # x dy over the regular 64-gon inscribed in the unit circle: x sampled
-    # at 9 exact nodes of [-2, 2], whose seam cell [1.5, 2] misses the gon
-    x = np.append(np.arange(-2.0, 2.0, 0.5), -2.0)
-    x_dy = one_form(None, GridField((-2.0,), (2.0,), (9,), x))
+    # at 8 exact nodes of the circle [-2, 2), whose seam cell [1.5, 2]
+    # misses the gon
+    x = np.arange(-2.0, 2.0, 0.5)
+    x_dy = one_form(None, GridField((-2.0,), (2.0,), x))
     turn = 2.0 * math.pi * np.arange(64) / 64
     gon = np.stack([np.cos(turn), np.sin(turn)], axis=-1)
     (val,) = polygon_boundary_integrals(x_dy, [gon])
@@ -173,12 +173,12 @@ def test_c08_main_inequality_family(w_form_family):
     fam = dyadic_square_family(range(2, 9), 8)
     reports = verify_main_inequality(alpha, fam, theta=0.5,
                                      smallness_sigma=1.25)
-    emp = max(r.empirical_k for r in reports)
+    emp = max(r.ratio for r in reports if not r.skipped)
     assert math.isfinite(emp) and emp > 0.0
     slope, _ = family_scale_slope(reports)
     assert slope <= 0.1
 
-    dy = one_form(None, GridField((0.0,), (1.0,), (2,), np.ones(2)))
+    dy = one_form(None, GridField((0.0,), (1.0,), np.ones(1)))
     dy_reports = verify_main_inequality(dy, fam, theta=0.5,
                                         smallness_sigma=1.25)
     assert all(r.ratio <= 1e-8 for r in dy_reports)

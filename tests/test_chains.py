@@ -21,8 +21,8 @@ from holderforms.inequality import mollify_one_form, one_form_cnorm
 from helpers import (
     AnalyticForm, ParamCurve, QuadratureError, adaptive_quadrature, circle,
     curve_length, cut_strips, exterior_derivative, green_area,
-    integrate_one_form, integrate_two_form, line_segment, matched_ends,
-    one_form, per_edge_quadrature, polygon_edges,
+    integrate_one_form, integrate_two_form, line_segment, one_form,
+    per_edge_quadrature, polygon_edges, torus_nodes,
 )
 
 
@@ -33,7 +33,7 @@ def one(p):
 
 def constant_field(c):
     """The constant ``c`` on [-4, 4]^2, whose 2-form integral is c * area."""
-    return GridField((-4.0, -4.0), (4.0, 4.0), (2, 2), np.full((2, 2), c))
+    return GridField((-4.0, -4.0), (4.0, 4.0), np.full((1, 1), c))
 
 
 class TestAdaptiveQuadrature:
@@ -111,11 +111,11 @@ class TestCurves:
             assert b == pytest.approx(-a, abs=1e-12)
 
 
-def torus_sin_cos_form(n=65):
-    """``sin(2 pi y) dx + cos(2 pi x) dy`` sampled on n x n nodes of the unit
+def torus_sin_cos_form(m=64):
+    """``sin(2 pi y) dx + cos(2 pi x) dy`` sampled on m x m nodes of the unit
     torus: a grid-sampled form whose interpolant is at most 1 in size."""
     def sampled(fn):
-        return GridField.from_function(fn, (0.0, 0.0), (1.0, 1.0), (n, n))
+        return GridField.from_function(fn, (0.0, 0.0), (1.0, 1.0), (m, m))
     return one_form(sampled(lambda x, y: np.sin(2.0 * np.pi * y)),
                     sampled(lambda x, y: np.cos(2.0 * np.pi * x)))
 
@@ -164,18 +164,18 @@ class TestPolygonBoundaryIntegrals:
 
 @st.composite
 def grid_polygons(draw):
-    """A grid (as GridField keywords) and a polygon inside the box
-    ``[lo, lo + size]``, which ends one cell before the grid's ``hi`` on
-    each axis: there a field with matched ends equals a sampled function
-    that is not periodic, and only its last cell wraps.
+    """A grid (its ``lo`` and ``hi`` as GridField keywords), its samples per
+    axis, and a polygon inside the box ``[lo, lo + size]``, which ends one
+    cell before the grid's ``hi`` on each axis: there a field equals a
+    sampled function that is not periodic, and only its last cell wraps.
 
     The polygon is a rotated square, a triangle or a thin rotated rectangle.
     """
     lo = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
     size = np.array([draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))])
-    res = (draw(st.integers(3, 40)), draw(st.integers(3, 40)))
-    hi = lo + size * (np.array(res) - 1) / (np.array(res) - 2)
-    grid = dict(lo=tuple(lo), hi=tuple(hi), resolution=res)
+    samples = (draw(st.integers(2, 39)), draw(st.integers(2, 39)))
+    hi = lo + size * np.array(samples) / (np.array(samples) - 1)
+    grid = dict(lo=tuple(lo), hi=tuple(hi))
     centre = lo + size * np.array([draw(st.floats(0.25, 0.75)),
                                    draw(st.floats(0.25, 0.75))])
     r = 0.24 * min(size) * draw(st.floats(0.05, 1.0))
@@ -195,7 +195,7 @@ def grid_polygons(draw):
         ang = phi + np.arctan2(half[:, 1], half[:, 0])
         rad = r * np.hypot(half[:, 0], half[:, 1]) / math.hypot(1.0, thin)
     verts = centre + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
-    return grid, verts
+    return grid, samples, verts
 
 
 def _reference_boundary_integral(form, verts):
@@ -233,12 +233,12 @@ class TestExactGridBoundaryIntegrals:
         # p = p0 + p1 x + p2 y + p3 xy is reproduced exactly by bilinear
         # interpolation, and int_dD p dx + q dy = int_D (q_x - p_y) dA with
         # q_x - p_y = (q1 - p2) + q3 y - p3 x, from the polygon's moments
-        grid, verts = case
+        grid, samples, verts = case
         pc, qc = np.array(coef).reshape(2, 4)
-        x, y = np.meshgrid(*(np.linspace(a, b, n) for a, b, n in zip(
-            grid["lo"], grid["hi"], grid["resolution"])), indexing="ij")
-        form = one_form(*(GridField(values=matched_ends(
-            c[0] + c[1] * x + c[2] * y + c[3] * x * y), **grid)
+        x, y = np.meshgrid(*(torus_nodes(a, b, m) for a, b, m in zip(
+            grid["lo"], grid["hi"], samples)), indexing="ij")
+        form = one_form(*(GridField(
+            values=c[0] + c[1] * x + c[2] * y + c[3] * x * y, **grid)
             for c in (pc, qc)))
         vx, vy = verts[:, 0], verts[:, 1]
         xn, yn = np.roll(vx, -1), np.roll(vy, -1)
@@ -257,11 +257,10 @@ class TestExactGridBoundaryIntegrals:
     def test_rough_form_equals_a_per_edge_reference(self, case, seed):
         # random node values: the interpolant kinks at every grid line, so
         # a missed crossing shows
-        grid, verts = case
+        grid, samples, verts = case
         rng = np.random.default_rng(seed)
-        form = one_form(*(GridField(values=matched_ends(
-            rng.normal(size=grid["resolution"])), **grid)
-            for _ in range(2)))
+        form = one_form(*(GridField(values=rng.normal(size=samples), **grid)
+                          for _ in range(2)))
         (exact,) = polygon_boundary_integrals(form, [verts])
         size = max(t.field.supnorm() for t in form)
         ((length,), _, _) = measure_polygons([verts])
@@ -270,28 +269,29 @@ class TestExactGridBoundaryIntegrals:
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_vertices=st.integers(3, 12),
-           res=st.integers(3, 40), frac=st.floats(0.01, 1.0),
+           m=st.integers(2, 39), frac=st.floats(0.01, 1.0),
            cx=st.floats(0.0, 1.0), cy=st.floats(0.0, 1.0))
-    def test_green_identity_on_convex_polygons(self, seed, n_vertices, res,
+    def test_green_identity_on_convex_polygons(self, seed, n_vertices, m,
                                                frac, cx, cy):
-        # x dy as a 1-D field and (x dy - y dx)/2 as a 2-D one, sampled on
-        # [-2, 2] with matched ends: below the seam cell [2 - h, 2] their
-        # interpolants are x and y, so each boundary integral is the area.
-        # The interpolant rounds to the samples' size, not to the area's,
-        # so the error is bounded per unit of boundary length
-        h = 4.0 / (res - 1)
+        # x dy as a 1-D field and (x dy - y dx)/2 as a 2-D one, sampled at
+        # m nodes per axis of the torus [-2, 2): below the seam cell
+        # [2 - h, 2] their interpolants are x and y, so each boundary
+        # integral is the area.  The interpolant rounds to the samples'
+        # size, not to the area's, so the error is bounded per unit of
+        # boundary length
+        h = 4.0 / m
         r = frac * (2.0 - 0.5 * h)
         centre = -2.0 + r + (4.0 - h - 2.0 * r) * np.array([cx, cy])
         verts = centre + r * np.array(random_convex_polygon_vertices(
             random.Random(seed), n_vertices))
-        x = np.linspace(-2.0, 2.0, res)
+        x = torus_nodes(-2.0, 2.0, m)
         xs, ys = np.meshgrid(x, x, indexing="ij")
 
         def field(values):
-            lo, hi = (-2.0,) * values.ndim, (2.0,) * values.ndim
-            return GridField(lo, hi, values.shape, matched_ends(values))
+            return GridField((-2.0,) * values.ndim, (2.0,) * values.ndim,
+                             values)
 
-        x_dy = one_form(None, field(x.copy()))
+        x_dy = one_form(None, field(x))
         half = one_form(field(-0.5 * ys), field(0.5 * xs))
         ((length,), (area,), _) = measure_polygons([verts])
         for form, size in ((x_dy, 2.0), (half, 1.0)):
@@ -345,14 +345,13 @@ class TestExactGridBoundaryIntegrals:
         assert polygon_boundary_integrals(alpha, [split]) == [whole]
 
     def test_terms_on_different_grids_add_up(self):
-        # W(x) dy at 2048 nodes plus a dx term on a 33 x 17 grid: each term
+        # W(x) dy at 2048 nodes plus a dx term on a 32 x 16 grid: each term
         # is cut on its own grid, and the form's integrals are the sums of
         # the one-term integrals, bit for bit
         (w_dy,) = weierstrass_form(0.5, resolution=2048)
         rng = np.random.default_rng(7)
-        g_dx = Term(GridField((0.0, 0.0), (1.0, 1.0), (33, 17),
-                              matched_ends(rng.normal(size=(33, 17)))),
-                    (1.0, 0.0))
+        g_dx = Term(GridField((0.0, 0.0), (1.0, 1.0),
+                              rng.normal(size=(32, 16))), (1.0, 0.0))
         disks = [rectangle_corners((0.1, 0.2), (0.35, 0.45)),
                  [(0.5, 0.1), (0.9, 0.3), (0.6, 0.7)],
                  rectangle_corners((-0.3, 0.6), (1.4, 0.61))]
@@ -478,15 +477,16 @@ def bilinear_fields(draw):
         c[[2, 3]] = 0.0
     lo = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
     size = np.array([draw(st.floats(0.5, 3.0)) for _ in range(dim)])
-    res = tuple(draw(st.integers(2 if w else 3, 40)) for w in wraps)
+    shape = tuple(draw(st.integers(1 if w else 2, 39)) for w in wraps)
     # a wrapping axis spans lo + size; any other one cell more
-    hi = lo + np.array([w if wrap else w * (n - 1) / (n - 2)
-                        for w, n, wrap in zip(size, res, wraps)])
-    axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, res)]
+    hi = lo + np.array([w if wrap else w * m / (m - 1)
+                        for w, m, wrap in zip(size, shape, wraps)])
+    axes = [torus_nodes(a, b, m) for a, b, m in zip(lo, hi, shape)]
     x, y = (np.meshgrid(*axes, indexing="ij") if dim == 2
             else (axes[0], 0.0))
-    values = np.broadcast_to(c[0] + c[1] * x + c[2] * y + c[3] * x * y, res)
-    field = GridField(tuple(lo), tuple(hi), res, matched_ends(values.copy()))
+    values = np.broadcast_to(c[0] + c[1] * x + c[2] * y + c[3] * x * y,
+                             shape)
+    field = GridField(tuple(lo), tuple(hi), values)
     rect_lo, rect_hi = [], []
     for ax in range(2):
         if ax >= dim:  # a 1-D field is constant in y
@@ -513,7 +513,7 @@ def _cell_reference(beta, lo, hi):
     """
     axes = []
     for ax in range(beta.dim):
-        x = np.linspace(beta.lo[ax], beta.hi[ax], beta.resolution[ax])
+        x = np.linspace(beta.lo[ax], beta.hi[ax], beta.resolution[ax] + 1)
         overlaps = [(max(lo[ax], p), min(hi[ax], q)) for p, q in zip(x, x[1:])]
         axes.append([(p, q) for p, q in overlaps if p < q])
     if beta.dim == 1:
@@ -560,14 +560,14 @@ class TestIntegrateTwoForm:
         assert abs(got - want) <= 1e-13 * beta.supnorm() * 0.04
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), res=st.tuples(
-        st.integers(2, 12), st.integers(2, 12)),
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(
+        st.integers(1, 11), st.integers(1, 11)),
         corners=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
-    def test_rough_field_equals_a_cell_loop(self, seed, res, corners):
+    def test_rough_field_equals_a_cell_loop(self, seed, shape, corners):
         # random node values: the interpolant kinks at every grid line, so
         # a missed cut shows
-        beta = GridField((-1.0, 0.5), (2.0, 1.5), res, matched_ends(
-            np.random.default_rng(seed).normal(size=res)))
+        beta = GridField((-1.0, 0.5), (2.0, 1.5),
+                         np.random.default_rng(seed).normal(size=shape))
         (u0, u1), (v0, v1) = sorted(corners[:2]), sorted(corners[2:])
         lo, hi = (-1.0 + 3.0 * u0, 0.5 + v0), (-1.0 + 3.0 * u1, 0.5 + v1)
         got = integrate_two_form(beta, lo, hi)
@@ -655,11 +655,10 @@ class TestStokesPairs:
 
     def test_stokes_for_smooth_grid_form(self):
         # alpha = sin(2 pi x) cos(2 pi y) dy on the unit torus
-        n = 257
-        x = np.linspace(0.0, 1.0, n)[:, None]
-        y = np.linspace(0.0, 1.0, n)[None, :]
+        x = torus_nodes(0.0, 1.0, 256)[:, None]
+        y = torus_nodes(0.0, 1.0, 256)[None, :]
         vals = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
-        a2 = GridField((0.0, 0.0), (1.0, 1.0), (n, n), vals)
+        a2 = GridField((0.0, 0.0), (1.0, 1.0), vals)
         alpha = one_form(None, a2)
         lo, hi = (0.1, 0.1), (0.4, 0.35)
         (lhs,) = polygon_boundary_integrals(alpha, [rectangle_corners(lo, hi)])
@@ -671,14 +670,14 @@ class TestExteriorDerivative:
     def test_grid_sine_form(self):
         # d(2 sin(2 pi y) dx + 5 sin(2 pi x) dy) by centred differences:
         # sin(2 pi (x + h)) - sin(2 pi (x - h)) = 2 cos(2 pi x) sin(2 pi h)
-        n = 65
-        h = 1.0 / (n - 1)
-        x = np.linspace(0.0, 1.0, n)[:, None]
-        y = np.linspace(0.0, 1.0, n)[None, :]
+        m = 64
+        h = 1.0 / m
+        x = torus_nodes(0.0, 1.0, m)[:, None]
+        y = torus_nodes(0.0, 1.0, m)[None, :]
         a1 = GridField.from_function(lambda x, y: 2.0 * np.sin(2 * np.pi * y),
-                                     (0.0, 0.0), (1.0, 1.0), (n, n))
+                                     (0.0, 0.0), (1.0, 1.0), (m, m))
         a2 = GridField.from_function(lambda x, y: 5.0 * np.sin(2 * np.pi * x),
-                                     (0.0, 0.0), (1.0, 1.0), (n, n))
+                                     (0.0, 0.0), (1.0, 1.0), (m, m))
         d = exterior_derivative(one_form(a1, a2))
         want = ((5.0 * np.cos(2 * np.pi * x) - 2.0 * np.cos(2 * np.pi * y))
                 * np.sin(2 * np.pi * h) / h)
@@ -686,10 +685,9 @@ class TestExteriorDerivative:
 
     def test_covectors_weight_the_derivative(self):
         # d(w (c1 dx + c2 dy)) = c2 dw/dx - c1 dw/dy, term by term
-        n = 65
         w = GridField.from_function(
             lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
-            (0.0, 0.0), (1.0, 1.0), (n, n))
+            (0.0, 0.0), (1.0, 1.0), (64, 64))
         d = exterior_derivative((Term(w, (3.0, -2.0)),))
         want = (-2.0 * exterior_derivative(one_form(None, w)).values
                 + 3.0 * exterior_derivative(one_form(w, None)).values)
@@ -723,17 +721,15 @@ def x_only_forms(draw):
     The extension repeats each 1-D field's samples over ``ny`` columns of a
     grid on [0, 1]^2, so it is constant in y.
     """
-    n, ny = draw(st.integers(5, 40)), draw(st.integers(2, 10))
+    n, ny = draw(st.integers(4, 39)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def field():
-        return GridField((0.0,), (1.0,), (n,),
-                         matched_ends(rng.normal(size=n)))
+        return GridField((0.0,), (1.0,), rng.normal(size=n))
 
     def extend(c):
         return None if c is None else GridField(
-            (0.0, 0.0), (1.0, 1.0), (n, ny),
-            np.repeat(c.values[:, None], ny, axis=1))
+            (0.0, 0.0), (1.0, 1.0), np.repeat(c.values[:, None], ny, axis=1))
 
     a1 = field() if draw(st.booleans()) else None
     a2 = field()

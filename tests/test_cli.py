@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,33 @@ class TestSubcommands:
         svg = outdir / "inequality_ratio.svg"
         assert svg.exists()
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("argv,name,logs", [
+        (["inequality", "--svg"], "inequality_ratio.svg", (True, True)),
+        (["decay", "--svg"], "decay_bound.svg", (False, True)),
+    ])
+    def test_svg_tick_labels_read_as_their_values(self, argv, name, logs,
+                                                  tmp_path, monkeypatch):
+        # a log axis is drawn in log10 units; each of its tick labels is
+        # the value 10 ** v, not "1e{v}" with a fractional exponent
+        from holderforms import svgplot
+        axes = []
+        ticks = svgplot._ticks
+
+        def recording(lo, hi):
+            axes.append(ticks(lo, hi))
+            return axes[-1]
+
+        monkeypatch.setattr(svgplot, "_ticks", recording)
+        code, outdir = run(argv, tmp_path)
+        assert code == 0
+        labels = re.findall(r'font-size="12">([^<]*)</text>',
+                            (outdir / name).read_text())
+        want = [10.0 ** v if log else v
+                for log, vs in zip(logs, axes) for v in vs]
+        assert len(labels) == len(want) > 2
+        for label, value in zip(labels, want):
+            assert abs(float(label) - value) <= 0.01 * abs(value), label
 
 
 class TestDeterminism:

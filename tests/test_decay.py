@@ -75,10 +75,10 @@ class TestRectangleIteration:
     def test_boundary_integral_matches_analytic_area(self):
         # 0.5 (x dy - y dx) integrates to the area over a positive boundary;
         # on [0, 2] x [0, 1] the interpolant of its samples is the linear
-        # form itself off the last cell of each axis, where the ends match
+        # form itself off the last cell of each axis, which wraps
         def sampled(fn):
             return GridField.from_function(fn, (0.0, 0.0), (2.0, 1.0),
-                                           (9, 9))
+                                           (8, 8))
         half_xdy = one_form(sampled(lambda x, y: -0.5 * y),
                             sampled(lambda x, y: 0.5 * x))
         r2 = iterate_rectangle(MODEL, RECT, 2)
@@ -140,7 +140,7 @@ class TestStrips:
         # sin(2 pi y) dx + cos(4 pi x) dy sampled on the unit torus
         def sampled(fn):
             return GridField.from_function(fn, (0.0, 0.0), (1.0, 1.0),
-                                           (65, 65))
+                                           (64, 64))
         alpha = one_form(sampled(lambda x, y: np.sin(2.0 * np.pi * y)),
                          sampled(lambda x, y: np.cos(4.0 * np.pi * x)))
         rect = USRectangle((x, y), u_len, s_len)
@@ -237,7 +237,7 @@ class TestDecaySeries:
         # 2.759, the bound at k = 2 would be 0.564, below the strips' 0.584
         w = weierstrass_callable(0.5, 2, 6)
         field = GridField.from_function(lambda x, y: w(y), (0, 0), (1, 1),
-                                        (3, 513))
+                                        (2, 512))
         alpha = (Term(field, (1.0, 0.0)),)
         series = decay_bound_series(alpha, MODEL, RECT, theta=0.5,
                                     k_range=range(0, 9), sigma=0.5,

@@ -38,7 +38,8 @@ import numpy as np
 from . import __version__
 from .grids import GridField, UnderResolvedError, make_weierstrass
 from .mollify import (
-    BOUND_SLACK, normalization_constant, verify_regularization,
+    BOUND_SLACK, KernelSizeError, normalization_constant,
+    verify_regularization,
 )
 from .chains import Term, measure_polygons, polygon_boundary_integrals
 from .inequality import (
@@ -203,7 +204,10 @@ def run_mollify_check(args, cfg, outdir: Path, checks: Checks) -> None:
         a = normalization_constant(n)
         checks.check(f"mollifier-normalization-{n}d", a > 0.0, f"A={a:.6f}")
     u = make_weierstrass(theta, base, terms, res)
-    reports = verify_regularization(u, theta, epsilons)
+    try:
+        reports = verify_regularization(u, theta, epsilons)
+    except KernelSizeError as exc:
+        raise ConfigError(str(exc)) from exc
     write_csv(outdir / "regularization.csv",
               ["epsilon", "measured_c", "bound_c", "measured_d", "bound_d",
                "pass_c", "pass_d"],
@@ -419,8 +423,8 @@ def run_decay(args, cfg, outdir: Path, checks: Checks) -> None:
         checks.check(f"strip-band-k={s.k}", s.n0 < s.n < 2 * s.n0,
                      f"N0={s.n0:.2f} N={s.n}")
         checks.check(f"strip-smallness-k={s.k}",
-                     s.strip_boundary_max < sigma,
-                     f"max boundary {s.strip_boundary_max:.4f}")
+                     s.strip_length < sigma,
+                     f"max boundary {s.strip_length:.4f}")
         # the strips' shared edges cancel exactly in real numbers, so the
         # 1e-8 absorbs rounding only: at most 1.6e-16 at the defaults
         checks.check(f"telescoping-k={s.k}",

@@ -6,19 +6,19 @@ N ~ mu^k strips so each strip boundary stays below the smallness threshold
 sigma, sum the per-strip right-hand sides of the main inequality, and check
 that the summed bound decays geometrically at rate mu * nu^theta.
 
-Only |dD| and |D| enter that right-hand side.  ``_strip_corners`` gives
-the corners of a run of strips of an iterate as one ``(N, 4, 2)`` array, and
-``measure_polygons`` measures strips in closed form, with the same formulas
-the family verifier uses.
+Only |dS| and |S| enter that right-hand side.  The N strips of a step
+are congruent rectangles of width ``w = u_len / N`` and height ``s``, so
+the sum over them is ``N L^(1-theta) A^theta`` of one length ``L = ((w +
+s) + w) + s`` (the edges in vertex order, as ``chains.measure_polygons``
+sums them) and one area ``A = w s``.
+
 The telescoping check integrates the form over every strip boundary and
 over the whole iterate's boundary (the iterate cut into one strip) with
-``polygon_boundary_integrals``, from the same corners.  ``decay_bound_series``
-feeds the strips of all its steps to both in batches of at most
-``STRIP_CHUNK``, so a step of any size costs bounded memory and many small
-steps share one call.  The form is grid-sampled, as
-``polygon_boundary_integrals`` requires (the CLI passes the one whose
-C^theta norm scales the bound), so those integrals are exact up to
-rounding and take no quadrature.
+``polygon_boundary_integrals``, from the corners ``_strip_corners`` gives,
+in batches of at most ``STRIP_CHUNK`` strips, so a step of any size costs
+bounded memory and many small steps share one call.  The form is
+grid-sampled (the CLI passes the one whose C^theta norm scales the bound),
+so those integrals are exact up to rounding.
 
 A step's bound is the main inequality's bound ``c_theta_constant(theta)
 cnorm |dS|^(1-theta) |S|^theta`` summed over its strips S: the
@@ -37,9 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chains import (
-    measure_polygons, polygon_boundary_integrals, rectangle_corners,
-)
+from .chains import polygon_boundary_integrals, rectangle_corners
 from .experiments import least_squares_slope
 from .inequality import c_theta_constant
 
@@ -56,11 +54,12 @@ __all__ = [
 ]
 
 OVERFLOW_EDGE = 1e12
-STRIP_CHUNK = 1 << 14    # strips per measure_polygons / integrals call
+STRIP_CHUNK = 1 << 14    # strips per polygon_boundary_integrals call
 
 
 class SmallnessError(RuntimeError):
-    """Step k cut into N strips has one of boundary >= sigma (c1 too small)."""
+    """Step k cut into N strips has strip boundaries >= sigma (c1 too
+    small)."""
 
     def __init__(self, k: int, n: int, length: float, sigma: float):
         super().__init__(f"strip failed the smallness filter at k={k}; N={n}: "
@@ -72,7 +71,7 @@ class DecayRangeError(OverflowError):
     """The k range reaches past what a run can hold: a step k that cannot
     be planned (a negative k, a power of a rate that overflows, an iterate
     beyond the ``OVERFLOW_EDGE`` guard), or more strips than memory
-    holds."""
+    holds, or a bound that is not positive and finite."""
 
 
 class LinearModel:
@@ -175,8 +174,8 @@ class DecayStep(NamedTuple):
     k: int
     n0: float
     n: int
-    strip_boundary_max: float
-    bound: float                 # c_theta cnorm times the sum of rhs_shape
+    strip_length: float          # |dS| of each of the n congruent strips
+    bound: float                 # c_theta cnorm n |dS|^(1-theta) |S|^theta
     lhs_sum: float               # sum of per-strip boundary integrals
     lhs_whole: float             # boundary integral of the whole iterate
 
@@ -212,31 +211,28 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
     """Run the cut-and-bound experiment over a range of iteration counts.
 
     A step's ``bound`` is ``c_theta_constant(theta) cnorm`` times the sum
-    over its strips D of ``|dD|^(1-theta) |D|^theta``, an upper bound for
-    ``sum |int_dD alpha|`` when ``cnorm`` bounds the C^theta norm of
-    ``alpha`` (see the module docstring).  The constant factor scales the
-    bound but not the fitted rate.
+    over its strips S of ``|dS|^(1-theta) |S|^theta``, an upper bound for
+    ``sum |int_dS alpha|`` when ``cnorm`` bounds the C^theta norm of
+    ``alpha`` (see the module docstring).  The strips are congruent, so
+    the sum is ``N L^(1-theta) A^theta`` of one strip length ``L`` and
+    area ``A``.
 
-    Each strip enters the bound through ``|dD|^(1-theta) |D|^theta`` only;
-    ``measure_polygons`` gives the lengths and areas of the strips in
-    closed form, and the smallness filter is the length test
-    ``|dD| < sigma`` of ``inequality.verify_main_inequality``.
-
-    The run plans every admissible step first, then measures the strips of
-    all steps, in k order, in batches of at most ``STRIP_CHUNK`` strips,
-    and applies the smallness filter step by step before it takes any
-    integral.  It then integrates over the strips and the whole iterates
-    in batches of the same size.  A step that cannot be planned (a negative
-    k, a rate power or an iterate that overflows) raises
-    ``DecayRangeError`` naming k after the smallness filter of the steps
-    before it, so errors come in k order.  The batch boundaries cannot
-    move any value: every per-polygon sum runs over that polygon's own
-    vertices or edges only, ``lhs_sum`` is a ``math.fsum``, and the powers
-    are taken on Python floats, one strip at a time, so every field is the
-    one a per-step, per-strip loop gives, bit for bit.
+    The run plans every admissible step first: it takes ``L``, ``A`` and
+    the bound in closed form and applies the smallness filter ``L <
+    sigma`` of ``inequality.verify_main_inequality``, so a
+    ``SmallnessError`` comes before any integral is taken.  A step that
+    cannot be planned (a negative k, a rate power or an iterate that
+    overflows, a bound that is not positive and finite) raises
+    ``DecayRangeError`` naming k once the strips of the steps before it
+    are allocated, so errors come in k order.  The run then integrates over
+    the strips and whole iterates of all steps, in k order, in batches of
+    at most ``STRIP_CHUNK`` strips.  Every per-polygon sum runs over that
+    polygon's own edges and ``lhs_sum`` is a ``math.fsum``, so the batch
+    boundaries move no value.
     """
     if cnorm <= 0.0:
         raise ValueError("cnorm must be positive")
+    scale = c_theta_constant(theta) * cnorm
     plan, skipped, failed = [], [], None
     for k in k_range:
         try:
@@ -247,29 +243,31 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
             rect_k = iterate_rectangle(model, rect, k)
             if sc.n < 1:
                 raise ValueError("N must be >= 1")
+            width, height = rect_k.u_len / sc.n, rect_k.s_len
+            length = ((width + height) + width) + height
+            if length >= sigma:
+                raise SmallnessError(k, sc.n, length, sigma)
+            area = width * height
+            bound = scale * (sc.n * (length ** (1.0 - theta) * area ** theta))
+            if not 0.0 < bound < math.inf:
+                raise DecayRangeError(
+                    f"step k={k} has strip length {length!r} and area "
+                    f"{area!r}, so its bound {bound!r} is not positive and "
+                    f"finite")
         except (OverflowError, ValueError) as exc:
             failed = k, exc
             break
-        plan.append((sc, rect_k))
-    cuts = [(rect_k, sc.n) for sc, rect_k in plan]
-    spans = [slice(stop - n, stop)
-             for (_, n), stop in zip(cuts, accumulate(n for _, n in cuts))]
-    total = spans[-1].stop if spans else 0
+        plan.append((sc, rect_k, length, bound))
+    cuts = [(rect_k, sc.n) for sc, rect_k, _, _ in plan]
+    stops = list(accumulate(n for _, n in cuts))
+    total = stops[-1] if stops else 0
     # allocated before any batch, so a run too large to hold fails at once
     try:
-        measures = np.empty((2, total))  # length and area per strip
         lhs = np.empty(total + len(plan))  # each strip, then each iterate
     except MemoryError as exc:
         raise DecayRangeError(
             f"k = {plan[0][0].k}..{plan[-1][0].k} plans {total} strips, "
             f"too many to hold in memory") from exc
-    for first, corners in _batches(cuts):
-        measures[:, first:first + len(corners)] = measure_polygons(
-            corners)[:2]
-    length, area = measures
-    for (sc, _), span in zip(plan, spans):
-        if (length[span] >= sigma).any():
-            raise SmallnessError(sc.k, sc.n, float(length[span].max()), sigma)
     if failed is not None:
         k, exc = failed
         if isinstance(exc, DecayRangeError):
@@ -277,25 +275,15 @@ def decay_bound_series(alpha: tuple, model: LinearModel, rect: USRectangle,
         raise DecayRangeError(
             f"step k={k} at mu={model.mu!r}, nu={model.nu!r} cannot be "
             f"planned: {type(exc).__name__}: {exc}") from exc
-    for first, corners in _batches(cuts + [(r, 1) for _, r in plan]):
+    for first, corners in _batches(cuts + [(r, 1) for r, _ in cuts]):
         lhs[first:first + len(corners)] = polygon_boundary_integrals(
             alpha, corners)
-    steps, length_power = [], 1.0 - theta
-    scale = c_theta_constant(theta) * cnorm
-    for j, ((sc, _), span) in enumerate(zip(plan, spans)):
-        rhs_shapes = [ln ** length_power * ar ** theta
-                      for ln, ar in zip(length[span].tolist(),
-                                        area[span].tolist())]
-        steps.append(DecayStep(
-            k=sc.k,
-            n0=sc.n0,
-            n=sc.n,
-            strip_boundary_max=float(length[span].max()),
-            bound=scale * math.fsum(rhs_shapes),
-            lhs_sum=math.fsum(lhs[span].tolist()),
-            lhs_whole=float(lhs[total + j]),
-        ))
+    steps = tuple(
+        DecayStep(k=sc.k, n0=sc.n0, n=sc.n, strip_length=length, bound=bound,
+                  lhs_sum=math.fsum(lhs[stop - sc.n:stop].tolist()),
+                  lhs_whole=float(lhs[total + j]))
+        for j, ((sc, _, length, bound), stop) in enumerate(zip(plan, stops)))
     return DecaySeries(
         predicted_rate=model.mu * model.nu ** theta,
-        steps=tuple(steps), skipped_k=tuple(skipped),
+        steps=steps, skipped_k=tuple(skipped),
     )

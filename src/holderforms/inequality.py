@@ -36,7 +36,6 @@ __all__ = [
     "theta_bracket",
     "c_theta_constant",
     "eps_star",
-    "isoperimetric_constant",
     "isoperimetric_check",
     "one_form_cnorm",
     "mollify_one_form",
@@ -47,6 +46,9 @@ __all__ = [
 # a disk with |dD|^(1-theta) |D|^theta = 0 has ratio 0 if its boundary
 # integral is at most this, and an infinite one otherwise
 DEGENERATE_LHS = 1e-8
+
+# the planar isoperimetric constant C_2 = 1/(4 pi): |D| <= C_2 |dD|^2
+ISOPERIMETRIC_CONSTANT = 1.0 / (4.0 * math.pi)
 
 
 def theta_bracket(theta: float) -> float:
@@ -81,18 +83,6 @@ def eps_star(area: float, length: float, theta: float) -> float:
     return (1.0 - theta) * area / (theta * length)
 
 
-def isoperimetric_constant(n: int) -> float:
-    """The planar isoperimetric constant C_2 = 1/(4 pi): |D| <= C_2 |dD|^2.
-
-    Every check here is planar, so only n = 2 is implemented; any other
-    ``n`` raises ``ValueError``.
-    """
-    if n != 2:
-        raise ValueError(f"only the planar constant (n = 2) is implemented, "
-                         f"got n={n}")
-    return 1.0 / (4.0 * math.pi)
-
-
 class IsoperimetricReport(NamedTuple):
     length: float
     area: float
@@ -103,7 +93,7 @@ class IsoperimetricReport(NamedTuple):
 
 def isoperimetric_check(length: float, area: float) -> IsoperimetricReport:
     """Flat planar check |D| <= |dD|^2 / (4 pi), to an absolute 1e-9."""
-    bound = isoperimetric_constant(2) * length * length
+    bound = ISOPERIMETRIC_CONSTANT * length * length
     return IsoperimetricReport(length, area, bound,
                                area <= bound + 1e-9, bound - area)
 

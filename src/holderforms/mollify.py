@@ -36,6 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grids import GridField, holder_seminorm
 
 __all__ = [
+    "KernelSizeError",
     "RegularizationReport",
     "normalization_constant",
     "deta_l1",
@@ -68,6 +69,10 @@ _GL_NODES = np.array([-x for x in reversed(_GL_POSITIVE_NODES)]
                      + list(_GL_POSITIVE_NODES))
 _GL_WEIGHTS = np.array(list(reversed(_GL_POSITIVE_WEIGHTS))
                        + list(_GL_POSITIVE_WEIGHTS))
+
+
+class KernelSizeError(MemoryError):
+    """The kernel of an eps has more taps than memory holds."""
 
 
 def _gl_rule(panels: int, a: float, b: float):
@@ -136,19 +141,25 @@ def _renormalize(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def discrete_kernel(h, epsilon: float, n: int) -> np.ndarray:
-    """Unit-mass sampled kernel weights for spacing ``h`` (scalar or per-axis).
+def discrete_kernel(spacing, epsilon: float) -> np.ndarray:
+    """Unit-mass sampled kernel weights on a grid of per-axis ``spacing``.
 
     The weights are ``eta`` at the grid offsets ``j*h`` with ``|j*h| < eps``
     on each axis, shape ``(2*m + 1,)`` per axis, renormalized to unit mass.
+    A kernel too large to hold raises ``KernelSizeError`` naming ``eps``
+    and its tap count.
     """
-    if n not in (1, 2):
-        raise ValueError("only dimensions 1 and 2 are supported")
-    hs = (h,) * n if np.isscalar(h) else h[:n]
-    ms = [_half_width(h_ax, epsilon) for h_ax in hs]
-    offs = [np.arange(-m, m + 1) * h_ax / epsilon for m, h_ax in zip(ms, hs)]
-    r2 = sum(o * o for o in np.ix_(*offs))
-    return _renormalize(_bump(r2))
+    ms = [_half_width(h, epsilon) for h in spacing]
+    try:
+        offs = [np.arange(-m, m + 1) * h / epsilon
+                for m, h in zip(ms, spacing)]
+        r2 = sum(o * o for o in np.ix_(*offs))
+        return _renormalize(_bump(r2))
+    except MemoryError as exc:
+        raise KernelSizeError(
+            f"epsilon={epsilon!r} needs a kernel of "
+            f"{math.prod(2 * m + 1 for m in ms)} taps, too many to hold in "
+            f"memory") from exc
 
 
 def mollify(u: GridField, epsilon: float) -> GridField:
@@ -158,7 +169,7 @@ def mollify(u: GridField, epsilon: float) -> GridField:
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    w = discrete_kernel(u.spacing, epsilon, u.dim)
+    w = discrete_kernel(u.spacing, epsilon)
     padded = np.pad(u.values, [(s // 2, s // 2) for s in w.shape],
                     mode="wrap")
     # every window against w at once: the window view is not copied

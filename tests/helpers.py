@@ -7,9 +7,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from holderforms.chains import (
-    Term, measure_polygons, polygon_boundary_integrals,
-)
+from holderforms.chains import Term, polygon_boundary_integrals
 from holderforms.decay import (
     DecayStep, SmallnessError, _strip_corners, choose_strip_count,
     iterate_rectangle,
@@ -327,13 +325,21 @@ def cat_map_conjugates(seed: int, count: int):
     return out
 
 
+def strip_measures(rect, N: int):
+    """The length and area of each of the N congruent strips of ``rect``,
+    in closed form: width ``w = u_len / N`` and height ``s = s_len``, the
+    edges summed in vertex order, ``((w + s) + w) + s``, and ``w * s``."""
+    w, s = rect.u_len / N, rect.s_len
+    return ((w + s) + w) + s, w * s
+
+
 def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
                            c1=1.0, cnorm=1.0):
     """The ``steps`` and ``skipped_k`` of ``decay_bound_series``, step by step.
 
-    The reference for the batched series: per admissible k, one
-    ``cut_strips``, one ``measure_polygons`` and two
-    ``polygon_boundary_integrals`` calls.
+    The reference for the batched series: per admissible k, the closed-form
+    ``strip_measures``, the bound as a ``math.fsum`` over the N strips'
+    equal right-hand sides, and two ``polygon_boundary_integrals`` calls.
     """
     steps, skipped = [], []
     for k in k_range:
@@ -342,20 +348,20 @@ def decay_steps_one_by_one(alpha, model, rect, theta, k_range, sigma,
             skipped.append(k)
             continue
         rect_k = iterate_rectangle(model, rect, k)
-        strips = cut_strips(rect_k, sc.n)
-        length, area, _ = measure_polygons(strips)
-        if (length >= sigma).any():
-            raise SmallnessError(k, sc.n, float(length.max()), sigma)
-        rhs_shapes = [ln ** (1.0 - theta) * ar ** theta
-                      for ln, ar in zip(length.tolist(), area.tolist())]
+        length, area = strip_measures(rect_k, sc.n)
+        if length >= sigma:
+            raise SmallnessError(k, sc.n, length, sigma)
+        rhs_shape = length ** (1.0 - theta) * area ** theta
         (lhs_whole,) = polygon_boundary_integrals(alpha, cut_strips(rect_k, 1))
         steps.append(DecayStep(
             k=k,
             n0=sc.n0,
             n=sc.n,
-            strip_boundary_max=float(length.max()),
-            bound=c_theta_constant(theta) * cnorm * math.fsum(rhs_shapes),
-            lhs_sum=math.fsum(polygon_boundary_integrals(alpha, strips)),
+            strip_length=length,
+            bound=c_theta_constant(theta) * cnorm * math.fsum(
+                [rhs_shape] * sc.n),
+            lhs_sum=math.fsum(polygon_boundary_integrals(
+                alpha, cut_strips(rect_k, sc.n))),
             lhs_whole=lhs_whole,
         ))
     return tuple(steps), tuple(skipped)

@@ -98,26 +98,22 @@ class TestSubcommands:
 
     def test_decay_integrates_each_strip_and_iterate_once(self, tmp_path,
                                                           monkeypatch):
-        # decay integrates the grid-sampled form it measures, exactly: each
-        # measured strip once, then each step's whole iterate once
-        counts = {"measure_polygons": 0, "polygon_boundary_integrals": 0}
+        # decay integrates its grid-sampled form exactly: each strip once,
+        # then each step's whole iterate once
+        calls = []
+        real = holderforms.decay.polygon_boundary_integrals
 
-        def counting(name):
-            real = getattr(holderforms.decay, name)
+        def spy(alpha, corners):
+            calls.append(len(corners))
+            return real(alpha, corners)
 
-            def spy(*args):
-                counts[name] += len(args[-1])
-                return real(*args)
-            return spy
-
-        for name in counts:
-            monkeypatch.setattr(holderforms.decay, name, counting(name))
+        monkeypatch.setattr(holderforms.decay, "polygon_boundary_integrals",
+                            spy)
         code, outdir = run(["decay"], tmp_path)
         assert code == 0
         rows = (outdir / "decay.csv").read_text().splitlines()[1:]
         strips = sum(int(row.split(",")[1]) for row in rows)
-        assert counts == {"measure_polygons": strips,
-                          "polygon_boundary_integrals": strips + len(rows)}
+        assert sum(calls) == strips + len(rows)
 
     def test_stokes_check_mollifies_once(self, tmp_path, monkeypatch):
         calls = []
@@ -738,12 +734,73 @@ class TestConfig:
                                                             monkeypatch):
         # only the guards' own errors mean a k range too large; a failure
         # inside a strip batch keeps its traceback
-        def failing(corners):
+        def failing(alpha, corners):
             raise MemoryError("batch")
 
-        monkeypatch.setattr(holderforms.decay, "measure_polygons", failing)
+        monkeypatch.setattr(holderforms.decay, "polygon_boundary_integrals",
+                            failing)
         with pytest.raises(MemoryError, match="batch"):
             run(["decay"], tmp_path)
+
+    def test_decay_tiny_strip_width_ends_in_a_verdict(self, tmp_path,
+                                                      capsys):
+        # u_len = 1e-200: next to x = 0.05 1.5^k the strips' corners round
+        # to one x, but the closed-form width u_len / N does not, so every
+        # bound is positive and the run ends in PASS/FAIL lines
+        ini = tmp_path / "c.ini"
+        ini.write_text("[decay]\nu_len = 1e-200\n")
+        code, outdir = run(["decay", "--config", str(ini)], tmp_path)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "FAIL strip-band-k=0 " in captured.out
+        assert "FAIL decay-rate " in captured.out
+        assert (outdir / "decay.csv").exists()
+
+    def test_decay_zero_bound_exits_2(self, tmp_path, capsys):
+        # u_len = 1e-320 and s_len = 1e-10 give a strip area that
+        # underflows to 0, so the bound at k = 0 is 0: no rate can be fitted
+        ini = tmp_path / "c.ini"
+        ini.write_text("[decay]\nu_len = 1e-320\ns_len = 1e-10\n")
+        code, _ = run(["decay", "--config", str(ini)], tmp_path)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: step k=0 ")
+        assert "bound 0.0 is not positive and finite" in captured.err
+        assert "FAIL" not in captured.out
+
+    def test_mollify_kernel_too_large_for_memory_exits_2(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # eps = 1e9 on 2048 nodes needs about 4e12 kernel taps; their
+        # offsets fail to allocate (here by a stand-in, before any real
+        # attempt)
+        arange = np.arange
+
+        def bounded_arange(*args, **kwargs):
+            start, stop = (0, args[0]) if len(args) == 1 else args[:2]
+            if stop - start > 1e9:
+                raise MemoryError(f"cannot allocate {stop - start}")
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", bounded_arange)
+        ini = tmp_path / "c.ini"
+        ini.write_text("[mollify]\nepsilons = 0.05 1e9\n")
+        code, _ = run(["mollify-check", "--config", str(ini)], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: epsilon=1000000000.0 needs a kernel of "
+                       "4093999999999 taps, too many to hold in memory\n")
+
+    def test_mollify_other_memory_error_is_not_a_config_error(self, tmp_path,
+                                                              monkeypatch):
+        # only a kernel too large to build is a config error; a failure in
+        # the convolution keeps its traceback
+        def failing(*args, **kwargs):
+            raise MemoryError("pad")
+
+        monkeypatch.setattr(np, "pad", failing)
+        with pytest.raises(MemoryError, match="pad"):
+            run(["mollify-check"], tmp_path)
 
     @pytest.mark.parametrize("sub, csv", [("stokes-check", "stokes.csv"),
                                           ("decay", "decay.csv")])

@@ -25,11 +25,42 @@ from holderforms.inequality import (
 
 from helpers import (
     cut_strips, decay_steps_one_by_one, one_form, per_edge_quadrature,
+    strip_measures,
 )
 
 
 MODEL = LinearModel(1.5, 0.4)
 RECT = USRectangle((0.05, 0.05), 0.4, 0.1)
+EPS = 2.0 ** -52
+
+
+def closed_form_slack(rect, n):
+    """How far a measured strip of ``cut_strips(rect, n)`` may lie from the
+    closed form ``strip_measures(rect, n)``: an absolute bound on its
+    length and a relative one on its area.
+
+    Strip i has corners from ``x_i = x + i*w``, ``w = fl(u_len / n)``: its
+    far corner is ``X = x_i + (x1 - x_i)`` with ``x1 = x_i + w``, and
+    ``measure_polygons`` reads its width as ``X - x_i``; ``x_i``'s own
+    rounding cancels.  Of the four roundings between ``w`` and that width,
+    two (``x1``, ``X``) are of coordinates, each at most ``2^-53`` of
+    ``|x| + u_len``, and two (``x1 - x_i``, ``X - x_i``) are of widths,
+    each at most ``2^-53 w``.  So the width is within ``dw = 2^-52 (|x| +
+    u_len + w)`` of ``w``, and the height within ``ds = 2^-52 (|y| + 2 s)``
+    of ``s``.  The edges are axis-aligned, so the measured length and area
+    are the closed form's ``((w + s) + w) + s`` and ``fl(w s)`` taken at
+    the measured width and height: the length moves by at most ``2 dw + 2
+    ds`` plus three roundings of ``L`` on each side, and the area by at
+    most ``dw / w + ds / s`` relative plus one rounding on each side.
+    These are first-order bounds; the slack is twice them, which covers
+    their products.
+    """
+    (x, y), w, s = rect.corner, rect.u_len / n, rect.s_len
+    dw = EPS * (abs(x) + rect.u_len + w)
+    ds = EPS * (abs(y) + 2.0 * s)
+    length, _ = strip_measures(rect, n)
+    return (2.0 * (2.0 * dw + 2.0 * ds + 3.0 * EPS * length),
+            2.0 * (dw / w + ds / s + EPS))
 
 
 def strip_disks(rect, n):
@@ -161,6 +192,24 @@ class TestStrips:
         assert diameter == pytest.approx(math.hypot(u_len, s_len), rel=1e-12)
         assert diameter <= rect.boundary_length / 2.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-1e3, 1e3), y=st.floats(-1e3, 1e3),
+           u_len=st.floats(1e-6, 1e3), s_len=st.floats(1e-6, 1e3),
+           n=st.integers(1, 10**6), start=st.integers(0, 10**6 - 1),
+           count=st.integers(1, 64))
+    def test_measured_strips_match_the_closed_form(self, x, y, u_len, s_len,
+                                                   n, start, count):
+        # any window of the n strips, measured corner by corner, against
+        # the one closed-form length and area of decay's bound
+        rect = USRectangle((x, y), u_len, s_len)
+        start %= n
+        corners = decay._strip_corners(rect, n, start, min(start + count, n))
+        lengths, areas, _ = measure_polygons(corners)
+        length, area = strip_measures(rect, n)
+        tol_length, tol_area = closed_form_slack(rect, n)
+        assert np.abs(lengths - length).max() <= tol_length
+        assert np.abs(areas - area).max() <= tol_area * area
+
     def test_small_k_is_inadmissible(self):
         # before the contraction kicks in the strips stay too tall
         sc = choose_strip_count(0, MODEL, RECT, sigma=0.5, c1=1.0)
@@ -195,24 +244,34 @@ class TestDecaySeries:
 
     def test_strips_pass_smallness(self, series):
         for s in series.steps:
-            assert s.strip_boundary_max < 0.5
+            assert s.strip_length < 0.5
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_strip_measures_match_family_verifier(self, series, k):
-        # the strips and the family verifier share measure_polygons
+        # the family verifier measures each strip with measure_polygons;
+        # the series takes one closed form, within the slack of its rounding
         step = next(s for s in series.steps if s.k == k)
+        rect_k = iterate_rectangle(MODEL, RECT, k)
         reports = verify_main_inequality(
             weierstrass_form(0.5, 2, 8),
             [(f"strip{i}", c) for i, c in enumerate(
-                strip_disks(iterate_rectangle(MODEL, RECT, k), step.n))],
+                strip_disks(rect_k, step.n))],
             theta=0.5, smallness_sigma=0.5)
         assert not any(r.skipped for r in reports)
-        # the series runs at the default cnorm = 1.0
-        assert step.bound == c_theta_constant(0.5) * 1.0 * math.fsum(
-            r.rhs_shape for r in reports)
-        assert step.strip_boundary_max == max(r.length for r in reports)
+        tol_length, tol_area = closed_form_slack(rect_k, step.n)
+        # |dS|^(1/2) |S|^(1/2) moves by half of each relative slack, plus
+        # the roundings of two powers, a product, a sum and the factor on
+        # each side; the series runs at the default cnorm = 1.0
+        tol_bound = (0.5 * tol_length / step.strip_length + 0.5 * tol_area
+                     + 10.0 * EPS)
+        assert step.bound == pytest.approx(
+            c_theta_constant(0.5) * 1.0 * math.fsum(
+                r.rhs_shape for r in reports), rel=tol_bound, abs=0.0)
+        assert step.strip_length == pytest.approx(
+            max(r.length for r in reports), rel=0.0, abs=tol_length)
         # so the length filter is a diameter filter too
-        assert max(r.diameter for r in reports) <= step.strip_boundary_max / 2
+        assert (max(r.diameter for r in reports)
+                <= (step.strip_length + tol_length) / 2)
 
     def test_sampled_form_integrates_to_its_corner_values(self):
         # W(x) dy pulls back to 0 on the horizontal edges and to the constant
@@ -254,7 +313,7 @@ class TestDecaySeries:
             assert abs(s.lhs_whole) <= strip_sum + 1e-8
 
     def test_smallness_filter_names_k_and_n(self, monkeypatch):
-        # every step is measured and filtered before any integral is taken
+        # every step is planned and filtered before any integral is taken
         calls = []
         monkeypatch.setattr(decay, "polygon_boundary_integrals",
                             lambda *args: calls.append(args))
@@ -309,8 +368,3 @@ def test_batches_do_not_change_any_field(monkeypatch, form, chunk):
                                 cnorm=7.0)
     assert series.skipped_k == skipped == (0, 1)
     assert hexed(series.steps) == hexed(steps)
-    for s in series.steps:
-        strips = cut_strips(iterate_rectangle(MODEL, RECT, s.k), s.n)
-        length, area, _ = (m.tolist() for m in measure_polygons(strips))
-        assert s.bound == c_theta_constant(0.5) * 7.0 * math.fsum(
-            ln ** 0.5 * ar ** 0.5 for ln, ar in zip(length, area))

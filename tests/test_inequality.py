@@ -24,7 +24,7 @@ from holderforms.inequality import (
     c_theta_constant,
     eps_star,
     isoperimetric_check,
-    isoperimetric_constant,
+    ISOPERIMETRIC_CONSTANT,
     mollification_split_check,
     mollify_one_form,
     one_form_cnorm,
@@ -83,7 +83,7 @@ class TestMinimizer:
 
 class TestIsoperimetric:
     def test_constant_planar(self):
-        assert isoperimetric_constant(2) == pytest.approx(1.0 / (4 * math.pi))
+        assert ISOPERIMETRIC_CONSTANT == pytest.approx(1.0 / (4 * math.pi))
 
     def test_unit_disk_equality(self):
         rep = isoperimetric_check(2.0 * math.pi, math.pi)
@@ -119,12 +119,6 @@ class TestIsoperimetric:
             again = [random_convex_polygon_vertices(random.Random(seed), n)
                      for n in range(3, 13)]
             assert first == again, seed
-
-    def test_dimension_guard(self):
-        # only the planar constant is implemented
-        for n in (1, 3):
-            with pytest.raises(ValueError):
-                isoperimetric_constant(n)
 
 
 def seeded_trig_form(seed, m=64):

@@ -41,7 +41,7 @@ def loop_mollify(u, epsilon):
     A 1-D field is one column, the only node of its second axis; the
     indices of every axis of the grid wrap over its nodes.
     """
-    w = discrete_kernel(u.spacing, epsilon, u.dim)
+    w = discrete_kernel(u.spacing, epsilon)
     v = u.values.reshape(u.values.shape + (1,) * (2 - u.dim))
     w = w.reshape(w.shape + (1,) * (2 - u.dim))
     m = [s // 2 for s in w.shape]
@@ -158,22 +158,22 @@ class TestKernelNormalization:
     def test_kernel_equals_the_two_formulas_bit_for_bit(self, n, h, eps):
         hh = h if n == 2 or np.isscalar(h) else h[0]
         want = two_formula_kernel(hh, eps, n)
-        got = discrete_kernel(h, eps, n)
+        got = discrete_kernel(((h,) * 2 if np.isscalar(h) else h)[:n], eps)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     def test_one_column_kernel_is_the_1d_kernel(self):
         # a y spacing of at least eps leaves one column, the 1-D weights
         for eps in (0.02, 0.05, 0.1):
-            w2 = discrete_kernel((1 / 2048, 1 / 8), eps, 2)
+            w2 = discrete_kernel((1 / 2048, 1 / 8), eps)
             assert w2.shape[1] == 1
-            assert w2[:, 0].tobytes() == discrete_kernel(1 / 2048, eps,
-                                                         1).tobytes()
+            assert w2[:, 0].tobytes() == discrete_kernel((1 / 2048,),
+                                                         eps).tobytes()
 
     @pytest.mark.parametrize("h,eps", [(1 / 256, 0.02), (1 / 256, 0.05),
                                        (1 / 1024, 0.1), (1 / 4096, 0.03)])
     def test_discrete_mass_exactly_one(self, h, eps):
-        w = discrete_kernel(h, eps, 1)
+        w = discrete_kernel((h,), eps)
         assert math.fsum(np.ravel(w)) == 1.0
 
 
